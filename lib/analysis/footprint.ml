@@ -225,11 +225,14 @@ let footprints_intersect a b =
   || any_intersect a.freads b.fwrites (* WAR *)
   || any_intersect a.fwrites b.fwrites (* WAW *)
 
+(* [Exit] means the counter's init or bound reads an enclosing counter that
+   runs zero iterations, so this loop never runs either. *)
 let trip_count env cid =
   match counter_interval_opt env cid with
   | Some i -> float_of_int (Sinterval.count i)
   | None -> 0.0
   | exception Not_static _ -> 8.0 (* unknown trip count: assume a modest loop *)
+  | exception Exit -> 0.0
 
 let per_tb_insts (r : Symeval.result) launch ~tb =
   let env = { launch; cta = cta_of_tb launch tb; result = r; tid_cap = None } in
@@ -258,3 +261,74 @@ let per_tb_mem_insts (r : Symeval.result) launch ~tb =
       in
       acc +. mult)
     0.0 r.accesses
+
+(* With no thread cap, the only per-TB input to a trip count is [Ctaid a]
+   for the axes that some counter's init or bound reads.  Counters only
+   reference counters of the same result, so the union over all of them is
+   already closed under [Sym.Counter] references. *)
+let counter_ctaid_axes (r : Symeval.result) =
+  let x = ref false and y = ref false and z = ref false in
+  let rec walk (e : Sym.t) =
+    match e with
+    | Sym.Special (Ctaid X) -> x := true
+    | Sym.Special (Ctaid Y) -> y := true
+    | Sym.Special (Ctaid Z) -> z := true
+    | Sym.Const _ | Sym.Param _ | Sym.Special _ | Sym.Counter _ | Sym.Unknown _ -> ()
+    | Sym.Add (a, b) | Sym.Sub (a, b) | Sym.Mul (a, b) | Sym.Div (a, b) | Sym.Rem (a, b)
+    | Sym.Shr (a, b) | Sym.Min (a, b) | Sym.Max (a, b) ->
+      walk a;
+      walk b
+  in
+  List.iter
+    (fun (c : Symeval.counter) ->
+      walk c.init;
+      walk c.bound)
+    r.counters;
+  (!x, !y, !z)
+
+(* Both counts of one TB from a single trip vector, with the reference's
+   arithmetic and order, so the floats match it bit for bit. *)
+let counts_at (r : Symeval.result) launch cta =
+  let env = { launch; cta; result = r; tid_cap = None } in
+  let trips = List.map (fun (c : Symeval.counter) -> (c.cid, trip_count env c.cid)) r.counters in
+  let body = r.kernel.kbody in
+  let mult = Array.make (Array.length body) 1.0 in
+  List.iter2
+    (fun (c : Symeval.counter) (_, t) ->
+      for i = c.entry to c.last do
+        mult.(i) <- mult.(i) *. t
+      done)
+    r.counters trips;
+  let insts = ref 0.0 in
+  Array.iteri (fun i instr -> match instr with Label _ -> () | I _ -> insts := !insts +. mult.(i)) body;
+  let mem =
+    List.fold_left
+      (fun acc (a : Symeval.access) -> acc +. List.fold_left (fun m cid -> m *. List.assoc cid trips) 1.0 a.aloops)
+      0.0 r.accesses
+  in
+  (!insts, mem)
+
+let per_tb_counts (r : Symeval.result) launch =
+  let n = tb_count launch in
+  let ux, uy, uz = counter_ctaid_axes r in
+  let g = launch.grid in
+  (* The radix of an axis no counter reads is 1, so [mod] drops it: the key
+     is a mixed-radix index of the ctaid projected onto the axes read. *)
+  let rx = if ux then g.dx else 1 and ry = if uy then g.dy else 1 and rz = if uz then g.dz else 1 in
+  let memo = Array.make (rx * ry * rz) None in
+  let insts = Array.make n 0.0 and mem = Array.make n 0.0 in
+  for tb = 0 to n - 1 do
+    let cta = cta_of_tb launch tb in
+    let key = (cta.dx mod rx) + (rx * ((cta.dy mod ry) + (ry * (cta.dz mod rz)))) in
+    let i, m =
+      match memo.(key) with
+      | Some counts -> counts
+      | None ->
+        let counts = counts_at r launch cta in
+        memo.(key) <- Some counts;
+        counts
+    in
+    insts.(tb) <- i;
+    mem.(tb) <- m
+  done;
+  (insts, mem)

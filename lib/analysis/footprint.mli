@@ -51,11 +51,26 @@ val footprints_intersect : t -> t -> bool
 val raw_intersect : writes:t -> reads:t -> bool
 (** Alias of {!overlaps} at whole-kernel granularity. *)
 
+val per_tb_counts : Symeval.result -> launch -> float array * float array
+(** [(insts, mem)], indexed by linear TB id: for every TB of the launch,
+    exactly [per_tb_insts r launch ~tb] and [per_tb_mem_insts r launch ~tb],
+    bit for bit.  This is what the GPU cost model calls.
+
+    A TB's counts depend on the TB only through the [ctaid] axes that some
+    loop counter's init or bound reads.  The counters are classified once
+    per kernel; each distinct projection of [ctaid] onto those axes gets one
+    trip vector, from which both counts are derived, and TBs that share the
+    projection share the result.  When no counter reads [ctaid] (every
+    configuration of the suite), the launch is evaluated once. *)
+
 val per_tb_insts : Symeval.result -> launch -> tb:int -> float
 (** Estimated dynamic instructions executed by one thread of the given TB
-    (loop trip counts resolved through the range analysis); the GPU cost
-    model turns this into TB execution time. *)
+    (loop trip counts resolved through the range analysis).  A loop whose
+    init or bound reads an enclosing zero-trip loop counts 0 trips.  This
+    per-TB evaluation is the reference {!per_tb_counts} is tested
+    against. *)
 
 val per_tb_mem_insts : Symeval.result -> launch -> tb:int -> float
 (** Estimated dynamic global-memory instructions per thread of the given TB
-    (each access counted with its enclosing loops' trip counts). *)
+    (each access counted with its enclosing loops' trip counts).  The
+    reference for {!per_tb_counts}'s second array. *)

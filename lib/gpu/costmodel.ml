@@ -21,17 +21,11 @@ type profile = {
 }
 
 let profile result (launch : Footprint.launch) =
-  let n = Footprint.tb_count launch in
   let threads = Bm_ptx.Types.dim3_count launch.Footprint.block in
   let warps = max 1 ((threads + 31) / 32) in
   (* Four warp schedulers per SM: warps beyond four lanes serialize. *)
   let warp_waves = float_of_int (max 1 ((warps + 3) / 4)) in
-  let insts = Array.make n 0.0 in
-  let mem = Array.make n 0.0 in
-  for tb = 0 to n - 1 do
-    insts.(tb) <- Footprint.per_tb_insts result launch ~tb;
-    mem.(tb) <- Footprint.per_tb_mem_insts result launch ~tb
-  done;
+  let insts, mem = Footprint.per_tb_counts result launch in
   { pr_insts = insts; pr_mem = mem; pr_warps = warps; pr_warp_waves = warp_waves }
 
 (* Transparent view for the persistent analysis store: the mli keeps

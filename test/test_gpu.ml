@@ -126,6 +126,141 @@ let test_cost_mem_requests () =
   (* map1: 1 load + 1 store per thread, 8 warps -> 16 requests per TB. *)
   Alcotest.(check (float 1e-6)) "coalesced per warp" 16.0 c.Costmodel.tb_mem_requests.(0)
 
+(* --- cost profiles against the per-TB reference -------------------------- *)
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* [Costmodel.profile] computes per ctaid projection; every TB must still
+   get exactly what the per-TB reference evaluation gives it. *)
+let profile_matches_reference r (fl : Footprint.launch) =
+  let p = Costmodel.repr_of_profile (Costmodel.profile r fl) in
+  let n = Footprint.tb_count fl in
+  bits p.Costmodel.prr_insts = bits (Array.init n (fun tb -> Footprint.per_tb_insts r fl ~tb))
+  && bits p.Costmodel.prr_mem = bits (Array.init n (fun tb -> Footprint.per_tb_mem_insts r fl ~tb))
+
+(* Every distinct (kernel, launch configuration) of an app that differs
+   from its reference. *)
+let profile_mismatches (app : Command.app) =
+  let seen = Hashtbl.create 64 in
+  List.filter_map
+    (fun (spec : Command.launch_spec) ->
+      let fl = Command.footprint_launch spec in
+      let key = (spec.Command.kernel.T.kname, fl) in
+      if Hashtbl.mem seen key then None
+      else begin
+        Hashtbl.add seen key ();
+        if profile_matches_reference (Symeval.analyze spec.Command.kernel) fl then None
+        else Some spec.Command.kernel.T.kname
+      end)
+    (Command.launches app)
+
+let test_profile_suite_reference () =
+  List.iter
+    (fun (name, gen) ->
+      Alcotest.(check (list string)) (name ^ " profiles bit-identical") [] (profile_mismatches (gen ())))
+    Bm_workloads.Suite.all
+
+let prop_profile_genapp_reference =
+  QCheck2.Test.make ~name:"cost profile = per-TB reference on Genapp apps" ~count:40
+    QCheck2.Gen.(pair small_nat small_nat)
+    (fun (seed, idx) ->
+      let module Genapp = Bm_workloads.Genapp in
+      let spec = Genapp.generate ~max_grid:48 (Bm_engine.Rng.create seed) idx in
+      profile_mismatches (Genapp.build spec) = [])
+
+(* Kernels whose loop trip counts read [ctaid], so TBs of one launch get
+   different counts.  Each loop reads IN[counter]. *)
+let ctaid_loop_kernel name bound_of =
+  let b = B.create name in
+  let inp = B.param_ptr b "IN" in
+  let read i =
+    let addr = B.elem_addr b ~base:inp ~index:i ~scale:4 in
+    ignore (B.ld_global_f32 b ~addr ~offset:0)
+  in
+  bound_of b read;
+  B.finish b
+
+let cta b axis = B.mov_u32 b (T.Sreg (T.Ctaid axis))
+
+let ctaid_kernels () =
+  [
+    ( "bound reads ctaid.x",
+      ctaid_loop_kernel "cx" (fun b read ->
+          let bound = B.add_u32 b (cta b T.X) (T.Imm 1) in
+          B.loop b ~init:(T.Imm 0) ~bound ~step:1 read) );
+    ( "bound reads ctaid.y",
+      ctaid_loop_kernel "cy" (fun b read ->
+          let bound = B.mad_lo_u32 b (cta b T.Y) (T.Imm 3) (T.Imm 2) in
+          B.loop b ~init:(T.Imm 0) ~bound ~step:1 read) );
+    ( "bound reads ctaid.z, nested",
+      ctaid_loop_kernel "cz" (fun b read ->
+          let bound = B.add_u32 b (cta b T.Z) (T.Imm 2) in
+          B.loop b ~init:(T.Imm 0) ~bound:(T.Imm 3) ~step:1 (fun _ ->
+              B.loop b ~init:(T.Imm 0) ~bound ~step:1 read)) );
+    ( "inner init inherits ctaid.x through the outer counter",
+      ctaid_loop_kernel "inherit" (fun b read ->
+          let n = B.param_u32 b "n" in
+          B.loop b ~init:(cta b T.X) ~bound:n ~step:1 (fun i ->
+              B.loop b ~init:i ~bound:n ~step:1 read)) );
+  ]
+
+let test_profile_ctaid_reference () =
+  let grids = [ ("2-D", { T.dx = 4; dy = 3; dz = 1 }); ("3-D", { T.dx = 3; dy = 2; dz = 4 }) ] in
+  List.iter
+    (fun (kname, k) ->
+      let r = Symeval.analyze k in
+      List.iter
+        (fun (gname, grid) ->
+          let fl = { Footprint.grid; block = T.dim3 64; args = [ ("IN", 1 lsl 20); ("n", 6) ] } in
+          let label = Printf.sprintf "%s, %s grid" kname gname in
+          Alcotest.(check bool) (label ^ ": bit-identical") true (profile_matches_reference r fl);
+          let insts, _ = Footprint.per_tb_counts r fl in
+          let varies = Array.exists (fun v -> v <> insts.(0)) insts in
+          (* On the 2-D grid every TB has ctaid.z = 0. *)
+          Alcotest.(check bool) (label ^ ": counts vary by TB") true
+            (varies || (kname = "bound reads ctaid.z, nested" && grid.T.dz = 1)))
+        grids)
+    (ctaid_kernels ())
+
+(* for i < outer: for j = i .. n: read IN[j].  With outer = 0 the inner
+   counter's init reads a zero-trip counter. *)
+let triangular_kernel () =
+  let b = B.create "triangular" in
+  let outer = B.param_u32 b "outer" and n = B.param_u32 b "n" in
+  let inp = B.param_ptr b "IN" in
+  B.loop b ~init:(T.Imm 0) ~bound:outer ~step:1 (fun i ->
+      B.loop b ~init:i ~bound:n ~step:1 (fun j ->
+          let addr = B.elem_addr b ~base:inp ~index:j ~scale:4 in
+          ignore (B.ld_global_f32 b ~addr ~offset:0)));
+  B.finish b
+
+let test_zero_trip_outer_loop () =
+  let kernel = triangular_kernel () in
+  let buf = { Command.buf_id = 0; base = 4096; bytes = 4096 } in
+  let launch outer =
+    {
+      Command.kernel;
+      grid = T.dim3 4;
+      block = T.dim3 64;
+      args = [ ("outer", Command.Int outer); ("n", Command.Int 16); ("IN", Command.Buf buf) ];
+      stream = 0;
+    }
+  in
+  let app =
+    {
+      Command.app_name = "triangular";
+      commands = [ Command.Malloc buf; Command.Kernel_launch (launch 0); Command.Kernel_launch (launch 3) ];
+    }
+  in
+  let prep = Bm_maestro.Prep.prepare Config.titan_x_pascal app in
+  Alcotest.(check int) "both launches prepared" 2 (Array.length prep.Bm_maestro.Prep.p_launches);
+  let r = Symeval.analyze kernel in
+  let fl outer = Command.footprint_launch (launch outer) in
+  Alcotest.(check (float 0.0)) "zero-trip nest executes no loads" 0.0
+    (Footprint.per_tb_mem_insts r (fl 0) ~tb:0);
+  Alcotest.(check bool) "outer = 0 matches the reference" true (profile_matches_reference r (fl 0));
+  Alcotest.(check bool) "outer = 3 matches the reference" true (profile_matches_reference r (fl 3))
+
 let test_stats_helpers () =
   let records =
     [|
@@ -166,6 +301,10 @@ let suite =
     Alcotest.test_case "cost: deterministic" `Quick test_cost_deterministic;
     Alcotest.test_case "cost: jitter bounded" `Quick test_cost_jitter_bounded;
     Alcotest.test_case "cost: memory requests" `Quick test_cost_mem_requests;
+    Alcotest.test_case "cost: suite profiles = per-TB reference" `Quick test_profile_suite_reference;
+    QCheck_alcotest.to_alcotest prop_profile_genapp_reference;
+    Alcotest.test_case "cost: ctaid-dependent trips = reference" `Quick test_profile_ctaid_reference;
+    Alcotest.test_case "cost: zero-trip outer loop prepares" `Quick test_zero_trip_outer_loop;
     Alcotest.test_case "stats: helpers" `Quick test_stats_helpers;
     QCheck_alcotest.to_alcotest prop_alloc_never_overlaps;
   ]
