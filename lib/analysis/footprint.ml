@@ -35,15 +35,53 @@ type env = {
   tid_cap : int option;
 }
 
+let tid_x_range (block : dim3) tid_cap =
+  let hi = block.dx - 1 in
+  let hi = match tid_cap with Some c -> min hi c | None -> hi in
+  Sinterval.make ~lo:0 ~hi:(max 0 hi) ~stride:1
+
 let special_interval env = function
-  | Tid X ->
-    let hi = axis_of env.launch.block X - 1 in
-    let hi = match env.tid_cap with Some c -> min hi c | None -> hi in
-    Sinterval.make ~lo:0 ~hi:(max 0 hi) ~stride:1
+  | Tid X -> tid_x_range env.launch.block env.tid_cap
   | Tid a -> Sinterval.make ~lo:0 ~hi:(max 0 (axis_of env.launch.block a - 1)) ~stride:1
   | Ntid a -> Sinterval.singleton (axis_of env.launch.block a)
   | Ctaid a -> Sinterval.singleton (axis_of env.cta a)
   | Nctaid a -> Sinterval.singleton (axis_of env.launch.grid a)
+
+(* The value set of loop counter [c] whose init evaluates to [ii] and whose
+   bound evaluates to [bi]; [None] when the loop provably runs zero
+   iterations. *)
+let loop_range (c : Symeval.counter) (ii : Sinterval.t) (bi : Sinterval.t) =
+  let stride =
+    let s = abs c.step in
+    if ii.Sinterval.stride = 0 then s
+    else
+      let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+      max 1 (gcd s ii.Sinterval.stride)
+  in
+  if c.step > 0 then begin
+    (* Upward loop; exits when [counter cmp bound] holds. *)
+    let hi =
+      match c.cmp with
+      | Ge -> bi.Sinterval.hi - 1
+      | Gt -> bi.Sinterval.hi
+      | Eq | Ne -> bi.Sinterval.hi
+      | Lt | Le -> raise (Not_static "unsupported upward loop exit condition")
+    in
+    if hi < ii.Sinterval.lo then None
+    else Some (Sinterval.make ~lo:ii.Sinterval.lo ~hi ~stride)
+  end
+  else if c.step < 0 then begin
+    let lo =
+      match c.cmp with
+      | Le -> bi.Sinterval.lo + 1
+      | Lt -> bi.Sinterval.lo
+      | Eq | Ne -> bi.Sinterval.lo
+      | Ge | Gt -> raise (Not_static "unsupported downward loop exit condition")
+    in
+    if lo > ii.Sinterval.hi then None
+    else Some (Sinterval.make ~lo ~hi:ii.Sinterval.hi ~stride)
+  end
+  else raise (Not_static "zero-step loop")
 
 let rec eval env (e : Sym.t) : Sinterval.t =
   match e with
@@ -82,37 +120,7 @@ and counter_interval_opt env cid =
   let c = Symeval.counter_of env.result cid in
   let ii = eval env c.init in
   let bi = eval env c.bound in
-  let stride =
-    let s = abs c.step in
-    if ii.Sinterval.stride = 0 then s
-    else
-      let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-      max 1 (gcd s ii.Sinterval.stride)
-  in
-  if c.step > 0 then begin
-    (* Upward loop; exits when [counter cmp bound] holds. *)
-    let hi =
-      match c.cmp with
-      | Ge -> bi.Sinterval.hi - 1
-      | Gt -> bi.Sinterval.hi
-      | Eq | Ne -> bi.Sinterval.hi
-      | Lt | Le -> raise (Not_static "unsupported upward loop exit condition")
-    in
-    if hi < ii.Sinterval.lo then None
-    else Some (Sinterval.make ~lo:ii.Sinterval.lo ~hi ~stride)
-  end
-  else if c.step < 0 then begin
-    let lo =
-      match c.cmp with
-      | Le -> bi.Sinterval.lo + 1
-      | Lt -> bi.Sinterval.lo
-      | Eq | Ne -> bi.Sinterval.lo
-      | Ge | Gt -> raise (Not_static "unsupported downward loop exit condition")
-    in
-    if lo > ii.Sinterval.hi then None
-    else Some (Sinterval.make ~lo ~hi:ii.Sinterval.hi ~stride)
-  end
-  else raise (Not_static "zero-step loop")
+  loop_range c ii bi
 
 and counter_interval env cid =
   match counter_interval_opt env cid with
@@ -144,8 +152,16 @@ let is_global_index_x (e : Sym.t) =
     is_mul a b
   | _ -> false
 
-(* Thread cap for one TB implied by the kernel's recognized bounds checks:
-   threads with ctaid.x*ntid.x + tid.x >= n return before touching memory,
+(* Fold one recognized guard's bound [b] for TB [cta] into the thread cap
+   [acc]: threads with ctaid.x*ntid.x + tid.x >= b return before touching
+   memory.  A bound that is not a single value leaves the cap alone. *)
+let cap_of_bound launch (cta : dim3) acc (b : Sinterval.t) =
+  if b.Sinterval.stride <> 0 then acc
+  else
+    let cap = b.Sinterval.lo - 1 - (cta.dx * launch.block.dx) in
+    Some (match acc with Some c -> min c cap | None -> cap)
+
+(* Thread cap for one TB implied by the kernel's recognized bounds checks,
    so tail TBs have a reduced effective thread range (and fully-guarded TBs
    touch nothing). *)
 let tid_cap_of (r : Symeval.result) launch (cta : dim3) =
@@ -155,15 +171,14 @@ let tid_cap_of (r : Symeval.result) launch (cta : dim3) =
       else
         let env = { launch; cta; result = r; tid_cap = None } in
         match eval env g.g_bound with
-        | b when b.Sinterval.stride = 0 ->
-          let cap = b.Sinterval.lo - 1 - (cta.dx * launch.block.dx) in
-          Some (match acc with Some c -> min c cap | None -> cap)
-        | _ -> acc
+        | b -> cap_of_bound launch cta acc b
         | exception Not_static _ -> acc
         | exception Exit -> acc)
     None r.guards
 
-let of_result (r : Symeval.result) launch =
+let no_access = { freads = []; fwrites = [] }
+
+let of_result_reference (r : Symeval.result) launch =
   match r.nonstatic_reason with
   | Some reason -> Conservative reason
   | None -> (
@@ -176,7 +191,7 @@ let of_result (r : Symeval.result) launch =
             match tid_cap with
             | Some c when c < 0 ->
               (* Every thread of this TB fails the bounds check. *)
-              { freads = []; fwrites = [] }
+              no_access
             | Some _ | None ->
               let env = { launch; cta; result = r; tid_cap } in
               let freads = ref [] and fwrites = ref [] in
@@ -194,6 +209,170 @@ let of_result (r : Symeval.result) launch =
       Per_tb per_tb
     with Not_static reason -> Conservative reason)
 
+(* --- Staged evaluation: once per launch, then once per TB ------------- *)
+
+(* An expression partially evaluated for one launch.  [Known] is its value
+   for every TB; [Fails] is the exception evaluating it raises for every
+   TB; [Varies] is what is left to run for one TB, given its ctaid and its
+   tid.x range.  A recorded exception fires only when a TB runs the
+   expression, at the point where [eval] would raise it. *)
+type staged =
+  | Known of Sinterval.t
+  | Fails of exn
+  | Varies of (dim3 -> Sinterval.t -> Sinterval.t)
+
+let run s cta tidx = match s with Known i -> i | Fails e -> raise e | Varies f -> f cta tidx
+
+let lift1 f s =
+  match s with
+  | Known a -> ( try Known (f a) with e -> Fails e)
+  | Fails _ -> s
+  | Varies g -> Varies (fun cta tidx -> f (g cta tidx))
+
+(* [f a b], evaluating [b] before [a] as [eval]'s applications do, so the
+   same exception wins. *)
+let lift2 f sa sb =
+  match (sa, sb) with
+  | _, Fails _ -> sb
+  | Fails _, Known _ -> sa
+  | Known a, Known b -> ( try Known (f a b) with e -> Fails e)
+  | Known a, Varies gb -> Varies (fun cta tidx -> f a (gb cta tidx))
+  | Varies ga, Known b -> Varies (fun cta tidx -> f (ga cta tidx) b)
+  | (Varies _ | Fails _), Varies gb ->
+    Varies
+      (fun cta tidx ->
+        let b = gb cta tidx in
+        f (run sa cta tidx) b)
+
+(* [Div], [Rem] and [Shr]: the right operand must be one value satisfying
+   [ok], and the left one is evaluated only after it passed. *)
+let by_const ~ok ~reason f sa sb =
+  let usable (b : Sinterval.t) = b.Sinterval.stride = 0 && ok b.Sinterval.lo in
+  match sb with
+  | Fails _ -> sb
+  | Known b -> if usable b then lift1 (fun a -> f a b.Sinterval.lo) sa else Fails (Not_static reason)
+  | Varies gb ->
+    Varies
+      (fun cta tidx ->
+        let b = gb cta tidx in
+        if usable b then f (run sa cta tidx) b.Sinterval.lo else raise (Not_static reason))
+
+(* A stager for one (result, launch): [eval] with everything that does not
+   read the TB folded, and each counter staged once. *)
+let stager (r : Symeval.result) launch ~tid_x =
+  let env0 = { launch; cta = { dx = 0; dy = 0; dz = 0 }; result = r; tid_cap = None } in
+  let counters = Hashtbl.create 8 in
+  let rec stage (e : Sym.t) =
+    match e with
+    | Sym.Const n -> Known (Sinterval.singleton n)
+    | Sym.Param p -> (
+      match List.assoc_opt p launch.args with
+      | Some v -> Known (Sinterval.singleton v)
+      | None -> Fails (Not_static ("unbound parameter " ^ p)))
+    | Sym.Special (Tid X) -> tid_x
+    | Sym.Special (Ctaid a) -> Varies (fun cta _ -> Sinterval.singleton (axis_of cta a))
+    | Sym.Special s -> Known (special_interval env0 s)
+    | Sym.Counter cid -> (
+      match Hashtbl.find_opt counters cid with
+      | Some s -> s
+      | None ->
+        let s = stage_counter cid in
+        Hashtbl.add counters cid s;
+        s)
+    | Sym.Add (a, b) -> lift2 Sinterval.add (stage a) (stage b)
+    | Sym.Sub (a, b) -> lift2 Sinterval.sub (stage a) (stage b)
+    | Sym.Mul (a, b) -> lift2 Sinterval.mul (stage a) (stage b)
+    | Sym.Div (a, b) ->
+      by_const ~ok:(fun k -> k <> 0) ~reason:"division by a non-constant" Sinterval.div_const
+        (stage a) (stage b)
+    | Sym.Rem (a, b) ->
+      by_const ~ok:(fun k -> k <> 0) ~reason:"remainder by a non-constant" Sinterval.rem_const
+        (stage a) (stage b)
+    | Sym.Shr (a, b) ->
+      by_const ~ok:(fun k -> k >= 0) ~reason:"shift by a non-constant" Sinterval.shr (stage a)
+        (stage b)
+    | Sym.Min (a, b) -> lift2 Sinterval.min_ (stage a) (stage b)
+    | Sym.Max (a, b) -> lift2 Sinterval.max_ (stage a) (stage b)
+    | Sym.Unknown reason -> Fails (Not_static reason)
+  and stage_counter cid =
+    match Symeval.counter_of r cid with
+    | exception e -> Fails e
+    | c ->
+      (* [eval] reads the init before the bound. *)
+      let interval bi ii =
+        match loop_range c ii bi with Some i -> i | None -> raise Exit
+      in
+      lift2 interval (stage c.bound) (stage c.init)
+  in
+  stage
+
+(* The access touches [abytes] bytes starting at each address. *)
+let stage_access stage (a : Symeval.access) =
+  let s = stage a.aexpr in
+  if a.abytes <= 1 then s
+  else
+    let width = Sinterval.make ~lo:0 ~hi:(a.abytes - 1) ~stride:1 in
+    lift1 (fun i -> Sinterval.add i width) s
+
+let of_result (r : Symeval.result) launch =
+  match r.nonstatic_reason with
+  | Some reason -> Conservative reason
+  | None -> (
+    let full_tid_x = tid_x_range launch.block None in
+    let guards =
+      List.filter (fun (g : Symeval.guard_constraint) -> is_global_index_x g.g_expr) r.guards
+    in
+    (* Guard bounds see the whole x-thread range, as in [tid_cap_of]; tid.x
+       varies by TB only when a guard can clamp it. *)
+    let bounds, tid_x =
+      match guards with
+      | [] -> ([], Known full_tid_x)
+      | _ ->
+        let stage = stager r launch ~tid_x:(Known full_tid_x) in
+        ( List.map (fun (g : Symeval.guard_constraint) -> stage g.g_bound) guards,
+          Varies (fun _ tidx -> tidx) )
+    in
+    let stage = stager r launch ~tid_x in
+    let all = Array.of_list r.accesses in
+    let kinds = Array.map (fun (a : Symeval.access) -> a.akind) all in
+    let accesses = Array.map (stage_access stage) all in
+    let tid_cap cta =
+      List.fold_left
+        (fun acc s ->
+          match run s cta full_tid_x with
+          | b -> cap_of_bound launch cta acc b
+          | exception Not_static _ -> acc
+          | exception Exit -> acc)
+        None bounds
+    in
+    (* One TB's access intervals, evaluated in instruction order so the
+       first exception wins; [dropped] marks a zero-trip access. *)
+    let dropped = Sinterval.singleton 0 in
+    let values = Array.make (Array.length accesses) dropped in
+    let footprint_of tb =
+      let cta = cta_of_tb launch tb in
+      match tid_cap cta with
+      | Some c when c < 0 -> no_access
+      | tid_cap ->
+        let tidx =
+          match tid_cap with None -> full_tid_x | Some _ -> tid_x_range launch.block tid_cap
+        in
+        for i = 0 to Array.length accesses - 1 do
+          values.(i) <- (match run accesses.(i) cta tidx with v -> v | exception Exit -> dropped)
+        done;
+        let freads = ref [] and fwrites = ref [] in
+        for i = Array.length accesses - 1 downto 0 do
+          let v = values.(i) in
+          if v != dropped then
+            match kinds.(i) with
+            | `Read -> freads := v :: !freads
+            | `Write -> fwrites := v :: !fwrites
+        done;
+        { freads = !freads; fwrites = !fwrites }
+    in
+    try Per_tb (Array.init (tb_count launch) footprint_of)
+    with Not_static reason -> Conservative reason)
+
 let analyze kernel launch = of_result (Symeval.analyze kernel) launch
 
 let overlaps ~writes ~reads =
@@ -201,19 +380,26 @@ let overlaps ~writes ~reads =
 
 let whole per_tb =
   match Array.length per_tb with
-  | 0 -> { freads = []; fwrites = [] }
-  | _ ->
-    let join_lists a b =
-      (* Per-access positional join; footprints of all TBs of one kernel
-         list accesses in the same order. *)
-      if List.length a = List.length b then List.map2 Sinterval.join a b
-      else a @ b
+  | 0 -> no_access
+  | n ->
+    (* Per-access positional join; footprints of all TBs of one kernel list
+       accesses in the same order.  [len] is the length of [acc]. *)
+    let join_into acc len b =
+      let lb = List.length b in
+      if !len = lb then acc := List.map2 Sinterval.join !acc b
+      else begin
+        acc := !acc @ b;
+        len := !len + lb
+      end
     in
-    Array.fold_left
-      (fun acc fp ->
-        { freads = join_lists acc.freads fp.freads; fwrites = join_lists acc.fwrites fp.fwrites })
-      per_tb.(0)
-      (Array.sub per_tb 1 (Array.length per_tb - 1))
+    let first = per_tb.(0) in
+    let reads = ref first.freads and n_reads = ref (List.length first.freads) in
+    let writes = ref first.fwrites and n_writes = ref (List.length first.fwrites) in
+    for i = 1 to n - 1 do
+      join_into reads n_reads per_tb.(i).freads;
+      join_into writes n_writes per_tb.(i).fwrites
+    done;
+    { freads = !reads; fwrites = !writes }
 
 let any_intersect xs ys =
   List.exists (fun x -> List.exists (fun y -> Sinterval.intersects x y) ys) xs

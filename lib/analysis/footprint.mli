@@ -30,6 +30,27 @@ type kernel_footprints =
           whole-kernel (fully-connected) dependency *)
 
 val of_result : Symeval.result -> launch -> kernel_footprints
+(** Every TB's footprint for one launch: exactly what
+    {!of_result_reference} returns, compared with [=], and the same
+    exception when one escapes.
+
+    Each access expression, recognized guard bound and loop counter is
+    staged once per call: subtrees that do not read the TB (parameters,
+    [ntid], [nctaid], constants, counters whose init and bound do not read
+    [ctaid]) fold to one interval, shared physically by every TB's
+    footprint, or to the exception evaluating them raises.  Per TB only the
+    residual runs: the [ctaid] spine, plus [tid.x] when a recognized
+    bounds check can clamp it.  A folded exception fires only when a TB
+    runs the expression, where the reference would raise it, so
+    fully-guarded TBs and empty grids never see it: [Not_static] anywhere
+    makes the kernel [Conservative], a zero-trip counter drops the access
+    for that TB, and operands are evaluated right before left, as the
+    reference does. *)
+
+val of_result_reference : Symeval.result -> launch -> kernel_footprints
+(** The per-TB evaluator: every TB re-evaluates every access and guard
+    from scratch.  Kept as the reference {!of_result} is tested
+    against. *)
 
 val analyze : Bm_ptx.Types.kernel -> launch -> kernel_footprints
 (** [Symeval.analyze] followed by {!of_result}. *)

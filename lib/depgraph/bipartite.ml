@@ -91,22 +91,25 @@ let relate ?(max_degree = default_max_degree) parent child =
     let idx = build_index parent_fps in
     let parents_of = Array.make n_children [||] in
     let any_edge = ref false in
+    (* [stamp.(p) = c]: parent [p] is already among child [c]'s parents. *)
+    let stamp = Array.make n_parents (-1) in
     try
       Array.iteri
         (fun c (fp : Footprint.t) ->
-          let seen = Hashtbl.create 8 in
+          let ps = ref [] and degree = ref 0 in
           List.iter
             (fun r ->
               candidates idx r (fun p ->
-                  if not (Hashtbl.mem seen p) then begin
-                    Hashtbl.replace seen p ();
-                    if Hashtbl.length seen > max_degree then raise Degrade_to_full
+                  if stamp.(p) <> c then begin
+                    stamp.(p) <- c;
+                    ps := p :: !ps;
+                    incr degree;
+                    if !degree > max_degree then raise Degrade_to_full
                   end))
             fp.Footprint.freads;
-          if Hashtbl.length seen > 0 then begin
+          if !degree > 0 then begin
             any_edge := true;
-            let ps = Hashtbl.fold (fun p () acc -> p :: acc) seen [] in
-            parents_of.(c) <- Array.of_list (List.sort compare ps)
+            parents_of.(c) <- Array.of_list (List.sort Int.compare !ps)
           end)
         child_fps;
       if not !any_edge then Independent

@@ -508,3 +508,225 @@ let fingerprint_suite =
   ]
 
 let suite = suite @ fingerprint_suite
+
+(* --- staged footprints against the per-TB reference -------------------- *)
+
+module Command = Bm_gpu.Command
+module Sym = Bm_analysis.Sym
+
+(* An evaluator's whole outcome, an escaping exception included. *)
+let outcome of_result r fl =
+  match of_result r fl with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let staged_matches r fl =
+  outcome Footprint.of_result r fl = outcome Footprint.of_result_reference r fl
+
+(* Every distinct (kernel, launch configuration) of an app whose staged
+   footprints differ from the reference's, and how many there were. *)
+let footprint_mismatches (app : Command.app) =
+  let seen = Hashtbl.create 64 in
+  let bad =
+    List.filter_map
+      (fun (spec : Command.launch_spec) ->
+        let fl = Command.footprint_launch spec in
+        let key = (spec.Command.kernel.T.kname, fl) in
+        if Hashtbl.mem seen key then None
+        else begin
+          Hashtbl.add seen key ();
+          if staged_matches (Symeval.analyze spec.Command.kernel) fl then None
+          else Some spec.Command.kernel.T.kname
+        end)
+      (Command.launches app)
+  in
+  (bad, Hashtbl.length seen)
+
+let test_staged_suite_reference () =
+  let total =
+    List.fold_left
+      (fun total (name, gen) ->
+        let bad, n = footprint_mismatches (gen ()) in
+        Alcotest.(check (list string)) (name ^ " footprints identical") [] bad;
+        total + n)
+      0 Bm_workloads.Suite.all
+  in
+  Alcotest.(check int) "distinct suite launches" 811 total
+
+let prop_staged_genapp_reference =
+  QCheck2.Test.make ~name:"staged footprints = per-TB reference on Genapp apps" ~count:40
+    QCheck2.Gen.(pair small_nat small_nat)
+    (fun (seed, idx) ->
+      let module Genapp = Bm_workloads.Genapp in
+      let spec = Genapp.generate ~max_grid:48 (Bm_engine.Rng.create seed) idx in
+      fst (footprint_mismatches (Genapp.build spec)) = [])
+
+(* Hand-built analysis results reach expressions [Symeval] never emits for
+   a static kernel, such as an [Unknown] leaf next to a counter. *)
+let sp s = Sym.Special s
+let gid_x = Sym.Add (Sym.Mul (sp (T.Ctaid T.X), sp (T.Ntid T.X)), sp (T.Tid T.X))
+
+let hand_result ?(counters = []) ?(guards = []) accesses =
+  {
+    Symeval.kernel = vecadd ();
+    accesses =
+      List.mapi
+        (fun i (akind, aexpr) -> { Symeval.ainstr = i; akind; aexpr; abytes = 4; aloops = [] })
+        accesses;
+    counters;
+    guards;
+    static = true;
+    nonstatic_reason = None;
+  }
+
+let counter ?(init = Sym.Const 0) cid bound =
+  { Symeval.cid; init; bound; cmp = T.Ge; step = 1; entry = 0; last = 0 }
+
+let guard bound = { Symeval.g_expr = gid_x; g_bound = bound }
+
+let hand_grids =
+  [ ("1-D", T.dim3 4); ("3-D", { T.dx = 3; dy = 2; dz = 2 }); ("empty", { T.dx = 0; dy = 1; dz = 1 }) ]
+
+let hand_launch grid args = { Footprint.grid; block = T.dim3 8; args = ("A", 0x1000) :: args }
+
+let check_staged label r args =
+  List.iter
+    (fun (gname, grid) ->
+      Alcotest.(check bool) (label ^ ", " ^ gname ^ " grid") true
+        (staged_matches r (hand_launch grid args)))
+    hand_grids
+
+let elem e = Sym.Add (Sym.Param "A", Sym.Mul (e, Sym.Const 4))
+
+let test_staged_guards () =
+  (* vecadd: n = 900 leaves a tail TB, n = 512 two fully-guarded TBs. *)
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "vecadd, n = %d" n) true
+        (staged_matches (Symeval.analyze (vecadd ())) (launch_1d ~args:(vecadd_args n) 4)))
+    [ 900; 512; 0 ];
+  check_staged "tail-guarded TB"
+    (hand_result ~guards:[ guard (Sym.Param "n") ] [ (`Read, elem gid_x); (`Write, elem gid_x) ])
+    [ ("n", 21) ];
+  check_staged "guard bound reads ctaid"
+    (hand_result
+       ~guards:[ guard (Sym.Add (Sym.Param "n", sp (T.Ctaid T.X))) ]
+       [ (`Read, elem gid_x) ])
+    [ ("n", 13) ];
+  (* Every TB is past the bound, or the grid is empty: the access that
+     cannot be evaluated is never reached. *)
+  let r = hand_result ~guards:[ guard (Sym.Param "n") ] [ (`Read, Sym.Unknown "opaque") ] in
+  check_staged "fully-guarded TBs hide a non-static access" r [ ("n", 0) ];
+  (match Footprint.of_result r (hand_launch (T.dim3 4) [ ("n", 0) ]) with
+  | Footprint.Per_tb fps ->
+    Alcotest.(check bool) "no TB reads" true (Array.for_all (fun fp -> fp.Footprint.freads = []) fps)
+  | Footprint.Conservative reason -> Alcotest.fail reason);
+  let empty_grid = hand_launch { T.dx = 0; dy = 1; dz = 1 } [] in
+  match Footprint.of_result (hand_result [ (`Read, Sym.Unknown "opaque") ]) empty_grid with
+  | Footprint.Per_tb fps -> Alcotest.(check int) "empty grid" 0 (Array.length fps)
+  | Footprint.Conservative reason -> Alcotest.fail reason
+
+let test_staged_ctaid_loops () =
+  (* The bound is ctaid.x, so TB 0's loop runs zero times and its read is
+     dropped; the write after the loop stays. *)
+  let r =
+    hand_result ~counters:[ counter 0 (sp (T.Ctaid T.X)) ]
+      [ (`Read, elem (Sym.Counter 0)); (`Write, elem gid_x) ]
+  in
+  check_staged "loop bound reads ctaid.x" r [];
+  (match Footprint.of_result r (hand_launch (T.dim3 4) []) with
+  | Footprint.Per_tb fps ->
+    Alcotest.(check int) "TB 0 skips its loop" 0 (List.length fps.(0).Footprint.freads);
+    Alcotest.(check int) "TB 1 reads" 1 (List.length fps.(1).Footprint.freads)
+  | Footprint.Conservative reason -> Alcotest.fail reason);
+  (* A nest whose inner init reads the outer counter. *)
+  check_staged "inner init reads a ctaid-dependent counter"
+    (hand_result
+       ~counters:[ counter 0 (sp (T.Ctaid T.Y)); counter ~init:(Sym.Counter 0) 1 (Sym.Param "n") ]
+       [ (`Read, elem (Sym.Counter 1)) ])
+    [ ("n", 5) ];
+  (* A real kernel from the builder, the loop bound read from ctaid.x. *)
+  let b = B.create "cx" in
+  let inp = B.param_ptr b "A" in
+  B.loop b ~init:(T.Imm 0) ~bound:(B.mov_u32 b (T.Sreg (T.Ctaid T.X))) ~step:1 (fun i ->
+      let addr = B.elem_addr b ~base:inp ~index:i ~scale:4 in
+      ignore (B.ld_global_f32 b ~addr ~offset:0));
+  check_staged "builder kernel, bound = ctaid.x" (Symeval.analyze (B.finish b)) []
+
+let test_staged_ctaid_divisor () =
+  List.iter
+    (fun (label, e) -> check_staged label (hand_result [ (`Read, elem e) ]) [])
+    [
+      ("divisor ctaid.x + 1", Sym.Div (gid_x, Sym.Add (sp (T.Ctaid T.X), Sym.Const 1)));
+      (* Zero for TB 0: the kernel is conservative. *)
+      ("divisor ctaid.x", Sym.Div (gid_x, sp (T.Ctaid T.X)));
+      ("remainder by ctaid.y", Sym.Rem (gid_x, sp (T.Ctaid T.Y)));
+      ("shift by ctaid.z", Sym.Shr (gid_x, sp (T.Ctaid T.Z)));
+      ("divisor a range", Sym.Div (gid_x, sp (T.Tid T.X)));
+    ]
+
+(* [Add (Unknown, Counter)] evaluates the counter first: if its loop runs
+   zero times the access is dropped before the unknown leaf is reached.
+   With the operands the other way round the unknown leaf wins. *)
+let test_staged_exception_precedence () =
+  let zero_trip_bounds =
+    [ ("folded", Sym.Const 0); ("per TB", Sym.Mul (sp (T.Ctaid T.X), Sym.Const 0)) ]
+  in
+  List.iter
+    (fun (how, bound) ->
+      let result e = hand_result ~counters:[ counter 0 bound ] [ (`Read, e) ] in
+      let unknown_first = result (Sym.Add (Sym.Unknown "opaque", Sym.Counter 0)) in
+      let counter_first = result (Sym.Add (Sym.Counter 0, Sym.Unknown "opaque")) in
+      check_staged ("unknown + zero-trip counter, " ^ how) unknown_first [];
+      check_staged ("zero-trip counter + unknown, " ^ how) counter_first [];
+      let fl = hand_launch (T.dim3 4) [] in
+      let nothing = { Footprint.freads = []; fwrites = [] } in
+      Alcotest.(check bool) ("zero-trip counter drops the access, " ^ how) true
+        (Footprint.of_result unknown_first fl = Footprint.Per_tb (Array.make 4 nothing));
+      Alcotest.(check bool) ("unknown leaf makes the kernel conservative, " ^ how) true
+        (Footprint.of_result counter_first fl = Footprint.Conservative "opaque"))
+    zero_trip_bounds;
+  (* Of two non-static accesses, the first in instruction order names the
+     reason. *)
+  check_staged "first non-static access wins"
+    (hand_result [ (`Write, Sym.Div (gid_x, sp (T.Tid T.X))); (`Read, Sym.Unknown "opaque") ])
+    []
+
+(* TB-invariant intervals are computed once per launch and shared by every
+   TB's footprint. *)
+let test_staged_shares_invariants () =
+  let r =
+    hand_result ~counters:[ counter 0 (Sym.Param "n") ]
+      [ (`Read, elem (Sym.Counter 0)); (`Write, Sym.Add (Sym.Param "A", Sym.Const 64)) ]
+  in
+  match Footprint.of_result r (hand_launch (T.dim3 4) [ ("n", 6) ]) with
+  | Footprint.Conservative reason -> Alcotest.fail reason
+  | Footprint.Per_tb fps ->
+    Alcotest.(check bool) "loop read shared" true
+      (List.hd fps.(0).Footprint.freads == List.hd fps.(3).Footprint.freads);
+    Alcotest.(check bool) "fixed write shared" true
+      (List.hd fps.(1).Footprint.fwrites == List.hd fps.(2).Footprint.fwrites)
+
+let test_whole_mixed_lengths () =
+  (* Positional joins while lengths agree, concatenation when one TB
+     dropped an access. *)
+  let fp reads = { Footprint.freads = reads; fwrites = [] } in
+  let w =
+    Footprint.whole
+      [| fp [ I.range 0 3; I.range 8 11 ]; fp [ I.range 4 7; I.range 12 15 ]; fp [ I.range 16 19 ] |]
+  in
+  Alcotest.(check (list string)) "reads"
+    [ "[0..7 /1]"; "[8..15 /1]"; "[16..19 /1]" ]
+    (List.map I.to_string w.Footprint.freads)
+
+let staged_suite =
+  [
+    Alcotest.test_case "staged footprints: suite = reference" `Quick test_staged_suite_reference;
+    QCheck_alcotest.to_alcotest prop_staged_genapp_reference;
+    Alcotest.test_case "staged footprints: guards" `Quick test_staged_guards;
+    Alcotest.test_case "staged footprints: ctaid-dependent loops" `Quick test_staged_ctaid_loops;
+    Alcotest.test_case "staged footprints: ctaid-dependent divisors" `Quick test_staged_ctaid_divisor;
+    Alcotest.test_case "staged footprints: exception precedence" `Quick test_staged_exception_precedence;
+    Alcotest.test_case "staged footprints: invariants shared" `Quick test_staged_shares_invariants;
+    Alcotest.test_case "footprint: whole with mixed lengths" `Quick test_whole_mixed_lengths;
+  ]
+
+let suite = suite @ staged_suite

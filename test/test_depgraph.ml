@@ -542,3 +542,96 @@ let roundtrip_props =
   ]
 
 let suite = suite @ roundtrip_props
+
+(* --- relate against a brute-force all-pairs relation -------------------- *)
+
+(* Child [c] depends on parent [p] when some read of [c] intersects some
+   write of [p]; more than [max_degree] parents for any child, or every
+   child depending on every parent (both sides > 1), is fully connected. *)
+let brute_relate ~max_degree parent_fps child_fps =
+  let n_parents = Array.length parent_fps and n_children = Array.length child_fps in
+  let parents_of =
+    Array.map
+      (fun (child : Footprint.t) ->
+        List.filter
+          (fun p ->
+            List.exists
+              (fun w -> List.exists (I.intersects w) child.Footprint.freads)
+              parent_fps.(p).Footprint.fwrites)
+          (List.init n_parents Fun.id))
+      child_fps
+  in
+  let degrees = Array.map List.length parents_of in
+  if Array.exists (fun d -> d > max_degree) degrees then Bipartite.Fully_connected
+  else if Array.for_all (( = ) 0) degrees then Bipartite.Independent
+  else if n_parents > 1 && n_children > 1 && Array.for_all (( = ) n_parents) degrees then
+    Bipartite.Fully_connected
+  else
+    let edges =
+      List.concat (Array.to_list (Array.mapi (fun c ps -> List.map (fun p -> (p, c)) ps) parents_of))
+    in
+    Bipartite.Graph (Bipartite.of_edges ~n_parents ~n_children edges)
+
+let relate_matches_brute ~max_degree parents children =
+  Bipartite.relate ~max_degree (Footprint.Per_tb parents) (Footprint.Per_tb children)
+  = brute_relate ~max_degree parents children
+
+(* Parent [p] writes [16p, 16p + 15]. *)
+let block_writers n = Array.init n (fun p -> fp_of_intervals [] [ I.range (16 * p) ((16 * p) + 15) ])
+
+let test_relate_brute_boundaries () =
+  let parents = block_writers 6 in
+  (* Several reads of one child land in the same parent. *)
+  let repeated =
+    Array.init 4 (fun c ->
+        let at lo hi = I.range ((16 * c) + lo) ((16 * c) + hi) in
+        fp_of_intervals [ at 0 3; at 8 11; at 12 20 ] [])
+  in
+  Alcotest.(check bool) "repeated parents = brute force" true
+    (relate_matches_brute ~max_degree:3 parents repeated);
+  (match Bipartite.relate ~max_degree:3 (Footprint.Per_tb parents) (Footprint.Per_tb repeated) with
+  | Bipartite.Graph g ->
+    Alcotest.(check (array int)) "parents counted once" [| 1; 2 |] g.Bipartite.parents_of.(1)
+  | Bipartite.Independent | Bipartite.Fully_connected -> Alcotest.fail "expected a graph");
+  (* Child 0 reads parents 0..k-1, the others read one parent each. *)
+  let reading k =
+    Array.init 3 (fun c ->
+        if c = 0 then fp_of_intervals [ I.range 0 ((16 * k) - 1) ] []
+        else fp_of_intervals [ I.singleton (16 * c) ] [])
+  in
+  Alcotest.(check bool) "degree = max_degree = brute force" true
+    (relate_matches_brute ~max_degree:3 parents (reading 3));
+  (match Bipartite.relate ~max_degree:3 (Footprint.Per_tb parents) (Footprint.Per_tb (reading 3)) with
+  | Bipartite.Graph g ->
+    Alcotest.(check int) "degree = max_degree stays a graph" 3 (Bipartite.max_in_degree g)
+  | Bipartite.Independent | Bipartite.Fully_connected -> Alcotest.fail "expected a graph");
+  Alcotest.(check bool) "degree = max_degree + 1 = brute force" true
+    (relate_matches_brute ~max_degree:3 parents (reading 4));
+  Alcotest.(check bool) "degree = max_degree + 1 is fully connected" true
+    (Bipartite.relate ~max_degree:3 (Footprint.Per_tb parents) (Footprint.Per_tb (reading 4))
+    = Bipartite.Fully_connected)
+
+let gen_intervals =
+  QCheck2.Gen.(
+    list_size (int_range 0 3)
+      (map
+         (fun (lo, len, stride) -> I.make ~lo ~hi:(lo + len) ~stride)
+         (triple (int_range 0 120) (int_range 0 24) (int_range 1 4))))
+
+let prop_relate_brute =
+  QCheck2.Test.make ~name:"relate = brute-force all-pairs relation" ~count:300
+    QCheck2.Gen.(
+      triple (int_range 1 4)
+        (array_size (int_range 1 8) gen_intervals)
+        (array_size (int_range 1 8) gen_intervals))
+    (fun (max_degree, writes, reads) ->
+      let parents = Array.map (fun ws -> fp_of_intervals [] ws) writes in
+      let children = Array.map (fun rs -> fp_of_intervals rs []) reads in
+      relate_matches_brute ~max_degree parents children)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "relate: brute-force boundaries" `Quick test_relate_brute_boundaries;
+      QCheck_alcotest.to_alcotest prop_relate_brute;
+    ]
