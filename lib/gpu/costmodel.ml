@@ -81,4 +81,13 @@ let of_profile (cfg : Config.t) ~kernel_seq p =
 
 let of_launch cfg ~kernel_seq result launch = of_profile cfg ~kernel_seq (profile result launch)
 
-let total_mem_requests t = Array.fold_left ( +. ) 0.0 t.tb_mem_requests
+(* A local float ref, not [Array.fold_left]: the polymorphic fold boxes
+   every partial sum, and [Sim.run] lowers (so sums) every launch per run.
+   Same left-to-right order, so the same bits. *)
+let total_mem_requests t =
+  let a = t.tb_mem_requests in
+  let sum = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    sum := !sum +. a.(i)
+  done;
+  !sum

@@ -72,20 +72,20 @@ let prep_prev_of (prep : Prep.t) =
       match li.Prep.li_prev with Some p -> p | None -> -1)
     prep.Prep.p_launches
 
-let order_of_prep ?deadlines (prep : Prep.t) =
+let order_of_prep (prep : Prep.t) =
+  order_of_keys ~prev_of:(prep_prev_of prep) (default_keys_of_prep prep)
+
+let order_of_schedule ?deadlines (sched : Graph.schedule) =
+  let nodes = sched.Graph.s_nodes in
   let keys =
     match deadlines with
     | Some d ->
-      if Array.length d <> Array.length prep.Prep.p_launches then
-        invalid_arg "Deadline.order_of_prep: deadlines length <> launches";
+      if Array.length d <> Array.length nodes then
+        invalid_arg "Deadline.order_of_schedule: deadlines length <> launches";
       d
-    | None -> default_keys_of_prep prep
+    | None -> default_keys_of_schedule sched
   in
-  order_of_keys ~prev_of:(prep_prev_of prep) keys
-
-let order_of_schedule (sched : Graph.schedule) =
-  let prev_of = Array.map (fun n -> n.Graph.n_prev) sched.Graph.s_nodes in
-  order_of_keys ~prev_of (default_keys_of_schedule sched)
+  order_of_keys ~prev_of:(Array.map (fun n -> n.Graph.n_prev) nodes) keys
 
 (* ------------------------------------------------------------------ *)
 (* Response-time analysis                                             *)

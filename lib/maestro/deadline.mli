@@ -35,13 +35,14 @@ val effective : prev_of:int array -> float array -> float array
 val order_of_keys : prev_of:int array -> float array -> int array
 (** Launch seqs sorted by (effective key ascending, seq ascending). *)
 
-val order_of_prep : ?deadlines:float array -> Prep.t -> int array
-(** The static EDF dispatch order of a prepared app.  [deadlines]
-    (per-kernel, indexed by seq) overrides the default keys; raises
-    [Invalid_argument] on a length mismatch. *)
+val order_of_prep : Prep.t -> int array
+(** The static EDF dispatch order of a prepared app (default keys). *)
 
-val order_of_schedule : Graph.schedule -> int array
-(** The EDF order of a captured schedule (default keys). *)
+val order_of_schedule : ?deadlines:float array -> Graph.schedule -> int array
+(** The static EDF dispatch order of a schedule — {!order_of_prep} on the
+    prep it was lowered from.  [deadlines] (per-kernel, indexed by seq)
+    overrides the default keys; raises [Invalid_argument] on a length
+    mismatch. *)
 
 val bound_of_prep : Bm_gpu.Config.t -> Mode.t -> Prep.t -> float
 (** Worst-case makespan bound (microseconds): total serial work of every

@@ -108,6 +108,9 @@ let fingerprint cfg app =
 
 (* --- capture ------------------------------------------------------------ *)
 
+(* Cost arrays are shared with the preparation, not copied: no one writes
+   to one after the cost model builds it, and [Sim.run] lowers on every
+   call. *)
 let schedule_of_prep (prep : Prep.t) =
   let nodes =
     Array.map
@@ -118,7 +121,7 @@ let schedule_of_prep (prep : Prep.t) =
           n_prev = (match li.Prep.li_prev with Some p -> p | None -> -1);
           n_stream = li.Prep.li_spec.Command.stream;
           n_tbs = li.Prep.li_tbs;
-          n_tb_us = Array.copy li.Prep.li_cost.Costmodel.tb_us;
+          n_tb_us = li.Prep.li_cost.Costmodel.tb_us;
           n_mem_requests = Costmodel.total_mem_requests li.Prep.li_cost;
           n_relation = li.Prep.li_relation;
           n_copy_deps = Array.of_list (List.sort_uniq compare li.Prep.li_copy_deps);

@@ -83,6 +83,10 @@ val fingerprint : Bm_gpu.Config.t -> Bm_gpu.Command.app -> string
     {!Bm_analysis.Fingerprint}.  Any change that could alter preparation
     output changes the fingerprint. *)
 
+val schedule_of_prep : Prep.t -> schedule
+(** Lower one preparation into its schedule: the form {!capture} persists
+    and the form {!Sim.run} executes. *)
+
 val capture :
   ?cache:Cache.t -> ?prof:Bm_metrics.Prof.t -> Bm_gpu.Config.t -> Bm_gpu.Command.app -> t
 (** Prepare the app in both reorder classes (sharing [cache] exactly like

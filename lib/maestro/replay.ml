@@ -1,769 +1,20 @@
-module Config = Bm_gpu.Config
-module Stats = Bm_gpu.Stats
-module Bipartite = Bm_depgraph.Bipartite
-module Eheap = Bm_engine.Eheap
 module Metrics = Bm_metrics.Metrics
 
-type tb_state = Waiting | Queued | Running | Finished
-
-(* Node execution state.  Identical to the simulator's [kstate] except the
-   static half comes from the captured {!Graph.node} and two link fields
-   implement the active-node list ([-1] = nil, [-2] = not linked). *)
-type nstate = {
-  node : Graph.node;
-  ntbs : int;
-  tb_us : float array;
-  mutable launched : bool;
-  mutable started_tbs : int;
-  mutable done_tbs : int;
-  mutable drained : bool;
-  mutable drained_at : float;
-  mutable completed : bool;
-  tb_state : tb_state array;
-  pc : int array;
-  ready : int array;
-  mutable rhead : int;
-  mutable rtail : int;
-  dep_ready_time : float array;
-  start_time : float array;
-  finish_time : float array;
-  mutable a_prev : int;
-  mutable a_next : int;
-}
-
-(* Same packed-event scheme as the simulator: replay must push events in
-   the same order with the same keys to stay cycle-exact, and the packing
-   is part of the tie-break behaviour. *)
-let ev_launch seq = seq lsl 2
-let ev_tb k tb = 1 lor (tb lsl 2) lor (k lsl 32)
-let ev_copy ci = 2 lor (ci lsl 2)
-let ev_cmd ci = 3 lor (ci lsl 2)
-let packed_limit = 1 lsl 30
-
-type fstate = {
-  mutable now : float;
-  mutable last_t : float;
-  mutable area : float;
-  mutable busy : float;
-  mutable end_time : float;
-  mutable launch_free : float;
-  mutable copy_free : float;
-}
-
-let memcpy_us (cfg : Config.t) bytes =
-  cfg.Config.memcpy_latency_us +. (float_of_int bytes /. (cfg.Config.memcpy_gb_per_s *. 1000.0))
-
-let copy_event ~start ~blocking cmd ci =
-  let bytes, d2h =
-    match cmd with
-    | Graph.Gh2d { bytes } -> (bytes, false)
-    | Graph.Gd2h { bytes; _ } -> (bytes, true)
-    | Graph.Gmalloc | Graph.Glaunch _ | Graph.Gsync -> (0, false)
-  in
-  if start then Stats.Copy_start { cmd = ci; bytes; d2h; blocking }
-  else Stats.Copy_finish { cmd = ci; bytes; d2h; blocking }
-
-let table_spills (cfg : Config.t) seq relation ~n_children =
-  match relation with
-  | Bipartite.Independent | Bipartite.Fully_connected -> []
-  | Bipartite.Graph _ ->
-    let needed_dlb = Hardware.dlb_entries_needed cfg relation in
-    let needed_pcb = Hardware.pcb_counters_needed relation ~n_children in
-    let spills = ref [] in
-    if needed_pcb > cfg.Config.pcb_entries then
-      spills :=
-        Stats.Pcb_spill { seq; needed = needed_pcb; capacity = cfg.Config.pcb_entries } :: !spills;
-    if needed_dlb > cfg.Config.dlb_entries then
-      spills :=
-        Stats.Dlb_spill { seq; needed = needed_dlb; capacity = cfg.Config.dlb_entries } :: !spills;
-    !spills
-
-(* Metric handles: the same counter families the simulator publishes, plus
-   the replay-only [graph.replay.*] counters. *)
-type mstate = {
-  m_dlb : Metrics.gauge;
-  m_pcb : Metrics.gauge;
-  m_dlb_spill : Metrics.counter;
-  m_pcb_spill : Metrics.counter;
-  m_masked : Metrics.counter;
-  m_exposed : Metrics.counter;
-  m_window : Metrics.gauge;
-  m_window_occ : Metrics.histogram;
-  m_copy_count : Metrics.counter;
-  m_copy_h2d : Metrics.counter;
-  m_copy_d2h : Metrics.counter;
-  m_copy_busy : Metrics.counter;
-  m_tb_dispatched : Metrics.counter;
-  m_tb_exec : Metrics.histogram;
-  m_events : Metrics.counter;
-  m_enq_time : float array;
-  m_enq_busy : float array;
-  m_dlb_demand : int array;
-  m_pcb_demand : int array;
-  mutable m_dlb_used : int;
-  mutable m_pcb_used : int;
-  mutable m_resident : int;
-}
-
-let make_mstate reg (sched : Graph.schedule) =
-  let nk = Array.length sched.Graph.s_nodes in
-  let m_dlb = Metrics.gauge reg "dlb.occupancy" in
-  let m_pcb = Metrics.gauge reg "pcb.occupancy" in
-  let m_dlb_spill = Metrics.counter reg "dlb.spill_bytes" in
-  let m_pcb_spill = Metrics.counter reg "pcb.spill_bytes" in
-  let m_masked = Metrics.counter reg "launch.masked_us" in
-  let m_exposed = Metrics.counter reg "launch.exposed_us" in
-  let m_window = Metrics.gauge reg "window.resident" in
-  let m_window_occ = Metrics.histogram reg "window.occupancy" in
-  let m_copy_count = Metrics.counter reg "copy.count" in
-  let m_copy_h2d = Metrics.counter reg "copy.bytes_h2d" in
-  let m_copy_d2h = Metrics.counter reg "copy.bytes_d2h" in
-  let m_copy_busy = Metrics.counter reg "copy.busy_us" in
-  let m_tb_dispatched = Metrics.counter reg "tb.dispatched" in
-  let m_tb_exec = Metrics.histogram reg "tb.exec_us" in
-  let m_nodes = Metrics.counter reg "graph.replay.nodes" in
-  let m_commands = Metrics.counter reg "graph.replay.commands" in
-  let m_events = Metrics.counter reg "graph.replay.events" in
-  Metrics.add m_nodes (float_of_int nk);
-  Metrics.add m_commands (float_of_int (Array.length sched.Graph.s_commands));
-  {
-    m_dlb;
-    m_pcb;
-    m_dlb_spill;
-    m_pcb_spill;
-    m_masked;
-    m_exposed;
-    m_window;
-    m_window_occ;
-    m_copy_count;
-    m_copy_h2d;
-    m_copy_d2h;
-    m_copy_busy;
-    m_tb_dispatched;
-    m_tb_exec;
-    m_events;
-    m_enq_time = Array.make (max nk 1) 0.0;
-    m_enq_busy = Array.make (max nk 1) 0.0;
-    m_dlb_demand = Array.make (max nk 1) 0;
-    m_pcb_demand = Array.make (max nk 1) 0;
-    m_dlb_used = 0;
-    m_pcb_used = 0;
-    m_resident = 0;
-  }
-
-let run ?(host_blocking_copies = false) ?metrics ?trace (cfg : Config.t) mode (graph : Graph.t) =
+let run ?host_blocking_copies ?metrics ?trace cfg mode (graph : Graph.t) =
   let digest = Graph.cfg_digest cfg in
   if not (String.equal digest graph.Graph.g_cfg_digest) then
     invalid_arg
       (Printf.sprintf "Replay.run: graph %s captured under config %s, replaying under %s"
          graph.Graph.g_app graph.Graph.g_cfg_digest digest);
   let sched = if Mode.reorders mode then graph.Graph.g_reordered else graph.Graph.g_plain in
-  let nodes = sched.Graph.s_nodes in
-  let nk = Array.length nodes in
-  let commands = sched.Graph.s_commands in
-  let nc = Array.length commands in
-  let tracing = trace <> None in
-  let emit = match trace with Some f -> f | None -> fun _ _ -> () in
-  let window = Mode.window mode in
-  let fine = Mode.fine_grain mode in
-  let serial = Mode.serial_commands mode in
-  let launch_us = Mode.launch_overhead cfg mode in
-  let total_slots = Config.total_tb_slots cfg in
-  if nk >= packed_limit || nc >= packed_limit then
-    failwith "Replay.run: too many launches/commands for packed events";
-
-  let ks =
-    Array.map
-      (fun (node : Graph.node) ->
-        let n = node.Graph.n_tbs in
-        if n >= packed_limit then failwith "Replay.run: kernel too large for packed events";
-        let pc =
-          match node.Graph.n_relation with
-          | Bipartite.Graph g -> Array.map Array.length g.Bipartite.parents_of
-          | Bipartite.Independent | Bipartite.Fully_connected -> [||]
-        in
-        {
-          node;
-          ntbs = n;
-          tb_us = node.Graph.n_tb_us;
-          launched = false;
-          started_tbs = 0;
-          done_tbs = 0;
-          drained = n = 0;
-          drained_at = 0.0;
-          completed = false;
-          tb_state = Array.make n Waiting;
-          pc;
-          ready = Array.make (max n 1) 0;
-          rhead = 0;
-          rtail = 0;
-          dep_ready_time = Array.make n 0.0;
-          start_time = Array.make n 0.0;
-          finish_time = Array.make n 0.0;
-          a_prev = -2;
-          a_next = -2;
-        })
-      nodes
+  let stats, events =
+    Sim.run_schedule ~caller:"Replay.run" ?host_blocking_copies ?metrics ?trace cfg mode sched
   in
-
-  let prev_of = Array.map (fun (n : Graph.node) -> n.Graph.n_prev) nodes in
-  let next_of = Array.make nk (-1) in
-  Array.iteri (fun k p -> if p >= 0 then next_of.(p) <- k) prev_of;
-  let stream_of = Array.map (fun (n : Graph.node) -> n.Graph.n_stream) nodes in
-  let sidx = Array.make nk 0 in
-  let nstreams =
-    let seen : (int, int) Hashtbl.t = Hashtbl.create 4 in
-    Array.iteri
-      (fun k s ->
-        match Hashtbl.find_opt seen s with
-        | Some i -> sidx.(k) <- i
-        | None ->
-          let i = Hashtbl.length seen in
-          Hashtbl.add seen s i;
-          sidx.(k) <- i)
-      stream_of;
-    Hashtbl.length seen
-  in
-  let resident = Array.make (max nstreams 1) 0 in
-  let heap = Eheap.create () in
-  let f =
-    { now = 0.0; last_t = 0.0; area = 0.0; busy = 0.0; end_time = 0.0;
-      launch_free = 0.0; copy_free = 0.0 }
-  in
-
-  let running = ref 0 in
-  let advance t =
-    if t > f.last_t then begin
-      f.area <- f.area +. (float_of_int !running *. (t -. f.last_t));
-      if !running > 0 then f.busy <- f.busy +. (t -. f.last_t);
-      f.last_t <- t
-    end
-  in
-
-  let ms = match metrics with None -> None | Some reg -> Some (make_mstate reg sched) in
-  let m_copy ~d2h ~bytes ~dur =
-    match ms with
-    | None -> ()
-    | Some m ->
-      Metrics.incr m.m_copy_count;
-      Metrics.add (if d2h then m.m_copy_d2h else m.m_copy_h2d) (float_of_int bytes);
-      Metrics.add m.m_copy_busy dur
-  in
-  let m_copy_cmd ~dur ci cmd =
-    match cmd with
-    | Graph.Gh2d { bytes } -> m_copy ~d2h:false ~bytes ~dur
-    | Graph.Gd2h { bytes; _ } -> m_copy ~d2h:true ~bytes ~dur
-    | Graph.Gmalloc | Graph.Glaunch _ | Graph.Gsync -> ignore ci
-  in
-  let m_enqueue seq ~now ~busy =
-    match ms with
-    | None -> ()
-    | Some m ->
-      m.m_enq_time.(seq) <- now;
-      m.m_enq_busy.(seq) <- busy;
-      m.m_resident <- m.m_resident + 1;
-      Metrics.set m.m_window ~at:now (float_of_int m.m_resident);
-      Metrics.observe m.m_window_occ (float_of_int m.m_resident)
-  in
-  let m_launched seq ~t ~busy ~fine relation ~n_children =
-    match ms with
-    | None -> ()
-    | Some m ->
-      let span = t -. m.m_enq_time.(seq) in
-      let masked = Float.min span (Float.max 0.0 (busy -. m.m_enq_busy.(seq))) in
-      Metrics.add m.m_masked masked;
-      Metrics.add m.m_exposed (span -. masked);
-      if fine then begin
-        let nd = Hardware.dlb_entries_needed cfg relation in
-        let np = Hardware.pcb_counters_needed relation ~n_children in
-        m.m_dlb_demand.(seq) <- nd;
-        m.m_pcb_demand.(seq) <- np;
-        m.m_dlb_used <- m.m_dlb_used + nd;
-        m.m_pcb_used <- m.m_pcb_used + np;
-        Metrics.set m.m_dlb ~at:t (float_of_int m.m_dlb_used);
-        Metrics.set m.m_pcb ~at:t (float_of_int m.m_pcb_used);
-        Metrics.add m.m_dlb_spill (float_of_int (Hardware.dlb_spill_bytes cfg ~needed:nd));
-        Metrics.add m.m_pcb_spill (float_of_int (Hardware.pcb_spill_bytes cfg ~needed:np))
-      end
-  in
-  let m_drained k ~t =
-    match ms with
-    | Some m when m.m_dlb_demand.(k) <> 0 || m.m_pcb_demand.(k) <> 0 ->
-      m.m_dlb_used <- m.m_dlb_used - m.m_dlb_demand.(k);
-      m.m_pcb_used <- m.m_pcb_used - m.m_pcb_demand.(k);
-      m.m_dlb_demand.(k) <- 0;
-      m.m_pcb_demand.(k) <- 0;
-      Metrics.set m.m_dlb ~at:t (float_of_int m.m_dlb_used);
-      Metrics.set m.m_pcb ~at:t (float_of_int m.m_pcb_used)
-    | Some _ | None -> ()
-  in
-  let m_completed ~t =
-    match ms with
-    | None -> ()
-    | Some m ->
-      m.m_resident <- m.m_resident - 1;
-      Metrics.set m.m_window ~at:t (float_of_int m.m_resident)
-  in
-
-  (* Active-node list: exactly the launched-but-not-drained nodes, in
-     sequence order.  Launch events fire in sequence order (enqueues are
-     program-ordered, launch keys are non-decreasing, and the heap breaks
-     ties by insertion order), so linking at the tail keeps it sorted;
-     the defensive walk below is O(1) in every real schedule. *)
-  let active_head = ref (-1) in
-  let active_tail = ref (-1) in
-  let link k =
-    let st = ks.(k) in
-    if !active_tail < 0 then begin
-      st.a_prev <- -1;
-      st.a_next <- -1;
-      active_head := k;
-      active_tail := k
-    end
-    else begin
-      let after = ref !active_tail in
-      while !after >= 0 && !after > k do
-        after := ks.(!after).a_prev
-      done;
-      let nxt = if !after < 0 then !active_head else ks.(!after).a_next in
-      st.a_prev <- !after;
-      st.a_next <- nxt;
-      if !after < 0 then active_head := k else ks.(!after).a_next <- k;
-      if nxt < 0 then active_tail := k else ks.(nxt).a_prev <- k
-    end
-  in
-  let unlink k =
-    let st = ks.(k) in
-    if st.a_prev >= -1 then begin
-      if st.a_prev < 0 then active_head := st.a_next else ks.(st.a_prev).a_next <- st.a_next;
-      if st.a_next < 0 then active_tail := st.a_prev else ks.(st.a_next).a_prev <- st.a_prev;
-      st.a_prev <- -2;
-      st.a_next <- -2
-    end
-  in
-
-  (* Copy-dependency countdown: [pending_copies.(k)] pending H2D copies of
-     node [k]; [copy_dependents.(ci)] the nodes waiting on command [ci].
-     Decremented by copy-completion events; the launch gate is a single
-     integer test. *)
-  let pending_copies = Array.map (fun (n : Graph.node) -> Array.length n.Graph.n_copy_deps) nodes in
-  let copy_dependents = Array.make (max nc 1) [] in
-  Array.iteri
-    (fun k (n : Graph.node) ->
-      Array.iter (fun ci -> copy_dependents.(ci) <- k :: copy_dependents.(ci)) n.Graph.n_copy_deps)
-    nodes;
-  let copy_completed ci =
-    List.iter (fun k -> pending_copies.(k) <- pending_copies.(k) - 1) copy_dependents.(ci)
-  in
-
-  let free_slots = ref total_slots in
-  let next_cmd = ref 0 in
-  let serial_blocked = ref false in
-  let serial_wait_kernel = ref (-1) in
-  let pending_d2h : (int * float) list array = Array.make (max nk 1) [] in
-  let bump t = if t > f.end_time then f.end_time <- t in
-
-  let queue_tb k tb =
-    let st = ks.(k) in
-    match st.tb_state.(tb) with
-    | Waiting ->
-      st.tb_state.(tb) <- Queued;
-      st.ready.(st.rtail) <- tb;
-      st.rtail <- st.rtail + 1
-    | Queued | Running | Finished -> ()
-  in
-
-  let refresh_ready k =
-    let st = ks.(k) in
-    if st.launched && not st.drained then begin
-      let parent_drained =
-        prev_of.(k) < 0 || ks.(prev_of.(k)).drained || ks.(prev_of.(k)).completed
-      in
-      match st.node.Graph.n_relation with
-      | Bipartite.Independent ->
-        for tb = 0 to st.ntbs - 1 do
-          if st.tb_state.(tb) = Waiting then queue_tb k tb
-        done
-      | Bipartite.Fully_connected ->
-        if parent_drained then
-          for tb = 0 to st.ntbs - 1 do
-            if st.tb_state.(tb) = Waiting then queue_tb k tb
-          done
-      | Bipartite.Graph _ ->
-        if fine then begin
-          for tb = 0 to st.ntbs - 1 do
-            if st.tb_state.(tb) = Waiting && st.pc.(tb) = 0 then queue_tb k tb
-          done
-        end
-        else if parent_drained then
-          for tb = 0 to st.ntbs - 1 do
-            if st.tb_state.(tb) = Waiting then queue_tb k tb
-          done
-    end
-  in
-
-  let policy = Mode.policy mode in
-  (* EDF order derives from the captured per-TB costs, which are the same
-     floats preparation produced — the order matches the simulator's
-     bit-for-bit. *)
-  let edf_order =
-    match policy with
-    | Mode.Edf -> Deadline.order_of_schedule sched
-    | Mode.Oldest_first | Mode.Newest_first -> [||]
-  in
-  let blocked_gen = Array.make (max nstreams 1) 0 in
-  let dispatch_gen = ref 0 in
-  let drain_kernel k =
-    let st = ks.(k) in
-    while !free_slots > 0 && st.rhead < st.rtail do
-      let tb = st.ready.(st.rhead) in
-      st.rhead <- st.rhead + 1;
-      st.tb_state.(tb) <- Running;
-      st.start_time.(tb) <- f.now;
-      st.started_tbs <- st.started_tbs + 1;
-      decr free_slots;
-      incr running;
-      if tracing then emit f.now (Stats.Tb_dispatch { seq = k; tb });
-      (match ms with Some m -> Metrics.incr m.m_tb_dispatched | None -> ());
-      Eheap.push heap (f.now +. st.tb_us.(tb)) (ev_tb k tb)
-    done
-  in
-  (* Dispatch walks the active list instead of the whole kernel array; the
-     order matches the simulator's filtered full-array walk because the
-     list holds exactly the (launched, not drained) set in sequence order,
-     and draining TBs here never changes membership (only future events are
-     pushed). *)
-  let dispatch () =
-    if !free_slots > 0 then begin
-      match policy with
-      | Mode.Newest_first ->
-        let k = ref !active_tail in
-        while !free_slots > 0 && !k >= 0 do
-          let prv = ks.(!k).a_prev in
-          drain_kernel !k;
-          k := prv
-        done
-      | Mode.Edf ->
-        (* The static EDF order interleaves active and inactive kernels, so
-           walk it whole and filter — exactly the simulator's walk. *)
-        let i = ref 0 in
-        while !free_slots > 0 && !i < nk do
-          let k = edf_order.(!i) in
-          let st = ks.(k) in
-          if st.launched && not st.drained then drain_kernel k;
-          incr i
-        done
-      | Mode.Oldest_first -> begin
-        incr dispatch_gen;
-        let gen = !dispatch_gen in
-        let k = ref !active_head in
-        while !free_slots > 0 && !k >= 0 do
-          let st = ks.(!k) in
-          let nxt = st.a_next in
-          let s = sidx.(!k) in
-          if blocked_gen.(s) <> gen then begin
-            drain_kernel !k;
-            if st.started_tbs < st.ntbs then blocked_gen.(s) <- gen
-          end;
-          k := nxt
-        done
-      end
-    end
-  in
-
-  let rec try_complete k =
-    if k >= 0 && (not ks.(k).completed) && ks.(k).drained
-       && (prev_of.(k) < 0 || ks.(prev_of.(k)).completed)
-    then begin
-      ks.(k).completed <- true;
-      resident.(sidx.(k)) <- resident.(sidx.(k)) - 1;
-      if tracing then emit f.now (Stats.Kernel_completed { seq = k; stream = stream_of.(k) });
-      m_completed ~t:f.now;
-      List.iter
-        (fun (ci, dur) ->
-          let start = max f.now f.copy_free in
-          f.copy_free <- start +. dur;
-          if tracing then
-            emit start (copy_event ~start:true ~blocking:false commands.(ci) ci);
-          m_copy_cmd ~dur ci commands.(ci);
-          Eheap.push heap (start +. dur) (ev_copy ci))
-        (List.rev pending_d2h.(k));
-      pending_d2h.(k) <- [];
-      bump f.now;
-      try_complete next_of.(k)
-    end
-  in
-  let cascade_completions_from k = try_complete k in
-
-  let kernel_completed k = k < 0 || (k < nk && ks.(k).completed) in
-
-  let try_issue () =
-    let progressed = ref false in
-    let blocked = ref false in
-    while (not !blocked) && !next_cmd < nc do
-      let ci = !next_cmd in
-      if !serial_blocked then blocked := true
-      else begin
-        match commands.(ci) with
-        | Graph.Gsync ->
-          incr next_cmd;
-          progressed := true
-        | Graph.Gmalloc ->
-          Eheap.push heap (f.now +. cfg.Config.malloc_us) (ev_cmd ci);
-          serial_blocked := true;
-          blocked := true;
-          progressed := true
-        | Graph.Gh2d { bytes } ->
-          let dur = memcpy_us cfg bytes in
-          if serial || host_blocking_copies then begin
-            if tracing then emit f.now (copy_event ~start:true ~blocking:true commands.(ci) ci);
-            m_copy ~d2h:false ~bytes ~dur;
-            Eheap.push heap (f.now +. dur) (ev_cmd ci);
-            serial_blocked := true;
-            blocked := true
-          end
-          else begin
-            let start = max f.now f.copy_free in
-            f.copy_free <- start +. dur;
-            if tracing then emit start (copy_event ~start:true ~blocking:false commands.(ci) ci);
-            m_copy ~d2h:false ~bytes ~dur;
-            Eheap.push heap (start +. dur) (ev_copy ci);
-            incr next_cmd
-          end;
-          progressed := true
-        | Graph.Gd2h { bytes; wait = gate } ->
-          let dur = memcpy_us cfg bytes in
-          if serial then
-            if kernel_completed gate then begin
-              if tracing then emit f.now (copy_event ~start:true ~blocking:true commands.(ci) ci);
-              m_copy ~d2h:true ~bytes ~dur;
-              Eheap.push heap (f.now +. dur) (ev_cmd ci);
-              serial_blocked := true;
-              blocked := true;
-              progressed := true
-            end
-            else blocked := true
-          else if kernel_completed gate then begin
-            let start = max f.now f.copy_free in
-            f.copy_free <- start +. dur;
-            if tracing then emit start (copy_event ~start:true ~blocking:false commands.(ci) ci);
-            m_copy ~d2h:true ~bytes ~dur;
-            Eheap.push heap (start +. dur) (ev_copy ci);
-            incr next_cmd;
-            progressed := true
-          end
-          else begin
-            pending_d2h.(gate) <- (ci, dur) :: pending_d2h.(gate);
-            incr next_cmd;
-            progressed := true
-          end
-        | Graph.Glaunch { seq } ->
-          let st = ks.(seq) in
-          let copies_ok = pending_copies.(seq) = 0 in
-          if serial then begin
-            if copies_ok then begin
-              resident.(sidx.(seq)) <- resident.(sidx.(seq)) + 1;
-              if tracing then
-                emit f.now
-                  (Stats.Kernel_enqueue { seq; stream = stream_of.(seq); tbs = st.ntbs });
-              m_enqueue seq ~now:f.now ~busy:f.busy;
-              let start = max f.now f.launch_free in
-              f.launch_free <- start +. launch_us;
-              Eheap.push heap (start +. launch_us) (ev_launch seq);
-              serial_blocked := true;
-              serial_wait_kernel := seq;
-              blocked := true;
-              progressed := true
-            end
-            else blocked := true
-          end
-          else if resident.(sidx.(seq)) < window && copies_ok then begin
-            resident.(sidx.(seq)) <- resident.(sidx.(seq)) + 1;
-            if tracing then
-              emit f.now
-                (Stats.Kernel_enqueue { seq; stream = stream_of.(seq); tbs = st.ntbs });
-            m_enqueue seq ~now:f.now ~busy:f.busy;
-            Eheap.push heap (f.now +. launch_us) (ev_launch seq);
-            incr next_cmd;
-            progressed := true
-          end
-          else blocked := true
-      end
-    done;
-    !progressed
-  in
-
-  let progress () =
-    ignore (try_issue ());
-    dispatch ()
-  in
-
-  let on_tb_done k tb =
-    let st = ks.(k) in
-    st.tb_state.(tb) <- Finished;
-    st.finish_time.(tb) <- f.now;
-    st.done_tbs <- st.done_tbs + 1;
-    incr free_slots;
-    decr running;
-    bump f.now;
-    if tracing then emit f.now (Stats.Tb_finish { seq = k; tb });
-    (match ms with Some m -> Metrics.observe m.m_tb_exec (f.now -. st.start_time.(tb)) | None -> ());
-    let kc = next_of.(k) in
-    if kc >= 0 then begin
-      let child = ks.(kc) in
-      match child.node.Graph.n_relation with
-      | Bipartite.Graph g ->
-        let cs = g.Bipartite.children_of.(tb) in
-        for i = 0 to Array.length cs - 1 do
-          let c = cs.(i) in
-          child.pc.(c) <- child.pc.(c) - 1;
-          if f.now > child.dep_ready_time.(c) then child.dep_ready_time.(c) <- f.now;
-          if tracing && child.pc.(c) = 0 then emit f.now (Stats.Dep_satisfied { seq = kc; tb = c });
-          if fine && child.pc.(c) = 0 && child.launched then queue_tb kc c
-        done
-      | Bipartite.Independent | Bipartite.Fully_connected -> ()
-    end;
-    if st.done_tbs = st.ntbs then begin
-      st.drained <- true;
-      st.drained_at <- f.now;
-      unlink k;
-      if tracing then emit f.now (Stats.Kernel_drained { seq = k; stream = stream_of.(k) });
-      m_drained k ~t:f.now;
-      if kc >= 0 then begin
-        let child = ks.(kc) in
-        match child.node.Graph.n_relation with
-        | Bipartite.Fully_connected ->
-          let drt = child.dep_ready_time in
-          for c = 0 to Array.length drt - 1 do
-            if drt.(c) < f.now then drt.(c) <- f.now
-          done;
-          if tracing then
-            Array.iteri (fun c _ -> emit f.now (Stats.Dep_satisfied { seq = kc; tb = c }))
-              child.dep_ready_time
-        | Bipartite.Independent | Bipartite.Graph _ -> ()
-      end;
-      if kc >= 0 then refresh_ready kc;
-      cascade_completions_from k;
-      if serial && !serial_wait_kernel = k && ks.(k).completed then begin
-        serial_blocked := false;
-        serial_wait_kernel := -1;
-        incr next_cmd
-      end
-    end
-  in
-
-  progress ();
-  let steps = ref 0 in
-  let rec loop () =
-    if not (Eheap.is_empty heap) then begin
-      let t = Eheap.pop_key heap in
-      let e = Eheap.pop_ev heap in
-      incr steps;
-      if !steps > 100_000_000 then failwith "Replay.run: event budget exceeded";
-      (match ms with Some m -> Metrics.incr m.m_events | None -> ());
-      advance t;
-      f.now <- t;
-      let payload = e lsr 2 in
-      (match e land 3 with
-      | 1 -> on_tb_done (e lsr 32) (payload land 0x3FFF_FFFF)
-      | 0 ->
-        let seq = payload in
-        ks.(seq).launched <- true;
-        if tracing then begin
-          emit t (Stats.Kernel_launched { seq; stream = stream_of.(seq) });
-          if fine then
-            List.iter (emit t)
-              (table_spills cfg seq ks.(seq).node.Graph.n_relation ~n_children:ks.(seq).ntbs)
-        end;
-        m_launched seq ~t ~busy:f.busy ~fine ks.(seq).node.Graph.n_relation
-          ~n_children:ks.(seq).ntbs;
-        if ks.(seq).ntbs = 0 then begin
-          ks.(seq).drained <- true;
-          ks.(seq).drained_at <- t;
-          if tracing then emit t (Stats.Kernel_drained { seq; stream = stream_of.(seq) });
-          m_drained seq ~t;
-          cascade_completions_from seq
-        end
-        else begin
-          link seq;
-          refresh_ready seq
-        end;
-        bump t
-      | 2 ->
-        let ci = payload in
-        copy_completed ci;
-        if tracing then emit t (copy_event ~start:false ~blocking:false commands.(ci) ci);
-        bump t
-      | _ ->
-        let ci = payload in
-        serial_blocked := false;
-        (match commands.(ci) with
-        | Graph.Gh2d _ | Graph.Gd2h _ ->
-          copy_completed ci;
-          if tracing then emit t (copy_event ~start:false ~blocking:true commands.(ci) ci)
-        | Graph.Gmalloc | Graph.Glaunch _ | Graph.Gsync -> ());
-        bump t;
-        incr next_cmd);
-      progress ();
-      loop ()
-    end
-  in
-  loop ();
-  if !next_cmd < nc then
-    failwith
-      (Printf.sprintf "Replay.run: host stalled at command %d/%d (mode %s)" !next_cmd nc
-         (Mode.name mode));
-  Array.iteri
-    (fun k st ->
-      if not st.completed then failwith (Printf.sprintf "Replay.run: kernel %d never completed" k))
-    ks;
-
-  let total_tbs = Array.fold_left (fun acc st -> acc + st.ntbs) 0 ks in
-  let records =
-    Array.make total_tbs
-      { Stats.r_kernel = 0; r_tb = 0; r_dep_ready = 0.0; r_start = 0.0; r_finish = 0.0 }
-  in
-  let ri = ref 0 in
-  Array.iteri
-    (fun k st ->
-      for tb = 0 to st.ntbs - 1 do
-        records.(!ri) <-
-          {
-            Stats.r_kernel = k;
-            r_tb = tb;
-            r_dep_ready = st.dep_ready_time.(tb);
-            r_start = st.start_time.(tb);
-            r_finish = st.finish_time.(tb);
-          };
-        incr ri
-      done)
-    ks;
-  let base_mem =
-    Array.fold_left (fun acc (st : nstate) -> acc +. st.node.Graph.n_mem_requests) 0.0 ks
-  in
-  let dep_mem =
-    if not (Mode.reorders mode) then 0.0
-    else
-      Array.fold_left
-        (fun acc (st : nstate) ->
-          let prev = st.node.Graph.n_prev in
-          if prev < 0 then acc
-          else begin
-            let n_parents = nodes.(prev).Graph.n_tbs in
-            if fine then
-              acc
-              +. Hardware.dep_mem_requests cfg ~n_parents ~n_children:st.ntbs
-                   st.node.Graph.n_relation
-            else acc +. 2.0
-          end)
-        0.0 ks
-  in
-  let total = f.end_time in
-  {
-    Stats.total_us = total;
-    busy_us = f.busy;
-    records;
-    avg_concurrency = (if total > 0.0 then f.area /. total else 0.0);
-    base_mem_requests = base_mem;
-    dep_mem_requests = dep_mem;
-  }
+  (match metrics with
+  | None -> ()
+  | Some reg ->
+    let publish name v = Metrics.add (Metrics.counter reg name) (float_of_int v) in
+    publish "graph.replay.nodes" (Array.length sched.Graph.s_nodes);
+    publish "graph.replay.commands" (Array.length sched.Graph.s_commands);
+    publish "graph.replay.events" events);
+  stats

@@ -8,24 +8,11 @@
     already carries per-TB costs, resolved relations and copy dependencies,
     so a warm replay touches neither the PTX analyses nor the {!Cache}.
 
-    The engine reuses the simulator's machine model wholesale — packed-int
-    events on {!Bm_engine.Eheap}, the serial launch engine, the copy
-    engine, in-order per-stream completion — but replaces the two
-    per-event scans the command-queue simulator performs with
-    event-triggered bookkeeping in the style of stream-event-triggered
-    CUDA-graph launch:
-
-    - {e active-node list}: dispatch walks a doubly-linked list holding
-      exactly the launched-but-not-drained nodes instead of filtering the
-      whole kernel array.  Launch-completion events fire in sequence order
-      (enqueues are program-ordered and the event heap breaks key ties by
-      insertion order), so maintaining the list sorted is an O(1) append;
-      a node unlinks when it drains.
-    - {e copy-dependency counters}: each node holds a countdown of its
-      pending H2D copies and each copy command a reverse list of dependent
-      nodes; a copy-completion event decrements the counters, making the
-      launch-gate test O(1) where the simulator re-walks the dependency
-      list on every issue attempt. *)
+    There is no second engine: {!run} picks the schedule matching the
+    mode's reorder class and hands it to {!Sim.run_schedule}, the same
+    event-triggered core {!Sim.run} runs on a freshly lowered preparation.
+    What replay adds is the configuration check and its own
+    [graph.replay.*] counters. *)
 
 val run :
   ?host_blocking_copies:bool ->
@@ -43,6 +30,10 @@ val run :
     replaying a graph on the wrong machine would silently produce timings
     for the machine it was captured on.  App-level staleness is checked
     separately with {!Graph.validate}, which needs the original app.
+
+    @raise Invalid_argument if the schedule exceeds the packed-event bound
+    of 2{^30} launches, commands or TBs per kernel (see {!Sim}); the
+    message names [Replay.run].
 
     [metrics] receives the same counter families {!Sim.run} publishes
     (copy traffic, launch overhead, window residency, DLB/PCB occupancy

@@ -1,4 +1,3 @@
-module Command = Bm_gpu.Command
 module Config = Bm_gpu.Config
 module Stats = Bm_gpu.Stats
 module Bipartite = Bm_depgraph.Bipartite
@@ -7,10 +6,13 @@ module Metrics = Bm_metrics.Metrics
 
 type tb_state = Waiting | Queued | Running | Finished
 
-type kstate = {
-  info : Prep.launch_info;
-  ntbs : int;                (* = info.li_tbs, hoisted for the hot loops *)
-  tb_us : float array;       (* = info.li_cost.tb_us, precomputed at prep *)
+(* Node execution state.  The static half comes from the {!Graph.node}; two
+   link fields implement the active-node list ([-1] = nil, [-2] = not
+   linked). *)
+type nstate = {
+  node : Graph.node;
+  ntbs : int;                (* = node.n_tbs, hoisted for the hot loops *)
+  tb_us : float array;       (* = node.n_tb_us *)
   mutable launched : bool;
   mutable started_tbs : int;
   mutable done_tbs : int;
@@ -28,20 +30,38 @@ type kstate = {
   dep_ready_time : float array;
   start_time : float array;
   finish_time : float array;
+  mutable a_prev : int;
+  mutable a_next : int;
 }
 
 (* Events are packed into immediate ints so heap traffic allocates nothing
    (the generic boxed-entry {!Bm_engine.Heap} cost ~18 words per event):
    bits 0-1 tag — 0 Launch_done(seq), 1 Tb_done(k, tb), 2 Copy_done(ci),
    3 Cmd_done(ci).  Tags 0/2/3 keep their payload in bits 2+; Tb_done packs
-   the TB id in bits 2-31 and the kernel seq in bits 32+.  Both fields are
-   bounds-checked once at startup (they fit any realistic app by ~9 orders
-   of magnitude). *)
+   the TB id in bits 2-31 and the kernel seq in bits 32+.  The packing is
+   part of the heap's tie-break behaviour, so it is fixed: every field must
+   stay below [packed_limit], checked once per run by [check_packed]. *)
 let ev_launch seq = seq lsl 2
 let ev_tb k tb = 1 lor (tb lsl 2) lor (k lsl 32)
 let ev_copy ci = 2 lor (ci lsl 2)
 let ev_cmd ci = 3 lor (ci lsl 2)
 let packed_limit = 1 lsl 30
+
+(* Rejects a schedule whose launch, command or TB counts do not fit the
+   packed events — before any per-TB state is allocated. *)
+let check_packed ~caller (sched : Graph.schedule) =
+  let nk = Array.length sched.Graph.s_nodes and nc = Array.length sched.Graph.s_commands in
+  if nk >= packed_limit || nc >= packed_limit then
+    invalid_arg
+      (Printf.sprintf "%s: %d launches / %d commands exceed the packed-event bound of 2^30" caller
+         nk nc);
+  Array.iter
+    (fun (n : Graph.node) ->
+      if n.Graph.n_tbs >= packed_limit then
+        invalid_arg
+          (Printf.sprintf "%s: kernel %d has %d thread blocks, beyond the packed-event bound of 2^30"
+             caller n.Graph.n_seq n.Graph.n_tbs))
+    sched.Graph.s_nodes
 
 (* Simulated-clock state.  All-float records are unboxed by the compiler,
    so updating these fields in the hot loop allocates nothing — unlike
@@ -62,9 +82,9 @@ let memcpy_us (cfg : Config.t) bytes =
 let copy_event ~start ~blocking cmd ci =
   let bytes, d2h =
     match cmd with
-    | Command.Memcpy_h2d b -> (b.Command.bytes, false)
-    | Command.Memcpy_d2h b -> (b.Command.bytes, true)
-    | Command.Malloc _ | Command.Kernel_launch _ | Command.Device_synchronize -> (0, false)
+    | Graph.Gh2d { bytes } -> (bytes, false)
+    | Graph.Gd2h { bytes; _ } -> (bytes, true)
+    | Graph.Gmalloc | Graph.Glaunch _ | Graph.Gsync -> (0, false)
   in
   if start then Stats.Copy_start { cmd = ci; bytes; d2h; blocking }
   else Stats.Copy_finish { cmd = ci; bytes; d2h; blocking }
@@ -155,38 +175,36 @@ let make_mstate reg nk =
     m_resident = 0;
   }
 
-let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config.t) mode
-    (prep : Prep.t) =
+let run_schedule ~caller ?(host_blocking_copies = false) ?metrics ?trace ?deadlines
+    (cfg : Config.t) mode (sched : Graph.schedule) =
+  check_packed ~caller sched;
   (* Observability hook: a no-op closure when disabled, so the hot path
      pays one indirect call per event and nothing else. *)
   let tracing = trace <> None in
   let emit = match trace with Some f -> f | None -> fun _ _ -> () in
-  let launches = prep.Prep.p_launches in
-  let nk = Array.length launches in
-  let commands = prep.Prep.p_commands in
+  let nodes = sched.Graph.s_nodes in
+  let nk = Array.length nodes in
+  let commands = sched.Graph.s_commands in
   let nc = Array.length commands in
   let window = Mode.window mode in
   let fine = Mode.fine_grain mode in
   let serial = Mode.serial_commands mode in
   let launch_us = Mode.launch_overhead cfg mode in
   let total_slots = Config.total_tb_slots cfg in
-  if nk >= packed_limit || nc >= packed_limit then
-    failwith "Sim.run: too many launches/commands for packed events";
 
   let ks =
     Array.map
-      (fun (info : Prep.launch_info) ->
-        let n = info.Prep.li_tbs in
-        if n >= packed_limit then failwith "Sim.run: kernel too large for packed events";
+      (fun (node : Graph.node) ->
+        let n = node.Graph.n_tbs in
         let pc =
-          match info.Prep.li_relation with
+          match node.Graph.n_relation with
           | Bipartite.Graph g -> Array.map Array.length g.Bipartite.parents_of
           | Bipartite.Independent | Bipartite.Fully_connected -> [||]
         in
         {
-          info;
+          node;
           ntbs = n;
-          tb_us = info.Prep.li_cost.Bm_gpu.Costmodel.tb_us;
+          tb_us = node.Graph.n_tb_us;
           launched = false;
           started_tbs = 0;
           done_tbs = 0;
@@ -201,21 +219,18 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
           dep_ready_time = Array.make n 0.0;
           start_time = Array.make n 0.0;
           finish_time = Array.make n 0.0;
+          a_prev = -2;
+          a_next = -2;
         })
-      launches
+      nodes
   in
 
   (* Stream topology: dependencies, in-order completion and the pre-launch
      window all apply per stream (paper SIII-C). *)
-  let prev_of =
-    Array.map (fun (li : Prep.launch_info) -> match li.Prep.li_prev with Some p -> p | None -> -1)
-      launches
-  in
+  let prev_of = Array.map (fun (n : Graph.node) -> n.Graph.n_prev) nodes in
   let next_of = Array.make nk (-1) in
   Array.iteri (fun k p -> if p >= 0 then next_of.(p) <- k) prev_of;
-  let stream_of =
-    Array.map (fun (li : Prep.launch_info) -> li.Prep.li_spec.Command.stream) launches
-  in
+  let stream_of = Array.map (fun (n : Graph.node) -> n.Graph.n_stream) nodes in
   (* Dense stream indexing: per-stream residency counts and dispatch-time
      blocked flags live in arrays instead of hashtables of refs. *)
   let sidx = Array.make nk 0 in
@@ -261,9 +276,9 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
   in
   let m_copy_cmd ~dur ci cmd =
     match cmd with
-    | Command.Memcpy_h2d b -> m_copy ~d2h:false ~bytes:b.Command.bytes ~dur
-    | Command.Memcpy_d2h b -> m_copy ~d2h:true ~bytes:b.Command.bytes ~dur
-    | Command.Malloc _ | Command.Kernel_launch _ | Command.Device_synchronize -> ignore ci
+    | Graph.Gh2d { bytes } -> m_copy ~d2h:false ~bytes ~dur
+    | Graph.Gd2h { bytes; _ } -> m_copy ~d2h:true ~bytes ~dur
+    | Graph.Gmalloc | Graph.Glaunch _ | Graph.Gsync -> ignore ci
   in
   (* Called at kernel enqueue: stamps the launch-overhead baseline and
      samples the pre-launch window residency. *)
@@ -321,9 +336,68 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
       Metrics.set m.m_window ~at:t (float_of_int m.m_resident)
   in
 
+  let policy = Mode.policy mode in
+  (* Dispatch rank: the position of each kernel in the order dispatch visits
+     the resident kernels.  Launch order for oldest/newest-first; for EDF
+     the static order by effective deadline key (priority inheritance
+     applied) — keys never change during a run, so visiting resident
+     kernels in this fixed order is exact EDF. *)
+  let rank =
+    match policy with
+    | Mode.Edf ->
+      let order = Deadline.order_of_schedule ?deadlines sched in
+      let r = Array.make nk 0 in
+      Array.iteri (fun i k -> r.(k) <- i) order;
+      r
+    | Mode.Oldest_first | Mode.Newest_first -> Array.init nk Fun.id
+  in
+
+  (* Active-node list: exactly the launched-but-not-drained kernels, in
+     ascending rank.  Under launch-order ranks it is O(1) to keep sorted:
+     launch events fire in sequence order (enqueues are program-ordered,
+     launch keys are non-decreasing, and the heap breaks ties by insertion
+     order), so the walk below stops at the tail at once.  EDF ranks may
+     place a newly launched kernel anywhere; the walk finds its slot. *)
+  let active_head = ref (-1) in
+  let active_tail = ref (-1) in
+  let link k =
+    let st = ks.(k) in
+    let after = ref !active_tail in
+    while !after >= 0 && rank.(!after) > rank.(k) do
+      after := ks.(!after).a_prev
+    done;
+    let nxt = if !after < 0 then !active_head else ks.(!after).a_next in
+    st.a_prev <- !after;
+    st.a_next <- nxt;
+    if !after < 0 then active_head := k else ks.(!after).a_next <- k;
+    if nxt < 0 then active_tail := k else ks.(nxt).a_prev <- k
+  in
+  let unlink k =
+    let st = ks.(k) in
+    if st.a_prev >= -1 then begin
+      if st.a_prev < 0 then active_head := st.a_next else ks.(st.a_prev).a_next <- st.a_next;
+      if st.a_next < 0 then active_tail := st.a_prev else ks.(st.a_next).a_prev <- st.a_prev;
+      st.a_prev <- -2;
+      st.a_next <- -2
+    end
+  in
+
+  (* Copy-dependency countdown: [pending_copies.(k)] pending H2D copies of
+     node [k]; [copy_dependents.(ci)] the nodes waiting on command [ci].
+     Decremented by copy-completion events; the launch gate is a single
+     integer test. *)
+  let pending_copies = Array.map (fun (n : Graph.node) -> Array.length n.Graph.n_copy_deps) nodes in
+  let copy_dependents = Array.make (max nc 1) [] in
+  Array.iteri
+    (fun k (n : Graph.node) ->
+      Array.iter (fun ci -> copy_dependents.(ci) <- k :: copy_dependents.(ci)) n.Graph.n_copy_deps)
+    nodes;
+  let copy_completed ci =
+    List.iter (fun k -> pending_copies.(k) <- pending_copies.(k) - 1) copy_dependents.(ci)
+  in
+
   let free_slots = ref total_slots in
   let next_cmd = ref 0 in
-  let copy_done = Array.make (max nc 1) false in
   (* In serial mode the host stalls on the in-flight command. *)
   let serial_blocked = ref false in
   let serial_wait_kernel = ref (-1) in
@@ -349,7 +423,7 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
       let parent_drained =
         prev_of.(k) < 0 || ks.(prev_of.(k)).drained || ks.(prev_of.(k)).completed
       in
-      match st.info.Prep.li_relation with
+      match st.node.Graph.n_relation with
       | Bipartite.Independent ->
         for tb = 0 to st.ntbs - 1 do
           if st.tb_state.(tb) = Waiting then queue_tb k tb
@@ -372,28 +446,15 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
     end
   in
 
-  (* Scheduling: fill free slots from ready queues, producer- or
-     consumer-priority across resident kernels.
-
-     One closure-free pass over the active kernels replaces the old
-     rebuild-a-list + [List.find_opt]-per-TB scan.  Correctness argument:
-     readiness and the active set cannot change while dispatching (we only
-     push future events), so greedily draining each kernel's ready ring in
-     priority order issues exactly the TB sequence the per-TB search did.
-     Producer priority (strict, paper §III-D) means a kernel is eligible
-     only when every older active kernel in its stream has all TBs
-     started; draining in ascending order with a per-stream blocked flag
-     enforces precisely that, because dispatching from [k] never changes
-     any older kernel's eligibility. *)
-  let policy = Mode.policy mode in
-  (* EDF: a static dispatch order over all launches, by effective deadline
-     key (priority inheritance applied).  Keys never change during a run,
-     so draining ready rings in this fixed order is exact EDF. *)
-  let edf_order =
-    match policy with
-    | Mode.Edf -> Deadline.order_of_prep ?deadlines prep
-    | Mode.Oldest_first | Mode.Newest_first -> [||]
-  in
+  (* Scheduling: fill free slots from ready rings, walking the active list
+     in rank order.  Readiness and the active set cannot change while
+     dispatching (only future events are pushed), so greedily draining each
+     kernel's ready ring in priority order issues exactly the TB sequence a
+     per-TB search would.  Producer priority (strict, paper §III-D) means a
+     kernel is eligible only when every older active kernel in its stream
+     has all TBs started; draining in ascending order with a per-stream
+     blocked flag enforces precisely that, because dispatching from [k]
+     never changes any older kernel's eligibility. *)
   let blocked_gen = Array.make (max nstreams 1) 0 in
   let dispatch_gen = ref 0 in
   let drain_kernel k =
@@ -417,38 +478,36 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
       | Mode.Newest_first ->
         (* Consumer priority: any ready TB of any active kernel may run;
            newest kernels first. *)
-        let k = ref (nk - 1) in
+        let k = ref !active_tail in
         while !free_slots > 0 && !k >= 0 do
-          let st = ks.(!k) in
-          if st.launched && not st.drained then drain_kernel !k;
-          decr k
+          let prv = ks.(!k).a_prev in
+          drain_kernel !k;
+          k := prv
         done
       | Mode.Edf ->
         (* Earliest effective deadline first: any ready TB of any active
-           kernel may run; kernels visited in the static EDF order. *)
-        let i = ref 0 in
-        while !free_slots > 0 && !i < nk do
-          let k = edf_order.(!i) in
-          let st = ks.(k) in
-          if st.launched && not st.drained then drain_kernel k;
-          incr i
+           kernel may run, most urgent kernel first. *)
+        let k = ref !active_head in
+        while !free_slots > 0 && !k >= 0 do
+          let nxt = ks.(!k).a_next in
+          drain_kernel !k;
+          k := nxt
         done
       | Mode.Oldest_first -> begin
         incr dispatch_gen;
         let gen = !dispatch_gen in
-        let k = ref 0 in
-        while !free_slots > 0 && !k < nk do
+        let k = ref !active_head in
+        while !free_slots > 0 && !k >= 0 do
           let st = ks.(!k) in
-          if st.launched && not st.drained then begin
-            let s = sidx.(!k) in
-            if blocked_gen.(s) <> gen then begin
-              drain_kernel !k;
-              (* Younger kernels in this stream stay ineligible until every
-                 TB here has been scheduled. *)
-              if st.started_tbs < st.ntbs then blocked_gen.(s) <- gen
-            end
+          let nxt = st.a_next in
+          let s = sidx.(!k) in
+          if blocked_gen.(s) <> gen then begin
+            drain_kernel !k;
+            (* Younger kernels in this stream stay ineligible until every
+               TB here has been scheduled. *)
+            if st.started_tbs < st.ntbs then blocked_gen.(s) <- gen
           end;
-          incr k
+          k := nxt
         done
       end
     end
@@ -479,38 +538,34 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
       try_complete next_of.(k)
     end
   in
-  let cascade_completions_from k = try_complete k in
 
   let kernel_completed k = k < 0 || (k < nk && ks.(k).completed) in
 
-  (* Host command issue.  Returns true if any progress was made. *)
+  (* Host command issue. *)
   let try_issue () =
-    let progressed = ref false in
     let blocked = ref false in
     while (not !blocked) && !next_cmd < nc do
       let ci = !next_cmd in
       if !serial_blocked then blocked := true
       else begin
         match commands.(ci) with
-        | Command.Device_synchronize ->
+        | Graph.Gsync ->
           (* Serial streams are already synchronized at this point;
              BlockMaestro drops syncs during reordering. *)
-          incr next_cmd;
-          progressed := true
-        | Command.Malloc _ ->
+          incr next_cmd
+        | Graph.Gmalloc ->
           (* cudaMalloc blocks the host in every mode (paper §III-C). *)
           Eheap.push heap (f.now +. cfg.Config.malloc_us) (ev_cmd ci);
           serial_blocked := true;
-          blocked := true;
-          progressed := true
-        | Command.Memcpy_h2d b ->
-          let dur = memcpy_us cfg b.Command.bytes in
+          blocked := true
+        | Graph.Gh2d { bytes } ->
+          let dur = memcpy_us cfg bytes in
           if serial || host_blocking_copies then begin
             (* Synchronous cudaMemcpy: the host stalls until it returns
                (the default CUDA behaviour BlockMaestro's non-blocking
                treatment removes, paper SIII-C). *)
             if tracing then emit f.now (copy_event ~start:true ~blocking:true commands.(ci) ci);
-            m_copy ~d2h:false ~bytes:b.Command.bytes ~dur;
+            m_copy ~d2h:false ~bytes ~dur;
             Eheap.push heap (f.now +. dur) (ev_cmd ci);
             serial_blocked := true;
             blocked := true
@@ -519,32 +574,28 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
             let start = max f.now f.copy_free in
             f.copy_free <- start +. dur;
             if tracing then emit start (copy_event ~start:true ~blocking:false commands.(ci) ci);
-            m_copy ~d2h:false ~bytes:b.Command.bytes ~dur;
+            m_copy ~d2h:false ~bytes ~dur;
             Eheap.push heap (start +. dur) (ev_copy ci);
             incr next_cmd
-          end;
-          progressed := true
-        | Command.Memcpy_d2h b ->
-          let gate = match prep.Prep.p_d2h_wait.(ci) with Some k -> k | None -> -1 in
-          let dur = memcpy_us cfg b.Command.bytes in
+          end
+        | Graph.Gd2h { bytes; wait = gate } ->
+          let dur = memcpy_us cfg bytes in
           if serial then
             if kernel_completed gate then begin
               if tracing then emit f.now (copy_event ~start:true ~blocking:true commands.(ci) ci);
-              m_copy ~d2h:true ~bytes:b.Command.bytes ~dur;
+              m_copy ~d2h:true ~bytes ~dur;
               Eheap.push heap (f.now +. dur) (ev_cmd ci);
               serial_blocked := true;
-              blocked := true;
-              progressed := true
+              blocked := true
             end
             else blocked := true
           else if kernel_completed gate then begin
             let start = max f.now f.copy_free in
             f.copy_free <- start +. dur;
             if tracing then emit start (copy_event ~start:true ~blocking:false commands.(ci) ci);
-            m_copy ~d2h:true ~bytes:b.Command.bytes ~dur;
+            m_copy ~d2h:true ~bytes ~dur;
             Eheap.push heap (start +. dur) (ev_copy ci);
-            incr next_cmd;
-            progressed := true
+            incr next_cmd
           end
           else begin
             (* The RAW hazard with the host is enforced by hardware: the
@@ -552,29 +603,25 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
                host continues issuing (paper §III-C, "handling blocking
                APIs"). *)
             pending_d2h.(gate) <- (ci, dur) :: pending_d2h.(gate);
-            incr next_cmd;
-            progressed := true
+            incr next_cmd
           end
-        | Command.Kernel_launch _ ->
-          let seq = prep.Prep.p_kernel_of_cmd.(ci) in
+        | Graph.Glaunch { seq } ->
           let st = ks.(seq) in
-          let copies_ok = List.for_all (fun d -> copy_done.(d)) st.info.Prep.li_copy_deps in
+          let copies_ok = pending_copies.(seq) = 0 in
           if serial then begin
             (* Baseline stream: the kernel is the only device work. *)
             if copies_ok then begin
               resident.(sidx.(seq)) <- resident.(sidx.(seq)) + 1;
               if tracing then
                 emit f.now
-                  (Stats.Kernel_enqueue
-                     { seq; stream = stream_of.(seq); tbs = st.info.Prep.li_tbs });
+                  (Stats.Kernel_enqueue { seq; stream = stream_of.(seq); tbs = st.ntbs });
               m_enqueue seq ~now:f.now ~busy:f.busy;
               let start = max f.now f.launch_free in
               f.launch_free <- start +. launch_us;
               Eheap.push heap (start +. launch_us) (ev_launch seq);
               serial_blocked := true;
               serial_wait_kernel := seq;
-              blocked := true;
-              progressed := true
+              blocked := true
             end
             else blocked := true
           end
@@ -585,21 +632,18 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
             resident.(sidx.(seq)) <- resident.(sidx.(seq)) + 1;
             if tracing then
               emit f.now
-                (Stats.Kernel_enqueue
-                   { seq; stream = stream_of.(seq); tbs = st.info.Prep.li_tbs });
+                (Stats.Kernel_enqueue { seq; stream = stream_of.(seq); tbs = st.ntbs });
             m_enqueue seq ~now:f.now ~busy:f.busy;
             Eheap.push heap (f.now +. launch_us) (ev_launch seq);
-            incr next_cmd;
-            progressed := true
+            incr next_cmd
           end
           else blocked := true
       end
-    done;
-    !progressed
+    done
   in
 
   let progress () =
-    ignore (try_issue ());
+    try_issue ();
     dispatch ()
   in
 
@@ -618,7 +662,7 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
     let kc = next_of.(k) in
     if kc >= 0 then begin
       let child = ks.(kc) in
-      match child.info.Prep.li_relation with
+      match child.node.Graph.n_relation with
       | Bipartite.Graph g ->
         let cs = g.Bipartite.children_of.(tb) in
         for i = 0 to Array.length cs - 1 do
@@ -633,12 +677,13 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
     if st.done_tbs = st.ntbs then begin
       st.drained <- true;
       st.drained_at <- f.now;
+      unlink k;
       if tracing then emit f.now (Stats.Kernel_drained { seq = k; stream = stream_of.(k) });
       m_drained k ~t:f.now;
       (* A fully-connected child's dependencies are all satisfied now. *)
       if kc >= 0 then begin
         let child = ks.(kc) in
-        match child.info.Prep.li_relation with
+        match child.node.Graph.n_relation with
         | Bipartite.Fully_connected ->
           let drt = child.dep_ready_time in
           for c = 0 to Array.length drt - 1 do
@@ -651,7 +696,7 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
       end;
       (* The consumer kernel may now be gated only on our drain. *)
       if kc >= 0 then refresh_ready kc;
-      cascade_completions_from k;
+      try_complete k;
       (* Serial stream: the kernel command retires at completion. *)
       if serial && !serial_wait_kernel = k && ks.(k).completed then begin
         serial_blocked := false;
@@ -669,7 +714,7 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
       let t = Eheap.pop_key heap in
       let e = Eheap.pop_ev heap in
       incr steps;
-      if !steps > 100_000_000 then failwith "Sim.run: event budget exceeded";
+      if !steps > 100_000_000 then failwith (caller ^ ": event budget exceeded");
       advance t;
       f.now <- t;
       let payload = e lsr 2 in
@@ -677,39 +722,40 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
       | 1 -> on_tb_done (e lsr 32) (payload land 0x3FFF_FFFF)
       | 0 ->
         let seq = payload in
-        ks.(seq).launched <- true;
+        let st = ks.(seq) in
+        st.launched <- true;
         if tracing then begin
           emit t (Stats.Kernel_launched { seq; stream = stream_of.(seq) });
           (* The DLB/PCB are only consulted under fine-grain resolution. *)
           if fine then
-            List.iter (emit t)
-              (table_spills cfg seq ks.(seq).info.Prep.li_relation
-                 ~n_children:ks.(seq).info.Prep.li_tbs)
+            List.iter (emit t) (table_spills cfg seq st.node.Graph.n_relation ~n_children:st.ntbs)
         end;
-        m_launched seq ~t ~busy:f.busy ~fine ks.(seq).info.Prep.li_relation
-          ~n_children:ks.(seq).info.Prep.li_tbs;
-        if ks.(seq).ntbs = 0 then begin
-          ks.(seq).drained <- true;
-          ks.(seq).drained_at <- t;
+        m_launched seq ~t ~busy:f.busy ~fine st.node.Graph.n_relation ~n_children:st.ntbs;
+        if st.ntbs = 0 then begin
+          st.drained <- true;
+          st.drained_at <- t;
           if tracing then emit t (Stats.Kernel_drained { seq; stream = stream_of.(seq) });
           m_drained seq ~t;
-          cascade_completions_from seq
+          try_complete seq
         end
-        else refresh_ready seq;
+        else begin
+          link seq;
+          refresh_ready seq
+        end;
         bump t
       | 2 ->
         let ci = payload in
-        copy_done.(ci) <- true;
+        copy_completed ci;
         if tracing then emit t (copy_event ~start:false ~blocking:false commands.(ci) ci);
         bump t
       | _ ->
         let ci = payload in
         serial_blocked := false;
         (match commands.(ci) with
-        | Command.Memcpy_h2d _ | Command.Memcpy_d2h _ ->
-          copy_done.(ci) <- true;
+        | Graph.Gh2d _ | Graph.Gd2h _ ->
+          copy_completed ci;
           if tracing then emit t (copy_event ~start:false ~blocking:true commands.(ci) ci)
-        | Command.Malloc _ | Command.Kernel_launch _ | Command.Device_synchronize -> ());
+        | Graph.Gmalloc | Graph.Glaunch _ | Graph.Gsync -> ());
         bump t;
         incr next_cmd);
       progress ();
@@ -719,15 +765,15 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
   loop ();
   if !next_cmd < nc then
     failwith
-      (Printf.sprintf "Sim.run: host stalled at command %d/%d (mode %s)" !next_cmd nc
+      (Printf.sprintf "%s: host stalled at command %d/%d (mode %s)" caller !next_cmd nc
          (Mode.name mode));
   Array.iteri
     (fun k st ->
-      if not st.completed then failwith (Printf.sprintf "Sim.run: kernel %d never completed" k))
+      if not st.completed then failwith (Printf.sprintf "%s: kernel %d never completed" caller k))
     ks;
 
   (* Collect statistics.  Records are filled straight into the result array
-     (kernel-major, TB-minor — the order the old list-and-reverse built). *)
+     (kernel-major, TB-minor). *)
   let total_tbs = Array.fold_left (fun acc st -> acc + st.ntbs) 0 ks in
   let records =
     Array.make total_tbs
@@ -749,32 +795,37 @@ let run ?(host_blocking_copies = false) ?metrics ?trace ?deadlines (cfg : Config
       done)
     ks;
   let base_mem =
-    Array.fold_left
-      (fun acc (st : kstate) -> acc +. Bm_gpu.Costmodel.total_mem_requests st.info.Prep.li_cost)
-      0.0 ks
+    Array.fold_left (fun acc (st : nstate) -> acc +. st.node.Graph.n_mem_requests) 0.0 ks
   in
   let dep_mem =
     if not (Mode.reorders mode) then 0.0
     else
       Array.fold_left
-        (fun acc (st : kstate) ->
-          match st.info.Prep.li_prev with
-          | None -> acc
-          | Some prev ->
-            let n_parents = launches.(prev).Prep.li_tbs in
+        (fun acc (st : nstate) ->
+          let prev = st.node.Graph.n_prev in
+          if prev < 0 then acc
+          else begin
+            let n_parents = nodes.(prev).Graph.n_tbs in
             if fine then
               acc
-              +. Hardware.dep_mem_requests cfg ~n_parents ~n_children:st.info.Prep.li_tbs
-                   st.info.Prep.li_relation
-            else acc +. 2.0 (* kernel-granular gating: a flag write + read *))
+              +. Hardware.dep_mem_requests cfg ~n_parents ~n_children:st.ntbs
+                   st.node.Graph.n_relation
+            else acc +. 2.0 (* kernel-granular gating: a flag write + read *)
+          end)
         0.0 ks
   in
   let total = f.end_time in
-  {
-    Stats.total_us = total;
-    busy_us = f.busy;
-    records;
-    avg_concurrency = (if total > 0.0 then f.area /. total else 0.0);
-    base_mem_requests = base_mem;
-    dep_mem_requests = dep_mem;
-  }
+  ( {
+      Stats.total_us = total;
+      busy_us = f.busy;
+      records;
+      avg_concurrency = (if total > 0.0 then f.area /. total else 0.0);
+      base_mem_requests = base_mem;
+      dep_mem_requests = dep_mem;
+    },
+    !steps )
+
+let run ?host_blocking_copies ?metrics ?trace ?deadlines cfg mode prep =
+  fst
+    (run_schedule ~caller:"Sim.run" ?host_blocking_copies ?metrics ?trace ?deadlines cfg mode
+       (Graph.schedule_of_prep prep))

@@ -12,11 +12,36 @@
       their launch overhead with the running kernel;
     - TB readiness per mode: kernel-granular draining, or fine-grain parent
       counters fed by the bipartite graph;
-    - producer- or consumer-priority slot allocation.
+    - producer- or consumer-priority slot allocation, or earliest effective
+      deadline first.
 
     Per-TB fine-grain dependency-satisfaction times are tracked in {e every}
     mode (including the baseline) so Fig. 11's stall distributions compare
-    like for like. *)
+    like for like.
+
+    There is one engine, {!run_schedule}, and it executes a
+    {!Graph.schedule}: {!run} lowers its {!Prep.t} with
+    {!Graph.schedule_of_prep} (the lowering {!Graph.capture} persists) and
+    {!Replay.run} hands it a decoded graph's schedule.  The engine reacts
+    only to events, in the style of stream-event-triggered CUDA-graph
+    launch:
+
+    - {e active-node list}: dispatch walks a doubly-linked list holding
+      exactly the launched-but-not-drained kernels, sorted by dispatch
+      rank — launch order for oldest/newest-first, the static EDF order
+      ({!Deadline.order_of_schedule}) for EDF — instead of filtering the
+      whole kernel array.  A kernel links in at launch completion (O(1)
+      under launch-order ranks: launch events fire in sequence order) and
+      unlinks when it drains.
+    - {e copy-dependency counters}: each kernel holds a countdown of its
+      pending H2D copies and each copy command a reverse list of dependent
+      kernels; a copy-completion event decrements the counters, so the
+      launch gate is one integer test.
+
+    {b Packed-event bound.}  Events are immediate ints: launch, command and
+    per-kernel TB counts must each stay below 2{^30}.  A schedule beyond it
+    is rejected with [Invalid_argument] naming the caller and the bound,
+    before any per-TB state is allocated. *)
 
 val run :
   ?host_blocking_copies:bool ->
@@ -32,7 +57,7 @@ val run :
     treatment of blocking APIs as non-blocking.
 
     [deadlines] overrides the per-kernel deadline keys consulted by the
-    {!Mode.Deadline_edf} dispatch policy (see {!Deadline.order_of_prep});
+    {!Mode.Deadline_edf} dispatch policy (see {!Deadline.order_of_schedule});
     ignored by every other mode.
 
     [metrics] receives performance counters over simulated time: DLB/PCB
@@ -52,4 +77,25 @@ val run :
     and pays no cost.  Copy-engine [Copy_start] events can be future-dated
     relative to surrounding events — consumers must sort by timestamp
     ([Bm_report.Trace] does).  Neither hook ever alters simulation
-    results: cycle counts are bit-identical with and without them. *)
+    results: cycle counts are bit-identical with and without them.
+
+    @raise Invalid_argument beyond the packed-event bound (message names
+    [Sim.run]), or when [deadlines] does not hold one key per launch under
+    an EDF mode. *)
+
+val run_schedule :
+  caller:string ->
+  ?host_blocking_copies:bool ->
+  ?metrics:Bm_metrics.Metrics.t ->
+  ?trace:Bm_gpu.Stats.sink ->
+  ?deadlines:float array ->
+  Bm_gpu.Config.t ->
+  Mode.t ->
+  Graph.schedule ->
+  Bm_gpu.Stats.t * int
+(** The engine itself, over a lowered schedule.  Returns the statistics
+    {!run} reports together with the number of events the engine
+    processed.  The optional arguments mean exactly what they mean for
+    {!run}; [metrics] receives the same families and nothing else.
+    [caller] prefixes every failure message (packed-event bound, stalled
+    host, kernel that never completed). *)

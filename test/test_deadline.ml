@@ -92,6 +92,10 @@ let test_keys_prep_vs_schedule () =
             (Printf.sprintf "%s order identical" name)
             true
             (Deadline.order_of_prep prep = Deadline.order_of_schedule sched);
+          Alcotest.check_raises "wrong-length override"
+            (Invalid_argument "Deadline.order_of_schedule: deadlines length <> launches")
+            (fun () ->
+              ignore (Deadline.order_of_schedule ~deadlines:(Array.make (Array.length kp + 1) 1.0) sched));
           (* Keys are cumulative work: positive and nondecreasing along
              every stream chain. *)
           Array.iteri
@@ -160,6 +164,42 @@ let test_deadline_override_sim_vs_ref () =
       Alcotest.failf "seed %d deadline override diverges:\n  %s\n%s" seed
         (String.concat "\n  " details) (Genapp.to_string spec)
   done
+
+(* The engine visits resident kernels through an active list kept in EDF
+   rank order.  Random permutations as deadline overrides put the EDF order
+   far from launch order, and a one-SM machine keeps slots scarce, so
+   dispatch order decides which TBs run: a list linked in any order other
+   than rank diverges from the naive reference. *)
+let prop_edf_rank_list =
+  let small = Config.with_sms cfg 1 in
+  QCheck2.Test.make ~name:"edf: active list in rank order = reference (permuted deadlines)"
+    ~count:30
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create (90_000 + seed) in
+      let spec = Genapp.generate ~max_streams:4 ~max_len:5 ~max_grid:40 rng seed in
+      let app = Genapp.build spec in
+      List.for_all
+        (fun mode ->
+          let prep = Runner.prepare ~cfg:small mode app in
+          let nk = Array.length prep.Prep.p_launches in
+          let perm = Array.init nk Fun.id in
+          for i = nk - 1 downto 1 do
+            let j = Rng.int_below rng (i + 1) in
+            let t = perm.(i) in
+            perm.(i) <- perm.(j);
+            perm.(j) <- t
+          done;
+          let deadlines = Array.map (fun p -> float_of_int (p + 1)) perm in
+          match
+            Diff.diff_stats (Sim.run ~deadlines small mode prep)
+              (Refsched.run ~deadlines small mode prep)
+          with
+          | [] -> true
+          | line :: _ ->
+            QCheck2.Test.fail_reportf "%s diverges from the reference: %s\n%s" (Mode.name mode)
+              line (Genapp.to_string spec))
+        edf_modes)
 
 let test_dispatch_invariant_to_app_deadline () =
   (* The app-level --deadline only affects reporting: default EDF keys are
@@ -366,6 +406,7 @@ let suite =
     Alcotest.test_case "mode: deadline family" `Quick test_mode_deadline_family;
     Alcotest.test_case "keys: prep vs schedule" `Quick test_keys_prep_vs_schedule;
     Alcotest.test_case "keys: priority inheritance" `Quick test_effective_inheritance;
+    QCheck_alcotest.to_alcotest prop_edf_rank_list;
     Alcotest.test_case "edf: diff vs reference" `Slow test_edf_diff_suite;
     Alcotest.test_case "edf: co-run diff" `Slow test_edf_diff_corun;
     Alcotest.test_case "edf: deadline override sim=ref" `Slow test_deadline_override_sim_vs_ref;

@@ -38,6 +38,11 @@ let random_app seed =
   let rng = Rng.create seed in
   Genapp.build (Genapp.generate rng seed)
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* --- replay vs sim: cycle-exact over the whole suite x all modes ------ *)
 
 let test_suite_cycle_exact () =
@@ -220,6 +225,105 @@ let test_warm_replay_zero_prep () =
   Alcotest.(check bool) "no prep-cache counters in a replay registry" true
     (Metrics.find_counter metrics "prep.cache.kernel.hits" = None)
 
+(* One engine, two publishers: over suite x modes the simulator and the
+   replay of the same app publish identical values in every metric family,
+   in the same registration order, except [graph.replay.*] — which only
+   replay publishes. *)
+let test_metric_families_separate () =
+  let is_replay name = String.starts_with ~prefix:"graph.replay." name in
+  List.iter
+    (fun (name, mk) ->
+      let app = mk () in
+      let cache = Cache.create () in
+      let graph = Graph.capture ~cache cfg app in
+      List.iter
+        (fun (mname, mode) ->
+          let sim_reg = Metrics.create () and rep_reg = Metrics.create () in
+          ignore (Sim.run ~metrics:sim_reg cfg mode (Runner.prepare ~cfg ~cache mode app) : Stats.t);
+          ignore (Replay.run ~metrics:rep_reg cfg mode graph : Stats.t);
+          let sim = Metrics.snapshot sim_reg and rep = Metrics.snapshot rep_reg in
+          let names sn = Array.to_list (Array.map (fun c -> c.Metrics.cs_name) sn.Metrics.sn_counters) in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s/%s: replay-only counters" name mname)
+            [ "graph.replay.nodes"; "graph.replay.commands"; "graph.replay.events" ]
+            (List.filter is_replay (names rep));
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s/%s: sim publishes no graph.replay.*" name mname)
+            [] (List.filter is_replay (names sim));
+          let shared =
+            {
+              rep with
+              Metrics.sn_counters =
+                Array.of_list
+                  (List.filter
+                     (fun c -> not (is_replay c.Metrics.cs_name))
+                     (Array.to_list rep.Metrics.sn_counters));
+            }
+          in
+          (* [compare], not [=]: empty histograms summarize to NaN. *)
+          if compare sim shared <> 0 then
+            Alcotest.failf "%s/%s: sim and replay publish different values" name mname)
+        Mode.known)
+    Suite.all
+
+(* The packed-event bound: a kernel of 2^30 TBs cannot be packed into one
+   event int.  It must be rejected with a message naming the caller and
+   the bound — before the engine allocates any per-TB state, which for
+   such a kernel would be gigabytes. *)
+let test_packed_event_bound () =
+  let huge = 1 lsl 30 in
+  let node =
+    {
+      Graph.n_seq = 0;
+      n_kname = "huge";
+      n_prev = -1;
+      n_stream = 0;
+      n_tbs = huge;
+      n_tb_us = [||];
+      n_mem_requests = 0.0;
+      n_relation = Bm_depgraph.Bipartite.Independent;
+      n_copy_deps = [||];
+    }
+  in
+  let sched = { Graph.s_commands = [| Graph.Glaunch { seq = 0 } |]; s_nodes = [| node |] } in
+  let graph =
+    {
+      Graph.g_app = "huge";
+      g_cfg_digest = Graph.cfg_digest cfg;
+      g_fingerprint = "";
+      g_plain = sched;
+      g_reordered = sched;
+    }
+  in
+  let prep = Prep.prepare cfg (Suite.by_name "MVT" ()) in
+  let huge_prep =
+    {
+      prep with
+      Prep.p_launches =
+        Array.mapi
+          (fun i li -> if i = 0 then { li with Prep.li_tbs = huge } else li)
+          prep.Prep.p_launches;
+    }
+  in
+  let expect_rejected caller run =
+    let before = Gc.allocated_bytes () in
+    match run () with
+    | (_ : Stats.t) -> Alcotest.failf "%s accepted a kernel of 2^30 TBs" caller
+    | exception Invalid_argument msg ->
+      let allocated = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool) (Printf.sprintf "%s named in %S" caller msg) true (contains ~needle:caller msg);
+      Alcotest.(check bool) (Printf.sprintf "bound named in %S" msg) true (contains ~needle:"2^30" msg);
+      (* One per-TB array of this kernel alone is 8 GiB. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: rejected before per-TB allocation (%.0f bytes)" caller allocated)
+        true (allocated < float_of_int huge)
+  in
+  List.iter
+    (fun mode ->
+      expect_rejected "Replay.run" (fun () -> Replay.run cfg mode graph);
+      expect_rejected "Sim.run" (fun () -> Sim.run cfg mode huge_prep))
+    [ Mode.Baseline; Mode.Producer_priority; Mode.Deadline_edf 2 ]
+
 let test_capture_counters () =
   let graph = Graph.capture cfg (Suite.by_name "3MM" ()) in
   let metrics = Metrics.create () in
@@ -279,11 +383,6 @@ let help_of args =
       Alcotest.(check int) (String.concat " " args ^ " exits 0") 0 rc;
       In_channel.with_open_bin path In_channel.input_all)
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let test_bmctl_help_consistency () =
   let main_help = help_of [ "--help"; "plain" ] in
   List.iter
@@ -340,6 +439,8 @@ let suite =
     Alcotest.test_case "of_json: wrong schema" `Quick test_of_json_wrong_schema;
     Alcotest.test_case "replay: warm replay does zero prep" `Quick test_warm_replay_zero_prep;
     Alcotest.test_case "capture: exported counters" `Quick test_capture_counters;
+    Alcotest.test_case "metrics: sim/replay families separate" `Slow test_metric_families_separate;
+    Alcotest.test_case "engine: packed-event bound" `Quick test_packed_event_bound;
     Alcotest.test_case "fuzz: replay backend smoke" `Slow test_fuzz_replay_smoke;
     Alcotest.test_case "bmctl: capture/replay exit codes" `Slow test_bmctl_capture_replay;
     Alcotest.test_case "bmctl: help/parser consistency" `Slow test_bmctl_help_consistency;
