@@ -45,7 +45,9 @@
      7    RTA violation (an observed makespan exceeded the response-time
           analysis bound — the bound is unsound, not merely a missed
           deadline: a miss the analysis predicted exits 0)
-     124  usage error (cmdliner's default for bad CLI syntax) *)
+     124  usage error (cmdliner's default for bad CLI syntax; also arguments
+          that do not fit together, such as a --partition the machine
+          cannot hold) *)
 
 open Blockmaestro
 open Cmdliner
@@ -848,14 +850,16 @@ let partition_arg =
           "Give app $(i,i) a private slice of $(i,Si) SMs (one slice per app, summing to at \
            most the machine's SM count) instead of sharing the whole device.")
 
-let spatial_of_partition ~napps = function
+let spatial_of_partition ~cfg ~napps = function
   | None -> Multi.Shared
-  | Some slices ->
-    if Array.length slices <> napps then begin
-      Printf.eprintf "bmctl: %d apps but %d partition slices\n" napps (Array.length slices);
+  | Some slices -> (
+    match Multi.partition_error cfg ~napps slices with
+    | Some reason ->
+      Printf.eprintf "bmctl: --partition %s for %d apps on %d SMs: %s\n"
+        (String.concat "," (Array.to_list (Array.map string_of_int slices)))
+        napps cfg.Config.num_sms reason;
       exit 124
-    end;
-    Multi.Partitioned slices
+    | None -> Multi.Partitioned slices)
 
 let corun_cmd =
   let doc =
@@ -942,7 +946,7 @@ let corun_cmd =
     let apps = Array.of_list (List.map (fun (_, gen) -> gen ()) named_apps) in
     let napps = Array.length apps in
     let cfg = Config.titan_x_pascal in
-    let spatial = spatial_of_partition ~napps partition in
+    let spatial = spatial_of_partition ~cfg ~napps partition in
     let cache = cache_of_dir cache_dir in
     let metrics = if with_metrics then Some (Metrics.create ()) else None in
     (match deadlines with
@@ -1169,7 +1173,7 @@ let explain_cmd =
         exit 124
       end;
       let napps = List.length named_apps in
-      let spatial = spatial_of_partition ~napps partition in
+      let spatial = spatial_of_partition ~cfg ~napps partition in
       let apps =
         Array.of_list (List.map (fun (name, gen) -> (name, gen ())) named_apps)
       in

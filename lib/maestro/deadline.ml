@@ -1,4 +1,3 @@
-module Command = Bm_gpu.Command
 module Config = Bm_gpu.Config
 module Costmodel = Bm_gpu.Costmodel
 module Metrics = Bm_metrics.Metrics
@@ -15,29 +14,17 @@ let sum_tb_us (tb_us : float array) =
 (* Default per-kernel deadline key: cumulative per-stream work.  Kernel k's
    key is its stream predecessor's key plus its own total TB time — i.e.
    the earliest tick by which the stream prefix ending at k could possibly
-   have finished on an infinitely wide machine.  Keys are computed
-   seq-ascending over the same [tb_us] floats both backends carry, so the
-   prep- and schedule-derived keys are bit-identical. *)
-let keys_of ~nk ~prev_of ~tb_us_of =
-  let keys = Array.make (max nk 1) 0.0 in
-  for k = 0 to nk - 1 do
-    let base = if prev_of k < 0 then 0.0 else keys.(prev_of k) in
-    keys.(k) <- base +. sum_tb_us (tb_us_of k)
-  done;
-  if nk = 0 then [||] else Array.sub keys 0 nk
-
-let default_keys_of_prep (prep : Prep.t) =
-  let launches = prep.Prep.p_launches in
-  keys_of ~nk:(Array.length launches)
-    ~prev_of:(fun k ->
-      match launches.(k).Prep.li_prev with Some p -> p | None -> -1)
-    ~tb_us_of:(fun k -> launches.(k).Prep.li_cost.Costmodel.tb_us)
-
+   have finished on an infinitely wide machine.  A stream predecessor
+   always has a lower seq, so one ascending pass suffices. *)
 let default_keys_of_schedule (sched : Graph.schedule) =
   let nodes = sched.Graph.s_nodes in
-  keys_of ~nk:(Array.length nodes)
-    ~prev_of:(fun k -> nodes.(k).Graph.n_prev)
-    ~tb_us_of:(fun k -> nodes.(k).Graph.n_tb_us)
+  let keys = Array.make (Array.length nodes) 0.0 in
+  Array.iteri
+    (fun k (n : Graph.node) ->
+      let base = if n.Graph.n_prev < 0 then 0.0 else keys.(n.Graph.n_prev) in
+      keys.(k) <- base +. sum_tb_us n.Graph.n_tb_us)
+    nodes;
+  keys
 
 (* Priority inheritance: a producer inherits the deadline of any more
    urgent consumer behind it in the stream, so it cannot be starved by
@@ -65,15 +52,6 @@ let order_of_keys ~prev_of keys =
       if c <> 0 then c else Int.compare a b)
     order;
   order
-
-let prep_prev_of (prep : Prep.t) =
-  Array.map
-    (fun (li : Prep.launch_info) ->
-      match li.Prep.li_prev with Some p -> p | None -> -1)
-    prep.Prep.p_launches
-
-let order_of_prep (prep : Prep.t) =
-  order_of_keys ~prev_of:(prep_prev_of prep) (default_keys_of_prep prep)
 
 let order_of_schedule ?deadlines (sched : Graph.schedule) =
   let nodes = sched.Graph.s_nodes in
@@ -103,29 +81,6 @@ let memcpy_us (cfg : Config.t) bytes =
    is at most the total serial work.  This holds for every mode and both
    backends: pipelining and reordering only remove waiting, never add
    work. *)
-let bound_parts ~nk ~launch_us ~malloc_us ~copy_us ~work_us =
-  (float_of_int nk *. launch_us) +. malloc_us +. copy_us +. work_us
-
-let bound_of_prep (cfg : Config.t) mode (prep : Prep.t) =
-  let launch_us = Mode.launch_overhead cfg mode in
-  let malloc_us = ref 0.0 and copy_us = ref 0.0 in
-  Array.iter
-    (fun cmd ->
-      match cmd with
-      | Command.Malloc _ -> malloc_us := !malloc_us +. cfg.Config.malloc_us
-      | Command.Memcpy_h2d b | Command.Memcpy_d2h b ->
-        copy_us := !copy_us +. memcpy_us cfg b.Command.bytes
-      | Command.Kernel_launch _ | Command.Device_synchronize -> ())
-    prep.Prep.p_commands;
-  let work_us = ref 0.0 in
-  Array.iter
-    (fun (li : Prep.launch_info) ->
-      work_us := !work_us +. sum_tb_us li.Prep.li_cost.Costmodel.tb_us)
-    prep.Prep.p_launches;
-  bound_parts
-    ~nk:(Array.length prep.Prep.p_launches)
-    ~launch_us ~malloc_us:!malloc_us ~copy_us:!copy_us ~work_us:!work_us
-
 let bound_of_schedule (cfg : Config.t) mode (sched : Graph.schedule) =
   let launch_us = Mode.launch_overhead cfg mode in
   let malloc_us = ref 0.0 and copy_us = ref 0.0 in
@@ -141,9 +96,10 @@ let bound_of_schedule (cfg : Config.t) mode (sched : Graph.schedule) =
   Array.iter
     (fun n -> work_us := !work_us +. sum_tb_us n.Graph.n_tb_us)
     sched.Graph.s_nodes;
-  bound_parts
-    ~nk:(Array.length sched.Graph.s_nodes)
-    ~launch_us ~malloc_us:!malloc_us ~copy_us:!copy_us ~work_us:!work_us
+  (float_of_int (Array.length sched.Graph.s_nodes) *. launch_us) +. !malloc_us +. !copy_us
+  +. !work_us
+
+let bound_of_prep cfg mode prep = bound_of_schedule cfg mode (Graph.schedule_of_prep prep)
 
 (* Lower bound on any makespan: the machine cannot beat its widest TB nor
    finish total work faster than all slots running flat out.  An app whose

@@ -10,9 +10,9 @@
     {!effective} then applies priority inheritance so a producer blocking
     an urgent consumer is promoted to the consumer's key.
 
-    The response-time analysis ({!bound_of_prep}/{!bound_of_schedule})
-    computes a worst-case completion bound: the sum of every activity's
-    duration (launch overheads, mallocs, copies, TB work).  The simulated
+    The response-time analysis ({!bound_of_schedule}) computes a
+    worst-case completion bound: the sum of every activity's duration
+    (launch overheads, mallocs, copies, TB work).  The simulated
     clock only advances to the completion of some executing activity and
     each activity runs exactly once, so every makespan — any mode, either
     backend — is at most this bound; {!Bm_oracle.Rta} checks that claim
@@ -20,12 +20,9 @@
     lower bound used for admission control: a deadline below it is
     provably unmeetable under every policy. *)
 
-val default_keys_of_prep : Prep.t -> float array
-(** Cumulative per-stream TB work, indexed by launch seq. *)
-
 val default_keys_of_schedule : Graph.schedule -> float array
-(** Same keys computed from a captured schedule — bit-identical to
-    {!default_keys_of_prep} on the prep the schedule was lowered from. *)
+(** Cumulative per-stream TB work, indexed by launch seq.  A prep's keys
+    are those of its lowering, {!Graph.schedule_of_prep}. *)
 
 val effective : prev_of:int array -> float array -> float array
 (** [effective ~prev_of keys] applies priority inheritance: each kernel's
@@ -35,21 +32,17 @@ val effective : prev_of:int array -> float array -> float array
 val order_of_keys : prev_of:int array -> float array -> int array
 (** Launch seqs sorted by (effective key ascending, seq ascending). *)
 
-val order_of_prep : Prep.t -> int array
-(** The static EDF dispatch order of a prepared app (default keys). *)
-
 val order_of_schedule : ?deadlines:float array -> Graph.schedule -> int array
-(** The static EDF dispatch order of a schedule — {!order_of_prep} on the
-    prep it was lowered from.  [deadlines] (per-kernel, indexed by seq)
-    overrides the default keys; raises [Invalid_argument] on a length
-    mismatch. *)
+(** The static EDF dispatch order of a schedule (default keys).
+    [deadlines] (per-kernel, indexed by seq) overrides the default keys;
+    raises [Invalid_argument] on a length mismatch. *)
 
-val bound_of_prep : Bm_gpu.Config.t -> Mode.t -> Prep.t -> float
+val bound_of_schedule : Bm_gpu.Config.t -> Mode.t -> Graph.schedule -> float
 (** Worst-case makespan bound (microseconds): total serial work of every
     activity.  Sound for every mode and backend. *)
 
-val bound_of_schedule : Bm_gpu.Config.t -> Mode.t -> Graph.schedule -> float
-(** Same bound from a captured schedule. *)
+val bound_of_prep : Bm_gpu.Config.t -> Mode.t -> Prep.t -> float
+(** {!bound_of_schedule} of the prep's lowering. *)
 
 val min_makespan_us : Bm_gpu.Config.t -> Prep.t -> float
 (** Lower bound on any makespan: max of the widest single TB and total TB

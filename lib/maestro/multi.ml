@@ -1,9 +1,5 @@
-module Command = Bm_gpu.Command
 module Config = Bm_gpu.Config
 module Stats = Bm_gpu.Stats
-module Bipartite = Bm_depgraph.Bipartite
-module Eheap = Bm_engine.Eheap
-module Metrics = Bm_metrics.Metrics
 
 type submission = Fifo | Round_robin | Packed
 type spatial = Shared | Partitioned of int array
@@ -24,6 +20,23 @@ let spatial_name = function
   | Partitioned parts ->
     "partitioned:" ^ String.concat "+" (Array.to_list (Array.map string_of_int parts))
 
+(* The one partition check: [admit], [run] and the CLI all report the same
+   reason. *)
+let partition_error (cfg : Config.t) ~napps parts =
+  if Array.length parts <> napps then Some "partition list must have one slice per app"
+  else if Array.exists (fun p -> p < 1) parts then Some "empty partition slice"
+  else if Array.fold_left ( + ) 0 parts > cfg.Config.num_sms then
+    Some "partition slices exceed the machine's SMs"
+  else None
+
+(* The machine each app sees: [None] when they share [cfg]. *)
+let slices ~caller cfg ~napps = function
+  | Shared -> None
+  | Partitioned parts -> (
+    match partition_error cfg ~napps parts with
+    | Some reason -> invalid_arg (caller ^ ": " ^ reason)
+    | None -> Some (Array.map (Config.with_sms cfg) parts))
+
 type admission = {
   adm_app : int;
   adm_deadline_us : float;
@@ -35,16 +48,10 @@ let admit ?(spatial = Shared) (cfg : Config.t) ~deadlines (preps : Prep.t array)
   let napps = Array.length preps in
   if Array.length deadlines <> napps then
     invalid_arg "Multi.admit: deadlines must have one entry per app";
-  let cfg_of a =
-    match spatial with
-    | Shared -> cfg
-    | Partitioned parts ->
-      if Array.length parts <> napps then
-        invalid_arg "Multi.admit: partition list must have one slice per app";
-      Config.with_sms cfg parts.(a)
-  in
+  let slices = slices ~caller:"Multi.admit" cfg ~napps spatial in
   Array.init napps (fun a ->
-      let lower = Deadline.min_makespan_us (cfg_of a) preps.(a) in
+      let acfg = match slices with None -> cfg | Some s -> s.(a) in
+      let lower = Deadline.min_makespan_us acfg preps.(a) in
       {
         adm_app = a;
         adm_deadline_us = deadlines.(a);
@@ -60,917 +67,78 @@ type result = {
   mr_slots : int array;
 }
 
-(* Per-kernel scheduling state, exactly Sim's: the degeneracy property
-   (one app under Shared replays Sim event-for-event) rests on this engine
-   being a field-for-field generalization. *)
-type tb_state = Waiting | Queued | Running | Finished
-
-type kstate = {
-  info : Prep.launch_info;
-  ntbs : int;
-  tb_us : float array;
-  mutable launched : bool;
-  mutable started_tbs : int;
-  mutable done_tbs : int;
-  mutable drained : bool;
-  mutable drained_at : float;
-  mutable completed : bool;
-  tb_state : tb_state array;
-  pc : int array;  (* pending parent counts (Graph relation only) *)
-  ready : int array;  (* ready-TB ring, monotonic head/tail *)
-  mutable rhead : int;
-  mutable rtail : int;
-  dep_ready_time : float array;
-  start_time : float array;
-  finish_time : float array;
-}
-
-(* Packed events gain an app field: bits 0-1 tag (0 Launch_done, 1 Tb_done,
-   2 Copy_done, 3 Cmd_done), bits 2-6 app id (hence the 32-app cap), and
-   the payload above.  Tb_done packs the TB id in bits 7-31 and the kernel
-   seq in bits 32+; the other tags keep their payload in bits 7+. *)
-let max_apps = 32
-let ev_launch a seq = (seq lsl 7) lor (a lsl 2)
-let ev_tb a k tb = 1 lor (a lsl 2) lor (tb lsl 7) lor (k lsl 32)
-let ev_copy a ci = 2 lor (a lsl 2) lor (ci lsl 7)
-let ev_cmd a ci = 3 lor (a lsl 2) lor (ci lsl 7)
-let packed_limit = 1 lsl 25
-
-(* All-float records stay unboxed; one per app plus one machine-wide. *)
-type clock = {
-  mutable last_t : float;  (* this app's concurrency integration frontier *)
-  mutable area : float;
-  mutable busy : float;
-  mutable end_time : float;
-}
-
-(* The resources one app draws on.  Under Shared every app aliases one
-   engine record (genuine contention); under Partitioned each app owns a
-   private one sized to its slice. *)
-type engine = {
-  mutable e_launch_free : float;
-  mutable e_copy_free : float;
-  mutable e_free_slots : int;
-}
-
-type astate = {
-  aid : int;
-  prep : Prep.t;
-  acfg : Config.t;  (* Shared: the machine; Partitioned: this app's slice *)
-  eng : engine;
-  launches : Prep.launch_info array;
-  nk : int;
-  commands : Command.t array;
-  nc : int;
-  ks : kstate array;
-  prev_of : int array;
-  next_of : int array;
-  stream_of : int array;
-  sidx : int array;
-  resident : int array;  (* per app-local stream *)
-  blocked_gen : int array;
-  mutable dispatch_gen : int;
-  mutable next_cmd : int;
-  copy_done : bool array;
-  mutable serial_blocked : bool;
-  mutable serial_wait : int;
-  pending_d2h : (int * float) list array;
-  mutable running : int;
-  clk : clock;
-  admission : int array;  (* kernel seq -> global admission rank *)
-  edf_order : int array;  (* static EDF dispatch order; empty otherwise *)
-  emit : Stats.sink;
-  tracing : bool;
-}
-
-let memcpy_us (cfg : Config.t) bytes =
-  cfg.Config.memcpy_latency_us +. (float_of_int bytes /. (cfg.Config.memcpy_gb_per_s *. 1000.0))
-
-let copy_event ~start ~blocking cmd ci =
-  let bytes, d2h =
-    match cmd with
-    | Command.Memcpy_h2d b -> (b.Command.bytes, false)
-    | Command.Memcpy_d2h b -> (b.Command.bytes, true)
-    | Command.Malloc _ | Command.Kernel_launch _ | Command.Device_synchronize -> (0, false)
+(* Admission ranks: a single global enqueue order, merged from the per-app
+   launch orders (so every app's kernels keep their program order — a rank
+   never waits on a later rank, which is what makes the gate
+   deadlock-free). *)
+let admission_ranks submission (scheds : Graph.schedule array) =
+  let napps = Array.length scheds in
+  let nks = Array.map (fun s -> Array.length s.Graph.s_nodes) scheds in
+  let ranks = Array.map (fun nk -> Array.make nk 0) nks in
+  let next_rank = ref 0 in
+  let admit a k =
+    ranks.(a).(k) <- !next_rank;
+    incr next_rank
   in
-  if start then Stats.Copy_start { cmd = ci; bytes; d2h; blocking }
-  else Stats.Copy_finish { cmd = ci; bytes; d2h; blocking }
-
-(* Spill trace events are computed against the app's effective machine
-   (its partition slice under Partitioned), so a partitioned app's trace
-   is byte-identical to its solo trace on [Config.with_sms]. *)
-let table_spills (cfg : Config.t) seq relation ~n_children =
-  match relation with
-  | Bipartite.Independent | Bipartite.Fully_connected -> []
-  | Bipartite.Graph _ ->
-    let needed_dlb = Hardware.dlb_entries_needed cfg relation in
-    let needed_pcb = Hardware.pcb_counters_needed relation ~n_children in
-    let spills = ref [] in
-    if needed_pcb > cfg.Config.pcb_entries then
-      spills :=
-        Stats.Pcb_spill { seq; needed = needed_pcb; capacity = cfg.Config.pcb_entries } :: !spills;
-    if needed_dlb > cfg.Config.dlb_entries then
-      spills :=
-        Stats.Dlb_spill { seq; needed = needed_dlb; capacity = cfg.Config.dlb_entries } :: !spills;
-    !spills
-
-(* Contention instrumentation: machine-wide gauges/counters plus per-app
-   attribution, both backed by {!Hardware.Occupancy} so the accounting
-   cannot silently go negative.  Unlike Sim's [mstate] this focuses on
-   the shared structures — the per-run launch-masking and window metrics
-   stay a Sim concern. *)
-type mmetrics = {
-  mm_dlb : Metrics.gauge;
-  mm_pcb : Metrics.gauge;
-  mm_dlb_spill : Metrics.counter;
-  mm_pcb_spill : Metrics.counter;
-  mm_dlb_evicted : Metrics.counter;
-  mm_pcb_evicted : Metrics.counter;
-  mm_tb : Metrics.counter;
-  mm_makespan : Metrics.gauge;
-  ma_dlb : Metrics.gauge array;
-  ma_pcb : Metrics.gauge array;
-  ma_dlb_spill : Metrics.counter array;
-  ma_pcb_spill : Metrics.counter array;
-  ma_tb : Metrics.counter array;
-  ma_total : Metrics.gauge array;
-  occ_dlb : Hardware.Occupancy.t;
-  occ_pcb : Hardware.Occupancy.t;
-  mm_dlb_demand : int array array;  (* app -> kernel -> entries held *)
-  mm_pcb_demand : int array array;
-}
-
-let make_mmetrics reg ~napps ~nks ~occ_dlb ~occ_pcb =
-  (* Sequential bindings: registration order is display order. *)
-  let mm_dlb = Metrics.gauge reg "multi.dlb.occupancy" in
-  let mm_pcb = Metrics.gauge reg "multi.pcb.occupancy" in
-  let mm_dlb_spill = Metrics.counter reg "multi.dlb.spill_bytes" in
-  let mm_pcb_spill = Metrics.counter reg "multi.pcb.spill_bytes" in
-  let mm_dlb_evicted = Metrics.counter reg "multi.dlb.evicted_entries" in
-  let mm_pcb_evicted = Metrics.counter reg "multi.pcb.evicted_entries" in
-  let mm_tb = Metrics.counter reg "multi.tb.dispatched" in
-  let mm_makespan = Metrics.gauge reg "multi.makespan_us" in
-  let per kind mk = Array.init napps (fun i -> mk reg (Printf.sprintf "multi.app.%d.%s" i kind)) in
-  let ma_dlb = per "dlb.occupancy" Metrics.gauge in
-  let ma_pcb = per "pcb.occupancy" Metrics.gauge in
-  let ma_dlb_spill = per "dlb.spill_bytes" Metrics.counter in
-  let ma_pcb_spill = per "pcb.spill_bytes" Metrics.counter in
-  let ma_tb = per "tb.dispatched" Metrics.counter in
-  let ma_total = per "total_us" Metrics.gauge in
-  {
-    mm_dlb;
-    mm_pcb;
-    mm_dlb_spill;
-    mm_pcb_spill;
-    mm_dlb_evicted;
-    mm_pcb_evicted;
-    mm_tb;
-    mm_makespan;
-    ma_dlb;
-    ma_pcb;
-    ma_dlb_spill;
-    ma_pcb_spill;
-    ma_tb;
-    ma_total;
-    occ_dlb;
-    occ_pcb;
-    mm_dlb_demand = Array.init napps (fun a -> Array.make (max nks.(a) 1) 0);
-    mm_pcb_demand = Array.init napps (fun a -> Array.make (max nks.(a) 1) 0);
-  }
+  (match submission with
+  | Fifo -> Array.iteri (fun a nk -> for k = 0 to nk - 1 do admit a k done) nks
+  | Round_robin ->
+    for pos = 0 to Array.fold_left max 0 nks - 1 do
+      Array.iteri (fun a nk -> if pos < nk then admit a pos) nks
+    done
+  | Packed ->
+    (* Greedy merge: always admit the app whose next kernel is the
+       smallest (fewest TBs), ties to the lower app index. *)
+    let idx = Array.make napps 0 in
+    for _ = 1 to Array.fold_left ( + ) 0 nks do
+      let best = ref (-1) and best_tbs = ref max_int in
+      for a = 0 to napps - 1 do
+        if idx.(a) < nks.(a) then begin
+          let tbs = scheds.(a).Graph.s_nodes.(idx.(a)).Graph.n_tbs in
+          if tbs < !best_tbs then begin
+            best := a;
+            best_tbs := tbs
+          end
+        end
+      done;
+      admit !best idx.(!best);
+      idx.(!best) <- idx.(!best) + 1
+    done);
+  ranks
 
 let run ?(submission = Fifo) ?(spatial = Shared) ?metrics ?traces (cfg : Config.t) mode
     (preps : Prep.t array) =
   let napps = Array.length preps in
   if napps < 1 then invalid_arg "Multi.run: no apps";
-  if napps > max_apps then invalid_arg "Multi.run: more than 32 apps";
   (match traces with
   | Some ts when Array.length ts <> napps ->
     invalid_arg "Multi.run: traces must have one entry per app"
   | Some _ | None -> ());
-  let parts =
-    match spatial with
-    | Shared -> None
-    | Partitioned parts ->
-      if Array.length parts <> napps then
-        invalid_arg "Multi.run: partition list must have one slice per app";
-      Array.iter (fun p -> if p < 1 then invalid_arg "Multi.run: empty partition slice") parts;
-      if Array.fold_left ( + ) 0 parts > cfg.Config.num_sms then
-        invalid_arg "Multi.run: partition slices exceed the machine's SMs";
-      Some parts
+  let slices = slices ~caller:"Multi.run" cfg ~napps spatial in
+  let scheds = Array.map Graph.schedule_of_prep preps in
+  (* Partitioned slices are independent devices and skip the gate; so
+     does a single app, where any merge is the identity. *)
+  let admission =
+    if Option.is_none slices && napps > 1 then Some (admission_ranks submission scheds) else None
   in
-  let window = Mode.window mode in
-  let fine = Mode.fine_grain mode in
-  let serial = Mode.serial_commands mode in
-  let launch_us = Mode.launch_overhead cfg mode in
-  let policy = Mode.policy mode in
-
-  let shared_engine =
-    { e_launch_free = 0.0; e_copy_free = 0.0; e_free_slots = Config.total_tb_slots cfg }
+  let apps =
+    Array.mapi
+      (fun a sched ->
+        {
+          Sim.a_sched = sched;
+          a_trace = (match traces with Some ts -> ts.(a) | None -> None);
+          a_deadlines = None;
+        })
+      scheds
   in
-  let mk_app a (prep : Prep.t) =
-    let acfg = match parts with None -> cfg | Some p -> Config.with_sms cfg p.(a) in
-    let eng =
-      match parts with
-      | None -> shared_engine
-      | Some _ ->
-        { e_launch_free = 0.0; e_copy_free = 0.0; e_free_slots = Config.total_tb_slots acfg }
-    in
-    let launches = prep.Prep.p_launches in
-    let nk = Array.length launches in
-    let commands = prep.Prep.p_commands in
-    let nc = Array.length commands in
-    if nk >= packed_limit || nc >= packed_limit then
-      failwith "Multi.run: too many launches/commands for packed events";
-    let ks =
-      Array.map
-        (fun (info : Prep.launch_info) ->
-          let n = info.Prep.li_tbs in
-          if n >= packed_limit then failwith "Multi.run: kernel too large for packed events";
-          let pc =
-            match info.Prep.li_relation with
-            | Bipartite.Graph g -> Array.map Array.length g.Bipartite.parents_of
-            | Bipartite.Independent | Bipartite.Fully_connected -> [||]
-          in
-          {
-            info;
-            ntbs = n;
-            tb_us = info.Prep.li_cost.Bm_gpu.Costmodel.tb_us;
-            launched = false;
-            started_tbs = 0;
-            done_tbs = 0;
-            drained = n = 0;
-            drained_at = 0.0;
-            completed = false;
-            tb_state = Array.make n Waiting;
-            pc;
-            ready = Array.make (max n 1) 0;
-            rhead = 0;
-            rtail = 0;
-            dep_ready_time = Array.make n 0.0;
-            start_time = Array.make n 0.0;
-            finish_time = Array.make n 0.0;
-          })
-        launches
-    in
-    let prev_of =
-      Array.map
-        (fun (li : Prep.launch_info) -> match li.Prep.li_prev with Some p -> p | None -> -1)
-        launches
-    in
-    let next_of = Array.make nk (-1) in
-    Array.iteri (fun k p -> if p >= 0 then next_of.(p) <- k) prev_of;
-    let stream_of =
-      Array.map (fun (li : Prep.launch_info) -> li.Prep.li_spec.Command.stream) launches
-    in
-    let sidx = Array.make nk 0 in
-    let nstreams =
-      let seen : (int, int) Hashtbl.t = Hashtbl.create 4 in
-      Array.iteri
-        (fun k s ->
-          match Hashtbl.find_opt seen s with
-          | Some i -> sidx.(k) <- i
-          | None ->
-            let i = Hashtbl.length seen in
-            Hashtbl.add seen s i;
-            sidx.(k) <- i)
-        stream_of;
-      Hashtbl.length seen
-    in
-    let emit =
-      match traces with
-      | Some ts -> ( match ts.(a) with Some f -> f | None -> fun _ _ -> ())
-      | None -> fun _ _ -> ()
-    in
-    let tracing = match traces with Some ts -> ts.(a) <> None | None -> false in
-    {
-      aid = a;
-      prep;
-      acfg;
-      eng;
-      launches;
-      nk;
-      commands;
-      nc;
-      ks;
-      prev_of;
-      next_of;
-      stream_of;
-      sidx;
-      resident = Array.make (max nstreams 1) 0;
-      blocked_gen = Array.make (max nstreams 1) 0;
-      dispatch_gen = 0;
-      next_cmd = 0;
-      copy_done = Array.make (max nc 1) false;
-      serial_blocked = false;
-      serial_wait = -1;
-      pending_d2h = Array.make (max nk 1) [];
-      running = 0;
-      clk = { last_t = 0.0; area = 0.0; busy = 0.0; end_time = 0.0 };
-      admission = Array.make (max nk 1) 0;
-      (* EDF stays within-app: apps are still visited in index order, each
-         draining its own kernels by effective deadline key, which keeps
-         the single-app degeneracy and partition-isolation theorems. *)
-      edf_order =
-        (match policy with
-        | Mode.Edf -> Deadline.order_of_prep prep
-        | Mode.Oldest_first | Mode.Newest_first -> [||]);
-      emit;
-      tracing;
-    }
+  let o =
+    Sim.run_schedules ~caller:"Multi.run" ?corun_metrics:metrics ?slices ?admission cfg mode apps
   in
-  let apps = Array.init napps (fun a -> mk_app a preps.(a)) in
-
-  (* Admission ranks: a single global enqueue order, merged from the
-     per-app launch orders (so every app's kernels keep their program
-     order — a rank never waits on a later rank, which is what makes the
-     gate deadlock-free).  Partitioned slices are independent devices and
-     skip the gate entirely; so does a single app, where any merge is the
-     identity. *)
-  let gated = parts = None && napps > 1 in
-  if gated then begin
-    let next_rank = ref 0 in
-    match submission with
-    | Fifo ->
-      Array.iter
-        (fun ap ->
-          for k = 0 to ap.nk - 1 do
-            ap.admission.(k) <- !next_rank;
-            incr next_rank
-          done)
-        apps
-    | Round_robin ->
-      let maxnk = Array.fold_left (fun m ap -> max m ap.nk) 0 apps in
-      for pos = 0 to maxnk - 1 do
-        Array.iter
-          (fun ap ->
-            if pos < ap.nk then begin
-              ap.admission.(pos) <- !next_rank;
-              incr next_rank
-            end)
-          apps
-      done
-    | Packed ->
-      (* Greedy merge: always admit the app whose next kernel is the
-         smallest (fewest TBs), ties to the lower app index. *)
-      let idx = Array.make napps 0 in
-      let remaining = ref (Array.fold_left (fun acc ap -> acc + ap.nk) 0 apps) in
-      while !remaining > 0 do
-        let best = ref (-1) in
-        let best_tbs = ref max_int in
-        for a = 0 to napps - 1 do
-          let ap = apps.(a) in
-          if idx.(a) < ap.nk && ap.launches.(idx.(a)).Prep.li_tbs < !best_tbs then begin
-            best := a;
-            best_tbs := ap.launches.(idx.(a)).Prep.li_tbs
-          end
-        done;
-        let ap = apps.(!best) in
-        ap.admission.(idx.(!best)) <- !next_rank;
-        incr next_rank;
-        idx.(!best) <- idx.(!best) + 1;
-        decr remaining
-      done
-  end;
-  let next_admission = ref 0 in
-  let admission_ok ap seq = (not gated) || ap.admission.(seq) = !next_admission in
-  let note_enqueued () = if gated then incr next_admission in
-
-  let heap = Eheap.create () in
-  (* Machine-wide clock: g.last_t integrates the sum of running TBs at
-     every event; each app's clk integrates its own count only at its own
-     events, preserving the solo float-op sequence bit-for-bit. *)
-  let g = { last_t = 0.0; area = 0.0; busy = 0.0; end_time = 0.0 } in
-  let gnow = ref 0.0 in
-  let g_running = ref 0 in
-  let advance_app (ap : astate) t =
-    let c = ap.clk in
-    if t > c.last_t then begin
-      c.area <- c.area +. (float_of_int ap.running *. (t -. c.last_t));
-      if ap.running > 0 then c.busy <- c.busy +. (t -. c.last_t);
-      c.last_t <- t
-    end
-  in
-  let advance_global t =
-    if t > g.last_t then begin
-      g.area <- g.area +. (float_of_int !g_running *. (t -. g.last_t));
-      if !g_running > 0 then g.busy <- g.busy +. (t -. g.last_t);
-      g.last_t <- t
-    end
-  in
-  let bump_app (ap : astate) t = if t > ap.clk.end_time then ap.clk.end_time <- t in
-
-  let ms =
-    match metrics with
-    | None -> None
-    | Some reg ->
-      let occ_dlb, occ_pcb =
-        match parts with
-        | None ->
-          ( Hardware.Occupancy.create_shared ~capacity:cfg.Config.dlb_entries ~napps,
-            Hardware.Occupancy.create_shared ~capacity:cfg.Config.pcb_entries ~napps )
-        | Some _ ->
-          ( Hardware.Occupancy.create_partitioned
-              ~caps:(Array.map (fun ap -> ap.acfg.Config.dlb_entries) apps),
-            Hardware.Occupancy.create_partitioned
-              ~caps:(Array.map (fun ap -> ap.acfg.Config.pcb_entries) apps) )
-      in
-      Some
-        (make_mmetrics reg ~napps
-           ~nks:(Array.map (fun ap -> ap.nk) apps)
-           ~occ_dlb ~occ_pcb)
-  in
-  let live occ =
-    let s = ref 0 in
-    for i = 0 to napps - 1 do
-      s := !s + Hardware.Occupancy.app_used occ i
-    done;
-    !s
-  in
-  let m_launched (ap : astate) seq relation ~n_children ~t =
-    match ms with
-    | None -> ()
-    | Some m ->
-      if fine then begin
-        let nd = Hardware.dlb_entries_needed ap.acfg relation in
-        let np = Hardware.pcb_counters_needed relation ~n_children in
-        m.mm_dlb_demand.(ap.aid).(seq) <- nd;
-        m.mm_pcb_demand.(ap.aid).(seq) <- np;
-        let ed = Hardware.Occupancy.acquire m.occ_dlb ~app:ap.aid nd in
-        let ep = Hardware.Occupancy.acquire m.occ_pcb ~app:ap.aid np in
-        Metrics.add m.mm_dlb_evicted (float_of_int ed);
-        Metrics.add m.mm_pcb_evicted (float_of_int ep);
-        Metrics.set m.mm_dlb ~at:t (float_of_int (live m.occ_dlb));
-        Metrics.set m.mm_pcb ~at:t (float_of_int (live m.occ_pcb));
-        Metrics.set m.ma_dlb.(ap.aid) ~at:t
-          (float_of_int (Hardware.Occupancy.app_used m.occ_dlb ap.aid));
-        Metrics.set m.ma_pcb.(ap.aid) ~at:t
-          (float_of_int (Hardware.Occupancy.app_used m.occ_pcb ap.aid));
-        let sd = float_of_int (Hardware.dlb_spill_bytes ap.acfg ~needed:nd) in
-        let sp = float_of_int (Hardware.pcb_spill_bytes ap.acfg ~needed:np) in
-        Metrics.add m.mm_dlb_spill sd;
-        Metrics.add m.ma_dlb_spill.(ap.aid) sd;
-        Metrics.add m.mm_pcb_spill sp;
-        Metrics.add m.ma_pcb_spill.(ap.aid) sp
-      end
-  in
-  let m_drained (ap : astate) k ~t =
-    match ms with
-    | Some m when m.mm_dlb_demand.(ap.aid).(k) <> 0 || m.mm_pcb_demand.(ap.aid).(k) <> 0 ->
-      Hardware.Occupancy.release m.occ_dlb ~app:ap.aid m.mm_dlb_demand.(ap.aid).(k);
-      Hardware.Occupancy.release m.occ_pcb ~app:ap.aid m.mm_pcb_demand.(ap.aid).(k);
-      m.mm_dlb_demand.(ap.aid).(k) <- 0;
-      m.mm_pcb_demand.(ap.aid).(k) <- 0;
-      Metrics.set m.mm_dlb ~at:t (float_of_int (live m.occ_dlb));
-      Metrics.set m.mm_pcb ~at:t (float_of_int (live m.occ_pcb));
-      Metrics.set m.ma_dlb.(ap.aid) ~at:t
-        (float_of_int (Hardware.Occupancy.app_used m.occ_dlb ap.aid));
-      Metrics.set m.ma_pcb.(ap.aid) ~at:t
-        (float_of_int (Hardware.Occupancy.app_used m.occ_pcb ap.aid))
-    | Some _ | None -> ()
-  in
-  let m_tb (ap : astate) =
-    match ms with
-    | None -> ()
-    | Some m ->
-      Metrics.incr m.mm_tb;
-      Metrics.incr m.ma_tb.(ap.aid)
-  in
-
-  let queue_tb (ap : astate) k tb =
-    let st = ap.ks.(k) in
-    match st.tb_state.(tb) with
-    | Waiting ->
-      st.tb_state.(tb) <- Queued;
-      st.ready.(st.rtail) <- tb;
-      st.rtail <- st.rtail + 1
-    | Queued | Running | Finished -> ()
-  in
-
-  let refresh_ready (ap : astate) k =
-    let st = ap.ks.(k) in
-    if st.launched && not st.drained then begin
-      let parent_drained =
-        ap.prev_of.(k) < 0 || ap.ks.(ap.prev_of.(k)).drained || ap.ks.(ap.prev_of.(k)).completed
-      in
-      match st.info.Prep.li_relation with
-      | Bipartite.Independent ->
-        for tb = 0 to st.ntbs - 1 do
-          if st.tb_state.(tb) = Waiting then queue_tb ap k tb
-        done
-      | Bipartite.Fully_connected ->
-        if parent_drained then
-          for tb = 0 to st.ntbs - 1 do
-            if st.tb_state.(tb) = Waiting then queue_tb ap k tb
-          done
-      | Bipartite.Graph _ ->
-        if fine then begin
-          for tb = 0 to st.ntbs - 1 do
-            if st.tb_state.(tb) = Waiting && st.pc.(tb) = 0 then queue_tb ap k tb
-          done
-        end
-        else if parent_drained then
-          for tb = 0 to st.ntbs - 1 do
-            if st.tb_state.(tb) = Waiting then queue_tb ap k tb
-          done
-    end
-  in
-
-  (* Same greedy ring-drain as Sim.  The [advance_app] inside the loop is
-     a no-op at the app's own event times (already advanced at pop), but
-     under Shared a foreign app's finished TB can free slots for us: the
-     app's integration frontier must reach the dispatch instant before its
-     running count changes. *)
-  let drain_kernel (ap : astate) k =
-    let st = ap.ks.(k) in
-    let eng = ap.eng in
-    while eng.e_free_slots > 0 && st.rhead < st.rtail do
-      advance_app ap !gnow;
-      let tb = st.ready.(st.rhead) in
-      st.rhead <- st.rhead + 1;
-      st.tb_state.(tb) <- Running;
-      st.start_time.(tb) <- !gnow;
-      st.started_tbs <- st.started_tbs + 1;
-      eng.e_free_slots <- eng.e_free_slots - 1;
-      ap.running <- ap.running + 1;
-      incr g_running;
-      if ap.tracing then ap.emit !gnow (Stats.Tb_dispatch { seq = k; tb });
-      m_tb ap;
-      Eheap.push heap (!gnow +. st.tb_us.(tb)) (ev_tb ap.aid k tb)
-    done
-  in
-  let dispatch_app (ap : astate) =
-    if ap.eng.e_free_slots > 0 then begin
-      match policy with
-      | Mode.Newest_first ->
-        let k = ref (ap.nk - 1) in
-        while ap.eng.e_free_slots > 0 && !k >= 0 do
-          let st = ap.ks.(!k) in
-          if st.launched && not st.drained then drain_kernel ap !k;
-          decr k
-        done
-      | Mode.Edf ->
-        let i = ref 0 in
-        while ap.eng.e_free_slots > 0 && !i < ap.nk do
-          let k = ap.edf_order.(!i) in
-          let st = ap.ks.(k) in
-          if st.launched && not st.drained then drain_kernel ap k;
-          incr i
-        done
-      | Mode.Oldest_first -> begin
-        ap.dispatch_gen <- ap.dispatch_gen + 1;
-        let gen = ap.dispatch_gen in
-        let k = ref 0 in
-        while ap.eng.e_free_slots > 0 && !k < ap.nk do
-          let st = ap.ks.(!k) in
-          if st.launched && not st.drained then begin
-            let s = ap.sidx.(!k) in
-            if ap.blocked_gen.(s) <> gen then begin
-              drain_kernel ap !k;
-              if st.started_tbs < st.ntbs then ap.blocked_gen.(s) <- gen
-            end
-          end;
-          incr k
-        done
-      end
-    end
-  in
-
-  let rec try_complete (ap : astate) k =
-    if
-      k >= 0
-      && (not ap.ks.(k).completed)
-      && ap.ks.(k).drained
-      && (ap.prev_of.(k) < 0 || ap.ks.(ap.prev_of.(k)).completed)
-    then begin
-      ap.ks.(k).completed <- true;
-      ap.resident.(ap.sidx.(k)) <- ap.resident.(ap.sidx.(k)) - 1;
-      if ap.tracing then
-        ap.emit !gnow (Stats.Kernel_completed { seq = k; stream = ap.stream_of.(k) });
-      List.iter
-        (fun (ci, dur) ->
-          let start = max !gnow ap.eng.e_copy_free in
-          ap.eng.e_copy_free <- start +. dur;
-          if ap.tracing then
-            ap.emit start (copy_event ~start:true ~blocking:false ap.commands.(ci) ci);
-          Eheap.push heap (start +. dur) (ev_copy ap.aid ci))
-        (List.rev ap.pending_d2h.(k));
-      ap.pending_d2h.(k) <- [];
-      bump_app ap !gnow;
-      try_complete ap ap.next_of.(k)
-    end
-  in
-  let kernel_completed (ap : astate) k = k < 0 || (k < ap.nk && ap.ks.(k).completed) in
-
-  (* Host command issue for one app: Sim's loop verbatim, plus the
-     admission gate on kernel enqueue under Shared. *)
-  let try_issue (ap : astate) =
-    let progressed = ref false in
-    let blocked = ref false in
-    while (not !blocked) && ap.next_cmd < ap.nc do
-      let ci = ap.next_cmd in
-      if ap.serial_blocked then blocked := true
-      else begin
-        match ap.commands.(ci) with
-        | Command.Device_synchronize ->
-          ap.next_cmd <- ci + 1;
-          progressed := true
-        | Command.Malloc _ ->
-          Eheap.push heap (!gnow +. cfg.Config.malloc_us) (ev_cmd ap.aid ci);
-          ap.serial_blocked <- true;
-          blocked := true;
-          progressed := true
-        | Command.Memcpy_h2d b ->
-          let dur = memcpy_us cfg b.Command.bytes in
-          if serial then begin
-            if ap.tracing then
-              ap.emit !gnow (copy_event ~start:true ~blocking:true ap.commands.(ci) ci);
-            Eheap.push heap (!gnow +. dur) (ev_cmd ap.aid ci);
-            ap.serial_blocked <- true;
-            blocked := true
-          end
-          else begin
-            let start = max !gnow ap.eng.e_copy_free in
-            ap.eng.e_copy_free <- start +. dur;
-            if ap.tracing then
-              ap.emit start (copy_event ~start:true ~blocking:false ap.commands.(ci) ci);
-            Eheap.push heap (start +. dur) (ev_copy ap.aid ci);
-            ap.next_cmd <- ci + 1
-          end;
-          progressed := true
-        | Command.Memcpy_d2h b ->
-          let gate = match ap.prep.Prep.p_d2h_wait.(ci) with Some k -> k | None -> -1 in
-          let dur = memcpy_us cfg b.Command.bytes in
-          if serial then
-            if kernel_completed ap gate then begin
-              if ap.tracing then
-                ap.emit !gnow (copy_event ~start:true ~blocking:true ap.commands.(ci) ci);
-              Eheap.push heap (!gnow +. dur) (ev_cmd ap.aid ci);
-              ap.serial_blocked <- true;
-              blocked := true;
-              progressed := true
-            end
-            else blocked := true
-          else if kernel_completed ap gate then begin
-            let start = max !gnow ap.eng.e_copy_free in
-            ap.eng.e_copy_free <- start +. dur;
-            if ap.tracing then
-              ap.emit start (copy_event ~start:true ~blocking:false ap.commands.(ci) ci);
-            Eheap.push heap (start +. dur) (ev_copy ap.aid ci);
-            ap.next_cmd <- ci + 1;
-            progressed := true
-          end
-          else begin
-            ap.pending_d2h.(gate) <- (ci, dur) :: ap.pending_d2h.(gate);
-            ap.next_cmd <- ci + 1;
-            progressed := true
-          end
-        | Command.Kernel_launch _ ->
-          let seq = ap.prep.Prep.p_kernel_of_cmd.(ci) in
-          let st = ap.ks.(seq) in
-          let copies_ok = List.for_all (fun d -> ap.copy_done.(d)) st.info.Prep.li_copy_deps in
-          if serial then begin
-            if copies_ok && admission_ok ap seq then begin
-              ap.resident.(ap.sidx.(seq)) <- ap.resident.(ap.sidx.(seq)) + 1;
-              if ap.tracing then
-                ap.emit !gnow
-                  (Stats.Kernel_enqueue
-                     { seq; stream = ap.stream_of.(seq); tbs = st.info.Prep.li_tbs });
-              note_enqueued ();
-              let start = max !gnow ap.eng.e_launch_free in
-              ap.eng.e_launch_free <- start +. launch_us;
-              Eheap.push heap (start +. launch_us) (ev_launch ap.aid seq);
-              ap.serial_blocked <- true;
-              ap.serial_wait <- seq;
-              blocked := true;
-              progressed := true
-            end
-            else blocked := true
-          end
-          else if ap.resident.(ap.sidx.(seq)) < window && copies_ok && admission_ok ap seq
-          then begin
-            ap.resident.(ap.sidx.(seq)) <- ap.resident.(ap.sidx.(seq)) + 1;
-            if ap.tracing then
-              ap.emit !gnow
-                (Stats.Kernel_enqueue
-                   { seq; stream = ap.stream_of.(seq); tbs = st.info.Prep.li_tbs });
-            note_enqueued ();
-            Eheap.push heap (!gnow +. launch_us) (ev_launch ap.aid seq);
-            ap.next_cmd <- ci + 1;
-            progressed := true
-          end
-          else blocked := true
-      end
-    done;
-    !progressed
-  in
-
-  (* One app's enqueue advances the admission frontier and can unblock an
-     app scanned earlier, so host issue runs to a fixpoint.  Re-calling
-     [try_issue] on an unchanged app is a pure no-op (it re-evaluates the
-     same blocked condition), which keeps the single-app case exactly
-     Sim's one call. *)
-  let progress () =
-    let again = ref true in
-    while !again do
-      again := false;
-      for a = 0 to napps - 1 do
-        if try_issue apps.(a) then again := true
-      done
-    done;
-    for a = 0 to napps - 1 do
-      dispatch_app apps.(a)
-    done
-  in
-
-  let on_tb_done (ap : astate) k tb =
-    let st = ap.ks.(k) in
-    st.tb_state.(tb) <- Finished;
-    st.finish_time.(tb) <- !gnow;
-    st.done_tbs <- st.done_tbs + 1;
-    ap.eng.e_free_slots <- ap.eng.e_free_slots + 1;
-    ap.running <- ap.running - 1;
-    decr g_running;
-    bump_app ap !gnow;
-    if ap.tracing then ap.emit !gnow (Stats.Tb_finish { seq = k; tb });
-    let kc = ap.next_of.(k) in
-    if kc >= 0 then begin
-      let child = ap.ks.(kc) in
-      match child.info.Prep.li_relation with
-      | Bipartite.Graph g ->
-        let cs = g.Bipartite.children_of.(tb) in
-        for i = 0 to Array.length cs - 1 do
-          let c = cs.(i) in
-          child.pc.(c) <- child.pc.(c) - 1;
-          if !gnow > child.dep_ready_time.(c) then child.dep_ready_time.(c) <- !gnow;
-          if ap.tracing && child.pc.(c) = 0 then
-            ap.emit !gnow (Stats.Dep_satisfied { seq = kc; tb = c });
-          if fine && child.pc.(c) = 0 && child.launched then queue_tb ap kc c
-        done
-      | Bipartite.Independent | Bipartite.Fully_connected -> ()
-    end;
-    if st.done_tbs = st.ntbs then begin
-      st.drained <- true;
-      st.drained_at <- !gnow;
-      if ap.tracing then ap.emit !gnow (Stats.Kernel_drained { seq = k; stream = ap.stream_of.(k) });
-      m_drained ap k ~t:!gnow;
-      if kc >= 0 then begin
-        let child = ap.ks.(kc) in
-        match child.info.Prep.li_relation with
-        | Bipartite.Fully_connected ->
-          let drt = child.dep_ready_time in
-          for c = 0 to Array.length drt - 1 do
-            if drt.(c) < !gnow then drt.(c) <- !gnow
-          done;
-          if ap.tracing then
-            Array.iteri
-              (fun c _ -> ap.emit !gnow (Stats.Dep_satisfied { seq = kc; tb = c }))
-              child.dep_ready_time
-        | Bipartite.Independent | Bipartite.Graph _ -> ()
-      end;
-      if kc >= 0 then refresh_ready ap kc;
-      try_complete ap k;
-      if serial && ap.serial_wait = k && ap.ks.(k).completed then begin
-        ap.serial_blocked <- false;
-        ap.serial_wait <- -1;
-        ap.next_cmd <- ap.next_cmd + 1
-      end
-    end
-  in
-
-  (* Main loop. *)
-  progress ();
-  let steps = ref 0 in
-  while not (Eheap.is_empty heap) do
-    let t = Eheap.pop_key heap in
-    let e = Eheap.pop_ev heap in
-    incr steps;
-    if !steps > 100_000_000 then failwith "Multi.run: event budget exceeded";
-    let ap = apps.((e lsr 2) land 31) in
-    advance_app ap t;
-    advance_global t;
-    gnow := t;
-    (match e land 3 with
-    | 1 -> on_tb_done ap (e lsr 32) ((e lsr 7) land 0x1FF_FFFF)
-    | 0 ->
-      let seq = e lsr 7 in
-      let st = ap.ks.(seq) in
-      st.launched <- true;
-      if ap.tracing then begin
-        ap.emit t (Stats.Kernel_launched { seq; stream = ap.stream_of.(seq) });
-        if fine then
-          List.iter (ap.emit t)
-            (table_spills ap.acfg seq st.info.Prep.li_relation ~n_children:st.info.Prep.li_tbs)
-      end;
-      m_launched ap seq st.info.Prep.li_relation ~n_children:st.info.Prep.li_tbs ~t;
-      if st.ntbs = 0 then begin
-        st.drained <- true;
-        st.drained_at <- t;
-        if ap.tracing then
-          ap.emit t (Stats.Kernel_drained { seq; stream = ap.stream_of.(seq) });
-        m_drained ap seq ~t;
-        try_complete ap seq
-      end
-      else refresh_ready ap seq;
-      bump_app ap t
-    | 2 ->
-      let ci = e lsr 7 in
-      ap.copy_done.(ci) <- true;
-      if ap.tracing then ap.emit t (copy_event ~start:false ~blocking:false ap.commands.(ci) ci);
-      bump_app ap t
-    | _ ->
-      let ci = e lsr 7 in
-      ap.serial_blocked <- false;
-      (match ap.commands.(ci) with
-      | Command.Memcpy_h2d _ | Command.Memcpy_d2h _ ->
-        ap.copy_done.(ci) <- true;
-        if ap.tracing then ap.emit t (copy_event ~start:false ~blocking:true ap.commands.(ci) ci)
-      | Command.Malloc _ | Command.Kernel_launch _ | Command.Device_synchronize -> ());
-      bump_app ap t;
-      ap.next_cmd <- ap.next_cmd + 1);
-    progress ()
-  done;
-  Array.iter
-    (fun ap ->
-      if ap.next_cmd < ap.nc then
-        failwith
-          (Printf.sprintf "Multi.run: app %d host stalled at command %d/%d (mode %s, %s, %s)"
-             ap.aid ap.next_cmd ap.nc (Mode.name mode) (submission_name submission)
-             (spatial_name spatial)))
-    apps;
-  Array.iter
-    (fun ap ->
-      Array.iteri
-        (fun k st ->
-          if not st.completed then
-            failwith (Printf.sprintf "Multi.run: app %d kernel %d never completed" ap.aid k))
-        ap.ks)
-    apps;
-
-  (* Per-app statistics, assembled exactly as Sim does so a solo or
-     partitioned run compares field-for-field. *)
-  let build_stats (ap : astate) =
-    let total_tbs = Array.fold_left (fun acc st -> acc + st.ntbs) 0 ap.ks in
-    let records =
-      Array.make total_tbs
-        { Stats.r_kernel = 0; r_tb = 0; r_dep_ready = 0.0; r_start = 0.0; r_finish = 0.0 }
-    in
-    let ri = ref 0 in
-    Array.iteri
-      (fun k st ->
-        for tb = 0 to st.ntbs - 1 do
-          records.(!ri) <-
-            {
-              Stats.r_kernel = k;
-              r_tb = tb;
-              r_dep_ready = st.dep_ready_time.(tb);
-              r_start = st.start_time.(tb);
-              r_finish = st.finish_time.(tb);
-            };
-          incr ri
-        done)
-      ap.ks;
-    let base_mem =
-      Array.fold_left
-        (fun acc (st : kstate) -> acc +. Bm_gpu.Costmodel.total_mem_requests st.info.Prep.li_cost)
-        0.0 ap.ks
-    in
-    let dep_mem =
-      if not (Mode.reorders mode) then 0.0
-      else
-        Array.fold_left
-          (fun acc (st : kstate) ->
-            match st.info.Prep.li_prev with
-            | None -> acc
-            | Some prev ->
-              let n_parents = ap.launches.(prev).Prep.li_tbs in
-              if fine then
-                acc
-                +. Hardware.dep_mem_requests ap.acfg ~n_parents ~n_children:st.info.Prep.li_tbs
-                     st.info.Prep.li_relation
-              else acc +. 2.0)
-          0.0 ap.ks
-    in
-    let total = ap.clk.end_time in
-    {
-      Stats.total_us = total;
-      busy_us = ap.clk.busy;
-      records;
-      avg_concurrency = (if total > 0.0 then ap.clk.area /. total else 0.0);
-      base_mem_requests = base_mem;
-      dep_mem_requests = dep_mem;
-    }
-  in
-  let mr_stats = Array.map build_stats apps in
-  let makespan = Array.fold_left (fun m ap -> Float.max m ap.clk.end_time) 0.0 apps in
-  (match ms with
-  | None -> ()
-  | Some m ->
-    Metrics.set m.mm_makespan ~at:makespan makespan;
-    Array.iteri (fun i ap -> Metrics.set m.ma_total.(i) ~at:makespan ap.clk.end_time) apps);
+  let slots a = Config.total_tb_slots (match slices with None -> cfg | Some s -> s.(a)) in
   {
-    mr_stats;
-    mr_makespan_us = makespan;
-    mr_busy_us = g.busy;
-    mr_avg_concurrency = (if makespan > 0.0 then g.area /. makespan else 0.0);
-    mr_slots = Array.map (fun ap -> Config.total_tb_slots ap.acfg) apps;
+    mr_stats = o.Sim.o_stats;
+    mr_makespan_us = o.Sim.o_makespan_us;
+    mr_busy_us = o.Sim.o_busy_us;
+    mr_avg_concurrency = o.Sim.o_avg_concurrency;
+    mr_slots = Array.init napps slots;
   }

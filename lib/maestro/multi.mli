@@ -1,7 +1,7 @@
 (** Cross-app concurrent execution (ROADMAP item 4).
 
     [Multi.run] takes N independently prepared apps and runs them on one
-    machine at once, generalizing {!Sim} (which owns the full device):
+    machine at once:
 
     - a {e submission policy} decides the order in which kernels from
       different apps may enter the device's launch queue ([Fifo] drains
@@ -16,20 +16,30 @@
       engines and proportional DLB/PCB capacity (MIG-style, full
       isolation — see {!Bm_gpu.Config.with_sms}).
 
-    Two exactness properties anchor the differential test suite:
+    There is no co-run engine here.  [run] validates its input, lowers
+    each app with {!Graph.schedule_of_prep}, turns the submission policy
+    into global admission ranks and hands everything to
+    {!Sim.run_schedules} — the engine {!Sim.run} and {!Replay.run} use for
+    one app.  A submission policy is only an admission order; the ranks
+    gate kernel enqueue on a shared machine with two or more apps, and
+    partition slices skip the gate.
 
-    - {e degeneracy}: [run [| prep |]] under [Shared] is cycle-exact and
-      trace-byte-identical to [Sim.run] — the engine replays the same
-      event sequence through the same insertion-ordered heap;
+    Two exactness properties are therefore structural, and the
+    differential suite (test/test_multi.ml) still checks both:
+
+    - {e degeneracy}: [run [| prep |]] under [Shared] is the same engine
+      call as [Sim.run] — cycle-exact and trace-byte-identical;
     - {e partition isolation}: under [Partitioned], each app's stats and
       trace are identical to its solo [Sim.run] on [with_sms cfg s_i].
-      Per-app clock integration advances only at that app's own events,
-      so even float accumulation follows the solo op sequence
-      bit-for-bit.
+      Each app owns its slice's resources and a clock advanced only at
+      its own events, so even float accumulation follows the solo op
+      sequence bit-for-bit.
 
     Under [Shared], per-app busy/concurrency figures still integrate
     only that app's own running TBs; machine-wide figures are reported
-    in the {!result}.
+    in the {!result}.  There is no app cap: events index kernels and
+    commands flat across apps, bounded only by the packed-event bound of
+    2{^30} summed launches or commands (see {!Sim}).
 
     With [?metrics], the run registers contention instrumentation:
     machine-wide [multi.dlb.occupancy] / [multi.pcb.occupancy] gauges and
@@ -76,6 +86,12 @@ type admission = {
   adm_admitted : bool;  (** false iff [adm_deadline_us < adm_lower_us] *)
 }
 
+val partition_error : Bm_gpu.Config.t -> napps:int -> int array -> string option
+(** Why [Partitioned slices] is malformed for [napps] apps on [cfg] — a
+    slice count other than [napps], an empty slice, or slices summing past
+    [cfg.num_sms] — or [None] when it is well formed.  {!admit} and {!run}
+    raise [Invalid_argument] with this reason after their own name. *)
+
 val admit :
   ?spatial:spatial -> Bm_gpu.Config.t -> deadlines:float array -> Prep.t array -> admission array
 (** Deadline admission control: reject every app whose deadline is
@@ -99,6 +115,6 @@ val run :
     given, must have one (optional) sink per app; each app's events use
     app-local kernel/stream/command ids, so a per-app trace is directly
     comparable to the solo trace.  Raises [Invalid_argument] on malformed
-    partitions and [Failure] on scheduler deadlock (host stalled) or an
-    app that never completes — the same loud-failure contract as
-    [Sim.run]. *)
+    partitions (the {!partition_error} reason) or beyond the packed-event
+    bound, and [Failure] on scheduler deadlock (host stalled) or an app
+    that never completes — the same loud-failure contract as [Sim.run]. *)

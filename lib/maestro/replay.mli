@@ -9,7 +9,7 @@
     so a warm replay touches neither the PTX analyses nor the {!Cache}.
 
     There is no second engine: {!run} picks the schedule matching the
-    mode's reorder class and hands it to {!Sim.run_schedule}, the same
+    mode's reorder class and hands it to {!Sim.run_schedules}, the same
     event-triggered core {!Sim.run} runs on a freshly lowered preparation.
     What replay adds is the configuration check and its own
     [graph.replay.*] counters. *)

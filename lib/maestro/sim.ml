@@ -7,10 +7,12 @@ module Metrics = Bm_metrics.Metrics
 type tb_state = Waiting | Queued | Running | Finished
 
 (* Node execution state.  The static half comes from the {!Graph.node}; two
-   link fields implement the active-node list ([-1] = nil, [-2] = not
-   linked). *)
+   link fields implement the owning app's active-node list ([-1] = nil,
+   [-2] = not linked).  Nodes of every app live in one flat array: app
+   [a]'s kernel [i] is flat index [k0 + i]. *)
 type nstate = {
   node : Graph.node;
+  app : int;
   ntbs : int;                (* = node.n_tbs, hoisted for the hot loops *)
   tb_us : float array;       (* = node.n_tb_us *)
   mutable launched : bool;
@@ -36,44 +38,77 @@ type nstate = {
 
 (* Events are packed into immediate ints so heap traffic allocates nothing
    (the generic boxed-entry {!Bm_engine.Heap} cost ~18 words per event):
-   bits 0-1 tag — 0 Launch_done(seq), 1 Tb_done(k, tb), 2 Copy_done(ci),
-   3 Cmd_done(ci).  Tags 0/2/3 keep their payload in bits 2+; Tb_done packs
-   the TB id in bits 2-31 and the kernel seq in bits 32+.  The packing is
-   part of the heap's tie-break behaviour, so it is fixed: every field must
-   stay below [packed_limit], checked once per run by [check_packed]. *)
-let ev_launch seq = seq lsl 2
+   bits 0-1 tag — 0 Launch_done(k), 1 Tb_done(k, tb), 2 Copy_done(c),
+   3 Cmd_done(c).  Tags 0/2/3 keep their payload in bits 2+; Tb_done packs
+   the TB id in bits 2-31 and the kernel in bits 32+.  Kernels and commands
+   are flat indices over every app, so an event names its app without an
+   app field.  {!Bm_engine.Eheap} breaks ties by insertion sequence, never
+   by event value, so the packing cannot change pop order; it only has to
+   fit: every field stays below [packed_limit], checked once per run by
+   [check_packed]. *)
+let ev_launch k = k lsl 2
 let ev_tb k tb = 1 lor (tb lsl 2) lor (k lsl 32)
-let ev_copy ci = 2 lor (ci lsl 2)
-let ev_cmd ci = 3 lor (ci lsl 2)
+let ev_copy c = 2 lor (c lsl 2)
+let ev_cmd c = 3 lor (c lsl 2)
 let packed_limit = 1 lsl 30
 
-(* Rejects a schedule whose launch, command or TB counts do not fit the
-   packed events — before any per-TB state is allocated. *)
-let check_packed ~caller (sched : Graph.schedule) =
-  let nk = Array.length sched.Graph.s_nodes and nc = Array.length sched.Graph.s_commands in
+type app = {
+  a_sched : Graph.schedule;
+  a_trace : Stats.sink option;
+  a_deadlines : float array option;
+}
+
+(* Rejects apps whose summed launch or command counts, or any kernel's TB
+   count, do not fit the packed events — before any per-TB state is
+   allocated. *)
+let check_packed ~caller (apps : app array) =
+  let count f = Array.fold_left (fun acc ap -> acc + Array.length (f ap.a_sched)) 0 apps in
+  let nk = count (fun s -> s.Graph.s_nodes) and nc = count (fun s -> s.Graph.s_commands) in
   if nk >= packed_limit || nc >= packed_limit then
     invalid_arg
       (Printf.sprintf "%s: %d launches / %d commands exceed the packed-event bound of 2^30" caller
          nk nc);
-  Array.iter
-    (fun (n : Graph.node) ->
-      if n.Graph.n_tbs >= packed_limit then
-        invalid_arg
-          (Printf.sprintf "%s: kernel %d has %d thread blocks, beyond the packed-event bound of 2^30"
-             caller n.Graph.n_seq n.Graph.n_tbs))
-    sched.Graph.s_nodes
+  Array.iteri
+    (fun a ap ->
+      Array.iter
+        (fun (n : Graph.node) ->
+          if n.Graph.n_tbs >= packed_limit then
+            invalid_arg
+              (Printf.sprintf
+                 "%s: app %d kernel %d has %d thread blocks, beyond the packed-event bound of 2^30"
+                 caller a n.Graph.n_seq n.Graph.n_tbs))
+        ap.a_sched.Graph.s_nodes)
+    apps
 
-(* Simulated-clock state.  All-float records are unboxed by the compiler,
+(* Running-TB integration.  All-float records are unboxed by the compiler,
    so updating these fields in the hot loop allocates nothing — unlike
-   [float ref], which boxes on every store. *)
-type fstate = {
-  mutable now : float;
-  mutable last_t : float;   (* concurrency integration frontier *)
+   [float ref], which boxes on every store.  Each app owns one, advanced
+   only at its own events and dispatches, so its figures follow the solo
+   op sequence bit-for-bit; the machine owns one advanced at every event. *)
+type clock = {
+  mutable last_t : float;   (* integration frontier *)
   mutable area : float;     (* integral of running TBs over time *)
   mutable busy : float;     (* time with >= 1 running TB *)
   mutable end_time : float;
-  mutable launch_free : float;  (* serial launch engine *)
-  mutable copy_free : float;    (* copy engine *)
+}
+
+type instant = { mutable now : float }
+
+let[@inline] advance c running at =
+  let t = at.now in
+  if t > c.last_t then begin
+    c.area <- c.area +. (float_of_int running *. (t -. c.last_t));
+    if running > 0 then c.busy <- c.busy +. (t -. c.last_t);
+    c.last_t <- t
+  end
+
+(* The launch engine, copy engine and TB-slot pool an app draws on: one
+   record aliased by every app on a shared machine (contention is real),
+   one private record per partition slice. *)
+type resource = {
+  mutable launch_free : float;
+  mutable copy_free : float;
+  mutable free_slots : int;
 }
 
 let memcpy_us (cfg : Config.t) bytes =
@@ -91,7 +126,10 @@ let copy_event ~start ~blocking cmd ci =
 
 (* Hardware-table pressure for one launched kernel pair: DLB entries hold
    [dlb_children_per_entry] children each, the PCB holds one counter per
-   child TB; anything beyond the table sizes spills to global memory. *)
+   child TB; anything beyond the table sizes spills to global memory.
+   Computed against the app's own machine (its slice when partitioned), so
+   a partitioned app's trace is byte-identical to its solo trace on
+   [Config.with_sms]. *)
 let table_spills (cfg : Config.t) seq relation ~n_children =
   match relation with
   | Bipartite.Independent | Bipartite.Fully_connected -> []
@@ -175,26 +213,148 @@ let make_mstate reg nk =
     m_resident = 0;
   }
 
-let run_schedule ~caller ?(host_blocking_copies = false) ?metrics ?trace ?deadlines
-    (cfg : Config.t) mode (sched : Graph.schedule) =
-  check_packed ~caller sched;
-  (* Observability hook: a no-op closure when disabled, so the hot path
-     pays one indirect call per event and nothing else. *)
-  let tracing = trace <> None in
-  let emit = match trace with Some f -> f | None -> fun _ _ -> () in
-  let nodes = sched.Graph.s_nodes in
-  let nk = Array.length nodes in
-  let commands = sched.Graph.s_commands in
-  let nc = Array.length commands in
+(* Co-run contention handles: machine-wide gauges/counters plus per-app
+   attribution, both backed by {!Hardware.Occupancy} so the accounting
+   cannot silently go negative. *)
+type cstate = {
+  c_dlb : Metrics.gauge;
+  c_pcb : Metrics.gauge;
+  c_dlb_spill : Metrics.counter;
+  c_pcb_spill : Metrics.counter;
+  c_dlb_evicted : Metrics.counter;
+  c_pcb_evicted : Metrics.counter;
+  c_tb : Metrics.counter;
+  c_makespan : Metrics.gauge;
+  ca_dlb : Metrics.gauge array;
+  ca_pcb : Metrics.gauge array;
+  ca_dlb_spill : Metrics.counter array;
+  ca_pcb_spill : Metrics.counter array;
+  ca_tb : Metrics.counter array;
+  ca_total : Metrics.gauge array;
+  occ_dlb : Hardware.Occupancy.t;
+  occ_pcb : Hardware.Occupancy.t;
+  c_dlb_demand : int array;  (* per kernel: entries held while active *)
+  c_pcb_demand : int array;
+}
+
+let make_cstate reg ~napps ~nk ~occ_dlb ~occ_pcb =
+  (* Sequential bindings: registration order is display order. *)
+  let c_dlb = Metrics.gauge reg "multi.dlb.occupancy" in
+  let c_pcb = Metrics.gauge reg "multi.pcb.occupancy" in
+  let c_dlb_spill = Metrics.counter reg "multi.dlb.spill_bytes" in
+  let c_pcb_spill = Metrics.counter reg "multi.pcb.spill_bytes" in
+  let c_dlb_evicted = Metrics.counter reg "multi.dlb.evicted_entries" in
+  let c_pcb_evicted = Metrics.counter reg "multi.pcb.evicted_entries" in
+  let c_tb = Metrics.counter reg "multi.tb.dispatched" in
+  let c_makespan = Metrics.gauge reg "multi.makespan_us" in
+  let per kind mk = Array.init napps (fun i -> mk reg (Printf.sprintf "multi.app.%d.%s" i kind)) in
+  let ca_dlb = per "dlb.occupancy" Metrics.gauge in
+  let ca_pcb = per "pcb.occupancy" Metrics.gauge in
+  let ca_dlb_spill = per "dlb.spill_bytes" Metrics.counter in
+  let ca_pcb_spill = per "pcb.spill_bytes" Metrics.counter in
+  let ca_tb = per "tb.dispatched" Metrics.counter in
+  let ca_total = per "total_us" Metrics.gauge in
+  {
+    c_dlb;
+    c_pcb;
+    c_dlb_spill;
+    c_pcb_spill;
+    c_dlb_evicted;
+    c_pcb_evicted;
+    c_tb;
+    c_makespan;
+    ca_dlb;
+    ca_pcb;
+    ca_dlb_spill;
+    ca_pcb_spill;
+    ca_tb;
+    ca_total;
+    occ_dlb;
+    occ_pcb;
+    c_dlb_demand = Array.make (max nk 1) 0;
+    c_pcb_demand = Array.make (max nk 1) 0;
+  }
+
+type outcome = {
+  o_stats : Stats.t array;
+  o_makespan_us : float;
+  o_busy_us : float;
+  o_avg_concurrency : float;
+  o_events : int;
+}
+
+(* Per-app engine state.  [k0]/[c0] place the app's kernels and commands
+   in the flat index space events use. *)
+type astate = {
+  aid : int;
+  acfg : Config.t;  (* the machine the app sees: the device or its slice *)
+  res : resource;
+  clk : clock;
+  nodes : Graph.node array;
+  commands : Graph.gcmd array;
+  k0 : int;
+  nk : int;
+  c0 : int;
+  nc : int;
+  emit : Stats.sink;
+  tracing : bool;
+  mutable running : int;
+  mutable next_cmd : int;
+  mutable serial_blocked : bool;  (* in serial mode the host stalls on the in-flight command *)
+  mutable serial_wait : int;      (* flat kernel the serial host waits on, -1 none *)
+  mutable active_head : int;
+  mutable active_tail : int;
+}
+
+let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metrics ?slices
+    ?admission (cfg : Config.t) mode (apps : app array) =
+  let napps = Array.length apps in
+  if napps < 1 then invalid_arg (caller ^ ": no apps");
+  let per_app what = function
+    | Some xs when Array.length xs <> napps -> invalid_arg (caller ^ ": one " ^ what ^ " per app")
+    | Some _ | None -> ()
+  in
+  per_app "slice" slices;
+  per_app "admission rank list" admission;
+  Option.iter
+    (Array.iteri (fun a r ->
+         if Array.length r <> Array.length apps.(a).a_sched.Graph.s_nodes then
+           invalid_arg (caller ^ ": admission ranks must have one entry per launch")))
+    admission;
+  check_packed ~caller apps;
   let window = Mode.window mode in
   let fine = Mode.fine_grain mode in
   let serial = Mode.serial_commands mode in
   let launch_us = Mode.launch_overhead cfg mode in
-  let total_slots = Config.total_tb_slots cfg in
+  let policy = Mode.policy mode in
+
+  (* Flat index space: app [a]'s kernels start at [k0.(a)], its commands
+     at [c0.(a)]. *)
+  let offsets f =
+    let total = ref 0 in
+    let starts =
+      Array.map
+        (fun ap ->
+          let s = !total in
+          total := s + Array.length (f ap.a_sched);
+          s)
+        apps
+    in
+    (starts, !total)
+  in
+  let k0, nk = offsets (fun s -> s.Graph.s_nodes) in
+  let c0, nc = offsets (fun s -> s.Graph.s_commands) in
+  let node_app = Array.make nk 0 and cmd_app = Array.make (max nc 1) 0 in
+  Array.iteri
+    (fun a ap ->
+      Array.fill node_app k0.(a) (Array.length ap.a_sched.Graph.s_nodes) a;
+      Array.fill cmd_app c0.(a) (Array.length ap.a_sched.Graph.s_commands) a)
+    apps;
+  let nodes = Array.concat (Array.to_list (Array.map (fun ap -> ap.a_sched.Graph.s_nodes) apps)) in
 
   let ks =
-    Array.map
-      (fun (node : Graph.node) ->
+    Array.mapi
+      (fun k (node : Graph.node) ->
         let n = node.Graph.n_tbs in
         let pc =
           match node.Graph.n_relation with
@@ -203,6 +363,7 @@ let run_schedule ~caller ?(host_blocking_copies = false) ?metrics ?trace ?deadli
         in
         {
           node;
+          app = node_app.(k);
           ntbs = n;
           tb_us = node.Graph.n_tb_us;
           launched = false;
@@ -226,46 +387,89 @@ let run_schedule ~caller ?(host_blocking_copies = false) ?metrics ?trace ?deadli
   in
 
   (* Stream topology: dependencies, in-order completion and the pre-launch
-     window all apply per stream (paper SIII-C). *)
-  let prev_of = Array.map (fun (n : Graph.node) -> n.Graph.n_prev) nodes in
+     window all apply per stream of one app (paper SIII-C). *)
+  let prev_of =
+    Array.init nk (fun k ->
+        let p = ks.(k).node.Graph.n_prev in
+        if p < 0 then -1 else k0.(ks.(k).app) + p)
+  in
   let next_of = Array.make nk (-1) in
   Array.iteri (fun k p -> if p >= 0 then next_of.(p) <- k) prev_of;
-  let stream_of = Array.map (fun (n : Graph.node) -> n.Graph.n_stream) nodes in
-  (* Dense stream indexing: per-stream residency counts and dispatch-time
-     blocked flags live in arrays instead of hashtables of refs. *)
+  let stream_of = Array.map (fun st -> st.node.Graph.n_stream) ks in
+  (* Dense stream indexing over (app, stream): per-stream residency counts
+     and dispatch-time blocked flags live in arrays, not hashtables. *)
   let sidx = Array.make nk 0 in
   let nstreams =
-    let seen : (int, int) Hashtbl.t = Hashtbl.create 4 in
+    let seen : (int * int, int) Hashtbl.t = Hashtbl.create 4 in
     Array.iteri
       (fun k s ->
-        match Hashtbl.find_opt seen s with
+        let key = (ks.(k).app, s) in
+        match Hashtbl.find_opt seen key with
         | Some i -> sidx.(k) <- i
         | None ->
           let i = Hashtbl.length seen in
-          Hashtbl.add seen s i;
+          Hashtbl.add seen key i;
           sidx.(k) <- i)
       stream_of;
     Hashtbl.length seen
   in
   let resident = Array.make (max nstreams 1) 0 in
   let heap = Eheap.create () in
-  let f =
-    { now = 0.0; last_t = 0.0; area = 0.0; busy = 0.0; end_time = 0.0;
-      launch_free = 0.0; copy_free = 0.0 }
-  in
+  let now = { now = 0.0 } in
+  let machine = { last_t = 0.0; area = 0.0; busy = 0.0; end_time = 0.0 } in
+  let g_running = ref 0 in
 
-  (* Concurrency integration. *)
-  let running = ref 0 in
-  let advance t =
-    if t > f.last_t then begin
-      f.area <- f.area +. (float_of_int !running *. (t -. f.last_t));
-      if !running > 0 then f.busy <- f.busy +. (t -. f.last_t);
-      f.last_t <- t
-    end
+  let shared_res =
+    { launch_free = 0.0; copy_free = 0.0; free_slots = Config.total_tb_slots cfg }
+  in
+  let st =
+    Array.mapi
+      (fun a ap ->
+        let acfg, res =
+          match slices with
+          | None -> (cfg, shared_res)
+          | Some s ->
+            (s.(a), { launch_free = 0.0; copy_free = 0.0; free_slots = Config.total_tb_slots s.(a) })
+        in
+        let sched = ap.a_sched in
+        {
+          aid = a;
+          acfg;
+          res;
+          clk = { last_t = 0.0; area = 0.0; busy = 0.0; end_time = 0.0 };
+          nodes = sched.Graph.s_nodes;
+          commands = sched.Graph.s_commands;
+          k0 = k0.(a);
+          nk = Array.length sched.Graph.s_nodes;
+          c0 = c0.(a);
+          nc = Array.length sched.Graph.s_commands;
+          emit = (match ap.a_trace with Some f -> f | None -> fun _ _ -> ());
+          tracing = Option.is_some ap.a_trace;
+          running = 0;
+          next_cmd = 0;
+          serial_blocked = false;
+          serial_wait = -1;
+          active_head = -1;
+          active_tail = -1;
+        })
+      apps
   in
 
   (* Metric handles, looked up once.  [None] keeps every site allocation-free. *)
   let ms = match metrics with None -> None | Some reg -> Some (make_mstate reg nk) in
+  let cs =
+    match corun_metrics with
+    | None -> None
+    | Some reg ->
+      let occ cap =
+        match slices with
+        | None -> Hardware.Occupancy.create_shared ~capacity:(cap cfg) ~napps
+        | Some s -> Hardware.Occupancy.create_partitioned ~caps:(Array.map cap s)
+      in
+      let occ_dlb = occ (fun c -> c.Config.dlb_entries) in
+      let occ_pcb = occ (fun c -> c.Config.pcb_entries) in
+      Some (make_cstate reg ~napps ~nk ~occ_dlb ~occ_pcb)
+  in
   let m_copy ~d2h ~bytes ~dur =
     match ms with
     | None -> ()
@@ -274,51 +478,83 @@ let run_schedule ~caller ?(host_blocking_copies = false) ?metrics ?trace ?deadli
       Metrics.add (if d2h then m.m_copy_d2h else m.m_copy_h2d) (float_of_int bytes);
       Metrics.add m.m_copy_busy dur
   in
-  let m_copy_cmd ~dur ci cmd =
+  let m_copy_cmd ~dur cmd =
     match cmd with
     | Graph.Gh2d { bytes } -> m_copy ~d2h:false ~bytes ~dur
     | Graph.Gd2h { bytes; _ } -> m_copy ~d2h:true ~bytes ~dur
-    | Graph.Gmalloc | Graph.Glaunch _ | Graph.Gsync -> ignore ci
+    | Graph.Gmalloc | Graph.Glaunch _ | Graph.Gsync -> ()
   in
   (* Called at kernel enqueue: stamps the launch-overhead baseline and
      samples the pre-launch window residency. *)
-  let m_enqueue seq ~now ~busy =
+  let m_enqueue k ~now ~busy =
     match ms with
     | None -> ()
     | Some m ->
-      m.m_enq_time.(seq) <- now;
-      m.m_enq_busy.(seq) <- busy;
+      m.m_enq_time.(k) <- now;
+      m.m_enq_busy.(k) <- busy;
       m.m_resident <- m.m_resident + 1;
       Metrics.set m.m_window ~at:now (float_of_int m.m_resident);
       Metrics.observe m.m_window_occ (float_of_int m.m_resident)
   in
+  let live occ =
+    let s = ref 0 in
+    for i = 0 to napps - 1 do
+      s := !s + Hardware.Occupancy.app_used occ i
+    done;
+    !s
+  in
+  let c_occupancy c (ap : astate) ~t =
+    Metrics.set c.c_dlb ~at:t (float_of_int (live c.occ_dlb));
+    Metrics.set c.c_pcb ~at:t (float_of_int (live c.occ_pcb));
+    Metrics.set c.ca_dlb.(ap.aid) ~at:t (float_of_int (Hardware.Occupancy.app_used c.occ_dlb ap.aid));
+    Metrics.set c.ca_pcb.(ap.aid) ~at:t (float_of_int (Hardware.Occupancy.app_used c.occ_pcb ap.aid))
+  in
   (* Called at Launch_done: splits the enqueue->launched span into overhead
      masked by concurrent device work vs. exposed on the critical path, and
      charges the kernel's DLB/PCB demand (fine-grain modes only). *)
-  let m_launched seq ~t ~busy ~fine relation ~n_children =
-    match ms with
+  let m_launched (ap : astate) k ~t relation ~n_children =
+    (match ms with
     | None -> ()
     | Some m ->
-      let span = t -. m.m_enq_time.(seq) in
-      let masked = Float.min span (Float.max 0.0 (busy -. m.m_enq_busy.(seq))) in
+      let span = t -. m.m_enq_time.(k) in
+      let masked = Float.min span (Float.max 0.0 (ap.clk.busy -. m.m_enq_busy.(k))) in
       Metrics.add m.m_masked masked;
-      Metrics.add m.m_exposed (span -. masked);
-      if fine then begin
-        let nd = Hardware.dlb_entries_needed cfg relation in
-        let np = Hardware.pcb_counters_needed relation ~n_children in
-        m.m_dlb_demand.(seq) <- nd;
-        m.m_pcb_demand.(seq) <- np;
+      Metrics.add m.m_exposed (span -. masked));
+    if fine && (Option.is_some ms || Option.is_some cs) then begin
+      let nd = Hardware.dlb_entries_needed ap.acfg relation in
+      let np = Hardware.pcb_counters_needed relation ~n_children in
+      let sd = float_of_int (Hardware.dlb_spill_bytes ap.acfg ~needed:nd) in
+      let sp = float_of_int (Hardware.pcb_spill_bytes ap.acfg ~needed:np) in
+      (match ms with
+      | None -> ()
+      | Some m ->
+        m.m_dlb_demand.(k) <- nd;
+        m.m_pcb_demand.(k) <- np;
         m.m_dlb_used <- m.m_dlb_used + nd;
         m.m_pcb_used <- m.m_pcb_used + np;
         Metrics.set m.m_dlb ~at:t (float_of_int m.m_dlb_used);
         Metrics.set m.m_pcb ~at:t (float_of_int m.m_pcb_used);
-        Metrics.add m.m_dlb_spill (float_of_int (Hardware.dlb_spill_bytes cfg ~needed:nd));
-        Metrics.add m.m_pcb_spill (float_of_int (Hardware.pcb_spill_bytes cfg ~needed:np))
-      end
+        Metrics.add m.m_dlb_spill sd;
+        Metrics.add m.m_pcb_spill sp);
+      match cs with
+      | None -> ()
+      | Some c ->
+        c.c_dlb_demand.(k) <- nd;
+        c.c_pcb_demand.(k) <- np;
+        let ed = Hardware.Occupancy.acquire c.occ_dlb ~app:ap.aid nd in
+        let ep = Hardware.Occupancy.acquire c.occ_pcb ~app:ap.aid np in
+        Metrics.add c.c_dlb_evicted (float_of_int ed);
+        Metrics.add c.c_pcb_evicted (float_of_int ep);
+        c_occupancy c ap ~t;
+        Metrics.add c.c_dlb_spill sd;
+        Metrics.add c.ca_dlb_spill.(ap.aid) sd;
+        Metrics.add c.c_pcb_spill sp;
+        Metrics.add c.ca_pcb_spill.(ap.aid) sp
+    end
   in
   (* Called when a kernel drains: its parent-side table entries retire. *)
-  let m_drained k ~t =
-    match ms with
+  let m_drained (ap : astate) k ~t =
+    (match ms with
     | Some m when m.m_dlb_demand.(k) <> 0 || m.m_pcb_demand.(k) <> 0 ->
       m.m_dlb_used <- m.m_dlb_used - m.m_dlb_demand.(k);
       m.m_pcb_used <- m.m_pcb_used - m.m_pcb_demand.(k);
@@ -326,6 +562,14 @@ let run_schedule ~caller ?(host_blocking_copies = false) ?metrics ?trace ?deadli
       m.m_pcb_demand.(k) <- 0;
       Metrics.set m.m_dlb ~at:t (float_of_int m.m_dlb_used);
       Metrics.set m.m_pcb ~at:t (float_of_int m.m_pcb_used)
+    | Some _ | None -> ());
+    match cs with
+    | Some c when c.c_dlb_demand.(k) <> 0 || c.c_pcb_demand.(k) <> 0 ->
+      Hardware.Occupancy.release c.occ_dlb ~app:ap.aid c.c_dlb_demand.(k);
+      Hardware.Occupancy.release c.occ_pcb ~app:ap.aid c.c_pcb_demand.(k);
+      c.c_dlb_demand.(k) <- 0;
+      c.c_pcb_demand.(k) <- 0;
+      c_occupancy c ap ~t
     | Some _ | None -> ()
   in
   let m_completed ~t =
@@ -335,177 +579,193 @@ let run_schedule ~caller ?(host_blocking_copies = false) ?metrics ?trace ?deadli
       m.m_resident <- m.m_resident - 1;
       Metrics.set m.m_window ~at:t (float_of_int m.m_resident)
   in
-
-  let policy = Mode.policy mode in
   (* Dispatch rank: the position of each kernel in the order dispatch visits
-     the resident kernels.  Launch order for oldest/newest-first; for EDF
-     the static order by effective deadline key (priority inheritance
+     its app's resident kernels.  Launch order for oldest/newest-first; for
+     EDF the static order by effective deadline key (priority inheritance
      applied) — keys never change during a run, so visiting resident
-     kernels in this fixed order is exact EDF. *)
-  let rank =
-    match policy with
-    | Mode.Edf ->
-      let order = Deadline.order_of_schedule ?deadlines sched in
-      let r = Array.make nk 0 in
-      Array.iteri (fun i k -> r.(k) <- i) order;
-      r
-    | Mode.Oldest_first | Mode.Newest_first -> Array.init nk Fun.id
-  in
+     kernels in this fixed order is exact EDF.  Ranks compare only within
+     one app: apps are dispatched in index order. *)
+  let rank = Array.init nk Fun.id in
+  (match policy with
+  | Mode.Edf ->
+    Array.iteri
+      (fun a ap ->
+        Array.iteri
+          (fun i k -> rank.(k0.(a) + k) <- i)
+          (Deadline.order_of_schedule ?deadlines:ap.a_deadlines ap.a_sched))
+      apps
+  | Mode.Oldest_first | Mode.Newest_first -> ());
 
-  (* Active-node list: exactly the launched-but-not-drained kernels, in
-     ascending rank.  Under launch-order ranks it is O(1) to keep sorted:
-     launch events fire in sequence order (enqueues are program-ordered,
-     launch keys are non-decreasing, and the heap breaks ties by insertion
-     order), so the walk below stops at the tail at once.  EDF ranks may
-     place a newly launched kernel anywhere; the walk finds its slot. *)
-  let active_head = ref (-1) in
-  let active_tail = ref (-1) in
-  let link k =
-    let st = ks.(k) in
-    let after = ref !active_tail in
+  (* Active-node lists: per app, exactly its launched-but-not-drained
+     kernels, in ascending rank.  Under launch-order ranks it is O(1) to
+     keep sorted: an app's launch events fire in sequence order (enqueues
+     are program-ordered, launch keys are non-decreasing, and the heap
+     breaks ties by insertion order), so the walk below stops at the tail
+     at once.  EDF ranks may place a newly launched kernel anywhere; the
+     walk finds its slot. *)
+  let link (ap : astate) k =
+    let n = ks.(k) in
+    let after = ref ap.active_tail in
     while !after >= 0 && rank.(!after) > rank.(k) do
       after := ks.(!after).a_prev
     done;
-    let nxt = if !after < 0 then !active_head else ks.(!after).a_next in
-    st.a_prev <- !after;
-    st.a_next <- nxt;
-    if !after < 0 then active_head := k else ks.(!after).a_next <- k;
-    if nxt < 0 then active_tail := k else ks.(nxt).a_prev <- k
+    let nxt = if !after < 0 then ap.active_head else ks.(!after).a_next in
+    n.a_prev <- !after;
+    n.a_next <- nxt;
+    if !after < 0 then ap.active_head <- k else ks.(!after).a_next <- k;
+    if nxt < 0 then ap.active_tail <- k else ks.(nxt).a_prev <- k
   in
-  let unlink k =
-    let st = ks.(k) in
-    if st.a_prev >= -1 then begin
-      if st.a_prev < 0 then active_head := st.a_next else ks.(st.a_prev).a_next <- st.a_next;
-      if st.a_next < 0 then active_tail := st.a_prev else ks.(st.a_next).a_prev <- st.a_prev;
-      st.a_prev <- -2;
-      st.a_next <- -2
+  let unlink (ap : astate) k =
+    let n = ks.(k) in
+    if n.a_prev >= -1 then begin
+      if n.a_prev < 0 then ap.active_head <- n.a_next else ks.(n.a_prev).a_next <- n.a_next;
+      if n.a_next < 0 then ap.active_tail <- n.a_prev else ks.(n.a_next).a_prev <- n.a_prev;
+      n.a_prev <- -2;
+      n.a_next <- -2
     end
   in
 
   (* Copy-dependency countdown: [pending_copies.(k)] pending H2D copies of
-     node [k]; [copy_dependents.(ci)] the nodes waiting on command [ci].
+     kernel [k]; [copy_dependents.(c)] the kernels waiting on command [c].
      Decremented by copy-completion events; the launch gate is a single
      integer test. *)
-  let pending_copies = Array.map (fun (n : Graph.node) -> Array.length n.Graph.n_copy_deps) nodes in
+  let pending_copies = Array.map (fun n -> Array.length n.node.Graph.n_copy_deps) ks in
   let copy_dependents = Array.make (max nc 1) [] in
   Array.iteri
-    (fun k (n : Graph.node) ->
-      Array.iter (fun ci -> copy_dependents.(ci) <- k :: copy_dependents.(ci)) n.Graph.n_copy_deps)
-    nodes;
-  let copy_completed ci =
-    List.iter (fun k -> pending_copies.(k) <- pending_copies.(k) - 1) copy_dependents.(ci)
+    (fun k n ->
+      let base = c0.(n.app) in
+      Array.iter
+        (fun ci -> copy_dependents.(base + ci) <- k :: copy_dependents.(base + ci))
+        n.node.Graph.n_copy_deps)
+    ks;
+  let copy_completed c =
+    List.iter (fun k -> pending_copies.(k) <- pending_copies.(k) - 1) copy_dependents.(c)
   in
 
-  let free_slots = ref total_slots in
-  let next_cmd = ref 0 in
-  (* In serial mode the host stalls on the in-flight command. *)
-  let serial_blocked = ref false in
-  let serial_wait_kernel = ref (-1) in
+  (* Admission gate: a kernel may enqueue only at its global rank. *)
+  let gated = Option.is_some admission in
+  let adm = Array.make nk 0 in
+  Option.iter (Array.iteri (fun a r -> Array.blit r 0 adm k0.(a) (Array.length r))) admission;
+  let next_admission = ref 0 in
+  let admission_ok k = (not gated) || adm.(k) = !next_admission in
+
   (* D2H copies parked until their producing kernel completes. *)
   let pending_d2h : (int * float) list array = Array.make (max nk 1) [] in
-  let bump t = if t > f.end_time then f.end_time <- t in
+  let bump (ap : astate) = if now.now > ap.clk.end_time then ap.clk.end_time <- now.now in
 
   let queue_tb k tb =
-    let st = ks.(k) in
-    match st.tb_state.(tb) with
+    let n = ks.(k) in
+    match n.tb_state.(tb) with
     | Waiting ->
-      st.tb_state.(tb) <- Queued;
-      st.ready.(st.rtail) <- tb;
-      st.rtail <- st.rtail + 1
+      n.tb_state.(tb) <- Queued;
+      n.ready.(n.rtail) <- tb;
+      n.rtail <- n.rtail + 1
     | Queued | Running | Finished -> ()
   in
 
   (* Initial readiness of kernel [k]'s TBs under the mode's policy.  Called
      at launch completion and again when the parent drains. *)
   let refresh_ready k =
-    let st = ks.(k) in
-    if st.launched && not st.drained then begin
+    let n = ks.(k) in
+    if n.launched && not n.drained then begin
       let parent_drained =
         prev_of.(k) < 0 || ks.(prev_of.(k)).drained || ks.(prev_of.(k)).completed
       in
-      match st.node.Graph.n_relation with
+      match n.node.Graph.n_relation with
       | Bipartite.Independent ->
-        for tb = 0 to st.ntbs - 1 do
-          if st.tb_state.(tb) = Waiting then queue_tb k tb
+        for tb = 0 to n.ntbs - 1 do
+          if n.tb_state.(tb) = Waiting then queue_tb k tb
         done
       | Bipartite.Fully_connected ->
         if parent_drained then
-          for tb = 0 to st.ntbs - 1 do
-            if st.tb_state.(tb) = Waiting then queue_tb k tb
+          for tb = 0 to n.ntbs - 1 do
+            if n.tb_state.(tb) = Waiting then queue_tb k tb
           done
       | Bipartite.Graph _ ->
         if fine then begin
-          for tb = 0 to st.ntbs - 1 do
-            if st.tb_state.(tb) = Waiting && st.pc.(tb) = 0 then queue_tb k tb
+          for tb = 0 to n.ntbs - 1 do
+            if n.tb_state.(tb) = Waiting && n.pc.(tb) = 0 then queue_tb k tb
           done
         end
         else if parent_drained then
-          for tb = 0 to st.ntbs - 1 do
-            if st.tb_state.(tb) = Waiting then queue_tb k tb
+          for tb = 0 to n.ntbs - 1 do
+            if n.tb_state.(tb) = Waiting then queue_tb k tb
           done
     end
   in
 
-  (* Scheduling: fill free slots from ready rings, walking the active list
-     in rank order.  Readiness and the active set cannot change while
-     dispatching (only future events are pushed), so greedily draining each
-     kernel's ready ring in priority order issues exactly the TB sequence a
-     per-TB search would.  Producer priority (strict, paper §III-D) means a
-     kernel is eligible only when every older active kernel in its stream
-     has all TBs started; draining in ascending order with a per-stream
-     blocked flag enforces precisely that, because dispatching from [k]
-     never changes any older kernel's eligibility. *)
+  (* Scheduling: fill free slots from ready rings, walking each app's
+     active list in rank order, apps in index order.  Readiness and the
+     active sets cannot change while dispatching (only future events are
+     pushed), so greedily draining each kernel's ready ring in priority
+     order issues exactly the TB sequence a per-TB search would.  Producer
+     priority (strict, paper §III-D) means a kernel is eligible only when
+     every older active kernel in its stream has all TBs started; draining
+     in ascending order with a per-stream blocked flag enforces precisely
+     that, because dispatching from [k] never changes any older kernel's
+     eligibility.  The app's clock is advanced before each dispatch: on a
+     shared machine another app's finished TB can free the slot, and the
+     app's integration frontier must reach the dispatch instant before its
+     running count changes (a no-op at the app's own events). *)
   let blocked_gen = Array.make (max nstreams 1) 0 in
   let dispatch_gen = ref 0 in
-  let drain_kernel k =
-    let st = ks.(k) in
-    while !free_slots > 0 && st.rhead < st.rtail do
-      let tb = st.ready.(st.rhead) in
-      st.rhead <- st.rhead + 1;
-      st.tb_state.(tb) <- Running;
-      st.start_time.(tb) <- f.now;
-      st.started_tbs <- st.started_tbs + 1;
-      decr free_slots;
-      incr running;
-      if tracing then emit f.now (Stats.Tb_dispatch { seq = k; tb });
+  let drain_kernel (ap : astate) k =
+    let n = ks.(k) in
+    let res = ap.res in
+    while res.free_slots > 0 && n.rhead < n.rtail do
+      advance ap.clk ap.running now;
+      let tb = n.ready.(n.rhead) in
+      n.rhead <- n.rhead + 1;
+      n.tb_state.(tb) <- Running;
+      n.start_time.(tb) <- now.now;
+      n.started_tbs <- n.started_tbs + 1;
+      res.free_slots <- res.free_slots - 1;
+      ap.running <- ap.running + 1;
+      incr g_running;
+      if ap.tracing then ap.emit now.now (Stats.Tb_dispatch { seq = k - ap.k0; tb });
       (match ms with Some m -> Metrics.incr m.m_tb_dispatched | None -> ());
-      Eheap.push heap (f.now +. st.tb_us.(tb)) (ev_tb k tb)
+      (match cs with
+      | Some c ->
+        Metrics.incr c.c_tb;
+        Metrics.incr c.ca_tb.(ap.aid)
+      | None -> ());
+      Eheap.push heap (now.now +. n.tb_us.(tb)) (ev_tb k tb)
     done
   in
-  let dispatch () =
-    if !free_slots > 0 then begin
+  let dispatch (ap : astate) =
+    if ap.res.free_slots > 0 then begin
       match policy with
       | Mode.Newest_first ->
         (* Consumer priority: any ready TB of any active kernel may run;
            newest kernels first. *)
-        let k = ref !active_tail in
-        while !free_slots > 0 && !k >= 0 do
+        let k = ref ap.active_tail in
+        while ap.res.free_slots > 0 && !k >= 0 do
           let prv = ks.(!k).a_prev in
-          drain_kernel !k;
+          drain_kernel ap !k;
           k := prv
         done
       | Mode.Edf ->
         (* Earliest effective deadline first: any ready TB of any active
            kernel may run, most urgent kernel first. *)
-        let k = ref !active_head in
-        while !free_slots > 0 && !k >= 0 do
+        let k = ref ap.active_head in
+        while ap.res.free_slots > 0 && !k >= 0 do
           let nxt = ks.(!k).a_next in
-          drain_kernel !k;
+          drain_kernel ap !k;
           k := nxt
         done
       | Mode.Oldest_first -> begin
         incr dispatch_gen;
         let gen = !dispatch_gen in
-        let k = ref !active_head in
-        while !free_slots > 0 && !k >= 0 do
-          let st = ks.(!k) in
-          let nxt = st.a_next in
+        let k = ref ap.active_head in
+        while ap.res.free_slots > 0 && !k >= 0 do
+          let n = ks.(!k) in
+          let nxt = n.a_next in
           let s = sidx.(!k) in
           if blocked_gen.(s) <> gen then begin
-            drain_kernel !k;
+            drain_kernel ap !k;
             (* Younger kernels in this stream stay ineligible until every
                TB here has been scheduled. *)
-            if st.started_tbs < st.ntbs then blocked_gen.(s) <- gen
+            if n.started_tbs < n.ntbs then blocked_gen.(s) <- gen
           end;
           k := nxt
         done
@@ -515,149 +775,183 @@ let run_schedule ~caller ?(host_blocking_copies = false) ?metrics ?trace ?deadli
 
   (* In-order kernel completion, per stream: kernel k completes only once
      it has drained and its stream predecessor has completed. *)
-  let rec try_complete k =
+  let rec try_complete (ap : astate) k =
     if k >= 0 && (not ks.(k).completed) && ks.(k).drained
        && (prev_of.(k) < 0 || ks.(prev_of.(k)).completed)
     then begin
       ks.(k).completed <- true;
       resident.(sidx.(k)) <- resident.(sidx.(k)) - 1;
-      if tracing then emit f.now (Stats.Kernel_completed { seq = k; stream = stream_of.(k) });
-      m_completed ~t:f.now;
+      if ap.tracing then
+        ap.emit now.now (Stats.Kernel_completed { seq = k - ap.k0; stream = stream_of.(k) });
+      m_completed ~t:now.now;
       (* Release the copies gated on this kernel. *)
       List.iter
         (fun (ci, dur) ->
-          let start = max f.now f.copy_free in
-          f.copy_free <- start +. dur;
-          if tracing then
-            emit start (copy_event ~start:true ~blocking:false commands.(ci) ci);
-          m_copy_cmd ~dur ci commands.(ci);
-          Eheap.push heap (start +. dur) (ev_copy ci))
+          let res = ap.res in
+          let start = max now.now res.copy_free in
+          res.copy_free <- start +. dur;
+          if ap.tracing then ap.emit start (copy_event ~start:true ~blocking:false ap.commands.(ci) ci);
+          m_copy_cmd ~dur ap.commands.(ci);
+          Eheap.push heap (start +. dur) (ev_copy (ap.c0 + ci)))
         (List.rev pending_d2h.(k));
       pending_d2h.(k) <- [];
-      bump f.now;
-      try_complete next_of.(k)
+      bump ap;
+      try_complete ap next_of.(k)
     end
   in
 
-  let kernel_completed k = k < 0 || (k < nk && ks.(k).completed) in
-
-  (* Host command issue. *)
-  let try_issue () =
+  (* Host command issue.  The helpers leave the loop flags to [issue], so
+     its two refs stay unboxed locals. *)
+  let enqueue (ap : astate) k =
+    resident.(sidx.(k)) <- resident.(sidx.(k)) + 1;
+    if ap.tracing then
+      ap.emit now.now
+        (Stats.Kernel_enqueue { seq = k - ap.k0; stream = stream_of.(k); tbs = ks.(k).ntbs });
+    m_enqueue k ~now:now.now ~busy:ap.clk.busy;
+    if gated then incr next_admission
+  in
+  (* A blocking command: the host stalls until it returns. *)
+  let block_on (ap : astate) ci dur =
+    Eheap.push heap (now.now +. dur) (ev_cmd (ap.c0 + ci));
+    ap.serial_blocked <- true
+  in
+  let async_copy (ap : astate) ci ~d2h ~bytes dur =
+    let res = ap.res in
+    let start = max now.now res.copy_free in
+    res.copy_free <- start +. dur;
+    if ap.tracing then ap.emit start (copy_event ~start:true ~blocking:false ap.commands.(ci) ci);
+    m_copy ~d2h ~bytes ~dur;
+    Eheap.push heap (start +. dur) (ev_copy (ap.c0 + ci));
+    ap.next_cmd <- ci + 1
+  in
+  (* Issues one app's commands until it blocks; returns whether it made
+     progress. *)
+  let issue (ap : astate) =
+    let progressed = ref false in
     let blocked = ref false in
-    while (not !blocked) && !next_cmd < nc do
-      let ci = !next_cmd in
-      if !serial_blocked then blocked := true
+    while (not !blocked) && ap.next_cmd < ap.nc do
+      let ci = ap.next_cmd in
+      if ap.serial_blocked then blocked := true
       else begin
-        match commands.(ci) with
+        match ap.commands.(ci) with
         | Graph.Gsync ->
           (* Serial streams are already synchronized at this point;
              BlockMaestro drops syncs during reordering. *)
-          incr next_cmd
+          ap.next_cmd <- ci + 1;
+          progressed := true
         | Graph.Gmalloc ->
           (* cudaMalloc blocks the host in every mode (paper §III-C). *)
-          Eheap.push heap (f.now +. cfg.Config.malloc_us) (ev_cmd ci);
-          serial_blocked := true;
-          blocked := true
+          block_on ap ci ap.acfg.Config.malloc_us;
+          blocked := true;
+          progressed := true
         | Graph.Gh2d { bytes } ->
-          let dur = memcpy_us cfg bytes in
+          let dur = memcpy_us ap.acfg bytes in
           if serial || host_blocking_copies then begin
             (* Synchronous cudaMemcpy: the host stalls until it returns
                (the default CUDA behaviour BlockMaestro's non-blocking
                treatment removes, paper SIII-C). *)
-            if tracing then emit f.now (copy_event ~start:true ~blocking:true commands.(ci) ci);
+            if ap.tracing then
+              ap.emit now.now (copy_event ~start:true ~blocking:true ap.commands.(ci) ci);
             m_copy ~d2h:false ~bytes ~dur;
-            Eheap.push heap (f.now +. dur) (ev_cmd ci);
-            serial_blocked := true;
+            block_on ap ci dur;
+            blocked := true
+          end
+          else async_copy ap ci ~d2h:false ~bytes dur;
+          progressed := true
+        | Graph.Gd2h { bytes; wait = gate } ->
+          let dur = memcpy_us ap.acfg bytes in
+          let gate_done = gate < 0 || (gate < ap.nk && ks.(ap.k0 + gate).completed) in
+          if serial then begin
+            if gate_done then begin
+              if ap.tracing then
+                ap.emit now.now (copy_event ~start:true ~blocking:true ap.commands.(ci) ci);
+              m_copy ~d2h:true ~bytes ~dur;
+              block_on ap ci dur;
+              progressed := true
+            end;
             blocked := true
           end
           else begin
-            let start = max f.now f.copy_free in
-            f.copy_free <- start +. dur;
-            if tracing then emit start (copy_event ~start:true ~blocking:false commands.(ci) ci);
-            m_copy ~d2h:false ~bytes ~dur;
-            Eheap.push heap (start +. dur) (ev_copy ci);
-            incr next_cmd
-          end
-        | Graph.Gd2h { bytes; wait = gate } ->
-          let dur = memcpy_us cfg bytes in
-          if serial then
-            if kernel_completed gate then begin
-              if tracing then emit f.now (copy_event ~start:true ~blocking:true commands.(ci) ci);
-              m_copy ~d2h:true ~bytes ~dur;
-              Eheap.push heap (f.now +. dur) (ev_cmd ci);
-              serial_blocked := true;
-              blocked := true
-            end
-            else blocked := true
-          else if kernel_completed gate then begin
-            let start = max f.now f.copy_free in
-            f.copy_free <- start +. dur;
-            if tracing then emit start (copy_event ~start:true ~blocking:false commands.(ci) ci);
-            m_copy ~d2h:true ~bytes ~dur;
-            Eheap.push heap (start +. dur) (ev_copy ci);
-            incr next_cmd
-          end
-          else begin
-            (* The RAW hazard with the host is enforced by hardware: the
-               copy is parked on the producing kernel's completion and the
-               host continues issuing (paper §III-C, "handling blocking
-               APIs"). *)
-            pending_d2h.(gate) <- (ci, dur) :: pending_d2h.(gate);
-            incr next_cmd
+            if gate_done then async_copy ap ci ~d2h:true ~bytes dur
+            else begin
+              (* The RAW hazard with the host is enforced by hardware: the
+                 copy is parked on the producing kernel's completion and
+                 the host continues issuing (paper §III-C, "handling
+                 blocking APIs"). *)
+              let g = ap.k0 + gate in
+              pending_d2h.(g) <- (ci, dur) :: pending_d2h.(g);
+              ap.next_cmd <- ci + 1
+            end;
+            progressed := true
           end
         | Graph.Glaunch { seq } ->
-          let st = ks.(seq) in
-          let copies_ok = pending_copies.(seq) = 0 in
+          let k = ap.k0 + seq in
+          let ok = pending_copies.(k) = 0 && admission_ok k in
           if serial then begin
             (* Baseline stream: the kernel is the only device work. *)
-            if copies_ok then begin
-              resident.(sidx.(seq)) <- resident.(sidx.(seq)) + 1;
-              if tracing then
-                emit f.now
-                  (Stats.Kernel_enqueue { seq; stream = stream_of.(seq); tbs = st.ntbs });
-              m_enqueue seq ~now:f.now ~busy:f.busy;
-              let start = max f.now f.launch_free in
-              f.launch_free <- start +. launch_us;
-              Eheap.push heap (start +. launch_us) (ev_launch seq);
-              serial_blocked := true;
-              serial_wait_kernel := seq;
-              blocked := true
-            end
-            else blocked := true
+            if ok then begin
+              enqueue ap k;
+              let res = ap.res in
+              let start = max now.now res.launch_free in
+              res.launch_free <- start +. launch_us;
+              Eheap.push heap (start +. launch_us) (ev_launch k);
+              ap.serial_blocked <- true;
+              ap.serial_wait <- k;
+              progressed := true
+            end;
+            blocked := true
           end
-          else if resident.(sidx.(seq)) < window && copies_ok then begin
+          else if resident.(sidx.(k)) < window && ok then begin
             (* Launch processing pipelines across pre-launched kernels: the
                per-stream residency window, not a serial engine, is the
                limit. *)
-            resident.(sidx.(seq)) <- resident.(sidx.(seq)) + 1;
-            if tracing then
-              emit f.now
-                (Stats.Kernel_enqueue { seq; stream = stream_of.(seq); tbs = st.ntbs });
-            m_enqueue seq ~now:f.now ~busy:f.busy;
-            Eheap.push heap (f.now +. launch_us) (ev_launch seq);
-            incr next_cmd
+            enqueue ap k;
+            Eheap.push heap (now.now +. launch_us) (ev_launch k);
+            ap.next_cmd <- ci + 1;
+            progressed := true
           end
           else blocked := true
       end
+    done;
+    !progressed
+  in
+
+  (* Host issue, then dispatch.  Under the admission gate one app's
+     enqueue advances the frontier and can unblock an app scanned earlier,
+     so issue runs to a fixpoint; re-running [issue] on an unchanged app is
+     a no-op.  Ungated apps never unblock each other, so one pass does. *)
+  let progress () =
+    if gated then begin
+      let again = ref true in
+      while !again do
+        again := false;
+        for a = 0 to napps - 1 do
+          if issue st.(a) then again := true
+        done
+      done
+    end
+    else
+      for a = 0 to napps - 1 do
+        ignore (issue st.(a) : bool)
+      done;
+    for a = 0 to napps - 1 do
+      dispatch st.(a)
     done
   in
 
-  let progress () =
-    try_issue ();
-    dispatch ()
-  in
-
   (* Dependency bookkeeping on a finished parent TB. *)
-  let on_tb_done k tb =
-    let st = ks.(k) in
-    st.tb_state.(tb) <- Finished;
-    st.finish_time.(tb) <- f.now;
-    st.done_tbs <- st.done_tbs + 1;
-    incr free_slots;
-    decr running;
-    bump f.now;
-    if tracing then emit f.now (Stats.Tb_finish { seq = k; tb });
-    (match ms with Some m -> Metrics.observe m.m_tb_exec (f.now -. st.start_time.(tb)) | None -> ());
+  let on_tb_done (ap : astate) k tb =
+    let n = ks.(k) in
+    let t = now.now in
+    n.tb_state.(tb) <- Finished;
+    n.finish_time.(tb) <- t;
+    n.done_tbs <- n.done_tbs + 1;
+    ap.res.free_slots <- ap.res.free_slots + 1;
+    ap.running <- ap.running - 1;
+    decr g_running;
+    bump ap;
+    if ap.tracing then ap.emit t (Stats.Tb_finish { seq = k - ap.k0; tb });
+    (match ms with Some m -> Metrics.observe m.m_tb_exec (t -. n.start_time.(tb)) | None -> ());
     (* Fine-grain child updates (tracked in every mode for Fig. 11). *)
     let kc = next_of.(k) in
     if kc >= 0 then begin
@@ -668,18 +962,19 @@ let run_schedule ~caller ?(host_blocking_copies = false) ?metrics ?trace ?deadli
         for i = 0 to Array.length cs - 1 do
           let c = cs.(i) in
           child.pc.(c) <- child.pc.(c) - 1;
-          if f.now > child.dep_ready_time.(c) then child.dep_ready_time.(c) <- f.now;
-          if tracing && child.pc.(c) = 0 then emit f.now (Stats.Dep_satisfied { seq = kc; tb = c });
+          if t > child.dep_ready_time.(c) then child.dep_ready_time.(c) <- t;
+          if ap.tracing && child.pc.(c) = 0 then
+            ap.emit t (Stats.Dep_satisfied { seq = kc - ap.k0; tb = c });
           if fine && child.pc.(c) = 0 && child.launched then queue_tb kc c
         done
       | Bipartite.Independent | Bipartite.Fully_connected -> ()
     end;
-    if st.done_tbs = st.ntbs then begin
-      st.drained <- true;
-      st.drained_at <- f.now;
-      unlink k;
-      if tracing then emit f.now (Stats.Kernel_drained { seq = k; stream = stream_of.(k) });
-      m_drained k ~t:f.now;
+    if n.done_tbs = n.ntbs then begin
+      n.drained <- true;
+      n.drained_at <- t;
+      unlink ap k;
+      if ap.tracing then ap.emit t (Stats.Kernel_drained { seq = k - ap.k0; stream = stream_of.(k) });
+      m_drained ap k ~t;
       (* A fully-connected child's dependencies are all satisfied now. *)
       if kc >= 0 then begin
         let child = ks.(kc) in
@@ -687,145 +982,171 @@ let run_schedule ~caller ?(host_blocking_copies = false) ?metrics ?trace ?deadli
         | Bipartite.Fully_connected ->
           let drt = child.dep_ready_time in
           for c = 0 to Array.length drt - 1 do
-            if drt.(c) < f.now then drt.(c) <- f.now
+            if drt.(c) < t then drt.(c) <- t
           done;
-          if tracing then
-            Array.iteri (fun c _ -> emit f.now (Stats.Dep_satisfied { seq = kc; tb = c }))
+          if ap.tracing then
+            Array.iteri
+              (fun c _ -> ap.emit t (Stats.Dep_satisfied { seq = kc - ap.k0; tb = c }))
               child.dep_ready_time
         | Bipartite.Independent | Bipartite.Graph _ -> ()
       end;
       (* The consumer kernel may now be gated only on our drain. *)
       if kc >= 0 then refresh_ready kc;
-      try_complete k;
+      try_complete ap k;
       (* Serial stream: the kernel command retires at completion. *)
-      if serial && !serial_wait_kernel = k && ks.(k).completed then begin
-        serial_blocked := false;
-        serial_wait_kernel := -1;
-        incr next_cmd
+      if serial && ap.serial_wait = k && n.completed then begin
+        ap.serial_blocked <- false;
+        ap.serial_wait <- -1;
+        ap.next_cmd <- ap.next_cmd + 1
       end
     end
+  in
+
+  let on_launched (ap : astate) k =
+    let n = ks.(k) in
+    let t = now.now in
+    n.launched <- true;
+    if ap.tracing then begin
+      let seq = k - ap.k0 in
+      ap.emit t (Stats.Kernel_launched { seq; stream = stream_of.(k) });
+      (* The DLB/PCB are only consulted under fine-grain resolution. *)
+      if fine then
+        List.iter (ap.emit t) (table_spills ap.acfg seq n.node.Graph.n_relation ~n_children:n.ntbs)
+    end;
+    m_launched ap k ~t n.node.Graph.n_relation ~n_children:n.ntbs;
+    if n.ntbs = 0 then begin
+      n.drained <- true;
+      n.drained_at <- t;
+      if ap.tracing then ap.emit t (Stats.Kernel_drained { seq = k - ap.k0; stream = stream_of.(k) });
+      m_drained ap k ~t;
+      try_complete ap k
+    end
+    else begin
+      link ap k;
+      refresh_ready k
+    end;
+    bump ap
   in
 
   (* Main loop. *)
   progress ();
   let steps = ref 0 in
-  let rec loop () =
-    if not (Eheap.is_empty heap) then begin
-      let t = Eheap.pop_key heap in
-      let e = Eheap.pop_ev heap in
-      incr steps;
-      if !steps > 100_000_000 then failwith (caller ^ ": event budget exceeded");
-      advance t;
-      f.now <- t;
-      let payload = e lsr 2 in
-      (match e land 3 with
-      | 1 -> on_tb_done (e lsr 32) (payload land 0x3FFF_FFFF)
-      | 0 ->
-        let seq = payload in
-        let st = ks.(seq) in
-        st.launched <- true;
-        if tracing then begin
-          emit t (Stats.Kernel_launched { seq; stream = stream_of.(seq) });
-          (* The DLB/PCB are only consulted under fine-grain resolution. *)
-          if fine then
-            List.iter (emit t) (table_spills cfg seq st.node.Graph.n_relation ~n_children:st.ntbs)
-        end;
-        m_launched seq ~t ~busy:f.busy ~fine st.node.Graph.n_relation ~n_children:st.ntbs;
-        if st.ntbs = 0 then begin
-          st.drained <- true;
-          st.drained_at <- t;
-          if tracing then emit t (Stats.Kernel_drained { seq; stream = stream_of.(seq) });
-          m_drained seq ~t;
-          try_complete seq
-        end
-        else begin
-          link seq;
-          refresh_ready seq
-        end;
-        bump t
-      | 2 ->
-        let ci = payload in
-        copy_completed ci;
-        if tracing then emit t (copy_event ~start:false ~blocking:false commands.(ci) ci);
-        bump t
-      | _ ->
-        let ci = payload in
-        serial_blocked := false;
-        (match commands.(ci) with
-        | Graph.Gh2d _ | Graph.Gd2h _ ->
-          copy_completed ci;
-          if tracing then emit t (copy_event ~start:false ~blocking:true commands.(ci) ci)
-        | Graph.Gmalloc | Graph.Glaunch _ | Graph.Gsync -> ());
-        bump t;
-        incr next_cmd);
-      progress ();
-      loop ()
-    end
-  in
-  loop ();
-  if !next_cmd < nc then
-    failwith
-      (Printf.sprintf "%s: host stalled at command %d/%d (mode %s)" caller !next_cmd nc
-         (Mode.name mode));
+  while not (Eheap.is_empty heap) do
+    let t = Eheap.pop_key heap in
+    let e = Eheap.pop_ev heap in
+    incr steps;
+    if !steps > 100_000_000 then failwith (caller ^ ": event budget exceeded");
+    let payload = e lsr 2 in
+    let tag = e land 3 in
+    let ap = st.(if tag = 1 then ks.(e lsr 32).app else if tag = 0 then ks.(payload).app else cmd_app.(payload)) in
+    now.now <- t;
+    advance ap.clk ap.running now;
+    advance machine !g_running now;
+    (match tag with
+    | 1 -> on_tb_done ap (e lsr 32) (payload land 0x3FFF_FFFF)
+    | 0 -> on_launched ap payload
+    | 2 ->
+      let ci = payload - ap.c0 in
+      copy_completed payload;
+      if ap.tracing then ap.emit t (copy_event ~start:false ~blocking:false ap.commands.(ci) ci);
+      bump ap
+    | _ ->
+      let ci = payload - ap.c0 in
+      ap.serial_blocked <- false;
+      (match ap.commands.(ci) with
+      | Graph.Gh2d _ | Graph.Gd2h _ ->
+        copy_completed payload;
+        if ap.tracing then ap.emit t (copy_event ~start:false ~blocking:true ap.commands.(ci) ci)
+      | Graph.Gmalloc | Graph.Glaunch _ | Graph.Gsync -> ());
+      bump ap;
+      ap.next_cmd <- ap.next_cmd + 1);
+    progress ()
+  done;
+  Array.iter
+    (fun ap ->
+      if ap.next_cmd < ap.nc then
+        failwith
+          (Printf.sprintf "%s: app %d host stalled at command %d/%d (mode %s)" caller ap.aid
+             ap.next_cmd ap.nc (Mode.name mode)))
+    st;
   Array.iteri
-    (fun k st ->
-      if not st.completed then failwith (Printf.sprintf "%s: kernel %d never completed" caller k))
+    (fun k n ->
+      if not n.completed then
+        failwith
+          (Printf.sprintf "%s: app %d kernel %d never completed" caller n.app (k - k0.(n.app))))
     ks;
 
-  (* Collect statistics.  Records are filled straight into the result array
-     (kernel-major, TB-minor). *)
-  let total_tbs = Array.fold_left (fun acc st -> acc + st.ntbs) 0 ks in
-  let records =
-    Array.make total_tbs
-      { Stats.r_kernel = 0; r_tb = 0; r_dep_ready = 0.0; r_start = 0.0; r_finish = 0.0 }
-  in
-  let ri = ref 0 in
-  Array.iteri
-    (fun k st ->
-      for tb = 0 to st.ntbs - 1 do
+  (* Per-app statistics.  Records are filled straight into the result
+     array (kernel-major, TB-minor, app-local kernel numbering). *)
+  let stats_of (ap : astate) =
+    let total_tbs = ref 0 in
+    for k = ap.k0 to ap.k0 + ap.nk - 1 do
+      total_tbs := !total_tbs + ks.(k).ntbs
+    done;
+    let records =
+      Array.make !total_tbs
+        { Stats.r_kernel = 0; r_tb = 0; r_dep_ready = 0.0; r_start = 0.0; r_finish = 0.0 }
+    in
+    let ri = ref 0 in
+    for k = ap.k0 to ap.k0 + ap.nk - 1 do
+      let n = ks.(k) in
+      for tb = 0 to n.ntbs - 1 do
         records.(!ri) <-
           {
-            Stats.r_kernel = k;
+            Stats.r_kernel = k - ap.k0;
             r_tb = tb;
-            r_dep_ready = st.dep_ready_time.(tb);
-            r_start = st.start_time.(tb);
-            r_finish = st.finish_time.(tb);
+            r_dep_ready = n.dep_ready_time.(tb);
+            r_start = n.start_time.(tb);
+            r_finish = n.finish_time.(tb);
           };
         incr ri
-      done)
-    ks;
-  let base_mem =
-    Array.fold_left (fun acc (st : nstate) -> acc +. st.node.Graph.n_mem_requests) 0.0 ks
-  in
-  let dep_mem =
-    if not (Mode.reorders mode) then 0.0
-    else
-      Array.fold_left
-        (fun acc (st : nstate) ->
-          let prev = st.node.Graph.n_prev in
-          if prev < 0 then acc
-          else begin
-            let n_parents = nodes.(prev).Graph.n_tbs in
-            if fine then
-              acc
-              +. Hardware.dep_mem_requests cfg ~n_parents ~n_children:st.ntbs
-                   st.node.Graph.n_relation
-            else acc +. 2.0 (* kernel-granular gating: a flag write + read *)
-          end)
-        0.0 ks
-  in
-  let total = f.end_time in
-  ( {
+      done
+    done;
+    let base_mem =
+      Array.fold_left (fun acc (node : Graph.node) -> acc +. node.Graph.n_mem_requests) 0.0 ap.nodes
+    in
+    let dep_mem =
+      if not (Mode.reorders mode) then 0.0
+      else
+        Array.fold_left
+          (fun acc (node : Graph.node) ->
+            let prev = node.Graph.n_prev in
+            if prev < 0 then acc
+            else begin
+              let n_parents = ap.nodes.(prev).Graph.n_tbs in
+              if fine then
+                acc
+                +. Hardware.dep_mem_requests ap.acfg ~n_parents ~n_children:node.Graph.n_tbs
+                     node.Graph.n_relation
+              else acc +. 2.0 (* kernel-granular gating: a flag write + read *)
+            end)
+          0.0 ap.nodes
+    in
+    let total = ap.clk.end_time in
+    {
       Stats.total_us = total;
-      busy_us = f.busy;
+      busy_us = ap.clk.busy;
       records;
-      avg_concurrency = (if total > 0.0 then f.area /. total else 0.0);
+      avg_concurrency = (if total > 0.0 then ap.clk.area /. total else 0.0);
       base_mem_requests = base_mem;
       dep_mem_requests = dep_mem;
-    },
-    !steps )
+    }
+  in
+  let o_stats = Array.map stats_of st in
+  let makespan = Array.fold_left (fun m ap -> Float.max m ap.clk.end_time) 0.0 st in
+  (match cs with
+  | None -> ()
+  | Some c ->
+    Metrics.set c.c_makespan ~at:makespan makespan;
+    Array.iteri (fun a ap -> Metrics.set c.ca_total.(a) ~at:makespan ap.clk.end_time) st);
+  {
+    o_stats;
+    o_makespan_us = makespan;
+    o_busy_us = machine.busy;
+    o_avg_concurrency = (if makespan > 0.0 then machine.area /. makespan else 0.0);
+    o_events = !steps;
+  }
 
 let run ?host_blocking_copies ?metrics ?trace ?deadlines cfg mode prep =
-  fst
-    (run_schedule ~caller:"Sim.run" ?host_blocking_copies ?metrics ?trace ?deadlines cfg mode
-       (Graph.schedule_of_prep prep))
+  let app = { a_sched = Graph.schedule_of_prep prep; a_trace = trace; a_deadlines = deadlines } in
+  (run_schedules ~caller:"Sim.run" ?host_blocking_copies ?metrics cfg mode [| app |]).o_stats.(0)

@@ -19,29 +19,42 @@
     mode (including the baseline) so Fig. 11's stall distributions compare
     like for like.
 
-    There is one engine, {!run_schedule}, and it executes a
-    {!Graph.schedule}: {!run} lowers its {!Prep.t} with
+    There is one engine, {!run_schedules}, and it executes one or more
+    {!Graph.schedule}s on one machine: {!run} lowers its {!Prep.t} with
     {!Graph.schedule_of_prep} (the lowering {!Graph.capture} persists) and
-    {!Replay.run} hands it a decoded graph's schedule.  The engine reacts
-    only to events, in the style of stream-event-triggered CUDA-graph
-    launch:
+    runs it alone, {!Replay.run} hands it a decoded graph's schedule, and
+    {!Multi.run} hands it N lowered apps plus a submission order.  The
+    engine reacts only to events, in the style of stream-event-triggered
+    CUDA-graph launch:
 
-    - {e active-node list}: dispatch walks a doubly-linked list holding
-      exactly the launched-but-not-drained kernels, sorted by dispatch
-      rank — launch order for oldest/newest-first, the static EDF order
-      ({!Deadline.order_of_schedule}) for EDF — instead of filtering the
-      whole kernel array.  A kernel links in at launch completion (O(1)
-      under launch-order ranks: launch events fire in sequence order) and
-      unlinks when it drains.
+    - {e active-node lists}: each app's dispatch walks a doubly-linked list
+      holding exactly its launched-but-not-drained kernels, sorted by
+      dispatch rank — launch order for oldest/newest-first, the static EDF
+      order ({!Deadline.order_of_schedule}) for EDF — instead of filtering
+      the whole kernel array.  A kernel links in at launch completion (O(1)
+      under launch-order ranks: an app's launch events fire in sequence
+      order) and unlinks when it drains.  Apps dispatch in index order.
     - {e copy-dependency counters}: each kernel holds a countdown of its
       pending H2D copies and each copy command a reverse list of dependent
       kernels; a copy-completion event decrements the counters, so the
       launch gate is one integer test.
+    - {e resources}: the launch engine, copy engine and TB-slot pool are
+      one record aliased by every app on a shared machine, or one private
+      record per partition slice.  Each app integrates its own running TBs
+      on its own clock, advanced only at its own events and dispatches; a
+      machine-wide clock integrates all of them.
 
-    {b Packed-event bound.}  Events are immediate ints: launch, command and
-    per-kernel TB counts must each stay below 2{^30}.  A schedule beyond it
-    is rejected with [Invalid_argument] naming the caller and the bound,
-    before any per-TB state is allocated. *)
+    Two properties of the co-run path follow from this structure and are
+    still tested (test/test_multi.ml): one app on a shared machine {e is}
+    a solo run, and a partitioned app sees only its own slice's resources
+    and clock, so its statistics and trace equal its solo run on that
+    slice.
+
+    {b Packed-event bound.}  Events are immediate ints over one flat
+    kernel/command index across apps: the summed launch and command counts
+    and every kernel's TB count must each stay below 2{^30}.  Apps beyond
+    it are rejected with [Invalid_argument] naming the caller and the
+    bound, before any per-TB state is allocated. *)
 
 val run :
   ?host_blocking_copies:bool ->
@@ -83,19 +96,44 @@ val run :
     [Sim.run]), or when [deadlines] does not hold one key per launch under
     an EDF mode. *)
 
-val run_schedule :
+(** One app handed to the engine. *)
+type app = {
+  a_sched : Graph.schedule;
+  a_trace : Bm_gpu.Stats.sink option;
+      (** receives the app's events with app-local kernel, stream and
+          command ids *)
+  a_deadlines : float array option;  (** EDF key overrides, as for {!run} *)
+}
+
+type outcome = {
+  o_stats : Bm_gpu.Stats.t array;  (** per app, app-local kernel numbering *)
+  o_makespan_us : float;  (** completion time of the last app *)
+  o_busy_us : float;  (** machine-wide time with >= 1 running TB *)
+  o_avg_concurrency : float;  (** machine-wide mean running TBs over the makespan *)
+  o_events : int;  (** events the engine processed *)
+}
+
+val run_schedules :
   caller:string ->
   ?host_blocking_copies:bool ->
   ?metrics:Bm_metrics.Metrics.t ->
-  ?trace:Bm_gpu.Stats.sink ->
-  ?deadlines:float array ->
+  ?corun_metrics:Bm_metrics.Metrics.t ->
+  ?slices:Bm_gpu.Config.t array ->
+  ?admission:int array array ->
   Bm_gpu.Config.t ->
   Mode.t ->
-  Graph.schedule ->
-  Bm_gpu.Stats.t * int
-(** The engine itself, over a lowered schedule.  Returns the statistics
-    {!run} reports together with the number of events the engine
-    processed.  The optional arguments mean exactly what they mean for
-    {!run}; [metrics] receives the same families and nothing else.
-    [caller] prefixes every failure message (packed-event bound, stalled
-    host, kernel that never completed). *)
+  app array ->
+  outcome
+(** The engine itself.  Without [slices] every app shares the machine
+    [cfg] (one slot pool, one copy and one launch engine); with them app
+    [i] runs alone on [slices.(i)] with private resources.  [admission],
+    when given, holds a global enqueue rank per app per launch: a kernel
+    enters the launch queue only when every lower rank has, and host issue
+    then runs to a fixpoint across apps.
+
+    [metrics] receives the families {!run} documents and nothing else;
+    [corun_metrics] the [multi.*] families {!Multi.run} documents.
+    [host_blocking_copies] means what it means for {!run}.  [caller]
+    prefixes every failure message (packed-event bound, stalled host,
+    kernel that never completed).  Raises [Invalid_argument] on an empty
+    app array, or when [slices] or [admission] do not match the apps. *)

@@ -81,30 +81,27 @@ let test_keys_prep_vs_schedule () =
       let graph = Graph.capture cfg app in
       List.iter
         (fun reorder ->
-          let prep = Prep.prepare ~reorder cfg app in
           let sched = if reorder then graph.Graph.g_reordered else graph.Graph.g_plain in
-          let kp = Deadline.default_keys_of_prep prep in
           let ks = Deadline.default_keys_of_schedule sched in
+          (* A fresh preparation lowers to the captured keys, bit for bit. *)
+          let kp =
+            Deadline.default_keys_of_schedule (Graph.schedule_of_prep (Prep.prepare ~reorder cfg app))
+          in
           Alcotest.(check bool)
             (Printf.sprintf "%s reorder=%b keys bit-identical" name reorder)
             true (kp = ks);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s order identical" name)
-            true
-            (Deadline.order_of_prep prep = Deadline.order_of_schedule sched);
           Alcotest.check_raises "wrong-length override"
             (Invalid_argument "Deadline.order_of_schedule: deadlines length <> launches")
             (fun () ->
-              ignore (Deadline.order_of_schedule ~deadlines:(Array.make (Array.length kp + 1) 1.0) sched));
+              ignore (Deadline.order_of_schedule ~deadlines:(Array.make (Array.length ks + 1) 1.0) sched));
           (* Keys are cumulative work: positive and nondecreasing along
              every stream chain. *)
           Array.iteri
-            (fun k (li : Prep.launch_info) ->
-              Alcotest.(check bool) "key positive" true (kp.(k) > 0.0);
-              match li.Prep.li_prev with
-              | Some p -> Alcotest.(check bool) "chain monotone" true (kp.(k) > kp.(p))
-              | None -> ())
-            prep.Prep.p_launches)
+            (fun k (n : Graph.node) ->
+              Alcotest.(check bool) "key positive" true (ks.(k) > 0.0);
+              if n.Graph.n_prev >= 0 then
+                Alcotest.(check bool) "chain monotone" true (ks.(k) > ks.(n.Graph.n_prev)))
+            sched.Graph.s_nodes)
         [ false; true ])
     [ "BICG"; "GRAMSCHM"; "LUD" ]
 
@@ -315,7 +312,23 @@ let test_admit_validation () =
   let prep = Runner.prepare ~cfg Mode.Baseline app in
   Alcotest.check_raises "length mismatch"
     (Invalid_argument "Multi.admit: deadlines must have one entry per app") (fun () ->
-      ignore (Multi.admit cfg ~deadlines:[| 1.0; 2.0 |] [| prep |]))
+      ignore (Multi.admit cfg ~deadlines:[| 1.0; 2.0 |] [| prep |]));
+  (* A malformed partition is refused with the reason [Multi.run] gives. *)
+  List.iter
+    (fun (parts, reason) ->
+      let admit () =
+        ignore
+          (Multi.admit ~spatial:(Multi.Partitioned parts) cfg ~deadlines:[| 1.0; 1.0 |]
+             [| prep; prep |])
+      in
+      Alcotest.check_raises reason (Invalid_argument ("Multi.admit: " ^ reason)) admit;
+      Alcotest.check_raises reason (Invalid_argument ("Multi.run: " ^ reason)) (fun () ->
+          ignore (Multi.run ~spatial:(Multi.Partitioned parts) cfg Mode.Baseline [| prep; prep |])))
+    [
+      ([| 14 |], "partition list must have one slice per app");
+      ([| 28; 0 |], "empty partition slice");
+      ([| 20; 20 |], "partition slices exceed the machine's SMs");
+    ]
 
 (* --- Co-run deadlines and metrics --------------------------------------- *)
 

@@ -19,6 +19,7 @@ module Prep = Bm_maestro.Prep
 module Sim = Bm_maestro.Sim
 module Graph = Bm_maestro.Graph
 module Replay = Bm_maestro.Replay
+module Multi = Bm_maestro.Multi
 module Runner = Bm_maestro.Runner
 module Suite = Bm_workloads.Suite
 module Genapp = Bm_workloads.Genapp
@@ -321,7 +322,9 @@ let test_packed_event_bound () =
   List.iter
     (fun mode ->
       expect_rejected "Replay.run" (fun () -> Replay.run cfg mode graph);
-      expect_rejected "Sim.run" (fun () -> Sim.run cfg mode huge_prep))
+      expect_rejected "Sim.run" (fun () -> Sim.run cfg mode huge_prep);
+      expect_rejected "Multi.run" (fun () ->
+          (Multi.run cfg mode [| prep; huge_prep |]).Multi.mr_stats.(1)))
     [ Mode.Baseline; Mode.Producer_priority; Mode.Deadline_edf 2 ]
 
 let test_capture_counters () =

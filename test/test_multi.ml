@@ -271,6 +271,24 @@ let test_corun_fuzz_catches_and_shrinks () =
         true
         (kernels < original && f.Fuzz.cf_shrink_steps > 0))
 
+(* Forty apps on one shared machine: events carry one flat kernel/command
+   index across apps, so the app count has no cap of its own. *)
+let test_many_apps_vs_reference () =
+  let rng = Rng.create 33 in
+  let apps =
+    Array.init 40 (fun i ->
+        Genapp.build (Genapp.generate ~max_streams:1 ~max_len:2 ~max_grid:8 rng i))
+  in
+  match
+    Diff.check_corun ~cfg
+      ~modes:[ Mode.Baseline; Mode.Producer_priority; Mode.Consumer_priority 2; Mode.Deadline_edf 2 ]
+      ~spatials:[ Multi.Shared ] apps
+  with
+  | Ok () -> ()
+  | Error ms ->
+    Alcotest.failf "40-app shared co-run diverges from the reference:\n%s"
+      (String.concat "\n" (List.map (Format.asprintf "%a" Diff.pp_corun_mismatch) ms))
+
 (* --- engine surface ---------------------------------------------------- *)
 
 let test_validation () =
@@ -286,6 +304,8 @@ let test_validation () =
   Alcotest.check_raises "oversubscribed"
     (Invalid_argument "Multi.run: partition slices exceed the machine's SMs") (fun () ->
       ignore (Multi.run ~spatial:(Multi.Partitioned [| 20; 20 |]) cfg Mode.Producer_priority [| prep; prep |]));
+  Alcotest.(check (option string)) "well-formed partition" None
+    (Multi.partition_error cfg ~napps:2 [| 14; 14 |]);
   Alcotest.check_raises "with_sms needs an SM"
     (Invalid_argument "Config.with_sms: need at least one SM") (fun () ->
       ignore (Config.with_sms cfg 0))
@@ -335,7 +355,11 @@ let test_bmctl_corun_exit_codes () =
   Alcotest.(check int) "bad policy exits 124" 124
     (bmctl [ "corun"; "BICG"; "MVT"; "--policy"; "lifo" ]);
   Alcotest.(check int) "zero-SM slice exits 124" 124
-    (bmctl [ "corun"; "BICG"; "MVT"; "--partition"; "28,0" ])
+    (bmctl [ "corun"; "BICG"; "MVT"; "--partition"; "28,0" ]);
+  Alcotest.(check int) "oversubscribed partition exits 124" 124
+    (bmctl [ "corun"; "BICG"; "MVT"; "--partition"; "20,20" ]);
+  Alcotest.(check int) "explain: oversubscribed partition exits 124" 124
+    (bmctl [ "explain"; "BICG"; "MVT"; "--partition"; "20,20" ])
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -381,6 +405,7 @@ let suite =
     Alcotest.test_case "occupancy: attribution + loud underflow" `Quick test_occupancy_unit;
     Alcotest.test_case "diff: co-run gate on suite pair" `Slow test_check_corun_suite_pair;
     Alcotest.test_case "diff: injected slots bug caught" `Quick test_check_corun_catches_slots_bug;
+    Alcotest.test_case "diff: 40 shared apps = reference" `Quick test_many_apps_vs_reference;
     Alcotest.test_case "fuzz: co-run axis clean" `Quick test_corun_fuzz_clean;
     Alcotest.test_case "fuzz: co-run bug caught and shrunk" `Slow test_corun_fuzz_catches_and_shrinks;
     Alcotest.test_case "validation errors" `Quick test_validation;
