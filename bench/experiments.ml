@@ -1,6 +1,7 @@
 (* Regeneration of every table and figure in the paper's evaluation
    (Section IV).  Each [table*]/[fig*] function prints the corresponding
-   rows; shared simulation results are computed once in [results].
+   rows; [sections] lists them in paper order and computes the shared
+   simulation results once.
 
    Absolute numbers come from our TB-granular timing simulator rather than
    the authors' GPGPU-Sim testbed, so the quantities to compare are the
@@ -25,30 +26,24 @@ type app_results = {
   ar_runs : (Mode.t * Stats.t) list;  (* baseline + fig9 modes *)
 }
 
-(* Engine behind the shared experiment matrix (main.exe --backend):
-   [`Replay] runs every (app, mode) cell through graph capture and
-   event-trigger replay instead of fresh prepare + simulate.  The two are
-   cycle-exact identical, so all printed tables must not change — which
-   makes the full experiment pass under [`Replay] a whole-suite
-   equivalence check in itself.  Must be set before [results] is forced. *)
-let backend : [ `Sim | `Replay ] ref = ref `Sim
-
 (* Each app's prepare + 7-mode simulation is one independent task on the
    domain pool (the shared matrix behind table2/3 and fig9/10/11/13).
    Results come back in suite order, so every printed table is identical
-   for any --jobs value. *)
-let results : app_results list Lazy.t =
-  lazy
-    (let backend = !backend in
-     Parallel.map_list
-       (fun (name, gen) ->
-         let app = gen () in
-         {
-           ar_name = name;
-           ar_prep = Runner.prepare Mode.Producer_priority app;
-           ar_runs = Runner.simulate_all ~backend ~modes:(Mode.Baseline :: fig9_modes) app;
-         })
-       Suite.all)
+   for any --jobs value.  [`Replay] runs every (app, mode) cell through
+   graph capture and event-trigger replay instead of fresh prepare +
+   simulate; the two are cycle-exact identical, so all printed tables must
+   not change, which makes the experiment pass under [`Replay] a
+   whole-suite equivalence check in itself. *)
+let results backend =
+  Parallel.map_list
+    (fun (name, gen) ->
+      let app = gen () in
+      {
+        ar_name = name;
+        ar_prep = Runner.prepare Mode.Producer_priority app;
+        ar_runs = Runner.simulate_all ~backend ~modes:(Mode.Baseline :: fig9_modes) app;
+      })
+    Suite.all
 
 let baseline_of ar = List.assoc Mode.Baseline ar.ar_runs
 
@@ -100,7 +95,7 @@ let paper_table2 =
     ("NW", "4,5"); ("PATH", "6");
   ]
 
-let table2 () =
+let table2 results =
   let t =
     Report.table ~title:"Table II: benchmarks, kernel counts, dependency patterns"
       ~columns:[ "name"; "#kernels"; "patterns (measured)"; "patterns (paper)" ]
@@ -121,12 +116,12 @@ let table2 () =
           patterns;
           (try List.assoc ar.ar_name paper_table2 with Not_found -> "?");
         ])
-    (Lazy.force results);
+    results;
   Report.print t
 
 (* ------------------------------------------------------------------ *)
 
-let fig9 () =
+let fig9 results =
   let t =
     Report.table ~title:"Fig. 9: normalized speedup w.r.t. baseline"
       ~columns:
@@ -140,14 +135,14 @@ let fig9 () =
       let vals = List.map sp fig9_modes in
       List.iteri (fun i v -> acc.(i) <- v :: acc.(i)) vals;
       Report.row t (ar.ar_name :: List.map Report.f2 vals))
-    (Lazy.force results);
+    results;
   Report.row t ("geomean" :: Array.to_list (Array.map (fun l -> Report.f2 (Report.geomean l)) acc));
   Report.print t;
   Printf.printf "paper: producer-priority avg +51.76%% (max 2.92x); geomean up to +80.28%% with 3 pre-launched kernels\n"
 
 (* ------------------------------------------------------------------ *)
 
-let fig10 () =
+let fig10 results =
   let t =
     Report.table ~title:"Fig. 10: normalized average TB concurrency w.r.t. baseline"
       ~columns:[ "app"; "pre-launch"; "producer"; "consumer-2k"; "consumer-3k"; "consumer-4k" ]
@@ -166,12 +161,12 @@ let fig10 () =
                Mode.Prelaunch_only; Mode.Producer_priority; Mode.Consumer_priority 2;
                Mode.Consumer_priority 3; Mode.Consumer_priority 4;
              ]))
-    (Lazy.force results);
+    results;
   Report.print t
 
 (* ------------------------------------------------------------------ *)
 
-let fig11 () =
+let fig11 results =
   let t =
     Report.table
       ~title:"Fig. 11: dependency-stall distribution (normalized to TB exec time): q1 / median / q3"
@@ -188,7 +183,7 @@ let fig11 () =
           Printf.sprintf "%.2f / %.2f / %.2f" q1 med q3
       in
       Report.row t [ ar.ar_name; fmt Mode.Baseline; fmt Mode.Producer_priority ])
-    (Lazy.force results);
+    results;
   Report.print t;
   Printf.printf "paper: BlockMaestro visibly decreases stalling; BICG/MVT show dramatic reductions\n"
 
@@ -230,7 +225,7 @@ let fig12 () =
 
 (* ------------------------------------------------------------------ *)
 
-let fig13 () =
+let fig13 results =
   let t =
     Report.table ~title:"Fig. 13: memory request overhead of dependency-list traffic"
       ~columns:[ "app"; "data requests"; "dep requests"; "overhead %" ]
@@ -248,14 +243,14 @@ let fig13 () =
           Printf.sprintf "%.0f" s.Stats.dep_mem_requests;
           Printf.sprintf "%.2f%%" pct;
         ])
-    (Lazy.force results);
+    results;
   Report.row t [ "average"; ""; ""; Printf.sprintf "%.2f%%" (Report.mean !pcts) ];
   Report.print t;
   Printf.printf "paper: average overhead 1.36%%\n"
 
 (* ------------------------------------------------------------------ *)
 
-let table3 () =
+let table3 results =
   let t =
     Report.table
       ~title:"Table III: total bipartite-graph storage normalized to plain storage"
@@ -279,7 +274,7 @@ let table3 () =
         Report.row t
           [ ar.ar_name; string_of_int !plain; string_of_int !encoded; Printf.sprintf "%.4f" ratio ]
       end)
-    (Lazy.force results);
+    results;
   Report.row t [ "average"; ""; ""; Printf.sprintf "%.4f" (Report.mean !ratios) ];
   Report.print t;
   Printf.printf "paper: average 0.653 (34.7%% reduction); BICG/MVT excluded (independent kernels)\n"
@@ -333,18 +328,6 @@ let area () =
   Printf.printf "total SRAM             : %d bytes (~%.1f KB; paper: ~22 KB)\n"
     (Hardware.area_bytes cfg)
     (float_of_int (Hardware.area_bytes cfg) /. 1024.0)
-
-let all () =
-  table1 ();
-  table2 ();
-  fig9 ();
-  fig10 ();
-  fig11 ();
-  fig12 ();
-  fig13 ();
-  table3 ();
-  fig14 ();
-  area ()
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: isolate each design choice DESIGN.md calls out.          *)
@@ -492,3 +475,15 @@ let ablations () =
   ablation_launch_overhead ();
   ablation_policy ();
   ablation_streams ()
+
+(* The sections main.exe prints, in paper order.  The shared app x mode
+   matrix runs on [backend], once, when the first section that needs it
+   prints. *)
+let sections backend =
+  let results = lazy (results backend) in
+  let shared f () = f (Lazy.force results) in
+  [
+    ("table1", table1); ("table2", shared table2); ("fig9", shared fig9); ("fig10", shared fig10);
+    ("fig11", shared fig11); ("fig12", fig12); ("fig13", shared fig13); ("table3", shared table3);
+    ("fig14", fig14); ("area", area); ("ablations", ablations);
+  ]

@@ -4,52 +4,32 @@
    the paper's evaluation section (printed as text tables with the paper's
    reference numbers alongside), then runs a Bechamel micro-benchmark suite
    with one Test per experiment measuring the cost of the BlockMaestro
-   machinery that experiment exercises (launch-time analysis, graph
-   construction, encoding, simulation).  Pass --no-bechamel to skip the
-   micro-benchmarks, --only SECTION to print a single experiment, --trace
-   to run the traced invariant-check pass over every (app, mode) pair
-   instead of the experiments, --oracle to require cycle-exact agreement
-   between the event-driven and reference schedulers on every app,
-   --corun to print the cross-app interference matrix (three suite pairs
-   co-run shared and partitioned, each cell proven against the naive
-   co-run reference),
-   --json FILE to write a schema-versioned bench trajectory snapshot
+   machinery that experiment exercises.  --only SECTION prints one
+   experiment; --no-bechamel skips the micro-benchmarks; --backend replay
+   runs the shared app x mode matrix through capture + replay.
+
+   At most one gate runs instead of the experiments, and exits 1 if any of
+   its cells fails: --oracle (event-driven vs reference scheduler on every
+   app x mode), --corun (the cross-app interference matrix, each cell
+   proven against the naive co-run reference), --explain (the bottleneck
+   table, conservation checked), --deadlines (the EDF tardiness table, RTA
+   soundness checked) and --perf-gate (allocation and cache-counter
+   checks).
+
+   --json FILE writes a schema-versioned bench trajectory snapshot
    (per-app x mode simulated cycles, speedups, DLB/PCB high-water marks,
-   memory overhead, host-pipeline wall-clock spans), and --compare OLD.json
-   [--threshold PCT] to re-measure and exit non-zero when simulated cycles
-   regressed beyond the threshold (default 5%).
+   memory overhead, host-pipeline wall-clock spans); --compare OLD.json
+   [--threshold PCT] re-measures and exits 1 when simulated cycles
+   regressed beyond the threshold (default 5%).  --cache-dir DIR attaches
+   the persistent analysis store to that collection.
 
-   --cache-dir DIR attaches the persistent analysis store (Store) to the
-   --json/--compare collection: preparation artifacts are keyed by
-   structural kernel fingerprint and served from disk, so repeated
-   trajectory collections start disk-warm; every simulated quantity is
-   cycle-identical to a cold run.
-
-   --jobs N (or BM_JOBS) sizes the domain pool every sweep fans out over:
-   the app x mode experiment matrix, the --json/--compare collection, the
-   --oracle differential pass and the --trace invariant pass.  Results are
-   collected in input order and every simulated quantity is deterministic,
-   so output is identical for any N; --jobs 1 is the plain sequential
-   path. *)
+   --jobs, --cache-dir and --backend are the Bm_cli terms bmctl shares.
+   Every sweep fans out over the domain pool and collects in input order,
+   so output is identical for any --jobs. *)
 
 open Blockmaestro
 open Bechamel
 open Toolkit
-
-let sections =
-  [
-    ("table1", Experiments.table1);
-    ("table2", Experiments.table2);
-    ("fig9", Experiments.fig9);
-    ("fig10", Experiments.fig10);
-    ("fig11", Experiments.fig11);
-    ("fig12", Experiments.fig12);
-    ("fig13", Experiments.fig13);
-    ("table3", Experiments.table3);
-    ("fig14", Experiments.fig14);
-    ("area", Experiments.area);
-    ("ablations", Experiments.ablations);
-  ]
 
 (* [rounds] chained wavefront diamonds: rounds x 29 launches of one
    kernel over 15 distinct launch configurations.  The warm-cache prep
@@ -194,50 +174,7 @@ let run_oracle () =
         Printf.printf "  %-10s DIVERGED in %d mode(s)\n" name (List.length mms);
         List.iter (fun mm -> Format.printf "      %a@." Diff.pp_mismatch mm) mms)
     verdicts;
-  if !failures > 0 then begin
-    Printf.eprintf "oracle check failed for %d app(s)\n" !failures;
-    exit 1
-  end
-  else print_endline "reference scheduler agrees on every app x mode"
-
-(* --trace: re-run the full Fig. 9 grid with event tracing on and the
-   invariant checker validating every trace.  Slower than the plain
-   experiments (every event is recorded), which is why it is opt-in. *)
-let run_traced () =
-  let cfg = Config.titan_x_pascal in
-  let slots = Config.total_tb_slots cfg in
-  let failures = ref 0 in
-  (* The (app, mode) grid is flattened so the pool load-balances across
-     both axes; each task records into its own trace (a single-domain
-     sink) and returns the check verdict for ordered printing. *)
-  let grid =
-    List.concat_map (fun (name, gen) -> List.map (fun mode -> (name, gen, mode)) Mode.all_fig9)
-      Suite.all
-  in
-  let checked =
-    Parallel.map_list
-      (fun (name, gen, mode) ->
-        let app = gen () in
-        let trace = Trace.create () in
-        ignore (Runner.simulate ~cfg ~trace:(Trace.sink trace) mode app);
-        (name, mode, Trace.length trace, Trace.check ~window:(Mode.window mode) ~slots trace))
-      grid
-  in
-  List.iter
-    (fun (name, mode, events, verdict) ->
-      match verdict with
-      | Ok () -> Printf.printf "  %-10s %-20s %6d events  OK\n" name (Mode.name mode) events
-      | Error msgs ->
-        incr failures;
-        Printf.printf "  %-10s %-20s %6d events  FAILED (%d violations)\n" name
-          (Mode.name mode) events (List.length msgs);
-        List.iter (fun m -> Printf.printf "      %s\n" m) msgs)
-    checked;
-  if !failures > 0 then begin
-    Printf.eprintf "trace check failed for %d (app, mode) pairs\n" !failures;
-    exit 1
-  end
-  else print_endline "all traces passed the invariant checker"
+  !failures
 
 (* --explain: the EXPERIMENTS.md bottleneck table.  Per suite app under
    baseline and producer priority: exact stall attribution of the TB-slot
@@ -313,70 +250,7 @@ let run_explain () =
           (match best with Some w -> Printf.sprintf "%.3fx" w.Explain.wi_speedup | None -> "-") ])
     cells;
   Report.print t;
-  if !failures > 0 then begin
-    Printf.eprintf "explain validation failed for %d cells\n" !failures;
-    exit 1
-  end
-  else print_endline "conservation exact and critical path complete on every cell"
-
-(* --capture-compare: the EXPERIMENTS.md capture/replay section.  Per
-   suite app: wall-clock for cold prepare+simulate, warm-cache
-   prepare+simulate, and warm replay of a pre-captured graph (all under
-   producer priority, averaged over [iters] runs), plus the graph file
-   size; every replay result is required to match the simulator
-   cycle-exactly before any timing is reported. *)
-let run_capture_compare () =
-  let cfg = Config.titan_x_pascal in
-  let iters = 5 in
-  let time f =
-    let t0 = Sys.time () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    (Sys.time () -. t0) /. float_of_int iters *. 1e3
-  in
-  let mode = Mode.Producer_priority in
-  let rows =
-    Parallel.map_list
-      (fun (name, gen) ->
-        let app = gen () in
-        let graph = Graph.capture cfg app in
-        let bytes = String.length (Json.to_string (Graph.to_json graph)) in
-        let sim = Runner.simulate ~cfg mode app in
-        let rep = Replay.run cfg mode graph in
-        let exact = Diff.diff_stats rep sim = [] in
-        let cold = time (fun () -> Runner.simulate ~cfg mode app) in
-        let cache = Cache.create () in
-        ignore (Sys.opaque_identity (Runner.simulate ~cfg ~cache mode app));
-        let warm = time (fun () -> Runner.simulate ~cfg ~cache mode app) in
-        let replay = time (fun () -> Replay.run cfg mode graph) in
-        (name, exact, cold, warm, replay, bytes))
-      Suite.all
-  in
-  let t =
-    Report.table ~title:"capture/replay vs simulator (producer priority, ms per run)"
-      ~columns:[ "app"; "cycle-exact"; "cold prep+sim"; "warm prep+sim"; "replay"; "graph B" ]
-  in
-  let failures = ref 0 in
-  List.iter
-    (fun (name, exact, cold, warm, replay, bytes) ->
-      if not exact then incr failures;
-      Report.row t
-        [
-          name;
-          (if exact then "yes" else "NO");
-          Printf.sprintf "%.3f" cold;
-          Printf.sprintf "%.3f" warm;
-          Printf.sprintf "%.3f" replay;
-          string_of_int bytes;
-        ])
-    rows;
-  Report.print t;
-  if !failures > 0 then begin
-    Printf.eprintf "capture-compare: %d app(s) diverged from the simulator\n" !failures;
-    exit 1
-  end
-  else print_endline "every replay cycle-exact vs the simulator"
+  !failures
 
 (* --corun: the EXPERIMENTS.md cross-app interference matrix.  Three app
    pairs co-run under {shared fifo, shared packed, partitioned 14+14},
@@ -429,11 +303,7 @@ let run_corun_matrix () =
         ])
     cells;
   Report.print t;
-  if !failures > 0 then begin
-    Printf.eprintf "corun matrix: %d cell(s) diverged from the reference\n" !failures;
-    exit 1
-  end
-  else print_endline "every co-run cell cycle-exact vs the naive reference"
+  !failures
 
 (* --deadlines: the EXPERIMENTS.md tardiness table.  Every suite app runs
    under the EDF deadline mode against two deadlines derived from its own
@@ -494,25 +364,18 @@ let run_deadlines () =
         reports)
     rows;
   Report.print t;
-  if !violations > 0 then begin
-    Printf.eprintf "deadlines: %d report(s) violated the RTA bound\n" !violations;
-    exit 1
-  end
-  else print_endline "every makespan within its response-time-analysis bound"
+  !violations
 
-(* --perf-gate: the deterministic performance regressions CI guards
-   against on this 1-core container, where wall-clock micro-benchmarks are
-   too noisy to threshold.  (1) Warm-cache preparation must not be slower
-   than cold — the memoization cache hits on every lookup for an unchanged
-   app, so warm > cold means the cache went pathological.  (2) A Sim.run of
-   the GAUSSIAN reference workload must stay under a committed minor-heap
-   allocation ceiling; Gc.minor_words is exact and deterministic, so any
-   breach is a real allocation regression in the simulator hot path.
-   (3) Replay must not be slower than warm prepare+simulate.  (4) Suite-wide
-   preparation from a populated Store (cold in-memory caches) must be
-   cycle-exact and must compute no cached artifact at all.  How fast
-   disk-warm preparation is lives in the host-performance ledger's
-   prepare-disk-warm workload, not here. *)
+(* --perf-gate: deterministic performance checks, exact on any host
+   because they count allocations and cache events rather than time.
+   (1) Warm-cache preparation of the 116-launch wavefront chain must hit
+   on every lookup and allocate no more than cold preparation.  (2) A
+   Sim.run of the GAUSSIAN reference workload must stay under a committed
+   minor-heap ceiling.  (3) Replaying a captured graph does no preparation
+   at all, so it must allocate no more than warm prepare + Sim.run.
+   (4) Suite-wide preparation from a populated Store (cold in-memory
+   caches) must be cycle-exact and compute no cached artifact.  How fast
+   each path is lives in the host-performance ledger (bench/ledger). *)
 let sim_minor_words_budget = 1_000_000.0
 
 (* Best-effort removal of the gate's temporary store directory: the layout
@@ -527,82 +390,67 @@ let rm_store_dir dir =
   List.iter (fun fam -> rm_tree (Filename.concat dir fam)) Store.families;
   try Sys.rmdir dir with Sys_error _ -> ()
 
+(* Minor-heap words allocated by one call of [f]. *)
+let words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+let cache_misses (c : Cache.counters) =
+  [ ("kernel", c.Cache.kernel_misses); ("footprint", c.Cache.footprint_misses);
+    ("profile", c.Cache.profile_misses); ("rw", c.Cache.rw_misses); ("pair", c.Cache.pair_misses) ]
+
 let run_perf_gate () =
   let cfg = Config.titan_x_pascal in
+  let mode = Mode.Producer_priority in
   let failures = ref 0 in
   let check name ok detail =
-    Printf.printf "  %-28s %s  (%s)\n" name (if ok then "OK" else "FAILED") detail;
+    Printf.printf "  %-30s %s  (%s)\n" name (if ok then "OK" else "FAILED") detail;
     if not ok then incr failures
   in
   let app = wavefront_chain ~rounds:4 () in
-  let time_prep ?cache () =
-    let iters = 5 in
-    let t0 = Sys.time () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (Prep.prepare ?cache cfg app))
-    done;
-    (Sys.time () -. t0) /. float_of_int iters
-  in
-  let cold = time_prep () in
+  ignore (Prep.prepare cfg app);
+  let cold = words (fun () -> Prep.prepare cfg app) in
   let cache = Cache.create () in
-  ignore (Sys.opaque_identity (Prep.prepare ~cache cfg app));
-  let warm = time_prep ~cache () in
-  check "warm prep <= cold prep" (warm <= cold)
-    (Printf.sprintf "cold %.2f ms, warm %.2f ms (%.1fx)" (cold *. 1e3) (warm *. 1e3)
-       (if warm > 0.0 then cold /. warm else infinity));
+  ignore (Prep.prepare ~cache cfg app);
+  let before = cache_misses (Cache.counters cache) in
+  let warm = words (fun () -> Prep.prepare ~cache cfg app) in
+  let missed =
+    List.filter (fun (_, n) -> n > 0)
+      (List.map2 (fun (fam, a) (_, b) -> (fam, b - a)) before (cache_misses (Cache.counters cache)))
+  in
+  check "warm prep words <= cold" (warm <= cold)
+    (Printf.sprintf "cold %.0f words, warm %.0f words" cold warm);
+  check "warm prep misses nothing" (missed = [])
+    (match missed with
+    | [] -> "0 misses in every family"
+    | l -> String.concat ", " (List.map (fun (fam, n) -> Printf.sprintf "%d %s" n fam) l));
   let gaussian = List.assoc "GAUSSIAN" Suite.all () in
   let prep = Prep.prepare cfg gaussian in
-  ignore (Sys.opaque_identity (Sim.run cfg Mode.Producer_priority prep));
-  let w0 = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Sim.run cfg Mode.Producer_priority prep));
-  let words = Gc.minor_words () -. w0 in
-  check "sim minor-heap budget" (words <= sim_minor_words_budget)
-    (Printf.sprintf "%.0f words, budget %.0f" words sim_minor_words_budget);
-  (* (3) Replaying a captured graph does no preparation at all, so the
-     end-to-end replay must not be slower than even the fully-warm
-     prepare + simulate path — if it is, the event-trigger engine
-     regressed. *)
-  let mode = Mode.Producer_priority in
+  ignore (Sys.opaque_identity (Sim.run cfg mode prep));
+  let sim_words = words (fun () -> Sim.run cfg mode prep) in
+  check "sim minor-heap budget" (sim_words <= sim_minor_words_budget)
+    (Printf.sprintf "%.0f words, budget %.0f" sim_words sim_minor_words_budget);
   let graph = Graph.capture cfg app in
-  let warm_e2e =
-    let iters = 5 in
-    ignore (Sys.opaque_identity (Prep.prepare ~cache cfg app));
-    let t0 = Sys.time () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (Sim.run cfg mode (Prep.prepare ~cache cfg app)))
-    done;
-    (Sys.time () -. t0) /. float_of_int iters
-  in
-  let replay_e2e =
-    let iters = 5 in
-    ignore (Sys.opaque_identity (Replay.run cfg mode graph));
-    let t0 = Sys.time () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (Replay.run cfg mode graph))
-    done;
-    (Sys.time () -. t0) /. float_of_int iters
-  in
-  check "replay <= warm prep+sim" (replay_e2e <= warm_e2e)
-    (Printf.sprintf "warm %.2f ms, replay %.2f ms (%.1fx)" (warm_e2e *. 1e3) (replay_e2e *. 1e3)
-       (if replay_e2e > 0.0 then warm_e2e /. replay_e2e else infinity));
-  (* (4) Disk-warm preparation across the whole suite: a populated Store
-     with cold in-memory caches replaces footprint enumeration, cost
-     profiling and TB-relation computation with keyed reads of the
-     serialized artifacts.  Every app must be cycle-exact against its cold
-     preparation, and a fresh handle's suite pass must read every
-     footprint, profile, rw-set and relation from disk: any store miss, or
-     any in-memory miss the disk did not serve, means a key or codec
-     regressed.  Both are counter checks, so they hold on any host. *)
+  ignore (Sys.opaque_identity (Replay.run cfg mode graph));
+  let replay = words (fun () -> Replay.run cfg mode graph) in
+  let warm_e2e = words (fun () -> Sim.run cfg mode (Prep.prepare ~cache cfg app)) in
+  check "replay words <= warm prep+sim" (replay <= warm_e2e)
+    (Printf.sprintf "warm prep+sim %.0f words, replay %.0f words" warm_e2e replay);
+  (* Disk-warm: a fresh handle's suite pass must read every footprint,
+     profile, rw-set and relation from disk; any store miss, or any
+     in-memory miss the disk did not serve, means a key or codec
+     regressed. *)
   let suite = List.map (fun (name, gen) -> (name, gen ())) Suite.all in
   let dir = Filename.temp_file "bm_gate_store" "" in
   Sys.remove dir;
-  let store = match Store.open_dir dir with Ok s -> Some s | Error _ -> None in
-  let populate = Cache.create ?store () in
+  let open_store () = match Store.open_dir dir with Ok s -> Some s | Error _ -> None in
+  let populate = Cache.create ?store:(open_store ()) () in
   List.iter (fun (_, a) -> ignore (Sys.opaque_identity (Prep.prepare ~cache:populate cfg a))) suite;
   let inexact =
     List.filter
       (fun (_, a) ->
-        let fresh = Cache.create ?store:(match Store.open_dir dir with Ok s -> Some s | Error _ -> None) () in
+        let fresh = Cache.create ?store:(open_store ()) () in
         let disk = Sim.run cfg mode (Prep.prepare ~cache:fresh cfg a) in
         let cold = Sim.run cfg mode (Prep.prepare cfg a) in
         Diff.diff_stats disk cold <> [])
@@ -627,11 +475,7 @@ let run_perf_gate () =
       (Printf.sprintf "%d store hits, %d store misses, %d artifacts computed" d.Store.disk_hits
          store_misses computed));
   rm_store_dir dir;
-  if !failures > 0 then begin
-    Printf.eprintf "perf gate failed (%d check(s))\n" !failures;
-    exit 1
-  end
-  else print_endline "perf gate passed"
+  !failures
 
 let run_bechamel () =
   print_endline "\n== Bechamel micro-benchmarks (one per experiment) ==";
@@ -651,155 +495,118 @@ let run_bechamel () =
       | Some _ | None -> Printf.printf "  %-45s (no estimate)\n" name)
     results
 
-let usage () =
-  Printf.eprintf
-    "usage: main.exe [--only SECTION] [--no-bechamel] [--backend sim|replay] [--trace]\n\
-    \       [--oracle] [--corun] [--explain] [--deadlines] [--perf-gate] [--capture-compare]\n\
-    \       [--json FILE] [--compare OLD.json] [--threshold PCT] [--jobs N] [--cache-dir DIR]\n\
-     sections: %s\n"
-    (String.concat ", " (List.map fst sections))
+(* The gates, in flag order: flag, help text, banner, verdict on success,
+   and what one counted failure is. *)
+let gates =
+  [
+    ( "oracle",
+      "Require cycle-exact agreement between the event-driven and the reference scheduler on \
+       every suite app x mode, on both backends.",
+      ( "== differential oracle pass (every app x mode, both schedulers) ==",
+        run_oracle,
+        "reference scheduler agrees on every app x mode",
+        "app(s) diverged from the reference scheduler" ) );
+    ( "corun",
+      "Print the cross-app interference matrix; every cell must agree with the naive co-run \
+       reference.",
+      ( "== cross-app interference matrix (co-runs vs naive reference) ==",
+        run_corun_matrix,
+        "every co-run cell cycle-exact vs the naive reference",
+        "co-run cell(s) diverged from the reference" ) );
+    ( "explain",
+      "Print the bottleneck attribution table; conservation and critical-path coverage must \
+       hold on every cell.",
+      ( "== bottleneck attribution (exact stall accounting + what-if) ==",
+        run_explain,
+        "conservation exact and critical path complete on every cell",
+        "explain cell(s) failed validation" ) );
+    ( "deadlines",
+      "Print the EDF deadline tardiness table; every makespan must stay within its RTA bound.",
+      ( "== deadline tardiness (EDF mode, RTA-bound soundness) ==",
+        run_deadlines,
+        "every makespan within its response-time-analysis bound",
+        "report(s) violated the RTA bound" ) );
+    ( "perf-gate",
+      "Run the deterministic allocation and cache-counter checks.",
+      ( "== performance gate (warm prep, sim allocation, replay, disk-warm) ==",
+        run_perf_gate,
+        "perf gate passed",
+        "perf-gate check(s) failed" ) );
+  ]
+
+let run_gate (banner, run, passed, failed) =
+  print_endline banner;
+  match run () with
+  | 0 -> print_endline passed
+  | n ->
+    Printf.eprintf "%d %s\n" n failed;
+    exit 1
+
+let main gate only no_bechamel backend json compare threshold () cache_dir =
+  match (json, compare, gate) with
+  | Some file, _, _ -> Benchrun.write ?cache_dir file
+  | None, Some old, _ -> exit (Benchrun.compare_against ?cache_dir ~threshold_pct:threshold old)
+  | None, None, Some g -> run_gate g
+  | None, None, None -> (
+    let sections = Experiments.sections backend in
+    match only with
+    | Some s -> List.assoc s sections ()
+    | None ->
+      List.iter (fun (_, f) -> f ()) sections;
+      if not no_bechamel then run_bechamel ())
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let only = ref None in
-  let bechamel_enabled = ref true in
-  let traced = ref false in
-  let oracle = ref false in
-  let corun = ref false in
-  let explain = ref false in
-  let deadlines = ref false in
-  let perf_gate = ref false in
-  let capture_compare = ref false in
-  let json_out = ref None in
-  let compare_file = ref None in
-  let threshold = ref 5.0 in
-  let cache_dir = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--no-bechamel" :: rest ->
-      bechamel_enabled := false;
-      parse rest
-    | "--trace" :: rest ->
-      traced := true;
-      parse rest
-    | "--oracle" :: rest ->
-      oracle := true;
-      parse rest
-    | "--corun" :: rest ->
-      corun := true;
-      parse rest
-    | "--explain" :: rest ->
-      explain := true;
-      parse rest
-    | "--deadlines" :: rest ->
-      deadlines := true;
-      parse rest
-    | "--perf-gate" :: rest ->
-      perf_gate := true;
-      parse rest
-    | "--capture-compare" :: rest ->
-      capture_compare := true;
-      parse rest
-    | "--backend" :: b :: rest ->
-      (match b with
-      | "sim" -> Experiments.backend := `Sim
-      | "replay" -> Experiments.backend := `Replay
-      | _ ->
-        Printf.eprintf "--backend expects sim or replay, got %s\n" b;
-        exit 2);
-      parse rest
-    | "--only" :: s :: rest ->
-      only := Some s;
-      parse rest
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--compare" :: file :: rest ->
-      compare_file := Some file;
-      parse rest
-    | "--threshold" :: pct :: rest ->
-      (match float_of_string_opt pct with
-      | Some p when p >= 0.0 -> threshold := p
-      | Some _ | None ->
-        Printf.eprintf "--threshold expects a non-negative percentage, got %s\n" pct;
-        exit 2);
-      parse rest
-    | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some j when j >= 1 -> Parallel.set_default_jobs j
-      | Some _ | None ->
-        Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
-        exit 2);
-      parse rest
-    | "--cache-dir" :: dir :: rest ->
-      (match Store.open_dir dir with
-      | Ok _ -> cache_dir := Some dir
-      | Error msg ->
-        Printf.eprintf "--cache-dir: cannot open cache directory: %s\n" msg;
-        exit 2);
-      parse rest
-    | [ (("--only" | "--json" | "--compare" | "--threshold" | "--jobs" | "--backend"
-        | "--cache-dir") as flag) ] ->
-      Printf.eprintf "%s expects an argument\n" flag;
-      usage ();
-      exit 2
-    | arg :: _ ->
-      Printf.eprintf "unknown argument %s\n" arg;
-      usage ();
-      exit 2
+  let open Cmdliner in
+  let gate =
+    Arg.(value & vflag None (List.map (fun (flag, doc, g) -> (Some g, info [ flag ] ~doc)) gates))
   in
-  parse (List.tl args);
-  (match !json_out with
-  | Some file ->
-    Benchrun.write ?cache_dir:!cache_dir file;
-    exit 0
-  | None -> ());
-  (match !compare_file with
-  | Some old_file ->
-    exit (Benchrun.compare_against ?cache_dir:!cache_dir ~threshold_pct:!threshold old_file)
-  | None -> ());
-  if !perf_gate then begin
-    print_endline "== performance gate (warm prep, sim allocation, replay, disk-warm) ==";
-    run_perf_gate ();
-    exit 0
-  end;
-  if !capture_compare then begin
-    print_endline "== capture/replay comparison (cold prep vs warm cache vs replay) ==";
-    run_capture_compare ();
-    exit 0
-  end;
-  if !oracle then begin
-    print_endline "== differential oracle pass (every app x mode, both schedulers) ==";
-    run_oracle ();
-    exit 0
-  end;
-  if !corun then begin
-    print_endline "== cross-app interference matrix (co-runs vs naive reference) ==";
-    run_corun_matrix ();
-    exit 0
-  end;
-  if !explain then begin
-    print_endline "== bottleneck attribution (exact stall accounting + what-if) ==";
-    run_explain ();
-    exit 0
-  end;
-  if !deadlines then begin
-    print_endline "== deadline tardiness (EDF mode, RTA-bound soundness) ==";
-    run_deadlines ();
-    exit 0
-  end;
-  if !traced then begin
-    print_endline "== traced invariant-check pass (every app x mode) ==";
-    run_traced ();
-    exit 0
-  end;
-  (match !only with
-  | Some s -> (
-    match List.assoc_opt s sections with
-    | Some f -> f ()
-    | None ->
-      Printf.eprintf "unknown section %s; available: %s\n" s
-        (String.concat ", " (List.map fst sections));
-      exit 2)
-  | None -> List.iter (fun (_, f) -> f ()) sections);
-  if !bechamel_enabled && !only = None then run_bechamel ()
+  let only =
+    let names = List.map (fun (name, _) -> (name, name)) (Experiments.sections `Sim) in
+    Arg.(
+      value
+      & opt (some (enum names)) None
+      & info [ "only" ] ~docv:"SECTION"
+          ~doc:
+            ("Print one experiment, without the micro-benchmarks.  $(docv) must be "
+            ^ Arg.doc_alts_enum names ^ "."))
+  in
+  let no_bechamel = Arg.(value & flag & info [ "no-bechamel" ] ~doc:"Skip the micro-benchmarks.") in
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE" ~doc:"Write a bench trajectory snapshot to $(docv) and exit.")
+  in
+  let compare =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "compare" ] ~docv:"OLD.json"
+          ~doc:"Re-measure and exit 1 if simulated cycles regressed beyond $(b,--threshold).")
+  in
+  let threshold =
+    let pct =
+      let parse s =
+        match float_of_string_opt s with
+        | Some p when p >= 0.0 -> Ok p
+        | Some _ | None ->
+          Error (`Msg (Printf.sprintf "--threshold expects a non-negative percentage, got %S" s))
+      in
+      Arg.conv (parse, Format.pp_print_float)
+    in
+    Arg.(
+      value & opt pct 5.0 & info [ "threshold" ] ~docv:"PCT" ~doc:"Regression threshold in percent.")
+  in
+  let doc = "regenerate the paper's evaluation tables, or run one gate" in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"when a gate fails or $(b,--compare) finds a regression."
+    :: Cmd.Exit.info 2
+         ~doc:"on an I/O error (unreadable $(b,--compare) file, unusable cache directory)."
+    :: Cmd.Exit.defaults
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v (Cmd.info "main.exe" ~doc ~exits)
+          Term.(
+            const main $ gate $ only $ no_bechamel $ Bm_cli.backend $ json $ compare $ threshold
+            $ Bm_cli.jobs $ Bm_cli.cache_dir)))

@@ -27,11 +27,13 @@
    processes — start disk-warm.  Results are always cycle-identical to a
    cold run; stale or corrupt entries silently read as misses.
 
-   stats, trace and fuzz accept --jobs N (default: BM_JOBS, else available
-   cores capped at 8) to fan independent work — one task per requested
-   mode, or per generated fuzz app — over a pool of OCaml domains.
+   stats, trace, fuzz and prewarm accept --jobs N (default: BM_JOBS, else
+   available cores capped at 8) to fan independent work — one task per
+   requested mode, or per generated fuzz app — over a pool of OCaml domains.
    Results are collected in input order, so output is identical for any N
-   and --jobs 1 is the exact sequential path.
+   and --jobs 1 is the exact sequential path.  --jobs, --cache-dir,
+   --backend and -m/--mode are Bm_cli terms; bench/main.exe shares the
+   first three.
 
    Exit codes are distinct per failure kind so CI and scripts can tell
    them apart:
@@ -54,7 +56,7 @@ open Cmdliner
 
 let version = "1.8.0"
 
-let exit_io_error = 2
+let exit_io_error = Bm_cli.exit_io_error
 let exit_counterexample = 3
 let exit_trace_violation = 4
 let exit_stale_graph = 5
@@ -96,18 +98,6 @@ let app_conv =
   in
   Arg.conv (parse, fun ppf (name, _) -> Format.pp_print_string ppf name)
 
-let mode_conv =
-  let parse s =
-    match Mode.of_string s with
-    | Some m -> Ok m
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown mode %S (try: %s)" s
-             (String.concat ", " (List.map fst Mode.known))))
-  in
-  Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Mode.name m))
-
 let app_arg =
   Arg.(required & pos 0 (some app_conv) None & info [] ~docv:"APP" ~doc:"Benchmark name (see list).")
 
@@ -131,65 +121,12 @@ let stats_target_conv =
   in
   Arg.conv (parse, print)
 
-let pos_int_conv flag =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "%s expects a positive integer, got %S" flag s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let jobs_arg =
-  let pos_int = pos_int_conv "--jobs" in
-  Arg.(
-    value
-    & opt (some pos_int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domain-pool width for independent tasks (default: $(b,BM_JOBS), else available cores \
-           capped at 8).  Output is identical for any $(docv); 1 forces the sequential path.")
-
-let set_jobs = function Some j -> Parallel.set_default_jobs j | None -> ()
-
-(* --cache-dir DIR / BM_CACHE_DIR: the persistent analysis store.  The
-   directory is validated once up front (an unusable path is an I/O error,
-   exit 2); parallel tasks then open their own per-domain handles
-   best-effort — a directory that turns read-only mid-run degrades to
-   write-error counters, never a crash. *)
-let cache_dir_env =
-  Cmd.Env.info "BM_CACHE_DIR" ~doc:"Default directory for the persistent analysis cache."
-
-let cache_dir_arg =
-  let env = cache_dir_env in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR" ~env
-        ~doc:
-          "Persist the launch-time analysis artifacts (footprints, cost profiles, rw-sets, \
-           pair relations) under $(docv), keyed by structural kernel fingerprint, so later \
-           runs — including other processes — start disk-warm.  Stale or corrupt entries \
-           read as misses and are rewritten; results are always cycle-identical to a cold \
-           run.  An unusable directory exits 2.")
-
-let check_cache_dir = function
-  | None -> ()
-  | Some dir -> (
-    match Store.open_dir dir with
-    | Ok _ -> ()
-    | Error msg ->
-      Printf.eprintf "bmctl: cannot open cache directory: %s\n" msg;
-      exit exit_io_error)
-
 (* Per-task store handle on the (already validated) shared directory. *)
 let task_store = function
   | None -> None
   | Some dir -> ( match Store.open_dir dir with Ok s -> Some s | Error _ -> None)
 
-let cache_of_dir cache_dir =
-  check_cache_dir cache_dir;
-  Cache.create ?store:(task_store cache_dir) ()
+let cache_of_dir cache_dir = Cache.create ?store:(task_store cache_dir) ()
 
 let list_cmd =
   let doc = "List the available benchmark applications." in
@@ -217,16 +154,6 @@ let print_stats name mode (s : Stats.t) =
     Printf.printf "  TB stall (q1/med/q3, normalized to exec): %.2f / %.2f / %.2f\n" q1 med q3
   end
 
-let backend_arg =
-  Arg.(
-    value
-    & opt (enum [ ("sim", `Sim); ("replay", `Replay) ]) `Sim
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Execution engine: $(b,sim) prepares and runs the command-queue simulator, \
-           $(b,replay) captures the app into a compiled graph and replays it event-triggered. \
-           Results are cycle-exact identical.")
-
 let rta_bug_arg =
   Arg.(
     value & flag
@@ -242,9 +169,6 @@ let run_cmd =
      additionally judged against the deadline and the response-time-analysis bound: a miss \
      the analysis predicted (bound > deadline) exits 0, but a makespan above the bound — an \
      unsound analysis — exits 7."
-  in
-  let mode =
-    Arg.(value & opt mode_conv Mode.Producer_priority & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"Execution mode.")
   in
   let deadline =
     Arg.(
@@ -273,7 +197,9 @@ let run_cmd =
       end
   in
   Cmd.v (cmd_info "run" ~doc)
-    Term.(const run $ app_arg $ mode $ backend_arg $ deadline $ rta_bug_arg $ cache_dir_arg)
+    Term.(
+      const run $ app_arg $ Bm_cli.mode () $ Bm_cli.backend $ deadline $ rta_bug_arg
+      $ Bm_cli.cache_dir)
 
 let speedup_cmd =
   let doc = "Report speedups over the baseline for every Fig. 9 mode." in
@@ -320,21 +246,17 @@ let analyze_cmd =
 
 let timeline_cmd =
   let doc = "Render a Gantt-style execution timeline for one mode." in
-  let mode =
-    Arg.(value & opt mode_conv Mode.Producer_priority & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"Execution mode.")
-  in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit per-TB records as CSV instead.") in
   let run (name, gen) mode csv =
     let app = gen () in
     let stats = Runner.simulate mode app in
     if csv then print_string (Timeline.csv stats)
     else begin
-      Printf.printf "%s under %s
-" name (Mode.name mode);
+      Printf.printf "%s under %s\n" name (Mode.name mode);
       print_string (Timeline.ascii stats)
     end
   in
-  Cmd.v (cmd_info "timeline" ~doc) Term.(const run $ app_arg $ mode $ csv)
+  Cmd.v (cmd_info "timeline" ~doc) Term.(const run $ app_arg $ Bm_cli.mode () $ csv)
 
 let stats_cmd =
   let doc =
@@ -349,13 +271,6 @@ let stats_cmd =
      (skipping simulation) so the counters cover the whole suite.  With $(b,--cache-dir) the \
      persistent disk tier is attached and its $(b,prep.cache.disk.*) counters (and per-pass \
      disk hit rates) are reported alongside the in-memory tables."
-  in
-  let modes =
-    Arg.(
-      value
-      & opt_all mode_conv []
-      & info [ "m"; "mode" ] ~docv:"MODE"
-          ~doc:"Execution mode(s); repeat for a sweep (default: producer).")
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit a JSON snapshot instead of tables.") in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit the metrics as CSV instead of tables.") in
@@ -379,22 +294,9 @@ let stats_cmd =
              trees into a single aggregate report instead of one report per mode.")
   in
   let write_out out data =
-    match out with
-    | None -> print_string data
-    | Some file -> (
-      try
-        let oc = open_out file in
-        output_string oc data;
-        close_out oc;
-        Printf.eprintf "wrote %s (%d bytes)\n" file (String.length data)
-      with Sys_error msg ->
-        Printf.eprintf "bmctl: cannot write: %s\n" msg;
-        exit exit_io_error)
+    match out with None -> print_string data | Some file -> Bm_cli.write_file file data
   in
-  let run target modes json csv out folded no_series merged repeat jobs cache_dir =
-    set_jobs jobs;
-    check_cache_dir cache_dir;
-    let modes = if modes = [] then [ Mode.Producer_priority ] else modes in
+  let run target modes json csv out folded no_series merged repeat () cache_dir =
     let name, apps =
       match target with
       | `App (name, gen) -> (name, [ gen () ])
@@ -555,7 +457,7 @@ let stats_cmd =
           List.iter (fun (_, _, p, _) -> Prof.merge ~into:agg p) reports;
           agg
       in
-      write_out (Some file) (Prof.folded prof)
+      Bm_cli.write_file file (Prof.folded prof)
     | None -> ()
   in
   let target =
@@ -567,7 +469,7 @@ let stats_cmd =
   let repeat =
     Arg.(
       value
-      & opt (pos_int_conv "--repeat") 1
+      & opt (Bm_cli.pos_int_conv "--repeat") 1
       & info [ "repeat" ] ~docv:"N"
           ~doc:
             "Prepare the app(s) $(docv) times against one launch-time analysis cache and \
@@ -575,21 +477,14 @@ let stats_cmd =
   in
   Cmd.v (cmd_info "stats" ~doc)
     Term.(
-      const run $ target $ modes $ json $ csv $ out $ folded $ no_series $ merged $ repeat
-      $ jobs_arg $ cache_dir_arg)
+      const run $ target $ Bm_cli.modes ~default:[ Mode.Producer_priority ] () $ json $ csv $ out
+      $ folded $ no_series $ merged $ repeat $ Bm_cli.jobs $ Bm_cli.cache_dir)
 
 let trace_cmd =
   let doc =
     "Record an event trace, validate it, and export it.  With repeated $(b,-m) options the \
      modes replay as parallel tasks (see $(b,--jobs)), each recording into its own trace; \
      with $(b,-o) the mode's short name is inserted before the file extension."
-  in
-  let modes =
-    Arg.(
-      value
-      & opt_all mode_conv []
-      & info [ "m"; "mode" ] ~docv:"MODE"
-          ~doc:"Execution mode(s); repeat for a sweep (default: producer).")
   in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
@@ -609,9 +504,7 @@ let trace_cmd =
     | Some (s, _) -> s
     | None -> Mode.name m
   in
-  let run (name, gen) modes out csv no_check jobs =
-    set_jobs jobs;
-    let modes = if modes = [] then [ Mode.Producer_priority ] else modes in
+  let run (name, gen) modes out csv no_check () =
     let app = gen () in
     let cfg = Config.titan_x_pascal in
     (* One replay task per mode; traces are single-domain sinks, one per
@@ -644,14 +537,7 @@ let trace_cmd =
                 ~meta:(("app", name) :: ("mode", Mode.name mode) :: Config.to_assoc cfg)
                 trace
           in
-          (try
-             let oc = open_out file in
-             output_string oc data;
-             close_out oc;
-             Printf.printf "wrote %s (%d bytes)\n" file (String.length data)
-           with Sys_error msg ->
-             Printf.eprintf "bmctl: cannot write trace: %s\n" msg;
-             exit exit_io_error)
+          Bm_cli.write_file file data
         | None -> ());
         if not no_check then
           match
@@ -666,7 +552,10 @@ let trace_cmd =
       replays;
     if !violations > 0 then exit exit_trace_violation
   in
-  Cmd.v (cmd_info "trace" ~doc) Term.(const run $ app_arg $ modes $ out $ csv $ no_check $ jobs_arg)
+  Cmd.v (cmd_info "trace" ~doc)
+    Term.(
+      const run $ app_arg $ Bm_cli.modes ~default:[ Mode.Producer_priority ] () $ out $ csv
+      $ no_check $ Bm_cli.jobs)
 
 let graph_file_arg =
   Arg.(
@@ -722,7 +611,7 @@ let capture_cmd =
       Printf.eprintf "bmctl: cannot write graph: %s\n" msg;
       exit exit_io_error
   in
-  Cmd.v (cmd_info "capture" ~doc) Term.(const run $ app_arg $ out $ cache_dir_arg)
+  Cmd.v (cmd_info "capture" ~doc) Term.(const run $ app_arg $ out $ Bm_cli.cache_dir)
 
 let replay_cmd =
   let doc =
@@ -731,13 +620,6 @@ let replay_cmd =
      validated against the application's current fingerprint, and replayed under each \
      requested mode with zero preparation work.  $(b,--compare) also runs the command-queue \
      simulator on a fresh preparation and fails on any cycle divergence."
-  in
-  let modes =
-    Arg.(
-      value
-      & opt_all mode_conv []
-      & info [ "m"; "mode" ] ~docv:"MODE"
-          ~doc:"Execution mode(s); repeat for a sweep (default: producer).")
   in
   let compare_ =
     Arg.(
@@ -761,7 +643,6 @@ let replay_cmd =
   in
   let run (name, gen) graph_file modes compare_ fresh counters =
     let app = gen () in
-    let modes = if modes = [] then [ Mode.Producer_priority ] else modes in
     let cfg = Config.titan_x_pascal in
     let graph =
       if fresh then Runner.capture ~cfg app
@@ -803,7 +684,9 @@ let replay_cmd =
     if !mismatches > 0 then exit exit_counterexample
   in
   Cmd.v (cmd_info "replay" ~doc)
-    Term.(const run $ app_arg $ graph_file_arg $ modes $ compare_ $ fresh $ counters)
+    Term.(
+      const run $ app_arg $ graph_file_arg $ Bm_cli.modes ~default:[ Mode.Producer_priority ] ()
+      $ compare_ $ fresh $ counters)
 
 (* Submission/spatial policy options, shared by corun and explain. *)
 let policy_conv =
@@ -877,12 +760,6 @@ let corun_cmd =
     Arg.(
       non_empty & pos_all app_conv []
       & info [] ~docv:"APP" ~doc:"Benchmark names (two or more; see list).")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv Mode.Producer_priority
-      & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"Execution mode.")
   in
   let check =
     Arg.(
@@ -992,16 +869,8 @@ let corun_cmd =
     in
     (match (folded, profs) with
     | Some file, Some ps ->
-      (try
-         let oc = open_out file in
-         Array.iteri
-           (fun i p -> ignore (Prof.to_folded ~out:oc ~prefix:(Printf.sprintf "app.%d" i) p))
-           ps;
-         close_out oc;
-         Printf.printf "wrote %s\n" file
-       with Sys_error msg ->
-         Printf.eprintf "bmctl: cannot write folded stacks: %s\n" msg;
-         exit exit_io_error)
+      let stacks i p = Prof.folded ~prefix:(Printf.sprintf "app.%d" i) p in
+      Bm_cli.write_file file (String.concat "" (Array.to_list (Array.mapi stacks ps)))
     | _ -> ());
     Printf.printf "co-run of %s under %s (%s, %s):\n" (String.concat " + " names)
       (Mode.name mode)
@@ -1034,8 +903,8 @@ let corun_cmd =
   in
   Cmd.v (cmd_info "corun" ~doc)
     Term.(
-      const run $ apps_arg $ mode $ policy_arg $ partition_arg $ check $ with_metrics $ folded
-      $ deadlines_arg $ cache_dir_arg)
+      const run $ apps_arg $ Bm_cli.mode () $ policy_arg $ partition_arg $ check $ with_metrics
+      $ folded $ deadlines_arg $ Bm_cli.cache_dir)
 
 let explain_cmd =
   let doc =
@@ -1054,21 +923,6 @@ let explain_cmd =
       non_empty & pos_all app_conv []
       & info [] ~docv:"APP" ~doc:"Benchmark name(s); several co-run on one machine.")
   in
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv Mode.Producer_priority
-      & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"Execution mode (see $(b,run)).")
-  in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("sim", `Sim); ("replay", `Replay) ]) `Sim
-      & info [ "backend" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution engine: $(b,sim) prepares and simulates, $(b,replay) captures a graph \
-             and replays it.  Traces are byte-identical, so the attribution must not change.")
-  in
   let json =
     Arg.(
       value & flag
@@ -1078,9 +932,8 @@ let explain_cmd =
              The encoding is stable: parsing and re-encoding reproduces the same bytes.")
   in
   let top =
-    let pos_int = pos_int_conv "--top" in
     Arg.(
-      value & opt pos_int 5
+      value & opt (Bm_cli.pos_int_conv "--top") 5
       & info [ "top" ] ~docv:"K" ~doc:"Contributors listed in the top-kernel tables.")
   in
   let check =
@@ -1146,22 +999,13 @@ let explain_cmd =
           solo.Explain.x_total_us;
         List.iter Report.print (Explain.tables ~top solo)
       end;
-      (match trace_out with
-      | Some file -> (
-        let data =
-          Trace.to_chrome_json
-            ~meta:(("app", name) :: ("mode", Mode.name mode) :: Config.to_assoc cfg)
-            ~counters:(Explain.counter_series solo) trace
-        in
-        try
-          let oc = open_out file in
-          output_string oc data;
-          close_out oc;
-          Printf.printf "wrote %s (%d bytes)\n" file (String.length data)
-        with Sys_error msg ->
-          Printf.eprintf "bmctl: cannot write trace: %s\n" msg;
-          exit exit_io_error)
-      | None -> ());
+      Option.iter
+        (fun file ->
+          Bm_cli.write_file file
+            (Trace.to_chrome_json
+               ~meta:(("app", name) :: ("mode", Mode.name mode) :: Config.to_assoc cfg)
+               ~counters:(Explain.counter_series solo) trace))
+        trace_out;
       (match metrics with
       | Some m ->
         Explain.export m solo;
@@ -1205,8 +1049,8 @@ let explain_cmd =
   in
   Cmd.v (cmd_info "explain" ~doc)
     Term.(
-      const run $ apps_arg $ mode $ backend $ json $ top $ check $ no_whatif $ trace_out
-      $ with_metrics $ policy_arg $ partition_arg $ cache_dir_arg)
+      const run $ apps_arg $ Bm_cli.mode () $ Bm_cli.backend $ json $ top $ check $ no_whatif
+      $ trace_out $ with_metrics $ policy_arg $ partition_arg $ Bm_cli.cache_dir)
 
 let rta_cmd =
   let doc =
@@ -1217,11 +1061,8 @@ let rta_cmd =
      violation exits 7 — the analysis, not the application, is then at fault."
   in
   let modes =
-    Arg.(
-      value
-      & opt_all mode_conv []
-      & info [ "m"; "mode" ] ~docv:"MODE"
-          ~doc:"Mode(s) to sweep (default: all known modes, including the deadline family).")
+    Bm_cli.modes ~default:(List.map snd Mode.known)
+      ~doc:"Mode(s) to sweep (default: all known modes, including the deadline family)." ()
   in
   let json =
     Arg.(
@@ -1231,7 +1072,6 @@ let rta_cmd =
           ~doc:"Also write the sweep as a $(b,bm.rta/1) JSON artifact to $(docv).")
   in
   let run (name, gen) modes json rta_bug cache_dir =
-    let modes = if modes = [] then List.map snd Mode.known else modes in
     let cache = cache_of_dir cache_dir in
     let entries = Rta.check_app ~modes ~optimistic_bound:rta_bug ~cache ~name (gen ()) in
     let t =
@@ -1250,17 +1090,9 @@ let rta_cmd =
           ])
       entries;
     Report.print t;
-    (match json with
-    | None -> ()
-    | Some file -> (
-      try
-        let oc = open_out file in
-        output_string oc (Json.to_string ~pretty:true (Rta.to_json entries));
-        close_out oc;
-        Printf.printf "wrote %s\n" file
-      with Sys_error msg ->
-        Printf.eprintf "bmctl: cannot write: %s\n" msg;
-        exit exit_io_error));
+    Option.iter
+      (fun file -> Bm_cli.write_file file (Json.to_string ~pretty:true (Rta.to_json entries)))
+      json;
     match Rta.violations entries with
     | [] -> ()
     | vs ->
@@ -1270,7 +1102,7 @@ let rta_cmd =
       exit exit_rta_violation
   in
   Cmd.v (cmd_info "rta" ~doc)
-    Term.(const run $ app_arg $ modes $ json $ rta_bug_arg $ cache_dir_arg)
+    Term.(const run $ app_arg $ modes $ json $ rta_bug_arg $ Bm_cli.cache_dir)
 
 let fuzz_cmd =
   let doc =
@@ -1297,10 +1129,8 @@ let fuzz_cmd =
              be caught as a scheduler mismatch (self-test of the oracle).")
   in
   let modes =
-    Arg.(
-      value
-      & opt_all mode_conv []
-      & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"Mode(s) to check (default: all known modes).")
+    Bm_cli.modes ~default:(List.map snd Mode.known)
+      ~doc:"Mode(s) to check (default: all known modes)." ()
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress lines.") in
   let replay =
@@ -1333,11 +1163,8 @@ let fuzz_cmd =
              a nonzero value must be caught as a scheduler mismatch (self-test of the co-run \
              oracle).")
   in
-  let run seed count shrink no_soundness window_bug modes quiet replay corun slots_bug jobs
+  let run seed count shrink no_soundness window_bug modes quiet replay corun slots_bug ()
       cache_dir =
-    set_jobs jobs;
-    check_cache_dir cache_dir;
-    let modes = if modes = [] then List.map snd Mode.known else modes in
     let log = if quiet then fun _ -> () else fun s -> Printf.eprintf "%s\n%!" s in
     if corun then begin
       let report = Fuzz.run_corun ~modes ~shrink ?slots_bug ~log ?cache_dir ~seed ~count () in
@@ -1357,7 +1184,7 @@ let fuzz_cmd =
   Cmd.v (cmd_info "fuzz" ~doc)
     Term.(
       const run $ seed $ count $ shrink $ no_soundness $ window_bug $ modes $ quiet $ replay
-      $ corun $ slots_bug $ jobs_arg $ cache_dir_arg)
+      $ corun $ slots_bug $ Bm_cli.jobs $ Bm_cli.cache_dir)
 
 let prewarm_cmd =
   let doc =
@@ -1374,7 +1201,7 @@ let prewarm_cmd =
     Arg.(
       required
       & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR" ~env:cache_dir_env
+      & info [ "cache-dir" ] ~docv:"DIR" ~env:Bm_cli.cache_dir_env
           ~doc:"Cache directory to populate (created if absent; unusable exits 2).")
   in
   let check_rate =
@@ -1395,13 +1222,8 @@ let prewarm_cmd =
             "After populating, re-prepare the suite with cold in-memory caches and require \
              the aggregate disk hit rate to reach $(docv) percent (exit 3 below it).")
   in
-  let run cache_dir check_rate jobs =
-    set_jobs jobs;
-    (match Store.open_dir cache_dir with
-    | Ok _ -> ()
-    | Error msg ->
-      Printf.eprintf "bmctl: cannot open cache directory: %s\n" msg;
-      exit exit_io_error);
+  let run cache_dir check_rate () =
+    Bm_cli.check_cache_dir (Some cache_dir);
     let cfg = Config.titan_x_pascal in
     (* One task per app, each with its own store handle and in-memory cache
        (single-domain sinks); both reorder classes so every artifact any
@@ -1421,44 +1243,22 @@ let prewarm_cmd =
         Report.table ~title
           ~columns:[ "app"; "disk hits"; "misses"; "stale"; "corrupt"; "write err"; "B written" ]
       in
-      let tot = ref (0, 0, 0, 0, 0, 0) in
+      let tot = Array.make 6 0 in
       List.iter
         (fun (name, c) ->
           match c with
-          | None -> Report.row t [ name; "n/a"; "n/a"; "n/a"; "n/a"; "n/a"; "n/a" ]
+          | None -> Report.row t (name :: List.init 6 (fun _ -> "n/a"))
           | Some (c : Store.counters) ->
-            let th, tm, ts, tc, tw, tb = !tot in
-            tot :=
-              ( th + c.Store.disk_hits,
-                tm + c.Store.disk_misses,
-                ts + c.Store.disk_stale,
-                tc + c.Store.disk_corrupt,
-                tw + c.Store.disk_write_errors,
-                tb + c.Store.disk_bytes_written );
-            Report.row t
-              [
-                name;
-                string_of_int c.Store.disk_hits;
-                string_of_int c.Store.disk_misses;
-                string_of_int c.Store.disk_stale;
-                string_of_int c.Store.disk_corrupt;
-                string_of_int c.Store.disk_write_errors;
-                string_of_int c.Store.disk_bytes_written;
-              ])
+            let cols =
+              [ c.Store.disk_hits; c.Store.disk_misses; c.Store.disk_stale; c.Store.disk_corrupt;
+                c.Store.disk_write_errors; c.Store.disk_bytes_written ]
+            in
+            List.iteri (fun i v -> tot.(i) <- tot.(i) + v) cols;
+            Report.row t (name :: List.map string_of_int cols))
         rows;
-      let th, tm, ts, tc, tw, tb = !tot in
-      Report.row t
-        [
-          "total";
-          string_of_int th;
-          string_of_int tm;
-          string_of_int ts;
-          string_of_int tc;
-          string_of_int tw;
-          string_of_int tb;
-        ];
+      Report.row t ("total" :: Array.to_list (Array.map string_of_int tot));
       Report.print t;
-      (th, tm)
+      (tot.(0), tot.(1))
     in
     let _ = print_pass (Printf.sprintf "prewarm of %s" cache_dir) (pass ()) in
     match check_rate with
@@ -1475,7 +1275,7 @@ let prewarm_cmd =
         exit exit_counterexample
       end
   in
-  Cmd.v (cmd_info "prewarm" ~doc) Term.(const run $ cache_dir_req $ check_rate $ jobs_arg)
+  Cmd.v (cmd_info "prewarm" ~doc) Term.(const run $ cache_dir_req $ check_rate $ Bm_cli.jobs)
 
 let ptx_cmd =
   let doc = "Print the PTX of the application's distinct kernels." in

@@ -126,7 +126,13 @@ let compare_against ?jobs ?cache_dir ~threshold_pct old_file =
     Printf.eprintf "cannot load %s: %s\n" old_file msg;
     2
   | Ok old ->
+    (* The file stores cycles at JSON precision (12 significant digits);
+       compare the fresh measurement at that precision too, so identical
+       cycles read as a zero delta even under --threshold 0. *)
     let current = collect ?jobs ?cache_dir () in
+    let current =
+      Result.value ~default:current (Benchfile.of_string (Benchfile.to_string current))
+    in
     let ds = Benchfile.deltas ~old current in
     Report.print (Benchfile.delta_table ~threshold_pct ds);
     let regs = Benchfile.regressions ~threshold_pct ds in

@@ -41,87 +41,13 @@ let int_array_of_json ~what j =
 let json_of_int_array a =
   Json.Arr (Array.to_list (Array.map (fun i -> Json.Num (float_of_int i)) a))
 
-let float_array_of_json ~what j =
-  Array.of_list (List.map (float_of_json ~what) (list_of_json ~what j))
-
-let json_of_float_array a = Json.Arr (Array.to_list (Array.map json_of_float a))
-
-(* --- packed numeric payloads ------------------------------------------- *)
-
-(* The disk store's bulk arrays (interval triples, per-TB cost vectors,
-   encoded relations) persist as ONE JSON string of packed tokens instead
-   of a JSON array: the generic parser boxes every number through a
-   substring, float_of_string and a list cons, which dominates disk-warm
-   preparation wall-clock, while a packed payload is a single string token
-   the readers below scan in one pass. *)
-
-let json_of_packed_ints a =
-  let buf = Buffer.create ((4 * Array.length a) + 8) in
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int v))
-    a;
-  Json.Str (Buffer.contents buf)
-
-let packed_ints_of_json ~what j =
-  let s = str_of_json ~what j in
-  let n = String.length s in
-  if n = 0 then [||]
-  else begin
-    let count = ref 1 in
-    String.iter (fun c -> if c = ',' then incr count) s;
-    let out = Array.make !count 0 in
-    let pos = ref 0 in
-    let digit c = c >= '0' && c <= '9' in
-    for i = 0 to !count - 1 do
-      if i > 0 then
-        if !pos < n && s.[!pos] = ',' then incr pos
-        else bad "%s: malformed packed integers" what;
-      let neg = !pos < n && s.[!pos] = '-' in
-      if neg then incr pos;
-      if not (!pos < n && digit s.[!pos]) then bad "%s: malformed packed integer" what;
-      let v = ref 0 in
-      while !pos < n && digit s.[!pos] do
-        v := (!v * 10) + (Char.code s.[!pos] - Char.code '0');
-        incr pos
-      done;
-      out.(i) <- (if neg then - !v else !v)
-    done;
-    if !pos <> n then bad "%s: trailing garbage in packed integers" what;
-    out
-  end
-
-let json_of_packed_floats a =
-  let buf = Buffer.create (16 * Array.length a) in
-  Array.iter (fun f -> Buffer.add_string buf (Printf.sprintf "%016Lx" (Int64.bits_of_float f))) a;
-  Json.Str (Buffer.contents buf)
-
-let packed_floats_of_json ~what j =
-  let s = str_of_json ~what j in
-  let n = String.length s in
-  if n mod 16 <> 0 then bad "%s: packed float payload length %d not a multiple of 16" what n;
-  let nib c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> bad "%s: invalid hex digit %C in packed floats" what c
-  in
-  Array.init (n / 16) (fun i ->
-      let bits = ref 0L in
-      for k = 16 * i to (16 * i) + 15 do
-        bits := Int64.logor (Int64.shift_left !bits 4) (Int64.of_int (nib s.[k]))
-      done;
-      Int64.float_of_bits !bits)
-
 (* Delta + run-length packing: the store's integer payloads are dominated
    by structured sequences — monotone id lists, affine per-TB address
    progressions, step-function parent maps — whose successive differences
    are long runs of one constant.  The token stream covers the DELTA
    sequence (the first delta is from 0): [D] is one delta, [N*D] repeats
    delta D N times.  A structureless sequence degrades to one token per
-   element, no worse than the plain form. *)
+   element. *)
 
 let json_of_packed_ints_rle a =
   let buf = Buffer.create 256 in

@@ -27,27 +27,13 @@ val int_field : what:string -> string -> Bm_metrics.Json.t -> int
 val str_field : what:string -> string -> Bm_metrics.Json.t -> string
 val int_array_of_json : what:string -> Bm_metrics.Json.t -> int array
 val json_of_int_array : int array -> Bm_metrics.Json.t
-val float_array_of_json : what:string -> Bm_metrics.Json.t -> float array
-val json_of_float_array : float array -> Bm_metrics.Json.t
-
-(** {2 Packed numeric payloads}
-
-    The disk store's bulk arrays persist as one JSON string of packed
-    tokens rather than a JSON array: the generic parser boxes every number
-    through a substring and [float_of_string], which dominates disk-warm
-    preparation wall-clock, while a packed payload is a single string
-    token scanned in one pass.  Integers pack comma-separated in decimal;
-    floats pack as concatenated 16-hex-digit IEEE-754 bit patterns (the
-    same representation {!json_of_float} uses per element). *)
-
-val json_of_packed_ints : int array -> Bm_metrics.Json.t
-val packed_ints_of_json : what:string -> Bm_metrics.Json.t -> int array
-val json_of_packed_floats : float array -> Bm_metrics.Json.t
-val packed_floats_of_json : what:string -> Bm_metrics.Json.t -> float array
 
 (** {2 Delta + run-length packing}
 
-    The store's integer payloads are dominated by structured sequences —
+    The disk store's bulk arrays persist as one JSON string of packed
+    tokens rather than a JSON array: the generic parser boxes every number
+    through a substring and [float_of_string], while a packed payload is a
+    single string token scanned in one pass.  The store's integer payloads are dominated by structured sequences —
     monotone id lists, affine per-TB address progressions, step-function
     parent maps — whose successive differences are long runs of one
     constant.  The token stream covers the {e delta} sequence (the first

@@ -1,6 +1,6 @@
 module Metrics = Bm_metrics.Metrics
 
-let run ?host_blocking_copies ?metrics ?trace cfg mode (graph : Graph.t) =
+let run ?metrics ?trace cfg mode (graph : Graph.t) =
   let digest = Graph.cfg_digest cfg in
   if not (String.equal digest graph.Graph.g_cfg_digest) then
     invalid_arg
@@ -8,7 +8,7 @@ let run ?host_blocking_copies ?metrics ?trace cfg mode (graph : Graph.t) =
          graph.Graph.g_app graph.Graph.g_cfg_digest digest);
   let sched = if Mode.reorders mode then graph.Graph.g_reordered else graph.Graph.g_plain in
   let app = { Sim.a_sched = sched; a_trace = trace; a_deadlines = None } in
-  let o = Sim.run_schedules ~caller:"Replay.run" ?host_blocking_copies ?metrics cfg mode [| app |] in
+  let o = Sim.run_schedules ~caller:"Replay.run" ?metrics cfg mode [| app |] in
   (match metrics with
   | None -> ()
   | Some reg ->

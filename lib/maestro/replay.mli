@@ -15,7 +15,6 @@
     [graph.replay.*] counters. *)
 
 val run :
-  ?host_blocking_copies:bool ->
   ?metrics:Bm_metrics.Metrics.t ->
   ?trace:Bm_gpu.Stats.sink ->
   Bm_gpu.Config.t ->

@@ -167,7 +167,11 @@ let parse_instruction lineno line =
         | None -> fail lineno "guard without instruction"
         | Some sp ->
           let g = String.sub line 1 (sp - 1) in
-          let guard = if g.[0] = '!' then (true, String.sub g 1 (String.length g - 1)) else (false, g) in
+          let guard =
+            if String.starts_with ~prefix:"!" g then (true, String.sub g 1 (String.length g - 1))
+            else (false, g)
+          in
+          if snd guard = "" then fail lineno "guard without predicate register";
           (Some guard, String.trim (String.sub line sp (String.length line - sp)))
       end
       else (None, line)

@@ -427,6 +427,35 @@ let test_bmctl_help_consistency () =
         [ 0; 2; 3; 4; 5; 6; 7; 124 ])
     [ "run"; "rta"; "corun" ]
 
+(* The bench harness front end: its help must list every run flag, and
+   flags that cannot be combined, or an unknown section, are usage errors
+   (cmdliner's 124), not a silently chosen subset. *)
+let bench_exe =
+  if Sys.file_exists "../bench/main.exe" then "../bench/main.exe"
+  else "_build/default/bench/main.exe"
+
+let bench ?(stdout = "/dev/null") args =
+  Sys.command (Filename.quote_command bench_exe ~stdout ~stderr:"/dev/null" args)
+
+let test_bench_front_end () =
+  let help =
+    with_temp_file (fun path ->
+        Alcotest.(check int) "--help exits 0" 0 (bench ~stdout:path [ "--help=plain" ]);
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  List.iter
+    (fun flag ->
+      Alcotest.(check bool) (Printf.sprintf "help documents %s" flag) true (contains ~needle:flag help))
+    [ "--oracle"; "--corun"; "--explain"; "--deadlines"; "--perf-gate"; "--only"; "--no-bechamel";
+      "--backend"; "--json"; "--compare"; "--threshold"; "--jobs"; "--cache-dir" ];
+  List.iter
+    (fun flag ->
+      Alcotest.(check bool) (Printf.sprintf "help no longer lists %s" flag) false
+        (contains ~needle:flag help))
+    [ "--trace"; "--capture-compare" ];
+  Alcotest.(check int) "two gates exit 124" 124 (bench [ "--perf-gate"; "--corun" ]);
+  Alcotest.(check int) "unknown section exits 124" 124 (bench [ "--only"; "fig99" ])
+
 let suite =
   [
     Alcotest.test_case "replay: suite x modes cycle-exact" `Slow test_suite_cycle_exact;
@@ -447,4 +476,5 @@ let suite =
     Alcotest.test_case "fuzz: replay backend smoke" `Slow test_fuzz_replay_smoke;
     Alcotest.test_case "bmctl: capture/replay exit codes" `Slow test_bmctl_capture_replay;
     Alcotest.test_case "bmctl: help/parser consistency" `Slow test_bmctl_help_consistency;
+    Alcotest.test_case "bench: front-end flags and usage errors" `Quick test_bench_front_end;
   ]

@@ -23,6 +23,8 @@ module Diff = Bm_oracle.Diff
 module Soundness = Bm_oracle.Soundness
 module Shrink = Bm_oracle.Shrink
 module Fuzz = Bm_oracle.Fuzz
+module Refsched = Bm_oracle.Refsched
+module Sim = Bm_maestro.Sim
 module Cache = Bm_maestro.Cache
 module Runner = Bm_maestro.Runner
 module Suite = Bm_workloads.Suite
@@ -41,6 +43,35 @@ let test_diff_random () =
   let rng = Rng.create 0xd1ff in
   for idx = 0 to 49 do
     assert_agrees (Printf.sprintf "random app %d" idx) (Genapp.build (Genapp.generate rng idx))
+  done
+
+(* Synchronous host copies (the ablation's "blocking APIs" row) are a
+   separate engine path: every copy stalls the host until it completes.
+   [Diff.check] never sets the flag, so this sweep is its only oracle. *)
+let test_diff_host_blocking_random () =
+  let rng = Rng.create 7 in
+  for idx = 0 to 29 do
+    let app = Genapp.build (Genapp.generate rng idx) in
+    let preps = Hashtbl.create 2 in
+    List.iter
+      (fun (_, mode) ->
+        let reorder = Mode.reorders mode in
+        let prep =
+          match Hashtbl.find_opt preps reorder with
+          | Some p -> p
+          | None ->
+            let p = Prep.prepare ~reorder cfg app in
+            Hashtbl.add preps reorder p;
+            p
+        in
+        let sim = Sim.run ~host_blocking_copies:true cfg mode prep in
+        let ref_ = Refsched.run ~host_blocking_copies:true cfg mode prep in
+        match Diff.diff_stats sim ref_ with
+        | [] -> ()
+        | ds ->
+          Alcotest.failf "random app %d under %s with blocking copies: %s" idx (Mode.name mode)
+            (String.concat "; " ds))
+      Mode.known
   done
 
 (* --- differential: directed corners ---------------------------------- *)
@@ -342,4 +373,6 @@ let suite =
     Alcotest.test_case "shrink: measure decreases" `Quick test_shrink_measure;
     Alcotest.test_case "shrink: minimize to fixpoint" `Quick test_shrink_minimize;
     Alcotest.test_case "genapp: to_ocaml mirrors spec" `Quick test_genapp_to_ocaml;
+    Alcotest.test_case "diff: host-blocking copies, 30 random apps x all modes" `Slow
+      test_diff_host_blocking_random;
   ]

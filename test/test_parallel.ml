@@ -166,6 +166,18 @@ let test_benchrun_jobs_identity () =
         a.Benchfile.ar_modes)
     seq.Benchfile.bf_apps
 
+(* The snapshot file keeps 12 significant digits; a re-measurement of the
+   same code must still compare as a zero delta, so --threshold 0 passes
+   exactly when the cycles are unchanged. *)
+let test_benchrun_compare_own_snapshot () =
+  let file = Filename.temp_file "bm_bench" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      Benchfile.save file (Benchrun.collect ());
+      Alcotest.(check int) "--threshold 0 against its own snapshot" 0
+        (Benchrun.compare_against ~threshold_pct:0.0 file))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_map_ordered_is_array_map;
@@ -181,4 +193,6 @@ let suite =
     Alcotest.test_case "fuzz: chunked generation is invisible" `Slow test_fuzz_chunk_identity;
     Alcotest.test_case "benchrun: --jobs 4 = --jobs 1 (cycle-identical)" `Slow
       test_benchrun_jobs_identity;
+    Alcotest.test_case "benchrun: zero delta against its own snapshot" `Slow
+      test_benchrun_compare_own_snapshot;
   ]

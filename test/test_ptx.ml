@@ -295,4 +295,10 @@ let test_parser_tolerates_comments_and_blanks () =
 
 let suite =
   suite @ negative_suite
-  @ [ Alcotest.test_case "parser: comments and blanks" `Quick test_parser_tolerates_comments_and_blanks ]
+  @ [
+      Alcotest.test_case "parser: comments and blanks" `Quick test_parser_tolerates_comments_and_blanks;
+      expect_parse_error "parser: guard without predicate"
+        ".visible .entry k(\n)\n{\n  @ bra L_END;\nL_END:\n  ret;\n}\n";
+      expect_parse_error "parser: negated guard without predicate"
+        ".visible .entry k(\n)\n{\n  @! bra L_END;\nL_END:\n  ret;\n}\n";
+    ]
