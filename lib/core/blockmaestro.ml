@@ -22,7 +22,7 @@
     - {!Templates}, {!Dsl}, {!Suite}, {!Microbench}, {!Wavefront},
       {!Genapp}: workloads
     - {!Cdp}, {!Wireframe}: comparison models
-    - {!Refsched}, {!Refmulti}, {!Diff}, {!Soundness}, {!Shrink}, {!Fuzz}:
+    - {!Refsched}, {!Diff}, {!Soundness}, {!Shrink}, {!Fuzz}:
       differential oracle and shrinking fuzzer
     - {!Metrics}, {!Prof}, {!Json}, {!Benchfile}: performance counters,
       span profiling and machine-readable bench trajectories
@@ -84,7 +84,6 @@ module Wavefront = Bm_workloads.Wavefront
 module Genapp = Bm_workloads.Genapp
 
 module Refsched = Bm_oracle.Refsched
-module Refmulti = Bm_oracle.Refmulti
 module Diff = Bm_oracle.Diff
 module Soundness = Bm_oracle.Soundness
 module Shrink = Bm_oracle.Shrink

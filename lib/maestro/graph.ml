@@ -285,7 +285,25 @@ let check_schedule ~what s =
       Array.iter
         (fun ci ->
           if ci < 0 || ci >= nc then bad "%s: node %d copy dep %d out of range" what i ci)
-        n.n_copy_deps)
+        n.n_copy_deps;
+      (* A TB graph must span this node's TBs and its predecessor's. *)
+      match n.n_relation with
+      | Bipartite.Independent | Bipartite.Fully_connected -> ()
+      | Bipartite.Graph g ->
+        if n.n_prev < 0 then bad "%s: node %d has a TB graph but no predecessor" what i;
+        let np = s.s_nodes.(n.n_prev).n_tbs in
+        let side name count rows bound expected =
+          if count <> expected || Array.length rows <> expected then
+            bad "%s: node %d relation sized %d/%d %s for %d TBs" what i count
+              (Array.length rows) name expected;
+          Array.iter
+            (Array.iter (fun id ->
+                 if id < 0 || id >= bound then
+                   bad "%s: node %d relation id %d out of range" what i id))
+            rows
+        in
+        side "children" g.Bipartite.n_children g.Bipartite.parents_of np n.n_tbs;
+        side "parents" g.Bipartite.n_parents g.Bipartite.children_of n.n_tbs np)
     s.s_nodes;
   let launches = ref 0 in
   Array.iteri

@@ -67,10 +67,7 @@ let check ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known)
         let prep =
           if Mode.reorders mode then Lazy.force prep_reordered else Lazy.force prep_plain
         in
-        let window_override =
-          match window_bug with None -> None | Some d -> Some (Mode.window mode + d)
-        in
-        let ref_ = Refsched.run ?window_override cfg mode prep in
+        let ref_ = (Refsched.run ?window_bug cfg mode [| prep |]).(0) in
         List.filter_map
           (fun backend ->
             let subject =
@@ -139,7 +136,7 @@ let check_corun ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known
             List.concat_map
               (fun submission ->
                 let subject = Multi.run ~submission ~spatial cfg mode preps in
-                let ref_ = Refmulti.run ~submission ~spatial ?slots_bug cfg mode preps in
+                let ref_ = Refsched.run ~submission ~spatial ?slots_bug cfg mode preps in
                 List.filter_map
                   (fun a ->
                     match diff_stats subject.Multi.mr_stats.(a) ref_.(a) with

@@ -1,4 +1,7 @@
-(** Differential checker: {!Bm_maestro.Sim.run} vs {!Refsched.run}.
+(** Differential checker: the event engine ({!Bm_maestro.Sim.run},
+    {!Bm_maestro.Replay.run} or {!Bm_maestro.Multi.run}) vs the one naive
+    reference, {!Refsched.run}, which takes a single app as the
+    one-element array.
 
     The two simulators share their inputs ({!Bm_maestro.Prep.t} and the
     machine config) and must agree {e cycle-exactly}: identical totals,
@@ -53,8 +56,8 @@ val pp_mismatch : Format.formatter -> mismatch -> unit
 
 (** {1 Co-run differencing}
 
-    The multi-app analogue: {!Bm_maestro.Multi.run} vs {!Refmulti.run}
-    across submission and spatial policies. *)
+    The multi-app analogue: {!Bm_maestro.Multi.run} vs {!Refsched.run}
+    on the whole app array, across submission and spatial policies. *)
 
 type corun_mismatch = {
   cm_mode : Bm_maestro.Mode.t;

@@ -37,13 +37,6 @@ let kind_name = function
   | Isolation_breach -> "partition isolation breach"
   | Crash msg -> "crash: " ^ msg
 
-(* Classify one spec.  [Clean] carries the soundness reports of the single
-   oracle pass so the caller can fold precision statistics without
-   re-running the analysis; it is empty when [soundness] is off. *)
-type outcome =
-  | Clean of Soundness.pair_report list
-  | Bad of kind * string
-
 (* One launch-time analysis cache per worker domain (DESIGN §8/§9: caches
    are single-domain sinks, never shared across domains).  Generated apps
    reuse kernel structures heavily, and cached preparation is
@@ -85,35 +78,32 @@ let with_cache_dir cache_dir f =
   Atomic.set wanted_cache_dir cache_dir;
   Fun.protect ~finally:(fun () -> Atomic.set wanted_cache_dir prev) f
 
-let examine_outcome ~cfg ~modes ~backends ~soundness ~window_bug spec =
+(* Classify one spec.  [Ok] carries the soundness reports of the single
+   oracle pass so the caller can fold precision statistics without
+   re-running the analysis; it is empty when [soundness] is off. *)
+let examine ~cfg ~modes ~backends ~soundness ~window_bug spec =
   let app = Genapp.build spec in
   let cache = domain_cache () in
   match Diff.check ~cfg ~modes ~backends ~cache ?window_bug app with
-  | Error (mm :: _) -> Bad (Scheduler_mismatch, Format.asprintf "%a" Diff.pp_mismatch mm)
-  | Error [] -> Clean [] (* unreachable: Error implies at least one mismatch *)
+  | Error (mm :: _) -> Error (Scheduler_mismatch, Format.asprintf "%a" Diff.pp_mismatch mm)
+  | Error [] -> Ok [] (* unreachable: Error implies at least one mismatch *)
   | exception exn ->
     let msg = Printexc.to_string exn in
-    Bad (Crash msg, msg)
+    Error (Crash msg, msg)
   | Ok () ->
-    if not soundness then Clean []
+    if not soundness then Ok []
     else begin
       match Soundness.check_app ~cfg app with
       | exception exn ->
         let msg = Printexc.to_string exn in
-        Bad (Crash msg, msg)
+        Error (Crash msg, msg)
       | reports -> (
         match Soundness.violations reports with
-        | [] -> Clean reports
+        | [] -> Ok reports
         | v :: _ ->
           let kind = if Soundness.pair_sound v then Relate_mismatch else Unsound_analysis in
-          Bad (kind, Format.asprintf "%a" Soundness.pp_report v))
+          Error (kind, Format.asprintf "%a" Soundness.pp_report v))
     end
-
-(* None = clean; used as the shrinking predicate (same kind must persist). *)
-let examine ~cfg ~modes ~backends ~soundness ~window_bug spec =
-  match examine_outcome ~cfg ~modes ~backends ~soundness ~window_bug spec with
-  | Clean _ -> None
-  | Bad (kind, detail) -> Some (kind, detail)
 
 let same_kind a b =
   match (a, b) with
@@ -124,87 +114,99 @@ let same_kind a b =
   | Crash _, Crash _ -> true
   | _ -> false
 
-let run ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known)
-    ?(backends = ([ `Sim ] : Diff.backend list)) ?(shrink = true) ?(soundness = true) ?window_bug
-    ?(log = fun _ -> ()) ?jobs ?(chunk = 256) ?cache_dir ~seed ~count () =
-  if chunk < 1 then invalid_arg "Fuzz.run: chunk must be >= 1";
+(* One failing item of a campaign, before it becomes an axis's record. *)
+type 'a found = {
+  index : int;
+  kind : kind;
+  detail : string;
+  item : 'a;
+  shrunk : 'a option;
+  steps : int;
+}
+
+(* The campaign loop both axes share.  Generation consumes the seeded RNG
+   strictly in index order — the one sequential phase — so the item stream
+   is identical to a fully sequential run regardless of how many domains
+   examine it, and identical for every chunk size: chunking only bounds
+   how many items are alive at once (memory stays flat for huge counts),
+   never the generation order, the verdicts or the log lines.  Only
+   failing items are retained.  Each failure then shrinks independently
+   (the shrinker re-examines candidates, never the RNG), so failures
+   minimize in parallel too. *)
+let campaign ~name ~noun ~nouns ~every ~to_string ~generate ~examine ~on_clean ~minimize ~shrink
+    ~log ?jobs ~chunk ?cache_dir ~seed ~count () =
+  if chunk < 1 then invalid_arg (name ^ ": chunk must be >= 1");
   with_cache_dir cache_dir @@ fun () ->
-  (* Spec generation consumes the seeded RNG strictly in index order — the
-     one sequential phase — so the generated stream is identical to a fully
-     sequential run regardless of how many domains examine it, and identical
-     for every chunk size: chunking only bounds how many specs are alive at
-     once (memory stays flat for huge --count), never the generation order,
-     the verdicts or the log lines.  Only failing specs are retained. *)
   let rng = Rng.create seed in
-  let pairs = ref 0 in
-  (* pattern -> (count, ratio sum, finite-ratio count) *)
-  let precision : (Pattern.t, int ref * float ref * int ref) Hashtbl.t = Hashtbl.create 8 in
   let bad = ref [] in
   let next = ref 0 in
   while !next < count do
     let base = !next in
     let n = min chunk (count - base) in
-    let specs = Array.init n (fun i -> Genapp.generate rng (base + i)) in
-    let outcomes =
-      Bm_parallel.map_ordered ?domains:jobs
-        (examine_outcome ~cfg ~modes ~backends ~soundness ~window_bug)
-        specs
-    in
+    let items = Array.init n (fun i -> generate rng (base + i)) in
+    let outcomes = Bm_parallel.map_ordered ?domains:jobs examine items in
     Array.iteri
       (fun i outcome ->
         let idx = base + i in
         (match outcome with
-        | Clean reports ->
-          (* Clean: accumulate the precision statistics for the summary. *)
-          List.iter
-            (fun r ->
-              incr pairs;
-              let cnt, sum, fin =
-                match Hashtbl.find_opt precision r.Soundness.pr_pattern with
-                | Some t -> t
-                | None ->
-                  let t = (ref 0, ref 0.0, ref 0) in
-                  Hashtbl.add precision r.Soundness.pr_pattern t;
-                  t
-              in
-              incr cnt;
-              let rat = Soundness.ratio r in
-              if rat < infinity then begin
-                sum := !sum +. rat;
-                incr fin
-              end)
-            reports
-        | Bad (kind, detail) ->
+        | Ok clean -> on_clean clean
+        | Error (kind, detail) ->
+          log (Printf.sprintf "%s %d (%s): %s" noun idx (to_string items.(i)) (kind_name kind));
+          bad := (idx, kind, detail, items.(i)) :: !bad);
+        if (idx + 1) mod every = 0 then
           log
-            (Printf.sprintf "app %d (%s): %s" idx (Genapp.to_string specs.(i)) (kind_name kind));
-          bad := (idx, kind, detail, specs.(i)) :: !bad);
-        if (idx + 1) mod 50 = 0 then
-          log (Printf.sprintf "%d/%d apps checked, %d failure(s)" (idx + 1) count
-                 (List.length !bad)))
+            (Printf.sprintf "%d/%d %s checked, %d failure(s)" (idx + 1) count nouns
+               (List.length !bad)))
       outcomes;
     next := base + n
   done;
-  (* Each failure shrinks independently (same per-task determinism: the
-     shrinker re-examines candidate specs, never the RNG), so failures
-     minimize in parallel too. *)
-  let failures =
-    Bm_parallel.map_list ?domains:jobs
-      (fun (idx, kind, detail, spec) ->
-        let shrunk, steps =
-          if not shrink then (None, 0)
-          else begin
-            let still_fails s =
-              match examine ~cfg ~modes ~backends ~soundness ~window_bug s with
-              | Some (k, _) -> same_kind k kind
-              | None -> false
-            in
-            let s, steps = Shrink.minimize still_fails spec in
-            (Some s, steps)
-          end
+  Bm_parallel.map_list ?domains:jobs
+    (fun (index, kind, detail, item) ->
+      let shrunk, steps =
+        if not shrink then (None, 0)
+        else begin
+          let still_fails x =
+            match examine x with Error (k, _) -> same_kind k kind | Ok _ -> false
+          in
+          let x, steps = minimize still_fails item in
+          (Some x, steps)
+        end
+      in
+      { index; kind; detail; item; shrunk; steps })
+    (List.rev !bad)
+
+let run ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known)
+    ?(backends = ([ `Sim ] : Diff.backend list)) ?(shrink = true) ?(soundness = true) ?window_bug
+    ?(log = fun _ -> ()) ?jobs ?(chunk = 256) ?cache_dir ~seed ~count () =
+  let pairs = ref 0 in
+  (* pattern -> (count, ratio sum, finite-ratio count) *)
+  let precision : (Pattern.t, int ref * float ref * int ref) Hashtbl.t = Hashtbl.create 8 in
+  (* Clean: accumulate the precision statistics for the summary. *)
+  let on_clean reports =
+    List.iter
+      (fun r ->
+        incr pairs;
+        let cnt, sum, fin =
+          match Hashtbl.find_opt precision r.Soundness.pr_pattern with
+          | Some t -> t
+          | None ->
+            let t = (ref 0, ref 0.0, ref 0) in
+            Hashtbl.add precision r.Soundness.pr_pattern t;
+            t
         in
-        { f_index = idx; f_kind = kind; f_detail = detail; f_spec = spec;
-          f_shrunk = shrunk; f_shrink_steps = steps })
-      (List.rev !bad)
+        incr cnt;
+        let rat = Soundness.ratio r in
+        if rat < infinity then begin
+          sum := !sum +. rat;
+          incr fin
+        end)
+      reports
+  in
+  let found =
+    campaign ~name:"Fuzz.run" ~noun:"app" ~nouns:"apps" ~every:50 ~to_string:Genapp.to_string
+      ~generate:(fun rng i -> Genapp.generate rng i)
+      ~examine:(examine ~cfg ~modes ~backends ~soundness ~window_bug)
+      ~on_clean ~minimize:Shrink.minimize ~shrink ~log ?jobs ~chunk ?cache_dir ~seed ~count ()
   in
   let precision_list =
     Hashtbl.fold
@@ -220,7 +222,12 @@ let run ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known)
     r_backends = backends;
     r_pairs_checked = !pairs;
     r_precision = precision_list;
-    r_failures = failures;
+    r_failures =
+      List.map
+        (fun f ->
+          { f_index = f.index; f_kind = f.kind; f_detail = f.detail; f_spec = f.item;
+            f_shrunk = f.shrunk; f_shrink_steps = f.steps })
+        found;
   }
 
 let ok r = r.r_failures = []
@@ -254,7 +261,7 @@ let submission_of_tag = function
   | `Round_robin -> Multi.Round_robin
   | `Packed -> Multi.Packed
 
-(* Two checks per co-run: (1) Multi vs the naive Refmulti under the spec's
+(* Two checks per co-run: (1) Multi vs the naive Refsched under the spec's
    own submission/spatial policy; (2) for partitioned co-runs, each app's
    stats against its solo Sim run on a machine the size of its slice — the
    isolation property, checked against an engine that knows nothing about
@@ -273,14 +280,14 @@ let examine_corun ~cfg ~modes ~slots_bug (c : Genapp.corun) =
       ?slots_bug apps
   with
   | Error (cm :: _) ->
-    Some (Scheduler_mismatch, Format.asprintf "%a" Diff.pp_corun_mismatch cm)
-  | Error [] -> None (* unreachable: Error implies at least one mismatch *)
+    Error (Scheduler_mismatch, Format.asprintf "%a" Diff.pp_corun_mismatch cm)
+  | Error [] -> Ok () (* unreachable: Error implies at least one mismatch *)
   | exception exn ->
     let msg = Printexc.to_string exn in
-    Some (Crash msg, msg)
+    Error (Crash msg, msg)
   | Ok () -> (
     match c.c_partition with
-    | None -> None
+    | None -> Ok ()
     | Some (sa, sb) -> (
       (* Preparation never reads the SM count, so the full-machine preps
          serve both the co-run and the solo slice runs. *)
@@ -309,9 +316,9 @@ let examine_corun ~cfg ~modes ~slots_bug (c : Genapp.corun) =
       match breach with
       | exception exn ->
         let msg = Printexc.to_string exn in
-        Some (Crash msg, msg)
-      | Some detail -> Some (Isolation_breach, detail)
-      | None -> None))
+        Error (Crash msg, msg)
+      | Some detail -> Error (Isolation_breach, detail)
+      | None -> Ok ()))
 
 (* Alternate minimizing the two specs until neither shrinks further; size
    strictly decreases on every accepted step, so the loop terminates. *)
@@ -336,66 +343,24 @@ let shrink_corun still_fails (c : Genapp.corun) =
 
 let run_corun ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known) ?(shrink = true)
     ?slots_bug ?(log = fun _ -> ()) ?jobs ?(chunk = 64) ?cache_dir ~seed ~count () =
-  if chunk < 1 then invalid_arg "Fuzz.run_corun: chunk must be >= 1";
-  with_cache_dir cache_dir @@ fun () ->
-  (* Same sequential-generation / parallel-examination contract as [run]:
-     the report is identical for every [jobs] and [chunk]. *)
-  let rng = Rng.create seed in
-  let bad = ref [] in
-  let next = ref 0 in
-  while !next < count do
-    let base = !next in
-    let n = min chunk (count - base) in
-    let coruns =
-      Array.init n (fun i -> Genapp.generate_corun ~num_sms:cfg.Config.num_sms rng (base + i))
-    in
-    let outcomes =
-      Bm_parallel.map_ordered ?domains:jobs (examine_corun ~cfg ~modes ~slots_bug) coruns
-    in
-    Array.iteri
-      (fun i outcome ->
-        let idx = base + i in
-        (match outcome with
-        | None -> ()
-        | Some (kind, detail) ->
-          log
-            (Printf.sprintf "corun %d (%s): %s" idx
-               (Genapp.corun_to_string coruns.(i))
-               (kind_name kind));
-          bad := (idx, kind, detail, coruns.(i)) :: !bad);
-        if (idx + 1) mod 25 = 0 then
-          log
-            (Printf.sprintf "%d/%d co-runs checked, %d failure(s)" (idx + 1) count
-               (List.length !bad)))
-      outcomes;
-    next := base + n
-  done;
-  let failures =
-    Bm_parallel.map_list ?domains:jobs
-      (fun (idx, kind, detail, c) ->
-        let shrunk, steps =
-          if not shrink then (None, 0)
-          else begin
-            let still_fails c' =
-              match examine_corun ~cfg ~modes ~slots_bug c' with
-              | Some (k, _) -> same_kind k kind
-              | None -> false
-            in
-            let c', steps = shrink_corun still_fails c in
-            (Some c', steps)
-          end
-        in
-        {
-          cf_index = idx;
-          cf_kind = kind;
-          cf_detail = detail;
-          cf_corun = c;
-          cf_shrunk = shrunk;
-          cf_shrink_steps = steps;
-        })
-      (List.rev !bad)
+  let found =
+    campaign ~name:"Fuzz.run_corun" ~noun:"corun" ~nouns:"co-runs" ~every:25
+      ~to_string:Genapp.corun_to_string
+      ~generate:(fun rng i -> Genapp.generate_corun ~num_sms:cfg.Config.num_sms rng i)
+      ~examine:(examine_corun ~cfg ~modes ~slots_bug)
+      ~on_clean:ignore ~minimize:shrink_corun ~shrink ~log ?jobs ~chunk ?cache_dir ~seed ~count ()
   in
-  { cr_seed = seed; cr_count = count; cr_modes = modes; cr_failures = failures }
+  {
+    cr_seed = seed;
+    cr_count = count;
+    cr_modes = modes;
+    cr_failures =
+      List.map
+        (fun f ->
+          { cf_index = f.index; cf_kind = f.kind; cf_detail = f.detail; cf_corun = f.item;
+            cf_shrunk = f.shrunk; cf_shrink_steps = f.steps })
+        found;
+  }
 
 let corun_ok r = r.cr_failures = []
 

@@ -11,7 +11,8 @@
 
     On failure, the spec is minimized with {!Shrink.minimize} under "the
     same class of failure still occurs" and the shrunk spec is rendered as
-    a runnable DSL program.  Exposed on the command line as [bmctl fuzz]. *)
+    a runnable DSL program.  Exposed on the command line as [bmctl fuzz].
+    The co-run axis ({!run_corun}) runs on the same campaign driver. *)
 
 type kind =
   | Scheduler_mismatch  (** Sim (or Multi) vs reference scheduler divergence *)
@@ -103,7 +104,7 @@ val pp_report : Format.formatter -> report -> unit
 
     The concurrency axis: random two-app co-runs
     ({!Bm_workloads.Genapp.generate_corun}) differenced through
-    {!Diff.check_corun} ([Multi] vs the naive [Refmulti]) under the
+    {!Diff.check_corun} ([Multi] vs the naive [Refsched]) under the
     spec's own submission/spatial policy; partitioned co-runs are
     additionally checked app-by-app against solo [Sim] runs on
     partition-sized machines (the isolation property).  Failures shrink

@@ -154,7 +154,7 @@ let test_deadline_override_sim_vs_ref () =
     let nk = Array.length prep.Prep.p_launches in
     let deadlines = Array.init nk (fun _ -> 1.0 +. (999.0 *. Rng.float_01 rng)) in
     let sim = Sim.run ~deadlines cfg mode prep in
-    let ref_ = Refsched.run ~deadlines cfg mode prep in
+    let ref_ = (Refsched.run ~deadlines:[| deadlines |] cfg mode [| prep |]).(0) in
     match Diff.diff_stats sim ref_ with
     | [] -> ()
     | details ->
@@ -190,7 +190,7 @@ let prop_edf_rank_list =
           let deadlines = Array.map (fun p -> float_of_int (p + 1)) perm in
           match
             Diff.diff_stats (Sim.run ~deadlines small mode prep)
-              (Refsched.run ~deadlines small mode prep)
+              (Refsched.run ~deadlines:[| deadlines |] small mode [| prep |]).(0)
           with
           | [] -> true
           | line :: _ ->

@@ -204,6 +204,40 @@ let test_of_json_wrong_schema () =
         (Graph.of_json (Json.Obj (List.map (function "version", _ -> ("version", Json.Num 99.0) | f -> f) fields)))
   | _ -> Alcotest.fail "to_json did not produce an object")
 
+(* A relation that disagrees with its nodes must decode as Corrupt, not
+   replay into an out-of-bounds access, a stalled kernel or a silently
+   wrong makespan.  [with_relation] swaps node [i]'s relation in the
+   reordered schedule of a captured graph's JSON. *)
+let with_relation i rel j =
+  let map_field k f = function
+    | Json.Obj fields -> Json.Obj (List.map (fun (k', v) -> (k', if k' = k then f v else v)) fields)
+    | v -> v
+  in
+  map_field "reordered"
+    (map_field "nodes" (function
+      | Json.Arr nodes ->
+        Json.Arr (List.mapi (fun n node -> if n = i then map_field "rel" (fun _ -> rel) node else node) nodes)
+      | v -> v))
+    j
+
+let num n = Json.Num (float_of_int n)
+
+(* BICG has two 8-TB kernels, node 1 consuming node 0. *)
+let relation_mutations =
+  [
+    ("TB graph on a root node", 0, Json.Obj [ ("k", Json.Str "o2o"); ("n", num 8) ]);
+    ("1 child for 8 TBs", 1, Json.Obj [ ("k", Json.Str "o2o"); ("n", num 1) ]);
+    ( "parent 57 of an 8-TB producer",
+      1,
+      Json.Obj
+        [ ("k", Json.Str "o2n"); ("np", num 64); ("po", Json.Arr (List.map num [ 57; 1; 2; 3; 4; 5; 6; 7 ])) ] );
+  ]
+
+let test_relation_mismatch_corrupt () =
+  let j = Graph.to_json (Graph.capture cfg (Suite.by_name "BICG" ())) in
+  (match Graph.of_json j with Ok _ -> () | Error e -> Alcotest.failf "pristine: %a" Graph.pp_error e);
+  List.iter (fun (what, i, rel) -> expect_corrupt what (Graph.of_json (with_relation i rel j))) relation_mutations
+
 (* --- warm replay performs zero preparation --------------------------- *)
 
 let test_warm_replay_zero_prep () =
@@ -373,6 +407,15 @@ let test_bmctl_capture_replay () =
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (String.sub whole 0 (String.length whole / 2)));
       Alcotest.(check int) "replay of a truncated graph exits 2" 2 (bmctl [ "replay"; "BICG"; "-g"; path ]);
+      let _, i, rel = List.nth relation_mutations 1 in
+      let mutated =
+        match Json.of_string whole with
+        | Ok j -> Json.to_string (with_relation i rel j)
+        | Error e -> Alcotest.fail e
+      in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc mutated);
+      Alcotest.(check int) "replay of a graph with a mis-sized relation exits 2" 2
+        (bmctl [ "replay"; "BICG"; "-g"; path; "-m"; "producer" ]);
       Alcotest.(check int) "replay of a missing graph exits 2" 2
         (bmctl [ "replay"; "BICG"; "-g"; "/nonexistent-dir/none.json" ]))
 
@@ -469,6 +512,7 @@ let suite =
     Alcotest.test_case "replay: wrong config raises" `Quick test_replay_wrong_config_raises;
     Alcotest.test_case "load: corrupt files" `Quick test_load_corrupt;
     Alcotest.test_case "of_json: wrong schema" `Quick test_of_json_wrong_schema;
+    Alcotest.test_case "of_json: relation disagrees with its nodes" `Quick test_relation_mismatch_corrupt;
     Alcotest.test_case "replay: warm replay does zero prep" `Quick test_warm_replay_zero_prep;
     Alcotest.test_case "capture: exported counters" `Quick test_capture_counters;
     Alcotest.test_case "metrics: sim/replay families separate" `Slow test_metric_families_separate;

@@ -8,7 +8,7 @@
      stats and trace are identical to its solo run on a machine the size
      of its slice.
 
-   On top of those, the naive Refmulti reference is differenced against
+   On top of those, the naive Refsched reference is differenced against
    the engine across submission/spatial policies (Diff.check_corun), the
    contention accounting is checked for conservation (per-app counters
    sum to machine-wide twins; occupancy gauges never negative; high-water
@@ -390,7 +390,7 @@ let test_bmctl_corun_help () =
         (fun flag ->
           Alcotest.(check bool) (Printf.sprintf "fuzz help documents %s" flag) true
             (contains ~needle:flag help))
-        [ "--corun"; "--inject-slots-bug" ])
+        [ "--corun"; "--inject-slots-bug"; "--inject-window-bug" ])
 
 let suite =
   [

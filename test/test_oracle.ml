@@ -65,7 +65,7 @@ let test_diff_host_blocking_random () =
             p
         in
         let sim = Sim.run ~host_blocking_copies:true cfg mode prep in
-        let ref_ = Refsched.run ~host_blocking_copies:true cfg mode prep in
+        let ref_ = (Refsched.run ~host_blocking_copies:true cfg mode [| prep |]).(0) in
         match Diff.diff_stats sim ref_ with
         | [] -> ()
         | ds ->

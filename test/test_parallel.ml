@@ -110,30 +110,45 @@ let test_fuzz_jobs_identity () =
 
 (* Chunked generation is a memory optimization only: the failure set, the
    precision statistics and every log line must be byte-identical for any
-   chunk size (and any domain count on top). *)
+   chunk size (and any domain count on top).  Both axes run on one
+   campaign driver, so both are pinned, each with real failures; the
+   co-run axis skips shrinking, which the single-app axis already pins
+   through the same driver at a fraction of the cost. *)
 let test_fuzz_chunk_identity () =
   let cfg = Config.titan_x_pascal in
-  let run ~chunk ~jobs =
-    let logs = ref [] in
-    let r =
-      Fuzz.run ~cfg ~seed:42 ~count:10 ~soundness:false ~window_bug:1 ~chunk ~jobs
-        ~log:(fun s -> logs := s :: !logs)
-        ()
-    in
-    (List.map failure_key r.Fuzz.r_failures, List.rev !logs)
+  let check_axis name run =
+    let reference = run ~chunk:256 ~jobs:1 in
+    if fst reference = [] then Alcotest.failf "%s: injected bug not found" name;
+    List.iter
+      (fun (chunk, jobs) ->
+        let keys, logs = run ~chunk ~jobs in
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s logs identical at chunk=%d jobs=%d" name chunk jobs)
+          (snd reference) logs;
+        if keys <> fst reference then
+          Alcotest.failf "%s failures diverged at chunk=%d jobs=%d" name chunk jobs)
+      [ (1, 1); (3, 4); (7, 2); (10, 1) ]
   in
-  let reference = run ~chunk:256 ~jobs:1 in
-  List.iter
-    (fun (chunk, jobs) ->
-      let keys, logs = run ~chunk ~jobs in
-      Alcotest.(check (list string))
-        (Printf.sprintf "logs identical at chunk=%d jobs=%d" chunk jobs)
-        (snd reference) logs;
-      if keys <> fst reference then
-        Alcotest.failf "failures diverged at chunk=%d jobs=%d" chunk jobs)
-    [ (1, 1); (3, 4); (7, 2); (10, 1) ];
+  let logged f =
+    let logs = ref [] in
+    let keys = f (fun s -> logs := s :: !logs) in
+    (keys, List.rev !logs)
+  in
+  check_axis "run" (fun ~chunk ~jobs ->
+      logged (fun log ->
+          let r =
+            Fuzz.run ~cfg ~seed:42 ~count:10 ~soundness:false ~window_bug:1 ~chunk ~jobs ~log ()
+          in
+          List.map (fun f -> Format.asprintf "%a" Fuzz.pp_failure f) r.Fuzz.r_failures));
+  check_axis "run_corun" (fun ~chunk ~jobs ->
+      logged (fun log ->
+          let r = Fuzz.run_corun ~cfg ~seed:7 ~count:12 ~slots_bug:3 ~shrink:false ~chunk ~jobs ~log () in
+          List.map (fun f -> Format.asprintf "%a" Fuzz.pp_corun_failure f) r.Fuzz.cr_failures));
   Alcotest.check_raises "chunk < 1 rejected" (Invalid_argument "Fuzz.run: chunk must be >= 1")
-    (fun () -> ignore (Fuzz.run ~cfg ~seed:1 ~count:1 ~chunk:0 ()))
+    (fun () -> ignore (Fuzz.run ~cfg ~seed:1 ~count:1 ~chunk:0 ()));
+  Alcotest.check_raises "co-run chunk < 1 rejected"
+    (Invalid_argument "Fuzz.run_corun: chunk must be >= 1") (fun () ->
+      ignore (Fuzz.run_corun ~cfg ~seed:1 ~count:1 ~chunk:0 ()))
 
 (* --- bench collection determinism ------------------------------------ *)
 
