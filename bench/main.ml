@@ -2,11 +2,9 @@
 
    Running `dune exec bench/main.exe` regenerates every table and figure of
    the paper's evaluation section (printed as text tables with the paper's
-   reference numbers alongside), then runs a Bechamel micro-benchmark suite
-   with one Test per experiment measuring the cost of the BlockMaestro
-   machinery that experiment exercises.  --only SECTION prints one
-   experiment; --no-bechamel skips the micro-benchmarks; --backend replay
-   runs the shared app x mode matrix through capture + replay.
+   reference numbers alongside).  --only SECTION prints one experiment;
+   --backend replay runs the shared app x mode matrix through capture +
+   replay.  Host time per layer is the ledger's job (bench/ledger).
 
    At most one gate runs instead of the experiments, and exits 1 if any of
    its cells fails: --oracle (event-driven vs reference scheduler on every
@@ -28,12 +26,11 @@
    so output is identical for any --jobs. *)
 
 open Blockmaestro
-open Bechamel
-open Toolkit
 
 (* [rounds] chained wavefront diamonds: rounds x 29 launches of one
-   kernel over 15 distinct launch configurations.  The warm-cache prep
-   benchmarks use 4 rounds (116 relaunches of the same kernel). *)
+   kernel over 15 distinct launch configurations.  The perf gate's
+   warm-cache prep checks use 4 rounds (116 relaunches of the same
+   kernel). *)
 let wavefront_chain ~rounds () =
   let block = 32 in
   let widths = List.concat (List.init rounds (fun _ -> Wavefront.widths)) in
@@ -60,88 +57,6 @@ let wavefront_chain ~rounds () =
     widths;
   Dsl.d2h d !src;
   Dsl.app d
-
-(* One Bechamel test per table/figure: a representative slice of the
-   machinery behind that experiment, small enough to iterate. *)
-let bechamel_tests =
-  let small_app () = Microbench.vector_add ~tbs:64 in
-  let stencil_app () = Wavefront.make ~name:"bench" ~work:40 ~halo:1 () in
-  let cfg = Config.titan_x_pascal in
-  let graph_1to1 =
-    Bipartite.Graph (Bipartite.of_edges ~n_parents:256 ~n_children:256 (List.init 256 (fun i -> (i, i))))
-  in
-  [
-    Test.make ~name:"table1:pattern-classify+encode"
-      (Staged.stage (fun () -> Sys.opaque_identity (Encode.measure graph_1to1)));
-    Test.make ~name:"table2:kernel-launch-time-analysis"
-      (let k = Templates.stencil1d ~name:"bench_stencil" ~halo:2 ~work:50 in
-       Staged.stage (fun () -> Sys.opaque_identity (Symeval.analyze k)));
-    Test.make ~name:"fig9:prepare+simulate-small-app"
-      (Staged.stage (fun () ->
-           let app = small_app () in
-           Sys.opaque_identity (Runner.simulate Mode.Producer_priority app)));
-    Test.make ~name:"fig10:simulate-baseline"
-      (Staged.stage (fun () ->
-           let app = small_app () in
-           Sys.opaque_identity (Runner.simulate Mode.Baseline app)));
-    Test.make ~name:"fig11:stall-quartiles"
-      (let stats = Runner.simulate Mode.Baseline (stencil_app ()) in
-       Staged.stage (fun () ->
-           Sys.opaque_identity (Report.quartiles (Stats.stall_fractions stats))));
-    Test.make ~name:"fig12:relation-injection"
-      (let prep = Prep.prepare cfg (small_app ()) in
-       Staged.stage (fun () ->
-           let rel = Microbench.n_group_relation ~tbs:64 ~degree:8 in
-           Sys.opaque_identity (Sim.run cfg (Mode.Consumer_priority 2) (Prep.with_relation prep ~seq:1 rel))));
-    Test.make ~name:"fig13:dep-traffic-model"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Hardware.dep_mem_requests cfg ~n_parents:256 ~n_children:256 graph_1to1)));
-    Test.make ~name:"table3:footprints-per-tb"
-      (let k = Templates.matvec ~name:"bench_mv" ~work:1 in
-       let launch =
-         { Footprint.grid = Ptx.dim3 8; block = Ptx.dim3 256;
-           args = [ ("n", 2048); ("kdim", 64); ("A", 1 lsl 20); ("X", 1 lsl 22); ("Y", 1 lsl 24) ] }
-       in
-       Staged.stage (fun () -> Sys.opaque_identity (Footprint.analyze k launch)));
-    Test.make ~name:"fig14:wavefront-sim"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Runner.simulate (Mode.Consumer_priority 4) (stencil_app ()))));
-    (* The disabled-metrics run must cost the same as no instrumentation at
-       all; the enabled run shows what the counters add. *)
-    Test.make ~name:"metrics:simulate-disabled"
-      (let prep = Prep.prepare cfg (small_app ()) in
-       Staged.stage (fun () -> Sys.opaque_identity (Sim.run cfg Mode.Producer_priority prep)));
-    Test.make ~name:"metrics:simulate-enabled"
-      (let prep = Prep.prepare cfg (small_app ()) in
-       Staged.stage (fun () ->
-           let metrics = Metrics.create () in
-           Sys.opaque_identity (Sim.run ~metrics cfg Mode.Producer_priority prep)));
-    (* Cold vs warm launch-time analysis on 116 relaunches of one kernel:
-       the warm run hits the memoization cache on every kernel, footprint,
-       profile and pair lookup. *)
-    Test.make ~name:"prep:cold-cache"
-      (let app = wavefront_chain ~rounds:4 () in
-       Staged.stage (fun () -> Sys.opaque_identity (Prep.prepare cfg app)));
-    Test.make ~name:"prep:warm-cache"
-      (let app = wavefront_chain ~rounds:4 () in
-       let cache = Cache.create () in
-       let _warmup = Prep.prepare ~cache cfg app in
-       Staged.stage (fun () -> Sys.opaque_identity (Prep.prepare ~cache cfg app)));
-    (* Capture/replay: capture cost (two preparations + lowering), warm
-       replay cost (zero preparation — compare against prep:warm-cache +
-       the fig9 simulate to see what skipping analysis buys), and the
-       serialization round trip. *)
-    Test.make ~name:"graph:capture"
-      (let app = wavefront_chain ~rounds:4 () in
-       Staged.stage (fun () -> Sys.opaque_identity (Graph.capture cfg app)));
-    Test.make ~name:"graph:replay-warm"
-      (let graph = Graph.capture cfg (wavefront_chain ~rounds:4 ()) in
-       Staged.stage (fun () ->
-           Sys.opaque_identity (Replay.run cfg Mode.Producer_priority graph)));
-    Test.make ~name:"graph:encode+decode"
-      (let graph = Graph.capture cfg (wavefront_chain ~rounds:4 ()) in
-       Staged.stage (fun () -> Sys.opaque_identity (Graph.of_json (Graph.to_json graph))));
-  ]
 
 (* --oracle: run every suite app (plus representative microbenchmarks)
    through both the event-driven scheduler and the naive reference
@@ -477,24 +392,6 @@ let run_perf_gate () =
   rm_store_dir dir;
   !failures
 
-let run_bechamel () =
-  print_endline "\n== Bechamel micro-benchmarks (one per experiment) ==";
-  let instances = Instance.[ monotonic_clock ] in
-  let benchmark_cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw =
-    Benchmark.all benchmark_cfg instances (Test.make_grouped ~name:"blockmaestro" bechamel_tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols (Instance.monotonic_clock) raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-45s %12.1f ns/run\n" name est
-      | Some _ | None -> Printf.printf "  %-45s (no estimate)\n" name)
-    results
-
 (* The gates, in flag order: flag, help text, banner, verdict on success,
    and what one counted failure is. *)
 let gates =
@@ -542,7 +439,7 @@ let run_gate (banner, run, passed, failed) =
     Printf.eprintf "%d %s\n" n failed;
     exit 1
 
-let main gate only no_bechamel backend json compare threshold () cache_dir =
+let main gate only backend json compare threshold () cache_dir =
   match (json, compare, gate) with
   | Some file, _, _ -> Benchrun.write ?cache_dir file
   | None, Some old, _ -> exit (Benchrun.compare_against ?cache_dir ~threshold_pct:threshold old)
@@ -551,9 +448,7 @@ let main gate only no_bechamel backend json compare threshold () cache_dir =
     let sections = Experiments.sections backend in
     match only with
     | Some s -> List.assoc s sections ()
-    | None ->
-      List.iter (fun (_, f) -> f ()) sections;
-      if not no_bechamel then run_bechamel ())
+    | None -> List.iter (fun (_, f) -> f ()) sections)
 
 let () =
   let open Cmdliner in
@@ -567,10 +462,9 @@ let () =
       & opt (some (enum names)) None
       & info [ "only" ] ~docv:"SECTION"
           ~doc:
-            ("Print one experiment, without the micro-benchmarks.  $(docv) must be "
+            ("Print one experiment.  $(docv) must be "
             ^ Arg.doc_alts_enum names ^ "."))
   in
-  let no_bechamel = Arg.(value & flag & info [ "no-bechamel" ] ~doc:"Skip the micro-benchmarks.") in
   let json =
     Arg.(
       value
@@ -608,5 +502,5 @@ let () =
     (Cmd.eval
        (Cmd.v (Cmd.info "main.exe" ~doc ~exits)
           Term.(
-            const main $ gate $ only $ no_bechamel $ Bm_cli.backend $ json $ compare $ threshold
+            const main $ gate $ only $ Bm_cli.backend $ json $ compare $ threshold
             $ Bm_cli.jobs $ Bm_cli.cache_dir)))

@@ -301,156 +301,104 @@ let to_json solo =
              solo.x_whatif) );
     ]
 
-(* Decoding: a [result], not an exception — bmctl reads these back from
-   disk.  Field-level helpers thread the first error out. *)
-let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
-
-let field name conv j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or malformed field %S" name)
-
+(* Decoding raises Jsonc.Bad on the first missing or malformed field;
+   [of_json] turns it into an [Error] once, at its boundary. *)
 let of_json j =
-  let* app = field "app" Json.to_str j in
-  let* mode_s = field "mode" Json.to_str j in
-  let* mode =
-    match Mode.of_string mode_s with
-    | Some m -> Ok m
-    | None -> Error (Printf.sprintf "unknown mode %S" mode_s)
-  in
-  let* backend_s = field "backend" Json.to_str j in
-  let* backend =
-    match backend_s with
-    | "sim" -> Ok `Sim
-    | "replay" -> Ok `Replay
-    | s -> Error (Printf.sprintf "unknown backend %S" s)
-  in
-  let* total_us = field "total_us" Json.to_float j in
-  let* aj = field "attrib" Option.some j in
-  let* slots = field "slots" Json.to_int aj in
-  let* window = field "window" Json.to_int aj in
-  let* fine = field "fine" (function Json.Bool b -> Some b | _ -> None) aj in
-  let* makespan = field "makespan_ticks" Json.to_int aj in
-  let machine = { Attrib.ma_slots = slots; ma_window = window; ma_fine = fine } in
-  let* cellsj = field "cells" Option.some aj in
-  let cells = Array.make_matrix Attrib.n_resources Attrib.n_buckets 0 in
-  let* () =
-    List.fold_left
-      (fun acc r ->
-        let* () = acc in
-        let* rj = field (Attrib.resource_name r) Option.some cellsj in
-        List.fold_left
-          (fun acc b ->
-            let* () = acc in
-            let* v = field (Attrib.bucket_name b) Json.to_int rj in
-            cells.(Attrib.resource_index r).(Attrib.bucket_index b) <- v;
-            Ok ())
-          (Ok ()) Attrib.buckets)
-      (Ok ()) Attrib.resources
-  in
-  let pair_of j =
-    match Json.to_list j with
-    | Some [ a; b ] ->
-      (match (Json.to_int a, Json.to_int b) with Some a, Some b -> Some (a, b) | _ -> None)
-    | _ -> None
-  in
-  let* kernel_exec =
-    let* l = field "kernel_exec" Json.to_list aj in
-    let rec conv acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | x :: rest ->
-        (match pair_of x with
-        | Some p -> conv (p :: acc) rest
-        | None -> Error "malformed kernel_exec entry")
+  let open Jsonc in
+  let what = "explain" in
+  let decode () =
+    let mode_s = str_field ~what "mode" j in
+    let mode =
+      match Mode.of_string mode_s with Some m -> m | None -> bad "unknown mode %S" mode_s
     in
-    conv [] l
-  in
-  let* series =
-    let* l = field "series" Json.to_list aj in
-    let rec conv acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | x :: rest ->
-        (match Json.to_list x with
-        | Some [ t; counts ] ->
-          (match (Json.to_int t, Json.to_list counts) with
-          | Some t, Some cs ->
-            let cs = List.map Json.to_int cs in
-            if List.for_all Option.is_some cs then
-              conv ((t, Array.of_list (List.map Option.get cs)) :: acc) rest
-            else Error "malformed series counts"
-          | _ -> Error "malformed series entry")
-        | _ -> Error "malformed series entry")
+    let backend =
+      match str_field ~what "backend" j with
+      | "sim" -> `Sim
+      | "replay" -> `Replay
+      | s -> bad "unknown backend %S" s
     in
-    conv [] l
-  in
-  let attrib =
+    let aj = field ~what "attrib" j in
+    let cellsj = field ~what "cells" aj in
+    let cells = Array.make_matrix Attrib.n_resources Attrib.n_buckets 0 in
+    List.iter
+      (fun r ->
+        let rj = field ~what (Attrib.resource_name r) cellsj in
+        List.iter
+          (fun b ->
+            cells.(Attrib.resource_index r).(Attrib.bucket_index b) <-
+              int_field ~what (Attrib.bucket_name b) rj)
+          Attrib.buckets)
+      Attrib.resources;
+    let entries name conv =
+      Array.of_list
+        (List.map
+           (fun x ->
+             match list_of_json ~what:name x with
+             | [ a; b ] -> (int_of_json ~what:name a, conv b)
+             | _ -> bad "malformed %s entry" name)
+           (list_of_json ~what (field ~what name aj)))
+    in
+    let attrib =
+      {
+        Attrib.at_machine =
+          {
+            Attrib.ma_slots = int_field ~what "slots" aj;
+            ma_window = int_field ~what "window" aj;
+            ma_fine = bool_field ~what "fine" aj;
+          };
+        at_makespan_ticks = int_field ~what "makespan_ticks" aj;
+        at_cells = cells;
+        at_kernel_exec = entries "kernel_exec" (int_of_json ~what:"kernel_exec");
+        at_series =
+          entries "series" (fun cs ->
+              Array.of_list (List.map (int_of_json ~what:"series") (list_of_json ~what:"series" cs)));
+      }
+    in
+    let node_of j =
+      let what = "critpath node" in
+      let kind =
+        match str_field ~what "kind" j with
+        | "tb" -> Critpath.Ntb { seq = int_field ~what "seq" j; tb = int_field ~what "tb" j }
+        | "copy" -> Critpath.Ncopy { cmd = int_field ~what "cmd" j; d2h = bool_field ~what "d2h" j }
+        | "launch" -> Critpath.Nlaunch { seq = int_field ~what "seq" j }
+        | "host" -> Critpath.Nhost
+        | s -> bad "unknown node kind %S" s
+      in
+      let edge_s = str_field ~what "edge" j in
+      {
+        Critpath.cn_kind = kind;
+        cn_start = int_field ~what "start" j;
+        cn_end = int_field ~what "end" j;
+        cn_edge =
+          (match Critpath.edge_of_name edge_s with
+          | Some e -> e
+          | None -> bad "unknown edge %S" edge_s);
+      }
+    in
+    let cj = field ~what "critpath" j in
+    let whatif_of x =
+      let what = "whatif" in
+      {
+        wi_knob = str_field ~what "knob" x;
+        wi_total_us = num_field ~what "total_us" x;
+        wi_speedup = num_field ~what "speedup" x;
+      }
+    in
     {
-      Attrib.at_machine = machine;
-      at_makespan_ticks = makespan;
-      at_cells = cells;
-      at_kernel_exec = kernel_exec;
-      at_series = series;
-    }
-  in
-  let* cj = field "critpath" Option.some j in
-  let* cp_makespan = field "makespan_ticks" Json.to_int cj in
-  let* nodesj = field "nodes" Json.to_list cj in
-  let node_of j =
-    let* kind_s = field "kind" Json.to_str j in
-    let* kind =
-      match kind_s with
-      | "tb" ->
-        let* seq = field "seq" Json.to_int j in
-        let* tb = field "tb" Json.to_int j in
-        Ok (Critpath.Ntb { seq; tb })
-      | "copy" ->
-        let* cmd = field "cmd" Json.to_int j in
-        let* d2h = field "d2h" (function Json.Bool b -> Some b | _ -> None) j in
-        Ok (Critpath.Ncopy { cmd; d2h })
-      | "launch" ->
-        let* seq = field "seq" Json.to_int j in
-        Ok (Critpath.Nlaunch { seq })
-      | "host" -> Ok Critpath.Nhost
-      | s -> Error (Printf.sprintf "unknown node kind %S" s)
-    in
-    let* start = field "start" Json.to_int j in
-    let* end_ = field "end" Json.to_int j in
-    let* edge_s = field "edge" Json.to_str j in
-    let* edge =
-      match Critpath.edge_of_name edge_s with
-      | Some e -> Ok e
-      | None -> Error (Printf.sprintf "unknown edge %S" edge_s)
-    in
-    Ok { Critpath.cn_kind = kind; cn_start = start; cn_end = end_; cn_edge = edge }
-  in
-  let rec conv_nodes acc = function
-    | [] -> Ok (Array.of_list (List.rev acc))
-    | x :: rest ->
-      let* n = node_of x in
-      conv_nodes (n :: acc) rest
-  in
-  let* nodes = conv_nodes [] nodesj in
-  let critpath = { Critpath.cp_makespan_ticks = cp_makespan; cp_nodes = nodes } in
-  let* whatifj = field "whatif" Json.to_list j in
-  let rec conv_whatif acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-      let* knob = field "knob" Json.to_str x in
-      let* total = field "total_us" Json.to_float x in
-      let* speedup = field "speedup" Json.to_float x in
-      conv_whatif ({ wi_knob = knob; wi_total_us = total; wi_speedup = speedup } :: acc) rest
-  in
-  let* whatif = conv_whatif [] whatifj in
-  Ok
-    {
-      x_app = app;
+      x_app = str_field ~what "app" j;
       x_mode = mode;
       x_backend = backend;
-      x_total_us = total_us;
+      x_total_us = num_field ~what "total_us" j;
       x_attrib = attrib;
-      x_critpath = critpath;
-      x_whatif = whatif;
+      x_critpath =
+        {
+          Critpath.cp_makespan_ticks = int_field ~what "makespan_ticks" cj;
+          cp_nodes = Array.of_list (List.map node_of (list_of_json ~what (field ~what "nodes" cj)));
+        };
+      x_whatif = List.map whatif_of (list_of_json ~what (field ~what "whatif" j));
     }
+  in
+  match decode () with solo -> Ok solo | exception Bad msg -> Error msg
 
 (* --- rendering --------------------------------------------------------- *)
 

@@ -6,7 +6,7 @@
     the app under a config with one cost zeroed bounds the speedup each
     overhead class could ever buy — an Amdahl-style "fix this first"
     ranking.  This is the engine behind [bmctl explain] and
-    [bmctl bench --explain].
+    [bench/main.exe --explain].
 
     Every result carries its validation obligations explicitly:
     {!check} enforces the attribution conservation identity and the

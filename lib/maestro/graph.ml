@@ -157,10 +157,15 @@ let capture ?cache ?prof cfg app =
     g_reordered = schedule_of_prep reordered;
   }
 
+(* The cfg digest is checked too: [Replay.run] refuses a graph whose
+   digest disagrees, so an edited [cfg] field must be stale here. *)
 let validate cfg app t =
-  let expected = fingerprint cfg app in
-  if String.equal expected t.g_fingerprint then Ok ()
-  else Error (Stale { expected; got = t.g_fingerprint })
+  let expected = fingerprint cfg app and digest = cfg_digest cfg in
+  if not (String.equal expected t.g_fingerprint) then
+    Error (Stale { expected; got = t.g_fingerprint })
+  else if not (String.equal digest t.g_cfg_digest) then
+    Error (Stale { expected = digest; got = t.g_cfg_digest })
+  else Ok ()
 
 (* --- equality ----------------------------------------------------------- *)
 
@@ -206,8 +211,8 @@ let equal a b =
 
 (* --- JSON codec --------------------------------------------------------- *)
 
-(* The float/array/relation encodings are shared with the disk-backed
-   analysis store: see Jsonc. *)
+(* Per-TB costs, copy deps and relations use the packed forms the disk
+   store uses: see Jsonc. *)
 open Jsonc
 
 let json_of_node (nodes : node array) n =
@@ -219,9 +224,9 @@ let json_of_node (nodes : node array) n =
       ("prev", Json.Num (float_of_int n.n_prev));
       ("stream", Json.Num (float_of_int n.n_stream));
       ("tbs", Json.Num (float_of_int n.n_tbs));
-      ("us", Json.Arr (Array.to_list (Array.map json_of_float n.n_tb_us)));
+      ("us", json_of_packed_floats_rle n.n_tb_us);
       ("mem", json_of_float n.n_mem_requests);
-      ("deps", json_of_int_array n.n_copy_deps);
+      ("deps", json_of_packed_ints_rle n.n_copy_deps);
       ("rel", json_of_relation ~n_parents ~n_children:n.n_tbs n.n_relation);
     ]
 
@@ -233,11 +238,9 @@ let node_of_json j =
     n_prev = int_field ~what "prev" j;
     n_stream = int_field ~what "stream" j;
     n_tbs = int_field ~what "tbs" j;
-    n_tb_us =
-      Array.of_list
-        (List.map (float_of_json ~what:"node.us") (list_of_json ~what (field ~what "us" j)));
+    n_tb_us = packed_floats_rle_of_json ~what:"node.us" (field ~what "us" j);
     n_mem_requests = float_of_json ~what:"node.mem" (field ~what "mem" j);
-    n_copy_deps = int_array_of_json ~what:"node.deps" (field ~what "deps" j);
+    n_copy_deps = packed_ints_rle_of_json ~what:"node.deps" (field ~what "deps" j);
     n_relation = relation_of_json (field ~what "rel" j);
   }
 
@@ -272,19 +275,48 @@ let json_of_schedule s =
     ]
 
 (* Structural sanity beyond field-level decoding: every cross-reference a
-   replay dereferences must be in range, so a hand-edited file fails here
-   rather than as an array bound somewhere inside the engine. *)
+   replay dereferences must be in range, and the command stream must be
+   one the engine can run to completion — launches in node order, D2H
+   gates already launched, stream predecessors as capture computes them,
+   copy deps on earlier H2Ds — so a hand-edited file fails here rather
+   than as an array bound, a host stall or a hang inside the engine. *)
 let check_schedule ~what s =
-  let nn = Array.length s.s_nodes and nc = Array.length s.s_commands in
+  let nn = Array.length s.s_nodes in
+  let launch_cmd = Array.make nn 0 in
+  let launches = ref 0 in
+  Array.iteri
+    (fun ci cmd ->
+      match cmd with
+      | Glaunch { seq } ->
+        if seq <> !launches || seq >= nn then
+          bad "%s: command %d launches node %d, expected node %d" what ci seq !launches;
+        launch_cmd.(seq) <- ci;
+        incr launches
+      | Gd2h { wait; _ } ->
+        if wait < -1 || wait >= !launches then
+          bad "%s: command %d waits on node %d before its launch" what ci wait
+      | Gmalloc | Gh2d _ | Gsync -> ())
+    s.s_commands;
+  if !launches <> nn then bad "%s: %d launch commands for %d nodes" what !launches nn;
+  let last_on_stream = Hashtbl.create 4 in
   Array.iteri
     (fun i n ->
       if n.n_seq <> i then bad "%s: node %d has seq %d" what i n.n_seq;
-      if n.n_prev < -1 || n.n_prev >= i then bad "%s: node %d prev %d out of range" what i n.n_prev;
-      if n.n_tbs < 0 || Array.length n.n_tb_us <> n.n_tbs then
+      let prev = Option.value (Hashtbl.find_opt last_on_stream n.n_stream) ~default:(-1) in
+      if n.n_prev <> prev then
+        bad "%s: node %d has prev %d, but stream %d's latest earlier node is %d" what i n.n_prev
+          n.n_stream prev;
+      Hashtbl.replace last_on_stream n.n_stream i;
+      if Array.length n.n_tb_us <> n.n_tbs then
         bad "%s: node %d has %d cost entries for %d TBs" what i (Array.length n.n_tb_us) n.n_tbs;
       Array.iter
         (fun ci ->
-          if ci < 0 || ci >= nc then bad "%s: node %d copy dep %d out of range" what i ci)
+          let earlier_h2d =
+            ci >= 0 && ci < launch_cmd.(i)
+            && match s.s_commands.(ci) with Gh2d _ -> true | Gmalloc | Gd2h _ | Glaunch _ | Gsync -> false
+          in
+          if not earlier_h2d then
+            bad "%s: node %d copy dep %d is not an H2D issued before its launch" what i ci)
         n.n_copy_deps;
       (* A TB graph must span this node's TBs and its predecessor's. *)
       match n.n_relation with
@@ -305,18 +337,6 @@ let check_schedule ~what s =
         side "children" g.Bipartite.n_children g.Bipartite.parents_of np n.n_tbs;
         side "parents" g.Bipartite.n_parents g.Bipartite.children_of n.n_tbs np)
     s.s_nodes;
-  let launches = ref 0 in
-  Array.iteri
-    (fun ci cmd ->
-      match cmd with
-      | Glaunch { seq } ->
-        if seq < 0 || seq >= nn then bad "%s: command %d launches unknown node %d" what ci seq;
-        incr launches
-      | Gd2h { wait; _ } ->
-        if wait < -1 || wait >= nn then bad "%s: command %d waits on unknown node %d" what ci wait
-      | Gmalloc | Gh2d _ | Gsync -> ())
-    s.s_commands;
-  if !launches <> nn then bad "%s: %d launch commands for %d nodes" what !launches nn;
   s
 
 let schedule_of_json ~what j =
@@ -328,7 +348,7 @@ let schedule_of_json ~what j =
     }
 
 let schema = "bm-graph"
-let schema_version = 1
+let schema_version = 2
 
 let to_json t =
   Json.Obj

@@ -19,13 +19,14 @@
     that pair.  {!validate} rejects a stale graph (mutated kernel, changed
     launch geometry, different machine) with a distinct {!error}.
 
-    Serialization uses the dependency-free {!Bm_metrics.Json} codec.
-    Dependency relations persist in their Table I pattern-aware
-    {!Bm_depgraph.Encode.encoded} form; floats persist as IEEE-754 bit
-    patterns (hex), so a graph written to disk and reloaded is
-    bit-identical — {!equal} holds across any number of round trips, and a
-    reloaded graph replays cycle-exactly (test/test_graph.ml proves both
-    over random apps). *)
+    Serialization (format version 2) uses the dependency-free
+    {!Bm_metrics.Json} codec and {!Jsonc}'s packed forms, the same bytes
+    {!Store} writes: relations in their Table I pattern-aware
+    {!Bm_depgraph.Encode.encoded} form, copy deps as delta+RLE integers,
+    per-TB costs as run-length IEEE-754 bit patterns, so a graph written
+    to disk and reloaded is bit-identical — {!equal} holds across any
+    number of round trips, and a reloaded graph replays cycle-exactly
+    (test/test_graph.ml proves both over random apps). *)
 
 (** One host command of the captured stream.  Kernel launches point at
     their node; copies carry the byte count the copy-engine model needs;
@@ -94,7 +95,9 @@ val capture :
 
 val validate : Bm_gpu.Config.t -> Bm_gpu.Command.app -> t -> (unit, error) result
 (** [Ok] iff the graph's fingerprint matches a fresh {!fingerprint} of the
-    pair — i.e. the graph was captured from exactly this config and app. *)
+    pair — i.e. the graph was captured from exactly this config and app —
+    and its [g_cfg_digest] matches {!cfg_digest}, which {!Replay.run}
+    checks too. *)
 
 val equal : t -> t -> bool
 (** Structural equality; floats compare by IEEE-754 bit pattern, relations
@@ -103,7 +106,13 @@ val equal : t -> t -> bool
 (** {1 Serialization} *)
 
 val to_json : t -> Bm_metrics.Json.t
+
 val of_json : Bm_metrics.Json.t -> (t, error) result
+(** Besides field decoding and range checks, each schedule must be one the
+    engine can run to completion, or it is [Corrupt]: the k-th launch
+    command launches node k; a D2H waits on an already launched node (or
+    -1); a node's [n_prev] is the latest earlier node on its stream (-1 if
+    none); each copy dep names an H2D issued before the node's launch. *)
 
 val save : string -> t -> (unit, string) result
 (** Write the JSON form to a file; [Error] carries the I/O message. *)

@@ -1,8 +1,10 @@
 (* Shared JSON codec helpers for the persistence layers (captured graphs
-   in Graph, the disk-backed analysis store in Store).  Floats persist as
-   IEEE-754 bit patterns: the JSON emitter prints numbers with %.12g,
-   which is lossy for the jittered per-TB costs, and both replay and
-   disk-warm preparation must be bit-identical to the fresh computation. *)
+   in Graph, the disk-backed analysis store in Store): one codec per
+   value, so a relation, an integer array or a per-TB cost array has the
+   same bytes in both.  Floats persist as IEEE-754 bit patterns: the JSON
+   emitter prints numbers with %.12g, which is lossy for the jittered
+   per-TB costs, and both replay and disk-warm preparation must be
+   bit-identical to the fresh computation. *)
 
 module Json = Bm_metrics.Json
 module Encode = Bm_depgraph.Encode
@@ -35,13 +37,17 @@ let field ~what name j =
 let int_field ~what name j = int_of_json ~what:(what ^ "." ^ name) (field ~what name j)
 let str_field ~what name j = str_of_json ~what:(what ^ "." ^ name) (field ~what name j)
 
-let int_array_of_json ~what j =
-  Array.of_list (List.map (int_of_json ~what) (list_of_json ~what j))
+let num_field ~what name j =
+  match Json.to_float (field ~what name j) with
+  | Some x -> x
+  | None -> bad "%s.%s: expected a number" what name
 
-let json_of_int_array a =
-  Json.Arr (Array.to_list (Array.map (fun i -> Json.Num (float_of_int i)) a))
+let bool_field ~what name j =
+  match field ~what name j with
+  | Json.Bool b -> b
+  | _ -> bad "%s.%s: expected a boolean" what name
 
-(* Delta + run-length packing: the store's integer payloads are dominated
+(* Delta + run-length packing: persisted integer payloads are dominated
    by structured sequences — monotone id lists, affine per-TB address
    progressions, step-function parent maps — whose successive differences
    are long runs of one constant.  The token stream covers the DELTA
@@ -257,107 +263,12 @@ let packed_floats_rle_of_json ~what j =
     if !total = Array.length !out then !out else Array.sub !out 0 !total
   end
 
-(* Relations persist in their pattern-aware Table I encoded form; decode
-   reconstructs the bipartite graph exactly (the Encode round-trip property
-   in test/test_depgraph.ml is what makes this safe). *)
+(* Relations persist in their pattern-aware Table I encoded form, every
+   array payload a packed-integer string ([windows] flatten to
+   [first, len] pairs, [parents_of] rows are length-prefixed); decode
+   reconstructs the bipartite graph exactly (the Encode round-trip
+   property in test/test_depgraph.ml is what makes this safe). *)
 let json_of_relation ~n_parents ~n_children rel =
-  let ja i = Json.Num (float_of_int i) in
-  match Encode.encode ~n_parents ~n_children rel with
-  | Encode.Enc_independent { n_parents; n_children } ->
-    Json.Obj [ ("k", Json.Str "ind"); ("np", ja n_parents); ("nc", ja n_children) ]
-  | Encode.Enc_full { n_parents; n_children } ->
-    Json.Obj [ ("k", Json.Str "full"); ("np", ja n_parents); ("nc", ja n_children) ]
-  | Encode.Enc_one_to_one { n } -> Json.Obj [ ("k", Json.Str "o2o"); ("n", ja n) ]
-  | Encode.Enc_one_to_n { n_parents; parent_of } ->
-    Json.Obj [ ("k", Json.Str "o2n"); ("np", ja n_parents); ("po", json_of_int_array parent_of) ]
-  | Encode.Enc_n_to_one { n_children; child_of } ->
-    Json.Obj [ ("k", Json.Str "n2o"); ("nc", ja n_children); ("co", json_of_int_array child_of) ]
-  | Encode.Enc_n_group { group_of_parent; group_of_child } ->
-    Json.Obj
-      [
-        ("k", Json.Str "grp");
-        ("gp", json_of_int_array group_of_parent);
-        ("gc", json_of_int_array group_of_child);
-      ]
-  | Encode.Enc_overlapped { n_parents; windows } ->
-    Json.Obj
-      [
-        ("k", Json.Str "ovl");
-        ("np", ja n_parents);
-        ( "w",
-          Json.Arr
-            (Array.to_list
-               (Array.map (fun (f, l) -> Json.Arr [ ja f; ja l ]) windows)) );
-      ]
-  | Encode.Enc_irregular { n_parents; parents_of } ->
-    Json.Obj
-      [
-        ("k", Json.Str "irr");
-        ("np", ja n_parents);
-        ("po", Json.Arr (Array.to_list (Array.map json_of_int_array parents_of)));
-      ]
-
-let relation_of_json j =
-  let what = "relation" in
-  let enc =
-    match str_field ~what "k" j with
-    | "ind" ->
-      Encode.Enc_independent
-        { n_parents = int_field ~what "np" j; n_children = int_field ~what "nc" j }
-    | "full" ->
-      Encode.Enc_full { n_parents = int_field ~what "np" j; n_children = int_field ~what "nc" j }
-    | "o2o" -> Encode.Enc_one_to_one { n = int_field ~what "n" j }
-    | "o2n" ->
-      Encode.Enc_one_to_n
-        {
-          n_parents = int_field ~what "np" j;
-          parent_of = int_array_of_json ~what (field ~what "po" j);
-        }
-    | "n2o" ->
-      Encode.Enc_n_to_one
-        {
-          n_children = int_field ~what "nc" j;
-          child_of = int_array_of_json ~what (field ~what "co" j);
-        }
-    | "grp" ->
-      Encode.Enc_n_group
-        {
-          group_of_parent = int_array_of_json ~what (field ~what "gp" j);
-          group_of_child = int_array_of_json ~what (field ~what "gc" j);
-        }
-    | "ovl" ->
-      Encode.Enc_overlapped
-        {
-          n_parents = int_field ~what "np" j;
-          windows =
-            Array.of_list
-              (List.map
-                 (fun w ->
-                   match list_of_json ~what w with
-                   | [ f; l ] -> (int_of_json ~what f, int_of_json ~what l)
-                   | _ -> bad "%s: window needs [first, len]" what)
-                 (list_of_json ~what (field ~what "w" j)));
-        }
-    | "irr" ->
-      Encode.Enc_irregular
-        {
-          n_parents = int_field ~what "np" j;
-          parents_of =
-            Array.of_list
-              (List.map (int_array_of_json ~what) (list_of_json ~what (field ~what "po" j)));
-        }
-    | k -> bad "%s: unknown kind %S" what k
-  in
-  (* [decode] range-checks node indices with [Invalid_argument]; fold that
-     into [Bad] so corrupt payloads stay inside the never-raises contract. *)
-  try Encode.decode enc with Invalid_argument msg -> bad "%s: %s" what msg
-
-(* The packed twin of the relation codec, used by the disk store: same
-   kinds and fields, but every array payload is a packed-integer string
-   ([windows] flatten to [first, len] pairs, [parents_of] rows are
-   length-prefixed).  Graph keeps the plain form — captured graphs are
-   user-inspectable artifacts; store entries are a cache. *)
-let json_of_relation_packed ~n_parents ~n_children rel =
   let ja i = Json.Num (float_of_int i) in
   match Encode.encode ~n_parents ~n_children rel with
   | Encode.Enc_independent { n_parents; n_children } ->
@@ -403,7 +314,7 @@ let json_of_relation_packed ~n_parents ~n_children rel =
       parents_of;
     Json.Obj [ ("k", Json.Str "irr"); ("np", ja n_parents); ("po", json_of_packed_ints_rle flat) ]
 
-let relation_of_packed_json j =
+let relation_of_json j =
   let what = "relation" in
   let enc =
     match str_field ~what "k" j with

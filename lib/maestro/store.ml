@@ -371,14 +371,10 @@ let json_of_footprints = function
 
 let footprints_of_json j =
   let what = "footprints" in
-  match
-    match str_field ~what "k" j with
-    | "cons" -> Footprint.Conservative (str_field ~what "why" j)
-    | "tb" -> Footprint.Per_tb (footprint_tbs_of_json ~what (field ~what "tbs" j))
-    | k -> bad "%s: unknown kind %S" what k
-  with
-  | v -> Ok v
-  | exception Bad msg -> Error msg
+  match str_field ~what "k" j with
+  | "cons" -> Footprint.Conservative (str_field ~what "why" j)
+  | "tb" -> Footprint.Per_tb (footprint_tbs_of_json ~what (field ~what "tbs" j))
+  | k -> bad "%s: unknown kind %S" what k
 
 let json_of_profile p =
   let r = Costmodel.repr_of_profile p in
@@ -392,17 +388,13 @@ let json_of_profile p =
 
 let profile_of_json j =
   let what = "profile" in
-  match
-    Costmodel.profile_of_repr
-      {
-        Costmodel.prr_insts = packed_floats_rle_of_json ~what:(what ^ ".i") (field ~what "i" j);
-        prr_mem = packed_floats_rle_of_json ~what:(what ^ ".m") (field ~what "m" j);
-        prr_warps = int_field ~what "w" j;
-        prr_warp_waves = float_of_json ~what:(what ^ ".ww") (field ~what "ww" j);
-      }
-  with
-  | v -> Ok v
-  | exception Bad msg -> Error msg
+  Costmodel.profile_of_repr
+    {
+      Costmodel.prr_insts = packed_floats_rle_of_json ~what:(what ^ ".i") (field ~what "i" j);
+      prr_mem = packed_floats_rle_of_json ~what:(what ^ ".m") (field ~what "m" j);
+      prr_warps = int_field ~what "w" j;
+      prr_warp_waves = float_of_json ~what:(what ^ ".ww") (field ~what "ww" j);
+    }
 
 let json_of_rw (rw : Reorder.rw) =
   Json.Obj
@@ -413,21 +405,10 @@ let json_of_rw (rw : Reorder.rw) =
 
 let rw_of_json j =
   let what = "rw" in
-  match
-    {
-      Reorder.reads = Array.to_list (packed_ints_rle_of_json ~what (field ~what "r" j));
-      writes = Array.to_list (packed_ints_rle_of_json ~what (field ~what "w" j));
-    }
-  with
-  | v -> Ok v
-  | exception Bad msg -> Error msg
-
-let relation_to_json = json_of_relation_packed
-
-let relation_of_json' j =
-  match relation_of_packed_json j with
-  | v -> Ok v
-  | exception Bad msg -> Error msg
+  {
+    Reorder.reads = Array.to_list (packed_ints_rle_of_json ~what (field ~what "r" j));
+    writes = Array.to_list (packed_ints_rle_of_json ~what (field ~what "w" j));
+  }
 
 (* --- the store ---------------------------------------------------------- *)
 
@@ -571,8 +552,8 @@ let find t ~family ~key ~decode =
               | None -> corrupt ()
               | Some value -> (
                 match decode value with
-                | Error _ -> corrupt ()
-                | Ok v ->
+                | exception Bad _ -> corrupt ()
+                | v ->
                   t.hits <- t.hits + 1;
                   Some v)))
         | Some _, Some _, Some _, Some _, Some _ -> stale ()
@@ -623,10 +604,10 @@ let put_profile t ~key v = put t ~family:"prof" ~key (json_of_profile v)
 let find_rw t ~key = find t ~family:"rw" ~key ~decode:rw_of_json
 let put_rw t ~key v = put t ~family:"rw" ~key (json_of_rw v)
 
-let find_relation t ~key = find t ~family:"pair" ~key ~decode:relation_of_json'
+let find_relation t ~key = find t ~family:"pair" ~key ~decode:relation_of_json
 
 let put_relation t ~key ~n_parents ~n_children rel =
-  put t ~family:"pair" ~key (relation_to_json ~n_parents ~n_children rel)
+  put t ~family:"pair" ~key (json_of_relation ~n_parents ~n_children rel)
 
 (* --- counters ----------------------------------------------------------- *)
 

@@ -106,15 +106,16 @@ val put_relation :
 
 (** {1 Value codecs}
 
-    Exposed for the round-trip property tests; the decoders return
-    [Error msg] instead of raising. *)
+    Exposed for the round-trip property tests.  The decoders raise
+    {!Jsonc.Bad} on malformed input; [find_*] catches it once and counts a
+    corrupt miss.  Relations use {!Jsonc.json_of_relation} directly. *)
 
 val json_of_footprints : Bm_analysis.Footprint.kernel_footprints -> Bm_metrics.Json.t
-val footprints_of_json : Bm_metrics.Json.t -> (Bm_analysis.Footprint.kernel_footprints, string) result
+val footprints_of_json : Bm_metrics.Json.t -> Bm_analysis.Footprint.kernel_footprints
 val json_of_profile : Bm_gpu.Costmodel.profile -> Bm_metrics.Json.t
-val profile_of_json : Bm_metrics.Json.t -> (Bm_gpu.Costmodel.profile, string) result
+val profile_of_json : Bm_metrics.Json.t -> Bm_gpu.Costmodel.profile
 val json_of_rw : Reorder.rw -> Bm_metrics.Json.t
-val rw_of_json : Bm_metrics.Json.t -> (Reorder.rw, string) result
+val rw_of_json : Bm_metrics.Json.t -> Reorder.rw
 
 (** {1 Introspection} *)
 

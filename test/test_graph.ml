@@ -159,7 +159,12 @@ let test_validate_stale () =
      including the cost-model fields Config.to_assoc omits *)
   expect_stale "more SMs" (Graph.validate { cfg with Config.num_sms = cfg.Config.num_sms + 1 } bicg graph);
   expect_stale "cost model" (Graph.validate { cfg with Config.cpi = cfg.Config.cpi +. 0.25 } bicg graph);
-  expect_stale "jitter seed" (Graph.validate { cfg with Config.seed = cfg.Config.seed + 1 } bicg graph)
+  expect_stale "jitter seed" (Graph.validate { cfg with Config.seed = cfg.Config.seed + 1 } bicg graph);
+  (* an edited cfg digest under an intact fingerprint: Replay.run would
+     refuse it, so validate must too *)
+  expect_stale "cfg digest"
+    (Graph.validate cfg bicg
+       { graph with Graph.g_cfg_digest = Graph.cfg_digest { cfg with Config.cpi = 2.0 } })
 
 let test_replay_wrong_config_raises () =
   let app = Suite.by_name "BICG" () in
@@ -170,6 +175,20 @@ let test_replay_wrong_config_raises () =
   | exception Invalid_argument _ -> ()
 
 (* --- corruption: decode failures are clean errors, never exceptions --- *)
+
+(* [set path v j] replaces the value at [path] in a graph's JSON: object
+   keys, or array indices written in decimal. *)
+let rec set path v j =
+  match (path, j) with
+  | [], _ -> v
+  | k :: rest, Json.Obj fields ->
+    Json.Obj (List.map (fun (k', x) -> (k', if k' = k then set rest v x else x)) fields)
+  | i :: rest, Json.Arr xs ->
+    Json.Arr (List.mapi (fun n x -> if string_of_int n = i then set rest v x else x) xs)
+  | _ :: _, _ -> j
+
+let num n = Json.Num (float_of_int n)
+let packed a = Bm_maestro.Jsonc.json_of_packed_ints_rle a
 
 let expect_corrupt what = function
   | Error (Graph.Corrupt _) -> ()
@@ -202,41 +221,57 @@ let test_of_json_wrong_schema () =
   | Json.Obj fields ->
       expect_corrupt "future version"
         (Graph.of_json (Json.Obj (List.map (function "version", _ -> ("version", Json.Num 99.0) | f -> f) fields)))
-  | _ -> Alcotest.fail "to_json did not produce an object")
+  | _ -> Alcotest.fail "to_json did not produce an object");
+  (* Version 1 stored plain arrays; its files are refused, not misread. *)
+  match Graph.of_json (set [ "version" ] (num 1) (Graph.to_json graph)) with
+  | Error (Graph.Corrupt msg) ->
+    Alcotest.(check bool) "version 1: unsupported version" true
+      (contains ~needle:"unsupported version" msg)
+  | Error (Graph.Stale _) | Ok _ -> Alcotest.fail "version 1 graph not refused as Corrupt"
 
-(* A relation that disagrees with its nodes must decode as Corrupt, not
-   replay into an out-of-bounds access, a stalled kernel or a silently
-   wrong makespan.  [with_relation] swaps node [i]'s relation in the
-   reordered schedule of a captured graph's JSON. *)
-let with_relation i rel j =
-  let map_field k f = function
-    | Json.Obj fields -> Json.Obj (List.map (fun (k', v) -> (k', if k' = k then f v else v)) fields)
-    | v -> v
-  in
-  map_field "reordered"
-    (map_field "nodes" (function
-      | Json.Arr nodes ->
-        Json.Arr (List.mapi (fun n node -> if n = i then map_field "rel" (fun _ -> rel) node else node) nodes)
-      | v -> v))
-    j
+(* Each mutation is a list of [set] edits to a captured BICG graph's
+   JSON, and must decode as Corrupt. *)
+let apply_edits edits j = List.fold_left (fun j (path, v) -> set path v j) j edits
 
-let num n = Json.Num (float_of_int n)
-
-(* BICG has two 8-TB kernels, node 1 consuming node 0. *)
-let relation_mutations =
-  [
-    ("TB graph on a root node", 0, Json.Obj [ ("k", Json.Str "o2o"); ("n", num 8) ]);
-    ("1 child for 8 TBs", 1, Json.Obj [ ("k", Json.Str "o2o"); ("n", num 1) ]);
-    ( "parent 57 of an 8-TB producer",
-      1,
-      Json.Obj
-        [ ("k", Json.Str "o2n"); ("np", num 64); ("po", Json.Arr (List.map num [ 57; 1; 2; 3; 4; 5; 6; 7 ])) ] );
-  ]
-
-let test_relation_mismatch_corrupt () =
+let expect_mutants_corrupt mutations () =
   let j = Graph.to_json (Graph.capture cfg (Suite.by_name "BICG" ())) in
   (match Graph.of_json j with Ok _ -> () | Error e -> Alcotest.failf "pristine: %a" Graph.pp_error e);
-  List.iter (fun (what, i, rel) -> expect_corrupt what (Graph.of_json (with_relation i rel j))) relation_mutations
+  List.iter (fun (what, edits) -> expect_corrupt what (Graph.of_json (apply_edits edits j))) mutations
+
+(* A relation that disagrees with its nodes must not replay into an
+   out-of-bounds access, a stalled kernel or a silently wrong makespan.
+   BICG has two 8-TB kernels, node 1 consuming node 0. *)
+let relation_mutations =
+  let rel i v = [ ([ "reordered"; "nodes"; string_of_int i; "rel" ], v) ] in
+  [
+    ("TB graph on a root node", rel 0 (Json.Obj [ ("k", Json.Str "o2o"); ("n", num 8) ]));
+    ("1 child for 8 TBs", rel 1 (Json.Obj [ ("k", Json.Str "o2o"); ("n", num 1) ]));
+    ( "parent 57 of an 8-TB producer",
+      rel 1
+        (Json.Obj
+           [ ("k", Json.Str "o2n"); ("np", num 64); ("po", packed [| 57; 1; 2; 3; 4; 5; 6; 7 |]) ])
+    );
+  ]
+
+(* A schedule the engine cannot run to completion must not stall the host
+   or hang the replay.  BICG's plain commands are six mallocs, four H2Ds
+   (6-9), launches of nodes 0 and 1 (10, 11) and two D2Hs; its reordered
+   schedule issues the D2H gated on node 0 (11) before launching node 1
+   (12).  Node 0 copies from 6 and 8, node 1 from 7 and 9. *)
+let schedule_mutations =
+  [
+    ( "launches swapped",
+      [ ([ "plain"; "commands"; "10"; "s" ], num 1); ([ "plain"; "commands"; "11"; "s" ], num 0) ] );
+    ("node 0 launched twice", [ ([ "plain"; "commands"; "11"; "s" ], num 0) ]);
+    ("d2h waits on a later launch", [ ([ "reordered"; "commands"; "11"; "w" ], num 1) ]);
+    ("prev skips the stream's latest node", [ ([ "plain"; "nodes"; "1"; "prev" ], num (-1)) ]);
+    ("copy dep on a malloc", [ ([ "plain"; "nodes"; "0"; "deps" ], packed [| 0; 8 |]) ]);
+    ( "copy dep on an H2D after the launch",
+      [
+        ([ "plain"; "commands"; "12" ], Json.Obj [ ("t", Json.Str "h2d"); ("b", num 8192) ]);
+        ([ "plain"; "nodes"; "0"; "deps" ], packed [| 6; 12 |]);
+      ] );
+  ]
 
 (* --- warm replay performs zero preparation --------------------------- *)
 
@@ -407,15 +442,25 @@ let test_bmctl_capture_replay () =
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (String.sub whole 0 (String.length whole / 2)));
       Alcotest.(check int) "replay of a truncated graph exits 2" 2 (bmctl [ "replay"; "BICG"; "-g"; path ]);
-      let _, i, rel = List.nth relation_mutations 1 in
-      let mutated =
+      let write_edited edits =
         match Json.of_string whole with
-        | Ok j -> Json.to_string (with_relation i rel j)
+        | Ok j ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc (Json.to_string (apply_edits edits j)))
         | Error e -> Alcotest.fail e
       in
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc mutated);
+      write_edited (List.assoc "1 child for 8 TBs" relation_mutations);
       Alcotest.(check int) "replay of a graph with a mis-sized relation exits 2" 2
         (bmctl [ "replay"; "BICG"; "-g"; path; "-m"; "producer" ]);
+      write_edited (List.assoc "launches swapped" schedule_mutations);
+      Alcotest.(check int) "baseline replay of swapped launches exits 2" 2
+        (bmctl [ "replay"; "BICG"; "-m"; "baseline"; "-g"; path ]);
+      write_edited (List.assoc "node 0 launched twice" schedule_mutations);
+      Alcotest.(check int) "replay of a doubly launched node exits 2" 2
+        (bmctl [ "replay"; "BICG"; "-g"; path ]);
+      write_edited [ ([ "cfg" ], Json.Str (Graph.cfg_digest { cfg with Config.cpi = 2.0 })) ];
+      Alcotest.(check int) "replay of an edited cfg digest exits 5" 5
+        (bmctl [ "replay"; "BICG"; "-g"; path ]);
       Alcotest.(check int) "replay of a missing graph exits 2" 2
         (bmctl [ "replay"; "BICG"; "-g"; "/nonexistent-dir/none.json" ]))
 
@@ -489,15 +534,79 @@ let test_bench_front_end () =
   List.iter
     (fun flag ->
       Alcotest.(check bool) (Printf.sprintf "help documents %s" flag) true (contains ~needle:flag help))
-    [ "--oracle"; "--corun"; "--explain"; "--deadlines"; "--perf-gate"; "--only"; "--no-bechamel";
-      "--backend"; "--json"; "--compare"; "--threshold"; "--jobs"; "--cache-dir" ];
+    [ "--oracle"; "--corun"; "--explain"; "--deadlines"; "--perf-gate"; "--only"; "--backend";
+      "--json"; "--compare"; "--threshold"; "--jobs"; "--cache-dir" ];
   List.iter
     (fun flag ->
       Alcotest.(check bool) (Printf.sprintf "help no longer lists %s" flag) false
         (contains ~needle:flag help))
-    [ "--trace"; "--capture-compare" ];
+    [ "--trace"; "--capture-compare"; "--no-bechamel" ];
   Alcotest.(check int) "two gates exit 124" 124 (bench [ "--perf-gate"; "--corun" ]);
   Alcotest.(check int) "unknown section exits 124" 124 (bench [ "--only"; "fig99" ])
+
+(* --- byte fuzz of the graph loader ------------------------------------ *)
+
+(* 1-3 byte edits (replace, insert, delete) of a captured graph's JSON.
+   Edit bytes are any byte, weighted towards the characters the format
+   uses so that more mutants still parse.  [Graph.of_json] must never
+   raise, and a mutant that also passes [validate] must replay without
+   raising in a serial and a fine-grain mode. *)
+let fuzz_corpus =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun name ->
+            let app = Suite.by_name name () in
+            (app, Json.to_string (Graph.to_json (Graph.capture cfg app))))
+          [ "BICG"; "MVT"; "LUD"; "3MM" ]))
+
+(* Positions are uniform over the text (taken mod its length); [nat]
+   would crowd them into the header. *)
+let gen_mutant =
+  QCheck2.Gen.(
+    pair (int_bound 3)
+      (list_size (int_range 1 3)
+         (triple (int_bound 2)
+            (int_bound ((1 lsl 30) - 2))
+            (oneof [ char; oneofl (List.of_seq (String.to_seq "0123456789abcdef-,*:{}[]\"")) ]))))
+
+let mutate text edits =
+  List.fold_left
+    (fun s (op, pos, c) ->
+      let n = String.length s in
+      let i = pos mod n in
+      match op with
+      | 0 -> String.mapi (fun k x -> if k = i then c else x) s
+      | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | _ -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1))
+    text edits
+
+let prop_graph_byte_fuzz =
+  QCheck2.Test.make ~name:"load: byte-mutated graphs never raise" ~count:2000 ~long_factor:10
+    ~print:(fun (k, edits) ->
+      String.concat "; "
+        (List.map (fun (op, pos, c) -> Printf.sprintf "graph %d op %d at %d byte %C" k op pos c) edits))
+    gen_mutant
+    (fun (k, edits) ->
+      let app, text = (Lazy.force fuzz_corpus).(k) in
+      let fail stage e = QCheck2.Test.fail_reportf "%s raised %s" stage (Printexc.to_string e) in
+      match Json.of_string (mutate text edits) with
+      | exception e -> fail "Json.of_string" e
+      | Error _ -> true
+      | Ok j -> (
+        match Graph.of_json j with
+        | exception e -> fail "Graph.of_json" e
+        | Error _ -> true
+        | Ok g -> (
+          match Graph.validate cfg app g with
+          | Error _ -> true
+          | Ok () ->
+            List.for_all
+              (fun mode ->
+                match Replay.run cfg mode g with
+                | (_ : Stats.t) -> true
+                | exception e -> fail ("Replay.run " ^ Mode.name mode) e)
+              [ Mode.Baseline; Mode.Producer_priority ])))
 
 let suite =
   [
@@ -512,7 +621,11 @@ let suite =
     Alcotest.test_case "replay: wrong config raises" `Quick test_replay_wrong_config_raises;
     Alcotest.test_case "load: corrupt files" `Quick test_load_corrupt;
     Alcotest.test_case "of_json: wrong schema" `Quick test_of_json_wrong_schema;
-    Alcotest.test_case "of_json: relation disagrees with its nodes" `Quick test_relation_mismatch_corrupt;
+    Alcotest.test_case "of_json: relation disagrees with its nodes" `Quick
+      (expect_mutants_corrupt relation_mutations);
+    Alcotest.test_case "of_json: schedule the engine cannot run" `Quick
+      (expect_mutants_corrupt schedule_mutations);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |]) prop_graph_byte_fuzz;
     Alcotest.test_case "replay: warm replay does zero prep" `Quick test_warm_replay_zero_prep;
     Alcotest.test_case "capture: exported counters" `Quick test_capture_counters;
     Alcotest.test_case "metrics: sim/replay families separate" `Slow test_metric_families_separate;

@@ -149,9 +149,7 @@ let gen_packed_ints =
 let prop_footprints_roundtrip =
   QCheck2.Test.make ~name:"store: footprint codec round-trip" ~count:300 gen_footprints
     (fun fp ->
-      match Store.footprints_of_json (Store.json_of_footprints fp) with
-      | Ok fp' -> fp' = fp
-      | Error e -> QCheck2.Test.fail_reportf "decode error: %s" e)
+      Store.footprints_of_json (Store.json_of_footprints fp) = fp)
 
 let prop_profile_roundtrip =
   QCheck2.Test.make ~name:"store: profile codec bit round-trip" ~count:300
@@ -162,15 +160,12 @@ let prop_profile_roundtrip =
         (pair (pair (pair gen_float_array gen_float_array) (int_range 1 64)) gen_float))
     (fun repr ->
       let p = Costmodel.profile_of_repr repr in
-      match Store.profile_of_json (Store.json_of_profile p) with
-      | Error e -> QCheck2.Test.fail_reportf "decode error: %s" e
-      | Ok p' ->
-        let r' = Costmodel.repr_of_profile p' in
-        float_arrays_bit_equal r'.Costmodel.prr_insts repr.Costmodel.prr_insts
-        && float_arrays_bit_equal r'.Costmodel.prr_mem repr.Costmodel.prr_mem
-        && r'.Costmodel.prr_warps = repr.Costmodel.prr_warps
-        && Int64.bits_of_float r'.Costmodel.prr_warp_waves
-           = Int64.bits_of_float repr.Costmodel.prr_warp_waves)
+      let r' = Costmodel.repr_of_profile (Store.profile_of_json (Store.json_of_profile p)) in
+      float_arrays_bit_equal r'.Costmodel.prr_insts repr.Costmodel.prr_insts
+      && float_arrays_bit_equal r'.Costmodel.prr_mem repr.Costmodel.prr_mem
+      && r'.Costmodel.prr_warps = repr.Costmodel.prr_warps
+      && Int64.bits_of_float r'.Costmodel.prr_warp_waves
+         = Int64.bits_of_float repr.Costmodel.prr_warp_waves)
 
 let prop_rw_roundtrip =
   QCheck2.Test.make ~name:"store: rw codec round-trip" ~count:200
@@ -181,15 +176,12 @@ let prop_rw_roundtrip =
            (list_size (int_range 0 20) (int_range (-100) 1000))
            (list_size (int_range 0 20) (int_range (-100) 1000))))
     (fun rw ->
-      match Store.rw_of_json (Store.json_of_rw rw) with
-      | Ok rw' -> rw' = rw
-      | Error e -> QCheck2.Test.fail_reportf "decode error: %s" e)
+      Store.rw_of_json (Store.json_of_rw rw) = rw)
 
 let prop_relation_roundtrip =
   QCheck2.Test.make ~name:"store: relation packed codec round-trip" ~count:300 gen_relation
     (fun (np, nc, rel) ->
-      Jsonc.relation_of_packed_json (Jsonc.json_of_relation_packed ~n_parents:np ~n_children:nc rel)
-      = rel)
+      Jsonc.relation_of_json (Jsonc.json_of_relation ~n_parents:np ~n_children:nc rel) = rel)
 
 let prop_packed_ints_roundtrip =
   QCheck2.Test.make ~name:"store: packed int RLE round-trip" ~count:400 gen_packed_ints
@@ -231,16 +223,13 @@ let test_malformed_payloads () =
   decodes_bad "ints non-string" (fun () ->
       Jsonc.packed_ints_rle_of_json ~what:"t" (Json.Num 3.0));
   (* Footprint stream structure: bad TB counts, markers, intervals, run
-     lengths and trailing data all demote to Error. *)
+     lengths and trailing data all raise Bad. *)
   let fp_payload ints =
     Json.Obj [ ("k", Json.Str "tb"); ("tbs", Jsonc.json_of_packed_ints_rle ints) ]
   in
   List.iter
     (fun (what, ints) ->
-      match Store.footprints_of_json (fp_payload ints) with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "footprints %s: decoded garbage" what
-      | exception e -> Alcotest.failf "footprints %s: raised %s" what (Printexc.to_string e))
+      decodes_bad ("footprints " ^ what) (fun () -> Store.footprints_of_json (fp_payload ints)))
     [
       ("negative TB count", [| -1 |]);
       ("absurd TB count", [| (1 lsl 24) + 1 |]);
@@ -256,7 +245,7 @@ let test_malformed_payloads () =
   let rel kind fields = Json.Obj (("k", Json.Str kind) :: fields) in
   let packed a = Jsonc.json_of_packed_ints_rle a in
   List.iter
-    (fun (what, j) -> decodes_bad what (fun () -> Jsonc.relation_of_packed_json j))
+    (fun (what, j) -> decodes_bad what (fun () -> Jsonc.relation_of_json j))
     [
       ("o2n out-of-range parent", rel "o2n" [ ("np", Json.Num 2.0); ("po", packed [| 5 |]) ]);
       ("n2o out-of-range child", rel "n2o" [ ("nc", Json.Num 1.0); ("co", packed [| 3 |]) ]);
