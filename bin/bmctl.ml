@@ -173,7 +173,7 @@ let run_cmd =
   let deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some Bm_cli.deadline_conv) None
       & info [ "deadline" ] ~docv:"US"
           ~doc:
             "Absolute deadline in microseconds; reports miss/tardiness/slack and verifies \
@@ -789,28 +789,9 @@ let corun_cmd =
              the tenants as side-by-side towers instead of merging same-named spans.")
   in
   let deadlines_arg =
-    let deadlines_conv =
-      let parse s =
-        try
-          let ds =
-            Array.of_list
-              (List.map (fun p -> float_of_string (String.trim p)) (String.split_on_char ',' s))
-          in
-          if Array.exists (fun d -> not (d > 0.0)) ds then
-            Error (`Msg "every deadline must be a positive number of microseconds")
-          else Ok ds
-        with Failure _ ->
-          Error (`Msg (Printf.sprintf "bad deadlines %S (expected e.g. 1500,2000)" s))
-      in
-      let print ppf ds =
-        Format.pp_print_string ppf
-          (String.concat "," (List.map string_of_float (Array.to_list ds)))
-      in
-      Arg.conv (parse, print)
-    in
     Arg.(
       value
-      & opt (some deadlines_conv) None
+      & opt (some (list ~sep:',' Bm_cli.deadline_conv)) None
       & info [ "deadlines" ] ~docv:"D1,D2,.."
           ~doc:
             "Per-app absolute deadlines in microseconds (one per app).  Each app gets an \
@@ -829,6 +810,7 @@ let corun_cmd =
     (match deadlines with
     | None -> ()
     | Some ds ->
+      let ds = Array.of_list ds in
       if Array.length ds <> napps then begin
         Printf.eprintf "bmctl: %d apps but %d deadlines\n" napps (Array.length ds);
         exit 124

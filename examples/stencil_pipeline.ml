@@ -49,14 +49,8 @@ let () =
   let show mode =
     let stats = Runner.simulate mode app in
     (* First start time of each kernel's TBs vs its predecessor's drain. *)
-    let first_start = Array.make iterations infinity in
-    let last_finish = Array.make iterations 0.0 in
-    Array.iter
-      (fun r ->
-        let k = r.Stats.r_kernel in
-        if r.Stats.r_start < first_start.(k) then first_start.(k) <- r.Stats.r_start;
-        if r.Stats.r_finish > last_finish.(k) then last_finish.(k) <- r.Stats.r_finish)
-      stats.Stats.records;
+    let first_start = Array.map (Array.fold_left Float.min infinity) stats.Stats.tb_start in
+    let last_finish = Array.map (Array.fold_left Float.max 0.0) stats.Stats.tb_finish in
     let overlaps = ref 0 in
     for k = 1 to iterations - 1 do
       if first_start.(k) < last_finish.(k - 1) then incr overlaps

@@ -12,6 +12,17 @@ let pos_int_conv flag =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Trimmed, so a list conv over it accepts "1500, 2000". *)
+let deadline_conv =
+  let parse s =
+    match float_of_string_opt (String.trim s) with
+    | Some d when Float.is_finite d && d > 0.0 -> Ok d
+    | Some _ | None ->
+      Error
+        (`Msg (Printf.sprintf "a deadline must be a positive, finite number of microseconds, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let jobs =
   let arg =
     Arg.(

@@ -8,6 +8,11 @@ val exit_io_error : int
 val pos_int_conv : string -> int Cmdliner.Arg.conv
 (** Integers [>= 1]; the argument names the flag in the error message. *)
 
+val deadline_conv : float Cmdliner.Arg.conv
+(** A deadline in microseconds: finite and [> 0] ([nan], [inf], [0] and
+    negatives are parse errors, exit 124).  [bmctl run --deadline] takes
+    one; [corun --deadlines] a comma-separated list of them. *)
+
 val jobs : unit Cmdliner.Term.t
 (** [-j]/[--jobs N]: sizes the domain pool ({!Bm_parallel.set_default_jobs})
     before the command body runs; absent, [BM_JOBS] or the core count

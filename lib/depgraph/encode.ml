@@ -40,6 +40,11 @@ let measure_full ~n_parents ~n_children =
     pattern = Pattern.Fully_connected;
   }
 
+let measure_pair ~n_parents ~n_children rel =
+  match rel with
+  | Bipartite.Fully_connected -> measure_full ~n_parents ~n_children
+  | Bipartite.Independent | Bipartite.Graph _ -> measure rel
+
 (* --- the codec itself ------------------------------------------------- *)
 
 type encoded =

@@ -20,6 +20,10 @@ val measure : Bipartite.relation -> sizes
 val measure_full : n_parents:int -> n_children:int -> sizes
 (** Sizes of a fully-connected pair: plain is M*N edges, encoded is a flag. *)
 
+val measure_pair : n_parents:int -> n_children:int -> Bipartite.relation -> sizes
+(** Sizes of a kernel pair whose dimensions are known: {!measure_full} for
+    [Fully_connected], else {!measure}. *)
+
 (** {2 Codec}
 
     The actual pattern-aware representation (not just its size): {!encode}

@@ -30,29 +30,33 @@ let event_name = function
   | Dlb_spill _ -> "dlb_spill"
   | Pcb_spill _ -> "pcb_spill"
 
-type tb_record = {
-  r_kernel : int;
-  r_tb : int;
-  r_dep_ready : float;
-  r_start : float;
-  r_finish : float;
-}
-
 type t = {
   total_us : float;
   busy_us : float;
-  records : tb_record array;
+  tb_dep_ready : float array array;
+  tb_start : float array array;
+  tb_finish : float array array;
   avg_concurrency : float;
   base_mem_requests : float;
   dep_mem_requests : float;
 }
 
+let tb_count t = Array.fold_left (fun acc col -> acc + Array.length col) 0 t.tb_start
+
 let stall_fractions t =
-  Array.to_list t.records
-  |> List.filter_map (fun r ->
-         let dur = r.r_finish -. r.r_start in
-         if dur <= 0.0 then None else Some (max 0.0 (r.r_start -. r.r_dep_ready) /. dur))
-  |> Array.of_list
+  let out = Array.make (tb_count t) 0.0 and n = ref 0 in
+  Array.iteri
+    (fun k starts ->
+      let finish = t.tb_finish.(k) and dep_ready = t.tb_dep_ready.(k) in
+      for tb = 0 to Array.length starts - 1 do
+        let dur = finish.(tb) -. starts.(tb) in
+        if dur > 0.0 then begin
+          out.(!n) <- max 0.0 (starts.(tb) -. dep_ready.(tb)) /. dur;
+          incr n
+        end
+      done)
+    t.tb_start;
+  Array.sub out 0 !n
 
 let speedup ~baseline t = baseline.total_us /. t.total_us
 

@@ -2,7 +2,7 @@
 
     Everything the paper's evaluation section reports is derived from these:
     total runtime (Fig. 9 speedups), time-weighted TB concurrency (Fig. 10),
-    per-TB dependency-stall records (Fig. 11), and memory request counts
+    per-TB dependency-stall timings (Fig. 11), and memory request counts
     (Fig. 13). *)
 
 (** Structured simulation events, emitted by the simulator through an
@@ -43,26 +43,30 @@ type sink = float -> event -> unit
 val event_name : event -> string
 (** Stable snake_case tag, used by the CSV exporter and error messages. *)
 
-type tb_record = {
-  r_kernel : int;      (** launch sequence number *)
-  r_tb : int;
-  r_dep_ready : float; (** when the TB's fine-grain data dependencies were satisfied *)
-  r_start : float;
-  r_finish : float;
-}
-
+(** Per-TB timing comes as three columns, each indexed
+    [.(kernel).(tb)] with app-local launch sequence numbers: one float
+    array per kernel, one entry per thread block of that launch.  The
+    engine hands over the arrays it filled during the run without copying
+    them, so a consumer must treat them as read-only. *)
 type t = {
   total_us : float;
-  busy_us : float;           (** time during which at least one TB was running *)
-  records : tb_record array;
-  avg_concurrency : float;   (** time-weighted mean number of running TBs *)
-  base_mem_requests : float; (** application (data) memory requests *)
-  dep_mem_requests : float;  (** extra requests for dependency-list traffic *)
+  busy_us : float;                 (** time during which at least one TB was running *)
+  tb_dep_ready : float array array;
+      (** when each TB's fine-grain data dependencies were satisfied
+          (0.0 for a TB with no parents) *)
+  tb_start : float array array;    (** when each TB was dispatched *)
+  tb_finish : float array array;   (** when each TB finished *)
+  avg_concurrency : float;         (** time-weighted mean number of running TBs *)
+  base_mem_requests : float;       (** application (data) memory requests *)
+  dep_mem_requests : float;        (** extra requests for dependency-list traffic *)
 }
 
+val tb_count : t -> int
+(** Thread blocks over every kernel: the summed column lengths. *)
+
 val stall_fractions : t -> float array
-(** Per TB: (start - dep_ready) / duration — Fig. 11's normalized stall.
-    TBs with zero duration are skipped. *)
+(** Per TB, kernel-major: (start - dep_ready) / duration — Fig. 11's
+    normalized stall.  TBs with zero duration are skipped. *)
 
 val speedup : baseline:t -> t -> float
 (** baseline.total / this.total *)

@@ -191,17 +191,10 @@ let pair t ~pkid ~pfl ~ckid ~cfl ~max_degree compute =
           let n_children = Bm_ptx.Types.dim3_count cfl.Footprint.grid in
           match Store.find_relation s ~key:dkey with
           | Some relation ->
-            let sizes =
-              match relation with
-              | Bm_depgraph.Bipartite.Fully_connected ->
-                Bm_depgraph.Encode.measure_full ~n_parents ~n_children
-              | Bm_depgraph.Bipartite.Independent | Bm_depgraph.Bipartite.Graph _ ->
-                Bm_depgraph.Encode.measure relation
-            in
             {
               pr_relation = relation;
               pr_pattern = Bm_depgraph.Pattern.classify relation;
-              pr_sizes = sizes;
+              pr_sizes = Bm_depgraph.Encode.measure_pair ~n_parents ~n_children relation;
             }
           | None ->
             let pr = compute () in

@@ -132,22 +132,28 @@ let check solo =
       then Error "attribution and critical path disagree on the makespan"
       else Ok ())
 
-(* Cross-check against the simulator's own per-TB records: busy slot-ticks
-   derived from the event stream must equal the quantized sum of record
-   durations — two independent data paths to the same integer. *)
+(* Cross-check against the simulator's own per-TB timing columns: busy
+   slot-ticks derived from the event stream must equal the quantized sum of
+   TB durations — two independent data paths to the same integer. *)
+let column_exec_ticks (stats : Stats.t) =
+  let acc = ref 0 in
+  Array.iteri
+    (fun k starts ->
+      let finish = stats.Stats.tb_finish.(k) in
+      for tb = 0 to Array.length starts - 1 do
+        acc := !acc + (Attrib.ticks_of_us finish.(tb) - Attrib.ticks_of_us starts.(tb))
+      done)
+    stats.Stats.tb_start;
+  !acc
+
 let check_records solo (stats : Stats.t) =
-  let from_records =
-    Array.fold_left
-      (fun acc r ->
-        acc + (Attrib.ticks_of_us r.Stats.r_finish - Attrib.ticks_of_us r.Stats.r_start))
-      0 stats.Stats.records
-  in
+  let from_columns = column_exec_ticks stats in
   let from_events = Attrib.exec_ticks solo.x_attrib in
-  if from_records = from_events then Ok ()
+  if from_columns = from_events then Ok ()
   else
     Error
-      (Printf.sprintf "exec ticks: %d from the event stream, %d from Stats.records" from_events
-         from_records)
+      (Printf.sprintf "exec ticks: %d from the event stream, %d from the Stats TB columns"
+         from_events from_columns)
 
 (* --- co-running -------------------------------------------------------- *)
 
@@ -180,7 +186,7 @@ let corun ?(cfg = Config.titan_x_pascal) ?submission ?spatial ?cache ?series mod
   (solos, res)
 
 (* Per-app attributions must sum to the machine totals: every app's busy
-   slot-ticks check against its own records, so the sum over apps equals
+   slot-ticks check against its own TB columns, so the sum over apps equals
    the machine's total busy slot-ticks by the same integer identity. *)
 let check_corun solos (res : Multi.result) =
   let errors = ref [] in
@@ -194,13 +200,7 @@ let check_corun solos (res : Multi.result) =
       | Ok () -> ())
     solos;
   let machine_exec =
-    Array.fold_left
-      (fun acc (st : Stats.t) ->
-        Array.fold_left
-          (fun acc r ->
-            acc + (Attrib.ticks_of_us r.Stats.r_finish - Attrib.ticks_of_us r.Stats.r_start))
-          acc st.Stats.records)
-      0 res.Multi.mr_stats
+    Array.fold_left (fun acc st -> acc + column_exec_ticks st) 0 res.Multi.mr_stats
   in
   let summed = Array.fold_left (fun acc s -> acc + Attrib.exec_ticks s.x_attrib) 0 solos in
   if summed <> machine_exec then

@@ -12,7 +12,8 @@
     {!check} enforces the attribution conservation identity and the
     critical path's full [[0, makespan]] coverage; {!check_records}
     cross-checks event-derived busy slot-ticks against the simulator's own
-    {!Bm_gpu.Stats.records} — two independent data paths that must agree
+    per-TB timing columns ({!Bm_gpu.Stats.t}'s [tb_start]/[tb_finish]) —
+    two independent data paths that must agree
     on the same integer.  CI runs both over the whole suite. *)
 
 type backend = [ `Sim | `Replay ]
@@ -102,8 +103,8 @@ val check : solo -> (unit, string) result
     between the two analyses. *)
 
 val check_records : solo -> Bm_gpu.Stats.t -> (unit, string) result
-(** Event-derived busy slot-ticks equal the quantized sum of per-TB record
-    durations. *)
+(** Event-derived busy slot-ticks equal the quantized sum of per-TB
+    durations read from the [tb_start]/[tb_finish] columns. *)
 
 val check_corun : solo array -> Multi.result -> (unit, string) result
 (** {!check} + {!check_records} per app, plus: per-app exec ticks sum to

@@ -23,6 +23,7 @@ type node = {
   n_tb_us : float array;
   n_mem_requests : float;
   n_relation : Bipartite.relation;
+  n_sizes : Encode.sizes;
   n_copy_deps : int array;
 }
 
@@ -124,6 +125,7 @@ let schedule_of_prep (prep : Prep.t) =
           n_tb_us = li.Prep.li_cost.Costmodel.tb_us;
           n_mem_requests = Costmodel.total_mem_requests li.Prep.li_cost;
           n_relation = li.Prep.li_relation;
+          n_sizes = li.Prep.li_sizes;
           n_copy_deps = Array.of_list (List.sort_uniq compare li.Prep.li_copy_deps);
         })
       prep.Prep.p_launches
@@ -192,6 +194,7 @@ let node_eq a b =
   && a.n_stream = b.n_stream && a.n_tbs = b.n_tbs && farray_eq a.n_tb_us b.n_tb_us
   && float_eq a.n_mem_requests b.n_mem_requests
   && relation_eq a.n_relation b.n_relation
+  && a.n_sizes = b.n_sizes
   && a.n_copy_deps = b.n_copy_deps
 
 let schedule_eq a b =
@@ -215,8 +218,10 @@ let equal a b =
    store uses: see Jsonc. *)
 open Jsonc
 
-let json_of_node (nodes : node array) n =
-  let n_parents = if n.n_prev >= 0 then nodes.(n.n_prev).n_tbs else 0 in
+let n_parents (nodes : node array) n = if n.n_prev >= 0 then nodes.(n.n_prev).n_tbs else 0
+
+let json_of_node nodes n =
+  let n_parents = n_parents nodes n in
   Json.Obj
     [
       ("seq", Json.Num (float_of_int n.n_seq));
@@ -230,6 +235,10 @@ let json_of_node (nodes : node array) n =
       ("rel", json_of_relation ~n_parents ~n_children:n.n_tbs n.n_relation);
     ]
 
+(* Sizes are not persisted: [schedule_of_json] measures them once the
+   schedule has passed [check_schedule]. *)
+let unmeasured = Encode.measure Bipartite.Independent
+
 let node_of_json j =
   let what = "node" in
   {
@@ -242,6 +251,7 @@ let node_of_json j =
     n_mem_requests = float_of_json ~what:"node.mem" (field ~what "mem" j);
     n_copy_deps = packed_ints_rle_of_json ~what:"node.deps" (field ~what "deps" j);
     n_relation = relation_of_json (field ~what "rel" j);
+    n_sizes = unmeasured;
   }
 
 let json_of_cmd = function
@@ -339,13 +349,25 @@ let check_schedule ~what s =
     s.s_nodes;
   s
 
+(* Measuring indexes [n_prev] and walks the relation, so it runs only on a
+   checked schedule; [measure_pair] is what preparation measures with. *)
 let schedule_of_json ~what j =
-  check_schedule ~what
+  let s =
+    check_schedule ~what
+      {
+        s_commands =
+          Array.of_list (List.map cmd_of_json (list_of_json ~what (field ~what "commands" j)));
+        s_nodes = Array.of_list (List.map node_of_json (list_of_json ~what (field ~what "nodes" j)));
+      }
+  in
+  let measured n =
     {
-      s_commands =
-        Array.of_list (List.map cmd_of_json (list_of_json ~what (field ~what "commands" j)));
-      s_nodes = Array.of_list (List.map node_of_json (list_of_json ~what (field ~what "nodes" j)));
+      n with
+      n_sizes =
+        Encode.measure_pair ~n_parents:(n_parents s.s_nodes n) ~n_children:n.n_tbs n.n_relation;
     }
+  in
+  { s with s_nodes = Array.map measured s.s_nodes }
 
 let schema = "bm-graph"
 let schema_version = 2
@@ -423,14 +445,10 @@ let summarize s =
   let edges = ref 0 and bytes = ref 0 in
   Array.iter
     (fun n ->
-      let n_parents = if n.n_prev >= 0 then s.s_nodes.(n.n_prev).n_tbs else 0 in
-      edges := !edges + Bipartite.edge_count n.n_relation ~n_parents ~n_children:n.n_tbs;
-      let sizes =
-        match n.n_relation with
-        | Bipartite.Fully_connected -> Encode.measure_full ~n_parents ~n_children:n.n_tbs
-        | Bipartite.Independent | Bipartite.Graph _ -> Encode.measure n.n_relation
-      in
-      bytes := !bytes + sizes.Encode.encoded_bytes)
+      edges :=
+        !edges
+        + Bipartite.edge_count n.n_relation ~n_parents:(n_parents s.s_nodes n) ~n_children:n.n_tbs;
+      bytes := !bytes + n.n_sizes.Encode.encoded_bytes)
     s.s_nodes;
   {
     sum_nodes = Array.length s.s_nodes;

@@ -48,6 +48,12 @@ type node = {
   n_tb_us : float array;                   (** per-TB cost, jitter applied *)
   n_mem_requests : float;                  (** data-traffic total of this launch *)
   n_relation : Bm_depgraph.Bipartite.relation;  (** with [n_prev] *)
+  n_sizes : Bm_depgraph.Encode.sizes;
+      (** Table I storage of [n_relation].  Derived, not persisted:
+          {!schedule_of_prep} takes the preparation's [li_sizes] and
+          {!of_json} measures each node once at decode, with
+          {!Bm_depgraph.Encode.measure_pair} as preparation does.  The
+          engine reads it for dependency traffic instead of re-measuring. *)
   n_copy_deps : int array;                 (** H2D command indices, sorted *)
 }
 

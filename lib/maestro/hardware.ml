@@ -129,7 +129,7 @@ let transaction_bytes = 32
 
 let to_transactions bytes = float_of_int ((bytes + transaction_bytes - 1) / transaction_bytes)
 
-let dep_mem_requests (cfg : Config.t) ~n_parents ~n_children relation =
+let dep_mem_requests (cfg : Config.t) ~(sizes : Encode.sizes) ~n_parents ~n_children relation =
   match relation with
   | Bipartite.Independent -> 1.0
   | Bipartite.Fully_connected ->
@@ -137,7 +137,6 @@ let dep_mem_requests (cfg : Config.t) ~n_parents ~n_children relation =
        on the producer's completion. *)
     2.0
   | Bipartite.Graph g ->
-    let sizes = Encode.measure relation in
     let install =
       to_transactions sizes.Encode.encoded_bytes +. to_transactions n_children
       (* one byte-wide counter per child, packed *)

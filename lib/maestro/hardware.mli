@@ -61,8 +61,17 @@ module Occupancy : sig
 end
 
 val dep_mem_requests :
-  Bm_gpu.Config.t -> n_parents:int -> n_children:int -> Bm_depgraph.Bipartite.relation -> float
+  Bm_gpu.Config.t ->
+  sizes:Bm_depgraph.Encode.sizes ->
+  n_parents:int ->
+  n_children:int ->
+  Bm_depgraph.Bipartite.relation ->
+  float
 (** 32-byte memory transactions needed to install and resolve one kernel
     pair's dependency graph: writing the encoded graph and initial counters
     at (pre-)launch, fetching each scheduled parent TB's dependency-list
-    entries, and fetching/retiring each child's parent counter. *)
+    entries, and fetching/retiring each child's parent counter.  [sizes]
+    must be the relation's {!Bm_depgraph.Encode.measure} (its encoded bytes
+    and pattern price a graph relation; the other relations ignore it):
+    callers pass the sizes they already hold, e.g. {!Graph.node}'s
+    [n_sizes], rather than re-encoding per run. *)

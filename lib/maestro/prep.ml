@@ -197,12 +197,10 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
         let pattern = Pattern.classify relation in
         let sizes =
           Prof.with_span prof "encode" (fun () ->
-              match relation with
-              | Bipartite.Fully_connected ->
-                Encode.measure_full
-                  ~n_parents:(Bm_ptx.Types.dim3_count pspec.Command.grid)
-                  ~n_children:(Bm_ptx.Types.dim3_count spec.Command.grid)
-              | Bipartite.Independent | Bipartite.Graph _ -> Encode.measure relation)
+              Encode.measure_pair
+                ~n_parents:(Bm_ptx.Types.dim3_count pspec.Command.grid)
+                ~n_children:(Bm_ptx.Types.dim3_count spec.Command.grid)
+                relation)
         in
         { Cache.pr_relation = relation; pr_pattern = pattern; pr_sizes = sizes }
       in
@@ -306,15 +304,8 @@ let with_relation t ~seq relation =
         if li.li_seq <> seq then li
         else
           let pattern = Pattern.classify relation in
-          let sizes =
-            match relation with
-            | Bipartite.Fully_connected ->
-              let n_parents =
-                match li.li_prev with Some p -> t.p_launches.(p).li_tbs | None -> 0
-              in
-              Encode.measure_full ~n_parents ~n_children:li.li_tbs
-            | Bipartite.Independent | Bipartite.Graph _ -> Encode.measure relation
-          in
+          let n_parents = match li.li_prev with Some p -> t.p_launches.(p).li_tbs | None -> 0 in
+          let sizes = Encode.measure_pair ~n_parents ~n_children:li.li_tbs relation in
           { li with li_relation = relation; li_pattern = pattern; li_sizes = sizes })
       t.p_launches
   in

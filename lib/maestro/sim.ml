@@ -1076,32 +1076,11 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
           (Printf.sprintf "%s: app %d kernel %d never completed" caller n.app (k - k0.(n.app))))
     ks;
 
-  (* Per-app statistics.  Records are filled straight into the result
-     array (kernel-major, TB-minor, app-local kernel numbering). *)
+  (* Per-app statistics.  The per-node timing arrays become the Stats
+     columns as they are: the engine is done writing them, and nothing
+     below touches them again. *)
   let stats_of (ap : astate) =
-    let total_tbs = ref 0 in
-    for k = ap.k0 to ap.k0 + ap.nk - 1 do
-      total_tbs := !total_tbs + ks.(k).ntbs
-    done;
-    let records =
-      Array.make !total_tbs
-        { Stats.r_kernel = 0; r_tb = 0; r_dep_ready = 0.0; r_start = 0.0; r_finish = 0.0 }
-    in
-    let ri = ref 0 in
-    for k = ap.k0 to ap.k0 + ap.nk - 1 do
-      let n = ks.(k) in
-      for tb = 0 to n.ntbs - 1 do
-        records.(!ri) <-
-          {
-            Stats.r_kernel = k - ap.k0;
-            r_tb = tb;
-            r_dep_ready = n.dep_ready_time.(tb);
-            r_start = n.start_time.(tb);
-            r_finish = n.finish_time.(tb);
-          };
-        incr ri
-      done
-    done;
+    let column f = Array.init ap.nk (fun i -> f ks.(ap.k0 + i)) in
     let base_mem =
       Array.fold_left (fun acc (node : Graph.node) -> acc +. node.Graph.n_mem_requests) 0.0 ap.nodes
     in
@@ -1116,8 +1095,8 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
               let n_parents = ap.nodes.(prev).Graph.n_tbs in
               if fine then
                 acc
-                +. Hardware.dep_mem_requests ap.acfg ~n_parents ~n_children:node.Graph.n_tbs
-                     node.Graph.n_relation
+                +. Hardware.dep_mem_requests ap.acfg ~sizes:node.Graph.n_sizes ~n_parents
+                     ~n_children:node.Graph.n_tbs node.Graph.n_relation
               else acc +. 2.0 (* kernel-granular gating: a flag write + read *)
             end)
           0.0 ap.nodes
@@ -1126,7 +1105,9 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
     {
       Stats.total_us = total;
       busy_us = ap.clk.busy;
-      records;
+      tb_dep_ready = column (fun n -> n.dep_ready_time);
+      tb_start = column (fun n -> n.start_time);
+      tb_finish = column (fun n -> n.finish_time);
       avg_concurrency = (if total > 0.0 then ap.clk.area /. total else 0.0);
       base_mem_requests = base_mem;
       dep_mem_requests = dep_mem;

@@ -106,7 +106,9 @@ type app = {
 }
 
 type outcome = {
-  o_stats : Bm_gpu.Stats.t array;  (** per app, app-local kernel numbering *)
+  o_stats : Bm_gpu.Stats.t array;
+      (** per app, app-local kernel numbering; the per-TB timing columns
+          are the engine's own arrays, which it no longer touches *)
   o_makespan_us : float;  (** completion time of the last app *)
   o_busy_us : float;  (** machine-wide time with >= 1 running TB *)
   o_avg_concurrency : float;  (** machine-wide mean running TBs over the makespan *)

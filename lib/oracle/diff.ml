@@ -27,27 +27,30 @@ let diff_stats (s : Stats.t) (r : Stats.t) =
   let acc = fdiff "avg_concurrency" s.Stats.avg_concurrency r.Stats.avg_concurrency acc in
   let acc = fdiff "base_mem_requests" s.Stats.base_mem_requests r.Stats.base_mem_requests acc in
   let acc = fdiff "dep_mem_requests" s.Stats.dep_mem_requests r.Stats.dep_mem_requests acc in
+  let shape (st : Stats.t) = Array.map Array.length st.Stats.tb_start in
   let acc =
-    if Array.length s.Stats.records <> Array.length r.Stats.records then
-      Printf.sprintf "records: sim has %d, ref has %d" (Array.length s.Stats.records)
-        (Array.length r.Stats.records)
+    if shape s <> shape r then
+      Printf.sprintf "TB columns: sim has %d TBs in %d kernels, ref has %d in %d" (Stats.tb_count s)
+        (Array.length s.Stats.tb_start) (Stats.tb_count r) (Array.length r.Stats.tb_start)
       :: acc
     else begin
-      let diffs = ref [] in
-      let shown = ref 0 in
+      let diffs = ref [] and shown = ref 0 in
       Array.iteri
-        (fun i (a : Stats.tb_record) ->
-          let b = r.Stats.records.(i) in
-          if a <> b && !shown < 5 then begin
-            incr shown;
-            diffs :=
-              Printf.sprintf
-                "record %d (k%d tb%d): sim dep/start/finish=%.6g/%.6g/%.6g ref=%.6g/%.6g/%.6g" i
-                a.Stats.r_kernel a.Stats.r_tb a.Stats.r_dep_ready a.Stats.r_start
-                a.Stats.r_finish b.Stats.r_dep_ready b.Stats.r_start b.Stats.r_finish
-              :: !diffs
-          end)
-        s.Stats.records;
+        (fun k starts ->
+          let sd = s.Stats.tb_dep_ready.(k) and sf = s.Stats.tb_finish.(k) in
+          let rd = r.Stats.tb_dep_ready.(k) and rs = r.Stats.tb_start.(k) in
+          let rf = r.Stats.tb_finish.(k) in
+          for tb = 0 to Array.length starts - 1 do
+            if (sd.(tb) <> rd.(tb) || starts.(tb) <> rs.(tb) || sf.(tb) <> rf.(tb)) && !shown < 5
+            then begin
+              incr shown;
+              diffs :=
+                Printf.sprintf "k%d tb%d: sim dep/start/finish=%.6g/%.6g/%.6g ref=%.6g/%.6g/%.6g" k
+                  tb sd.(tb) starts.(tb) sf.(tb) rd.(tb) rs.(tb) rf.(tb)
+                :: !diffs
+            end
+          done)
+        s.Stats.tb_start;
       List.rev_append !diffs acc
     end
   in

@@ -5,8 +5,8 @@
 
     The two simulators share their inputs ({!Bm_maestro.Prep.t} and the
     machine config) and must agree {e cycle-exactly}: identical totals,
-    identical concurrency integrals, identical memory-request models and an
-    identical per-TB record array (dep-ready / start / finish times compared
+    identical concurrency integrals, identical memory-request models and
+    identical per-TB timing columns (dep-ready / start / finish times compared
     with exact float equality — both engines derive every timestamp from the
     same cost-model inputs through the same arithmetic, so any difference is
     a semantic divergence, not rounding). *)
@@ -25,12 +25,12 @@ val backend_name : backend -> string
 type mismatch = {
   mm_mode : Bm_maestro.Mode.t;
   mm_backend : backend;
-  mm_details : string list;  (** one line per diverging field / record *)
+  mm_details : string list;  (** one line per diverging field / TB *)
 }
 
 val diff_stats : Bm_gpu.Stats.t -> Bm_gpu.Stats.t -> string list
 (** [diff_stats sim ref_] is empty iff the two results agree cycle-exactly;
-    otherwise one human-readable line per difference (record diffs are
+    otherwise one human-readable line per difference (per-TB diffs are
     truncated after a few entries). *)
 
 val check :

@@ -2,6 +2,7 @@ module Command = Bm_gpu.Command
 module Config = Bm_gpu.Config
 module Stats = Bm_gpu.Stats
 module Bipartite = Bm_depgraph.Bipartite
+module Encode = Bm_depgraph.Encode
 module Mode = Bm_maestro.Mode
 module Prep = Bm_maestro.Prep
 module Multi = Bm_maestro.Multi
@@ -560,21 +561,7 @@ let run ?(submission = Multi.Fifo) ?(spatial = Multi.Shared) ?(slots_bug = 0)
   done;
 
   Array.init napps (fun a ->
-      let records = ref [] in
-      for k = nk.(a) - 1 downto 0 do
-        let st = ks.(a).(k) in
-        for tbid = st.info.Prep.li_tbs - 1 downto 0 do
-          records :=
-            {
-              Stats.r_kernel = k;
-              r_tb = tbid;
-              r_dep_ready = st.dep_ready.(tbid);
-              r_start = st.start_t.(tbid);
-              r_finish = st.finish_t.(tbid);
-            }
-            :: !records
-        done
-      done;
+      let column f = Array.map f ks.(a) in
       let base_mem = ref 0.0 in
       Array.iter
         (fun st ->
@@ -593,6 +580,7 @@ let run ?(submission = Multi.Fifo) ?(spatial = Multi.Shared) ?(slots_bug = 0)
                 dep_mem :=
                   !dep_mem
                   +. Hardware.dep_mem_requests acfg.(a)
+                       ~sizes:(Encode.measure st.info.Prep.li_relation)
                        ~n_parents:launches.(a).(prev).Prep.li_tbs
                        ~n_children:st.info.Prep.li_tbs st.info.Prep.li_relation
               else dep_mem := !dep_mem +. 2.0)
@@ -601,7 +589,9 @@ let run ?(submission = Multi.Fifo) ?(spatial = Multi.Shared) ?(slots_bug = 0)
       {
         Stats.total_us = total;
         busy_us = busy.(a);
-        records = Array.of_list !records;
+        tb_dep_ready = column (fun st -> st.dep_ready);
+        tb_start = column (fun st -> st.start_t);
+        tb_finish = column (fun st -> st.finish_t);
         avg_concurrency = (if total > 0.0 then area.(a) /. total else 0.0);
         base_mem_requests = !base_mem;
         dep_mem_requests = !dep_mem;

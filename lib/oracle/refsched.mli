@@ -25,7 +25,7 @@
 
     The result is O(n²)-ish in events and TBs, which is fine: the oracle
     runs on fuzzer-sized apps.  {!Diff} asserts cycle-exact agreement
-    (identical {!Bm_gpu.Stats.t}, including per-TB records) with the
+    (identical {!Bm_gpu.Stats.t}, including the per-TB timing columns) with the
     engine for every mode, so any divergence — in either — is a bug with
     a concrete reproducer.
 

@@ -137,7 +137,7 @@ val makespan_us : t -> float
 val cell : t -> resource -> bucket -> int
 val exec_ticks : t -> int
 (** Busy slot-ticks: equals the quantized sum of per-TB execution times
-    (cross-checked against [Stats.records] in the tests). *)
+    (cross-checked against the [Stats] TB columns in the tests). *)
 
 val conservation : t -> (unit, string) result
 (** [Ok ()] iff every resource row sums to [makespan x weight] exactly and

@@ -7,24 +7,22 @@ type kernel_span = {
   ks_tbs : int;
 }
 
+(* A kernel with no TBs has no extent and gets no row. *)
 let spans (s : Stats.t) =
-  let tbl : (int, float * float * int) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun (r : Stats.tb_record) ->
-      let first, last, count =
-        match Hashtbl.find_opt tbl r.Stats.r_kernel with
-        | Some x -> x
-        | None -> (infinity, 0.0, 0)
-      in
-      Hashtbl.replace tbl r.Stats.r_kernel
-        (min first r.Stats.r_start, max last r.Stats.r_finish, count + 1))
-    s.Stats.records;
-  Hashtbl.fold
-    (fun k (first, last, count) acc ->
-      { ks_kernel = k; ks_first_start = first; ks_last_finish = last; ks_tbs = count } :: acc)
-    tbl []
-  |> List.sort (fun a b -> compare a.ks_kernel b.ks_kernel)
-  |> Array.of_list
+  let rows = ref [] in
+  for k = Array.length s.Stats.tb_start - 1 downto 0 do
+    let starts = s.Stats.tb_start.(k) in
+    if Array.length starts > 0 then
+      rows :=
+        {
+          ks_kernel = k;
+          ks_first_start = Array.fold_left min infinity starts;
+          ks_last_finish = Array.fold_left max 0.0 s.Stats.tb_finish.(k);
+          ks_tbs = Array.length starts;
+        }
+        :: !rows
+  done;
+  Array.of_list !rows
 
 let ascii ?(width = 72) ?(max_rows = 24) (s : Stats.t) =
   let sp = spans s in
@@ -56,13 +54,15 @@ let ascii ?(width = 72) ?(max_rows = 24) (s : Stats.t) =
     rows;
   (* Occupancy track: running TB count per column, quantized to 0-9. *)
   let occupancy = Array.make width 0.0 in
-  Array.iter
-    (fun (r : Stats.tb_record) ->
-      let c0 = col r.Stats.r_start and c1 = col r.Stats.r_finish in
-      for c = c0 to c1 do
-        occupancy.(c) <- occupancy.(c) +. 1.0
-      done)
-    s.Stats.records;
+  Array.iteri
+    (fun k starts ->
+      Array.iteri
+        (fun tb start ->
+          for c = col start to col s.Stats.tb_finish.(k).(tb) do
+            occupancy.(c) <- occupancy.(c) +. 1.0
+          done)
+        starts)
+    s.Stats.tb_start;
   let peak = Array.fold_left max 1.0 occupancy in
   let track =
     String.init width (fun c ->
@@ -76,10 +76,13 @@ let ascii ?(width = 72) ?(max_rows = 24) (s : Stats.t) =
 let csv (s : Stats.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "kernel,tb,dep_ready,start,finish\n";
-  Array.iter
-    (fun (r : Stats.tb_record) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%.4f,%.4f,%.4f\n" r.Stats.r_kernel r.Stats.r_tb r.Stats.r_dep_ready
-           r.Stats.r_start r.Stats.r_finish))
-    s.Stats.records;
+  Array.iteri
+    (fun k starts ->
+      Array.iteri
+        (fun tb start ->
+          Buffer.add_string buf
+            (Printf.sprintf "%d,%d,%.4f,%.4f,%.4f\n" k tb s.Stats.tb_dep_ready.(k).(tb) start
+               s.Stats.tb_finish.(k).(tb)))
+        starts)
+    s.Stats.tb_start;
   Buffer.contents buf

@@ -3,7 +3,7 @@
     Visualizes how kernels overlap under each execution model — the view
     Fig. 2 of the paper draws by hand: each kernel as a horizontal bar from
     its first TB start to its last TB finish, plus an occupancy sparkline.
-    Also exports raw per-TB records as CSV for external plotting. *)
+    Also exports the raw per-TB timings as CSV for external plotting. *)
 
 type kernel_span = {
   ks_kernel : int;
@@ -13,7 +13,8 @@ type kernel_span = {
 }
 
 val spans : Bm_gpu.Stats.t -> kernel_span array
-(** Per-kernel execution extents, ordered by kernel sequence number. *)
+(** Per-kernel execution extents, ordered by kernel sequence number;
+    kernels without TBs are omitted. *)
 
 val ascii : ?width:int -> ?max_rows:int -> Bm_gpu.Stats.t -> string
 (** Gantt-style chart: one row per kernel ([max_rows] cap, default 24; a

@@ -411,7 +411,16 @@ let test_bmctl_deadline_exit_codes () =
   Alcotest.(check int) "rta subcommand clean" 0 (bmctl [ "rta"; "MVT" ]);
   Alcotest.(check int) "rta self-test trips" 7 (bmctl [ "rta"; "MVT"; "--inject-rta-bug" ]);
   Alcotest.(check int) "corun with deadlines" 0
-    (bmctl [ "corun"; "BICG"; "MVT"; "--deadlines"; "1e9,1e9" ])
+    (bmctl [ "corun"; "BICG"; "MVT"; "--deadlines"; "1e9,1e9" ]);
+  (* One conv for both flags: a deadline that is not a positive finite
+     number is a parse error, never a judged run. *)
+  List.iter
+    (fun d ->
+      Alcotest.(check int) (Printf.sprintf "run --deadline=%s exits 124" d) 124
+        (bmctl [ "run"; "MVT"; "-m"; "edf2"; "--deadline=" ^ d ]);
+      Alcotest.(check int) (Printf.sprintf "corun --deadlines=1e9,%s exits 124" d) 124
+        (bmctl [ "corun"; "BICG"; "MVT"; "--deadlines=1e9," ^ d ]))
+    [ "nan"; "0"; "-5" ]
 
 let suite =
   [

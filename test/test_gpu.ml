@@ -262,17 +262,13 @@ let test_zero_trip_outer_loop () =
   Alcotest.(check bool) "outer = 3 matches the reference" true (profile_matches_reference r (fl 3))
 
 let test_stats_helpers () =
-  let records =
-    [|
-      { Stats.r_kernel = 0; r_tb = 0; r_dep_ready = 0.0; r_start = 2.0; r_finish = 4.0 };
-      { Stats.r_kernel = 0; r_tb = 1; r_dep_ready = 1.0; r_start = 1.0; r_finish = 3.0 };
-    |]
-  in
   let s =
     {
       Stats.total_us = 10.0;
       busy_us = 5.0;
-      records;
+      tb_dep_ready = [| [| 0.0; 1.0 |] |];
+      tb_start = [| [| 2.0; 1.0 |] |];
+      tb_finish = [| [| 4.0; 3.0 |] |];
       avg_concurrency = 2.0;
       base_mem_requests = 100.0;
       dep_mem_requests = 2.0;

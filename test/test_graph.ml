@@ -112,6 +112,23 @@ let prop_json_roundtrip =
       | Ok graph' -> Graph.equal graph graph'
       | Error e -> QCheck2.Test.fail_reportf "decode failed: %a" Graph.pp_error e)
 
+(* Random apps rarely relate kernels fully; the suite does (AlexNet,
+   GAUSSIAN, GRAMSCHM), so this pins decode-time sizes of every relation
+   kind to capture-time ones. *)
+let test_suite_json_roundtrip () =
+  List.iter
+    (fun (name, mk) ->
+      let graph = Graph.capture cfg (mk ()) in
+      match Json.of_string (Json.to_string (Graph.to_json graph)) with
+      | Error msg -> Alcotest.failf "%s: invalid JSON: %s" name msg
+      | Ok j -> (
+        match Graph.of_json j with
+        | Ok graph' ->
+          Alcotest.(check bool) (name ^ ": decoded graph equals the capture") true
+            (Graph.equal graph graph')
+        | Error e -> Alcotest.failf "%s: %a" name Graph.pp_error e))
+    Suite.all
+
 let prop_disk_roundtrip_replay_identical =
   QCheck2.Test.make ~name:"disk-reloaded replay is byte-identical" ~count:10
     QCheck2.Gen.(int_range 0 10_000)
@@ -352,6 +369,7 @@ let test_packed_event_bound () =
       n_tb_us = [||];
       n_mem_requests = 0.0;
       n_relation = Bm_depgraph.Bipartite.Independent;
+      n_sizes = Bm_depgraph.Encode.measure Bm_depgraph.Bipartite.Independent;
       n_copy_deps = [||];
     }
   in
@@ -546,11 +564,10 @@ let test_bench_front_end () =
 
 (* --- byte fuzz of the graph loader ------------------------------------ *)
 
-(* 1-3 byte edits (replace, insert, delete) of a captured graph's JSON.
-   Edit bytes are any byte, weighted towards the characters the format
-   uses so that more mutants still parse.  [Graph.of_json] must never
-   raise, and a mutant that also passes [validate] must replay without
-   raising in a serial and a fine-grain mode. *)
+(* 1-3 byte edits (replace, insert, delete) of a captured graph's JSON,
+   see Bytefuzz.  [Graph.of_json] must never raise, and a mutant that also
+   passes [validate] must replay without raising in a serial and a
+   fine-grain mode. *)
 let fuzz_corpus =
   lazy
     (Array.of_list
@@ -560,37 +577,14 @@ let fuzz_corpus =
             (app, Json.to_string (Graph.to_json (Graph.capture cfg app))))
           [ "BICG"; "MVT"; "LUD"; "3MM" ]))
 
-(* Positions are uniform over the text (taken mod its length); [nat]
-   would crowd them into the header. *)
-let gen_mutant =
-  QCheck2.Gen.(
-    pair (int_bound 3)
-      (list_size (int_range 1 3)
-         (triple (int_bound 2)
-            (int_bound ((1 lsl 30) - 2))
-            (oneof [ char; oneofl (List.of_seq (String.to_seq "0123456789abcdef-,*:{}[]\"")) ]))))
-
-let mutate text edits =
-  List.fold_left
-    (fun s (op, pos, c) ->
-      let n = String.length s in
-      let i = pos mod n in
-      match op with
-      | 0 -> String.mapi (fun k x -> if k = i then c else x) s
-      | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
-      | _ -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1))
-    text edits
-
 let prop_graph_byte_fuzz =
   QCheck2.Test.make ~name:"load: byte-mutated graphs never raise" ~count:2000 ~long_factor:10
-    ~print:(fun (k, edits) ->
-      String.concat "; "
-        (List.map (fun (op, pos, c) -> Printf.sprintf "graph %d op %d at %d byte %C" k op pos c) edits))
-    gen_mutant
+    ~print:(Bytefuzz.print ~what:"graph")
+    (Bytefuzz.gen ~corpus:4 ~alphabet:"0123456789abcdef-,*:{}[]\"")
     (fun (k, edits) ->
       let app, text = (Lazy.force fuzz_corpus).(k) in
       let fail stage e = QCheck2.Test.fail_reportf "%s raised %s" stage (Printexc.to_string e) in
-      match Json.of_string (mutate text edits) with
+      match Json.of_string (Bytefuzz.mutate text edits) with
       | exception e -> fail "Json.of_string" e
       | Error _ -> true
       | Ok j -> (
@@ -615,6 +609,7 @@ let suite =
     Alcotest.test_case "oracle: replay backend axis" `Quick test_diff_backend_axis;
     Alcotest.test_case "runner: backend selection" `Quick test_runner_backend;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    Alcotest.test_case "round trip: suite graphs decode equal" `Quick test_suite_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_disk_roundtrip_replay_identical;
     Alcotest.test_case "validate: fresh graph accepted" `Quick test_validate_fresh;
     Alcotest.test_case "validate: stale graph rejected" `Quick test_validate_stale;

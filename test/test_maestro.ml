@@ -193,14 +193,19 @@ let test_area () =
   Alcotest.(check bool) "about 22KB" true (bytes > 20_000 && bytes < 26_000)
 
 let test_dep_traffic () =
+  let dep_mem_requests ~n_parents ~n_children rel =
+    Hardware.dep_mem_requests cfg
+      ~sizes:(Bm_depgraph.Encode.measure_pair ~n_parents ~n_children rel)
+      ~n_parents ~n_children rel
+  in
   Alcotest.(check (float 1e-9)) "independent" 1.0
-    (Hardware.dep_mem_requests cfg ~n_parents:100 ~n_children:100 Bipartite.Independent);
+    (dep_mem_requests ~n_parents:100 ~n_children:100 Bipartite.Independent);
   Alcotest.(check (float 1e-9)) "full" 2.0
-    (Hardware.dep_mem_requests cfg ~n_parents:100 ~n_children:100 Bipartite.Fully_connected);
+    (dep_mem_requests ~n_parents:100 ~n_children:100 Bipartite.Fully_connected);
   let g =
     Bipartite.Graph (Bipartite.of_edges ~n_parents:8 ~n_children:8 (List.init 8 (fun i -> (i, i))))
   in
-  let reqs = Hardware.dep_mem_requests cfg ~n_parents:8 ~n_children:8 g in
+  let reqs = dep_mem_requests ~n_parents:8 ~n_children:8 g in
   (* O(V) with 32-byte transactions: install + batched descriptor fetch +
      packed counters — a handful of transactions for an 8-node pair. *)
   Alcotest.(check bool) "order V, packed" true (reqs >= 3.0 && reqs <= 8.0);
@@ -208,7 +213,7 @@ let test_dep_traffic () =
     Bipartite.Graph
       (Bipartite.of_edges ~n_parents:512 ~n_children:512 (List.init 512 (fun i -> (i, i))))
   in
-  let big_reqs = Hardware.dep_mem_requests cfg ~n_parents:512 ~n_children:512 big in
+  let big_reqs = dep_mem_requests ~n_parents:512 ~n_children:512 big in
   Alcotest.(check bool) "scales with V" true (big_reqs > 8.0 *. reqs)
 
 (* --- sim invariants -------------------------------------------------- *)
@@ -240,24 +245,23 @@ let test_sim_no_start_before_dep () =
   let app = chain_app ~work:400 ~kernels:4 ~tbs:16 () in
   let prep = Runner.prepare ~cfg Mode.Producer_priority app in
   let stats = Sim.run cfg Mode.Producer_priority prep in
-  let finish = Hashtbl.create 64 in
-  Array.iter (fun r -> Hashtbl.replace finish (r.Stats.r_kernel, r.Stats.r_tb) r.Stats.r_finish)
-    stats.Stats.records;
-  Array.iter
-    (fun r ->
-      let k = r.Stats.r_kernel in
+  Array.iteri
+    (fun k starts ->
       if k > 0 then
         match prep.Prep.p_launches.(k).Prep.li_relation with
         | Bipartite.Graph g ->
-          Array.iter
-            (fun p ->
-              let pf = Hashtbl.find finish (k - 1, p) in
-              if r.Stats.r_start +. 1e-9 < pf then
-                Alcotest.failf "TB %d of kernel %d started %.3f before parent %d finished %.3f"
-                  r.Stats.r_tb k r.Stats.r_start p pf)
-            g.Bipartite.parents_of.(r.Stats.r_tb)
+          Array.iteri
+            (fun tb start ->
+              Array.iter
+                (fun p ->
+                  let pf = stats.Stats.tb_finish.(k - 1).(p) in
+                  if start +. 1e-9 < pf then
+                    Alcotest.failf "TB %d of kernel %d started %.3f before parent %d finished %.3f"
+                      tb k start p pf)
+                g.Bipartite.parents_of.(tb))
+            starts
         | Bipartite.Independent | Bipartite.Fully_connected -> ())
-    stats.Stats.records;
+    stats.Stats.tb_start;
   Alcotest.(check pass) "dependency order respected" () ()
 
 let test_sim_baseline_serializes () =
@@ -265,18 +269,15 @@ let test_sim_baseline_serializes () =
      finished. *)
   let app = chain_app ~work:300 ~kernels:3 ~tbs:8 () in
   let stats = run_mode Mode.Baseline app in
-  let last_finish = Array.make 3 0.0 in
-  Array.iter
-    (fun r ->
-      if r.Stats.r_finish > last_finish.(r.Stats.r_kernel) then
-        last_finish.(r.Stats.r_kernel) <- r.Stats.r_finish)
-    stats.Stats.records;
-  Array.iter
-    (fun r ->
-      if r.Stats.r_kernel > 0 then
-        Alcotest.(check bool) "kernel barrier" true
-          (r.Stats.r_start +. 1e-9 >= last_finish.(r.Stats.r_kernel - 1)))
-    stats.Stats.records
+  let last_finish = Array.map (Array.fold_left max 0.0) stats.Stats.tb_finish in
+  Array.iteri
+    (fun k starts ->
+      if k > 0 then
+        Array.iter
+          (fun start ->
+            Alcotest.(check bool) "kernel barrier" true (start +. 1e-9 >= last_finish.(k - 1)))
+          starts)
+    stats.Stats.tb_start
 
 let test_sim_dep_ready_consistent () =
   (* dep_ready of a child TB equals the max finish time of its parents,
@@ -284,23 +285,23 @@ let test_sim_dep_ready_consistent () =
   let app = chain_app ~work:300 ~kernels:3 ~tbs:8 () in
   let prep = Runner.prepare ~cfg Mode.Baseline app in
   let stats = Sim.run cfg Mode.Baseline prep in
-  let finish = Hashtbl.create 64 in
-  Array.iter (fun r -> Hashtbl.replace finish (r.Stats.r_kernel, r.Stats.r_tb) r.Stats.r_finish)
-    stats.Stats.records;
-  Array.iter
-    (fun r ->
-      let k = r.Stats.r_kernel in
+  Array.iteri
+    (fun k dep_ready ->
       if k > 0 then
         match prep.Prep.p_launches.(k).Prep.li_relation with
-        | Bipartite.Graph g when Array.length g.Bipartite.parents_of.(r.Stats.r_tb) > 0 ->
-          let expect =
-            Array.fold_left
-              (fun acc p -> max acc (Hashtbl.find finish (k - 1, p)))
-              0.0 g.Bipartite.parents_of.(r.Stats.r_tb)
-          in
-          Alcotest.(check (float 1e-6)) "dep_ready = max parent finish" expect r.Stats.r_dep_ready
-        | Bipartite.Graph _ | Bipartite.Independent | Bipartite.Fully_connected -> ())
-    stats.Stats.records
+        | Bipartite.Graph g ->
+          Array.iteri
+            (fun tb ready ->
+              let parents = g.Bipartite.parents_of.(tb) in
+              if Array.length parents > 0 then begin
+                let expect =
+                  Array.fold_left (fun acc p -> max acc stats.Stats.tb_finish.(k - 1).(p)) 0.0 parents
+                in
+                Alcotest.(check (float 1e-6)) "dep_ready = max parent finish" expect ready
+              end)
+            dep_ready
+        | Bipartite.Independent | Bipartite.Fully_connected -> ())
+    stats.Stats.tb_dep_ready
 
 let test_sim_independent_kernels_overlap () =
   let d = Dsl.create "indep" in
@@ -320,12 +321,14 @@ let test_sim_slot_capacity_respected () =
   (* Concurrency can never exceed the machine's TB slots. *)
   let app = chain_app ~work:300 ~kernels:2 ~tbs:2048 () in
   let stats = run_mode (Mode.Consumer_priority 2) app in
-  (* Reconstruct max concurrency from records. *)
+  (* Reconstruct max concurrency from the TB columns. *)
   let events = ref [] in
-  Array.iter
-    (fun r ->
-      events := (r.Stats.r_start, 1) :: (r.Stats.r_finish, -1) :: !events)
-    stats.Stats.records;
+  Array.iteri
+    (fun k starts ->
+      Array.iteri
+        (fun tb start -> events := (start, 1) :: (stats.Stats.tb_finish.(k).(tb), -1) :: !events)
+        starts)
+    stats.Stats.tb_start;
   let sorted = List.sort compare !events in
   let peak = ref 0 and cur = ref 0 in
   List.iter
@@ -444,14 +447,12 @@ let test_streams_inorder_completion_per_stream () =
   let stats = run_mode (Mode.Consumer_priority 2) app in
   (* The fast chain finishes while the slow kernel still runs: its last TB
      must not wait for the slow kernel. *)
-  let slow_finish = ref 0.0 and fast_finish = ref 0.0 in
-  Array.iter
-    (fun r ->
-      if r.Stats.r_kernel = 0 then slow_finish := max !slow_finish r.Stats.r_finish
-      else fast_finish := max !fast_finish r.Stats.r_finish)
-    stats.Stats.records;
+  let last_finish = Array.map (Array.fold_left max 0.0) stats.Stats.tb_finish in
+  let fast_finish =
+    Array.fold_left max 0.0 (Array.sub last_finish 1 (Array.length last_finish - 1))
+  in
   Alcotest.(check bool) "fast stream not serialized behind slow stream" true
-    (!fast_finish < !slow_finish)
+    (fast_finish < last_finish.(0))
 
 let stream_suite =
   [
@@ -477,7 +478,7 @@ let test_sim_single_kernel_app () =
     (fun mode ->
       let s = run_mode mode app in
       Alcotest.(check bool) (Mode.name mode ^ " completes") true (s.Stats.total_us > 0.0);
-      Alcotest.(check int) "4 records" 4 (Array.length s.Stats.records))
+      Alcotest.(check int) "4 TBs" 4 (Stats.tb_count s))
     [ Mode.Baseline; Mode.Ideal; Mode.Prelaunch_only; Mode.Producer_priority; Mode.Consumer_priority 4 ]
 
 let test_sim_no_kernels () =
@@ -487,7 +488,7 @@ let test_sim_no_kernels () =
   Dsl.d2h d b;
   let app = Dsl.app d in
   let s = run_mode Mode.Producer_priority app in
-  Alcotest.(check int) "no TB records" 0 (Array.length s.Stats.records);
+  Alcotest.(check int) "no TBs" 0 (Stats.tb_count s);
   Alcotest.(check bool) "copies took time" true (s.Stats.total_us > 0.0)
 
 let test_sim_sync_in_baseline () =
@@ -519,20 +520,24 @@ let test_sim_busy_bounded () =
     [ Mode.Baseline; Mode.Consumer_priority 3 ]
 
 let test_sim_records_complete () =
-  (* Every TB of every kernel appears exactly once in the records with
-     coherent timestamps. *)
+  (* Every TB of every kernel has an entry in each of the three columns,
+     with coherent timestamps. *)
   let app = chain_app ~work:100 ~kernels:3 ~tbs:8 () in
   let s = run_mode Mode.Producer_priority app in
-  Alcotest.(check int) "24 records" 24 (Array.length s.Stats.records);
-  let seen = Hashtbl.create 32 in
-  Array.iter
-    (fun r ->
-      let key = (r.Stats.r_kernel, r.Stats.r_tb) in
-      Alcotest.(check bool) "unique" false (Hashtbl.mem seen key);
-      Hashtbl.add seen key ();
-      Alcotest.(check bool) "start <= finish" true (r.Stats.r_start <= r.Stats.r_finish);
-      Alcotest.(check bool) "dep_ready <= start" true (r.Stats.r_dep_ready <= r.Stats.r_start +. 1e-9))
-    s.Stats.records
+  Alcotest.(check int) "24 TBs" 24 (Stats.tb_count s);
+  let shape col = Array.to_list (Array.map Array.length col) in
+  List.iter
+    (fun (name, col) -> Alcotest.(check (list int)) (name ^ " shape") [ 8; 8; 8 ] (shape col))
+    [ ("dep_ready", s.Stats.tb_dep_ready); ("start", s.Stats.tb_start); ("finish", s.Stats.tb_finish) ];
+  Array.iteri
+    (fun k starts ->
+      Array.iteri
+        (fun tb start ->
+          Alcotest.(check bool) "start <= finish" true (start <= s.Stats.tb_finish.(k).(tb));
+          Alcotest.(check bool) "dep_ready <= start" true
+            (s.Stats.tb_dep_ready.(k).(tb) <= start +. 1e-9))
+        starts)
+    s.Stats.tb_start
 
 let test_sim_host_blocking_slower () =
   (* Synchronous copies can never make the app faster. *)

@@ -302,3 +302,35 @@ let suite =
       expect_parse_error "parser: negated guard without predicate"
         ".visible .entry k(\n)\n{\n  @! bra L_END;\nL_END:\n  ret;\n}\n";
     ]
+
+(* --- byte fuzz of the parser ------------------------------------------ *)
+
+(* 1-3 byte edits (replace, insert, delete) of one printed suite kernel,
+   see Bytefuzz.  Whatever the bytes, [Parser.kernels_of_string] returns
+   kernels or raises its documented [Parse_error], nothing else. *)
+let fuzz_corpus =
+  lazy
+    (let seen = Hashtbl.create 64 in
+     List.iter
+       (fun (_, mk) ->
+         List.iter
+           (fun (spec : Bm_gpu.Command.launch_spec) ->
+             let k = spec.Bm_gpu.Command.kernel in
+             if not (Hashtbl.mem seen k.T.kname) then
+               Hashtbl.add seen k.T.kname (Printer.kernel_to_string k))
+           (Bm_gpu.Command.launches (mk ())))
+       Bm_workloads.Suite.all;
+     Array.of_list (List.sort compare (Hashtbl.fold (fun _ text acc -> text :: acc) seen [])))
+
+let prop_parser_byte_fuzz =
+  let corpus = Array.length (Lazy.force fuzz_corpus) in
+  QCheck2.Test.make ~name:"parser: byte-mutated kernels never raise" ~count:2000 ~long_factor:10
+    ~print:(Bytefuzz.print ~what:"kernel")
+    (Bytefuzz.gen ~corpus ~alphabet:"0123456789%.,;:[]+-@!{}() \nrdfpxyz")
+    (fun (k, edits) ->
+      match Parser.kernels_of_string (Bytefuzz.mutate (Lazy.force fuzz_corpus).(k) edits) with
+      | (_ : T.kernel list) -> true
+      | exception Parser.Parse_error _ -> true
+      | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |]) prop_parser_byte_fuzz ]
