@@ -10,15 +10,7 @@
 
 open Blockmaestro
 
-let fig9_modes =
-  [
-    Mode.Prelaunch_only;
-    Mode.Producer_priority;
-    Mode.Consumer_priority 2;
-    Mode.Consumer_priority 3;
-    Mode.Consumer_priority 4;
-    Mode.Ideal;
-  ]
+let fig9_modes = List.filter (fun m -> m <> Mode.Baseline) Mode.all_fig9
 
 type app_results = {
   ar_name : string;
@@ -27,21 +19,19 @@ type app_results = {
 }
 
 (* Each app's prepare + 7-mode simulation is one independent task on the
-   domain pool (the shared matrix behind table2/3 and fig9/10/11/13).
-   Results come back in suite order, so every printed table is identical
-   for any --jobs value.  [`Replay] runs every (app, mode) cell through
-   graph capture and event-trigger replay instead of fresh prepare +
-   simulate; the two are cycle-exact identical, so all printed tables must
-   not change, which makes the experiment pass under [`Replay] a
-   whole-suite equivalence check in itself. *)
-let results backend =
+   domain pool (the shared matrix behind table2/3 and fig9/10/11/13), with
+   one analysis cache per task, so [ar_prep] reuses the reordered class's
+   analysis.  Results come back in suite order, so every printed table is
+   identical for any --jobs value. *)
+let results () =
   Parallel.map_list
     (fun (name, gen) ->
       let app = gen () in
+      let cache = Cache.create () in
       {
         ar_name = name;
-        ar_prep = Runner.prepare Mode.Producer_priority app;
-        ar_runs = Runner.simulate_all ~backend ~modes:(Mode.Baseline :: fig9_modes) app;
+        ar_prep = Runner.prepare ~cache Mode.Producer_priority app;
+        ar_runs = Runner.simulate_all ~cache app;
       })
     Suite.all
 
@@ -477,10 +467,9 @@ let ablations () =
   ablation_streams ()
 
 (* The sections main.exe prints, in paper order.  The shared app x mode
-   matrix runs on [backend], once, when the first section that needs it
-   prints. *)
-let sections backend =
-  let results = lazy (results backend) in
+   matrix runs once, when the first section that needs it prints. *)
+let sections () =
+  let results = lazy (results ()) in
   let shared f () = f (Lazy.force results) in
   [
     ("table1", table1); ("table2", shared table2); ("fig9", shared fig9); ("fig10", shared fig10);

@@ -2,9 +2,8 @@
 
    Running `dune exec bench/main.exe` regenerates every table and figure of
    the paper's evaluation section (printed as text tables with the paper's
-   reference numbers alongside).  --only SECTION prints one experiment;
-   --backend replay runs the shared app x mode matrix through capture +
-   replay.  Host time per layer is the ledger's job (bench/ledger).
+   reference numbers alongside).  --only SECTION prints one experiment.
+   Host time per layer is the ledger's job (bench/ledger).
 
    At most one gate runs instead of the experiments, and exits 1 if any of
    its cells fails: --oracle (event-driven vs reference scheduler on every
@@ -21,7 +20,7 @@
    regressed beyond the threshold (default 5%).  --cache-dir DIR attaches
    the persistent analysis store to that collection.
 
-   --jobs, --cache-dir and --backend are the Bm_cli terms bmctl shares.
+   --jobs and --cache-dir are the Bm_cli terms bmctl shares.
    Every sweep fans out over the domain pool and collects in input order,
    so output is identical for any --jobs. *)
 
@@ -77,7 +76,7 @@ let run_oracle () =
      input order after the pool drains. *)
   let verdicts =
     Parallel.map_list
-      (fun (name, gen) -> (name, Diff.check ~cfg ~backends:[ `Sim; `Replay ] (gen ())))
+      (fun (name, gen) -> (name, Diff.check ~cfg (gen ())))
       apps
   in
   List.iter
@@ -400,7 +399,7 @@ let gates =
   [
     ( "oracle",
       "Require cycle-exact agreement between the event-driven and the reference scheduler on \
-       every suite app x mode, on both backends.",
+       every suite app x mode.",
       ( "== differential oracle pass (every app x mode, both schedulers) ==",
         run_oracle,
         "reference scheduler agrees on every app x mode",
@@ -441,13 +440,13 @@ let run_gate (banner, run, passed, failed) =
     Printf.eprintf "%d %s\n" n failed;
     exit 1
 
-let main gate only backend json compare threshold () cache_dir =
+let main gate only json compare threshold () cache_dir =
   match (json, compare, gate) with
   | Some file, _, _ -> Benchrun.write ?cache_dir file
   | None, Some old, _ -> exit (Benchrun.compare_against ?cache_dir ~threshold_pct:threshold old)
   | None, None, Some g -> run_gate g
   | None, None, None -> (
-    let sections = Experiments.sections backend in
+    let sections = Experiments.sections () in
     match only with
     | Some s -> List.assoc s sections ()
     | None -> List.iter (fun (_, f) -> f ()) sections)
@@ -458,7 +457,7 @@ let () =
     Arg.(value & vflag None (List.map (fun (flag, doc, g) -> (Some g, info [ flag ] ~doc)) gates))
   in
   let only =
-    let names = List.map (fun (name, _) -> (name, name)) (Experiments.sections `Sim) in
+    let names = List.map (fun (name, _) -> (name, name)) (Experiments.sections ()) in
     Arg.(
       value
       & opt (some (enum names)) None
@@ -504,5 +503,5 @@ let () =
     (Cmd.eval
        (Cmd.v (Cmd.info "main.exe" ~doc ~exits)
           Term.(
-            const main $ gate $ only $ Bm_cli.backend $ json $ compare $ threshold
-            $ Bm_cli.jobs $ Bm_cli.cache_dir)))
+            const main $ gate $ only $ json $ compare $ threshold $ Bm_cli.jobs
+            $ Bm_cli.cache_dir)))

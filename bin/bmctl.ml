@@ -31,9 +31,8 @@
    available cores capped at 8) to fan independent work — one task per
    requested mode, or per generated fuzz app — over a pool of OCaml domains.
    Results are collected in input order, so output is identical for any N
-   and --jobs 1 is the exact sequential path.  --jobs, --cache-dir,
-   --backend and -m/--mode are Bm_cli terms; bench/main.exe shares the
-   first three.
+   and --jobs 1 is the exact sequential path.  --jobs, --cache-dir and
+   -m/--mode are Bm_cli terms; bench/main.exe shares the first two.
 
    Exit codes are distinct per failure kind so CI and scripts can tell
    them apart:
@@ -179,14 +178,14 @@ let run_cmd =
             "Absolute deadline in microseconds; reports miss/tardiness/slack and verifies \
              the RTA bound against the observed makespan.")
   in
-  let run (name, gen) mode backend deadline rta_bug cache_dir =
+  let run (name, gen) mode deadline rta_bug cache_dir =
     let app = gen () in
     let cache = cache_of_dir cache_dir in
     match deadline with
-    | None -> print_stats name mode (Runner.simulate ~backend ~cache mode app)
+    | None -> print_stats name mode (Runner.simulate ~cache mode app)
     | Some deadline_us ->
       let report, stats =
-        Runner.deadline ~backend ~cache ~optimistic_bound:rta_bug ~deadline_us mode app
+        Runner.deadline ~cache ~optimistic_bound:rta_bug ~deadline_us mode app
       in
       print_stats name mode stats;
       Format.printf "  %a@." Deadline.pp_report report;
@@ -198,8 +197,7 @@ let run_cmd =
   in
   Cmd.v (cmd_info "run" ~doc)
     Term.(
-      const run $ app_arg $ Bm_cli.mode () $ Bm_cli.backend $ deadline $ rta_bug_arg
-      $ Bm_cli.cache_dir)
+      const run $ app_arg $ Bm_cli.mode () $ deadline $ rta_bug_arg $ Bm_cli.cache_dir)
 
 let speedup_cmd =
   let doc = "Report speedups over the baseline for every Fig. 9 mode." in
@@ -469,7 +467,7 @@ let stats_cmd =
   let repeat =
     Arg.(
       value
-      & opt (Bm_cli.pos_int_conv "--repeat") 1
+      & opt (Bm_cli.int_conv ~min:1) 1
       & info [ "repeat" ] ~docv:"N"
           ~doc:
             "Prepare the app(s) $(docv) times against one launch-time analysis cache and \
@@ -709,14 +707,11 @@ let policy_arg =
 
 let partition_conv =
   let parse s =
-    let parts = String.split_on_char ',' s in
-    try
-      let slices = List.map (fun p -> int_of_string (String.trim p)) parts in
-      if List.exists (fun n -> n < 1) slices then
-        Error (`Msg "every partition slice needs at least one SM")
-      else Ok (Array.of_list slices)
-    with Failure _ ->
-      Error (`Msg (Printf.sprintf "bad partition %S (expected e.g. 14,14)" s))
+    match List.map (fun p -> Bm_cli.decimal (String.trim p)) (String.split_on_char ',' s) with
+    | slices when List.mem None slices ->
+      Error (`Msg (Printf.sprintf "bad partition %S (expected decimal SM counts, e.g. 14,14)" s))
+    | slices when List.mem (Some 0) slices -> Error (`Msg "every partition slice needs at least one SM")
+    | slices -> Ok (Array.of_list (List.map Option.get slices))
   in
   let print ppf slices =
     Format.pp_print_string ppf
@@ -915,7 +910,7 @@ let explain_cmd =
   in
   let top =
     Arg.(
-      value & opt (Bm_cli.pos_int_conv "--top") 5
+      value & opt (Bm_cli.int_conv ~min:1) 5
       & info [ "top" ] ~docv:"K" ~doc:"Contributors listed in the top-kernel tables.")
   in
   let check =
@@ -951,7 +946,7 @@ let explain_cmd =
             "Export the report into a performance-counter registry ($(b,attrib.*), \
              $(b,critpath.*), $(b,whatif.*)) and print the snapshot table.")
   in
-  let run named_apps mode backend json top check no_whatif trace_out with_metrics policy
+  let run named_apps mode json top check no_whatif trace_out with_metrics policy
       partition cache_dir =
     let cfg = Config.titan_x_pascal in
     let cache = cache_of_dir cache_dir in
@@ -963,7 +958,7 @@ let explain_cmd =
     match named_apps with
     | [ (name, gen) ] ->
       let solo, stats, trace =
-        Explain.run_traced ~cfg ~backend ~whatif:(not no_whatif)
+        Explain.run_traced ~cfg ~whatif:(not no_whatif)
           ~series:(trace_out <> None || with_metrics)
           ~cache mode ~name (gen ())
       in
@@ -976,9 +971,7 @@ let explain_cmd =
           "check: conservation exact, critical path covers the makespan, records agree\n";
       if json then print_endline (Json.to_string (Explain.to_json solo))
       else begin
-        Printf.printf "%s under %s (%s backend): %.2f us\n" name (Mode.name mode)
-          (match backend with `Sim -> "sim" | `Replay -> "replay")
-          solo.Explain.x_total_us;
+        Printf.printf "%s under %s: %.2f us\n" name (Mode.name mode) solo.Explain.x_total_us;
         List.iter Report.print (Explain.tables ~top solo)
       end;
       Option.iter
@@ -1031,15 +1024,15 @@ let explain_cmd =
   in
   Cmd.v (cmd_info "explain" ~doc)
     Term.(
-      const run $ apps_arg $ Bm_cli.mode () $ Bm_cli.backend $ json $ top $ check $ no_whatif
+      const run $ apps_arg $ Bm_cli.mode () $ json $ top $ check $ no_whatif
       $ trace_out $ with_metrics $ policy_arg $ partition_arg $ Bm_cli.cache_dir)
 
 let rta_cmd =
   let doc =
-    "Response-time-analysis soundness sweep: for every requested mode and both execution \
-     backends, compute the analytical worst-case completion bound and verify the observed \
-     makespan never exceeds it.  The bound is computed from the same artifact the backend \
-     executes (the preparation for $(b,sim), the captured schedule for $(b,replay)).  Any \
+    "Response-time-analysis soundness sweep: for every requested mode, compute the analytical \
+     worst-case completion bound and verify the observed makespan never exceeds it, on two \
+     legs: $(b,sim) runs and bounds the preparation, $(b,replay) runs and bounds the captured \
+     graph decoded from its JSON, so each bound comes from the artifact its leg executes.  Any \
      violation exits 7 — the analysis, not the application, is then at fault."
   in
   let modes =
@@ -1065,7 +1058,7 @@ let rta_cmd =
         Report.row t
           [
             Mode.name e.Rta.e_mode;
-            (match e.Rta.e_backend with `Sim -> "sim" | `Replay -> "replay");
+            Rta.leg_name e.Rta.e_leg;
             Report.f2 e.Rta.e_bound_us;
             Report.f2 e.Rta.e_observed_us;
             (if Rta.ok e then "sound" else "VIOLATED");
@@ -1093,7 +1086,10 @@ let fuzz_cmd =
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.") in
   let count =
-    Arg.(value & opt int 100 & info [ "count" ] ~docv:"M" ~doc:"Number of random applications.")
+    Arg.(
+      value
+      & opt (Bm_cli.int_conv ~min:0) 100
+      & info [ "count" ] ~docv:"M" ~doc:"Number of random applications.")
   in
   let shrink =
     Arg.(value & flag & info [ "shrink" ] ~doc:"Minimize failing applications before reporting.")
@@ -1104,7 +1100,7 @@ let fuzz_cmd =
   let window_bug =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (Bm_cli.int_conv ~min:0)) None
       & info [ "inject-window-bug" ] ~docv:"D"
           ~doc:
             "Widen the reference scheduler's pre-launch window by $(docv); a nonzero value must \
@@ -1115,14 +1111,6 @@ let fuzz_cmd =
       ~doc:"Mode(s) to check (default: all known modes)." ()
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress lines.") in
-  let replay =
-    Arg.(
-      value & flag
-      & info [ "replay" ]
-          ~doc:
-            "Also exercise graph capture and event-trigger replay on every generated app: each \
-             mode is differenced for both the $(b,sim) and $(b,replay) backends.")
-  in
   let corun =
     Arg.(
       value & flag
@@ -1132,20 +1120,20 @@ let fuzz_cmd =
              policy; shared machine or a random SM partition) differenced against the naive \
              co-run reference, with partitioned co-runs additionally checked app-by-app \
              against solo runs on partition-sized machines.  Failures shrink to a minimal \
-             interfering pair.  $(b,--no-soundness), $(b,--replay) and \
-             $(b,--inject-window-bug) do not apply in this axis.")
+             interfering pair.  $(b,--no-soundness) and $(b,--inject-window-bug) do \
+             not apply in this axis.")
   in
   let slots_bug =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (Bm_cli.int_conv ~min:0)) None
       & info [ "inject-slots-bug" ] ~docv:"D"
           ~doc:
             "With $(b,--corun): widen the reference engine's TB-slot pools by $(docv) slots; \
              a nonzero value must be caught as a scheduler mismatch (self-test of the co-run \
              oracle).")
   in
-  let run seed count shrink no_soundness window_bug modes quiet replay corun slots_bug ()
+  let run seed count shrink no_soundness window_bug modes quiet corun slots_bug ()
       cache_dir =
     let log = if quiet then fun _ -> () else fun s -> Printf.eprintf "%s\n%!" s in
     if corun then begin
@@ -1154,9 +1142,8 @@ let fuzz_cmd =
       if not (Fuzz.corun_ok report) then exit exit_counterexample
     end
     else begin
-      let backends = if replay then [ `Sim; `Replay ] else [ `Sim ] in
       let report =
-        Fuzz.run ~modes ~backends ~shrink ~soundness:(not no_soundness) ?window_bug ~log
+        Fuzz.run ~modes ~shrink ~soundness:(not no_soundness) ?window_bug ~log
           ?cache_dir ~seed ~count ()
       in
       Format.printf "%a@." Fuzz.pp_report report;
@@ -1165,8 +1152,8 @@ let fuzz_cmd =
   in
   Cmd.v (cmd_info "fuzz" ~doc)
     Term.(
-      const run $ seed $ count $ shrink $ no_soundness $ window_bug $ modes $ quiet $ replay
-      $ corun $ slots_bug $ Bm_cli.jobs $ Bm_cli.cache_dir)
+      const run $ seed $ count $ shrink $ no_soundness $ window_bug $ modes $ quiet $ corun
+      $ slots_bug $ Bm_cli.jobs $ Bm_cli.cache_dir)
 
 let prewarm_cmd =
   let doc =

@@ -4,11 +4,17 @@ open Cmdliner
 let exit_io_error = 2
 let prog () = Filename.remove_extension (Filename.basename Sys.executable_name)
 
-let pos_int_conv flag =
+(* Plain decimal digits only: int_of_string also reads 0x10, 0b1, 1_4 and
+   a sign. *)
+let decimal s =
+  if s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s then int_of_string_opt s
+  else None
+
+let int_conv ~min =
   let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None -> Error (`Msg (Printf.sprintf "%s expects a positive integer, got %S" flag s))
+    match decimal s with
+    | Some n when n >= min -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a decimal integer >= %d, got %S" min s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
@@ -27,7 +33,7 @@ let jobs =
   let arg =
     Arg.(
       value
-      & opt (some (pos_int_conv "--jobs")) None
+      & opt (some (int_conv ~min:1)) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Domain-pool width for independent tasks (default: $(b,BM_JOBS), else available cores \
@@ -65,16 +71,6 @@ let cache_dir =
              run.  An unusable directory exits 2.")
   in
   Term.(const (fun dir -> check_cache_dir dir; dir) $ arg)
-
-let backend =
-  Arg.(
-    value
-    & opt (enum [ ("sim", `Sim); ("replay", `Replay) ]) `Sim
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Execution engine: $(b,sim) prepares and runs the command-queue simulator, \
-           $(b,replay) captures the app into a compiled graph and replays it event-triggered. \
-           Results, and therefore traces and attribution, are cycle-exact identical.")
 
 let mode_conv =
   let parse s =

@@ -5,8 +5,14 @@
 val exit_io_error : int
 (** 2: a requested file cannot be read or written. *)
 
-val pos_int_conv : string -> int Cmdliner.Arg.conv
-(** Integers [>= 1]; the argument names the flag in the error message. *)
+val decimal : string -> int option
+(** A non-negative integer written in plain decimal digits; [None] for
+    anything else, including the signs, [0x]/[0o]/[0b] prefixes and [_]
+    separators [int_of_string] accepts. *)
+
+val int_conv : min:int -> int Cmdliner.Arg.conv
+(** {!decimal} integers [>= min] ([min >= 0]); anything else is a parse
+    error (exit 124). *)
 
 val deadline_conv : float Cmdliner.Arg.conv
 (** A deadline in microseconds: finite and [> 0] ([nan], [inf], [0] and
@@ -27,9 +33,6 @@ val check_cache_dir : string option -> unit
 val cache_dir : string option Cmdliner.Term.t
 (** [--cache-dir DIR] (default [BM_CACHE_DIR]), already checked with
     {!check_cache_dir}. *)
-
-val backend : [ `Sim | `Replay ] Cmdliner.Term.t
-(** [--backend sim|replay] (default [sim]). *)
 
 val mode : ?doc:string -> unit -> Bm_maestro.Mode.t Cmdliner.Term.t
 (** [-m]/[--mode MODE], one mode (default producer priority). *)

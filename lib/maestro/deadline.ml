@@ -78,8 +78,8 @@ let memcpy_us (cfg : Config.t) bytes =
    activity (a launch, a TB, a copy, a malloc), each activity executes
    exactly once, and engine busy chains are contiguous — so every interval
    the clock crosses is covered by at least one activity and the makespan
-   is at most the total serial work.  This holds for every mode and both
-   backends: pipelining and reordering only remove waiting, never add
+   is at most the total serial work.  This holds for every mode, simulated
+   or replayed: pipelining and reordering only remove waiting, never add
    work. *)
 let bound_of_schedule (cfg : Config.t) mode (sched : Graph.schedule) =
   let launch_us = Mode.launch_overhead cfg mode in

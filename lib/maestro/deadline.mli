@@ -14,8 +14,8 @@
     worst-case completion bound: the sum of every activity's duration
     (launch overheads, mallocs, copies, TB work).  The simulated
     clock only advances to the completion of some executing activity and
-    each activity runs exactly once, so every makespan — any mode, either
-    backend — is at most this bound; {!Bm_oracle.Rta} checks that claim
+    each activity runs exactly once, so every makespan — any mode,
+    simulated or replayed — is at most this bound; {!Bm_oracle.Rta} checks that claim
     empirically over the whole suite.  {!min_makespan_us} is the matching
     lower bound used for admission control: a deadline below it is
     provably unmeetable under every policy. *)
@@ -39,7 +39,7 @@ val order_of_schedule : ?deadlines:float array -> Graph.schedule -> int array
 
 val bound_of_schedule : Bm_gpu.Config.t -> Mode.t -> Graph.schedule -> float
 (** Worst-case makespan bound (microseconds): total serial work of every
-    activity.  Sound for every mode and backend. *)
+    activity.  Sound for every mode, simulated or replayed. *)
 
 val bound_of_prep : Bm_gpu.Config.t -> Mode.t -> Prep.t -> float
 (** {!bound_of_schedule} of the prep's lowering. *)

@@ -2,7 +2,7 @@
 
    Orchestrates the report-side analyses (Bm_report.Attrib exact stall
    attribution, Bm_report.Critpath critical-path extraction) over an
-   actual simulation — either backend — and adds the one thing only the
+   actual simulation and adds the one thing only the
    simulator can answer: what-if sensitivity, re-running the same app
    under a config with one cost zeroed to bound the speedup each
    overhead class could ever buy (the Amdahl "fix this first" ranking).
@@ -21,14 +21,11 @@ module Report = Bm_report.Report
 module Metrics = Bm_metrics.Metrics
 module Json = Bm_metrics.Json
 
-type backend = [ `Sim | `Replay ]
-
 type whatif = { wi_knob : string; wi_total_us : float; wi_speedup : float }
 
 type solo = {
   x_app : string;
   x_mode : Mode.t;
-  x_backend : backend;
   x_total_us : float;  (* the run's Stats.total_us *)
   x_attrib : Attrib.t;
   x_critpath : Critpath.t;
@@ -60,17 +57,16 @@ let analyze ?(series = false) machine trace =
   let parsed = Attrib.Parse.of_trace trace in
   (Attrib.of_parsed ~series machine parsed, Critpath.of_parsed machine parsed)
 
-let run_traced ?(cfg = Config.titan_x_pascal) ?(backend = `Sim) ?(whatif = true) ?series ?cache
-    mode ~name app =
+let run_traced ?(cfg = Config.titan_x_pascal) ?(whatif = true) ?series ?cache mode ~name app =
   let trace = Trace.create () in
-  let stats = Runner.simulate ~cfg ~backend ?cache ~trace:(Trace.sink trace) mode app in
+  let stats = Runner.simulate ~cfg ?cache ~trace:(Trace.sink trace) mode app in
   let attrib, critpath = analyze ?series (machine cfg mode) trace in
   let x_whatif =
     if not whatif then []
     else
       List.map
         (fun knob ->
-          let stats' = Runner.simulate ~cfg:(zero_knob cfg knob) ~backend ?cache mode app in
+          let stats' = Runner.simulate ~cfg:(zero_knob cfg knob) ?cache mode app in
           {
             wi_knob = knob;
             wi_total_us = stats'.Stats.total_us;
@@ -83,7 +79,6 @@ let run_traced ?(cfg = Config.titan_x_pascal) ?(backend = `Sim) ?(whatif = true)
   ( {
       x_app = name;
       x_mode = mode;
-      x_backend = backend;
       x_total_us = stats.Stats.total_us;
       x_attrib = attrib;
       x_critpath = critpath;
@@ -92,8 +87,8 @@ let run_traced ?(cfg = Config.titan_x_pascal) ?(backend = `Sim) ?(whatif = true)
     stats,
     trace )
 
-let run ?cfg ?backend ?whatif ?series ?cache mode ~name app =
-  let solo, _, _ = run_traced ?cfg ?backend ?whatif ?series ?cache mode ~name app in
+let run ?cfg ?whatif ?series ?cache mode ~name app =
+  let solo, _, _ = run_traced ?cfg ?whatif ?series ?cache mode ~name app in
   solo
 
 (* --- validation -------------------------------------------------------- *)
@@ -175,7 +170,6 @@ let corun ?(cfg = Config.titan_x_pascal) ?submission ?spatial ?cache ?series mod
         {
           x_app = name;
           x_mode = mode;
-          x_backend = `Sim;
           x_total_us = res.Multi.mr_stats.(i).Stats.total_us;
           x_attrib = attrib;
           x_critpath = critpath;
@@ -222,8 +216,6 @@ let mode_string mode =
   match List.find_opt (fun (_, m) -> m = mode) Mode.known with
   | Some (s, _) -> s
   | None -> Mode.name mode
-
-let backend_string = function `Sim -> "sim" | `Replay -> "replay"
 
 let num_i n = Json.Num (float_of_int n)
 
@@ -277,7 +269,6 @@ let to_json solo =
     [
       ("app", Json.Str solo.x_app);
       ("mode", Json.Str (mode_string solo.x_mode));
-      ("backend", Json.Str (backend_string solo.x_backend));
       ("total_us", Json.Num (q4 solo.x_total_us));
       ("attrib", attrib_to_json solo.x_attrib);
       ( "critpath",
@@ -310,12 +301,6 @@ let of_json j =
     let mode_s = str_field ~what "mode" j in
     let mode =
       match Mode.of_string mode_s with Some m -> m | None -> bad "unknown mode %S" mode_s
-    in
-    let backend =
-      match str_field ~what "backend" j with
-      | "sim" -> `Sim
-      | "replay" -> `Replay
-      | s -> bad "unknown backend %S" s
     in
     let aj = field ~what "attrib" j in
     let cellsj = field ~what "cells" aj in
@@ -387,7 +372,6 @@ let of_json j =
     {
       x_app = str_field ~what "app" j;
       x_mode = mode;
-      x_backend = backend;
       x_total_us = num_field ~what "total_us" j;
       x_attrib = attrib;
       x_critpath =

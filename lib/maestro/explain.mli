@@ -2,8 +2,7 @@
 
     Orchestrates {!Bm_report.Attrib} (exact stall attribution) and
     {!Bm_report.Critpath} (critical-path extraction) over an actual
-    simulation on either backend, and adds what-if sensitivity: re-running
-    the app under a config with one cost zeroed bounds the speedup each
+    simulation, and adds what-if sensitivity: re-running the app under a config with one cost zeroed bounds the speedup each
     overhead class could ever buy — an Amdahl-style "fix this first"
     ranking.  This is the engine behind [bmctl explain] and
     [bench/main.exe --explain].
@@ -16,8 +15,6 @@
     two independent data paths that must agree
     on the same integer.  CI runs both over the whole suite. *)
 
-type backend = [ `Sim | `Replay ]
-
 type whatif = {
   wi_knob : string;       (** {!knobs} element *)
   wi_total_us : float;    (** makespan with that cost zeroed *)
@@ -27,7 +24,6 @@ type whatif = {
 type solo = {
   x_app : string;
   x_mode : Mode.t;
-  x_backend : backend;
   x_total_us : float;  (** the run's [Stats.total_us] *)
   x_attrib : Bm_report.Attrib.t;
   x_critpath : Bm_report.Critpath.t;
@@ -52,7 +48,6 @@ val zero_knob : Bm_gpu.Config.t -> string -> Bm_gpu.Config.t
 
 val run :
   ?cfg:Bm_gpu.Config.t ->
-  ?backend:backend ->
   ?whatif:bool ->
   ?series:bool ->
   ?cache:Cache.t ->
@@ -63,12 +58,10 @@ val run :
 (** Simulate the app with a trace, attribute every cycle, extract the
     critical path, and (unless [~whatif:false]) re-simulate once per knob.
     [series] additionally records the slot-pool bucket time-series for
-    {!counter_series}.  The replay backend re-captures under each zeroed
-    config, so what-if works identically on both backends. *)
+    {!counter_series}. *)
 
 val run_traced :
   ?cfg:Bm_gpu.Config.t ->
-  ?backend:backend ->
   ?whatif:bool ->
   ?series:bool ->
   ?cache:Cache.t ->

@@ -6,61 +6,29 @@ let prepare ?(cfg = Config.titan_x_pascal) ?prof ?cache mode app =
 
 let capture ?(cfg = Config.titan_x_pascal) ?prof ?cache app = Graph.capture ?cache ?prof cfg app
 
-let simulate ?(cfg = Config.titan_x_pascal) ?(backend = `Sim) ?metrics ?prof ?cache ?trace mode
-    app =
-  match backend with
-  | `Sim ->
-    let prep = prepare ~cfg ?prof ?cache mode app in
-    Sim.run ?metrics ?trace cfg mode prep
-  | `Replay ->
-    let graph = capture ~cfg ?prof ?cache app in
-    Replay.run ?metrics ?trace cfg mode graph
+let simulate ?(cfg = Config.titan_x_pascal) ?metrics ?prof ?cache ?trace mode app =
+  Sim.run ?metrics ?trace cfg mode (prepare ~cfg ?prof ?cache mode app)
 
-let simulate_all ?(cfg = Config.titan_x_pascal) ?(backend = `Sim) ?(modes = Mode.all_fig9) ?cache
-    app =
-  match backend with
-  | `Sim ->
-    (* The two reordering variants share their preparation. *)
-    let prep_plain = lazy (Prep.prepare ~reorder:false ?cache cfg app) in
-    let prep_reordered = lazy (Prep.prepare ~reorder:true ?cache cfg app) in
-    List.map
-      (fun mode ->
-        let prep =
-          if Mode.reorders mode then Lazy.force prep_reordered else Lazy.force prep_plain
-        in
-        (mode, Sim.run cfg mode prep))
-      modes
-  | `Replay ->
-    (* One capture serves every mode: a graph holds both reorder classes. *)
-    let graph = lazy (Graph.capture ?cache cfg app) in
-    List.map (fun mode -> (mode, Replay.run cfg mode (Lazy.force graph))) modes
+let simulate_all ?(cfg = Config.titan_x_pascal) ?(modes = Mode.all_fig9) ?cache app =
+  (* The two reordering variants share their preparation. *)
+  let prep_plain = lazy (Prep.prepare ~reorder:false ?cache cfg app) in
+  let prep_reordered = lazy (Prep.prepare ~reorder:true ?cache cfg app) in
+  List.map
+    (fun mode ->
+      let prep = if Mode.reorders mode then Lazy.force prep_reordered else Lazy.force prep_plain in
+      (mode, Sim.run cfg mode prep))
+    modes
 
-let deadline ?(cfg = Config.titan_x_pascal) ?(backend = `Sim) ?metrics ?cache ?(optimistic_bound = false)
+let deadline ?(cfg = Config.titan_x_pascal) ?metrics ?cache ?(optimistic_bound = false)
     ~deadline_us mode app =
-  (* The RTA bound is computed on the same artifact the backend executes
-     (the prep, or the captured schedule's matching reorder class), so the
-     bound-vs-observed comparison exercises each backend's own cost data.
-     [optimistic_bound] substitutes the analytical *lower* bound for the
+  (* [optimistic_bound] substitutes the analytical *lower* bound for the
      worst-case bound — an intentionally broken analysis for self-tests,
      mirroring the fuzzer's --inject-slots-bug. *)
-  let stats, bound, lower =
-    match backend with
-    | `Sim ->
-      let prep = prepare ~cfg ?cache mode app in
-      ( Sim.run ?metrics cfg mode prep,
-        Deadline.bound_of_prep cfg mode prep,
-        Deadline.min_makespan_us cfg prep )
-    | `Replay ->
-      let graph = capture ~cfg ?cache app in
-      let sched =
-        if Mode.reorders mode then graph.Graph.g_reordered else graph.Graph.g_plain
-      in
-      let prep = prepare ~cfg ?cache mode app in
-      ( Replay.run ?metrics cfg mode graph,
-        Deadline.bound_of_schedule cfg mode sched,
-        Deadline.min_makespan_us cfg prep )
+  let prep = prepare ~cfg ?cache mode app in
+  let stats = Sim.run ?metrics cfg mode prep in
+  let bound =
+    if optimistic_bound then Deadline.min_makespan_us cfg prep else Deadline.bound_of_prep cfg mode prep
   in
-  let bound = if optimistic_bound then lower else bound in
   let r = Deadline.report ~deadline_us ~bound_us:bound ~makespan_us:stats.Stats.total_us in
   (match metrics with Some reg -> Deadline.observe reg r | None -> ());
   (r, stats)
@@ -147,10 +115,8 @@ let corun_interference ?(cfg = Config.titan_x_pascal) ?submission ?spatial ?metr
   in
   (res, ratios)
 
-let speedups ?(cfg = Config.titan_x_pascal) ?backend ?(modes = Mode.all_fig9) ?cache app =
-  let results = simulate_all ~cfg ?backend ~modes:(Mode.Baseline :: modes) ?cache app in
+let speedups ?(cfg = Config.titan_x_pascal) ?(modes = Mode.all_fig9) ?cache app =
+  let others = List.filter (fun m -> m <> Mode.Baseline) modes in
+  let results = simulate_all ~cfg ~modes:(Mode.Baseline :: others) ?cache app in
   let baseline = List.assoc Mode.Baseline results in
-  List.filter_map
-    (fun (mode, stats) ->
-      if mode = Mode.Baseline then None else Some (mode, Stats.speedup ~baseline stats))
-    results
+  List.map (fun (mode, stats) -> (mode, Stats.speedup ~baseline stats)) (List.tl results)

@@ -31,7 +31,6 @@ val capture :
 
 val simulate :
   ?cfg:Bm_gpu.Config.t ->
-  ?backend:[ `Sim | `Replay ] ->
   ?metrics:Bm_metrics.Metrics.t ->
   ?prof:Bm_metrics.Prof.t ->
   ?cache:Cache.t ->
@@ -39,28 +38,24 @@ val simulate :
   Mode.t ->
   Bm_gpu.Command.app ->
   Bm_gpu.Stats.t
-(** [backend] (default [`Sim]) selects the execution engine: [`Sim]
-    prepares and runs the command-queue simulator; [`Replay] captures the
-    app into a graph and replays it event-triggered ({!Replay.run}).  The
-    two produce cycle-exact identical results — the differential suite in
-    test/test_graph.ml is the gate.  [metrics] and [trace] are forwarded
-    to the selected engine; [prof] to the preparation/capture stage.  Pass
-    [Bm_report.Trace.sink] as [trace] to record structured events. *)
+(** Prepare with the mode's reordering policy and simulate ({!Sim.run}).
+    [metrics] and [trace] are forwarded to the engine, [prof] to the
+    preparation.  Pass [Bm_report.Trace.sink] as [trace] to record
+    structured events.  A captured graph replays through the same engine
+    ({!Replay.run}); test/test_graph.ml differences the decoded graph
+    against this path. *)
 
 val simulate_all :
   ?cfg:Bm_gpu.Config.t ->
-  ?backend:[ `Sim | `Replay ] ->
   ?modes:Mode.t list ->
   ?cache:Cache.t ->
   Bm_gpu.Command.app ->
   (Mode.t * Bm_gpu.Stats.t) list
-(** Run the Fig. 9 mode set (or [modes]) over one application.  With
-    [`Replay] one capture serves every mode (a graph carries both reorder
-    classes). *)
+(** Run the Fig. 9 mode set (or [modes]) over one application, preparing
+    each reorder class once. *)
 
 val deadline :
   ?cfg:Bm_gpu.Config.t ->
-  ?backend:[ `Sim | `Replay ] ->
   ?metrics:Bm_metrics.Metrics.t ->
   ?cache:Cache.t ->
   ?optimistic_bound:bool ->
@@ -69,10 +64,9 @@ val deadline :
   Bm_gpu.Command.app ->
   Deadline.report * Bm_gpu.Stats.t
 (** Simulate under [mode] and judge the outcome against [deadline_us] and
-    the response-time analysis ({!Deadline.bound_of_prep} for [`Sim],
-    {!Deadline.bound_of_schedule} for [`Replay] — the bound is computed
-    from the same artifact the backend executes).  With [metrics], records
-    the [deadline.*] family via {!Deadline.observe}.  [optimistic_bound]
+    the response-time analysis ({!Deadline.bound_of_prep}, computed from
+    the preparation the run executes).  With [metrics], records the
+    [deadline.*] family via {!Deadline.observe}.  [optimistic_bound]
     (default false) deliberately substitutes the analytical {e lower}
     bound — a broken analysis used by self-tests to prove a genuine bound
     violation is detected ([r_rta_violation]). *)
@@ -131,9 +125,9 @@ val corun_interference :
 
 val speedups :
   ?cfg:Bm_gpu.Config.t ->
-  ?backend:[ `Sim | `Replay ] ->
   ?modes:Mode.t list ->
   ?cache:Cache.t ->
   Bm_gpu.Command.app ->
   (Mode.t * float) list
-(** Speedups over [Mode.Baseline]. *)
+(** Speedups over [Mode.Baseline] of every other mode in [modes], in
+    order; the baseline is simulated once. *)

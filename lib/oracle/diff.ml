@@ -3,17 +3,10 @@ module Stats = Bm_gpu.Stats
 module Mode = Bm_maestro.Mode
 module Prep = Bm_maestro.Prep
 module Sim = Bm_maestro.Sim
-module Graph = Bm_maestro.Graph
-module Replay = Bm_maestro.Replay
 module Multi = Bm_maestro.Multi
-
-type backend = [ `Sim | `Replay ]
-
-let backend_name = function `Sim -> "sim" | `Replay -> "replay"
 
 type mismatch = {
   mm_mode : Mode.t;
-  mm_backend : backend;
   mm_details : string list;
 }
 
@@ -56,39 +49,27 @@ let diff_stats (s : Stats.t) (r : Stats.t) =
   in
   List.rev acc
 
-let check ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known)
-    ?(backends = ([ `Sim ] : backend list)) ?cache ?window_bug app =
-  (* The two reorder classes share one preparation each, like Runner; the
-     replay backend additionally shares one capture across all modes (a
-     graph carries both reorder classes). *)
+let check ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known) ?cache ?window_bug app
+    =
+  (* The two reorder classes share one preparation each, like Runner. *)
   let prep_plain = lazy (Prep.prepare ~reorder:false ?cache cfg app) in
   let prep_reordered = lazy (Prep.prepare ~reorder:true ?cache cfg app) in
-  let graph = lazy (Graph.capture ?cache cfg app) in
   let mms =
-    List.concat_map
+    List.filter_map
       (fun mode ->
         let prep =
           if Mode.reorders mode then Lazy.force prep_reordered else Lazy.force prep_plain
         in
         let ref_ = (Refsched.run ?window_bug cfg mode [| prep |]).(0) in
-        List.filter_map
-          (fun backend ->
-            let subject =
-              match backend with
-              | `Sim -> Sim.run cfg mode prep
-              | `Replay -> Replay.run cfg mode (Lazy.force graph)
-            in
-            match diff_stats subject ref_ with
-            | [] -> None
-            | details -> Some { mm_mode = mode; mm_backend = backend; mm_details = details })
-          backends)
+        match diff_stats (Sim.run cfg mode prep) ref_ with
+        | [] -> None
+        | details -> Some { mm_mode = mode; mm_details = details })
       modes
   in
   if mms = [] then Ok () else Error mms
 
 let pp_mismatch ppf mm =
-  Format.fprintf ppf "@[<v 2>mode %s (%s backend):@,%a@]" (Mode.name mm.mm_mode)
-    (backend_name mm.mm_backend)
+  Format.fprintf ppf "@[<v 2>mode %s:@,%a@]" (Mode.name mm.mm_mode)
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut Format.pp_print_string)
     mm.mm_details
 

@@ -1,7 +1,8 @@
-(** Differential checker: the event engine ({!Bm_maestro.Sim.run},
-    {!Bm_maestro.Replay.run} or {!Bm_maestro.Multi.run}) vs the one naive
-    reference, {!Refsched.run}, which takes a single app as the
-    one-element array.
+(** Differential checker: the event engine ({!Bm_maestro.Sim.run} or
+    {!Bm_maestro.Multi.run}) vs the one naive reference, {!Refsched.run},
+    which takes a single app as the one-element array.  A decoded graph
+    replays through the same engine; test/test_graph.ml differences it
+    against {!Bm_maestro.Sim.run}.
 
     The two simulators share their inputs ({!Bm_maestro.Prep.t} and the
     machine config) and must agree {e cycle-exactly}: identical totals,
@@ -11,20 +12,8 @@
     same cost-model inputs through the same arithmetic, so any difference is
     a semantic divergence, not rounding). *)
 
-type backend = [ `Sim | `Replay ]
-(** Which execution engine produced the checked result: the command-queue
-    simulator ({!Bm_maestro.Sim.run} on a fresh preparation) or the
-    capture/replay path ({!Bm_maestro.Graph.capture} followed by
-    {!Bm_maestro.Replay.run}).  Both are differenced against the same
-    reference scheduler, so adding [`Replay] simultaneously proves the
-    replay engine against {!Refsched} and — by transitivity through the
-    shared reference — against the simulator. *)
-
-val backend_name : backend -> string
-
 type mismatch = {
   mm_mode : Bm_maestro.Mode.t;
-  mm_backend : backend;
   mm_details : string list;  (** one line per diverging field / TB *)
 }
 
@@ -36,15 +25,13 @@ val diff_stats : Bm_gpu.Stats.t -> Bm_gpu.Stats.t -> string list
 val check :
   ?cfg:Bm_gpu.Config.t ->
   ?modes:Bm_maestro.Mode.t list ->
-  ?backends:backend list ->
   ?cache:Bm_maestro.Cache.t ->
   ?window_bug:int ->
   Bm_gpu.Command.app ->
   (unit, mismatch list) result
 (** Run every mode (default: all of {!Bm_maestro.Mode.known}) through both
-    engines and collect disagreements.  [backends] (default [[`Sim]])
-    selects the subject engine(s) per mode; all backends share one
-    preparation per reorder class and one capture.  [window_bug] adds its
+    engines and collect disagreements; the modes share one preparation per
+    reorder class.  [window_bug] adds its
     value to the pre-launch window bound of the {e reference} engine only —
     an intentionally injected bug for validating that the harness detects
     and shrinks scheduler divergence (see [Fuzz]).  [cache] memoizes the

@@ -24,7 +24,6 @@ type report = {
   r_seed : int;
   r_count : int;
   r_modes : Mode.t list;
-  r_backends : Diff.backend list;
   r_pairs_checked : int;
   r_precision : (Pattern.t * int * float) list;
   r_failures : failure list;
@@ -81,10 +80,10 @@ let with_cache_dir cache_dir f =
 (* Classify one spec.  [Ok] carries the soundness reports of the single
    oracle pass so the caller can fold precision statistics without
    re-running the analysis; it is empty when [soundness] is off. *)
-let examine ~cfg ~modes ~backends ~soundness ~window_bug spec =
+let examine ~cfg ~modes ~soundness ~window_bug spec =
   let app = Genapp.build spec in
   let cache = domain_cache () in
-  match Diff.check ~cfg ~modes ~backends ~cache ?window_bug app with
+  match Diff.check ~cfg ~modes ~cache ?window_bug app with
   | Error (mm :: _) -> Error (Scheduler_mismatch, Format.asprintf "%a" Diff.pp_mismatch mm)
   | Error [] -> Ok [] (* unreachable: Error implies at least one mismatch *)
   | exception exn ->
@@ -175,9 +174,9 @@ let campaign ~name ~noun ~nouns ~every ~to_string ~generate ~examine ~on_clean ~
       { index; kind; detail; item; shrunk; steps })
     (List.rev !bad)
 
-let run ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known)
-    ?(backends = ([ `Sim ] : Diff.backend list)) ?(shrink = true) ?(soundness = true) ?window_bug
-    ?(log = fun _ -> ()) ?jobs ?(chunk = 256) ?cache_dir ~seed ~count () =
+let run ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known) ?(shrink = true)
+    ?(soundness = true) ?window_bug ?(log = fun _ -> ()) ?jobs ?(chunk = 256) ?cache_dir ~seed
+    ~count () =
   let pairs = ref 0 in
   (* pattern -> (count, ratio sum, finite-ratio count) *)
   let precision : (Pattern.t, int ref * float ref * int ref) Hashtbl.t = Hashtbl.create 8 in
@@ -205,7 +204,7 @@ let run ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known)
   let found =
     campaign ~name:"Fuzz.run" ~noun:"app" ~nouns:"apps" ~every:50 ~to_string:Genapp.to_string
       ~generate:(fun rng i -> Genapp.generate rng i)
-      ~examine:(examine ~cfg ~modes ~backends ~soundness ~window_bug)
+      ~examine:(examine ~cfg ~modes ~soundness ~window_bug)
       ~on_clean ~minimize:Shrink.minimize ~shrink ~log ?jobs ~chunk ?cache_dir ~seed ~count ()
   in
   let precision_list =
@@ -219,7 +218,6 @@ let run ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known)
     r_seed = seed;
     r_count = count;
     r_modes = modes;
-    r_backends = backends;
     r_pairs_checked = !pairs;
     r_precision = precision_list;
     r_failures =
@@ -401,9 +399,8 @@ let pp_failure ppf f =
       f.f_shrink_steps (Genapp.kernels s) (Genapp.to_string s) (Genapp.to_ocaml s)
 
 let pp_report ppf r =
-  Format.fprintf ppf "@[<v>fuzz: seed=%d count=%d modes=%s backends=%s@," r.r_seed r.r_count
-    (String.concat "," (List.map Mode.name r.r_modes))
-    (String.concat "," (List.map Diff.backend_name r.r_backends));
+  Format.fprintf ppf "@[<v>fuzz: seed=%d count=%d modes=%s@," r.r_seed r.r_count
+    (String.concat "," (List.map Mode.name r.r_modes));
   Format.fprintf ppf "soundness pairs checked: %d@," r.r_pairs_checked;
   List.iter
     (fun (p, cnt, mean) ->

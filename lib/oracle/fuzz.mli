@@ -36,7 +36,6 @@ type report = {
   r_seed : int;
   r_count : int;                      (** apps generated *)
   r_modes : Bm_maestro.Mode.t list;
-  r_backends : Diff.backend list;     (** subject engines differenced *)
   r_pairs_checked : int;              (** kernel pairs soundness-checked *)
   r_precision : (Bm_depgraph.Pattern.t * int * float) list;
       (** per static pattern: pair count, mean static/exact edge ratio
@@ -49,7 +48,6 @@ val kind_name : kind -> string
 val run :
   ?cfg:Bm_gpu.Config.t ->
   ?modes:Bm_maestro.Mode.t list ->
-  ?backends:Diff.backend list ->
   ?shrink:bool ->
   ?soundness:bool ->
   ?window_bug:int ->
@@ -61,11 +59,8 @@ val run :
   count:int ->
   unit ->
   report
-(** [backends] (default [[`Sim]]) selects the engines {!Diff.check}
-    differences per mode; include [`Replay] to exercise graph capture and
-    event-trigger replay on every generated app.  [shrink] (default true)
-    minimizes failures; [soundness] (default true)
-    runs the Algorithm 1 oracle; [window_bug] injects a pre-launch-window
+(** [shrink] (default true) minimizes failures; [soundness] (default
+    true) runs the Algorithm 1 oracle; [window_bug] injects a pre-launch-window
     mutation into the reference scheduler (see {!Diff.check}) so the
     harness can prove it catches scheduler bugs.  [log] receives progress
     lines (default: drop them).

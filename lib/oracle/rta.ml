@@ -8,38 +8,46 @@ module Graph = Bm_maestro.Graph
 module Replay = Bm_maestro.Replay
 module Deadline = Bm_maestro.Deadline
 
+(* The two legs, each bounded by the artifact it runs: the preparation
+   under Sim.run, and the capture decoded from its JSON under Replay.run.
+   A corrupted capture therefore cannot satisfy its own bound by accident. *)
+type leg = Sim | Replay
+
+let leg_name = function Sim -> "sim" | Replay -> "replay"
+
 type entry = {
   e_app : string;
   e_mode : Mode.t;
-  e_backend : Diff.backend;
+  e_leg : leg;
   e_bound_us : float;
   e_observed_us : float;
 }
 
 let ok e = e.e_observed_us <= e.e_bound_us
 
+let decoded graph =
+  match Graph.of_json (Graph.to_json graph) with
+  | Ok g -> g
+  | Error e -> failwith (Format.asprintf "Rta.check_app: capture does not decode: %a" Graph.pp_error e)
+
 let check_app ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known)
-    ?(backends = ([ `Sim; `Replay ] : Diff.backend list)) ?(optimistic_bound = false) ?cache ~name
-    app =
-  (* Shared preparations/capture across the sweep, like Diff.check.  Each
-     backend's bound is computed from the artifact that backend executes
-     (the prep, or the captured schedule's matching reorder class), so a
-     capture that corrupted the cost arrays cannot satisfy its own bound
-     by accident. *)
+    ?(optimistic_bound = false) ?cache ~name app =
+  (* Shared preparations and one decoded capture across the sweep, like
+     Diff.check. *)
   let prep_plain = lazy (Prep.prepare ~reorder:false ?cache cfg app) in
   let prep_reordered = lazy (Prep.prepare ~reorder:true ?cache cfg app) in
-  let graph = lazy (Graph.capture ?cache cfg app) in
+  let graph = lazy (decoded (Graph.capture ?cache cfg app)) in
   List.concat_map
     (fun mode ->
       let prep =
         if Mode.reorders mode then Lazy.force prep_reordered else Lazy.force prep_plain
       in
       List.map
-        (fun backend ->
+        (fun leg ->
           let observed, bound =
-            match backend with
-            | `Sim -> ((Sim.run cfg mode prep).Stats.total_us, Deadline.bound_of_prep cfg mode prep)
-            | `Replay ->
+            match leg with
+            | Sim -> ((Sim.run cfg mode prep).Stats.total_us, Deadline.bound_of_prep cfg mode prep)
+            | Replay ->
               let g = Lazy.force graph in
               let sched = if Mode.reorders mode then g.Graph.g_reordered else g.Graph.g_plain in
               ((Replay.run cfg mode g).Stats.total_us, Deadline.bound_of_schedule cfg mode sched)
@@ -48,11 +56,11 @@ let check_app ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known)
           {
             e_app = name;
             e_mode = mode;
-            e_backend = backend;
+            e_leg = leg;
             e_bound_us = bound;
             e_observed_us = observed;
           })
-        backends)
+        [ Sim; Replay ])
     modes
 
 let violations entries = List.filter (fun e -> not (ok e)) entries
@@ -69,7 +77,7 @@ let to_json entries =
                  [
                    ("app", Json.Str e.e_app);
                    ("mode", Json.Str (Mode.name e.e_mode));
-                   ("backend", Json.Str (Diff.backend_name e.e_backend));
+                   ("backend", Json.Str (leg_name e.e_leg));
                    ("bound_us", Json.Num e.e_bound_us);
                    ("observed_us", Json.Num e.e_observed_us);
                    ("sound", Json.Bool (ok e));
@@ -81,7 +89,7 @@ let to_json entries =
 let pp_entry ppf e =
   Format.fprintf ppf "%s %s (%s): observed %.3f us %s bound %.3f us" e.e_app
     (Mode.name e.e_mode)
-    (Diff.backend_name e.e_backend)
+    (leg_name e.e_leg)
     e.e_observed_us
     (if ok e then "<=" else ">")
     e.e_bound_us

@@ -4,8 +4,8 @@
    assigned to exactly one bucket — so the buckets *sum to
    makespan x resources by construction*, and a run can be read as "where
    did the time go" instead of "how long did it take".  The input is the
-   same event stream Trace collects from Sim.run / Replay.run (the two are
-   byte-identical, so attribution is backend-independent for free).
+   same event stream Trace collects from Sim.run / Replay.run (one engine,
+   byte-identical streams, so attribution does not depend on which ran).
 
    Exactness is an integer property: timestamps are quantized to ticks
    (2^20 per simulated microsecond — far below the cost model's resolution,

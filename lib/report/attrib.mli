@@ -3,8 +3,8 @@
     Decomposes every cycle of the makespan, on every resource class, into
     exclusive buckets derived purely from the event stream ({!Trace}
     entries recorded from [Sim.run ~trace] or [Replay.run ~trace] — the
-    two emit byte-identical streams, so attribution is
-    backend-independent).  The resources:
+    two emit byte-identical streams, so attribution does not depend on
+    which ran).  The resources:
 
     - [Slots]: the TB-slot pool ([num_sms * max_tbs_per_sm] units) — the
       machine's compute capacity at the paper's scheduling granularity;
@@ -15,7 +15,7 @@
     every resource unit to exactly one bucket, so for every resource the
     bucket row sums to [makespan_ticks * weight] {e exactly} — an integer
     identity, checked by {!conservation} and enforced over the whole
-    suite x mode x backend matrix in test/test_attrib.ml and in CI.
+    suite x mode matrix in test/test_attrib.ml and in CI.
 
     Free-slot classification priority (first match wins): ready TBs held
     back by dispatch policy ([Slot_starved]) > launched TBs waiting on

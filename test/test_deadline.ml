@@ -7,8 +7,9 @@
    - the EDF dispatch order is differenced cycle-exactly against the naive
      reference (solo and co-run), and the default keys derived from a
      preparation and from a captured schedule are bit-identical;
-   - RTA soundness: for every suite app x mode x backend the observed
-     makespan is at most the analytical bound, and an injected
+   - RTA soundness: for every suite app x mode, simulated and replayed
+     from the decoded capture, the observed makespan is at most the
+     analytical bound, and an injected
      optimistic-bound bug IS detected;
    - admission control rejects a generated app whose deadline sits below
      the analytical lower bound. *)
@@ -125,7 +126,7 @@ let test_edf_diff_suite () =
   List.iter
     (fun name ->
       let app = Suite.by_name name () in
-      match Diff.check ~modes:edf_modes ~backends:[ `Sim; `Replay ] app with
+      match Diff.check ~modes:edf_modes app with
       | Ok () -> ()
       | Error mms ->
         Alcotest.failf "%s EDF diverges: %s" name
@@ -233,7 +234,7 @@ let test_rta_self_test () =
   Alcotest.(check bool) "injected optimistic bound detected" true (Rta.violations entries <> [])
 
 let test_rta_json () =
-  let entries = Rta.check_app ~modes:[ Mode.Baseline ] ~backends:[ `Sim ] ~name:"MVT" (Suite.by_name "MVT" ()) in
+  let entries = Rta.check_app ~modes:[ Mode.Baseline ] ~name:"MVT" (Suite.by_name "MVT" ()) in
   let j = Rta.to_json entries in
   (match Json.member "schema" j with
   | Some (Json.Str s) -> Alcotest.(check string) "schema" "bm.rta/1" s
@@ -242,11 +243,18 @@ let test_rta_json () =
   | Some (Json.Num n) -> Alcotest.(check (float 0.0)) "no violations" 0.0 n
   | _ -> Alcotest.fail "missing violations");
   match Json.member "entries" j with
-  | Some (Json.Arr [ e ]) ->
-    (match (Json.member "bound_us" e, Json.member "observed_us" e) with
-    | Some (Json.Num b), Some (Json.Num o) -> Alcotest.(check bool) "sound" true (o <= b)
-    | _ -> Alcotest.fail "missing bound/observed")
-  | _ -> Alcotest.fail "expected one entry"
+  | Some (Json.Arr es) ->
+    Alcotest.(check (list string)) "one entry per leg" [ "sim"; "replay" ]
+      (List.map
+         (fun e -> match Json.member "backend" e with Some (Json.Str s) -> s | _ -> "?")
+         es);
+    List.iter
+      (fun e ->
+        match (Json.member "bound_us" e, Json.member "observed_us" e) with
+        | Some (Json.Num b), Some (Json.Num o) -> Alcotest.(check bool) "sound" true (o <= b)
+        | _ -> Alcotest.fail "missing bound/observed")
+      es
+  | _ -> Alcotest.fail "missing entries"
 
 (* --- Admission control -------------------------------------------------- *)
 

@@ -1,8 +1,10 @@
 (* Capture/replay differential suite.
 
-   The gate for the ahead-of-time graph backend: (1) Replay.run must agree
-   cycle-exactly with Sim.run over the full benchmark suite and every
-   scheduling mode, and byte-identically in trace output; (2) graphs must
+   The gate for the ahead-of-time graph: (1) Replay.run of a capture
+   decoded from its JSON must agree cycle-exactly with Sim.run over the
+   full benchmark suite and every scheduling mode, and byte-identically in
+   trace output — the decoded graph is the only place replay can differ
+   from simulation, since both run one engine; (2) graphs must
    survive JSON and disk round trips bit-for-bit (qcheck over random
    Genapp specs); (3) stale graphs (different app or machine) and corrupt
    files (truncated, garbled, wrong schema) must fail with distinct,
@@ -24,7 +26,6 @@ module Runner = Bm_maestro.Runner
 module Suite = Bm_workloads.Suite
 module Genapp = Bm_workloads.Genapp
 module Diff = Bm_oracle.Diff
-module Fuzz = Bm_oracle.Fuzz
 module Trace = Bm_report.Trace
 module Metrics = Bm_metrics.Metrics
 module Json = Bm_metrics.Json
@@ -46,12 +47,21 @@ let contains ~needle hay =
 
 (* --- replay vs sim: cycle-exact over the whole suite x all modes ------ *)
 
+(* The graph a file holds: the capture printed to JSON text and decoded. *)
+let decoded graph =
+  match Json.of_string (Json.to_string (Graph.to_json graph)) with
+  | Error msg -> Alcotest.failf "%s: invalid JSON: %s" graph.Graph.g_app msg
+  | Ok j -> (
+    match Graph.of_json j with
+    | Ok graph' -> graph'
+    | Error e -> Alcotest.failf "%s: %a" graph.Graph.g_app Graph.pp_error e)
+
 let test_suite_cycle_exact () =
   List.iter
     (fun (name, mk) ->
       let app = mk () in
       let cache = Cache.create () in
-      let graph = Graph.capture ~cache cfg app in
+      let graph = decoded (Graph.capture ~cache cfg app) in
       List.iter
         (fun (mname, mode) ->
           let sim = Sim.run cfg mode (Runner.prepare ~cfg ~cache mode app) in
@@ -70,35 +80,13 @@ let trace_csv run =
   Trace.to_csv tr
 
 let test_trace_byte_identity () =
+  let app = Suite.by_name "BICG" () in
+  let graph = decoded (Graph.capture cfg app) in
   List.iter
     (fun (mname, mode) ->
-      let app = Suite.by_name "BICG" () in
-      let graph = Graph.capture cfg app in
       let sim = trace_csv (fun sink -> Sim.run ~trace:sink cfg mode (Runner.prepare ~cfg mode app)) in
       let rep = trace_csv (fun sink -> Replay.run ~trace:sink cfg mode graph) in
       Alcotest.(check string) (Printf.sprintf "BICG/%s trace" mname) sim rep)
-    Mode.known
-
-(* The backend axis of the oracle: replay differenced against the naive
-   reference scheduler on random apps, alongside the simulator. *)
-let test_diff_backend_axis () =
-  for seed = 0 to 9 do
-    let app = random_app seed in
-    match Diff.check ~cfg ~backends:[ `Sim; `Replay ] app with
-    | Ok () -> ()
-    | Error (mm :: _) -> Alcotest.failf "random app %d: %a" seed Diff.pp_mismatch mm
-    | Error [] -> assert false
-  done
-
-let test_runner_backend () =
-  let app = Suite.by_name "MVT" () in
-  List.iter
-    (fun (mname, mode) ->
-      let sim = Runner.simulate ~cfg mode app in
-      let rep = Runner.simulate ~cfg ~backend:`Replay mode app in
-      match Diff.diff_stats rep sim with
-      | [] -> ()
-      | line :: _ -> Alcotest.failf "Runner backend mismatch (MVT/%s): %s" mname line)
     Mode.known
 
 (* --- serialization round trips (qcheck over random specs) ------------- *)
@@ -119,14 +107,8 @@ let test_suite_json_roundtrip () =
   List.iter
     (fun (name, mk) ->
       let graph = Graph.capture cfg (mk ()) in
-      match Json.of_string (Json.to_string (Graph.to_json graph)) with
-      | Error msg -> Alcotest.failf "%s: invalid JSON: %s" name msg
-      | Ok j -> (
-        match Graph.of_json j with
-        | Ok graph' ->
-          Alcotest.(check bool) (name ^ ": decoded graph equals the capture") true
-            (Graph.equal graph graph')
-        | Error e -> Alcotest.failf "%s: %a" name Graph.pp_error e))
+      Alcotest.(check bool) (name ^ ": decoded graph equals the capture") true
+        (Graph.equal graph (decoded graph)))
     Suite.all
 
 let prop_disk_roundtrip_replay_identical =
@@ -134,7 +116,8 @@ let prop_disk_roundtrip_replay_identical =
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
       let app = random_app seed in
-      let graph = Graph.capture cfg app in
+      let cache = Cache.create () in
+      let graph = Graph.capture ~cache cfg app in
       with_temp_file (fun path ->
           (match Graph.save path graph with
           | Ok () -> ()
@@ -145,9 +128,13 @@ let prop_disk_roundtrip_replay_identical =
               Graph.equal graph reloaded
               && List.for_all
                    (fun (_, mode) ->
+                     let sim =
+                       trace_csv (fun sink ->
+                           Sim.run ~trace:sink cfg mode (Runner.prepare ~cfg ~cache mode app))
+                     in
                      let mem = trace_csv (fun sink -> Replay.run ~trace:sink cfg mode graph) in
                      let disk = trace_csv (fun sink -> Replay.run ~trace:sink cfg mode reloaded) in
-                     String.equal mem disk)
+                     String.equal mem disk && String.equal sim disk)
                    Mode.known))
 
 (* --- staleness ------------------------------------------------------- *)
@@ -431,13 +418,6 @@ let test_capture_counters () =
     (counter "graph.capture.encoded_bytes");
   Alcotest.(check bool) "suite app has dependency edges" true (sum.Graph.sum_edges > 0)
 
-(* --- fuzz smoke on the replay backend -------------------------------- *)
-
-let test_fuzz_replay_smoke () =
-  let report = Fuzz.run ~cfg ~backends:[ `Sim; `Replay ] ~shrink:false ~soundness:false ~seed:42 ~count:8 () in
-  Alcotest.(check bool) "fuzz over both backends is clean" true (Fuzz.ok report);
-  Alcotest.(check int) "both backends recorded" 2 (List.length report.Fuzz.r_backends)
-
 (* --- bmctl integration: exit codes and help consistency --------------- *)
 
 (* Under [dune runtest] the cwd is the build context's test/ directory;
@@ -508,15 +488,21 @@ let test_bmctl_help_consistency () =
       flags
   in
   check_flags "stats" [ "--repeat"; "--merged"; "--jobs"; "--cache-dir" ];
-  check_flags "run" [ "--backend"; "--deadline"; "--inject-rta-bug"; "--cache-dir" ];
+  check_flags "run" [ "--deadline"; "--inject-rta-bug"; "--cache-dir" ];
   check_flags "prewarm" [ "--cache-dir"; "--check-hit-rate"; "--jobs" ];
   check_flags "capture" [ "--output" ];
   check_flags "replay" [ "--graph"; "--compare"; "--fresh"; "--counters" ];
-  check_flags "fuzz" [ "--replay"; "--seed"; "--count" ];
+  check_flags "fuzz" [ "--seed"; "--count" ];
   check_flags "corun" [ "--policy"; "--partition"; "--folded"; "--metrics"; "--deadlines" ];
   check_flags "explain"
-    [ "--json"; "--top"; "--backend"; "--check"; "--no-whatif"; "--trace"; "--metrics";
-      "--policy"; "--partition" ];
+    [ "--json"; "--top"; "--check"; "--no-whatif"; "--trace"; "--metrics"; "--policy";
+      "--partition" ];
+  (* The in-memory replay selector is gone: replay means a decoded graph. *)
+  List.iter
+    (fun (sub, flag) ->
+      Alcotest.(check bool) (Printf.sprintf "%s --help no longer lists %s" sub flag) false
+        (contains ~needle:flag (help_of [ sub; "--help"; "plain" ])))
+    [ ("run", "--backend"); ("explain", "--backend"); ("fuzz", "--replay") ];
   check_flags "rta" [ "--mode"; "--json"; "--inject-rta-bug" ];
   (* The documented exit-code table: every distinct failure status must
      appear in each subcommand's EXIT STATUS section (Cmd.Exit.info feeds
@@ -552,13 +538,13 @@ let test_bench_front_end () =
   List.iter
     (fun flag ->
       Alcotest.(check bool) (Printf.sprintf "help documents %s" flag) true (contains ~needle:flag help))
-    [ "--oracle"; "--corun"; "--explain"; "--deadlines"; "--perf-gate"; "--only"; "--backend";
-      "--json"; "--compare"; "--threshold"; "--jobs"; "--cache-dir" ];
+    [ "--oracle"; "--corun"; "--explain"; "--deadlines"; "--perf-gate"; "--only"; "--json";
+      "--compare"; "--threshold"; "--jobs"; "--cache-dir" ];
   List.iter
     (fun flag ->
       Alcotest.(check bool) (Printf.sprintf "help no longer lists %s" flag) false
         (contains ~needle:flag help))
-    [ "--trace"; "--capture-compare"; "--no-bechamel" ];
+    [ "--trace"; "--capture-compare"; "--no-bechamel"; "--backend" ];
   Alcotest.(check int) "two gates exit 124" 124 (bench [ "--perf-gate"; "--corun" ]);
   Alcotest.(check int) "unknown section exits 124" 124 (bench [ "--only"; "fig99" ])
 
@@ -606,8 +592,6 @@ let suite =
   [
     Alcotest.test_case "replay: suite x modes cycle-exact" `Slow test_suite_cycle_exact;
     Alcotest.test_case "replay: trace byte-identity" `Quick test_trace_byte_identity;
-    Alcotest.test_case "oracle: replay backend axis" `Quick test_diff_backend_axis;
-    Alcotest.test_case "runner: backend selection" `Quick test_runner_backend;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "round trip: suite graphs decode equal" `Quick test_suite_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_disk_roundtrip_replay_identical;
@@ -625,7 +609,6 @@ let suite =
     Alcotest.test_case "capture: exported counters" `Quick test_capture_counters;
     Alcotest.test_case "metrics: sim/replay families separate" `Slow test_metric_families_separate;
     Alcotest.test_case "engine: packed-event bound" `Quick test_packed_event_bound;
-    Alcotest.test_case "fuzz: replay backend smoke" `Slow test_fuzz_replay_smoke;
     Alcotest.test_case "bmctl: capture/replay exit codes" `Slow test_bmctl_capture_replay;
     Alcotest.test_case "bmctl: help/parser consistency" `Slow test_bmctl_help_consistency;
     Alcotest.test_case "bench: front-end flags and usage errors" `Quick test_bench_front_end;

@@ -550,7 +550,20 @@ let test_bmctl_exit_codes () =
   Alcotest.(check int) "usage error exits 124" 124 (bmctl [ "no-such-command" ]);
   Alcotest.(check int) "bad mode is a usage error" 124 (bmctl [ "stats"; "MVT"; "-m"; "bogus" ]);
   Alcotest.(check int) "unwritable output exits 2" 2
-    (bmctl [ "stats"; "MVT"; "-m"; "baseline"; "--json"; "-o"; "/nonexistent-dir/out.json" ])
+    (bmctl [ "stats"; "MVT"; "-m"; "baseline"; "--json"; "-o"; "/nonexistent-dir/out.json" ]);
+  (* Integer options take plain decimal in range: a negative count or bug
+     width, or OCaml literal syntax, is a usage error, never a run. *)
+  Alcotest.(check int) "fuzz --count=0 exits 0" 0 (bmctl [ "fuzz"; "--count=0"; "--quiet" ]);
+  List.iter
+    (fun args ->
+      Alcotest.(check int) (String.concat " " args ^ " exits 124") 124 (bmctl args))
+    [
+      [ "fuzz"; "--count=-5" ];
+      [ "fuzz"; "--count=0x10" ];
+      [ "fuzz"; "--count=1"; "--inject-window-bug=-3" ];
+      [ "fuzz"; "--corun"; "--count=1"; "--inject-slots-bug=-40" ];
+      [ "stats"; "MVT"; "--jobs=0x2" ];
+    ]
 
 let suite =
   [

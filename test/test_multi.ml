@@ -356,6 +356,13 @@ let test_bmctl_corun_exit_codes () =
     (bmctl [ "corun"; "BICG"; "MVT"; "--policy"; "lifo" ]);
   Alcotest.(check int) "zero-SM slice exits 124" 124
     (bmctl [ "corun"; "BICG"; "MVT"; "--partition"; "28,0" ]);
+  (* Slices are plain decimal: int_of_string would read 0x10 as 16 and
+     1_4 as 14. *)
+  List.iter
+    (fun p ->
+      Alcotest.(check int) (Printf.sprintf "--partition %s exits 124" p) 124
+        (bmctl [ "corun"; "BICG"; "MVT"; "--partition"; p ]))
+    [ "0x10,4"; "1_4,4"; "+14,14"; "14,-4" ];
   Alcotest.(check int) "oversubscribed partition exits 124" 124
     (bmctl [ "corun"; "BICG"; "MVT"; "--partition"; "20,20" ]);
   Alcotest.(check int) "explain: oversubscribed partition exits 124" 124
