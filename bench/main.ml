@@ -107,7 +107,11 @@ let run_explain () =
   let cells =
     Parallel.map_list
       (fun (name, gen, mode) ->
-        let solo, stats, _ = Explain.run_traced ~whatif:true mode ~name (gen ()) in
+        (* One cache per cell: the what-if re-runs prepare the same app
+           under configs whose analysis and cost params are unchanged. *)
+        let solo, stats, _ =
+          Explain.run_traced ~whatif:true ~cache:(Cache.create ()) mode ~name (gen ())
+        in
         let verdict =
           match Explain.check solo with
           | Error _ as e -> e
@@ -290,9 +294,14 @@ let run_deadlines () =
    the schedule's encoded sizes).  (3) Replaying a captured graph does no preparation
    at all, so it must allocate no more than warm prepare + Sim.run.
    (4) Suite-wide preparation from a populated Store (cold in-memory
-   caches) must be cycle-exact and compute no cached artifact.  How fast
+   caches) must be cycle-exact and compute no cached artifact.  (5) The
+   suite's captured graphs must serialize to at most
+   [suite_graph_bytes_budget] bytes in total: format 3 stores profiles
+   and relations once each (about 347 KB), where per-TB cost payloads
+   took 5.8 MB.  How fast
    each path is lives in the host-performance ledger (bench/ledger). *)
 let sim_minor_words_budget = 350_000.0
+let suite_graph_bytes_budget = 1_000_000
 
 (* Best-effort removal of the gate's temporary store directory: the layout
    is exactly one level of family subdirectories (Store.families). *)
@@ -314,7 +323,8 @@ let words f =
 
 let cache_misses (c : Cache.counters) =
   [ ("kernel", c.Cache.kernel_misses); ("footprint", c.Cache.footprint_misses);
-    ("profile", c.Cache.profile_misses); ("rw", c.Cache.rw_misses); ("pair", c.Cache.pair_misses) ]
+    ("profile", c.Cache.profile_misses); ("cost", c.Cache.cost_misses); ("rw", c.Cache.rw_misses);
+    ("pair", c.Cache.pair_misses) ]
 
 let run_perf_gate () =
   let cfg = Config.titan_x_pascal in
@@ -391,6 +401,14 @@ let run_perf_gate () =
       (Printf.sprintf "%d store hits, %d store misses, %d artifacts computed" d.Store.disk_hits
          store_misses computed));
   rm_store_dir dir;
+  let bytes =
+    List.fold_left
+      (fun acc (_, a) ->
+        acc + String.length (Json.to_string (Graph.to_json (Graph.capture cfg a))))
+      0 suite
+  in
+  check "suite graphs <= byte budget" (bytes <= suite_graph_bytes_budget)
+    (Printf.sprintf "%d bytes, budget %d" bytes suite_graph_bytes_budget);
   !failures
 
 (* The gates, in flag order: flag, help text, banner, verdict on success,
@@ -426,7 +444,7 @@ let gates =
         "report(s) violated the RTA bound" ) );
     ( "perf-gate",
       "Run the deterministic allocation and cache-counter checks.",
-      ( "== performance gate (warm prep, sim allocation, replay, disk-warm) ==",
+      ( "== performance gate (warm prep, sim allocation, replay, disk-warm, graph size) ==",
         run_perf_gate,
         "perf gate passed",
         "perf-gate check(s) failed" ) );

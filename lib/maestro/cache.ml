@@ -19,6 +19,15 @@ type pair_key = {
   pk_degree : int;
 }
 
+(* Ints first, so hashing and a mismatching comparison stop early; the
+   params enter as an id interned by bit pattern ([params_id]). *)
+type cost_key = {
+  ck_seq : int;
+  ck_kid : int;
+  ck_params : int;
+  ck_fl : Footprint.launch;
+}
+
 type rw_key = {
   rk_kid : int;
   rk_fl : Footprint.launch;
@@ -39,6 +48,8 @@ type t = {
   analysis : (int, Symeval.result) Lru.t;
   footprints : (int * Footprint.launch, Footprint.kernel_footprints) Lru.t;
   profiles : (int * Footprint.launch, Costmodel.profile) Lru.t;
+  costs : (cost_key, Costmodel.t) Lru.t;
+  mutable params_ids : (Costmodel.params * int) list;
   rws : (rw_key, Reorder.rw) Lru.t;
   pairs : (pair_key, pair_result) Lru.t;
   mutable kernel_hits : int;
@@ -47,6 +58,8 @@ type t = {
   mutable footprint_misses : int;
   mutable profile_hits : int;
   mutable profile_misses : int;
+  mutable cost_hits : int;
+  mutable cost_misses : int;
   mutable rw_hits : int;
   mutable rw_misses : int;
   mutable pair_hits : int;
@@ -62,6 +75,8 @@ let create ?(kernel_capacity = 256) ?(pair_capacity = 8192) ?store () =
     analysis = Lru.create ~capacity:kernel_capacity;
     footprints = Lru.create ~capacity:pair_capacity;
     profiles = Lru.create ~capacity:pair_capacity;
+    costs = Lru.create ~capacity:pair_capacity;
+    params_ids = [];
     rws = Lru.create ~capacity:pair_capacity;
     pairs = Lru.create ~capacity:pair_capacity;
     kernel_hits = 0;
@@ -70,6 +85,8 @@ let create ?(kernel_capacity = 256) ?(pair_capacity = 8192) ?store () =
     footprint_misses = 0;
     profile_hits = 0;
     profile_misses = 0;
+    cost_hits = 0;
+    cost_misses = 0;
     rw_hits = 0;
     rw_misses = 0;
     pair_hits = 0;
@@ -151,6 +168,30 @@ let profile t ~kid ~fl compute =
     Lru.add t.profiles key p;
     p
 
+(* Params compare by bit pattern: structural float equality would
+   conflate 0.0 with -0.0 and never match a NaN, and a column is a
+   function of the bits.  A cache sees one or two params in practice. *)
+let params_id t params =
+  match List.find_opt (fun (p, _) -> Costmodel.same_params p params) t.params_ids with
+  | Some (_, id) -> id
+  | None ->
+    let id = List.length t.params_ids in
+    t.params_ids <- (params, id) :: t.params_ids;
+    id
+
+(* Memory only: the disk tier holds the profile a column expands from. *)
+let cost t ~kid ~fl ~seq ~params compute =
+  let key = { ck_seq = seq; ck_kid = kid; ck_params = params_id t params; ck_fl = fl } in
+  match Lru.find t.costs key with
+  | Some c ->
+    t.cost_hits <- t.cost_hits + 1;
+    c
+  | None ->
+    t.cost_misses <- t.cost_misses + 1;
+    let c = compute () in
+    Lru.add t.costs key c;
+    c
+
 let rw t ~kid ~fl ~buffers compute =
   let key = { rk_kid = kid; rk_fl = fl; rk_buffers = buffers } in
   match Lru.find t.rws key with
@@ -215,6 +256,9 @@ type counters = {
   profile_hits : int;
   profile_misses : int;
   profile_evictions : int;
+  cost_hits : int;
+  cost_misses : int;
+  cost_evictions : int;
   rw_hits : int;
   rw_misses : int;
   rw_evictions : int;
@@ -235,6 +279,9 @@ let counters (c : t) =
     profile_hits = c.profile_hits;
     profile_misses = c.profile_misses;
     profile_evictions = Lru.evictions c.profiles;
+    cost_hits = c.cost_hits;
+    cost_misses = c.cost_misses;
+    cost_evictions = Lru.evictions c.costs;
     rw_hits = c.rw_hits;
     rw_misses = c.rw_misses;
     rw_evictions = Lru.evictions c.rws;
@@ -256,6 +303,9 @@ let export t registry =
   put "prep.cache.profile.hits" c.profile_hits;
   put "prep.cache.profile.misses" c.profile_misses;
   put "prep.cache.profile.evictions" c.profile_evictions;
+  put "prep.cache.cost.hits" c.cost_hits;
+  put "prep.cache.cost.misses" c.cost_misses;
+  put "prep.cache.cost.evictions" c.cost_evictions;
   put "prep.cache.rw.hits" c.rw_hits;
   put "prep.cache.rw.misses" c.rw_misses;
   put "prep.cache.rw.evictions" c.rw_evictions;

@@ -13,10 +13,15 @@
       sizes, keyed by both interned kernel ids, both launch configurations
       and the degree cap.
 
+    A third, per-launch layer memoizes the TB cost model's expanded
+    columns ({!cost}), keyed on the launch's kernel, configuration and
+    sequence number and on the {!Bm_gpu.Costmodel.params} the expansion
+    reads.  Apps whose launch order survives reordering expand each column
+    once for both reorder classes, and a memory-warm preparation expands
+    none.
+
     Everything cached is a pure function of its key, so cached and uncached
     preparation are cycle-identical ({!Bm_oracle.Diff.check} gates this).
-    The TB cost model is deliberately {e not} cached: its splitmix64 jitter
-    is keyed on the launch sequence number.
 
     With [?store], a third, persistent tier sits below the LRUs: an
     in-memory miss consults the disk-backed {!Store} (keyed by the full
@@ -35,8 +40,8 @@ type t
 
 val create : ?kernel_capacity:int -> ?pair_capacity:int -> ?store:Store.t -> unit -> t
 (** [kernel_capacity] (default 256) bounds the interned-kernel and analysis
-    tables; [pair_capacity] (default 8192) bounds the footprint and pair
-    tables.  [store] attaches the persistent disk tier. *)
+    tables; [pair_capacity] (default 8192) bounds each of the footprint,
+    profile, cost, rw and pair tables.  [store] attaches the persistent disk tier. *)
 
 val store : t -> Store.t option
 
@@ -65,8 +70,21 @@ val profile :
   (unit -> Bm_gpu.Costmodel.profile) ->
   Bm_gpu.Costmodel.profile
 (** Memoized launch-sequence-independent cost profile
-    ({!Bm_gpu.Costmodel.profile}).  The seq-keyed jitter half is applied
-    per launch and never cached. *)
+    ({!Bm_gpu.Costmodel.profile}). *)
+
+val cost :
+  t ->
+  kid:int ->
+  fl:Bm_analysis.Footprint.launch ->
+  seq:int ->
+  params:Bm_gpu.Costmodel.params ->
+  (unit -> Bm_gpu.Costmodel.t) ->
+  Bm_gpu.Costmodel.t
+(** Memoized cost column: the profile of ([kid], [fl]) expanded for launch
+    [seq] under [params] ({!Bm_gpu.Costmodel.of_profile}).  Params compare
+    by bit pattern.  Every caller gets the same [Costmodel.t]; nobody
+    writes its arrays.  Memory tier only: the disk tier holds the profile
+    it expands from. *)
 
 val rw :
   t ->
@@ -112,6 +130,9 @@ type counters = {
   profile_hits : int;
   profile_misses : int;
   profile_evictions : int;
+  cost_hits : int;
+  cost_misses : int;
+  cost_evictions : int;
   rw_hits : int;
   rw_misses : int;
   rw_evictions : int;

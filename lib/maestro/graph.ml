@@ -20,6 +20,7 @@ type node = {
   n_prev : int;
   n_stream : int;
   n_tbs : int;
+  n_profile : Costmodel.profile;
   n_tb_us : float array;
   n_mem_requests : float;
   n_relation : Bipartite.relation;
@@ -36,6 +37,7 @@ type t = {
   g_app : string;
   g_cfg_digest : string;
   g_fingerprint : string;
+  g_params : Costmodel.params;
   g_plain : schedule;
   g_reordered : schedule;
 }
@@ -122,6 +124,7 @@ let schedule_of_prep (prep : Prep.t) =
           n_prev = (match li.Prep.li_prev with Some p -> p | None -> -1);
           n_stream = li.Prep.li_spec.Command.stream;
           n_tbs = li.Prep.li_tbs;
+          n_profile = li.Prep.li_profile;
           n_tb_us = li.Prep.li_cost.Costmodel.tb_us;
           n_mem_requests = Costmodel.total_mem_requests li.Prep.li_cost;
           n_relation = li.Prep.li_relation;
@@ -155,18 +158,27 @@ let capture ?cache ?prof cfg app =
     g_app = app.Command.app_name;
     g_cfg_digest = cfg_digest cfg;
     g_fingerprint = fingerprint cfg app;
+    g_params = Costmodel.params cfg;
     g_plain = schedule_of_prep plain;
     g_reordered = schedule_of_prep reordered;
   }
 
-(* The cfg digest is checked too: [Replay.run] refuses a graph whose
-   digest disagrees, so an edited [cfg] field must be stale here. *)
+let params_canonical (p : Costmodel.params) =
+  Printf.sprintf "seed=%d;jf=%h;cpi=%h;mx=%h;clk=%h" p.Costmodel.seed p.Costmodel.jitter_frac
+    p.Costmodel.cpi p.Costmodel.mem_extra_cycles p.Costmodel.clock_ghz
+
+(* The cfg digest and the cost params are checked too: [Replay.run]
+   refuses a graph whose digest or params disagree, so an edited [cfg] or
+   [params] field must be stale here. *)
 let validate cfg app t =
   let expected = fingerprint cfg app and digest = cfg_digest cfg in
+  let params = Costmodel.params cfg in
   if not (String.equal expected t.g_fingerprint) then
     Error (Stale { expected; got = t.g_fingerprint })
   else if not (String.equal digest t.g_cfg_digest) then
     Error (Stale { expected = digest; got = t.g_cfg_digest })
+  else if not (Costmodel.same_params params t.g_params) then
+    Error (Stale { expected = params_canonical params; got = params_canonical t.g_params })
   else Ok ()
 
 (* --- equality ----------------------------------------------------------- *)
@@ -191,7 +203,9 @@ let relation_eq a b =
 
 let node_eq a b =
   a.n_seq = b.n_seq && String.equal a.n_kname b.n_kname && a.n_prev = b.n_prev
-  && a.n_stream = b.n_stream && a.n_tbs = b.n_tbs && farray_eq a.n_tb_us b.n_tb_us
+  && a.n_stream = b.n_stream && a.n_tbs = b.n_tbs
+  && Costmodel.same_profile a.n_profile b.n_profile
+  && farray_eq a.n_tb_us b.n_tb_us
   && float_eq a.n_mem_requests b.n_mem_requests
   && relation_eq a.n_relation b.n_relation
   && a.n_sizes = b.n_sizes
@@ -209,19 +223,70 @@ let equal a b =
   String.equal a.g_app b.g_app
   && String.equal a.g_cfg_digest b.g_cfg_digest
   && String.equal a.g_fingerprint b.g_fingerprint
+  && Costmodel.same_params a.g_params b.g_params
   && schedule_eq a.g_plain b.g_plain
   && schedule_eq a.g_reordered b.g_reordered
 
 (* --- JSON codec --------------------------------------------------------- *)
 
-(* Per-TB costs, copy deps and relations use the packed forms the disk
-   store uses: see Jsonc. *)
+(* Format 3 persists what the schedules are built from, once each: a table
+   of distinct cost profiles and a table of distinct encoded relations,
+   which nodes reference by index, plus the cost params in the header.
+   Per-TB costs are not persisted: decode expands each (profile, seq) pair
+   once, as preparation does.  Profiles, relations and copy deps use the
+   packed forms the disk store uses: see Jsonc. *)
 open Jsonc
 
 let n_parents (nodes : node array) n = if n.n_prev >= 0 then nodes.(n.n_prev).n_tbs else 0
 
-let json_of_node nodes n =
-  let n_parents = n_parents nodes n in
+(* One table of distinct values.  The launch-time cache shares profiles
+   and relations between nodes and between the two classes, so a physical
+   match is tried first; a miss falls back to the encoded text, so a
+   cache-free capture, whose classes compute equal values separately,
+   writes the same table. *)
+type 'a table = {
+  seen : (int, ('a * int) list) Hashtbl.t;  (* Hashtbl.hash -> values met *)
+  texts : (string, int) Hashtbl.t;
+  mutable rows : Json.t list;  (* newest first *)
+  mutable count : int;
+}
+
+let table () = { seen = Hashtbl.create 64; texts = Hashtbl.create 64; rows = []; count = 0 }
+
+let intern tbl ~same ~encode v =
+  let h = Hashtbl.hash v in
+  let met = Option.value (Hashtbl.find_opt tbl.seen h) ~default:[] in
+  match List.find_opt (fun (v', _) -> same v v') met with
+  | Some (_, i) -> i
+  | None ->
+    let j = encode v in
+    let text = Json.to_string j in
+    let i =
+      match Hashtbl.find_opt tbl.texts text with
+      | Some i -> i
+      | None ->
+        let i = tbl.count in
+        Hashtbl.add tbl.texts text i;
+        tbl.rows <- j :: tbl.rows;
+        tbl.count <- i + 1;
+        i
+    in
+    Hashtbl.replace tbl.seen h ((v, i) :: met);
+    i
+
+let rows tbl = Json.Arr (List.rev tbl.rows)
+
+(* A relation's encoding depends on the pair's dimensions, which
+   [Independent] and [Fully_connected] do not carry. *)
+let same_pair (np, nc, r) (np', nc', r') = np = np' && nc = nc' && r == r'
+
+let json_of_node ~profiles ~relations nodes n =
+  let prof = intern profiles ~same:( == ) ~encode:json_of_profile n.n_profile in
+  let rel =
+    intern relations ~same:same_pair
+      ~encode:(fun (n_parents, n_children, r) -> json_of_relation ~n_parents ~n_children r)
+      (n_parents nodes n, n.n_tbs, n.n_relation)
+  in
   Json.Obj
     [
       ("seq", Json.Num (float_of_int n.n_seq));
@@ -229,30 +294,10 @@ let json_of_node nodes n =
       ("prev", Json.Num (float_of_int n.n_prev));
       ("stream", Json.Num (float_of_int n.n_stream));
       ("tbs", Json.Num (float_of_int n.n_tbs));
-      ("us", json_of_packed_floats_rle n.n_tb_us);
-      ("mem", json_of_float n.n_mem_requests);
+      ("prof", Json.Num (float_of_int prof));
+      ("rel", Json.Num (float_of_int rel));
       ("deps", json_of_packed_ints_rle n.n_copy_deps);
-      ("rel", json_of_relation ~n_parents ~n_children:n.n_tbs n.n_relation);
     ]
-
-(* Sizes are not persisted: [schedule_of_json] measures them once the
-   schedule has passed [check_schedule]. *)
-let unmeasured = Encode.measure Bipartite.Independent
-
-let node_of_json j =
-  let what = "node" in
-  {
-    n_seq = int_field ~what "seq" j;
-    n_kname = str_field ~what "kname" j;
-    n_prev = int_field ~what "prev" j;
-    n_stream = int_field ~what "stream" j;
-    n_tbs = int_field ~what "tbs" j;
-    n_tb_us = packed_floats_rle_of_json ~what:"node.us" (field ~what "us" j);
-    n_mem_requests = float_of_json ~what:"node.mem" (field ~what "mem" j);
-    n_copy_deps = packed_ints_rle_of_json ~what:"node.deps" (field ~what "deps" j);
-    n_relation = relation_of_json (field ~what "rel" j);
-    n_sizes = unmeasured;
-  }
 
 let json_of_cmd = function
   | Gmalloc -> Json.Obj [ ("t", Json.Str "ml") ]
@@ -277,20 +322,94 @@ let cmd_of_json j =
   | "sy" -> Gsync
   | t -> bad "%s: unknown kind %S" what t
 
-let json_of_schedule s =
+let json_of_schedule ~profiles ~relations s =
   Json.Obj
     [
       ("commands", Json.Arr (Array.to_list (Array.map json_of_cmd s.s_commands)));
-      ("nodes", Json.Arr (Array.to_list (Array.map (json_of_node s.s_nodes) s.s_nodes)));
+      ( "nodes",
+        Json.Arr
+          (Array.to_list (Array.map (json_of_node ~profiles ~relations s.s_nodes) s.s_nodes)) );
     ]
+
+(* The seed persists as decimal text: a JSON number prints with %.12g. *)
+let json_of_params (p : Costmodel.params) =
+  Json.Obj
+    [
+      ("seed", Json.Str (string_of_int p.Costmodel.seed));
+      ("jf", json_of_float p.Costmodel.jitter_frac);
+      ("cpi", json_of_float p.Costmodel.cpi);
+      ("mx", json_of_float p.Costmodel.mem_extra_cycles);
+      ("clk", json_of_float p.Costmodel.clock_ghz);
+    ]
+
+let params_of_json j =
+  let what = "params" in
+  let float name = float_of_json ~what:(what ^ "." ^ name) (field ~what name j) in
+  {
+    Costmodel.seed =
+      (match int_of_string_opt (str_field ~what "seed" j) with
+      | Some seed -> seed
+      | None -> bad "%s.seed: expected a decimal integer" what);
+    jitter_frac = float "jf";
+    cpi = float "cpi";
+    mem_extra_cycles = float "mx";
+    clock_ghz = float "clk";
+  }
+
+(* A decoded relation-table entry: the relation, the dimensions its
+   encoding states, and its Table I sizes, measured once for every node
+   that shares it. *)
+type rel_entry = {
+  r_parents : int;
+  r_children : int;
+  r_relation : Bipartite.relation;
+  r_sizes : Encode.sizes;
+}
+
+let rel_entry_of_json j =
+  let n_parents, n_children, rel = sized_relation_of_json j in
+  {
+    r_parents = n_parents;
+    r_children = n_children;
+    r_relation = rel;
+    r_sizes = Encode.measure_pair ~n_parents ~n_children rel;
+  }
+
+let index_field ~what name table j =
+  let i = int_field ~what name j in
+  if i < 0 || i >= Array.length table then
+    bad "%s.%s: index %d outside a table of %d" what name i (Array.length table);
+  table.(i)
+
+(* Node fields are decoded here; the cost column is filled in by
+   [cost_expander] once both schedules have passed [check_schedule]. *)
+let node_of_json ~profiles ~relations j =
+  let what = "node" in
+  let r = index_field ~what "rel" relations j in
+  ( {
+      n_seq = int_field ~what "seq" j;
+      n_kname = str_field ~what "kname" j;
+      n_prev = int_field ~what "prev" j;
+      n_stream = int_field ~what "stream" j;
+      n_tbs = int_field ~what "tbs" j;
+      n_profile = index_field ~what "prof" profiles j;
+      n_tb_us = [||];
+      n_mem_requests = 0.0;
+      n_copy_deps = packed_ints_rle_of_json ~what:"node.deps" (field ~what "deps" j);
+      n_relation = r.r_relation;
+      n_sizes = r.r_sizes;
+    },
+    r )
 
 (* Structural sanity beyond field-level decoding: every cross-reference a
    replay dereferences must be in range, and the command stream must be
    one the engine can run to completion — launches in node order, D2H
    gates already launched, stream predecessors as capture computes them,
    copy deps on earlier H2Ds — so a hand-edited file fails here rather
-   than as an array bound, a host stall or a hang inside the engine. *)
-let check_schedule ~what s =
+   than as an array bound, a host stall or a hang inside the engine.  A
+   node's profile must cover its TBs, and the relation it references must
+   have been encoded for exactly this node and its predecessor. *)
+let check_schedule ~what s (rels : rel_entry array) =
   let nn = Array.length s.s_nodes in
   let launch_cmd = Array.make nn 0 in
   let launches = ref 0 in
@@ -317,8 +436,9 @@ let check_schedule ~what s =
         bad "%s: node %d has prev %d, but stream %d's latest earlier node is %d" what i n.n_prev
           n.n_stream prev;
       Hashtbl.replace last_on_stream n.n_stream i;
-      if Array.length n.n_tb_us <> n.n_tbs then
-        bad "%s: node %d has %d cost entries for %d TBs" what i (Array.length n.n_tb_us) n.n_tbs;
+      if Costmodel.profile_tbs n.n_profile <> n.n_tbs then
+        bad "%s: node %d has a profile of %d TBs for %d TBs" what i
+          (Costmodel.profile_tbs n.n_profile) n.n_tbs;
       Array.iter
         (fun ci ->
           let earlier_h2d =
@@ -328,51 +448,58 @@ let check_schedule ~what s =
           if not earlier_h2d then
             bad "%s: node %d copy dep %d is not an H2D issued before its launch" what i ci)
         n.n_copy_deps;
-      (* A TB graph must span this node's TBs and its predecessor's. *)
+      let r = rels.(i) in
+      let np = n_parents s.s_nodes n in
+      if r.r_parents <> np || r.r_children <> n.n_tbs then
+        bad "%s: node %d relation sized %d parents/%d children for %d/%d TBs" what i r.r_parents
+          r.r_children np n.n_tbs;
       match n.n_relation with
-      | Bipartite.Independent | Bipartite.Fully_connected -> ()
-      | Bipartite.Graph g ->
-        if n.n_prev < 0 then bad "%s: node %d has a TB graph but no predecessor" what i;
-        let np = s.s_nodes.(n.n_prev).n_tbs in
-        let side name count rows bound expected =
-          if count <> expected || Array.length rows <> expected then
-            bad "%s: node %d relation sized %d/%d %s for %d TBs" what i count
-              (Array.length rows) name expected;
-          Array.iter
-            (Array.iter (fun id ->
-                 if id < 0 || id >= bound then
-                   bad "%s: node %d relation id %d out of range" what i id))
-            rows
-        in
-        side "children" g.Bipartite.n_children g.Bipartite.parents_of np n.n_tbs;
-        side "parents" g.Bipartite.n_parents g.Bipartite.children_of n.n_tbs np)
+      | Bipartite.Graph _ when n.n_prev < 0 ->
+        bad "%s: node %d has a TB graph but no predecessor" what i
+      | Bipartite.Independent | Bipartite.Fully_connected | Bipartite.Graph _ -> ())
     s.s_nodes;
   s
 
-(* Measuring indexes [n_prev] and walks the relation, so it runs only on a
-   checked schedule; [measure_pair] is what preparation measures with. *)
-let schedule_of_json ~what j =
-  let s =
-    check_schedule ~what
-      {
-        s_commands =
-          Array.of_list (List.map cmd_of_json (list_of_json ~what (field ~what "commands" j)));
-        s_nodes = Array.of_list (List.map node_of_json (list_of_json ~what (field ~what "nodes" j)));
-      }
+let schedule_of_json ~profiles ~relations ~what j =
+  let nodes =
+    Array.of_list
+      (List.map (node_of_json ~profiles ~relations) (list_of_json ~what (field ~what "nodes" j)))
   in
-  let measured n =
+  check_schedule ~what
     {
-      n with
-      n_sizes =
-        Encode.measure_pair ~n_parents:(n_parents s.s_nodes n) ~n_children:n.n_tbs n.n_relation;
+      s_commands =
+        Array.of_list (List.map cmd_of_json (list_of_json ~what (field ~what "commands" j)));
+      s_nodes = Array.map fst nodes;
     }
+    (Array.map snd nodes)
+
+(* Each (profile, seq) column is expanded once and shared by the nodes of
+   both schedules that launch it, as a cache-backed preparation shares
+   it; as there, nothing writes these arrays.  Profiles decoded from the
+   table are physically shared, so [==] finds a column. *)
+let cost_expander params =
+  let columns = Hashtbl.create 64 in  (* seq -> (profile, column) *)
+  let fill n =
+    let tb_us, mem =
+      match List.assq_opt n.n_profile (Hashtbl.find_all columns n.n_seq) with
+      | Some col -> col
+      | None ->
+        let c = Costmodel.of_profile params ~kernel_seq:n.n_seq n.n_profile in
+        let col = (c.Costmodel.tb_us, Costmodel.total_mem_requests c) in
+        Hashtbl.add columns n.n_seq (n.n_profile, col);
+        col
+    in
+    { n with n_tb_us = tb_us; n_mem_requests = mem }
   in
-  { s with s_nodes = Array.map measured s.s_nodes }
+  fun s -> { s with s_nodes = Array.map fill s.s_nodes }
 
 let schema = "bm-graph"
-let schema_version = 2
+let schema_version = 3
 
 let to_json t =
+  let profiles = table () and relations = table () in
+  let plain = json_of_schedule ~profiles ~relations t.g_plain in
+  let reordered = json_of_schedule ~profiles ~relations t.g_reordered in
   Json.Obj
     [
       ("schema", Json.Str schema);
@@ -380,8 +507,11 @@ let to_json t =
       ("app", Json.Str t.g_app);
       ("cfg", Json.Str t.g_cfg_digest);
       ("fingerprint", Json.Str t.g_fingerprint);
-      ("plain", json_of_schedule t.g_plain);
-      ("reordered", json_of_schedule t.g_reordered);
+      ("params", json_of_params t.g_params);
+      ("profiles", rows profiles);
+      ("relations", rows relations);
+      ("plain", plain);
+      ("reordered", reordered);
     ]
 
 let of_json j =
@@ -397,12 +527,23 @@ let of_json j =
         (match Json.to_int v with Some i -> string_of_int i | None -> "?")
         schema_version
     | None -> bad "missing version");
+    let params = params_of_json (field ~what "params" j) in
+    let table name decode =
+      Array.of_list (List.map decode (list_of_json ~what (field ~what name j)))
+    in
+    let profiles = table "profiles" profile_of_json in
+    let relations = table "relations" rel_entry_of_json in
+    let schedule name = schedule_of_json ~profiles ~relations ~what:name (field ~what name j) in
+    let plain = schedule "plain" in
+    let reordered = schedule "reordered" in
+    let expand = cost_expander params in
     {
       g_app = str_field ~what "app" j;
       g_cfg_digest = str_field ~what "cfg" j;
       g_fingerprint = str_field ~what "fingerprint" j;
-      g_plain = schedule_of_json ~what:"plain" (field ~what "plain" j);
-      g_reordered = schedule_of_json ~what:"reordered" (field ~what "reordered" j);
+      g_params = params;
+      g_plain = expand plain;
+      g_reordered = expand reordered;
     }
   with
   | t -> Ok t

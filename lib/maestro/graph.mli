@@ -5,9 +5,9 @@
     memoizes the entire {e schedule}.  {!capture} runs {!Prep.prepare} once
     per reorder class and lowers the results into a self-contained graph:
     nodes are kernel launches carrying their resolved TB-level dependency
-    metadata (the bipartite relation with the stream predecessor, per-TB
-    cost arrays with the launch-seq jitter already applied, copy-dependency
-    edges), and the interleaved host commands keep only what execution
+    metadata (the bipartite relation with the stream predecessor, the cost
+    profile and its per-TB column with the launch-seq jitter applied,
+    copy-dependency edges), and the interleaved host commands keep only what execution
     needs (byte counts, gating kernels).  Nothing in a captured graph
     references PTX, symbolic analysis results or footprints — {!Replay}
     executes it without performing any preparation work.
@@ -19,14 +19,21 @@
     that pair.  {!validate} rejects a stale graph (mutated kernel, changed
     launch geometry, different machine) with a distinct {!error}.
 
-    Serialization (format version 2) uses the dependency-free
-    {!Bm_metrics.Json} codec and {!Jsonc}'s packed forms, the same bytes
-    {!Store} writes: relations in their Table I pattern-aware
-    {!Bm_depgraph.Encode.encoded} form, copy deps as delta+RLE integers,
-    per-TB costs as run-length IEEE-754 bit patterns, so a graph written
-    to disk and reloaded is bit-identical — {!equal} holds across any
-    number of round trips, and a reloaded graph replays cycle-exactly
-    (test/test_graph.ml proves both over random apps). *)
+    Serialization (format version 3) persists each thing a schedule is
+    built from once.  The header holds the cost-model
+    {!Bm_gpu.Costmodel.params} as bit patterns; a [profiles] table holds
+    each distinct cost profile and a [relations] table each distinct
+    relation in its Table I pattern-aware {!Bm_depgraph.Encode.encoded}
+    form.  A node references one entry of each by index, plus its own
+    seq, stream, predecessor, TB count and copy deps (delta+RLE
+    integers).  Per-TB costs are not persisted: {!of_json} expands each
+    (profile, seq) once under the header's params, and measures and
+    range-checks each distinct relation once, so nodes of both schedules
+    share one column and one relation.  The codecs are {!Jsonc}'s, the
+    same bytes {!Store} writes.  A graph written to disk and reloaded is
+    bit-identical — {!equal} holds across any number of round trips, and
+    a reloaded graph replays cycle-exactly (test/test_graph.ml proves both
+    over random apps). *)
 
 (** One host command of the captured stream.  Kernel launches point at
     their node; copies carry the byte count the copy-engine model needs;
@@ -45,13 +52,17 @@ type node = {
   n_prev : int;                            (** stream predecessor seq, -1 none *)
   n_stream : int;
   n_tbs : int;
-  n_tb_us : float array;                   (** per-TB cost, jitter applied *)
+  n_profile : Bm_gpu.Costmodel.profile;    (** what [n_tb_us] expands from *)
+  n_tb_us : float array;
+      (** per-TB cost: [n_profile] expanded at [n_seq] under [g_params].
+          Shared, never written: nodes of both schedules that launch the
+          same profile at the same seq hold one array. *)
   n_mem_requests : float;                  (** data-traffic total of this launch *)
   n_relation : Bm_depgraph.Bipartite.relation;  (** with [n_prev] *)
   n_sizes : Bm_depgraph.Encode.sizes;
       (** Table I storage of [n_relation].  Derived, not persisted:
           {!schedule_of_prep} takes the preparation's [li_sizes] and
-          {!of_json} measures each node once at decode, with
+          {!of_json} measures each distinct relation once at decode, with
           {!Bm_depgraph.Encode.measure_pair} as preparation does.  The
           engine reads it for dependency traffic instead of re-measuring. *)
   n_copy_deps : int array;                 (** H2D command indices, sorted *)
@@ -67,6 +78,8 @@ type t = {
   g_app : string;          (** source application name *)
   g_cfg_digest : string;   (** digest of the machine configuration *)
   g_fingerprint : string;  (** digest of (config, commands, kernels) *)
+  g_params : Bm_gpu.Costmodel.params;
+      (** the cost-model params the columns were expanded under *)
   g_plain : schedule;      (** captured with [reorder:false] *)
   g_reordered : schedule;  (** captured with [reorder:true] *)
 }
@@ -102,8 +115,9 @@ val capture :
 val validate : Bm_gpu.Config.t -> Bm_gpu.Command.app -> t -> (unit, error) result
 (** [Ok] iff the graph's fingerprint matches a fresh {!fingerprint} of the
     pair — i.e. the graph was captured from exactly this config and app —
-    and its [g_cfg_digest] matches {!cfg_digest}, which {!Replay.run}
-    checks too. *)
+    and its [g_cfg_digest] matches {!cfg_digest} and its [g_params] match
+    the config's {!Bm_gpu.Costmodel.params} bit for bit, both of which
+    {!Replay.run} checks too.  Any mismatch is [Stale]. *)
 
 val equal : t -> t -> bool
 (** Structural equality; floats compare by IEEE-754 bit pattern, relations
@@ -118,7 +132,14 @@ val of_json : Bm_metrics.Json.t -> (t, error) result
     engine can run to completion, or it is [Corrupt]: the k-th launch
     command launches node k; a D2H waits on an already launched node (or
     -1); a node's [n_prev] is the latest earlier node on its stream (-1 if
-    none); each copy dep names an H2D issued before the node's launch. *)
+    none); each copy dep names an H2D issued before the node's launch.  A
+    node's profile and relation indices must be in their tables, its
+    profile must cover exactly [n_tbs] TBs, and its relation's dimensions
+    must be (predecessor's TBs or 0, [n_tbs]).  Profiles with a
+    non-finite or negative count, fewer than one warp, or a warp-wave
+    factor that is non-finite or below 1 are [Corrupt]
+    ({!Jsonc.profile_of_json}).  A file of another version is [Corrupt]
+    ["unsupported version N (expected 3)"]. *)
 
 val save : string -> t -> (unit, string) result
 (** Write the JSON form to a file; [Error] carries the I/O message. *)

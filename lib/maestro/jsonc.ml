@@ -1,13 +1,14 @@
 (* Shared JSON codec helpers for the persistence layers (captured graphs
    in Graph, the disk-backed analysis store in Store): one codec per
-   value, so a relation, an integer array or a per-TB cost array has the
-   same bytes in both.  Floats persist as IEEE-754 bit patterns: the JSON
-   emitter prints numbers with %.12g, which is lossy for the jittered
-   per-TB costs, and both replay and disk-warm preparation must be
-   bit-identical to the fresh computation. *)
+   value, so a relation, an integer array or a cost profile has the same
+   bytes in both.  Floats persist as IEEE-754 bit patterns: the JSON
+   emitter prints numbers with %.12g, which is lossy, and both replay and
+   disk-warm preparation must be bit-identical to the fresh
+   computation. *)
 
 module Json = Bm_metrics.Json
 module Encode = Bm_depgraph.Encode
+module Costmodel = Bm_gpu.Costmodel
 
 exception Bad of string
 
@@ -314,43 +315,45 @@ let json_of_relation ~n_parents ~n_children rel =
       parents_of;
     Json.Obj [ ("k", Json.Str "irr"); ("np", ja n_parents); ("po", json_of_packed_ints_rle flat) ]
 
-let relation_of_json j =
+(* The dimensions come from the encoding itself: [ind]/[full] carry both,
+   every other form carries one and implies the other by a payload
+   length. *)
+let sized_relation_of_json j =
   let what = "relation" in
-  let enc =
+  let np () = int_field ~what "np" j and nc () = int_field ~what "nc" j in
+  let enc, n_parents, n_children =
     match str_field ~what "k" j with
     | "ind" ->
-      Encode.Enc_independent
-        { n_parents = int_field ~what "np" j; n_children = int_field ~what "nc" j }
+      let n_parents = np () and n_children = nc () in
+      (Encode.Enc_independent { n_parents; n_children }, n_parents, n_children)
     | "full" ->
-      Encode.Enc_full { n_parents = int_field ~what "np" j; n_children = int_field ~what "nc" j }
-    | "o2o" -> Encode.Enc_one_to_one { n = int_field ~what "n" j }
+      let n_parents = np () and n_children = nc () in
+      (Encode.Enc_full { n_parents; n_children }, n_parents, n_children)
+    | "o2o" ->
+      let n = int_field ~what "n" j in
+      (Encode.Enc_one_to_one { n }, n, n)
     | "o2n" ->
-      Encode.Enc_one_to_n
-        {
-          n_parents = int_field ~what "np" j;
-          parent_of = packed_ints_rle_of_json ~what (field ~what "po" j);
-        }
+      let n_parents = np () in
+      let parent_of = packed_ints_rle_of_json ~what (field ~what "po" j) in
+      (Encode.Enc_one_to_n { n_parents; parent_of }, n_parents, Array.length parent_of)
     | "n2o" ->
-      Encode.Enc_n_to_one
-        {
-          n_children = int_field ~what "nc" j;
-          child_of = packed_ints_rle_of_json ~what (field ~what "co" j);
-        }
+      let n_children = nc () in
+      let child_of = packed_ints_rle_of_json ~what (field ~what "co" j) in
+      (Encode.Enc_n_to_one { n_children; child_of }, Array.length child_of, n_children)
     | "grp" ->
-      Encode.Enc_n_group
-        {
-          group_of_parent = packed_ints_rle_of_json ~what (field ~what "gp" j);
-          group_of_child = packed_ints_rle_of_json ~what (field ~what "gc" j);
-        }
+      let group_of_parent = packed_ints_rle_of_json ~what (field ~what "gp" j) in
+      let group_of_child = packed_ints_rle_of_json ~what (field ~what "gc" j) in
+      ( Encode.Enc_n_group { group_of_parent; group_of_child },
+        Array.length group_of_parent,
+        Array.length group_of_child )
     | "ovl" ->
       let flat = packed_ints_rle_of_json ~what (field ~what "w" j) in
       if Array.length flat mod 2 <> 0 then bad "%s: window payload length must be even" what;
-      Encode.Enc_overlapped
-        {
-          n_parents = int_field ~what "np" j;
-          windows =
-            Array.init (Array.length flat / 2) (fun i -> (flat.(2 * i), flat.((2 * i) + 1)));
-        }
+      let windows =
+        Array.init (Array.length flat / 2) (fun i -> (flat.(2 * i), flat.((2 * i) + 1)))
+      in
+      let n_parents = np () in
+      (Encode.Enc_overlapped { n_parents; windows }, n_parents, Array.length windows)
     | "irr" ->
       let flat = packed_ints_rle_of_json ~what (field ~what "po" j) in
       let len = Array.length flat in
@@ -376,9 +379,54 @@ let relation_of_json j =
         rows.(i) <- row
       done;
       if !pos <> len then bad "%s: trailing data in irregular payload" what;
-      Encode.Enc_irregular { n_parents = int_field ~what "np" j; parents_of = rows }
+      let n_parents = np () in
+      (Encode.Enc_irregular { n_parents; parents_of = rows }, n_parents, nrows)
     | k -> bad "%s: unknown kind %S" what k
   in
   (* [decode] range-checks node indices with [Invalid_argument]; fold that
      into [Bad] so corrupt payloads stay inside the never-raises contract. *)
-  try Encode.decode enc with Invalid_argument msg -> bad "%s: %s" what msg
+  match Encode.decode enc with
+  | rel -> (n_parents, n_children, rel)
+  | exception Invalid_argument msg -> bad "%s: %s" what msg
+
+let relation_of_json j =
+  let _, _, rel = sized_relation_of_json j in
+  rel
+
+(* Cost profiles: per-TB counts as run-length bit patterns.  Decode
+   rejects what no analysis produces and the cost model cannot expand
+   into a usable column: a non-finite or negative count, fewer than one
+   warp, or a warp-wave factor that is non-finite or below one. *)
+let json_of_profile p =
+  let r = Costmodel.repr_of_profile p in
+  Json.Obj
+    [
+      ("i", json_of_packed_floats_rle r.Costmodel.prr_insts);
+      ("m", json_of_packed_floats_rle r.Costmodel.prr_mem);
+      ("w", Json.Num (float_of_int r.Costmodel.prr_warps));
+      ("ww", json_of_float r.Costmodel.prr_warp_waves);
+    ]
+
+let profile_of_json j =
+  let what = "profile" in
+  let counts name =
+    let a = packed_floats_rle_of_json ~what:(what ^ "." ^ name) (field ~what name j) in
+    Array.iter
+      (fun x ->
+        if not (Float.is_finite x && x >= 0.0) then
+          bad "%s.%s: count %g is not finite and non-negative" what name x)
+      a;
+    a
+  in
+  let insts = counts "i" in
+  let mem = counts "m" in
+  if Array.length insts <> Array.length mem then
+    bad "%s: %d instruction counts for %d memory counts" what (Array.length insts)
+      (Array.length mem);
+  let warps = int_field ~what "w" j in
+  if warps < 1 then bad "%s.w: %d warps, expected at least 1" what warps;
+  let waves = float_of_json ~what:(what ^ ".ww") (field ~what "ww" j) in
+  if not (Float.is_finite waves && waves >= 1.0) then
+    bad "%s.ww: warp waves %g, expected a finite value >= 1" what waves;
+  Costmodel.profile_of_repr
+    { Costmodel.prr_insts = insts; prr_mem = mem; prr_warps = warps; prr_warp_waves = waves }

@@ -2,7 +2,7 @@
 
     {!Graph} (captured schedules) and {!Store} (the disk-backed analysis
     cache) persist the same kinds of values — bit-pattern floats, integer
-    arrays, Table-I encoded relations — through the same functions here,
+    arrays, Table-I encoded relations, cost profiles — through the same functions here,
     one codec per value: both replay and disk-warm preparation are
     required to be bit-identical to the fresh computation.  Decoders raise
     {!Bad} on any malformed input; the persistence layers catch it once,
@@ -63,3 +63,20 @@ val json_of_relation :
 val relation_of_json : Bm_metrics.Json.t -> Bm_depgraph.Bipartite.relation
 (** Decode reconstructs the bipartite graph exactly (the Encode round-trip
     property).  @raise Bad on malformed input. *)
+
+val sized_relation_of_json : Bm_metrics.Json.t -> int * int * Bm_depgraph.Bipartite.relation
+(** {!relation_of_json} with the [(n_parents, n_children)] the encoding
+    states or implies — for [Independent]/[Fully_connected], the only
+    record of the pair's dimensions.  A decoded [Graph] has exactly these
+    dimensions, and {!Bm_depgraph.Encode.decode} has range-checked every
+    node id in it. *)
+
+val json_of_profile : Bm_gpu.Costmodel.profile -> Bm_metrics.Json.t
+(** A cost profile: per-TB instruction and memory counts as packed
+    bit-pattern floats, the warp count, and the warp-wave factor. *)
+
+val profile_of_json : Bm_metrics.Json.t -> Bm_gpu.Costmodel.profile
+(** Exact inverse of {!json_of_profile}.  @raise Bad on malformed input,
+    and on values no analysis produces: a count that is non-finite or
+    negative, instruction and memory arrays of different lengths, fewer
+    than one warp, or a warp-wave factor that is non-finite or below 1. *)

@@ -15,6 +15,7 @@ type launch_info = {
   li_spec : Command.launch_spec;
   li_result : Symeval.result;
   li_fp : Footprint.kernel_footprints;
+  li_profile : Costmodel.profile;
   li_cost : Costmodel.t;
   li_tbs : int;
   li_relation : Bipartite.relation;
@@ -105,8 +106,7 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
   (* Footprints are cached per (kernel, launch configuration): iterative apps
      relaunch identical configurations hundreds of times. *)
   let fp_cache = Hashtbl.create 64 in
-  let footprint spec =
-    let fl = Command.footprint_launch spec in
+  let footprint spec fl =
     let key = (spec.Command.kernel.Bm_ptx.Types.kname, fl) in
     match Hashtbl.find_opt fp_cache key with
     | Some fp -> fp
@@ -124,10 +124,10 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
   in
   (* Cost profiles (per-TB instruction/memory counts) are the
      seq-independent half of the cost model; the jitter half is applied per
-     launch below and never cached. *)
+     launch below. *)
+  let params = Costmodel.params cfg in
   let profile_memo = Hashtbl.create 64 in
-  let profile_of (spec : Command.launch_spec) =
-    let fl = Command.footprint_launch spec in
+  let profile_of (spec : Command.launch_spec) fl =
     let key = (spec.Command.kernel.Bm_ptx.Types.kname, fl) in
     match Hashtbl.find_opt profile_memo key with
     | Some p -> p
@@ -150,8 +150,8 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
      meaningful relative to this app's buffer layout, so the cross-call
      tiers key the layout too (Cache.rw). *)
   let rw_memo = Hashtbl.create 64 in
-  let rw_of (spec : Command.launch_spec) fp =
-    let key = (spec.Command.kernel.Bm_ptx.Types.kname, Command.footprint_launch spec) in
+  let rw_of (spec : Command.launch_spec) fl fp =
+    let key = (spec.Command.kernel.Bm_ptx.Types.kname, fl) in
     match Hashtbl.find_opt rw_memo key with
     | Some rw -> rw
     | None ->
@@ -165,10 +165,7 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
               (fun (b : Command.buffer) -> (b.Command.buf_id, b.Command.base, b.Command.bytes))
               (Command.buffers_of_args spec)
           in
-          Cache.rw c
-            ~kid:(kid_of spec.Command.kernel)
-            ~fl:(Command.footprint_launch spec)
-            ~buffers compute
+          Cache.rw c ~kid:(kid_of spec.Command.kernel) ~fl ~buffers compute
       in
       Hashtbl.add rw_memo key rw;
       rw
@@ -177,9 +174,7 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
      both kernels and both launch configurations (grids drive the
      Fully_connected sizes), plus the degree cap. *)
   let pair_memo = Hashtbl.create 64 in
-  let pair_of (pspec : Command.launch_spec) pfp (spec : Command.launch_spec) fp =
-    let pfl = Command.footprint_launch pspec in
-    let cfl = Command.footprint_launch spec in
+  let pair_of (pspec : Command.launch_spec) pfl pfp (spec : Command.launch_spec) cfl fp =
     let key =
       ( pspec.Command.kernel.Bm_ptx.Types.kname,
         pfl,
@@ -219,7 +214,14 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
   in
   (* Reorder (or keep) the command stream. *)
   let original = Array.of_list app.Command.commands in
-  let rws = Array.map (fun c -> command_rw c (fun spec -> rw_of spec (footprint spec))) original in
+  let rws =
+    Array.map
+      (fun c ->
+        command_rw c (fun spec ->
+            let fl = Command.footprint_launch spec in
+            rw_of spec fl (footprint spec fl)))
+      original
+  in
   let final =
     if reorder then
       Prof.with_span prof "reorder" (fun () ->
@@ -236,7 +238,8 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
   let seq = ref 0 in
   (* Per-stream predecessor tracking: dependencies are only enforced (and
      in-order completion only required) within a stream. *)
-  let stream_prev : (int, int * Footprint.kernel_footprints * Command.launch_spec) Hashtbl.t =
+  let stream_prev :
+      (int, int * Footprint.kernel_footprints * Command.launch_spec * Footprint.launch) Hashtbl.t =
     Hashtbl.create 4
   in
   Array.iteri
@@ -248,24 +251,33 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
         d2h_wait.(ci) <- Hashtbl.find_opt last_writer b.Command.buf_id
       | Command.Kernel_launch spec ->
         let result = analyze spec.Command.kernel in
-        let fp = footprint spec in
-        let rw = rw_of spec fp in
+        let fl = Command.footprint_launch spec in
+        let fp = footprint spec fl in
+        let rw = rw_of spec fl fp in
         let prev = Hashtbl.find_opt stream_prev spec.Command.stream in
         let relation, pattern, sizes =
           match prev with
           | None ->
             (Bipartite.Independent, Pattern.classify Bipartite.Independent,
              Encode.measure Bipartite.Independent)
-          | Some (_, pfp, pspec) ->
-            let pr = pair_of pspec pfp spec fp in
+          | Some (_, pfp, pspec, pfl) ->
+            let pr = pair_of pspec pfl pfp spec fl fp in
             (pr.Cache.pr_relation, pr.Cache.pr_pattern, pr.Cache.pr_sizes)
         in
+        let profile = profile_of spec fl in
         let cost =
-          (* The jitter application is never cached: it is keyed on the
-             launch sequence number, which differs between structurally
-             equal launches.  Only the profile underneath is memoized. *)
-          Prof.with_span prof "costmodel" (fun () ->
-              Costmodel.of_profile cfg ~kernel_seq:!seq (profile_of spec))
+          (* The expansion is keyed on the launch sequence number too, so
+             it repeats across calls (and across reorder classes that keep
+             the launch order), never within one. *)
+          let kernel_seq = !seq in
+          let compute () =
+            Prof.with_span prof "costmodel" (fun () ->
+                Costmodel.of_profile params ~kernel_seq profile)
+          in
+          match cache with
+          | None -> compute ()
+          | Some c ->
+            Cache.cost c ~kid:(kid_of spec.Command.kernel) ~fl ~seq:kernel_seq ~params compute
         in
         let copy_deps =
           List.filter_map (fun buf_id -> Hashtbl.find_opt pending_h2d buf_id) rw.Reorder.reads
@@ -275,10 +287,11 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
         launches :=
           {
             li_seq = !seq;
-            li_prev = (match prev with Some (p, _, _) -> Some p | None -> None);
+            li_prev = (match prev with Some (p, _, _, _) -> Some p | None -> None);
             li_spec = spec;
             li_result = result;
             li_fp = fp;
+            li_profile = profile;
             li_cost = cost;
             li_tbs = Bm_ptx.Types.dim3_count spec.Command.grid;
             li_relation = relation;
@@ -287,7 +300,7 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
             li_copy_deps = copy_deps;
           }
           :: !launches;
-        Hashtbl.replace stream_prev spec.Command.stream (!seq, fp, spec);
+        Hashtbl.replace stream_prev spec.Command.stream (!seq, fp, spec, fl);
         incr seq)
     final;
   {

@@ -13,7 +13,11 @@ type launch_info = {
   li_spec : Bm_gpu.Command.launch_spec;
   li_result : Bm_analysis.Symeval.result;
   li_fp : Bm_analysis.Footprint.kernel_footprints;
+  li_profile : Bm_gpu.Costmodel.profile;       (** what [li_cost] expands from *)
   li_cost : Bm_gpu.Costmodel.t;
+      (** [Costmodel.of_profile] of [li_profile] at [li_seq]; with a
+          [?cache], shared with every other preparation of the same
+          launch and never written *)
   li_tbs : int;
   li_relation : Bm_depgraph.Bipartite.relation;
       (** with the previous launch in the same stream; [Independent] for a
@@ -51,8 +55,9 @@ val prepare :
     footprint reused across relaunches) only charge their first
     computation.
 
-    [cache] memoizes analysis, footprint and pair results across [prepare]
-    calls by structural kernel fingerprint ({!Cache}); results are
+    [cache] memoizes analysis, footprint, profile, cost-column and pair
+    results across [prepare] calls by structural kernel fingerprint
+    ({!Cache}); results are
     cycle-identical with and without it.  The cache is single-domain
     state — pass one cache per worker domain, never a shared one. *)
 

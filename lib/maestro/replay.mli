@@ -5,8 +5,9 @@
     cycle-exactly, and byte-identically in trace output (the differential
     suite in test/test_graph.ml enforces both over the benchmark suite,
     every mode, and random apps).  No preparation happens here: the graph
-    already carries per-TB costs, resolved relations and copy dependencies,
-    so a warm replay touches neither the PTX analyses nor the {!Cache}.
+    already carries per-TB costs (expanded once at decode), resolved
+    relations and copy dependencies, so a warm replay touches neither the
+    PTX analyses nor the {!Cache}.
 
     There is no second engine: {!run} picks the schedule matching the
     mode's reorder class and hands it to {!Sim.run_schedules}, the same
@@ -27,8 +28,10 @@ val run :
     @raise Invalid_argument if the graph was captured under a different
     machine configuration (its [g_cfg_digest] does not match [cfg]) —
     replaying a graph on the wrong machine would silently produce timings
-    for the machine it was captured on.  App-level staleness is checked
-    separately with {!Graph.validate}, which needs the original app.
+    for the machine it was captured on — or if its [g_params] differ from
+    [cfg]'s {!Bm_gpu.Costmodel.params}, since its cost columns were
+    expanded under them.  App-level staleness is checked separately with
+    {!Graph.validate}, which needs the original app.
 
     @raise Invalid_argument if the schedule exceeds the packed-event bound
     of 2{^30} launches, commands or TBs per kernel (see {!Sim}); the

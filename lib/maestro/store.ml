@@ -39,7 +39,6 @@
 module Json = Bm_metrics.Json
 module Footprint = Bm_analysis.Footprint
 module I = Bm_analysis.Sinterval
-module Costmodel = Bm_gpu.Costmodel
 module Bipartite = Bm_depgraph.Bipartite
 module Metrics = Bm_metrics.Metrics
 open Jsonc
@@ -375,26 +374,6 @@ let footprints_of_json j =
   | "cons" -> Footprint.Conservative (str_field ~what "why" j)
   | "tb" -> Footprint.Per_tb (footprint_tbs_of_json ~what (field ~what "tbs" j))
   | k -> bad "%s: unknown kind %S" what k
-
-let json_of_profile p =
-  let r = Costmodel.repr_of_profile p in
-  Json.Obj
-    [
-      ("i", json_of_packed_floats_rle r.Costmodel.prr_insts);
-      ("m", json_of_packed_floats_rle r.Costmodel.prr_mem);
-      ("w", Json.Num (float_of_int r.Costmodel.prr_warps));
-      ("ww", json_of_float r.Costmodel.prr_warp_waves);
-    ]
-
-let profile_of_json j =
-  let what = "profile" in
-  Costmodel.profile_of_repr
-    {
-      Costmodel.prr_insts = packed_floats_rle_of_json ~what:(what ^ ".i") (field ~what "i" j);
-      prr_mem = packed_floats_rle_of_json ~what:(what ^ ".m") (field ~what "m" j);
-      prr_warps = int_field ~what "w" j;
-      prr_warp_waves = float_of_json ~what:(what ^ ".ww") (field ~what "ww" j);
-    }
 
 let json_of_rw (rw : Reorder.rw) =
   Json.Obj

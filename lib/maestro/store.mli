@@ -108,12 +108,11 @@ val put_relation :
 
     Exposed for the round-trip property tests.  The decoders raise
     {!Jsonc.Bad} on malformed input; [find_*] catches it once and counts a
-    corrupt miss.  Relations use {!Jsonc.json_of_relation} directly. *)
+    corrupt miss.  Relations and profiles use {!Jsonc.json_of_relation} and
+    {!Jsonc.json_of_profile} directly. *)
 
 val json_of_footprints : Bm_analysis.Footprint.kernel_footprints -> Bm_metrics.Json.t
 val footprints_of_json : Bm_metrics.Json.t -> Bm_analysis.Footprint.kernel_footprints
-val json_of_profile : Bm_gpu.Costmodel.profile -> Bm_metrics.Json.t
-val profile_of_json : Bm_metrics.Json.t -> Bm_gpu.Costmodel.profile
 val json_of_rw : Reorder.rw -> Bm_metrics.Json.t
 val rw_of_json : Bm_metrics.Json.t -> Reorder.rw
 

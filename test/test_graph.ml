@@ -244,17 +244,46 @@ let expect_mutants_corrupt mutations () =
 
 (* A relation that disagrees with its nodes must not replay into an
    out-of-bounds access, a stalled kernel or a silently wrong makespan.
-   BICG has two 8-TB kernels, node 1 consuming node 0. *)
+   BICG has two 8-TB kernels, node 1 consuming node 0; the plain schedule
+   is written first, so relation 0 is node 0's (independent, 0 x 8) and
+   relation 1 is node 1's 8 x 8 graph, in both schedules. *)
 let relation_mutations =
-  let rel i v = [ ([ "reordered"; "nodes"; string_of_int i; "rel" ], v) ] in
+  let rel i v = [ ([ "relations"; string_of_int i ], v) ] in
   [
-    ("TB graph on a root node", rel 0 (Json.Obj [ ("k", Json.Str "o2o"); ("n", num 8) ]));
+    ( "TB graph on a root node",
+      rel 0 (Json.Obj [ ("k", Json.Str "n2o"); ("nc", num 8); ("co", packed [||]) ]) );
     ("1 child for 8 TBs", rel 1 (Json.Obj [ ("k", Json.Str "o2o"); ("n", num 1) ]));
     ( "parent 57 of an 8-TB producer",
       rel 1
         (Json.Obj
            [ ("k", Json.Str "o2n"); ("np", num 64); ("po", packed [| 57; 1; 2; 3; 4; 5; 6; 7 |]) ])
     );
+    (* Shared entries: relation 0 fits node 0 but not node 1, which has a
+       predecessor. *)
+    ("shared relation sized for another node", [ ([ "reordered"; "nodes"; "1"; "rel" ], num 0) ]);
+    ("relation index past the table", [ ([ "plain"; "nodes"; "1"; "rel" ], num 2) ]);
+    ("negative relation index", [ ([ "reordered"; "nodes"; "0"; "rel" ], num (-1)) ]);
+  ]
+
+(* Cost inputs: every profile must cover its node's TBs and hold only
+   what an analysis can produce, since decode expands it into the
+   engine's TB times.  Profile 0 is node 0's (8 TBs). *)
+let profile_mutations =
+  let floats a = Bm_maestro.Jsonc.json_of_packed_floats_rle a in
+  let prof field v = [ ([ "profiles"; "0"; field ], v) ] in
+  let count x = prof "i" (floats (Array.init 8 (fun tb -> if tb = 3 then x else 100.0))) in
+  [
+    ("profile index past the table", [ ([ "plain"; "nodes"; "0"; "prof" ], num 99) ]);
+    ("negative profile index", [ ([ "reordered"; "nodes"; "1"; "prof" ], num (-1)) ]);
+    ( "profile of 7 TBs for 8",
+      prof "i" (floats (Array.make 7 100.0)) @ prof "m" (floats (Array.make 7 1.0)) );
+    ("NaN instruction count", count nan);
+    ("negative instruction count", count (-1e6));
+    ("infinite instruction count", count infinity);
+    ("NaN memory count", prof "m" (floats (Array.make 8 nan)));
+    ("zero warps", prof "w" (num 0));
+    ("warp waves below 1", prof "ww" (Bm_maestro.Jsonc.json_of_float 0.5));
+    ("infinite warp waves", prof "ww" (Bm_maestro.Jsonc.json_of_float infinity));
   ]
 
 (* A schedule the engine cannot run to completion must not stall the host
@@ -276,6 +305,73 @@ let schedule_mutations =
         ([ "plain"; "nodes"; "0"; "deps" ], packed [| 6; 12 |]);
       ] );
   ]
+
+(* Format 2 persisted per-TB costs and one relation per node; its files
+   are refused by version, not misread. *)
+let test_version_2_refused () =
+  let graph = Graph.capture cfg (Suite.by_name "BICG" ()) in
+  match Graph.of_json (set [ "version" ] (num 2) (Graph.to_json graph)) with
+  | Error (Graph.Corrupt msg) ->
+    Alcotest.(check string) "message" "unsupported version 2 (expected 3)" msg
+  | Error (Graph.Stale _) | Ok _ -> Alcotest.fail "version 2 graph not refused as Corrupt"
+
+(* The header's params are what decode expanded the cost columns under.
+   An edit to them alone leaves the fingerprint and cfg digest intact, so
+   validate and Replay.run must compare the params themselves. *)
+let test_edited_params () =
+  let app = Suite.by_name "BICG" () in
+  let j = Graph.to_json (Graph.capture cfg app) in
+  List.iter
+    (fun (what, field, v) ->
+      match Graph.of_json (set [ "params"; field ] v j) with
+      | Error e -> Alcotest.failf "%s: edited params must still decode: %a" what Graph.pp_error e
+      | Ok g -> (
+        expect_stale what (Graph.validate cfg app g);
+        match Replay.run cfg Mode.Producer_priority g with
+        | (_ : Stats.t) -> Alcotest.failf "%s: replayed under other cost params" what
+        | exception Invalid_argument _ -> ()))
+    [
+      ("seed", "seed", Json.Str (string_of_int (cfg.Config.seed + 1)));
+      ("jitter", "jf", Bm_maestro.Jsonc.json_of_float (cfg.Config.jitter_frac *. 2.0));
+      ("cpi", "cpi", Bm_maestro.Jsonc.json_of_float (cfg.Config.cpi +. 0.25));
+      ("clock", "clk", Bm_maestro.Jsonc.json_of_float (-0.0));
+    ]
+
+(* Each distinct profile and relation is written once, whether or not a
+   cache shared them at capture, and decode expands each (profile, seq)
+   once: nodes of both schedules that launch one profile at one seq hold
+   one column. *)
+let test_tables_distinct () =
+  List.iter
+    (fun (name, mk) ->
+      let app = mk () in
+      let cached = Graph.capture ~cache:(Cache.create ()) cfg app in
+      let text = Json.to_string (Graph.to_json cached) in
+      Alcotest.(check string) (name ^ ": cache-free capture writes the same file") text
+        (Json.to_string (Graph.to_json (Graph.capture cfg app)));
+      let j = Graph.to_json cached in
+      List.iter
+        (fun table ->
+          match Json.member table j with
+          | Some (Json.Arr rows) ->
+            let texts = List.map Json.to_string rows in
+            Alcotest.(check int)
+              (Printf.sprintf "%s: %s distinct" name table)
+              (List.length texts)
+              (List.length (List.sort_uniq compare texts))
+          | Some _ | None -> Alcotest.failf "%s: no %s table" name table)
+        [ "profiles"; "relations" ];
+      let g = decoded cached in
+      Array.iteri
+        (fun i (n : Graph.node) ->
+          let r = g.Graph.g_reordered.Graph.s_nodes.(i) in
+          if Bm_gpu.Costmodel.same_profile n.Graph.n_profile r.Graph.n_profile then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: node %d column shared by both schedules" name i)
+              true
+              (n.Graph.n_tb_us == r.Graph.n_tb_us))
+        g.Graph.g_plain.Graph.s_nodes)
+    Suite.all
 
 (* --- warm replay performs zero preparation --------------------------- *)
 
@@ -353,6 +449,9 @@ let test_packed_event_bound () =
       n_prev = -1;
       n_stream = 0;
       n_tbs = huge;
+      n_profile =
+        Bm_gpu.Costmodel.profile_of_repr
+          { Bm_gpu.Costmodel.prr_insts = [||]; prr_mem = [||]; prr_warps = 1; prr_warp_waves = 1.0 };
       n_tb_us = [||];
       n_mem_requests = 0.0;
       n_relation = Bm_depgraph.Bipartite.Independent;
@@ -366,6 +465,7 @@ let test_packed_event_bound () =
       Graph.g_app = "huge";
       g_cfg_digest = Graph.cfg_digest cfg;
       g_fingerprint = "";
+      g_params = Bm_gpu.Costmodel.params cfg;
       g_plain = sched;
       g_reordered = sched;
     }
@@ -458,6 +558,12 @@ let test_bmctl_capture_replay () =
         (bmctl [ "replay"; "BICG"; "-g"; path ]);
       write_edited [ ([ "cfg" ], Json.Str (Graph.cfg_digest { cfg with Config.cpi = 2.0 })) ];
       Alcotest.(check int) "replay of an edited cfg digest exits 5" 5
+        (bmctl [ "replay"; "BICG"; "-g"; path ]);
+      write_edited [ ([ "params"; "seed" ], Json.Str (string_of_int (cfg.Config.seed + 1))) ];
+      Alcotest.(check int) "replay of edited cost params exits 5" 5
+        (bmctl [ "replay"; "BICG"; "-g"; path ]);
+      write_edited [ ([ "version" ], num 2) ];
+      Alcotest.(check int) "replay of a format 2 graph exits 2" 2
         (bmctl [ "replay"; "BICG"; "-g"; path ]);
       Alcotest.(check int) "replay of a missing graph exits 2" 2
         (bmctl [ "replay"; "BICG"; "-g"; "/nonexistent-dir/none.json" ]))
@@ -604,6 +710,11 @@ let suite =
       (expect_mutants_corrupt relation_mutations);
     Alcotest.test_case "of_json: schedule the engine cannot run" `Quick
       (expect_mutants_corrupt schedule_mutations);
+    Alcotest.test_case "of_json: profile table and cost inputs" `Quick
+      (expect_mutants_corrupt profile_mutations);
+    Alcotest.test_case "of_json: format 2 refused" `Quick test_version_2_refused;
+    Alcotest.test_case "validate: edited cost params are stale" `Quick test_edited_params;
+    Alcotest.test_case "to_json: each profile and relation stored once" `Quick test_tables_distinct;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |]) prop_graph_byte_fuzz;
     Alcotest.test_case "replay: warm replay does zero prep" `Quick test_warm_replay_zero_prep;
     Alcotest.test_case "capture: exported counters" `Quick test_capture_counters;

@@ -339,6 +339,46 @@ let test_cache_second_pass_hits () =
   if 10 * hits < 9 * (hits + misses) then
     Alcotest.failf "second-pass pair hit rate below 90%%: %d hits, %d misses" hits misses
 
+(* The cost family's key covers the params the expansion reads: one
+   cache shared by configs that differ only in [seed], then only in
+   [jitter_frac], must hand each config its own columns, bit for bit
+   those of a cache-free preparation under that config. *)
+let test_cache_cost_key () =
+  let bits a = Array.map Int64.bits_of_float a in
+  let costs (p : Prep.t) =
+    Array.map
+      (fun (li : Prep.launch_info) ->
+        let c = li.Prep.li_cost in
+        ( bits c.Bm_gpu.Costmodel.tb_us,
+          bits c.Bm_gpu.Costmodel.tb_mem_requests,
+          Int64.bits_of_float c.Bm_gpu.Costmodel.avg_tb_us ))
+      p.Prep.p_launches
+  in
+  List.iter
+    (fun name ->
+      let app = Suite.by_name name () in
+      let cache = Cache.create () in
+      List.iter
+        (fun reorder ->
+          let base = costs (Prep.prepare ~reorder ~cache cfg app) in
+          List.iter
+            (fun (what, cfg') ->
+              let shared = costs (Prep.prepare ~reorder ~cache cfg' app) in
+              let fresh = costs (Prep.prepare ~reorder cfg' app) in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s (reorder %b): columns differ from the base config's" name what
+                   reorder)
+                false (shared = base);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s (reorder %b): cached = cache-free" name what reorder)
+                true (shared = fresh))
+            [
+              ("seed", { cfg with Config.seed = cfg.Config.seed + 1 });
+              ("jitter_frac", { cfg with Config.jitter_frac = cfg.Config.jitter_frac *. 2.0 });
+            ])
+        [ false; true ])
+    [ "GAUSSIAN"; "HS" ]
+
 (* Randomized sweep: many structurally-overlapping generated apps through
    one shared cache, each compared against an uncached preparation. *)
 let test_cache_genapp_sweep () =
@@ -375,4 +415,5 @@ let suite =
     Alcotest.test_case "genapp: to_ocaml mirrors spec" `Quick test_genapp_to_ocaml;
     Alcotest.test_case "diff: host-blocking copies, 30 random apps x all modes" `Slow
       test_diff_host_blocking_random;
+    Alcotest.test_case "cache: cost columns keyed on cost params" `Quick test_cache_cost_key;
   ]

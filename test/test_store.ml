@@ -151,21 +151,65 @@ let prop_footprints_roundtrip =
     (fun fp ->
       Store.footprints_of_json (Store.json_of_footprints fp) = fp)
 
+(* The codec's domain: equal-length arrays of finite, non-negative counts,
+   at least one warp and a finite warp-wave factor of at least 1 (what
+   [Costmodel.profile] produces); everything outside it is rejected below. *)
+let gen_count =
+  QCheck2.Gen.(oneof [ oneofl [ 0.0; -0.0; 1.0; 4.9e-324; 1e300 ]; float_bound_inclusive 1e9 ])
+
+let gen_profile_repr =
+  QCheck2.Gen.(
+    let* n = int_range 0 32 in
+    map
+      (fun (((i, m), warps), waves) ->
+        { Costmodel.prr_insts = i; prr_mem = m; prr_warps = warps; prr_warp_waves = waves })
+      (pair
+         (pair (pair (array_repeat n gen_count) (array_repeat n gen_count)) (int_range 1 64))
+         (oneof [ oneofl [ 1.0; 2.0; 16.0 ]; float_range 1.0 1e6 ])))
+
 let prop_profile_roundtrip =
-  QCheck2.Test.make ~name:"store: profile codec bit round-trip" ~count:300
-    QCheck2.Gen.(
-      map
-        (fun (((i, m), warps), waves) ->
-          { Costmodel.prr_insts = i; prr_mem = m; prr_warps = warps; prr_warp_waves = waves })
-        (pair (pair (pair gen_float_array gen_float_array) (int_range 1 64)) gen_float))
+  QCheck2.Test.make ~name:"store: profile codec bit round-trip" ~count:300 gen_profile_repr
     (fun repr ->
       let p = Costmodel.profile_of_repr repr in
-      let r' = Costmodel.repr_of_profile (Store.profile_of_json (Store.json_of_profile p)) in
+      let r' = Costmodel.repr_of_profile (Jsonc.profile_of_json (Jsonc.json_of_profile p)) in
       float_arrays_bit_equal r'.Costmodel.prr_insts repr.Costmodel.prr_insts
       && float_arrays_bit_equal r'.Costmodel.prr_mem repr.Costmodel.prr_mem
       && r'.Costmodel.prr_warps = repr.Costmodel.prr_warps
       && Int64.bits_of_float r'.Costmodel.prr_warp_waves
          = Int64.bits_of_float repr.Costmodel.prr_warp_waves)
+
+(* One out-of-domain value in an otherwise valid profile is rejected with
+   [Bad], never decoded into a profile the cost model would expand into
+   NaN, negative or infinite TB times. *)
+let prop_profile_rejects_out_of_domain =
+  QCheck2.Test.make ~name:"store: profile codec rejects out-of-domain values" ~count:200
+    QCheck2.Gen.(
+      pair gen_profile_repr
+        (oneof
+           [
+             map
+               (fun (x, in_mem) -> `Count (x, in_mem))
+               (pair (oneofl [ nan; infinity; neg_infinity; -1.0; -1e6; -4.9e-324 ]) bool);
+             map (fun w -> `Warps w) (int_range (-3) 0);
+             map (fun x -> `Waves x) (oneofl [ nan; infinity; neg_infinity; 0.0; 0.5; -2.0 ]);
+           ]))
+    (fun (repr, bad) ->
+      let repr =
+        match bad with
+        | `Count (x, in_mem) ->
+          let push v a = Array.append a [| v |] in
+          let bad_i, bad_m = if in_mem then (1.0, x) else (x, 1.0) in
+          {
+            repr with
+            Costmodel.prr_insts = push bad_i repr.Costmodel.prr_insts;
+            prr_mem = push bad_m repr.Costmodel.prr_mem;
+          }
+        | `Warps w -> { repr with Costmodel.prr_warps = w }
+        | `Waves x -> { repr with Costmodel.prr_warp_waves = x }
+      in
+      match Jsonc.profile_of_json (Jsonc.json_of_profile (Costmodel.profile_of_repr repr)) with
+      | (_ : Costmodel.profile) -> false
+      | exception Jsonc.Bad _ -> true)
 
 let prop_rw_roundtrip =
   QCheck2.Test.make ~name:"store: rw codec round-trip" ~count:200
@@ -492,6 +536,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_footprints_roundtrip;
     QCheck_alcotest.to_alcotest prop_profile_roundtrip;
+    QCheck_alcotest.to_alcotest prop_profile_rejects_out_of_domain;
     QCheck_alcotest.to_alcotest prop_rw_roundtrip;
     QCheck_alcotest.to_alcotest prop_relation_roundtrip;
     QCheck_alcotest.to_alcotest prop_packed_ints_roundtrip;
