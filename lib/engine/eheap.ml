@@ -1,7 +1,12 @@
 (* Allocation-free binary min-heap over (float key, int seq) with an int
    payload.  The three parallel arrays only grow; stale slots need no
    clearing because ints and floats hold no pointers (the space-leak class
-   fixed in Heap for boxed entries cannot occur here). *)
+   fixed in Heap for boxed entries cannot occur here).
+
+   Neither [push] nor [pop_ev] swaps entries: the entry being placed stays
+   in locals while parents (on the way up) or children (on the way down)
+   shift into the hole, so each array is written once per level and the
+   entry itself once at the end. *)
 
 type t = {
   mutable keys : float array;
@@ -38,51 +43,33 @@ let grow t =
   t.seqs <- seqs';
   t.evs <- evs'
 
-(* (key, seq) at slot [i] orders before slot [j]? *)
-let before t i j =
-  let ki = Array.unsafe_get t.keys i and kj = Array.unsafe_get t.keys j in
-  ki < kj || (ki = kj && Array.unsafe_get t.seqs i < Array.unsafe_get t.seqs j)
-
-let swap t i j =
-  let k = t.keys.(i) in
-  t.keys.(i) <- t.keys.(j);
-  t.keys.(j) <- k;
-  let s = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- s;
-  let e = t.evs.(i) in
-  t.evs.(i) <- t.evs.(j);
-  t.evs.(j) <- e
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 in
-  if l < t.size then begin
-    let r = l + 1 in
-    let m = if r < t.size && before t r l then r else l in
-    if before t m i then begin
-      swap t i m;
-      sift_down t m
-    end
-  end
+(* Move slot [src] into the hole at [dst]. *)
+let[@inline] shift (keys : float array) (seqs : int array) (evs : int array) ~src ~dst =
+  keys.(dst) <- keys.(src);
+  seqs.(dst) <- seqs.(src);
+  evs.(dst) <- evs.(src)
 
 let push t key ev =
   if t.size = Array.length t.keys then grow t;
-  let i = t.size in
-  t.keys.(i) <- key;
-  t.seqs.(i) <- t.next_seq;
-  t.evs.(i) <- ev;
-  t.next_seq <- t.next_seq + 1;
+  let keys = t.keys and seqs = t.seqs and evs = t.evs in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let i = ref t.size in
   t.size <- t.size + 1;
-  sift_up t i
+  (* [seq] is larger than every sequence number in the heap, so the new
+     entry passes a parent only on a strictly smaller key. *)
+  let rising = ref true in
+  while !rising && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if key < keys.(p) then begin
+      shift keys seqs evs ~src:p ~dst:!i;
+      i := p
+    end
+    else rising := false
+  done;
+  keys.(!i) <- key;
+  seqs.(!i) <- seq;
+  evs.(!i) <- ev
 
 let min_key t =
   if t.size = 0 then invalid_arg "Eheap.min_key: empty";
@@ -90,15 +77,44 @@ let min_key t =
 
 let pop_key = min_key
 
+(* Floyd's bottom-up pop: sink the root's hole to a leaf along the smaller
+   child (one comparison per level), then sift the former last entry up
+   from there.  That entry is usually a late timestamp, so it rarely rises
+   far, and the pop costs about half the comparisons of a top-down sift. *)
 let pop_ev t =
   if t.size = 0 then invalid_arg "Eheap.pop_ev: empty";
-  let ev = t.evs.(0) in
+  let keys = t.keys and seqs = t.seqs and evs = t.evs in
+  let ev = evs.(0) in
   let last = t.size - 1 in
   t.size <- last;
   if last > 0 then begin
-    t.keys.(0) <- t.keys.(last);
-    t.seqs.(0) <- t.seqs.(last);
-    t.evs.(0) <- t.evs.(last);
-    sift_down t 0
+    let lk = keys.(last) and ls = seqs.(last) and le = evs.(last) in
+    let i = ref 0 and l = ref 1 in
+    while !l < last do
+      let r = !l + 1 in
+      let m =
+        if r < last then begin
+          let kl = keys.(!l) and kr = keys.(r) in
+          if kr < kl || (kr = kl && seqs.(r) < seqs.(!l)) then r else !l
+        end
+        else !l
+      in
+      shift keys seqs evs ~src:m ~dst:!i;
+      i := m;
+      l := (2 * m) + 1
+    done;
+    let rising = ref true in
+    while !rising && !i > 0 do
+      let p = (!i - 1) / 2 in
+      let kp = keys.(p) in
+      if lk < kp || (lk = kp && ls < seqs.(p)) then begin
+        shift keys seqs evs ~src:p ~dst:!i;
+        i := p
+      end
+      else rising := false
+    done;
+    keys.(!i) <- lk;
+    seqs.(!i) <- ls;
+    evs.(!i) <- le
   end;
   ev

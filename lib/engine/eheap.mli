@@ -6,9 +6,18 @@
     high-water mark — unlike the generic {!Heap}, whose boxed entry records
     cost ~18 words per event.
 
+    Neither operation swaps entries: the entry being placed stays in
+    locals and parents or children shift into the hole, one write per
+    array per level.  [pop_ev] is Floyd's bottom-up pop (sink the hole to
+    a leaf along the smaller child, then sift the former last entry up),
+    which in an event queue makes about half the comparisons of a
+    top-down sift, since that entry is usually a late timestamp.
+
     Tie-breaking matches {!Heap}: equal keys pop in insertion order (a
     monotonically increasing sequence number is the secondary key), which
-    the cycle-exact oracle relies on. *)
+    the cycle-exact oracle relies on.  [(key, seq)] is a strict total
+    order for non-NaN keys, so any correct heap over it pops the same
+    sequence. *)
 
 type t
 

@@ -39,6 +39,12 @@ type t = {
      everything else; ids are monotonic, so entries of an evicted id simply
      age out of the downstream tables. *)
   intern : (Fingerprint.t, int) Lru.t;
+  (* Kernel name -> the kernel value last interned under it and its id.  A
+     hit needs the very same value ([==]): fingerprinting costs ~1 µs per
+     PTX instruction, and warm preparations of one app pass the same
+     kernel values every time.  An equal but distinct value (an
+     alpha-twin, a rebuilt app) is fingerprinted as before. *)
+  seen : (string, Bm_ptx.Types.kernel * int) Lru.t;
   mutable next_id : int;
   (* id -> canonical fingerprint string, the disk tier's key material.
      Only populated when a store is attached; if an entry ages out, disk
@@ -69,6 +75,7 @@ type t = {
 let create ?(kernel_capacity = 256) ?(pair_capacity = 8192) ?store () =
   {
     intern = Lru.create ~capacity:kernel_capacity;
+    seen = Lru.create ~capacity:kernel_capacity;
     next_id = 0;
     fpstrs = Lru.create ~capacity:kernel_capacity;
     store;
@@ -95,7 +102,7 @@ let create ?(kernel_capacity = 256) ?(pair_capacity = 8192) ?store () =
 
 let store t = t.store
 
-let kernel_id t kernel =
+let intern t kernel =
   let fp = Fingerprint.of_kernel kernel in
   match Lru.find t.intern fp with
   | Some id -> id
@@ -104,6 +111,14 @@ let kernel_id t kernel =
     t.next_id <- id + 1;
     Lru.add t.intern fp id;
     if t.store <> None then Lru.add t.fpstrs id (Fingerprint.to_string fp);
+    id
+
+let kernel_id t (kernel : Bm_ptx.Types.kernel) =
+  match Lru.find t.seen kernel.Bm_ptx.Types.kname with
+  | Some (k, id) when k == kernel -> id
+  | Some _ | None ->
+    let id = intern t kernel in
+    Lru.add t.seen kernel.Bm_ptx.Types.kname (kernel, id);
     id
 
 (* The disk tier sits below the in-process LRU: an LRU miss consults the

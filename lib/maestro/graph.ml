@@ -366,8 +366,10 @@ type rel_entry = {
   r_sizes : Encode.sizes;
 }
 
-let rel_entry_of_json j =
-  let n_parents, n_children, rel = sized_relation_of_json j in
+let rel_entry_of_json ~max_tbs j =
+  let n_parents, n_children, rel =
+    sized_relation_of_json ~max_parents:max_tbs ~max_children:max_tbs j
+  in
   {
     r_parents = n_parents;
     r_children = n_children;
@@ -383,7 +385,7 @@ let index_field ~what name table j =
 
 (* Node fields are decoded here; the cost column is filled in by
    [cost_expander] once both schedules have passed [check_schedule]. *)
-let node_of_json ~profiles ~relations j =
+let node_of_json ~profiles ~relations ~n_commands j =
   let what = "node" in
   let r = index_field ~what "rel" relations j in
   ( {
@@ -395,7 +397,8 @@ let node_of_json ~profiles ~relations j =
       n_profile = index_field ~what "prof" profiles j;
       n_tb_us = [||];
       n_mem_requests = 0.0;
-      n_copy_deps = packed_ints_rle_of_json ~what:"node.deps" (field ~what "deps" j);
+      n_copy_deps =
+        packed_ints_rle_of_json ~what:"node.deps" ~limit:n_commands (field ~what "deps" j);
       n_relation = r.r_relation;
       n_sizes = r.r_sizes;
     },
@@ -461,17 +464,41 @@ let check_schedule ~what s (rels : rel_entry array) =
   s
 
 let schedule_of_json ~profiles ~relations ~what j =
+  let commands =
+    Array.of_list (List.map cmd_of_json (list_of_json ~what (field ~what "commands" j)))
+  in
+  let n_commands = Array.length commands in
   let nodes =
     Array.of_list
-      (List.map (node_of_json ~profiles ~relations) (list_of_json ~what (field ~what "nodes" j)))
+      (List.map
+         (node_of_json ~profiles ~relations ~n_commands)
+         (list_of_json ~what (field ~what "nodes" j)))
   in
-  check_schedule ~what
-    {
-      s_commands =
-        Array.of_list (List.map cmd_of_json (list_of_json ~what (field ~what "commands" j)));
-      s_nodes = Array.map fst nodes;
-    }
-    (Array.map snd nodes)
+  check_schedule ~what { s_commands = commands; s_nodes = Array.map fst nodes } (Array.map snd nodes)
+
+(* The largest TB count a node of either schedule states.  No profile or
+   relation in the tables can be longer, so it bounds their payloads
+   before they are decoded.  The counts are read in place, allocating
+   nothing per node; a malformed one is left for [node_of_json] to
+   report. *)
+let max_node_tbs j =
+  let node_max acc = function
+    | Json.Obj fields ->
+      List.fold_left
+        (fun acc (k, v) ->
+          match v with
+          | Json.Num x when String.equal k "tbs" && Float.is_integer x ->
+            let t = int_of_float x in
+            if t > acc then t else acc
+          | _ -> acc)
+        acc fields
+    | _ -> acc
+  in
+  List.fold_left
+    (fun acc name ->
+      let s = field ~what:"graph" name j in
+      List.fold_left node_max acc (list_of_json ~what:name (field ~what:name "nodes" s)))
+    0 [ "plain"; "reordered" ]
 
 (* Each (profile, seq) column is expanded once and shared by the nodes of
    both schedules that launch it, as a cache-backed preparation shares
@@ -531,8 +558,9 @@ let of_json j =
     let table name decode =
       Array.of_list (List.map decode (list_of_json ~what (field ~what name j)))
     in
-    let profiles = table "profiles" profile_of_json in
-    let relations = table "relations" rel_entry_of_json in
+    let max_tbs = max_node_tbs j in
+    let profiles = table "profiles" (profile_of_json ~max_tbs) in
+    let relations = table "relations" (rel_entry_of_json ~max_tbs) in
     let schedule name = schedule_of_json ~profiles ~relations ~what:name (field ~what name j) in
     let plain = schedule "plain" in
     let reordered = schedule "reordered" in

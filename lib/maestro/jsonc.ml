@@ -84,11 +84,14 @@ let json_of_packed_ints_rle a =
   Json.Str (Buffer.contents buf)
 
 (* Decoded payloads are capped so a garbled repeat count reads as Bad
-   rather than an allocation blow-up: the store's never-raises contract
-   covers hostile file contents. *)
+   rather than an allocation blow-up: every decode covers hostile file
+   contents.  The caller's [limit] is the tightest length it knows (a
+   node's TB count, a launch grid, a buffer list); [max_packed_elems] caps
+   it, and a run that would pass it is rejected before the array grows. *)
 let max_packed_elems = 1 lsl 30
 
-let packed_ints_rle_of_json ~what j =
+let packed_ints_rle_of_json ~what ~limit j =
+  let limit = min limit max_packed_elems in
   let s = str_of_json ~what j in
   let n = String.length s in
   if n = 0 then [||]
@@ -114,7 +117,7 @@ let packed_ints_rle_of_json ~what j =
     let total = ref 0 in
     let ensure extra =
       let need = !total + extra in
-      if need > max_packed_elems then bad "%s: packed payload too large" what;
+      if need > limit then bad "%s: packed payload longer than %d elements" what limit;
       let cap = Array.length !out in
       if need > cap then begin
         let ncap = ref (cap * 2) in
@@ -136,7 +139,7 @@ let packed_ints_rle_of_json ~what j =
       let reps, d =
         if !pos < n && s.[!pos] = '*' then begin
           incr pos;
-          if x < 1 || x > max_packed_elems then bad "%s: bad repeat count" what;
+          if x < 1 || x > limit then bad "%s: bad repeat count" what;
           (x, parse_int ())
         end
         else (1, x)
@@ -179,7 +182,8 @@ let json_of_packed_floats_rle a =
   if !run_n > 0 then emit !run_n !run_bits;
   Json.Str (Buffer.contents buf)
 
-let packed_floats_rle_of_json ~what j =
+let packed_floats_rle_of_json ~what ~limit j =
+  let limit = min limit max_packed_elems in
   let s = str_of_json ~what j in
   let n = String.length s in
   if n = 0 then [||]
@@ -217,7 +221,7 @@ let packed_floats_rle_of_json ~what j =
     let total = ref 0 in
     let ensure extra =
       let need = !total + extra in
-      if need > max_packed_elems then bad "%s: packed payload too large" what;
+      if need > limit then bad "%s: packed payload longer than %d elements" what limit;
       let cap = Array.length !out in
       if need > cap then begin
         let ncap = ref (cap * 2) in
@@ -246,7 +250,7 @@ let packed_floats_rle_of_json ~what j =
       let reps =
         if star then begin
           let r = parse_count () in
-          if r < 1 || r > max_packed_elems then bad "%s: bad repeat count" what;
+          if r < 1 || r > limit then bad "%s: bad repeat count" what;
           incr pos;
           r
         end
@@ -317,10 +321,17 @@ let json_of_relation ~n_parents ~n_children rel =
 
 (* The dimensions come from the encoding itself: [ind]/[full] carry both,
    every other form carries one and implies the other by a payload
-   length. *)
-let sized_relation_of_json j =
+   length.  Every stated dimension and payload is bounded by the caller's
+   [max_parents]/[max_children] before anything of that size is built. *)
+let sized_relation_of_json ~max_parents ~max_children j =
   let what = "relation" in
-  let np () = int_field ~what "np" j and nc () = int_field ~what "nc" j in
+  let mp = min max_parents max_packed_elems and mc = min max_children max_packed_elems in
+  let dim name bound v =
+    if v > bound then bad "%s.%s: %d nodes, more than the %d TBs it may relate" what name v bound;
+    v
+  in
+  let np () = dim "np" mp (int_field ~what "np" j) and nc () = dim "nc" mc (int_field ~what "nc" j) in
+  let ints name limit = packed_ints_rle_of_json ~what ~limit (field ~what name j) in
   let enc, n_parents, n_children =
     match str_field ~what "k" j with
     | "ind" ->
@@ -330,32 +341,33 @@ let sized_relation_of_json j =
       let n_parents = np () and n_children = nc () in
       (Encode.Enc_full { n_parents; n_children }, n_parents, n_children)
     | "o2o" ->
-      let n = int_field ~what "n" j in
+      let n = dim "n" (min mp mc) (int_field ~what "n" j) in
       (Encode.Enc_one_to_one { n }, n, n)
     | "o2n" ->
       let n_parents = np () in
-      let parent_of = packed_ints_rle_of_json ~what (field ~what "po" j) in
+      let parent_of = ints "po" mc in
       (Encode.Enc_one_to_n { n_parents; parent_of }, n_parents, Array.length parent_of)
     | "n2o" ->
       let n_children = nc () in
-      let child_of = packed_ints_rle_of_json ~what (field ~what "co" j) in
+      let child_of = ints "co" mp in
       (Encode.Enc_n_to_one { n_children; child_of }, Array.length child_of, n_children)
     | "grp" ->
-      let group_of_parent = packed_ints_rle_of_json ~what (field ~what "gp" j) in
-      let group_of_child = packed_ints_rle_of_json ~what (field ~what "gc" j) in
+      let group_of_parent = ints "gp" mp in
+      let group_of_child = ints "gc" mc in
       ( Encode.Enc_n_group { group_of_parent; group_of_child },
         Array.length group_of_parent,
         Array.length group_of_child )
     | "ovl" ->
-      let flat = packed_ints_rle_of_json ~what (field ~what "w" j) in
+      let flat = ints "w" (2 * mc) in
       if Array.length flat mod 2 <> 0 then bad "%s: window payload length must be even" what;
       let windows =
-        Array.init (Array.length flat / 2) (fun i -> (flat.(2 * i), flat.((2 * i) + 1)))
+        Array.init (Array.length flat / 2) (fun i -> (flat.(2 * i), dim "w" mp flat.((2 * i) + 1)))
       in
       let n_parents = np () in
       (Encode.Enc_overlapped { n_parents; windows }, n_parents, Array.length windows)
     | "irr" ->
-      let flat = packed_ints_rle_of_json ~what (field ~what "po" j) in
+      (* A row count, then per child its length and at most [mp] parents. *)
+      let flat = ints "po" (1 + (mc * (mp + 1))) in
       let len = Array.length flat in
       let pos = ref 0 in
       let take () =
@@ -366,11 +378,11 @@ let sized_relation_of_json j =
           v
         end
       in
-      let nrows = take () in
+      let nrows = dim "rows" mc (take ()) in
       if nrows < 0 then bad "%s: negative row count" what;
       let rows = Array.make nrows [||] in
       for i = 0 to nrows - 1 do
-        let rlen = take () in
+        let rlen = dim "row" mp (take ()) in
         if rlen < 0 then bad "%s: negative row length" what;
         let row = Array.make rlen 0 in
         for k = 0 to rlen - 1 do
@@ -389,8 +401,8 @@ let sized_relation_of_json j =
   | rel -> (n_parents, n_children, rel)
   | exception Invalid_argument msg -> bad "%s: %s" what msg
 
-let relation_of_json j =
-  let _, _, rel = sized_relation_of_json j in
+let relation_of_json ~n_parents ~n_children j =
+  let _, _, rel = sized_relation_of_json ~max_parents:n_parents ~max_children:n_children j in
   rel
 
 (* Cost profiles: per-TB counts as run-length bit patterns.  Decode
@@ -407,10 +419,12 @@ let json_of_profile p =
       ("ww", json_of_float r.Costmodel.prr_warp_waves);
     ]
 
-let profile_of_json j =
+let profile_of_json ~max_tbs j =
   let what = "profile" in
   let counts name =
-    let a = packed_floats_rle_of_json ~what:(what ^ "." ^ name) (field ~what name j) in
+    let a =
+      packed_floats_rle_of_json ~what:(what ^ "." ^ name) ~limit:max_tbs (field ~what name j)
+    in
     Array.iter
       (fun x ->
         if not (Float.is_finite x && x >= 0.0) then

@@ -111,7 +111,17 @@ let open_dir ?(read_only = false) dirname =
    changes the entry digest, so the entry simply misses — staleness by
    construction, no invalidation pass needed. *)
 
-type key = { header : string; parts : string list }
+(* A key also carries the sizes its launches bound an entry by: [tbs] is
+   the (consumer) launch grid, [parent_tbs] a pair's producer grid and
+   [n_buffers] an rw-set's buffer layout.  A stored payload longer than
+   they allow is corrupt and is rejected before it is expanded. *)
+type key = {
+  header : string;
+  parts : string list;
+  tbs : int;
+  parent_tbs : int;
+  n_buffers : int;
+}
 
 let key_string k = String.concat "\n" (k.header :: k.parts)
 
@@ -152,12 +162,14 @@ let hdr_prof = key_header "prof"
 let hdr_rw = key_header "rw"
 let hdr_pair = key_header "pair"
 
+let grid_tbs (fl : Footprint.launch) = Bm_ptx.Types.dim3_count fl.Footprint.grid
+
 let launch_keyed hdr ~fp ~fl =
   let b = Buffer.create 96 in
   Buffer.add_string b hdr;
   Buffer.add_char b ';';
   add_launch b fl;
-  { header = Buffer.contents b; parts = [ fp ] }
+  { header = Buffer.contents b; parts = [ fp ]; tbs = grid_tbs fl; parent_tbs = 0; n_buffers = 0 }
 
 let footprint_key ~fp ~fl = launch_keyed hdr_fp ~fp ~fl
 let profile_key ~fp ~fl = launch_keyed hdr_prof ~fp ~fl
@@ -180,7 +192,13 @@ let rw_key ~fp ~fl ~buffers =
       Buffer.add_char b ':';
       add_int b bytes)
     buffers;
-  { header = Buffer.contents b; parts = [ fp ] }
+  {
+    header = Buffer.contents b;
+    parts = [ fp ];
+    tbs = grid_tbs fl;
+    parent_tbs = 0;
+    n_buffers = List.length buffers;
+  }
 
 let pair_key ~pfp ~pfl ~cfp ~cfl ~max_degree =
   let b = Buffer.create 160 in
@@ -191,7 +209,13 @@ let pair_key ~pfp ~pfl ~cfp ~cfl ~max_degree =
   add_launch b pfl;
   Buffer.add_string b ";c=";
   add_launch b cfl;
-  { header = Buffer.contents b; parts = [ pfp; cfp ] }
+  {
+    header = Buffer.contents b;
+    parts = [ pfp; cfp ];
+    tbs = grid_tbs cfl;
+    parent_tbs = grid_tbs pfl;
+    n_buffers = 0;
+  }
 
 (* --- value codecs ------------------------------------------------------- *)
 
@@ -263,7 +287,10 @@ let json_of_footprint_tbs tbs =
   json_of_packed_ints_rle (Array.of_list (List.rev !out))
 
 let footprint_tbs_of_json ~what j =
-  let a = packed_ints_rle_of_json ~what j in
+  (* A TB's interval count is not a function of its launch, so the flat
+     payload has no tighter bound than the global cap; [t] is checked
+     below before anything per-TB is allocated. *)
+  let a = packed_ints_rle_of_json ~what ~limit:max_packed_elems j in
   let len = Array.length a in
   let pos = ref 0 in
   let take () =
@@ -382,12 +409,10 @@ let json_of_rw (rw : Reorder.rw) =
       ("w", json_of_packed_ints_rle (Array.of_list rw.Reorder.writes));
     ]
 
-let rw_of_json j =
+let rw_of_json ~n_buffers j =
   let what = "rw" in
-  {
-    Reorder.reads = Array.to_list (packed_ints_rle_of_json ~what (field ~what "r" j));
-    writes = Array.to_list (packed_ints_rle_of_json ~what (field ~what "w" j));
-  }
+  let ids name = Array.to_list (packed_ints_rle_of_json ~what ~limit:n_buffers (field ~what name j)) in
+  { Reorder.reads = ids "r"; writes = ids "w" }
 
 (* --- the store ---------------------------------------------------------- *)
 
@@ -577,13 +602,15 @@ let put t ~family ~key value =
 let find_footprints t ~key = find t ~family:"fp" ~key ~decode:footprints_of_json
 let put_footprints t ~key v = put t ~family:"fp" ~key (json_of_footprints v)
 
-let find_profile t ~key = find t ~family:"prof" ~key ~decode:profile_of_json
+let find_profile t ~key = find t ~family:"prof" ~key ~decode:(profile_of_json ~max_tbs:key.tbs)
 let put_profile t ~key v = put t ~family:"prof" ~key (json_of_profile v)
 
-let find_rw t ~key = find t ~family:"rw" ~key ~decode:rw_of_json
+let find_rw t ~key = find t ~family:"rw" ~key ~decode:(rw_of_json ~n_buffers:key.n_buffers)
 let put_rw t ~key v = put t ~family:"rw" ~key (json_of_rw v)
 
-let find_relation t ~key = find t ~family:"pair" ~key ~decode:relation_of_json
+let find_relation t ~key =
+  find t ~family:"pair" ~key
+    ~decode:(relation_of_json ~n_parents:key.parent_tbs ~n_children:key.tbs)
 
 let put_relation t ~key ~n_parents ~n_children rel =
   put t ~family:"pair" ~key (json_of_relation ~n_parents ~n_children rel)

@@ -55,7 +55,11 @@ val families : string list
 
 type key
 (** A structured key: a canonical header line plus the full fingerprint
-    text(s).  {!key_string} renders the whole thing for display/tests. *)
+    text(s).  {!key_string} renders the whole thing for display/tests.  A
+    key also holds the sizes its launch configuration bounds an entry by
+    (the launch grid, a pair's producer grid, an rw-set's buffer count):
+    a stored profile, relation or rw-set larger than they allow is a
+    corrupt miss, rejected before its payload is expanded. *)
 
 val key_string : key -> string
 
@@ -114,7 +118,9 @@ val put_relation :
 val json_of_footprints : Bm_analysis.Footprint.kernel_footprints -> Bm_metrics.Json.t
 val footprints_of_json : Bm_metrics.Json.t -> Bm_analysis.Footprint.kernel_footprints
 val json_of_rw : Reorder.rw -> Bm_metrics.Json.t
-val rw_of_json : Bm_metrics.Json.t -> Reorder.rw
+val rw_of_json : n_buffers:int -> Bm_metrics.Json.t -> Reorder.rw
+(** [n_buffers] bounds each buffer-id list: an rw-set names only buffers of
+    its key's layout. *)
 
 (** {1 Introspection} *)
 

@@ -116,48 +116,68 @@ let test_eheap_fifo_ties () =
 
 (* The generic Heap is the model: the specialized event heap must pop the
    exact same (key, payload) stream, ties included, because the simulator's
-   cycle-exact behavior depends on the pop order. *)
+   cycle-exact behavior depends on the pop order.  Half the lists draw keys
+   from at most 8 distinct values, so the sequence tie-break decides most
+   comparisons; lists reach 2,000 entries, past the 256-slot initial
+   capacity, so [grow] runs on a non-empty heap.  [size] must agree after
+   every operation. *)
+let gen_eheap_entries bound =
+  QCheck2.Gen.(
+    let* tied = bool in
+    let key =
+      if tied then map (fun i -> float_of_int i *. bound /. 8.0) (int_range 0 7)
+      else float_bound_exclusive bound
+    in
+    list_size (int_range 0 2000) (pair key small_nat))
+
+let same_size h e = Heap.size h = Eheap.size e
+
 let prop_eheap_matches_heap =
-  QCheck2.Test.make ~name:"eheap pops exactly like the generic heap" ~count:300
-    QCheck2.Gen.(list (pair (float_bound_exclusive 100.0) small_nat))
+  QCheck2.Test.make ~name:"eheap pops exactly like the generic heap" ~count:300 ~long_factor:10
+    (gen_eheap_entries 100.0)
     (fun entries ->
       let h = Heap.create () and e = Eheap.create () in
-      List.iter
+      List.for_all
         (fun (k, v) ->
           Heap.push h k v;
-          Eheap.push e k v)
-        entries;
+          Eheap.push e k v;
+          same_size h e)
+        entries
+      &&
       let rec drain () =
         match Heap.pop h with
         | None -> Eheap.is_empty e
         | Some (k, v) ->
-          (not (Eheap.is_empty e)) && Eheap.pop_key e = k && Eheap.pop_ev e = v && drain ()
+          (not (Eheap.is_empty e))
+          && Eheap.pop_key e = k && Eheap.pop_ev e = v && same_size h e && drain ()
       in
       drain ())
 
 let prop_eheap_interleaved =
-  QCheck2.Test.make ~name:"eheap matches heap under interleaved push/pop" ~count:200
-    QCheck2.Gen.(list (pair (float_bound_exclusive 50.0) small_nat))
+  QCheck2.Test.make ~name:"eheap matches heap under interleaved push/pop" ~count:200 ~long_factor:10
+    (gen_eheap_entries 50.0)
     (fun ops ->
       let h = Heap.create () and e = Eheap.create () in
-      let ok = ref true in
-      List.iter
+      List.for_all
         (fun (k, v) ->
-          if v mod 3 = 0 && not (Heap.is_empty h) then (
-            match Heap.pop h with
-            | Some (hk, hv) -> ok := !ok && Eheap.pop_key e = hk && Eheap.pop_ev e = hv
-            | None -> ok := false)
-          else begin
-            Heap.push h k v;
-            Eheap.push e k v
-          end)
-        ops;
+          (if v mod 3 = 0 && not (Heap.is_empty h) then (
+             match Heap.pop h with
+             | Some (hk, hv) -> Eheap.pop_key e = hk && Eheap.pop_ev e = hv
+             | None -> false)
+           else begin
+             Heap.push h k v;
+             Eheap.push e k v;
+             true
+           end)
+          && same_size h e)
+        ops
+      &&
       let rec drain () =
         match Heap.pop h with
         | None -> Eheap.is_empty e
-        | Some (k, v) -> Eheap.pop_key e = k && Eheap.pop_ev e = v && drain ()
+        | Some (k, v) -> Eheap.pop_key e = k && Eheap.pop_ev e = v && same_size h e && drain ()
       in
-      !ok && drain ())
+      drain ())
 
 let test_lru_basics () =
   let l = Lru.create ~capacity:2 in

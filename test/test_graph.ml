@@ -315,6 +315,19 @@ let test_version_2_refused () =
     Alcotest.(check string) "message" "unsupported version 2 (expected 3)" msg
   | Error (Graph.Stale _) | Ok _ -> Alcotest.fail "version 2 graph not refused as Corrupt"
 
+(* A 27-byte run of ten million floats in a profile of 8 TBs: decode must
+   refuse the run from the nodes' TB counts before it allocates, not
+   expand it and compare lengths afterwards. *)
+let test_oversized_payload () =
+  let j = Graph.to_json (Graph.capture cfg (Suite.by_name "BICG" ())) in
+  let j = set [ "profiles"; "0"; "i" ] (Json.Str "10000000*4059000000000000") j in
+  let before = Gc.allocated_bytes () in
+  expect_corrupt "ten-million-element run" (Graph.of_json j);
+  let grown = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.1f MB, under 16 MB" (grown /. 1e6))
+    true (grown < 16e6)
+
 (* The header's params are what decode expanded the cost columns under.
    An edit to them alone leaves the fingerprint and cfg digest intact, so
    validate and Replay.run must compare the params themselves. *)
@@ -713,6 +726,7 @@ let suite =
     Alcotest.test_case "of_json: profile table and cost inputs" `Quick
       (expect_mutants_corrupt profile_mutations);
     Alcotest.test_case "of_json: format 2 refused" `Quick test_version_2_refused;
+    Alcotest.test_case "of_json: oversized packed run refused" `Quick test_oversized_payload;
     Alcotest.test_case "validate: edited cost params are stale" `Quick test_edited_params;
     Alcotest.test_case "to_json: each profile and relation stored once" `Quick test_tables_distinct;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |]) prop_graph_byte_fuzz;

@@ -324,12 +324,25 @@ let test_cache_cycle_identity () =
     Suite.all
 
 (* Second pass over the suite against a warm cache: every pair-level
-   lookup should hit (the acceptance bar is >= 90%). *)
+   lookup should hit (the acceptance bar is >= 90%), and no kernel is
+   interned again.  Ids are handed out consecutively, so after the second
+   pass a never-seen kernel must get the id after the first pass's
+   largest.  An alpha-renamed copy, and an equal copy that is a distinct
+   value, still resolve to their kernel's id. *)
 let test_cache_second_pass_hits () =
   let cache = Cache.create () in
   let apps = List.map (fun (_, gen) -> gen ()) Suite.all in
+  let kernels =
+    List.concat_map
+      (fun (app : Command.app) ->
+        List.filter_map
+          (function Command.Kernel_launch spec -> Some spec.Command.kernel | _ -> None)
+          app.Command.commands)
+      apps
+  in
   let pass () = List.iter (fun app -> ignore (Runner.prepare ~cfg ~cache Mode.Producer_priority app)) apps in
   pass ();
+  let ids = List.map (Cache.kernel_id cache) kernels in
   let c1 = Cache.counters cache in
   pass ();
   let c2 = Cache.counters cache in
@@ -337,7 +350,17 @@ let test_cache_second_pass_hits () =
   let misses = c2.Cache.pair_misses - c1.Cache.pair_misses in
   Alcotest.(check bool) "pair lookups happened" true (hits + misses > 0);
   if 10 * hits < 9 * (hits + misses) then
-    Alcotest.failf "second-pass pair hit rate below 90%%: %d hits, %d misses" hits misses
+    Alcotest.failf "second-pass pair hit rate below 90%%: %d hits, %d misses" hits misses;
+  Alcotest.(check int) "second pass interns nothing new"
+    (List.fold_left max (-1) ids + 1)
+    (Cache.kernel_id cache (Templates.map1 ~name:"never_seen" ~work:97));
+  List.iter2
+    (fun (k : Bm_ptx.Types.kernel) id ->
+      Alcotest.(check int) (k.Bm_ptx.Types.kname ^ ": alpha-renamed copy") id
+        (Cache.kernel_id cache (Test_analysis.alpha_rename 7 k));
+      Alcotest.(check int) (k.Bm_ptx.Types.kname ^ ": equal distinct value") id
+        (Cache.kernel_id cache { k with Bm_ptx.Types.kname = k.Bm_ptx.Types.kname }))
+    kernels ids
 
 (* The cost family's key covers the params the expansion reads: one
    cache shared by configs that differ only in [seed], then only in

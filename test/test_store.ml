@@ -171,7 +171,9 @@ let prop_profile_roundtrip =
   QCheck2.Test.make ~name:"store: profile codec bit round-trip" ~count:300 gen_profile_repr
     (fun repr ->
       let p = Costmodel.profile_of_repr repr in
-      let r' = Costmodel.repr_of_profile (Jsonc.profile_of_json (Jsonc.json_of_profile p)) in
+      let r' = Costmodel.repr_of_profile
+          (Jsonc.profile_of_json ~max_tbs:(Array.length repr.Costmodel.prr_insts)
+             (Jsonc.json_of_profile p)) in
       float_arrays_bit_equal r'.Costmodel.prr_insts repr.Costmodel.prr_insts
       && float_arrays_bit_equal r'.Costmodel.prr_mem repr.Costmodel.prr_mem
       && r'.Costmodel.prr_warps = repr.Costmodel.prr_warps
@@ -207,7 +209,8 @@ let prop_profile_rejects_out_of_domain =
         | `Warps w -> { repr with Costmodel.prr_warps = w }
         | `Waves x -> { repr with Costmodel.prr_warp_waves = x }
       in
-      match Jsonc.profile_of_json (Jsonc.json_of_profile (Costmodel.profile_of_repr repr)) with
+      let max_tbs = Array.length repr.Costmodel.prr_insts in
+      match Jsonc.profile_of_json ~max_tbs (Jsonc.json_of_profile (Costmodel.profile_of_repr repr)) with
       | (_ : Costmodel.profile) -> false
       | exception Jsonc.Bad _ -> true)
 
@@ -220,16 +223,20 @@ let prop_rw_roundtrip =
            (list_size (int_range 0 20) (int_range (-100) 1000))
            (list_size (int_range 0 20) (int_range (-100) 1000))))
     (fun rw ->
-      Store.rw_of_json (Store.json_of_rw rw) = rw)
+      Store.rw_of_json ~n_buffers:20 (Store.json_of_rw rw) = rw)
 
 let prop_relation_roundtrip =
   QCheck2.Test.make ~name:"store: relation packed codec round-trip" ~count:300 gen_relation
     (fun (np, nc, rel) ->
-      Jsonc.relation_of_json (Jsonc.json_of_relation ~n_parents:np ~n_children:nc rel) = rel)
+      Jsonc.relation_of_json ~n_parents:np ~n_children:nc
+        (Jsonc.json_of_relation ~n_parents:np ~n_children:nc rel)
+      = rel)
 
 let prop_packed_ints_roundtrip =
   QCheck2.Test.make ~name:"store: packed int RLE round-trip" ~count:400 gen_packed_ints
-    (fun a -> Jsonc.packed_ints_rle_of_json ~what:"t" (Jsonc.json_of_packed_ints_rle a) = a)
+    (fun a ->
+      Jsonc.packed_ints_rle_of_json ~what:"t" ~limit:(Array.length a) (Jsonc.json_of_packed_ints_rle a)
+      = a)
 
 let prop_packed_floats_roundtrip =
   QCheck2.Test.make ~name:"store: packed float RLE bit round-trip" ~count:300
@@ -242,7 +249,8 @@ let prop_packed_floats_roundtrip =
         ])
     (fun a ->
       float_arrays_bit_equal
-        (Jsonc.packed_floats_rle_of_json ~what:"t" (Jsonc.json_of_packed_floats_rle a))
+        (Jsonc.packed_floats_rle_of_json ~what:"t" ~limit:(Array.length a)
+           (Jsonc.json_of_packed_floats_rle a))
         a)
 
 (* --- adversarial decoding: errors, never exceptions -------------------- *)
@@ -257,15 +265,15 @@ let test_malformed_payloads () =
   List.iter
     (fun s ->
       decodes_bad (Printf.sprintf "ints %S" s) (fun () ->
-          Jsonc.packed_ints_rle_of_json ~what:"t" (Json.Str s)))
+          Jsonc.packed_ints_rle_of_json ~what:"t" ~limit:Jsonc.max_packed_elems (Json.Str s)))
     [ "x"; "-"; "5*"; "*3"; "1,,2"; ","; "3*x"; "1,2,"; " 1"; "1 "; "1073741825*1"; "0*5" ];
   List.iter
     (fun s ->
       decodes_bad (Printf.sprintf "floats %S" s) (fun () ->
-          Jsonc.packed_floats_rle_of_json ~what:"t" (Json.Str s)))
+          Jsonc.packed_floats_rle_of_json ~what:"t" ~limit:Jsonc.max_packed_elems (Json.Str s)))
     [ "12"; "0123456789abcdeg"; "3*"; "0123456789abcdef,"; "0123456789abcdef,zz" ];
   decodes_bad "ints non-string" (fun () ->
-      Jsonc.packed_ints_rle_of_json ~what:"t" (Json.Num 3.0));
+      Jsonc.packed_ints_rle_of_json ~what:"t" ~limit:Jsonc.max_packed_elems (Json.Num 3.0));
   (* Footprint stream structure: bad TB counts, markers, intervals, run
      lengths and trailing data all raise Bad. *)
   let fp_payload ints =
@@ -289,7 +297,8 @@ let test_malformed_payloads () =
   let rel kind fields = Json.Obj (("k", Json.Str kind) :: fields) in
   let packed a = Jsonc.json_of_packed_ints_rle a in
   List.iter
-    (fun (what, j) -> decodes_bad what (fun () -> Jsonc.relation_of_json j))
+    (fun (what, j) ->
+      decodes_bad what (fun () -> Jsonc.relation_of_json ~n_parents:8 ~n_children:8 j))
     [
       ("o2n out-of-range parent", rel "o2n" [ ("np", Json.Num 2.0); ("po", packed [| 5 |]) ]);
       ("n2o out-of-range child", rel "n2o" [ ("nc", Json.Num 1.0); ("co", packed [| 3 |]) ]);
