@@ -49,7 +49,7 @@ let[@inline] shift (keys : float array) (seqs : int array) (evs : int array) ~sr
   seqs.(dst) <- seqs.(src);
   evs.(dst) <- evs.(src)
 
-let push t key ev =
+let[@inline] insert t key ev =
   if t.size = Array.length t.keys then grow t;
   let keys = t.keys and seqs = t.seqs and evs = t.evs in
   let seq = t.next_seq in
@@ -70,6 +70,9 @@ let push t key ev =
   keys.(!i) <- key;
   seqs.(!i) <- seq;
   evs.(!i) <- ev
+
+let push t key ev = insert t key ev
+let push_at t at ev = insert t at.(0) ev
 
 let min_key t =
   if t.size = 0 then invalid_arg "Eheap.min_key: empty";
@@ -118,3 +121,8 @@ let pop_ev t =
     evs.(!i) <- le
   end;
   ev
+
+let pop_into t at =
+  if t.size = 0 then invalid_arg "Eheap.pop_into: empty";
+  at.(0) <- t.keys.(0);
+  pop_ev t

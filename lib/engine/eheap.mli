@@ -40,3 +40,19 @@ val pop_key : t -> float
 val pop_ev : t -> int
 (** Removes and returns the event code of the minimum entry.
     @raise Invalid_argument if empty. *)
+
+(** {1 Unboxed keys}
+
+    A [float] passed to or returned from a function that is not inlined
+    is boxed, and builds with [-opaque] (dune's dev profile) inline
+    nothing across modules.  These variants move the key through a
+    caller-owned [float array] cell instead, so an engine loop pays no
+    allocation per event. *)
+
+val push_at : t -> float array -> int -> unit
+(** [push_at t at ev] is [push t at.(0) ev]. *)
+
+val pop_into : t -> float array -> int
+(** [pop_into t at] stores the minimum key in [at.(0)], then removes
+    that entry and returns its event code: {!pop_key} then {!pop_ev}.
+    @raise Invalid_argument if empty. *)

@@ -58,15 +58,18 @@ let analyze ?(series = false) machine trace =
   (Attrib.of_parsed ~series machine parsed, Critpath.of_parsed machine parsed)
 
 let run_traced ?(cfg = Config.titan_x_pascal) ?(whatif = true) ?series ?cache mode ~name app =
+  (* One preparation serves every run: the zeroed knobs enter only the
+     engine, never the launch-time analysis. *)
+  let prep = Runner.prepare ~cfg ?cache mode app in
   let trace = Trace.create () in
-  let stats = Runner.simulate ~cfg ?cache ~trace:(Trace.sink trace) mode app in
+  let stats = Sim.run ~trace:(Trace.sink trace) cfg mode prep in
   let attrib, critpath = analyze ?series (machine cfg mode) trace in
   let x_whatif =
     if not whatif then []
     else
       List.map
         (fun knob ->
-          let stats' = Runner.simulate ~cfg:(zero_knob cfg knob) ?cache mode app in
+          let stats' = Sim.run (zero_knob cfg knob) mode prep in
           {
             wi_knob = knob;
             wi_total_us = stats'.Stats.total_us;

@@ -57,6 +57,9 @@ val run :
   solo
 (** Simulate the app with a trace, attribute every cycle, extract the
     critical path, and (unless [~whatif:false]) re-simulate once per knob.
+    The app is prepared once: the knobs are engine costs that the
+    launch-time analysis never reads, so every run shares the traced
+    run's {!Prep.t}.
     [series] additionally records the slot-pool bucket time-series for
     {!counter_series}. *)
 

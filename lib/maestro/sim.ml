@@ -97,6 +97,13 @@ type clock = {
 
 type instant = { mutable now : float }
 
+(* Event-queue keys travel through a one-slot cell: a float argument to
+   Eheap would be boxed at every call, since nothing is inlined across
+   modules under -opaque. *)
+let[@inline] push heap cell key ev =
+  cell.(0) <- key;
+  Eheap.push_at heap cell ev
+
 let[@inline] advance c running at =
   let t = at.now in
   if t > c.last_t then begin
@@ -417,7 +424,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
     Hashtbl.length seen
   in
   let resident = Array.make (max nstreams 1) 0 in
-  let heap = Eheap.create () in
+  let heap = Eheap.create () and cell = [| 0.0 |] in
   let now = { now = 0.0 } in
   let machine = { last_t = 0.0; area = 0.0; busy = 0.0; end_time = 0.0 } in
   let g_running = ref 0 in
@@ -732,7 +739,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
         Metrics.incr c.c_tb;
         Metrics.incr c.ca_tb.(ap.aid)
       | None -> ());
-      Eheap.push heap (now.now +. n.tb_us.(tb)) (ev_tb k tb)
+      push heap cell (now.now +. n.tb_us.(tb)) (ev_tb k tb)
     done
   in
   let dispatch (ap : astate) =
@@ -795,7 +802,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
           res.copy_free <- start +. dur;
           if ap.tracing then ap.emit start (copy_event ~start:true ~blocking:false ap.commands.(ci) ci);
           m_copy_cmd ~dur ap.commands.(ci);
-          Eheap.push heap (start +. dur) (ev_copy (ap.c0 + ci)))
+          push heap cell (start +. dur) (ev_copy (ap.c0 + ci)))
         (List.rev pending_d2h.(k));
       pending_d2h.(k) <- [];
       bump ap;
@@ -815,7 +822,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
   in
   (* A blocking command: the host stalls until it returns. *)
   let block_on (ap : astate) ci dur =
-    Eheap.push heap (now.now +. dur) (ev_cmd (ap.c0 + ci));
+    push heap cell (now.now +. dur) (ev_cmd (ap.c0 + ci));
     ap.serial_blocked <- true
   in
   let async_copy (ap : astate) ci ~d2h ~bytes dur =
@@ -824,7 +831,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
     res.copy_free <- start +. dur;
     if ap.tracing then ap.emit start (copy_event ~start:true ~blocking:false ap.commands.(ci) ci);
     m_copy ~d2h ~bytes ~dur;
-    Eheap.push heap (start +. dur) (ev_copy (ap.c0 + ci));
+    push heap cell (start +. dur) (ev_copy (ap.c0 + ci));
     ap.next_cmd <- ci + 1
   in
   (* Issues one app's commands until it blocks; returns whether it made
@@ -897,7 +904,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
               let res = ap.res in
               let start = max now.now res.launch_free in
               res.launch_free <- start +. launch_us;
-              Eheap.push heap (start +. launch_us) (ev_launch k);
+              push heap cell (start +. launch_us) (ev_launch k);
               ap.serial_blocked <- true;
               ap.serial_wait <- k;
               progressed := true
@@ -909,7 +916,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
                per-stream residency window, not a serial engine, is the
                limit. *)
             enqueue ap k;
-            Eheap.push heap (now.now +. launch_us) (ev_launch k);
+            push heap cell (now.now +. launch_us) (ev_launch k);
             ap.next_cmd <- ci + 1;
             progressed := true
           end
@@ -1035,8 +1042,8 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
   progress ();
   let steps = ref 0 in
   while not (Eheap.is_empty heap) do
-    let t = Eheap.pop_key heap in
-    let e = Eheap.pop_ev heap in
+    let e = Eheap.pop_into heap cell in
+    let t = cell.(0) in
     incr steps;
     if !steps > 100_000_000 then failwith (caller ^ ": event budget exceeded");
     let payload = e lsr 2 in

@@ -22,9 +22,11 @@ module Stats = Bm_gpu.Stats
 
 let tick_scale = 1_048_576.0 (* 2^20 ticks per simulated microsecond *)
 
+(* |ticks| < 2^58 (about 76 simulated hours), so the sweep's packed
+   (tick, field, sign) deltas fit an int. *)
 let ticks_of_us ts =
   let t = Float.round (ts *. tick_scale) in
-  if Float.abs t >= 4.611686018427388e18 then
+  if Float.abs t >= 0x1p58 then
     invalid_arg "Bm_report.Attrib: timestamp out of tick range";
   int_of_float t
 
@@ -80,144 +82,139 @@ let weight machine = function Slots -> machine.ma_slots | Copy_engine | Launch_e
 
 (* --- event-stream reconstruction --------------------------------------- *)
 
-(* Shared by Attrib and Critpath: one pass over the sorted entries that
-   rebuilds per-kernel lifecycle stamps, per-TB dispatch/finish/dep times
-   and copy spans, all in ticks.  [-1] marks "never recorded". *)
+(* Shared by Attrib and Critpath: linear passes over the sorted entries
+   that quantize every timestamp once and rebuild per-kernel lifecycle
+   stamps, per-TB dispatch/finish/dep stamps and copy spans, all in ticks.
+   [-1] marks "never recorded". *)
 module Parse = struct
   type kernel = {
     k_seq : int;
-    k_stream : int;
-    k_tbs : int;
+    mutable k_known : bool;     (* named by a Kernel_* or Dep_satisfied event *)
+    mutable k_stream : int;     (* both fixed by that first event *)
+    mutable k_tbs : int;
     mutable k_enqueue : int;
     mutable k_launched : int;
     mutable k_drained : int;
     mutable k_completed : int;
     mutable k_has_deps : bool;  (* >= 1 Dep_satisfied event seen *)
     mutable k_prev : int;       (* stream predecessor seq, -1 for first *)
-  }
-
-  type tb = {
-    mutable t_dispatch : int;
-    mutable t_finish : int;
-    mutable t_dep : int;  (* last Dep_satisfied tick, -1 when none *)
+    k_dispatch : int array;     (* per TB id *)
+    k_finish : int array;
+    k_dep : int array;          (* last Dep_satisfied tick *)
   }
 
   type copy = { c_cmd : int; c_d2h : bool; c_blocking : bool; c_start : int; c_finish : int }
 
   type t = {
     p_entries : Trace.entry array;  (* sorted, as Trace.events *)
-    p_kernels : kernel array;       (* ascending seq *)
-    p_kernel_by_seq : (int, kernel) Hashtbl.t;
-    p_tbs : (int * int, tb) Hashtbl.t;
-    p_copies : copy array;          (* ascending start tick *)
+    p_ticks : int array;            (* each entry's quantized timestamp *)
+    p_seqs : kernel array;          (* indexed by seq, known or not *)
+    p_kernels : kernel array;       (* the known ones, by (stream, seq) *)
+    p_copies : copy array;          (* ascending (start tick, cmd) *)
     p_makespan : int;               (* tick of the last event; 0 when empty *)
   }
 
-  let kernel_of p seq = Hashtbl.find_opt p.p_kernel_by_seq seq
-  let tb_of p seq tb = Hashtbl.find_opt p.p_tbs (seq, tb)
+  let kernel_of p seq =
+    if seq >= 0 && seq < Array.length p.p_seqs && p.p_seqs.(seq).k_known then Some p.p_seqs.(seq)
+    else None
 
+  (* Tables are indexed by seq, TB id and copy command, sized by a first
+     pass; events naming a negative id are ignored. *)
   let of_trace trace =
     let entries = Trace.events trace in
-    let kernels : (int, kernel) Hashtbl.t = Hashtbl.create 64 in
-    let get_kernel seq stream tbs =
-      match Hashtbl.find_opt kernels seq with
-      | Some k -> k
-      | None ->
-        let k =
-          { k_seq = seq; k_stream = stream; k_tbs = tbs; k_enqueue = -1; k_launched = -1;
-            k_drained = -1; k_completed = -1; k_has_deps = false; k_prev = -1 }
-        in
-        Hashtbl.add kernels seq k;
-        k
-    in
-    let tbs : (int * int, tb) Hashtbl.t = Hashtbl.create 256 in
-    let get_tb seq tb =
-      match Hashtbl.find_opt tbs (seq, tb) with
-      | Some t -> t
-      | None ->
-        let t = { t_dispatch = -1; t_finish = -1; t_dep = -1 } in
-        Hashtbl.add tbs (seq, tb) t;
-        t
-    in
-    let copy_open : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    let copies = ref [] in
-    let makespan = ref 0 in
-    Array.iter
-      (fun { Trace.ts; ev } ->
+    let ticks = Array.make (Array.length entries) 0 in
+    let makespan = ref 0 and n_seqs = ref 0 and n_cmds = ref 0 in
+    Array.iteri
+      (fun i { Trace.ts; ev } ->
         let tick = ticks_of_us ts in
+        ticks.(i) <- tick;
         if tick > !makespan then makespan := tick;
         match ev with
-        | Stats.Kernel_enqueue { seq; stream; tbs } ->
-          let k = get_kernel seq stream tbs in
-          k.k_enqueue <- tick
-        | Stats.Kernel_launched { seq; stream } -> (get_kernel seq stream 0).k_launched <- tick
-        | Stats.Kernel_drained { seq; stream } -> (get_kernel seq stream 0).k_drained <- tick
-        | Stats.Kernel_completed { seq; stream } -> (get_kernel seq stream 0).k_completed <- tick
-        | Stats.Tb_dispatch { seq; tb } -> (get_tb seq tb).t_dispatch <- tick
-        | Stats.Tb_finish { seq; tb } -> (get_tb seq tb).t_finish <- tick
-        | Stats.Dep_satisfied { seq; tb } ->
-          (get_tb seq tb).t_dep <- tick;
-          (get_kernel seq 0 0).k_has_deps <- true
-        | Stats.Copy_start { cmd; _ } -> Hashtbl.replace copy_open cmd tick
-        | Stats.Copy_finish { cmd; d2h; blocking; _ } ->
-          (match Hashtbl.find_opt copy_open cmd with
-          | Some start ->
-            copies := { c_cmd = cmd; c_d2h = d2h; c_blocking = blocking; c_start = start; c_finish = tick } :: !copies;
-            Hashtbl.remove copy_open cmd
-          | None -> ())
+        | Stats.Kernel_enqueue { seq; _ } | Stats.Kernel_launched { seq; _ }
+        | Stats.Kernel_drained { seq; _ } | Stats.Kernel_completed { seq; _ }
+        | Stats.Tb_dispatch { seq; _ } | Stats.Tb_finish { seq; _ } | Stats.Dep_satisfied { seq; _ } ->
+          n_seqs := Int.max !n_seqs (seq + 1)
+        | Stats.Copy_start { cmd; _ } | Stats.Copy_finish { cmd; _ } -> n_cmds := Int.max !n_cmds (cmd + 1)
         | Stats.Dlb_spill _ | Stats.Pcb_spill _ -> ())
       entries;
-    let karr =
-      Hashtbl.fold (fun _ k acc -> k :: acc) kernels []
-      |> List.sort (fun a b -> compare a.k_seq b.k_seq)
-      |> Array.of_list
-    in
-    (* Stream predecessors from per-stream enqueue order (ascending seq is
-       enqueue order within a stream: sequence numbers are command order). *)
-    let last_in_stream : (int, int) Hashtbl.t = Hashtbl.create 4 in
+    let n_tbs = Array.make !n_seqs 0 in
     Array.iter
-      (fun k ->
-        (match Hashtbl.find_opt last_in_stream k.k_stream with
-        | Some prev -> k.k_prev <- prev
-        | None -> ());
-        Hashtbl.replace last_in_stream k.k_stream k.k_seq)
-      karr;
-    let carr =
-      List.sort (fun a b -> compare (a.c_start, a.c_cmd) (b.c_start, b.c_cmd)) !copies
-      |> Array.of_list
+      (fun { Trace.ev; _ } ->
+        match ev with
+        | Stats.Tb_dispatch { seq; tb } | Stats.Tb_finish { seq; tb } | Stats.Dep_satisfied { seq; tb }
+          when seq >= 0 && tb >= n_tbs.(seq) ->
+          n_tbs.(seq) <- tb + 1
+        | _ -> ())
+      entries;
+    let seqs =
+      Array.init !n_seqs (fun seq ->
+          let stamps () = Array.make n_tbs.(seq) (-1) in
+          { k_seq = seq; k_known = false; k_stream = 0; k_tbs = 0; k_enqueue = -1; k_launched = -1;
+            k_drained = -1; k_completed = -1; k_has_deps = false; k_prev = -1;
+            k_dispatch = stamps (); k_finish = stamps (); k_dep = stamps () })
     in
-    {
-      p_entries = entries;
-      p_kernels = karr;
-      p_kernel_by_seq = kernels;
-      p_tbs = tbs;
-      p_copies = carr;
-      p_makespan = !makespan;
-    }
+    let known seq stream tbs =
+      let k = seqs.(seq) in
+      if not k.k_known then begin
+        k.k_known <- true;
+        k.k_stream <- stream;
+        k.k_tbs <- tbs
+      end;
+      k
+    in
+    let opened = Array.make !n_cmds min_int (* Copy_start tick per cmd *) and copies = ref [] in
+    Array.iteri
+      (fun i { Trace.ev; _ } ->
+        let tick = ticks.(i) in
+        match ev with
+        | Stats.Kernel_enqueue { seq; stream; tbs } when seq >= 0 -> (known seq stream tbs).k_enqueue <- tick
+        | Stats.Kernel_launched { seq; stream } when seq >= 0 -> (known seq stream 0).k_launched <- tick
+        | Stats.Kernel_drained { seq; stream } when seq >= 0 -> (known seq stream 0).k_drained <- tick
+        | Stats.Kernel_completed { seq; stream } when seq >= 0 -> (known seq stream 0).k_completed <- tick
+        | Stats.Tb_dispatch { seq; tb } when seq >= 0 && tb >= 0 -> seqs.(seq).k_dispatch.(tb) <- tick
+        | Stats.Tb_finish { seq; tb } when seq >= 0 && tb >= 0 -> seqs.(seq).k_finish.(tb) <- tick
+        | Stats.Dep_satisfied { seq; tb } when seq >= 0 && tb >= 0 ->
+          seqs.(seq).k_dep.(tb) <- tick;
+          (known seq 0 0).k_has_deps <- true
+        | Stats.Copy_start { cmd; _ } when cmd >= 0 -> opened.(cmd) <- tick
+        | Stats.Copy_finish { cmd; d2h; blocking; _ } when cmd >= 0 && opened.(cmd) <> min_int ->
+          copies :=
+            { c_cmd = cmd; c_d2h = d2h; c_blocking = blocking; c_start = opened.(cmd); c_finish = tick }
+            :: !copies;
+          opened.(cmd) <- min_int
+        | _ -> ())
+      entries;
+    (* Stream predecessors: ascending seq is enqueue order within a stream
+       (sequence numbers are command order). *)
+    let kernels = Array.of_seq (Seq.filter (fun k -> k.k_known) (Array.to_seq seqs)) in
+    Array.stable_sort (fun a b -> compare a.k_stream b.k_stream) kernels;
+    Array.iteri
+      (fun i k -> if i > 0 && kernels.(i - 1).k_stream = k.k_stream then k.k_prev <- kernels.(i - 1).k_seq)
+      kernels;
+    let copies = List.sort (fun a b -> compare (a.c_start, a.c_cmd) (b.c_start, b.c_cmd)) !copies in
+    { p_entries = entries; p_ticks = ticks; p_seqs = seqs; p_kernels = kernels;
+      p_copies = Array.of_list copies; p_makespan = !makespan }
 
-  (* The tick a TB became schedulable: its kernel is launched and its
-     dependencies are resolved under the machine's resolution granularity.
+  (* A TB's dependency-release tick under the machine's resolution
+     granularity:
 
      - fine-grain (producer/consumer modes): the TB's own Dep_satisfied
-       event, or launch when it has none (zero-parent TBs emit none);
+       event (-1 when it has none: zero-parent TBs emit none);
      - kernel-granular modes: the whole kernel is gated on its stream
        predecessor's drain whenever the kernel has any dependency relation
        (detected as >= 1 Dep_satisfied event on the kernel — relations are
        not themselves in the stream).  Dep_satisfied events still fire at
        parent-counter zero in those modes, which is earlier than the
        kernel-level gate, hence the override. *)
-  let ready_tick p machine seq tbrec =
-    match kernel_of p seq with
-    | None -> 0
-    | Some k ->
-      let launch = if k.k_launched >= 0 then k.k_launched else k.k_enqueue in
-      let dep =
-        if machine.ma_fine then tbrec.t_dep
-        else if k.k_has_deps && k.k_prev >= 0 then
-          match kernel_of p k.k_prev with Some pk -> pk.k_drained | None -> -1
-        else -1
-      in
-      max launch dep
+  let dep_tick p machine k tb =
+    if machine.ma_fine then k.k_dep.(tb)
+    else if k.k_has_deps && k.k_prev >= 0 then p.p_seqs.(k.k_prev).k_drained
+    else -1
+
+  (* The tick a TB became schedulable: launched, dependencies resolved. *)
+  let ready_tick p machine k tb =
+    if not k.k_known then 0
+    else Int.max (if k.k_launched >= 0 then k.k_launched else k.k_enqueue) (dep_tick p machine k tb)
 end
 
 (* --- attribution ------------------------------------------------------- *)
@@ -236,60 +233,78 @@ let makespan_us t = us_of_ticks t.at_makespan_ticks
 let cell t r b = t.at_cells.(resource_index r).(bucket_index b)
 let exec_ticks t = cell t Slots Exec
 
-(* Segment sweep: deltas at event ticks for six concurrent counts —
-   running TBs, queued-ready TBs, dep-waiting TBs, kernels mid-launch,
-   window-blocked streams, copies in flight. *)
+(* LSD radix sort of the first [n] elements of [a], non-negative ints, 11
+   bits a pass; returns [a] or the scratch array holding them sorted. *)
+let radix_sort a n =
+  let top = ref 0 in
+  for i = 0 to n - 1 do top := Int.max !top a.(i) done;
+  let src = ref a and dst = ref (Array.make n 0) and shift = ref 0 in
+  let count = Array.make 2049 0 in
+  while !top lsr !shift > 0 do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill count 0 2049 0;
+    for i = 0 to n - 1 do
+      let b = ((s.(i) lsr sh) land 2047) + 1 in
+      count.(b) <- count.(b) + 1
+    done;
+    for b = 1 to 2048 do count.(b) <- count.(b) + count.(b - 1) done;
+    for i = 0 to n - 1 do
+      let b = (s.(i) lsr sh) land 2047 in
+      d.(count.(b)) <- s.(i);
+      count.(b) <- count.(b) + 1
+    done;
+    src := d;
+    dst := s;
+    shift := sh + 11
+  done;
+  !src
+
+(* Segment sweep over deltas of six concurrent counts — running TBs,
+   queued-ready TBs, dep-waiting TBs, kernels mid-launch, window-blocked
+   streams, copies in flight.  Each delta is one int, (tick, field, sign)
+   packed so that a single integer sort orders them by tick. *)
 let of_parsed ?(series = false) machine p =
   let open Parse in
   let cells = Array.make_matrix n_resources n_buckets 0 in
   let makespan = p.p_makespan in
-  let deltas : (int, int array) Hashtbl.t = Hashtbl.create 1024 in
-  let delta tick field d =
+  let f_run = 0 and f_queue = 1 and f_dep = 2 and f_launch = 3 and f_window = 4 and f_copy = 5 in
+  let n_tbs = Array.fold_left (fun acc k -> acc + Array.length k.k_dispatch) 0 p.p_seqs in
+  let deltas =
+    Array.make ((6 * n_tbs) + (4 * Array.length p.p_kernels) + (2 * Array.length p.p_copies)) 0
+  in
+  let n_deltas = ref 0 in
+  let delta tick code =
     if tick >= 0 && tick < makespan then begin
-      let row =
-        match Hashtbl.find_opt deltas tick with
-        | Some r -> r
-        | None ->
-          let r = Array.make 6 0 in
-          Hashtbl.add deltas tick r;
-          r
-      in
-      row.(field) <- row.(field) + d
+      deltas.(!n_deltas) <- (tick lsl 4) lor code;
+      incr n_deltas
     end
   in
   let interval field a b =
     (* contribute [a, b) clipped to [0, makespan) *)
     if a >= 0 && b > a then begin
-      delta (max a 0) field 1;
-      if b < makespan then delta b field (-1)
+      delta a (field lsl 1);
+      delta b ((field lsl 1) lor 1)
     end
   in
-  let f_run = 0 and f_queue = 1 and f_dep = 2 and f_launch = 3 and f_window = 4 and f_copy = 5 in
-  (* Per-TB intervals. *)
-  let kernel_exec : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun (seq, _) tbrec ->
-      if tbrec.t_dispatch >= 0 && tbrec.t_finish >= 0 then begin
-        interval f_run tbrec.t_dispatch tbrec.t_finish;
-        let r =
-          match Hashtbl.find_opt kernel_exec seq with
-          | Some r -> r
-          | None ->
-            let r = ref 0 in
-            Hashtbl.add kernel_exec seq r;
-            r
-        in
-        r := !r + (tbrec.t_finish - tbrec.t_dispatch)
-      end;
-      if tbrec.t_dispatch >= 0 then begin
-        let ready = Parse.ready_tick p machine seq tbrec in
-        interval f_queue ready tbrec.t_dispatch;
-        match kernel_of p seq with
-        | Some k when k.k_launched >= 0 && ready > k.k_launched ->
-          interval f_dep k.k_launched ready
-        | Some _ | None -> ()
-      end)
-    p.p_tbs;
+  (* Per-TB intervals; [min_int] marks a kernel with no executed TB. *)
+  let kernel_exec = Array.make (Array.length p.p_seqs) min_int in
+  Array.iter
+    (fun k ->
+      for tb = 0 to Array.length k.k_dispatch - 1 do
+        let dispatch = k.k_dispatch.(tb) and finish = k.k_finish.(tb) in
+        if dispatch >= 0 && finish >= 0 then begin
+          interval f_run dispatch finish;
+          let acc = kernel_exec.(k.k_seq) in
+          kernel_exec.(k.k_seq) <- (if acc = min_int then 0 else acc) + (finish - dispatch)
+        end;
+        if dispatch >= 0 then begin
+          let ready = ready_tick p machine k tb in
+          interval f_queue ready dispatch;
+          if k.k_known && k.k_launched >= 0 && ready > k.k_launched then
+            interval f_dep k.k_launched ready
+        end
+      done)
+    p.p_seqs;
   (* Per-kernel launch overhead. *)
   Array.iter
     (fun k -> if k.k_enqueue >= 0 && k.k_launched > k.k_enqueue then interval f_launch k.k_enqueue k.k_launched)
@@ -297,104 +312,90 @@ let of_parsed ?(series = false) machine p =
   (* Copies in flight. *)
   Array.iter (fun c -> interval f_copy c.c_start c.c_finish) p.p_copies;
   (* Window-blocked streams: residency at the window limit while later
-     kernels on the stream are still waiting to enqueue. *)
-  let streams : (int, kernel list ref) Hashtbl.t = Hashtbl.create 4 in
-  Array.iter
-    (fun k ->
-      match Hashtbl.find_opt streams k.k_stream with
-      | Some l -> l := k :: !l
-      | None -> Hashtbl.add streams k.k_stream (ref [ k ]))
-    p.p_kernels;
-  Hashtbl.iter
-    (fun _ ks ->
-      let ks = List.rev !ks in (* ascending seq = enqueue order *)
-      let total = List.length ks in
-      (* Stream-local sweep over enqueue/complete points. *)
-      let points =
-        List.concat_map
-          (fun k ->
-            (if k.k_enqueue >= 0 then [ (k.k_enqueue, `Enq) ] else [])
-            @ if k.k_completed >= 0 then [ (k.k_completed, `Done) ] else [])
-          ks
-        |> List.sort (fun (a, ta) (b, tb) ->
-               let c = compare a b in
-               if c <> 0 then c
-               else
-                 (* completions free a window slot before the enqueue they
-                    enable (the simulator emits them in that order) *)
-                 compare (match ta with `Done -> 0 | `Enq -> 1)
-                   (match tb with `Done -> 0 | `Enq -> 1))
-      in
-      let resident = ref 0 and seen = ref 0 in
-      let blocked_since = ref (-1) in
-      let update tick =
+     kernels on the stream are still waiting to enqueue.  Each stream's
+     kernels are a contiguous run of [p_kernels]. *)
+  let ks = p.p_kernels in
+  let first = ref 0 in
+  while !first < Array.length ks do
+    let stream = ks.(!first).k_stream in
+    let last = ref !first in
+    while !last + 1 < Array.length ks && ks.(!last + 1).k_stream = stream do incr last done;
+    (* Enqueue/complete points as (tick, kind) ints: completions (kind 0)
+       free a window slot before the enqueue they enable (the simulator
+       emits them in that order). *)
+    let points = ref [] in
+    for i = !first to !last do
+      let k = ks.(i) in
+      if k.k_enqueue >= 0 then points := ((k.k_enqueue lsl 1) lor 1) :: !points;
+      if k.k_completed >= 0 then points := (k.k_completed lsl 1) :: !points
+    done;
+    let points = Array.of_list !points in
+    Array.sort Int.compare points;
+    let total = !last - !first + 1 in
+    let resident = ref 0 and seen = ref 0 and blocked_since = ref (-1) in
+    Array.iter
+      (fun point ->
+        if point land 1 = 1 then begin
+          incr resident;
+          incr seen
+        end
+        else decr resident;
         let blocked = !resident >= machine.ma_window && !seen < total in
-        match (!blocked_since, blocked) with
-        | -1, true -> blocked_since := tick
-        | since, false when since >= 0 ->
-          interval f_window since tick;
+        if blocked && !blocked_since < 0 then blocked_since := point asr 1
+        else if (not blocked) && !blocked_since >= 0 then begin
+          interval f_window !blocked_since (point asr 1);
           blocked_since := -1
-        | _ -> ()
-      in
-      List.iter
-        (fun (tick, what) ->
-          (match what with
-          | `Enq ->
-            incr resident;
-            incr seen
-          | `Done -> decr resident);
-          update tick)
-        points;
-      if !blocked_since >= 0 then interval f_window !blocked_since makespan)
-    streams;
+        end)
+      points;
+    if !blocked_since >= 0 then interval f_window !blocked_since makespan;
+    first := !last + 1
+  done;
   (* Sweep. *)
-  let ticks = Hashtbl.fold (fun t _ acc -> t :: acc) deltas [] in
-  let ticks = List.sort_uniq compare (0 :: ticks) in
+  let n_deltas = !n_deltas in
+  let deltas = radix_sort deltas n_deltas in
   let counts = Array.make 6 0 in
   let series_rev = ref [] in
   let slots = machine.ma_slots in
   let slot_row = cells.(resource_index Slots) in
   let copy_row = cells.(resource_index Copy_engine) in
   let launch_row = cells.(resource_index Launch_engine) in
-  let rec sweep = function
-    | [] -> ()
-    | tick :: rest ->
-      (match Hashtbl.find_opt deltas tick with
-      | Some row -> Array.iteri (fun i d -> counts.(i) <- counts.(i) + d) row
-      | None -> ());
-      let seg_end = match rest with next :: _ -> next | [] -> makespan in
-      let len = seg_end - tick in
-      if len > 0 then begin
-        let running = counts.(f_run) in
-        let free = slots - running in
-        let free_bucket =
-          if counts.(f_queue) > 0 then Slot_starved
-          else if counts.(f_dep) > 0 then Dep_wait
-          else if counts.(f_launch) > 0 then Launch_overhead
-          else if counts.(f_window) > 0 then Window_blocked
-          else if counts.(f_copy) > 0 then Copy_blocked
-          else Idle
-        in
-        slot_row.(bucket_index Exec) <- slot_row.(bucket_index Exec) + (running * len);
-        slot_row.(bucket_index free_bucket) <- slot_row.(bucket_index free_bucket) + (free * len);
-        let copy_bucket = if counts.(f_copy) > 0 then Exec else Idle in
-        copy_row.(bucket_index copy_bucket) <- copy_row.(bucket_index copy_bucket) + len;
-        let launch_bucket = if counts.(f_launch) > 0 then Launch_overhead else Idle in
-        launch_row.(bucket_index launch_bucket) <- launch_row.(bucket_index launch_bucket) + len;
-        if series then begin
-          let v = Array.make n_buckets 0 in
-          v.(bucket_index Exec) <- running;
-          v.(bucket_index free_bucket) <- v.(bucket_index free_bucket) + free;
-          match !series_rev with
-          | (_, prev) :: _ when prev = v -> ()
-          | _ -> series_rev := (tick, v) :: !series_rev
-        end
-      end;
-      sweep rest
-  in
-  if makespan > 0 then sweep ticks;
+  let next = ref 0 and tick = ref 0 in
+  while !tick < makespan do
+    while !next < n_deltas && deltas.(!next) lsr 4 = !tick do
+      let code = deltas.(!next) land 15 in
+      counts.(code lsr 1) <- counts.(code lsr 1) + (if code land 1 = 0 then 1 else -1);
+      incr next
+    done;
+    let seg_end = if !next < n_deltas then deltas.(!next) lsr 4 else makespan in
+    let len = seg_end - !tick in
+    let running = counts.(f_run) in
+    let free = slots - running in
+    let free_bucket =
+      if counts.(f_queue) > 0 then Slot_starved
+      else if counts.(f_dep) > 0 then Dep_wait
+      else if counts.(f_launch) > 0 then Launch_overhead
+      else if counts.(f_window) > 0 then Window_blocked
+      else if counts.(f_copy) > 0 then Copy_blocked
+      else Idle
+    in
+    slot_row.(bucket_index Exec) <- slot_row.(bucket_index Exec) + (running * len);
+    slot_row.(bucket_index free_bucket) <- slot_row.(bucket_index free_bucket) + (free * len);
+    let copy_bucket = if counts.(f_copy) > 0 then Exec else Idle in
+    copy_row.(bucket_index copy_bucket) <- copy_row.(bucket_index copy_bucket) + len;
+    let launch_bucket = if counts.(f_launch) > 0 then Launch_overhead else Idle in
+    launch_row.(bucket_index launch_bucket) <- launch_row.(bucket_index launch_bucket) + len;
+    if series then begin
+      let v = Array.make n_buckets 0 in
+      v.(bucket_index Exec) <- running;
+      v.(bucket_index free_bucket) <- v.(bucket_index free_bucket) + free;
+      match !series_rev with
+      | (_, prev) :: _ when prev = v -> ()
+      | _ -> series_rev := (!tick, v) :: !series_rev
+    end;
+    tick := seg_end
+  done;
   let kernel_exec =
-    Hashtbl.fold (fun seq r acc -> (seq, !r) :: acc) kernel_exec []
+    List.filter (fun (_, ticks) -> ticks <> min_int) (List.of_seq (Array.to_seqi kernel_exec))
     |> List.sort (fun (sa, a) (sb, b) ->
            let c = compare b a in
            if c <> 0 then c else compare sa sb)

@@ -24,7 +24,7 @@
     in flight ([Copy_blocked]) > [Idle] (host-side gaps: mallocs, issue).
     Kernel-granular modes gate a dependent kernel's TBs on its stream
     predecessor's drain; fine-grain modes use per-TB [Dep_satisfied]
-    events (see {!Parse.ready_tick}). *)
+    events (see {!Parse.dep_tick}). *)
 
 (** {1 Ticks} *)
 
@@ -34,7 +34,9 @@ val tick_scale : float
     suite's makespans stay far from [int] overflow. *)
 
 val ticks_of_us : float -> int
-(** Nearest-tick quantization.  @raise Invalid_argument on overflow. *)
+(** Nearest-tick quantization.  @raise Invalid_argument at or beyond
+    2{^58} ticks in magnitude (about 76 simulated hours), the range in
+    which {!of_parsed}'s packed (tick, field, sign) deltas fit an [int]. *)
 
 val us_of_ticks : int -> float
 
@@ -74,46 +76,63 @@ val weight : machine -> resource -> int
 
 (** {1 Event-stream reconstruction}
 
-    Shared with {!Critpath}: one pass over the sorted entries rebuilding
-    per-kernel lifecycle ticks, per-TB dispatch/finish/dep ticks and copy
-    spans.  [-1] marks an unrecorded stamp. *)
+    Shared with {!Critpath}.  {!Trace.events} sorts the entries once, and
+    each timestamp is quantized once into [p_ticks].  Linear
+    passes then rebuild per-kernel lifecycle ticks, per-TB
+    dispatch/finish/dep ticks and copy spans.  A first pass sizes the
+    tables: kernels live in an array indexed by seq, and each kernel's TB
+    stamps in [int array]s indexed by TB id.  [-1] marks an unrecorded
+    stamp.  Synthetic traces need not be well formed: sparse seqs, TB ids
+    beyond the enqueued count, events before [Kernel_enqueue] and
+    unmatched copy events are all accepted.  Events naming a negative id
+    are ignored.  Memory grows with the largest seq and TB id in the trace
+    (the engine numbers both densely from 0). *)
 module Parse : sig
   type kernel = {
     k_seq : int;
-    k_stream : int;
-    k_tbs : int;
+    mutable k_known : bool;
+        (** a [Kernel_*] or [Dep_satisfied] event named the seq; an
+            unknown seq only holds TB stamps *)
+    mutable k_stream : int;  (** from the first event that named the seq *)
+    mutable k_tbs : int;     (** enqueued TB count; [0] unless that event was the enqueue *)
     mutable k_enqueue : int;
     mutable k_launched : int;
     mutable k_drained : int;
     mutable k_completed : int;
     mutable k_has_deps : bool;
     mutable k_prev : int;  (** stream predecessor seq, [-1] for the first *)
+    k_dispatch : int array;  (** per TB id *)
+    k_finish : int array;
+    k_dep : int array;  (** the TB's last [Dep_satisfied] tick *)
   }
-
-  type tb = { mutable t_dispatch : int; mutable t_finish : int; mutable t_dep : int }
 
   type copy = { c_cmd : int; c_d2h : bool; c_blocking : bool; c_start : int; c_finish : int }
 
   type t = {
-    p_entries : Trace.entry array;
-    p_kernels : kernel array;
-    p_kernel_by_seq : (int, kernel) Hashtbl.t;
-    p_tbs : (int * int, tb) Hashtbl.t;
-    p_copies : copy array;
+    p_entries : Trace.entry array;  (** as {!Trace.events}: sorted once *)
+    p_ticks : int array;  (** [p_entries]' timestamps, quantized; ascending *)
+    p_seqs : kernel array;  (** indexed by seq, for every seq up to the largest *)
+    p_kernels : kernel array;  (** the known kernels, by stream, then seq *)
+    p_copies : copy array;  (** matched start/finish pairs, by (start, cmd) *)
     p_makespan : int;
   }
 
   val of_trace : Trace.t -> t
-  val kernel_of : t -> int -> kernel option
-  val tb_of : t -> int -> int -> tb option
 
-  val ready_tick : t -> machine -> int -> tb -> int
-  (** The tick a TB became schedulable: [max launch deps], where the
-      dependency component is the TB's own [Dep_satisfied] tick under
-      fine-grain resolution, or its stream predecessor's drain tick under
+  val kernel_of : t -> int -> kernel option
+  (** The known kernel with this seq. *)
+
+  val dep_tick : t -> machine -> kernel -> int -> int
+  (** [dep_tick p machine k tb] is the tick TB [tb]'s dependencies
+      released it: its own [Dep_satisfied] tick under fine-grain
+      resolution, or its stream predecessor's drain tick under
       kernel-granular gating (kernels with no dependency events are
       treated as independent — the relation kind itself is not in the
-      stream). *)
+      stream); [-1] when none. *)
+
+  val ready_tick : t -> machine -> kernel -> int -> int
+  (** The tick a TB became schedulable: [max launch (dep_tick ...)], or
+      [0] when its seq is not a known kernel. *)
 end
 
 (** {1 Attribution} *)

@@ -68,52 +68,58 @@ let makespan_us t = Attrib.us_of_ticks t.cp_makespan_ticks
 
 let of_parsed machine (p : Parse.t) =
   let open Parse in
-  let entries = p.p_entries in
+  let entries = p.p_entries and ticks = p.p_ticks in
   let n = Array.length entries in
-  (* tick -> entry indices (ascending), for exact-instant cause matching. *)
-  let at_tick : (int, int list ref) Hashtbl.t = Hashtbl.create (max 16 n) in
-  Array.iteri
-    (fun i e ->
-      let tick = Attrib.ticks_of_us e.Trace.ts in
-      match Hashtbl.find_opt at_tick tick with
-      | Some l -> l := i :: !l
-      | None -> Hashtbl.add at_tick tick (ref [ i ]))
-    entries;
-  let events_at tick =
-    match Hashtbl.find_opt at_tick tick with Some l -> List.rev !l | None -> []
+  (* Exact-instant cause matching: the entries of one tick are the
+     contiguous run [first_at tick, first_at (tick + 1)) of the sorted
+     tick column. *)
+  let first_at tick =
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if ticks.(mid) < tick then lo := mid + 1 else hi := mid
+    done;
+    !lo
   in
-  let copy_by_cmd : (int, Parse.copy) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter (fun c -> Hashtbl.replace copy_by_cmd c.c_cmd c) p.p_copies;
-  (* Span-end anchors sorted by (tick, index): the gap fallback finds the
-     latest device-side span end at or before a tick. *)
-  let is_anchor = function
-    | Stats.Tb_finish _ | Stats.Copy_finish _ | Stats.Kernel_launched _ -> true
-    | _ -> false
+  (* The last entry at [tick] that [f] maps to a result. *)
+  let last_at tick f =
+    let first = first_at tick in
+    let rec back i =
+      if i < first then None else match f entries.(i).Trace.ev with Some _ as r -> r | None -> back (i - 1)
+    in
+    back (first_at (tick + 1) - 1)
   in
+  let n_cmds = Array.fold_left (fun m c -> Int.max m (c.c_cmd + 1)) 0 p.p_copies in
+  let copy_by_cmd = Array.make n_cmds None in
+  Array.iter (fun c -> copy_by_cmd.(c.c_cmd) <- Some c) p.p_copies;
+  let copy_node cmd =
+    match if cmd >= 0 && cmd < n_cmds then copy_by_cmd.(cmd) else None with
+    | Some c -> Some (Ncopy { cmd; d2h = c.c_d2h }, c.c_start, c.c_finish)
+    | None -> None
+  in
+  (* Span-end anchors, ascending: the gap fallback finds the latest
+     device-side span end at or before a tick. *)
   let anchors =
-    let acc = ref [] in
-    Array.iteri
-      (fun i e -> if is_anchor e.Trace.ev then acc := (Attrib.ticks_of_us e.Trace.ts, i) :: !acc)
-      entries;
-    Array.of_list (List.rev !acc) (* ascending (tick, index) *)
+    Array.of_seq
+      (Seq.filter
+         (fun i ->
+           match entries.(i).Trace.ev with
+           | Stats.Tb_finish { seq; tb } -> seq >= 0 && tb >= 0
+           | Stats.Copy_finish _ | Stats.Kernel_launched _ -> true
+           | _ -> false)
+         (Seq.init n Fun.id))
   in
   let node_of_anchor idx =
     match entries.(idx).Trace.ev with
     | Stats.Tb_finish { seq; tb } ->
-      let s, e =
-        match tb_of p seq tb with
-        | Some r -> ((if r.t_dispatch >= 0 then r.t_dispatch else r.t_finish), r.t_finish)
-        | None -> (0, 0)
-      in
-      Some (Ntb { seq; tb }, s, e)
+      let k = p.p_seqs.(seq) in
+      let start = if k.k_dispatch.(tb) >= 0 then k.k_dispatch.(tb) else k.k_finish.(tb) in
+      Some (Ntb { seq; tb }, start, k.k_finish.(tb))
     | Stats.Copy_finish { cmd; d2h; _ } ->
-      (match Hashtbl.find_opt copy_by_cmd cmd with
-      | Some c -> Some (Ncopy { cmd; d2h }, c.c_start, c.c_finish)
-      | None -> None)
+      Option.map (fun (_, s, e) -> (Ncopy { cmd; d2h }, s, e)) (copy_node cmd)
     | Stats.Kernel_launched { seq; _ } ->
       (match kernel_of p seq with
-      | Some k when k.k_enqueue >= 0 ->
-        Some (Nlaunch { seq }, k.k_enqueue, k.k_launched)
+      | Some k when k.k_enqueue >= 0 -> Some (Nlaunch { seq }, k.k_enqueue, k.k_launched)
       | _ -> None)
     | _ -> None
   in
@@ -124,9 +130,9 @@ let of_parsed machine (p : Parse.t) =
     (* binary search for the first anchor NOT ok; the answer precedes it *)
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if ok (fst anchors.(mid)) then lo := mid + 1 else hi := mid
+      if ok ticks.(anchors.(mid)) then lo := mid + 1 else hi := mid
     done;
-    if !lo = 0 then None else node_of_anchor (snd anchors.(!lo - 1))
+    if !lo = 0 then None else node_of_anchor anchors.(!lo - 1)
   in
   let launch_node seq =
     match kernel_of p seq with
@@ -135,41 +141,24 @@ let of_parsed machine (p : Parse.t) =
     | _ -> None
   in
   let tb_node seq tb =
-    match tb_of p seq tb with
-    | Some r when r.t_dispatch >= 0 && r.t_finish >= 0 -> Some (Ntb { seq; tb }, r.t_dispatch, r.t_finish)
-    | _ -> None
-  in
-  let copy_node cmd =
-    match Hashtbl.find_opt copy_by_cmd cmd with
-    | Some c -> Some (Ncopy { cmd; d2h = c.c_d2h }, c.c_start, c.c_finish)
-    | None -> None
+    let k = p.p_seqs.(seq) in
+    if k.k_dispatch.(tb) >= 0 && k.k_finish.(tb) >= 0 then
+      Some (Ntb { seq; tb }, k.k_dispatch.(tb), k.k_finish.(tb))
+    else None
   in
   (* Last Tb_finish at [tick] matching [pred], as a node. *)
   let find_tb_finish ?(pred = fun _ _ -> true) tick =
-    List.fold_left
-      (fun acc i ->
-        match entries.(i).Trace.ev with
-        | Stats.Tb_finish { seq; tb } when pred seq tb ->
-          (match tb_node seq tb with Some nd -> Some nd | None -> acc)
-        | _ -> acc)
-      None (events_at tick)
+    last_at tick (function
+      | Stats.Tb_finish { seq; tb } when seq >= 0 && tb >= 0 && pred seq tb -> tb_node seq tb
+      | _ -> None)
   in
   let find_copy_finish ?(exclude = -1) tick =
-    List.fold_left
-      (fun acc i ->
-        match entries.(i).Trace.ev with
-        | Stats.Copy_finish { cmd; _ } when cmd <> exclude ->
-          (match copy_node cmd with Some nd -> Some nd | None -> acc)
-        | _ -> acc)
-      None (events_at tick)
+    last_at tick (function Stats.Copy_finish { cmd; _ } when cmd <> exclude -> copy_node cmd | _ -> None)
   in
   let find_completion ?(stream = -1) tick =
-    List.fold_left
-      (fun acc i ->
-        match entries.(i).Trace.ev with
-        | Stats.Kernel_completed { seq; stream = st } when stream < 0 || st = stream -> Some seq
-        | _ -> acc)
-      None (events_at tick)
+    last_at tick (function
+      | Stats.Kernel_completed { seq; stream = st } when stream < 0 || st = stream -> Some seq
+      | _ -> None)
   in
   (* What a kernel's completion at [tick] traces back to: its own drain
      (the last finishing TB, or the launch for zero-TB kernels), or — when
@@ -190,43 +179,29 @@ let of_parsed machine (p : Parse.t) =
         else if k.k_prev >= 0 then completion_node k.k_prev tick (depth + 1)
         else None
   in
-  (* The TB's dependency-release tick under the machine's granularity
-     (mirrors Attrib.Parse.ready_tick's dependency component). *)
-  let dep_tick seq tbrec =
-    if machine.Attrib.ma_fine then tbrec.t_dep
-    else
-      match kernel_of p seq with
-      | Some k when k.k_has_deps && k.k_prev >= 0 ->
-        (match kernel_of p k.k_prev with Some pk -> pk.k_drained | None -> -1)
-      | _ -> -1
-  in
   let cause_of kind start =
     match kind with
     | Ntb { seq; tb } ->
-      let tbrec = tb_of p seq tb in
-      let k = kernel_of p seq in
+      let k = p.p_seqs.(seq) in
       let dep =
-        match tbrec with
-        | Some r when dep_tick seq r = start && start >= 0 ->
-          let parent = match k with Some k -> k.k_prev | None -> -1 in
-          (match find_tb_finish ~pred:(fun s _ -> parent < 0 || s = parent) start with
+        if start >= 0 && dep_tick p machine k tb = start then
+          match find_tb_finish ~pred:(fun s _ -> k.k_prev < 0 || s = k.k_prev) start with
           | Some nd -> Some (Dep, nd)
           | None ->
-            (match if parent >= 0 then launch_node parent else None with
+            (match if k.k_prev >= 0 then launch_node k.k_prev else None with
             | Some nd -> Some (Dep, nd)
-            | None -> None))
-        | _ -> None
+            | None -> None)
+        else None
       in
       (match dep with
       | Some _ -> dep
       | None ->
-        (match k with
-        | Some kk when kk.k_launched = start ->
-          (match launch_node seq with Some nd -> Some (Launch_wait, nd) | None -> None)
-        | _ ->
-          (match find_tb_finish start with
+        if k.k_launched = start then
+          match launch_node seq with Some nd -> Some (Launch_wait, nd) | None -> None
+        else
+          match find_tb_finish start with
           | Some nd -> Some (Slot, nd)
-          | None -> None)))
+          | None -> None)
     | Nlaunch { seq } ->
       let stream = match kernel_of p seq with Some k -> k.k_stream | None -> -1 in
       (match find_completion ~stream start with
@@ -295,7 +270,7 @@ let of_parsed machine (p : Parse.t) =
   let terminal =
     (* the last span-end anchor; completions/drains at the same tick chain
        through it *)
-    if Array.length anchors = 0 then None else node_of_anchor (snd anchors.(Array.length anchors - 1))
+    if Array.length anchors = 0 then None else node_of_anchor anchors.(Array.length anchors - 1)
   in
   let nodes =
     match terminal with

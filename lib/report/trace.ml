@@ -11,28 +11,52 @@ module Stats = Bm_gpu.Stats
 
 type entry = { ts : float; ev : Stats.event }
 
-type t = { mutable rev_entries : entry list; mutable count : int }
+(* Entries in emission order, in a buffer that doubles as it fills. *)
+type t = { mutable buf : entry array; mutable count : int }
 
-let create () = { rev_entries = []; count = 0 }
+let create () = { buf = [||]; count = 0 }
 
 let sink t ts ev =
-  t.rev_entries <- { ts; ev } :: t.rev_entries;
+  if t.count = Array.length t.buf then
+    t.buf <- Array.append t.buf (Array.make (max 256 t.count) { ts; ev });
+  t.buf.(t.count) <- { ts; ev };
   t.count <- t.count + 1
 
 let length t = t.count
 
 let events t =
-  (* Stable sort: emission order breaks timestamp ties, which matters for
-     e.g. a Dep_satisfied and the Tb_dispatch it enables at the same
-     instant. *)
-  let arr = Array.of_list (List.rev t.rev_entries) in
-  let indexed = Array.mapi (fun i e -> (i, e)) arr in
-  Array.sort
-    (fun (i, a) (j, b) ->
-      let c = compare a.ts b.ts in
-      if c <> 0 then c else compare i j)
-    indexed;
-  Array.map snd indexed
+  (* The stable sort by timestamp: emission order breaks ties (e.g. a
+     Dep_satisfied and the Tb_dispatch it enables at the same instant).
+     Engine traces are chronological but for future-dated copy starts, so
+     one pass keeps a non-decreasing run on a stack and sets aside what a
+     later, earlier-stamped entry displaces; only those few are sorted by
+     (ts, emission index), then merged back by the same total order. *)
+  let buf = t.buf in
+  let order i j =
+    let c = Float.compare buf.(i).ts buf.(j).ts in
+    if c <> 0 then c else Int.compare i j
+  in
+  let run = Array.make t.count 0 and len = ref 0 and aside = ref [] in
+  for i = 0 to t.count - 1 do
+    while !len > 0 && order i run.(!len - 1) < 0 do
+      decr len;
+      aside := run.(!len) :: !aside
+    done;
+    run.(!len) <- i;
+    incr len
+  done;
+  let aside = Array.of_list !aside in
+  Array.sort order aside;
+  let a = ref 0 and b = ref 0 in
+  Array.init t.count (fun _ ->
+      if !b = Array.length aside || (!a < !len && order run.(!a) aside.(!b) < 0) then begin
+        incr a;
+        buf.(run.(!a - 1))
+      end
+      else begin
+        incr b;
+        buf.(aside.(!b - 1))
+      end)
 
 (* --- derived counters -------------------------------------------------- *)
 

@@ -108,6 +108,33 @@ let test_eheap_basics () =
   Alcotest.(check int) "last" 30 (Eheap.pop_ev h);
   Alcotest.(check bool) "drained" true (Eheap.is_empty h)
 
+(* The cell variants carry keys through a float array, so a push/pop
+   cycle allocates nothing even across the module boundary. *)
+let test_eheap_cells () =
+  let h = Eheap.create () and cell = [| 0.0 |] in
+  cell.(0) <- 2.0;
+  Eheap.push_at h cell 20;
+  Eheap.push h 1.0 10;
+  Alcotest.(check int) "pop_into ev" 10 (Eheap.pop_into h cell);
+  Alcotest.(check (float 0.0)) "pop_into key" 1.0 cell.(0);
+  Alcotest.(check int) "pop_into last" 20 (Eheap.pop_into h cell);
+  Alcotest.(check (float 0.0)) "pushed key" 2.0 cell.(0);
+  Alcotest.check_raises "pop_into on empty" (Invalid_argument "Eheap.pop_into: empty") (fun () ->
+      ignore (Eheap.pop_into h cell));
+  for i = 0 to 1023 do
+    cell.(0) <- float_of_int (i * 7 mod 1024);
+    Eheap.push_at h cell i
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    let ev = Eheap.pop_into h cell in
+    cell.(0) <- cell.(0) +. 1024.0;
+    Eheap.push_at h cell ev
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "100k cycles allocate nothing (%.0f words)" words) true
+    (words < 64.0)
+
 let test_eheap_fifo_ties () =
   let h = Eheap.create () in
   List.iter (fun v -> Eheap.push h 1.0 v) [ 1; 2; 3; 4 ];
@@ -120,7 +147,8 @@ let test_eheap_fifo_ties () =
    from at most 8 distinct values, so the sequence tie-break decides most
    comparisons; lists reach 2,000 entries, past the 256-slot initial
    capacity, so [grow] runs on a non-empty heap.  [size] must agree after
-   every operation. *)
+   every operation.  The interleaved property pushes and pops even
+   payloads through the cell variants. *)
 let gen_eheap_entries bound =
   QCheck2.Gen.(
     let* tied = bool in
@@ -157,16 +185,21 @@ let prop_eheap_interleaved =
   QCheck2.Test.make ~name:"eheap matches heap under interleaved push/pop" ~count:200 ~long_factor:10
     (gen_eheap_entries 50.0)
     (fun ops ->
-      let h = Heap.create () and e = Eheap.create () in
+      let h = Heap.create () and e = Eheap.create () and cell = [| 0.0 |] in
       List.for_all
         (fun (k, v) ->
           (if v mod 3 = 0 && not (Heap.is_empty h) then (
              match Heap.pop h with
+             | Some (hk, hv) when v mod 2 = 0 -> Eheap.pop_into e cell = hv && cell.(0) = hk
              | Some (hk, hv) -> Eheap.pop_key e = hk && Eheap.pop_ev e = hv
              | None -> false)
            else begin
              Heap.push h k v;
-             Eheap.push e k v;
+             if v mod 2 = 0 then begin
+               cell.(0) <- k;
+               Eheap.push_at e cell v
+             end
+             else Eheap.push e k v;
              true
            end)
           && same_size h e)
@@ -226,6 +259,7 @@ let suite =
     Alcotest.test_case "rng: jitter stable" `Quick test_jitter_stable;
     Alcotest.test_case "eheap: basics" `Quick test_eheap_basics;
     Alcotest.test_case "eheap: fifo on ties" `Quick test_eheap_fifo_ties;
+    Alcotest.test_case "eheap: cell variants allocate nothing" `Quick test_eheap_cells;
     Alcotest.test_case "lru: eviction order" `Quick test_lru_basics;
     Alcotest.test_case "lru: replace and mem" `Quick test_lru_replace_and_mem;
     QCheck_alcotest.to_alcotest prop_heap_sorted;
