@@ -19,6 +19,15 @@ exception Not_static of string
 
 let tb_count launch = dim3_count launch.grid
 
+let hash_launch launch =
+  let mix h v = (h * 1_000_003) lxor v in
+  let mix_dim h d = mix (mix (mix h d.dx) d.dy) d.dz in
+  List.fold_left
+    (fun h (name, v) -> mix (mix h (Hashtbl.hash name)) v)
+    (mix_dim (mix_dim 0 launch.grid) launch.block)
+    launch.args
+  land max_int
+
 let cta_of_tb launch tb =
   let gx = launch.grid.dx and gy = launch.grid.dy in
   { dx = tb mod gx; dy = tb / gx mod gy; dz = tb / (gx * gy) }

@@ -57,6 +57,12 @@ val analyze : Bm_ptx.Types.kernel -> launch -> kernel_footprints
 
 val tb_count : launch -> int
 
+val hash_launch : launch -> int
+(** A hash over the grid, the block and every argument (name and value).
+    The polymorphic [Hashtbl.hash] stops after ten meaningful values, so
+    it sees the first argument at most and launches of one kernel that
+    differ only in later arguments collide. *)
+
 val overlaps : writes:t -> reads:t -> bool
 (** RAW test: does any write interval of the parent TB intersect any read
     interval of the child TB? *)

@@ -11,27 +11,25 @@ type pair_result = {
   pr_sizes : Bm_depgraph.Encode.sizes;
 }
 
-type pair_key = {
-  pk_producer : int;
-  pk_pfl : Footprint.launch;
-  pk_consumer : int;
-  pk_cfl : Footprint.launch;
-  pk_degree : int;
+(* [lk_hash] ({!Footprint.hash_launch}) comes first, so the polymorphic
+   hash of the key sees every argument and a mismatching comparison stops
+   at the first field. *)
+type launch_key = {
+  lk_hash : int;
+  lk_kid : int;
+  lk_fl : Footprint.launch;
 }
 
-(* Ints first, so hashing and a mismatching comparison stop early; the
-   params enter as an id interned by bit pattern ([params_id]). *)
-type cost_key = {
-  ck_seq : int;
-  ck_kid : int;
-  ck_params : int;
-  ck_fl : Footprint.launch;
+type launch = {
+  lid : int;
+  key : launch_key;
 }
 
-type rw_key = {
-  rk_kid : int;
-  rk_fl : Footprint.launch;
-  rk_buffers : (int * int * int) list;
+(* One memo table and its effectiveness counters. *)
+type ('k, 'v) family = {
+  lru : ('k, 'v) Lru.t;
+  mutable hits : int;
+  mutable misses : int;
 }
 
 type t = {
@@ -43,7 +41,8 @@ type t = {
      hit needs the very same value ([==]): fingerprinting costs ~1 µs per
      PTX instruction, and warm preparations of one app pass the same
      kernel values every time.  An equal but distinct value (an
-     alpha-twin, a rebuilt app) is fingerprinted as before. *)
+     alpha-twin, a rebuilt app, another kernel under the same name) is
+     fingerprinted as before. *)
   seen : (string, Bm_ptx.Types.kernel * int) Lru.t;
   mutable next_id : int;
   (* id -> canonical fingerprint string, the disk tier's key material.
@@ -51,53 +50,42 @@ type t = {
      lookups for that id are silently skipped (a plain miss). *)
   fpstrs : (int, string) Lru.t;
   store : Store.t option;
-  analysis : (int, Symeval.result) Lru.t;
-  footprints : (int * Footprint.launch, Footprint.kernel_footprints) Lru.t;
-  profiles : (int * Footprint.launch, Costmodel.profile) Lru.t;
-  costs : (cost_key, Costmodel.t) Lru.t;
+  (* (kernel id, configuration) -> interned launch; launch ids are
+     monotonic like kernel ids. *)
+  launches : (launch_key, launch) Lru.t;
+  mutable next_lid : int;
+  analysis : (int, Symeval.result) family;
+  (* The per-launch families are keyed on launch ids: the cost family adds
+     the launch seq and a params id, rw the app's buffer layout, and the
+     pair family pairs two launch ids with the degree cap. *)
+  footprints : (int, Footprint.kernel_footprints) family;
+  profiles : (int, Costmodel.profile) family;
+  costs : (int * int * int, Costmodel.t) family;
   mutable params_ids : (Costmodel.params * int) list;
-  rws : (rw_key, Reorder.rw) Lru.t;
-  pairs : (pair_key, pair_result) Lru.t;
-  mutable kernel_hits : int;
-  mutable kernel_misses : int;
-  mutable footprint_hits : int;
-  mutable footprint_misses : int;
-  mutable profile_hits : int;
-  mutable profile_misses : int;
-  mutable cost_hits : int;
-  mutable cost_misses : int;
-  mutable rw_hits : int;
-  mutable rw_misses : int;
-  mutable pair_hits : int;
-  mutable pair_misses : int;
+  rws : (int * (int * int * int) list, Reorder.rw) family;
+  pairs : (int * int * int, pair_result) family;
 }
 
-let create ?(kernel_capacity = 256) ?(pair_capacity = 8192) ?store () =
+let kernel_capacity = 256
+let launch_capacity = 8192
+let family capacity = { lru = Lru.create ~capacity; hits = 0; misses = 0 }
+
+let create ?store () =
   {
     intern = Lru.create ~capacity:kernel_capacity;
     seen = Lru.create ~capacity:kernel_capacity;
     next_id = 0;
     fpstrs = Lru.create ~capacity:kernel_capacity;
     store;
-    analysis = Lru.create ~capacity:kernel_capacity;
-    footprints = Lru.create ~capacity:pair_capacity;
-    profiles = Lru.create ~capacity:pair_capacity;
-    costs = Lru.create ~capacity:pair_capacity;
+    launches = Lru.create ~capacity:launch_capacity;
+    next_lid = 0;
+    analysis = family kernel_capacity;
+    footprints = family launch_capacity;
+    profiles = family launch_capacity;
+    costs = family launch_capacity;
     params_ids = [];
-    rws = Lru.create ~capacity:pair_capacity;
-    pairs = Lru.create ~capacity:pair_capacity;
-    kernel_hits = 0;
-    kernel_misses = 0;
-    footprint_hits = 0;
-    footprint_misses = 0;
-    profile_hits = 0;
-    profile_misses = 0;
-    cost_hits = 0;
-    cost_misses = 0;
-    rw_hits = 0;
-    rw_misses = 0;
-    pair_hits = 0;
-    pair_misses = 0;
+    rws = family launch_capacity;
+    pairs = family launch_capacity;
   }
 
 let store t = t.store
@@ -121,18 +109,39 @@ let kernel_id t (kernel : Bm_ptx.Types.kernel) =
     Lru.add t.seen kernel.Bm_ptx.Types.kname (kernel, id);
     id
 
+let launch t kernel fl =
+  let key = { lk_hash = Footprint.hash_launch fl; lk_kid = kernel_id t kernel; lk_fl = fl } in
+  match Lru.find t.launches key with
+  | Some l -> l
+  | None ->
+    let l = { lid = t.next_lid; key } in
+    t.next_lid <- l.lid + 1;
+    Lru.add t.launches key l;
+    l
+
+let memo f key compute =
+  match Lru.find f.lru key with
+  | Some v ->
+    f.hits <- f.hits + 1;
+    v
+  | None ->
+    f.misses <- f.misses + 1;
+    let v = compute () in
+    Lru.add f.lru key v;
+    v
+
 (* The disk tier sits below the in-process LRU: an LRU miss consults the
    store before computing, and a computed value is written through.  Disk
    hits still count as in-memory misses — the two counter families describe
    different tiers. *)
-let disk_tier t ~kid ~dkey ~disk_find ~disk_put compute =
+let disk_tier t l ~dkey ~disk_find ~disk_put compute =
   match t.store with
   | None -> compute ()
   | Some s -> (
-    match Lru.find t.fpstrs kid with
+    match Lru.find t.fpstrs l.key.lk_kid with
     | None -> compute ()
     | Some fps -> (
-      let key = dkey fps in
+      let key = dkey ~fp:fps ~fl:l.key.lk_fl in
       match disk_find s ~key with
       | Some v -> v
       | None ->
@@ -140,48 +149,17 @@ let disk_tier t ~kid ~dkey ~disk_find ~disk_put compute =
         disk_put s ~key v;
         v))
 
-let analysis t ~kid compute =
-  match Lru.find t.analysis kid with
-  | Some r ->
-    t.kernel_hits <- t.kernel_hits + 1;
-    r
-  | None ->
-    t.kernel_misses <- t.kernel_misses + 1;
-    let r = compute () in
-    Lru.add t.analysis kid r;
-    r
+let analysis t ~kid compute = memo t.analysis kid compute
 
-let footprint t ~kid ~fl compute =
-  let key = (kid, fl) in
-  match Lru.find t.footprints key with
-  | Some fp ->
-    t.footprint_hits <- t.footprint_hits + 1;
-    fp
-  | None ->
-    t.footprint_misses <- t.footprint_misses + 1;
-    let fp =
-      disk_tier t ~kid
-        ~dkey:(fun fps -> Store.footprint_key ~fp:fps ~fl)
-        ~disk_find:Store.find_footprints ~disk_put:Store.put_footprints compute
-    in
-    Lru.add t.footprints key fp;
-    fp
+let footprint t l compute =
+  memo t.footprints l.lid (fun () ->
+      disk_tier t l ~dkey:Store.footprint_key ~disk_find:Store.find_footprints
+        ~disk_put:Store.put_footprints compute)
 
-let profile t ~kid ~fl compute =
-  let key = (kid, fl) in
-  match Lru.find t.profiles key with
-  | Some p ->
-    t.profile_hits <- t.profile_hits + 1;
-    p
-  | None ->
-    t.profile_misses <- t.profile_misses + 1;
-    let p =
-      disk_tier t ~kid
-        ~dkey:(fun fps -> Store.profile_key ~fp:fps ~fl)
-        ~disk_find:Store.find_profile ~disk_put:Store.put_profile compute
-    in
-    Lru.add t.profiles key p;
-    p
+let profile t l compute =
+  memo t.profiles l.lid (fun () ->
+      disk_tier t l ~dkey:Store.profile_key ~disk_find:Store.find_profile
+        ~disk_put:Store.put_profile compute)
 
 (* Params compare by bit pattern: structural float equality would
    conflate 0.0 with -0.0 and never match a NaN, and a column is a
@@ -195,57 +173,28 @@ let params_id t params =
     id
 
 (* Memory only: the disk tier holds the profile a column expands from. *)
-let cost t ~kid ~fl ~seq ~params compute =
-  let key = { ck_seq = seq; ck_kid = kid; ck_params = params_id t params; ck_fl = fl } in
-  match Lru.find t.costs key with
-  | Some c ->
-    t.cost_hits <- t.cost_hits + 1;
-    c
-  | None ->
-    t.cost_misses <- t.cost_misses + 1;
-    let c = compute () in
-    Lru.add t.costs key c;
-    c
+let cost t l ~seq ~params compute = memo t.costs (l.lid, seq, params_id t params) compute
 
-let rw t ~kid ~fl ~buffers compute =
-  let key = { rk_kid = kid; rk_fl = fl; rk_buffers = buffers } in
-  match Lru.find t.rws key with
-  | Some rw ->
-    t.rw_hits <- t.rw_hits + 1;
-    rw
-  | None ->
-    t.rw_misses <- t.rw_misses + 1;
-    let rw =
-      disk_tier t ~kid
-        ~dkey:(fun fps -> Store.rw_key ~fp:fps ~fl ~buffers)
-        ~disk_find:Store.find_rw ~disk_put:Store.put_rw compute
-    in
-    Lru.add t.rws key rw;
-    rw
+let rw t l ~buffers compute =
+  memo t.rws (l.lid, buffers) (fun () ->
+      disk_tier t l ~dkey:(Store.rw_key ~buffers) ~disk_find:Store.find_rw ~disk_put:Store.put_rw
+        compute)
 
-let pair t ~pkid ~pfl ~ckid ~cfl ~max_degree compute =
-  let key =
-    { pk_producer = pkid; pk_pfl = pfl; pk_consumer = ckid; pk_cfl = cfl; pk_degree = max_degree }
-  in
-  match Lru.find t.pairs key with
-  | Some pr ->
-    t.pair_hits <- t.pair_hits + 1;
-    pr
-  | None ->
-    t.pair_misses <- t.pair_misses + 1;
-    let pr =
+let pair t ~producer ~consumer ~max_degree compute =
+  memo t.pairs (producer.lid, consumer.lid, max_degree) (fun () ->
       match t.store with
       | None -> compute ()
       | Some s -> (
-        match (Lru.find t.fpstrs pkid, Lru.find t.fpstrs ckid) with
-        | Some pfps, Some cfps -> (
-          let dkey = Store.pair_key ~pfp:pfps ~pfl ~cfp:cfps ~cfl ~max_degree in
+        let pfl = producer.key.lk_fl and cfl = consumer.key.lk_fl in
+        match (Lru.find t.fpstrs producer.key.lk_kid, Lru.find t.fpstrs consumer.key.lk_kid) with
+        | Some pfp, Some cfp -> (
+          let key = Store.pair_key ~pfp ~pfl ~cfp ~cfl ~max_degree in
           (* Only the relation persists; the pattern classification and
              encoded-storage sizes are recomputed on load, exactly as the
              cold path derives them from the fresh relation. *)
           let n_parents = Bm_ptx.Types.dim3_count pfl.Footprint.grid in
           let n_children = Bm_ptx.Types.dim3_count cfl.Footprint.grid in
-          match Store.find_relation s ~key:dkey with
+          match Store.find_relation s ~key with
           | Some relation ->
             {
               pr_relation = relation;
@@ -254,12 +203,9 @@ let pair t ~pkid ~pfl ~ckid ~cfl ~max_degree compute =
             }
           | None ->
             let pr = compute () in
-            Store.put_relation s ~key:dkey ~n_parents ~n_children pr.pr_relation;
+            Store.put_relation s ~key ~n_parents ~n_children pr.pr_relation;
             pr)
-        | _ -> compute ())
-    in
-    Lru.add t.pairs key pr;
-    pr
+        | _ -> compute ()))
 
 type counters = {
   kernel_hits : int;
@@ -284,25 +230,26 @@ type counters = {
 }
 
 let counters (c : t) =
+  let ev f = Lru.evictions f.lru in
   {
-    kernel_hits = c.kernel_hits;
-    kernel_misses = c.kernel_misses;
-    kernel_evictions = Lru.evictions c.analysis;
-    footprint_hits = c.footprint_hits;
-    footprint_misses = c.footprint_misses;
-    footprint_evictions = Lru.evictions c.footprints;
-    profile_hits = c.profile_hits;
-    profile_misses = c.profile_misses;
-    profile_evictions = Lru.evictions c.profiles;
-    cost_hits = c.cost_hits;
-    cost_misses = c.cost_misses;
-    cost_evictions = Lru.evictions c.costs;
-    rw_hits = c.rw_hits;
-    rw_misses = c.rw_misses;
-    rw_evictions = Lru.evictions c.rws;
-    pair_hits = c.pair_hits;
-    pair_misses = c.pair_misses;
-    pair_evictions = Lru.evictions c.pairs;
+    kernel_hits = c.analysis.hits;
+    kernel_misses = c.analysis.misses;
+    kernel_evictions = ev c.analysis;
+    footprint_hits = c.footprints.hits;
+    footprint_misses = c.footprints.misses;
+    footprint_evictions = ev c.footprints;
+    profile_hits = c.profiles.hits;
+    profile_misses = c.profiles.misses;
+    profile_evictions = ev c.profiles;
+    cost_hits = c.costs.hits;
+    cost_misses = c.costs.misses;
+    cost_evictions = ev c.costs;
+    rw_hits = c.rws.hits;
+    rw_misses = c.rws.misses;
+    rw_evictions = ev c.rws;
+    pair_hits = c.pairs.hits;
+    pair_misses = c.pairs.misses;
+    pair_evictions = ev c.pairs;
     interned = c.next_id;
   }
 

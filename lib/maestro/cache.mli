@@ -1,34 +1,34 @@
-(** Launch-time analysis memoization cache.
+(** Launch-time analysis memoization: the only memo {!Prep.prepare} uses.
 
     BlockMaestro performs its dependency analysis at kernel launch time, so
     the cost must stay negligible against the ~5 µs launch overhead.  This
-    cache makes repeated preparation cheap: kernels are hash-consed by
-    structural {!Bm_analysis.Fingerprint} (alpha-equivalent kernels share
-    one interned id), and two LRU-bounded layers memoize
+    cache makes repeated launches and repeated preparation cheap.  Kernels
+    are hash-consed by structural {!Bm_analysis.Fingerprint}
+    (alpha-equivalent kernels share one interned id), and each launch is
+    interned once as (kernel id, launch configuration) ({!launch}).  Every
+    other table is keyed on those ints:
 
-    - {e per-kernel} results: the Algorithm 1 backward-slice analysis and
-      per-(kernel, launch-configuration) footprints;
-    - {e per-pair} results: the bipartite relation between a producer and
-      consumer launch, its pattern classification and encoded-storage
-      sizes, keyed by both interned kernel ids, both launch configurations
-      and the degree cap.
+    - {e per-kernel}: the Algorithm 1 backward-slice analysis, keyed on
+      the kernel id;
+    - {e per-launch}: footprints, cost profiles and read/write buffer sets
+      (plus the app's buffer layout), keyed on the launch id;
+    - {e per-column}: the TB cost model's expanded columns ({!cost}), keyed
+      on the launch id, its sequence number and the
+      {!Bm_gpu.Costmodel.params} the expansion reads;
+    - {e per-pair}: the bipartite relation between a producer and consumer
+      launch, its pattern classification and encoded-storage sizes, keyed
+      on both launch ids and the degree cap.
 
-    A third, per-launch layer memoizes the TB cost model's expanded
-    columns ({!cost}), keyed on the launch's kernel, configuration and
-    sequence number and on the {!Bm_gpu.Costmodel.params} the expansion
-    reads.  Apps whose launch order survives reordering expand each column
-    once for both reorder classes, and a memory-warm preparation expands
-    none.
+    Everything cached is a pure function of its key, so a preparation
+    through a shared cache is cycle-identical to one through a fresh
+    cache ({!Bm_oracle.Diff.check} gates this).
 
-    Everything cached is a pure function of its key, so cached and uncached
-    preparation are cycle-identical ({!Bm_oracle.Diff.check} gates this).
-
-    With [?store], a third, persistent tier sits below the LRUs: an
-    in-memory miss consults the disk-backed {!Store} (keyed by the full
-    canonical fingerprint string, so entries are valid across processes),
-    and computed values are written through.  Disk hits still count as
-    in-memory misses; the [prep.cache.disk.*] counters describe the disk
-    tier separately.
+    With [?store], a persistent tier sits below the LRUs: an in-memory miss
+    consults the disk-backed {!Store} (keyed by the full canonical
+    fingerprint string and the launch configuration, so entries are valid
+    across processes), and computed values are written through.  Disk
+    hits still count as in-memory misses; the [prep.cache.disk.*] counters
+    describe the disk tier separately.
 
     A cache is single-domain state (DESIGN §8/§9): create one per worker
     domain and never share across domains.  A {e store} directory may be
@@ -38,10 +38,10 @@
 
 type t
 
-val create : ?kernel_capacity:int -> ?pair_capacity:int -> ?store:Store.t -> unit -> t
-(** [kernel_capacity] (default 256) bounds the interned-kernel and analysis
-    tables; [pair_capacity] (default 8192) bounds each of the footprint,
-    profile, cost, rw and pair tables.  [store] attaches the persistent disk tier. *)
+val create : ?store:Store.t -> unit -> t
+(** 256 interned kernels and analyses, and 8192 entries in each per-launch
+    table, least recently used first out.  [store] attaches the persistent
+    disk tier. *)
 
 val store : t -> Store.t option
 
@@ -50,6 +50,14 @@ val kernel_id : t -> Bm_ptx.Types.kernel -> int
     kernels (same body up to register/label names, same params/grid use)
     map to the same id; ids are unique for the cache's lifetime. *)
 
+type launch
+(** An interned (kernel id, launch configuration). *)
+
+val launch : t -> Bm_ptx.Types.kernel -> Bm_analysis.Footprint.launch -> launch
+(** Intern a launch of [kernel]; equal configurations of kernels with one
+    id get one launch.  The key hashes every argument
+    ({!Bm_analysis.Footprint.hash_launch}). *)
+
 val analysis :
   t -> kid:int -> (unit -> Bm_analysis.Symeval.result) -> Bm_analysis.Symeval.result
 (** Memoized Algorithm 1 analysis for the kernel interned as [kid].
@@ -57,42 +65,27 @@ val analysis :
     first; callers that care about the name must rewrap. *)
 
 val footprint :
-  t ->
-  kid:int ->
-  fl:Bm_analysis.Footprint.launch ->
-  (unit -> Bm_analysis.Footprint.kernel_footprints) ->
+  t -> launch -> (unit -> Bm_analysis.Footprint.kernel_footprints) ->
   Bm_analysis.Footprint.kernel_footprints
 
-val profile :
-  t ->
-  kid:int ->
-  fl:Bm_analysis.Footprint.launch ->
-  (unit -> Bm_gpu.Costmodel.profile) ->
-  Bm_gpu.Costmodel.profile
+val profile : t -> launch -> (unit -> Bm_gpu.Costmodel.profile) -> Bm_gpu.Costmodel.profile
 (** Memoized launch-sequence-independent cost profile
     ({!Bm_gpu.Costmodel.profile}). *)
 
 val cost :
   t ->
-  kid:int ->
-  fl:Bm_analysis.Footprint.launch ->
+  launch ->
   seq:int ->
   params:Bm_gpu.Costmodel.params ->
   (unit -> Bm_gpu.Costmodel.t) ->
   Bm_gpu.Costmodel.t
-(** Memoized cost column: the profile of ([kid], [fl]) expanded for launch
-    [seq] under [params] ({!Bm_gpu.Costmodel.of_profile}).  Params compare
-    by bit pattern.  Every caller gets the same [Costmodel.t]; nobody
-    writes its arrays.  Memory tier only: the disk tier holds the profile
-    it expands from. *)
+(** Memoized cost column: the launch's profile expanded for launch [seq]
+    under [params] ({!Bm_gpu.Costmodel.of_profile}).  Params compare by
+    bit pattern.  Every caller gets the same [Costmodel.t]; nobody writes
+    its arrays.  Memory tier only: the disk tier holds the profile it
+    expands from. *)
 
-val rw :
-  t ->
-  kid:int ->
-  fl:Bm_analysis.Footprint.launch ->
-  buffers:(int * int * int) list ->
-  (unit -> Reorder.rw) ->
-  Reorder.rw
+val rw : t -> launch -> buffers:(int * int * int) list -> (unit -> Reorder.rw) -> Reorder.rw
 (** Memoized read/write buffer sets.  Buffer ids are app-local, so the
     app's buffer layout ([(id, base, bytes)] triples) is part of the key;
     two apps sharing a kernel but laying buffers out differently never
@@ -105,18 +98,10 @@ type pair_result = {
 }
 
 val pair :
-  t ->
-  pkid:int ->
-  pfl:Bm_analysis.Footprint.launch ->
-  ckid:int ->
-  cfl:Bm_analysis.Footprint.launch ->
-  max_degree:int ->
-  (unit -> pair_result) ->
-  pair_result
-(** Memoized producer→consumer dependency result.  The key carries both
-    launch configurations (grids included), so the Fully_connected sizes —
-    a function of parent/child TB counts — are safe to cache alongside the
-    relation. *)
+  t -> producer:launch -> consumer:launch -> max_degree:int -> (unit -> pair_result) -> pair_result
+(** Memoized producer→consumer dependency result.  Both launches carry
+    their grids, so the Fully_connected sizes — a function of
+    parent/child TB counts — are safe to cache alongside the relation. *)
 
 (** {1 Effectiveness counters} *)
 
@@ -141,6 +126,9 @@ type counters = {
   pair_evictions : int;
   interned : int;  (** distinct structural kernels ever interned *)
 }
+(** A hit is a lookup the memory tier answers, one per launch and family
+    (the footprint and rw families are also looked up by the reorder
+    pass); a miss is a value computed or read from the disk tier. *)
 
 val counters : t -> counters
 

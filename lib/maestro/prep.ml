@@ -65,161 +65,45 @@ let command_rw cmd krw =
   | Command.Kernel_launch spec -> krw spec
   | Command.Device_synchronize -> { Reorder.reads = []; writes = [] }
 
-let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) =
-  (* Two memo layers.  L1 (per call, keyed by kernel name — unique within an
-     app): apps reuse kernels across many launches (GAUSSIAN alone has 510
-     launches of 2 kernels).  L2 ([?cache], keyed by structural fingerprint,
-     shared across calls on one domain): sweeps and re-runs skip the whole
-     pipeline for kernels they have seen before, under any name. *)
-  let kids : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let kid_of kernel =
-    match cache with
-    | None -> -1
-    | Some c -> (
-      let name = kernel.Bm_ptx.Types.kname in
-      match Hashtbl.find_opt kids name with
-      | Some kid -> kid
-      | None ->
-        let kid = Cache.kernel_id c kernel in
-        Hashtbl.add kids name kid;
-        kid)
-  in
-  let results : (string, Symeval.result) Hashtbl.t = Hashtbl.create 16 in
+(* One memo: a private cache unless the caller shares one.  Apps reuse
+   kernels across many launches (GAUSSIAN alone has 510 launches of 2
+   kernels), and sweeps and re-runs reuse whole apps. *)
+let prepare ?(reorder = true) ?prof ?(cache = Cache.create ()) (cfg : Config.t)
+    (app : Command.app) =
   let analyze kernel =
-    let name = kernel.Bm_ptx.Types.kname in
-    match Hashtbl.find_opt results name with
-    | Some r -> r
-    | None ->
-      let compute () = Prof.with_span prof "analyze" (fun () -> Symeval.analyze kernel) in
-      let r =
-        match cache with
-        | None -> compute ()
-        | Some c ->
-          let r = Cache.analysis c ~kid:(kid_of kernel) compute in
-          (* The cached result may come from an alpha-twin under another
-             name; everything but the embedded kernel is identical. *)
-          if r.Symeval.kernel == kernel then r else { r with Symeval.kernel }
-      in
-      Hashtbl.add results name r;
-      r
+    let compute () = Prof.with_span prof "analyze" (fun () -> Symeval.analyze kernel) in
+    let r = Cache.analysis cache ~kid:(Cache.kernel_id cache kernel) compute in
+    (* The cached result may come from an alpha-twin under another name;
+       everything but the embedded kernel is identical. *)
+    if r.Symeval.kernel == kernel then r else { r with Symeval.kernel }
   in
-  (* Footprints are cached per (kernel, launch configuration): iterative apps
-     relaunch identical configurations hundreds of times. *)
-  let fp_cache = Hashtbl.create 64 in
-  let footprint spec fl =
-    let key = (spec.Command.kernel.Bm_ptx.Types.kname, fl) in
-    match Hashtbl.find_opt fp_cache key with
-    | Some fp -> fp
-    | None ->
-      let compute () =
-        Prof.with_span prof "footprint" (fun () -> Footprint.of_result (analyze spec.Command.kernel) fl)
-      in
-      let fp =
-        match cache with
-        | None -> compute ()
-        | Some c -> Cache.footprint c ~kid:(kid_of spec.Command.kernel) ~fl compute
-      in
-      Hashtbl.add fp_cache key fp;
-      fp
-  in
-  (* Cost profiles (per-TB instruction/memory counts) are the
-     seq-independent half of the cost model; the jitter half is applied per
-     launch below. *)
-  let params = Costmodel.params cfg in
-  let profile_memo = Hashtbl.create 64 in
-  let profile_of (spec : Command.launch_spec) fl =
-    let key = (spec.Command.kernel.Bm_ptx.Types.kname, fl) in
-    match Hashtbl.find_opt profile_memo key with
-    | Some p -> p
-    | None ->
-      let compute () =
-        Prof.with_span prof "costmodel" (fun () ->
-            Costmodel.profile (analyze spec.Command.kernel) fl)
-      in
-      let p =
-        match cache with
-        | None -> compute ()
-        | Some c -> Cache.profile c ~kid:(kid_of spec.Command.kernel) ~fl compute
-      in
-      Hashtbl.add profile_memo key p;
-      p
-  in
-  (* Read/write buffer sets per (kernel, launch configuration): computing
-     one walks the whole per-TB footprint union, so the L1 memo matters for
-     iterative apps (it is called twice per launch).  Buffer ids are only
-     meaningful relative to this app's buffer layout, so the cross-call
-     tiers key the layout too (Cache.rw). *)
-  let rw_memo = Hashtbl.create 64 in
-  let rw_of (spec : Command.launch_spec) fl fp =
-    let key = (spec.Command.kernel.Bm_ptx.Types.kname, fl) in
-    match Hashtbl.find_opt rw_memo key with
-    | Some rw -> rw
-    | None ->
-      let compute () = kernel_rw spec fp in
-      let rw =
-        match cache with
-        | None -> compute ()
-        | Some c ->
-          let buffers =
-            List.map
-              (fun (b : Command.buffer) -> (b.Command.buf_id, b.Command.base, b.Command.bytes))
-              (Command.buffers_of_args spec)
-          in
-          Cache.rw c ~kid:(kid_of spec.Command.kernel) ~fl ~buffers compute
-      in
-      Hashtbl.add rw_memo key rw;
-      rw
-  in
-  (* Producer→consumer results, same two layers.  The pair is determined by
-     both kernels and both launch configurations (grids drive the
-     Fully_connected sizes), plus the degree cap. *)
-  let pair_memo = Hashtbl.create 64 in
-  let pair_of (pspec : Command.launch_spec) pfl pfp (spec : Command.launch_spec) cfl fp =
-    let key =
-      ( pspec.Command.kernel.Bm_ptx.Types.kname,
-        pfl,
-        spec.Command.kernel.Bm_ptx.Types.kname,
-        cfl )
+  (* A launch's interned id, footprint and read/write buffer sets.  Buffer
+     ids are only meaningful relative to this app's buffer layout, so the
+     rw key carries the layout too (Cache.rw). *)
+  let launch (spec : Command.launch_spec) =
+    let fl = Command.footprint_launch spec in
+    let l = Cache.launch cache spec.Command.kernel fl in
+    let fp =
+      Cache.footprint cache l (fun () ->
+          Prof.with_span prof "footprint" (fun () ->
+              Footprint.of_result (analyze spec.Command.kernel) fl))
     in
-    match Hashtbl.find_opt pair_memo key with
-    | Some pr -> pr
-    | None ->
-      let compute () =
-        let relation =
-          Prof.with_span prof "relate" (fun () ->
-              Bipartite.relate ~max_degree:cfg.Config.max_parent_degree pfp fp)
-        in
-        let pattern = Pattern.classify relation in
-        let sizes =
-          Prof.with_span prof "encode" (fun () ->
-              Encode.measure_pair
-                ~n_parents:(Bm_ptx.Types.dim3_count pspec.Command.grid)
-                ~n_children:(Bm_ptx.Types.dim3_count spec.Command.grid)
-                relation)
-        in
-        { Cache.pr_relation = relation; pr_pattern = pattern; pr_sizes = sizes }
-      in
-      let pr =
-        match cache with
-        | None -> compute ()
-        | Some c ->
-          Cache.pair c
-            ~pkid:(kid_of pspec.Command.kernel)
-            ~pfl
-            ~ckid:(kid_of spec.Command.kernel)
-            ~cfl ~max_degree:cfg.Config.max_parent_degree compute
-      in
-      Hashtbl.add pair_memo key pr;
-      pr
+    let buffers =
+      List.map
+        (fun (b : Command.buffer) -> (b.Command.buf_id, b.Command.base, b.Command.bytes))
+        (Command.buffers_of_args spec)
+    in
+    (l, fl, fp, Cache.rw cache l ~buffers (fun () -> kernel_rw spec fp))
   in
+  let params = Costmodel.params cfg in
   (* Reorder (or keep) the command stream. *)
   let original = Array.of_list app.Command.commands in
   let rws =
     Array.map
       (fun c ->
         command_rw c (fun spec ->
-            let fl = Command.footprint_launch spec in
-            rw_of spec fl (footprint spec fl)))
+            let _, _, _, rw = launch spec in
+            rw))
       original
   in
   let final =
@@ -239,7 +123,7 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
   (* Per-stream predecessor tracking: dependencies are only enforced (and
      in-order completion only required) within a stream. *)
   let stream_prev :
-      (int, int * Footprint.kernel_footprints * Command.launch_spec * Footprint.launch) Hashtbl.t =
+      (int, int * Cache.launch * Footprint.launch * Footprint.kernel_footprints) Hashtbl.t =
     Hashtbl.create 4
   in
   Array.iteri
@@ -251,33 +135,46 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
         d2h_wait.(ci) <- Hashtbl.find_opt last_writer b.Command.buf_id
       | Command.Kernel_launch spec ->
         let result = analyze spec.Command.kernel in
-        let fl = Command.footprint_launch spec in
-        let fp = footprint spec fl in
-        let rw = rw_of spec fl fp in
+        let l, fl, fp, rw = launch spec in
         let prev = Hashtbl.find_opt stream_prev spec.Command.stream in
         let relation, pattern, sizes =
           match prev with
           | None ->
             (Bipartite.Independent, Pattern.classify Bipartite.Independent,
              Encode.measure Bipartite.Independent)
-          | Some (_, pfp, pspec, pfl) ->
-            let pr = pair_of pspec pfl pfp spec fl fp in
+          | Some (_, pl, pfl, pfp) ->
+            (* Fixed by both kernels, both launch configurations (grids
+               drive the Fully_connected sizes) and the degree cap. *)
+            let max_degree = cfg.Config.max_parent_degree in
+            let pr =
+              Cache.pair cache ~producer:pl ~consumer:l ~max_degree (fun () ->
+                  let relation =
+                    Prof.with_span prof "relate" (fun () -> Bipartite.relate ~max_degree pfp fp)
+                  in
+                  let sizes =
+                    Prof.with_span prof "encode" (fun () ->
+                        Encode.measure_pair ~n_parents:(Footprint.tb_count pfl)
+                          ~n_children:(Footprint.tb_count fl) relation)
+                  in
+                  let pattern = Pattern.classify relation in
+                  { Cache.pr_relation = relation; pr_pattern = pattern; pr_sizes = sizes })
+            in
             (pr.Cache.pr_relation, pr.Cache.pr_pattern, pr.Cache.pr_sizes)
         in
-        let profile = profile_of spec fl in
+        (* Cost profiles (per-TB instruction/memory counts) are the
+           seq-independent half of the cost model; the column expanding
+           one is keyed on the launch sequence number too, so it repeats
+           across calls (and across reorder classes that keep the launch
+           order), never within one. *)
+        let profile =
+          Cache.profile cache l (fun () ->
+              Prof.with_span prof "costmodel" (fun () -> Costmodel.profile result fl))
+        in
+        let kernel_seq = !seq in
         let cost =
-          (* The expansion is keyed on the launch sequence number too, so
-             it repeats across calls (and across reorder classes that keep
-             the launch order), never within one. *)
-          let kernel_seq = !seq in
-          let compute () =
-            Prof.with_span prof "costmodel" (fun () ->
-                Costmodel.of_profile params ~kernel_seq profile)
-          in
-          match cache with
-          | None -> compute ()
-          | Some c ->
-            Cache.cost c ~kid:(kid_of spec.Command.kernel) ~fl ~seq:kernel_seq ~params compute
+          Cache.cost cache l ~seq:kernel_seq ~params (fun () ->
+              Prof.with_span prof "costmodel" (fun () ->
+                  Costmodel.of_profile params ~kernel_seq profile))
         in
         let copy_deps =
           List.filter_map (fun buf_id -> Hashtbl.find_opt pending_h2d buf_id) rw.Reorder.reads
@@ -287,7 +184,7 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
         launches :=
           {
             li_seq = !seq;
-            li_prev = (match prev with Some (p, _, _, _) -> Some p | None -> None);
+            li_prev = Option.map (fun (p, _, _, _) -> p) prev;
             li_spec = spec;
             li_result = result;
             li_fp = fp;
@@ -300,7 +197,7 @@ let prepare ?(reorder = true) ?prof ?cache (cfg : Config.t) (app : Command.app) 
             li_copy_deps = copy_deps;
           }
           :: !launches;
-        Hashtbl.replace stream_prev spec.Command.stream (!seq, fp, spec, fl);
+        Hashtbl.replace stream_prev spec.Command.stream (!seq, l, fl, fp);
         incr seq)
     final;
   {

@@ -15,9 +15,9 @@ type launch_info = {
   li_fp : Bm_analysis.Footprint.kernel_footprints;
   li_profile : Bm_gpu.Costmodel.profile;       (** what [li_cost] expands from *)
   li_cost : Bm_gpu.Costmodel.t;
-      (** [Costmodel.of_profile] of [li_profile] at [li_seq]; with a
-          [?cache], shared with every other preparation of the same
-          launch and never written *)
+      (** [Costmodel.of_profile] of [li_profile] at [li_seq]; shared with
+          every other preparation of the same launch through the same
+          cache, and never written *)
   li_tbs : int;
   li_relation : Bm_depgraph.Bipartite.relation;
       (** with the previous launch in the same stream; [Independent] for a
@@ -55,11 +55,12 @@ val prepare :
     footprint reused across relaunches) only charge their first
     computation.
 
-    [cache] memoizes analysis, footprint, profile, cost-column and pair
-    results across [prepare] calls by structural kernel fingerprint
-    ({!Cache}); results are
-    cycle-identical with and without it.  The cache is single-domain
-    state — pass one cache per worker domain, never a shared one. *)
+    [cache] memoizes analysis, footprint, profile, cost-column, rw and
+    pair results by structural kernel fingerprint and launch
+    configuration ({!Cache}), within the call and across calls that share
+    it.  Omitted, the call uses a private cache of its own; results are
+    cycle-identical either way.  The cache is single-domain state — pass
+    one cache per worker domain, never a shared one. *)
 
 val with_relation : t -> seq:int -> Bm_depgraph.Bipartite.relation -> t
 (** Replace the dependency relation of launch [seq] (with its predecessor).

@@ -717,6 +717,22 @@ let test_whole_mixed_lengths () =
     [ "[0..7 /1]"; "[8..15 /1]"; "[16..19 /1]" ]
     (List.map I.to_string w.Footprint.freads)
 
+(* Every distinct launch configuration of a suite app hashes apart.  The
+   polymorphic [Hashtbl.hash] sees only the grid, the block and the first
+   argument, and puts LUD's 46 configurations in 4 values, FFT's 25 in 3
+   and GRAMSCHM's 192 in 65. *)
+let test_hash_launch_suite () =
+  List.iter
+    (fun (name, configs) ->
+      let launches =
+        List.sort_uniq compare
+          (List.map Command.footprint_launch (Command.launches (Bm_workloads.Suite.by_name name ())))
+      in
+      Alcotest.(check int) (name ^ ": distinct configurations") configs (List.length launches);
+      Alcotest.(check int) (name ^ ": distinct hashes") configs
+        (List.length (List.sort_uniq compare (List.map Footprint.hash_launch launches))))
+    [ ("LUD", 46); ("FFT", 25); ("GRAMSCHM", 192) ]
+
 let staged_suite =
   [
     Alcotest.test_case "staged footprints: suite = reference" `Quick test_staged_suite_reference;
@@ -727,6 +743,8 @@ let staged_suite =
     Alcotest.test_case "staged footprints: exception precedence" `Quick test_staged_exception_precedence;
     Alcotest.test_case "staged footprints: invariants shared" `Quick test_staged_shares_invariants;
     Alcotest.test_case "footprint: whole with mixed lengths" `Quick test_whole_mixed_lengths;
+    Alcotest.test_case "footprint: hash_launch separates suite launches" `Quick
+      test_hash_launch_suite;
   ]
 
 let suite = suite @ staged_suite

@@ -415,6 +415,38 @@ let test_cache_genapp_sweep () =
       (Runner.simulate_all ~cfg ~cache app)
   done
 
+(* Two distinct kernels under one name in one app: the stencil launch
+   must get its own analysis (an overlapped relation with the map, its
+   own cost column), with or without a cache, exactly as if it had a
+   name of its own. *)
+let test_cache_same_name_kernels () =
+  let app name =
+    template_pair "dup" (Templates.map1 ~name:"k" ~work:2) (Templates.stencil1d ~name ~halo:1 ~work:2)
+  in
+  let view (p : Prep.t) =
+    ( Array.map
+        (fun (li : Prep.launch_info) ->
+          ( li.Prep.li_relation,
+            li.Prep.li_pattern,
+            Array.map Int64.bits_of_float li.Prep.li_cost.Bm_gpu.Costmodel.tb_us ))
+        p.Prep.p_launches,
+      Int64.bits_of_float (Sim.run cfg Mode.Producer_priority p).Bm_gpu.Stats.total_us )
+  in
+  let expected = view (Prep.prepare cfg (app "k_stencil")) in
+  let _, pattern, _ = (fst expected).(1) in
+  Alcotest.(check string) "the stencil's pattern" (Pattern.name Pattern.Overlapped)
+    (Pattern.name pattern);
+  let shared = Cache.create () in
+  ignore (Prep.prepare ~cache:shared cfg (app "k_stencil"));
+  List.iter
+    (fun (label, prep) ->
+      Alcotest.(check bool) label true (view (prep (app "k")) = expected))
+    [
+      ("no cache", Prep.prepare cfg);
+      ("shared cache", Prep.prepare ~cache:shared cfg);
+      ("shared cache, again", Prep.prepare ~cache:shared cfg);
+    ]
+
 let suite =
   [
     Alcotest.test_case "diff: 50 random apps x all modes" `Slow test_diff_random;
@@ -439,4 +471,5 @@ let suite =
     Alcotest.test_case "diff: host-blocking copies, 30 random apps x all modes" `Slow
       test_diff_host_blocking_random;
     Alcotest.test_case "cache: cost columns keyed on cost params" `Quick test_cache_cost_key;
+    Alcotest.test_case "cache: two kernels under one name" `Quick test_cache_same_name_kernels;
   ]
