@@ -289,7 +289,7 @@ let run_deadlines () =
    (1) Warm-cache preparation of the 116-launch wavefront chain must hit
    on every lookup and allocate no more than cold preparation.  (2) A
    Sim.run of the GAUSSIAN reference workload must stay under a committed
-   minor-heap ceiling (it allocates 283,500 words: the per-TB timing
+   minor-heap ceiling (it allocates 193,555 words: the per-TB timing
    arrays become the Stats columns uncopied, and dependency traffic reads
    the schedule's encoded sizes).  (3) Replaying a captured graph does no preparation
    at all, so it must allocate no more than warm prepare + Sim.run.

@@ -47,20 +47,15 @@ let collect_app ?cache_dir cfg modes (name, gen) =
   let app = Prof.span prof "build" gen in
   (* The two reordering variants share their preparation, like
      Runner.simulate_all; both charge the same "prepare" span. *)
-  let prep_plain =
-    lazy (Prof.span prof "prepare" (fun () -> Prep.prepare ~reorder:false ~prof ~cache cfg app))
-  in
-  let prep_reordered =
-    lazy (Prof.span prof "prepare" (fun () -> Prep.prepare ~reorder:true ~prof ~cache cfg app))
+  let prep =
+    Mode.by_class (fun ~reorder ->
+        Prof.span prof "prepare" (fun () -> Prep.prepare ~reorder ~prof ~cache cfg app))
   in
   let runs =
     List.map
       (fun mode ->
-        let prep =
-          if Mode.reorders mode then Lazy.force prep_reordered else Lazy.force prep_plain
-        in
         let metrics = Metrics.create () in
-        let stats = Prof.span prof "simulate" (fun () -> Sim.run ~metrics cfg mode prep) in
+        let stats = Prof.span prof "simulate" (fun () -> Sim.run ~metrics cfg mode (prep mode)) in
         (mode, metrics, stats))
       modes
   in

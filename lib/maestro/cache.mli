@@ -126,9 +126,9 @@ type counters = {
   pair_evictions : int;
   interned : int;  (** distinct structural kernels ever interned *)
 }
-(** A hit is a lookup the memory tier answers, one per launch and family
-    (the footprint and rw families are also looked up by the reorder
-    pass); a miss is a value computed or read from the disk tier. *)
+(** A hit is a lookup the memory tier answers, at most one per launch
+    and family in each {!Prep.prepare}; a miss is a value computed or
+    read from the disk tier. *)
 
 val counters : t -> counters
 

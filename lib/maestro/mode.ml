@@ -21,6 +21,10 @@ let reorders = function
   | Baseline | Ideal -> false
   | Prelaunch_only | Producer_priority | Consumer_priority _ | Deadline_edf _ -> true
 
+let by_class f =
+  let plain = lazy (f ~reorder:false) and reordered = lazy (f ~reorder:true) in
+  fun mode -> Lazy.force (if reorders mode then reordered else plain)
+
 let serial_commands = function
   | Baseline | Ideal -> true
   | Prelaunch_only | Producer_priority | Consumer_priority _ | Deadline_edf _ -> false

@@ -37,6 +37,12 @@ val fine_grain : t -> bool
 val reorders : t -> bool
 (** Whether the command queue is reordered and sync APIs bypassed. *)
 
+val by_class : (reorder:bool -> 'a) -> t -> 'a
+(** [by_class f] selects by reorder class: applied to a mode, it returns
+    [f ~reorder:(reorders mode)], computing each class at most once across
+    every mode it is applied to.  Modes of one class share one
+    preparation this way. *)
+
 val serial_commands : t -> bool
 (** Whether each command waits for all previous commands (baseline stream
     semantics). *)

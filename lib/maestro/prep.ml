@@ -57,14 +57,6 @@ let kernel_rw spec fp =
     in
     { Reorder.reads = ids_of whole.Footprint.freads; writes = ids_of whole.Footprint.fwrites }
 
-let command_rw cmd krw =
-  match cmd with
-  | Command.Malloc b -> { Reorder.reads = []; writes = [ b.Command.buf_id ] }
-  | Command.Memcpy_h2d b -> { Reorder.reads = []; writes = [ b.Command.buf_id ] }
-  | Command.Memcpy_d2h b -> { Reorder.reads = [ b.Command.buf_id ]; writes = [] }
-  | Command.Kernel_launch spec -> krw spec
-  | Command.Device_synchronize -> { Reorder.reads = []; writes = [] }
-
 (* One memo: a private cache unless the caller shares one.  Apps reuse
    kernels across many launches (GAUSSIAN alone has 510 launches of 2
    kernels), and sweeps and re-runs reuse whole apps. *)
@@ -77,42 +69,41 @@ let prepare ?(reorder = true) ?prof ?(cache = Cache.create ()) (cfg : Config.t)
        everything but the embedded kernel is identical. *)
     if r.Symeval.kernel == kernel then r else { r with Symeval.kernel }
   in
-  (* A launch's interned id, footprint and read/write buffer sets.  Buffer
-     ids are only meaningful relative to this app's buffer layout, so the
-     rw key carries the layout too (Cache.rw). *)
-  let launch (spec : Command.launch_spec) =
-    let fl = Command.footprint_launch spec in
-    let l = Cache.launch cache spec.Command.kernel fl in
-    let fp =
-      Cache.footprint cache l (fun () ->
-          Prof.with_span prof "footprint" (fun () ->
-              Footprint.of_result (analyze spec.Command.kernel) fl))
-    in
-    let buffers =
-      List.map
-        (fun (b : Command.buffer) -> (b.Command.buf_id, b.Command.base, b.Command.bytes))
-        (Command.buffers_of_args spec)
-    in
-    (l, fl, fp, Cache.rw cache l ~buffers (fun () -> kernel_rw spec fp))
+  (* Resolve each command once, in program order, to its read/write buffer
+     sets and, for a launch, its analysis, interned id and footprint.
+     Buffer ids are only meaningful relative to this app's buffer layout,
+     so the rw key carries the layout too (Cache.rw). *)
+  let memop reads writes = ({ Reorder.reads; writes }, None) in
+  let resolve = function
+    | Command.Malloc b | Command.Memcpy_h2d b -> memop [] [ b.Command.buf_id ]
+    | Command.Memcpy_d2h b -> memop [ b.Command.buf_id ] []
+    | Command.Device_synchronize -> memop [] []
+    | Command.Kernel_launch spec ->
+      let result = analyze spec.Command.kernel in
+      let fl = Command.footprint_launch spec in
+      let l = Cache.launch cache spec.Command.kernel fl in
+      let fp =
+        Cache.footprint cache l (fun () ->
+            Prof.with_span prof "footprint" (fun () -> Footprint.of_result result fl))
+      in
+      let buffers =
+        List.map
+          (fun (b : Command.buffer) -> (b.Command.buf_id, b.Command.base, b.Command.bytes))
+          (Command.buffers_of_args spec)
+      in
+      (Cache.rw cache l ~buffers (fun () -> kernel_rw spec fp), Some (spec, result, l, fl, fp))
   in
   let params = Costmodel.params cfg in
-  (* Reorder (or keep) the command stream. *)
   let original = Array.of_list app.Command.commands in
-  let rws =
-    Array.map
-      (fun c ->
-        command_rw c (fun spec ->
-            let _, _, _, rw = launch spec in
-            rw))
-      original
-  in
-  let final =
+  let resolved = Array.map resolve original in
+  (* Reorder (or keep) the command stream, as indices into [original]. *)
+  let order =
     if reorder then
       Prof.with_span prof "reorder" (fun () ->
-          Array.of_list (Reorder.reorder (Array.map2 (fun c rw -> (c, rw)) original rws)))
-    else original
+          Reorder.reorder (Array.map2 (fun c (rw, _) -> (c, rw)) original resolved))
+    else Array.init (Array.length original) Fun.id
   in
-  let n = Array.length final in
+  let n = Array.length order in
   (* Walk the final order: build launch infos, H2D gating, D2H gating. *)
   let launches = ref [] in
   let kernel_of_cmd = Array.make n (-1) in
@@ -127,15 +118,13 @@ let prepare ?(reorder = true) ?prof ?(cache = Cache.create ()) (cfg : Config.t)
     Hashtbl.create 4
   in
   Array.iteri
-    (fun ci cmd ->
-      match cmd with
-      | Command.Malloc _ | Command.Device_synchronize -> ()
-      | Command.Memcpy_h2d b -> Hashtbl.replace pending_h2d b.Command.buf_id ci
-      | Command.Memcpy_d2h b ->
+    (fun ci oi ->
+      match (original.(oi), resolved.(oi)) with
+      | Command.Memcpy_h2d b, _ -> Hashtbl.replace pending_h2d b.Command.buf_id ci
+      | Command.Memcpy_d2h b, _ ->
         d2h_wait.(ci) <- Hashtbl.find_opt last_writer b.Command.buf_id
-      | Command.Kernel_launch spec ->
-        let result = analyze spec.Command.kernel in
-        let l, fl, fp, rw = launch spec in
+      | _, (_, None) -> ()
+      | _, (rw, Some (spec, result, l, fl, fp)) ->
         let prev = Hashtbl.find_opt stream_prev spec.Command.stream in
         let relation, pattern, sizes =
           match prev with
@@ -199,9 +188,9 @@ let prepare ?(reorder = true) ?prof ?(cache = Cache.create ()) (cfg : Config.t)
           :: !launches;
         Hashtbl.replace stream_prev spec.Command.stream (!seq, l, fl, fp);
         incr seq)
-    final;
+    order;
   {
-    p_commands = final;
+    p_commands = Array.map (Array.get original) order;
     p_launches = Array.of_list (List.rev !launches);
     p_kernel_of_cmd = kernel_of_cmd;
     p_d2h_wait = d2h_wait;

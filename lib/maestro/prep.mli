@@ -37,8 +37,6 @@ type t = {
 val kernel_rw : Bm_gpu.Command.launch_spec -> Bm_analysis.Footprint.kernel_footprints -> Reorder.rw
 (** Buffer-granularity read/write sets of a launch, for reordering. *)
 
-val command_rw : Bm_gpu.Command.t -> (Bm_gpu.Command.launch_spec -> Reorder.rw) -> Reorder.rw
-
 val prepare :
   ?reorder:bool ->
   ?prof:Bm_metrics.Prof.t ->
@@ -48,11 +46,16 @@ val prepare :
   t
 (** Analyze and (when [reorder], default true) reorder the app.
 
+    Each launch is resolved once, in program order — analysis, interned
+    launch, footprint and read/write sets — and the walk over the final
+    order reuses that, so a call looks each launch up once per {!Cache}
+    family.
+
     [prof] records wall-clock spans for the pipeline stages — [analyze]
     (PTX symbolic evaluation), [footprint], [reorder], [relate] (bipartite
-    graph construction), [encode] and [costmodel] — nested under whatever
-    span the caller has open.  Cached stages (a kernel analyzed once, a
-    footprint reused across relaunches) only charge their first
+    graph construction), [encode] and [costmodel] — each directly under
+    whatever span the caller has open.  Cached stages (a kernel analyzed
+    once, a footprint reused across relaunches) only charge their first
     computation.
 
     [cache] memoizes analysis, footprint, profile, cost-column, rw and

@@ -49,56 +49,27 @@ let dependencies rws =
   done;
   !edges
 
+(* Command [i] leaves in phase [phase.(i)]: the count of kernels that must
+   leave before it.  A kernel's phase is its rank, so kernels leave in
+   program order; a memory operation's is the latest phase among its
+   predecessors.  Edges run forward and come sorted by target, so one pass
+   settles every phase, and a kernel's predecessors all sit in earlier
+   phases: once a phase's memory operations are out, the next kernel is
+   ready.  Each phase opens with its kernel, then its memory operations in
+   index order — what draining every ready memory operation before the
+   next kernel emits. *)
 let reorder commands =
-  let keep =
-    Array.to_list commands
-    |> List.filter (fun (c, _) -> match c with Command.Device_synchronize -> false | _ -> true)
-    |> Array.of_list
-  in
-  let n = Array.length keep in
-  let rws = Array.map snd keep in
-  let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
+  let n = Array.length commands in
+  let is_kernel i = match fst commands.(i) with Command.Kernel_launch _ -> true | _ -> false in
+  let rank = ref 0 in
+  let phase = Array.init n (fun i -> if is_kernel i then (incr rank; !rank) else 0) in
   List.iter
     (fun (i, j) ->
-      indeg.(j) <- indeg.(j) + 1;
-      succs.(i) <- j :: succs.(i))
-    (dependencies rws);
-  let emitted = Array.make n false in
-  let out = ref [] in
-  let emit i =
-    emitted.(i) <- true;
-    out := fst keep.(i) :: !out;
-    List.iter (fun j -> indeg.(j) <- indeg.(j) - 1) succs.(i)
-  in
-  let is_kernel i = match fst keep.(i) with Command.Kernel_launch _ -> true | _ -> false in
-  let remaining = ref n in
-  while !remaining > 0 do
-    (* Drain every ready non-kernel command. *)
-    let progressed = ref true in
-    while !progressed do
-      progressed := false;
-      for i = 0 to n - 1 do
-        if (not emitted.(i)) && indeg.(i) = 0 && not (is_kernel i) then begin
-          emit i;
-          decr remaining;
-          progressed := true
-        end
-      done
-    done;
-    (* Then the first ready kernel, preserving kernel order. *)
-    let k = ref (-1) in
-    for i = n - 1 downto 0 do
-      if (not emitted.(i)) && indeg.(i) = 0 && is_kernel i then k := i
-    done;
-    if !k >= 0 then begin
-      emit !k;
-      decr remaining
-    end
-    else if !remaining > 0 then begin
-      (* No ready command at all would mean a dependency cycle, which is
-         impossible for edges i < j. *)
-      assert (!remaining = 0)
-    end
-  done;
-  List.rev !out
+      if is_kernel j then assert (phase.(i) < phase.(j))
+      else phase.(j) <- max phase.(j) phase.(i))
+    (dependencies (Array.map snd commands));
+  let key i = (2 * phase.(i)) + if is_kernel i then 0 else 1 in
+  List.init n Fun.id
+  |> List.filter (fun i -> match fst commands.(i) with Command.Device_synchronize -> false | _ -> true)
+  |> List.stable_sort (fun i j -> Int.compare (key i) (key j))
+  |> Array.of_list

@@ -10,14 +10,8 @@ let simulate ?(cfg = Config.titan_x_pascal) ?metrics ?prof ?cache ?trace mode ap
   Sim.run ?metrics ?trace cfg mode (prepare ~cfg ?prof ?cache mode app)
 
 let simulate_all ?(cfg = Config.titan_x_pascal) ?(modes = Mode.all_fig9) ?cache app =
-  (* The two reordering variants share their preparation. *)
-  let prep_plain = lazy (Prep.prepare ~reorder:false ?cache cfg app) in
-  let prep_reordered = lazy (Prep.prepare ~reorder:true ?cache cfg app) in
-  List.map
-    (fun mode ->
-      let prep = if Mode.reorders mode then Lazy.force prep_reordered else Lazy.force prep_plain in
-      (mode, Sim.run cfg mode prep))
-    modes
+  let prep = Mode.by_class (fun ~reorder -> Prep.prepare ~reorder ?cache cfg app) in
+  List.map (fun mode -> (mode, Sim.run cfg mode (prep mode))) modes
 
 let deadline ?(cfg = Config.titan_x_pascal) ?metrics ?cache ?(optimistic_bound = false)
     ~deadline_us mode app =

@@ -52,14 +52,11 @@ let diff_stats (s : Stats.t) (r : Stats.t) =
 let check ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known) ?cache ?window_bug app
     =
   (* The two reorder classes share one preparation each, like Runner. *)
-  let prep_plain = lazy (Prep.prepare ~reorder:false ?cache cfg app) in
-  let prep_reordered = lazy (Prep.prepare ~reorder:true ?cache cfg app) in
+  let prep = Mode.by_class (fun ~reorder -> Prep.prepare ~reorder ?cache cfg app) in
   let mms =
     List.filter_map
       (fun mode ->
-        let prep =
-          if Mode.reorders mode then Lazy.force prep_reordered else Lazy.force prep_plain
-        in
+        let prep = prep mode in
         let ref_ = (Refsched.run ?window_bug cfg mode [| prep |]).(0) in
         match diff_stats (Sim.run cfg mode prep) ref_ with
         | [] -> None
@@ -102,12 +99,11 @@ let check_corun ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known
   in
   (* Preparation never reads the SM count, so one preparation per reorder
      class serves every spatial policy. *)
-  let plain = lazy (Array.map (fun app -> Prep.prepare ~reorder:false ?cache cfg app) apps) in
-  let reord = lazy (Array.map (fun app -> Prep.prepare ~reorder:true ?cache cfg app) apps) in
+  let preps = Mode.by_class (fun ~reorder -> Array.map (Prep.prepare ~reorder ?cache cfg) apps) in
   let mms =
     List.concat_map
       (fun mode ->
-        let preps = if Mode.reorders mode then Lazy.force reord else Lazy.force plain in
+        let preps = preps mode in
         List.concat_map
           (fun spatial ->
             (* Partitioned slices never contend for admission, so one

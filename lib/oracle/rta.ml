@@ -34,14 +34,11 @@ let check_app ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known)
     ?(optimistic_bound = false) ?cache ~name app =
   (* Shared preparations and one decoded capture across the sweep, like
      Diff.check. *)
-  let prep_plain = lazy (Prep.prepare ~reorder:false ?cache cfg app) in
-  let prep_reordered = lazy (Prep.prepare ~reorder:true ?cache cfg app) in
+  let prep = Mode.by_class (fun ~reorder -> Prep.prepare ~reorder ?cache cfg app) in
   let graph = lazy (decoded (Graph.capture ?cache cfg app)) in
   List.concat_map
     (fun mode ->
-      let prep =
-        if Mode.reorders mode then Lazy.force prep_reordered else Lazy.force prep_plain
-      in
+      let prep = prep mode in
       List.map
         (fun leg ->
           let observed, bound =

@@ -56,38 +56,25 @@ let test_reorder_hoists_memops () =
       (k2, rw [ 1 ] [ 2 ]);
     |]
   in
-  let out = Reorder.reorder cmds in
-  let kernel_positions =
-    List.filteri (fun _ c -> match c with Command.Kernel_launch _ -> true | _ -> false) out
-  in
-  Alcotest.(check int) "both kernels kept" 2 (List.length kernel_positions);
-  (* The two kernels must now be adjacent at the end. *)
-  let rec last_two = function
-    | [ x; y ] -> (x, y)
-    | _ :: rest -> last_two rest
-    | [] -> Alcotest.fail "empty"
-  in
-  let x, y = last_two out in
-  let is_kernel = function Command.Kernel_launch _ -> true | _ -> false in
-  Alcotest.(check bool) "kernels adjacent" true (is_kernel x && is_kernel y)
+  Alcotest.(check (array int)) "memory ops first, kernels adjacent at the end" [| 0; 1; 3; 4; 2; 5 |]
+    (Reorder.reorder cmds)
 
 let test_reorder_drops_sync () =
   let a = buf 0 in
   let cmds =
     [| (Command.Malloc a, rw [] [ 0 ]); (Command.Device_synchronize, rw [] []) |]
   in
-  Alcotest.(check int) "sync dropped" 1 (List.length (Reorder.reorder cmds))
+  Alcotest.(check (array int)) "sync dropped" [| 0 |] (Reorder.reorder cmds)
 
 let test_reorder_preserves_kernel_order () =
   let a = buf 0 and b = buf 1 and c = buf 2 in
   let k1 = launch_cmd a b and k2 = launch_cmd a c in
   (* Independent kernels: order must still be preserved. *)
   let cmds = [| (k1, rw [ 0 ] [ 1 ]); (k2, rw [ 0 ] [ 2 ]) |] in
-  let out = Reorder.reorder cmds in
-  Alcotest.(check bool) "k1 before k2" true (out = [ k1; k2 ])
+  Alcotest.(check (array int)) "k1 before k2" [| 0; 1 |] (Reorder.reorder cmds)
 
 let prop_reorder_preserves_hazards =
-  (* Any pair of commands with a hazard keeps its relative order. *)
+  (* Every command leaves exactly once. *)
   QCheck2.Test.make ~name:"reordering preserves every RAW/WAR/WAW pair" ~count:200
     QCheck2.Gen.(list_size (int_range 1 12) (pair (int_range 0 3) (pair (int_range 0 3) bool)))
     (fun specs ->
@@ -101,36 +88,25 @@ let prop_reorder_preserves_hazards =
           specs
         |> Array.of_list
       in
-      let out = Reorder.reorder cmds in
-      (* Tag commands with their original index via physical equality of the
-         array cells; commands may repeat, so compare multisets and check
-         hazard order using the original rw list. *)
-      List.length out = Array.length cmds
-      &&
-      let order = Array.map (fun (c, _) -> List.length (List.filter (fun x -> x == c) out)) cmds in
-      Array.for_all (fun n -> n = 1) order)
+      let out = Array.copy (Reorder.reorder cmds) in
+      Array.sort compare out;
+      out = Array.init (Array.length cmds) Fun.id)
 
 let prop_reorder_hazard_pairs_ordered =
   QCheck2.Test.make ~name:"hazardous pairs keep relative order" ~count:200
     QCheck2.Gen.(list_size (int_range 2 10) (pair (int_range 0 2) (int_range 0 2)))
     (fun specs ->
-      (* Build distinct physical commands so we can find them again. *)
       let cmds =
-        List.map
-          (fun (r, w) ->
-            (Command.Memcpy_h2d { Command.buf_id = 100 + r + w; base = 0; bytes = r + (10 * w) + 1 },
-             rw [ r ] [ w ]))
-          specs
+        List.map (fun (r, w) -> (Command.Memcpy_h2d (buf (r + w)), rw [ r ] [ w ])) specs
         |> Array.of_list
       in
-      let out = Array.of_list (Reorder.reorder (Array.map (fun (c, x) -> (c, x)) cmds)) in
-      let pos c = ref (-1) |> fun p -> (Array.iteri (fun i x -> if x == c then p := i) out; !p) in
+      let pos = Array.make (Array.length cmds) (-1) in
+      Array.iteri (fun p i -> pos.(i) <- p) (Reorder.reorder cmds);
       let ok = ref true in
       Array.iteri
-        (fun i (ci, rwi) ->
+        (fun i (_, rwi) ->
           Array.iteri
-            (fun j (cj, rwj) ->
-              if i < j && Reorder.conflicts rwi rwj && pos ci > pos cj then ok := false)
+            (fun j (_, rwj) -> if i < j && Reorder.conflicts rwi rwj && pos.(i) > pos.(j) then ok := false)
             cmds)
         cmds;
       !ok)
@@ -572,3 +548,110 @@ let edge_suite =
   ]
 
 let suite = suite @ edge_suite
+
+(* --- one-pass preparation ----------------------------------------------- *)
+
+(* The rescanning schedule [Reorder.reorder] replaced, kept as its
+   reference: drain every ready memory operation, rescanning until none is
+   left, then emit the first ready kernel, and repeat.  Input indices. *)
+let reference_reorder commands =
+  let keep =
+    List.init (Array.length commands) Fun.id
+    |> List.filter (fun i -> match fst commands.(i) with Command.Device_synchronize -> false | _ -> true)
+    |> Array.of_list
+  in
+  let n = Array.length keep in
+  let indeg = Array.make n 0 and succs = Array.make n [] in
+  List.iter
+    (fun (i, j) ->
+      indeg.(j) <- indeg.(j) + 1;
+      succs.(i) <- j :: succs.(i))
+    (Reorder.dependencies (Array.map (fun i -> snd commands.(i)) keep));
+  let emitted = Array.make n false and out = ref [] in
+  let emit i =
+    emitted.(i) <- true;
+    out := keep.(i) :: !out;
+    List.iter (fun j -> indeg.(j) <- indeg.(j) - 1) succs.(i)
+  in
+  let ready i = (not emitted.(i)) && indeg.(i) = 0 in
+  let is_kernel i = match fst commands.(keep.(i)) with Command.Kernel_launch _ -> true | _ -> false in
+  let rec phase () =
+    let progressed = ref true in
+    while !progressed do
+      progressed := false;
+      for i = 0 to n - 1 do
+        if ready i && not (is_kernel i) then begin
+          emit i;
+          progressed := true
+        end
+      done
+    done;
+    match List.find_opt (fun i -> ready i && is_kernel i) (List.init n Fun.id) with
+    | Some k ->
+      emit k;
+      phase ()
+    | None -> ()
+  in
+  phase ();
+  Array.of_list (List.rev !out)
+
+let prop_reorder_matches_reference =
+  let stream =
+    QCheck2.Gen.(
+      let b = int_range 0 3 in
+      let bufs = list_size (int_range 0 2) b in
+      list_size (int_range 0 24)
+        (frequency
+           [
+             (3, map2 (fun r w -> (launch_cmd (buf 0) (buf 1), rw r w)) bufs bufs);
+             (2, map (fun i -> (Command.Malloc (buf i), rw [] [ i ])) b);
+             (2, map (fun i -> (Command.Memcpy_h2d (buf i), rw [] [ i ])) b);
+             (2, map (fun i -> (Command.Memcpy_d2h (buf i), rw [ i ] [])) b);
+             (1, pure (Command.Device_synchronize, rw [] []));
+           ]))
+  in
+  let print cmds =
+    let ids l = String.concat "," (List.map string_of_int l) in
+    String.concat "; "
+      (List.map
+         (fun (c, r) ->
+           let kind =
+             match c with
+             | Command.Kernel_launch _ -> "K"
+             | Command.Malloc _ -> "M"
+             | Command.Memcpy_h2d _ -> "H"
+             | Command.Memcpy_d2h _ -> "D"
+             | Command.Device_synchronize -> "S"
+           in
+           Printf.sprintf "%s r[%s] w[%s]" kind (ids r.Reorder.reads) (ids r.Reorder.writes))
+         cmds)
+  in
+  QCheck2.Test.make ~name:"reorder: rescanning reference order" ~count:2000 ~long_factor:10 ~print
+    stream
+    (fun cmds ->
+      let cmds = Array.of_list cmds in
+      Reorder.reorder cmds = reference_reorder cmds)
+
+let test_prep_resolves_each_launch_once () =
+  (* LUD's 46 launches are 46 distinct configurations: one preparation
+     against a fresh cache computes each footprint and rw-set once and
+     finds none twice; an identical second call finds each exactly once. *)
+  let module Cache = Bm_maestro.Cache in
+  let cache = Cache.create () in
+  let app = Bm_workloads.Suite.by_name "LUD" () in
+  let counts () =
+    let c = Cache.counters cache in
+    [ c.Cache.footprint_hits; c.Cache.footprint_misses; c.Cache.rw_hits; c.Cache.rw_misses ]
+  in
+  ignore (Prep.prepare ~reorder:true ~cache cfg app);
+  Alcotest.(check (list int)) "first call: footprint hits, misses; rw hits, misses" [ 0; 46; 0; 46 ]
+    (counts ());
+  ignore (Prep.prepare ~reorder:true ~cache cfg app);
+  Alcotest.(check (list int)) "second call adds one hit per launch" [ 46; 46; 46; 46 ] (counts ())
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_reorder_matches_reference;
+      Alcotest.test_case "prep: one resolution per launch" `Quick test_prep_resolves_each_launch_once;
+    ]
