@@ -17,10 +17,9 @@
    (per-app x mode simulated cycles, speedups, DLB/PCB high-water marks,
    memory overhead, host-pipeline wall-clock spans); --compare OLD.json
    [--threshold PCT] re-measures and exits 1 when simulated cycles
-   regressed beyond the threshold (default 5%).  --cache-dir DIR attaches
-   the persistent analysis store to that collection.
+   regressed beyond the threshold (default 5%).
 
-   --jobs and --cache-dir are the Bm_cli terms bmctl shares.
+   --jobs is the Bm_cli term bmctl shares.
    Every sweep fans out over the domain pool and collects in input order,
    so output is identical for any --jobs. *)
 
@@ -294,7 +293,9 @@ let run_deadlines () =
    the schedule's encoded sizes).  (3) Replaying a captured graph does no preparation
    at all, so it must allocate no more than warm prepare + Sim.run.
    (4) Suite-wide preparation from a populated Store (cold in-memory
-   caches) must be cycle-exact and compute no cached artifact.  (5) The
+   caches) must be cycle-exact and compute no cached artifact; no CLI
+   option attaches the store any more, so these two checks are what keeps
+   the ledger's disk-warm workload honest.  (5) The
    suite's captured graphs must serialize to at most
    [suite_graph_bytes_budget] bytes in total: format 3 stores profiles
    and relations once each (about 347 KB), where per-TB cost payloads
@@ -302,6 +303,8 @@ let run_deadlines () =
    each path is lives in the host-performance ledger (bench/ledger). *)
 let sim_minor_words_budget = 350_000.0
 let suite_graph_bytes_budget = 1_000_000
+
+module Store = Bm_maestro.Store
 
 (* Best-effort removal of the gate's temporary store directory: the layout
    is exactly one level of family subdirectories (Store.families). *)
@@ -458,10 +461,10 @@ let run_gate (banner, run, passed, failed) =
     Printf.eprintf "%d %s\n" n failed;
     exit 1
 
-let main gate only json compare threshold () cache_dir =
+let main gate only json compare threshold () =
   match (json, compare, gate) with
-  | Some file, _, _ -> Benchrun.write ?cache_dir file
-  | None, Some old, _ -> exit (Benchrun.compare_against ?cache_dir ~threshold_pct:threshold old)
+  | Some file, _, _ -> Benchrun.write file
+  | None, Some old, _ -> exit (Benchrun.compare_against ~threshold_pct:threshold old)
   | None, None, Some g -> run_gate g
   | None, None, None -> (
     let sections = Experiments.sections () in
@@ -514,12 +517,11 @@ let () =
   let exits =
     Cmd.Exit.info 1 ~doc:"when a gate fails or $(b,--compare) finds a regression."
     :: Cmd.Exit.info 2
-         ~doc:"on an I/O error (unreadable $(b,--compare) file, unusable cache directory)."
+         ~doc:"on an I/O error (unreadable $(b,--compare) file)."
     :: Cmd.Exit.defaults
   in
   exit
     (Cmd.eval
        (Cmd.v (Cmd.info "main.exe" ~doc ~exits)
           Term.(
-            const main $ gate $ only $ json $ compare $ threshold $ Bm_cli.jobs
-            $ Bm_cli.cache_dir)))
+            const main $ gate $ only $ json $ compare $ threshold $ Bm_cli.jobs)))

@@ -16,23 +16,18 @@
      rta APP                 response-time-analysis soundness sweep
      fuzz [--seed N]         differential fuzz of scheduler + Algorithm 1
                              (--corun fuzzes two-app concurrency instead)
-     prewarm --cache-dir DIR populate the persistent analysis cache for the
-                             whole suite (both reorder classes)
      ptx APP                 dump the PTX of the application's kernels
 
-   run, stats, capture, corun, explain, rta, fuzz and prewarm accept
-   --cache-dir DIR (default: BM_CACHE_DIR) to attach the persistent
-   analysis store: preparation artifacts are keyed by structural kernel
-   fingerprint and written through, so later runs — including other
-   processes — start disk-warm.  Results are always cycle-identical to a
-   cold run; stale or corrupt entries silently read as misses.
+   Every invocation prepares its launches against an in-memory analysis
+   cache of its own; captured graphs (capture, then replay) are the
+   cross-process artifact.
 
-   stats, trace, fuzz and prewarm accept --jobs N (default: BM_JOBS, else
+   stats, trace and fuzz accept --jobs N (default: BM_JOBS, else
    available cores capped at 8) to fan independent work — one task per
    requested mode, or per generated fuzz app — over a pool of OCaml domains.
    Results are collected in input order, so output is identical for any N
-   and --jobs 1 is the exact sequential path.  --jobs, --cache-dir and
-   -m/--mode are Bm_cli terms; bench/main.exe shares the first two.
+   and --jobs 1 is the exact sequential path.  --jobs and -m/--mode are
+   Bm_cli terms; bench/main.exe shares --jobs.
 
    Exit codes are distinct per failure kind so CI and scripts can tell
    them apart:
@@ -53,7 +48,7 @@
 open Blockmaestro
 open Cmdliner
 
-let version = "1.8.0"
+let version = "2.0.0"
 
 let exit_io_error = Bm_cli.exit_io_error
 let exit_counterexample = 3
@@ -69,8 +64,7 @@ let exits =
     ~doc:"on an I/O error (cannot read or write a requested file, corrupt graph)."
   :: Cmd.Exit.info exit_counterexample
        ~doc:
-         "on a differential counterexample (fuzz, replay $(b,--compare), corun $(b,--check), \
-          a prewarm $(b,--check-hit-rate) shortfall)."
+         "on a differential counterexample (fuzz, replay $(b,--compare), corun $(b,--check))."
   :: Cmd.Exit.info exit_trace_violation
        ~doc:"when an event trace violates the scheduling invariants."
   :: Cmd.Exit.info exit_stale_graph
@@ -119,13 +113,6 @@ let stats_target_conv =
     | `App (name, _) -> Format.pp_print_string ppf name
   in
   Arg.conv (parse, print)
-
-(* Per-task store handle on the (already validated) shared directory. *)
-let task_store = function
-  | None -> None
-  | Some dir -> ( match Store.open_dir dir with Ok s -> Some s | Error _ -> None)
-
-let cache_of_dir cache_dir = Cache.create ?store:(task_store cache_dir) ()
 
 let list_cmd =
   let doc = "List the available benchmark applications." in
@@ -178,9 +165,9 @@ let run_cmd =
             "Absolute deadline in microseconds; reports miss/tardiness/slack and verifies \
              the RTA bound against the observed makespan.")
   in
-  let run (name, gen) mode deadline rta_bug cache_dir =
+  let run (name, gen) mode deadline rta_bug =
     let app = gen () in
-    let cache = cache_of_dir cache_dir in
+    let cache = Cache.create () in
     match deadline with
     | None -> print_stats name mode (Runner.simulate ~cache mode app)
     | Some deadline_us ->
@@ -197,7 +184,7 @@ let run_cmd =
   in
   Cmd.v (cmd_info "run" ~doc)
     Term.(
-      const run $ app_arg $ Bm_cli.mode () $ deadline $ rta_bug_arg $ Bm_cli.cache_dir)
+      const run $ app_arg $ Bm_cli.mode () $ deadline $ rta_bug_arg)
 
 let speedup_cmd =
   let doc = "Report speedups over the baseline for every Fig. 9 mode." in
@@ -266,9 +253,7 @@ let stats_cmd =
      task owns a launch-time analysis cache whose hit/miss/eviction counters land in the \
      registry as $(b,prep.cache.*); $(b,--repeat) re-prepares against that cache and prints \
      per-pass hit rates, and the pseudo-app $(b,suite) prepares every Table II benchmark \
-     (skipping simulation) so the counters cover the whole suite.  With $(b,--cache-dir) the \
-     persistent disk tier is attached and its $(b,prep.cache.disk.*) counters (and per-pass \
-     disk hit rates) are reported alongside the in-memory tables."
+     (skipping simulation) so the counters cover the whole suite."
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit a JSON snapshot instead of tables.") in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit the metrics as CSV instead of tables.") in
@@ -294,7 +279,7 @@ let stats_cmd =
   let write_out out data =
     match out with None -> print_string data | Some file -> Bm_cli.write_file file data
   in
-  let run target modes json csv out folded no_series merged repeat () cache_dir =
+  let run target modes json csv out folded no_series merged repeat () =
     let name, apps =
       match target with
       | `App (name, gen) -> (name, [ gen () ])
@@ -302,14 +287,13 @@ let stats_cmd =
     in
     let cfg = Config.titan_x_pascal in
     (* One task per mode; the app structure is immutable and shared, every
-       mutable sink (registry, profiler, analysis cache, store handle) is
-       task-local. *)
+       mutable sink (registry, profiler, analysis cache) is task-local. *)
     let runs =
       Parallel.map_list
         (fun mode ->
           let metrics = Metrics.create () in
           let prof = Prof.create () in
-          let cache = Cache.create ?store:(task_store cache_dir) () in
+          let cache = Cache.create () in
           (* --repeat re-prepares against the same cache; pass 2+ of an
              unchanged app should hit on every lookup.  Per-pass rates fall
              out of the counter deltas between passes. *)
@@ -321,9 +305,7 @@ let stats_cmd =
                 (fun app ->
                   Prof.span prof "prepare" (fun () -> Runner.prepare ~cfg ~prof ~cache mode app))
                 apps;
-            passes :=
-              (pass, Cache.counters cache, Option.map Store.counters (Cache.store cache))
-              :: !passes
+            passes := (pass, Cache.counters cache) :: !passes
           done;
           Cache.export cache metrics;
           let stats =
@@ -398,48 +380,27 @@ let stats_cmd =
         in
         List.iter
           (fun (mode, _, _, _, passes) ->
-            let disk = List.exists (fun (_, _, s) -> s <> None) passes in
             let t =
               Report.table
                 ~title:
                   (Printf.sprintf "%s cache hit rates per pass (%s)" name (Mode.name mode))
-                ~columns:
-                  ([ "pass"; "kernel"; "footprint"; "profile"; "rw"; "pair" ]
-                  @ if disk then [ "disk"; "disk B written" ] else [])
+                ~columns:[ "pass"; "kernel"; "footprint"; "profile"; "rw"; "pair" ]
             in
             let prev = ref None in
-            let prev_s = ref None in
             List.iter
-              (fun (pass, (c : Cache.counters), s) ->
+              (fun (pass, (c : Cache.counters)) ->
                 let d f = match !prev with None -> f c | Some p -> f c - f p in
                 Report.row t
-                  ([
-                     string_of_int pass;
-                     rate
-                       (d (fun c -> c.Cache.kernel_hits))
-                       (d (fun c -> c.Cache.kernel_misses));
-                     rate
-                       (d (fun c -> c.Cache.footprint_hits))
-                       (d (fun c -> c.Cache.footprint_misses));
-                     rate
-                       (d (fun c -> c.Cache.profile_hits))
-                       (d (fun c -> c.Cache.profile_misses));
-                     rate (d (fun c -> c.Cache.rw_hits)) (d (fun c -> c.Cache.rw_misses));
-                     rate (d (fun c -> c.Cache.pair_hits)) (d (fun c -> c.Cache.pair_misses));
-                   ]
-                  @
-                  match s with
-                  | Some (sc : Store.counters) when disk ->
-                    let p = !prev_s in
-                    let ds f = match p with None -> f sc | Some q -> f sc - f q in
-                    prev_s := Some sc;
-                    [
-                      rate
-                        (ds (fun s -> s.Store.disk_hits))
-                        (ds (fun s -> s.Store.disk_misses));
-                      string_of_int (ds (fun s -> s.Store.disk_bytes_written));
-                    ]
-                  | Some _ | None -> if disk then [ "n/a"; "n/a" ] else []);
+                  [
+                    string_of_int pass;
+                    rate (d (fun c -> c.Cache.kernel_hits)) (d (fun c -> c.Cache.kernel_misses));
+                    rate
+                      (d (fun c -> c.Cache.footprint_hits))
+                      (d (fun c -> c.Cache.footprint_misses));
+                    rate (d (fun c -> c.Cache.profile_hits)) (d (fun c -> c.Cache.profile_misses));
+                    rate (d (fun c -> c.Cache.rw_hits)) (d (fun c -> c.Cache.rw_misses));
+                    rate (d (fun c -> c.Cache.pair_hits)) (d (fun c -> c.Cache.pair_misses));
+                  ];
                 prev := Some c)
               passes;
             Report.print t)
@@ -476,7 +437,7 @@ let stats_cmd =
   Cmd.v (cmd_info "stats" ~doc)
     Term.(
       const run $ target $ Bm_cli.modes ~default:[ Mode.Producer_priority ] () $ json $ csv $ out
-      $ folded $ no_series $ merged $ repeat $ Bm_cli.jobs $ Bm_cli.cache_dir)
+      $ folded $ no_series $ merged $ repeat $ Bm_cli.jobs)
 
 let trace_cmd =
   let doc =
@@ -598,10 +559,9 @@ let capture_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Output file (default: $(b,APP.graph.json)).")
   in
-  let run (name, gen) out cache_dir =
+  let run (name, gen) out =
     let app = gen () in
-    let cache = cache_of_dir cache_dir in
-    let graph = Runner.capture ~cache app in
+    let graph = Runner.capture ~cache:(Cache.create ()) app in
     let file = match out with Some f -> f | None -> default_graph_file name in
     match Graph.save file graph with
     | Ok () -> print_graph_summary name (Some file) graph
@@ -609,7 +569,7 @@ let capture_cmd =
       Printf.eprintf "bmctl: cannot write graph: %s\n" msg;
       exit exit_io_error
   in
-  Cmd.v (cmd_info "capture" ~doc) Term.(const run $ app_arg $ out $ Bm_cli.cache_dir)
+  Cmd.v (cmd_info "capture" ~doc) Term.(const run $ app_arg $ out)
 
 let replay_cmd =
   let doc =
@@ -794,13 +754,13 @@ let corun_cmd =
              still runs) and a deadline report against its contention-aware RTA bound; a \
              makespan above the bound exits 7.")
   in
-  let run named_apps mode policy partition check with_metrics folded deadlines cache_dir =
+  let run named_apps mode policy partition check with_metrics folded deadlines =
     let names = List.map fst named_apps in
     let apps = Array.of_list (List.map (fun (_, gen) -> gen ()) named_apps) in
     let napps = Array.length apps in
     let cfg = Config.titan_x_pascal in
     let spatial = spatial_of_partition ~cfg ~napps partition in
-    let cache = cache_of_dir cache_dir in
+    let cache = Cache.create () in
     let metrics = if with_metrics then Some (Metrics.create ()) else None in
     (match deadlines with
     | None -> ()
@@ -881,7 +841,7 @@ let corun_cmd =
   Cmd.v (cmd_info "corun" ~doc)
     Term.(
       const run $ apps_arg $ Bm_cli.mode () $ policy_arg $ partition_arg $ check $ with_metrics
-      $ folded $ deadlines_arg $ Bm_cli.cache_dir)
+      $ folded $ deadlines_arg)
 
 let explain_cmd =
   let doc =
@@ -946,10 +906,9 @@ let explain_cmd =
             "Export the report into a performance-counter registry ($(b,attrib.*), \
              $(b,critpath.*), $(b,whatif.*)) and print the snapshot table.")
   in
-  let run named_apps mode json top check no_whatif trace_out with_metrics policy
-      partition cache_dir =
+  let run named_apps mode json top check no_whatif trace_out with_metrics policy partition =
     let cfg = Config.titan_x_pascal in
-    let cache = cache_of_dir cache_dir in
+    let cache = Cache.create () in
     let fail_divergence what e =
       Printf.eprintf "bmctl: ATTRIBUTION DIVERGENCE (%s): %s\n" what e;
       exit exit_attrib_divergence
@@ -1025,7 +984,7 @@ let explain_cmd =
   Cmd.v (cmd_info "explain" ~doc)
     Term.(
       const run $ apps_arg $ Bm_cli.mode () $ json $ top $ check $ no_whatif
-      $ trace_out $ with_metrics $ policy_arg $ partition_arg $ Bm_cli.cache_dir)
+      $ trace_out $ with_metrics $ policy_arg $ partition_arg)
 
 let rta_cmd =
   let doc =
@@ -1046,9 +1005,10 @@ let rta_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Also write the sweep as a $(b,bm.rta/1) JSON artifact to $(docv).")
   in
-  let run (name, gen) modes json rta_bug cache_dir =
-    let cache = cache_of_dir cache_dir in
-    let entries = Rta.check_app ~modes ~optimistic_bound:rta_bug ~cache ~name (gen ()) in
+  let run (name, gen) modes json rta_bug =
+    let entries =
+      Rta.check_app ~modes ~optimistic_bound:rta_bug ~cache:(Cache.create ()) ~name (gen ())
+    in
     let t =
       Report.table ~title:(name ^ " response-time analysis")
         ~columns:[ "mode"; "backend"; "bound us"; "observed us"; "verdict" ]
@@ -1077,7 +1037,7 @@ let rta_cmd =
       exit exit_rta_violation
   in
   Cmd.v (cmd_info "rta" ~doc)
-    Term.(const run $ app_arg $ modes $ json $ rta_bug_arg $ Bm_cli.cache_dir)
+    Term.(const run $ app_arg $ modes $ json $ rta_bug_arg)
 
 let fuzz_cmd =
   let doc =
@@ -1133,18 +1093,16 @@ let fuzz_cmd =
              a nonzero value must be caught as a scheduler mismatch (self-test of the co-run \
              oracle).")
   in
-  let run seed count shrink no_soundness window_bug modes quiet corun slots_bug ()
-      cache_dir =
+  let run seed count shrink no_soundness window_bug modes quiet corun slots_bug () =
     let log = if quiet then fun _ -> () else fun s -> Printf.eprintf "%s\n%!" s in
     if corun then begin
-      let report = Fuzz.run_corun ~modes ~shrink ?slots_bug ~log ?cache_dir ~seed ~count () in
+      let report = Fuzz.run_corun ~modes ~shrink ?slots_bug ~log ~seed ~count () in
       Format.printf "%a@." Fuzz.pp_corun_report report;
       if not (Fuzz.corun_ok report) then exit exit_counterexample
     end
     else begin
       let report =
-        Fuzz.run ~modes ~shrink ~soundness:(not no_soundness) ?window_bug ~log
-          ?cache_dir ~seed ~count ()
+        Fuzz.run ~modes ~shrink ~soundness:(not no_soundness) ?window_bug ~log ~seed ~count ()
       in
       Format.printf "%a@." Fuzz.pp_report report;
       if not (Fuzz.ok report) then exit exit_counterexample
@@ -1153,98 +1111,7 @@ let fuzz_cmd =
   Cmd.v (cmd_info "fuzz" ~doc)
     Term.(
       const run $ seed $ count $ shrink $ no_soundness $ window_bug $ modes $ quiet $ corun
-      $ slots_bug $ Bm_cli.jobs $ Bm_cli.cache_dir)
-
-let prewarm_cmd =
-  let doc =
-    "Populate the persistent analysis cache for the whole benchmark suite: every Table II \
-     application is prepared in both reorder classes against $(b,--cache-dir), writing every \
-     cacheable artifact (footprints, cost profiles, rw-sets, pair relations) through to disk \
-     so any later $(b,bmctl)/$(b,bench) invocation pointed at the same directory starts \
-     disk-warm.  Prints the per-app disk-tier counters.  With $(b,--check-hit-rate) a second, \
-     cold-in-memory pass re-prepares the suite and the aggregate disk hit rate must reach the \
-     given percentage — the CI gate that the store actually serves what it stored; a shortfall \
-     exits 3."
-  in
-  let cache_dir_req =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR" ~env:Bm_cli.cache_dir_env
-          ~doc:"Cache directory to populate (created if absent; unusable exits 2).")
-  in
-  let check_rate =
-    let pct_conv =
-      let parse s =
-        match float_of_string_opt s with
-        | Some p when p >= 0.0 && p <= 100.0 -> Ok p
-        | Some _ | None ->
-          Error (`Msg (Printf.sprintf "--check-hit-rate expects a percentage in [0,100], got %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_float)
-    in
-    Arg.(
-      value
-      & opt (some pct_conv) None
-      & info [ "check-hit-rate" ] ~docv:"PCT"
-          ~doc:
-            "After populating, re-prepare the suite with cold in-memory caches and require \
-             the aggregate disk hit rate to reach $(docv) percent (exit 3 below it).")
-  in
-  let run cache_dir check_rate () =
-    Bm_cli.check_cache_dir (Some cache_dir);
-    let cfg = Config.titan_x_pascal in
-    (* One task per app, each with its own store handle and in-memory cache
-       (single-domain sinks); both reorder classes so every artifact any
-       later mode needs is on disk. *)
-    let pass () =
-      Parallel.map_list
-        (fun (name, gen) ->
-          let cache = Cache.create ?store:(task_store (Some cache_dir)) () in
-          let app = gen () in
-          ignore (Prep.prepare ~reorder:false ~cache cfg app);
-          ignore (Prep.prepare ~reorder:true ~cache cfg app);
-          (name, Option.map Store.counters (Cache.store cache)))
-        Suite.all
-    in
-    let print_pass title rows =
-      let t =
-        Report.table ~title
-          ~columns:[ "app"; "disk hits"; "misses"; "stale"; "corrupt"; "write err"; "B written" ]
-      in
-      let tot = Array.make 6 0 in
-      List.iter
-        (fun (name, c) ->
-          match c with
-          | None -> Report.row t (name :: List.init 6 (fun _ -> "n/a"))
-          | Some (c : Store.counters) ->
-            let cols =
-              [ c.Store.disk_hits; c.Store.disk_misses; c.Store.disk_stale; c.Store.disk_corrupt;
-                c.Store.disk_write_errors; c.Store.disk_bytes_written ]
-            in
-            List.iteri (fun i v -> tot.(i) <- tot.(i) + v) cols;
-            Report.row t (name :: List.map string_of_int cols))
-        rows;
-      Report.row t ("total" :: Array.to_list (Array.map string_of_int tot));
-      Report.print t;
-      (tot.(0), tot.(1))
-    in
-    let _ = print_pass (Printf.sprintf "prewarm of %s" cache_dir) (pass ()) in
-    match check_rate with
-    | None -> ()
-    | Some pct ->
-      let hits, misses = print_pass "disk-warm verification pass" (pass ()) in
-      let rate =
-        if hits + misses = 0 then 0.0
-        else 100.0 *. float_of_int hits /. float_of_int (hits + misses)
-      in
-      Printf.printf "disk hit rate on second pass: %.1f%% (required: %.1f%%)\n" rate pct;
-      if rate < pct then begin
-        Printf.eprintf "bmctl: disk hit rate %.1f%% below the required %.1f%%\n" rate pct;
-        exit exit_counterexample
-      end
-  in
-  Cmd.v (cmd_info "prewarm" ~doc) Term.(const run $ cache_dir_req $ check_rate $ Bm_cli.jobs)
+      $ slots_bug $ Bm_cli.jobs)
 
 let ptx_cmd =
   let doc = "Print the PTX of the application's distinct kernels." in
@@ -1267,7 +1134,6 @@ let main =
   let doc = "BlockMaestro: programmer-transparent task-based GPU execution (simulator)" in
   Cmd.group (Cmd.info "bmctl" ~doc ~version)
     [ list_cmd; run_cmd; speedup_cmd; analyze_cmd; stats_cmd; timeline_cmd; trace_cmd;
-      capture_cmd; replay_cmd; corun_cmd; explain_cmd; rta_cmd; fuzz_cmd; prewarm_cmd;
-      ptx_cmd ]
+      capture_cmd; replay_cmd; corun_cmd; explain_cmd; rta_cmd; fuzz_cmd; ptx_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -41,37 +41,6 @@ let jobs =
   in
   Term.(const (Option.iter Parallel.set_default_jobs) $ arg)
 
-(* The directory is validated once up front (an unusable path is an I/O
-   error); parallel tasks then open their own per-domain handles
-   best-effort, so a directory that turns read-only mid-run degrades to
-   write-error counters, never a crash. *)
-let cache_dir_env =
-  Cmd.Env.info "BM_CACHE_DIR" ~doc:"Default directory for the persistent analysis cache."
-
-let check_cache_dir = function
-  | None -> ()
-  | Some dir -> (
-    match Store.open_dir dir with
-    | Ok _ -> ()
-    | Error msg ->
-      Printf.eprintf "%s: cannot open cache directory: %s\n" (prog ()) msg;
-      exit exit_io_error)
-
-let cache_dir =
-  let arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR" ~env:cache_dir_env
-          ~doc:
-            "Persist the launch-time analysis artifacts (footprints, cost profiles, rw-sets, \
-             pair relations) under $(docv), keyed by structural kernel fingerprint, so later \
-             runs — including other processes — start disk-warm.  Stale or corrupt entries \
-             read as misses and are rewritten; results are always cycle-identical to a cold \
-             run.  An unusable directory exits 2.")
-  in
-  Term.(const (fun dir -> check_cache_dir dir; dir) $ arg)
-
 let mode_conv =
   let parse s =
     match Mode.of_string s with

@@ -1,6 +1,7 @@
-(** Command-line terms shared by [bmctl] and [bench/main.exe]: one
-    definition per option, so both executables parse, document and
-    validate it the same way. *)
+(** Command-line terms of [bmctl], one definition per option so every
+    subcommand parses, documents and validates it the same way.
+    [bench/main.exe] shares {!jobs}.  No option attaches the disk store:
+    every process prepares against its own in-memory cache. *)
 
 val exit_io_error : int
 (** 2: a requested file cannot be read or written. *)
@@ -23,16 +24,6 @@ val jobs : unit Cmdliner.Term.t
 (** [-j]/[--jobs N]: sizes the domain pool ({!Bm_parallel.set_default_jobs})
     before the command body runs; absent, [BM_JOBS] or the core count
     applies. *)
-
-val cache_dir_env : Cmdliner.Cmd.Env.info
-(** [BM_CACHE_DIR]. *)
-
-val check_cache_dir : string option -> unit
-(** Opens the directory once; an unusable one exits {!exit_io_error}. *)
-
-val cache_dir : string option Cmdliner.Term.t
-(** [--cache-dir DIR] (default [BM_CACHE_DIR]), already checked with
-    {!check_cache_dir}. *)
 
 val mode : ?doc:string -> unit -> Bm_maestro.Mode.t Cmdliner.Term.t
 (** [-m]/[--mode MODE], one mode (default producer priority). *)

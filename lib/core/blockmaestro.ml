@@ -9,16 +9,16 @@
     ]}
 
     Layer map (bottom-up):
-    - {!Rng}, {!Heap}, {!Eheap}, {!Lru}: deterministic simulation substrate
+    - {!Rng}, {!Eheap}, {!Lru}: deterministic simulation substrate
     - {!Ptx}, {!Printer}, {!Parser}, {!Builder}, {!Cfg}: the PTX-like IR
     - {!Sinterval}, {!Sym}, {!Slice}, {!Symeval}, {!Footprint},
       {!Fingerprint}: kernel-launch-time static analysis (Algorithm 1)
     - {!Bipartite}, {!Pattern}, {!Encode}: TB-level dependency graphs
     - {!Config}, {!Command}, {!Alloc}, {!Costmodel}, {!Stats}: GPU model
-    - {!Mode}, {!Reorder}, {!Jsonc}, {!Store}, {!Cache}, {!Prep},
-      {!Hardware}, {!Sim}, {!Graph}, {!Replay}, {!Multi}, {!Runner}:
-      BlockMaestro proper (simulator, persistent analysis store,
-      ahead-of-time capture/replay, cross-app co-running)
+    - {!Mode}, {!Reorder}, {!Jsonc}, {!Cache}, {!Prep}, {!Hardware},
+      {!Sim}, {!Graph}, {!Replay}, {!Multi}, {!Runner}: BlockMaestro
+      proper (simulator, ahead-of-time capture/replay, cross-app
+      co-running)
     - {!Templates}, {!Dsl}, {!Suite}, {!Microbench}, {!Wavefront},
       {!Genapp}: workloads
     - {!Cdp}, {!Wireframe}: comparison models
@@ -33,7 +33,6 @@
       extraction and what-if sensitivity (the "explain" layer) *)
 
 module Rng = Bm_engine.Rng
-module Heap = Bm_engine.Heap
 module Eheap = Bm_engine.Eheap
 module Lru = Bm_engine.Lru
 
@@ -65,7 +64,6 @@ module Stats = Bm_gpu.Stats
 module Mode = Bm_maestro.Mode
 module Reorder = Bm_maestro.Reorder
 module Jsonc = Bm_maestro.Jsonc
-module Store = Bm_maestro.Store
 module Cache = Bm_maestro.Cache
 module Prep = Bm_maestro.Prep
 module Hardware = Bm_maestro.Hardware

@@ -3,8 +3,9 @@
     Keys are [float] timestamps, payloads are immediate [int] event codes.
     Both live in parallel arrays ([float array] is unboxed in OCaml), so a
     push/pop cycle allocates nothing once the arrays have grown to the
-    high-water mark — unlike the generic {!Heap}, whose boxed entry records
-    cost ~18 words per event.
+    high-water mark — unlike a generic heap of boxed entry records
+    (test/heap.ml, the tests' model of this one), which costs ~18 words
+    per event.
 
     Neither operation swaps entries: the entry being placed stays in
     locals and parents or children shift into the hole, one write per
@@ -13,7 +14,7 @@
     which in an event queue makes about half the comparisons of a
     top-down sift, since that entry is usually a late timestamp.
 
-    Tie-breaking matches {!Heap}: equal keys pop in insertion order (a
+    Tie-breaking matches that model: equal keys pop in insertion order (a
     monotonically increasing sequence number is the secondary key), which
     the cycle-exact oracle relies on.  [(key, seq)] is a strict total
     order for non-NaN keys, so any correct heap over it pops the same

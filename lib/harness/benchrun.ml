@@ -6,9 +6,10 @@
    the metrics registry attached and the span profiler wrapping the host
    pipeline, then packs the results into a schema-versioned Benchfile.
    Apps are independent tasks on a Bm_parallel domain pool; each task owns
-   its own profiler and per-mode registries (the sinks are single-domain
-   by design) and the pool returns app results in suite order, so the file
-   layout and every simulated quantity are identical for any domain count.
+   its own profiler, per-mode registries and in-memory analysis cache (the
+   sinks are single-domain by design) and the pool returns app results in
+   suite order, so the file layout and every simulated quantity are
+   identical for any domain count.
 
    [compare] re-measures and diffs the *simulated cycles* against a saved
    file — cycles are deterministic, so any delta is a behavior change, not
@@ -30,20 +31,13 @@ let cycles_of (cfg : Config.t) (s : Stats.t) =
   (* total_us x (cycles/us): clock_ghz GHz = clock_ghz * 1000 cycles/us. *)
   s.Stats.total_us *. cfg.Config.clock_ghz *. 1000.0
 
-let collect_app ?cache_dir cfg modes (name, gen) =
+let collect_app cfg modes (name, gen) =
   let prof = Prof.create () in
   (* Each app task owns its launch-time analysis cache, like its profiler
      and registries: caches are single-domain sinks (DESIGN §8/§9).  The two
      preparations of one app share it, so the reordered prep hits on every
-     kernel the plain prep analyzed.  A cache directory, by contrast, is
-     shared: each task opens its own Store handle (atomic writes, values
-     pure in their keys), so results stay cycle-identical for any --jobs. *)
-  let store =
-    match cache_dir with
-    | None -> None
-    | Some dir -> ( match Bm_maestro.Store.open_dir dir with Ok s -> Some s | Error _ -> None)
-  in
-  let cache = Bm_maestro.Cache.create ?store () in
+     kernel the plain prep analyzed. *)
+  let cache = Bm_maestro.Cache.create () in
   let app = Prof.span prof "build" gen in
   (* The two reordering variants share their preparation, like
      Runner.simulate_all; both charge the same "prepare" span. *)
@@ -90,12 +84,12 @@ let collect_app ?cache_dir cfg modes (name, gen) =
   in
   { Benchfile.ar_app = name; ar_pipeline_us = pipeline; ar_modes = mode_results }
 
-let collect ?apps ?jobs ?cache_dir () =
+let collect ?apps ?jobs () =
   let cfg = Config.titan_x_pascal in
   let modes = Mode.all_fig9 in
   let apps = match apps with Some a -> a | None -> Suite.all in
   let results =
-    Bm_parallel.map_ordered ?domains:jobs (collect_app ?cache_dir cfg modes) (Array.of_list apps)
+    Bm_parallel.map_ordered ?domains:jobs (collect_app cfg modes) (Array.of_list apps)
   in
   {
     Benchfile.bf_schema = Benchfile.schema_version;
@@ -103,8 +97,8 @@ let collect ?apps ?jobs ?cache_dir () =
     bf_apps = Array.to_list results;
   }
 
-let write ?jobs ?cache_dir file =
-  let bf = collect ?jobs ?cache_dir () in
+let write ?jobs file =
+  let bf = collect ?jobs () in
   Benchfile.save file bf;
   Printf.printf "wrote %s: %d apps x %d modes (schema v%d)\n" file
     (List.length bf.Benchfile.bf_apps)
@@ -115,7 +109,7 @@ let write ?jobs ?cache_dir file =
 
 (* Returns the process exit code: 0 in-threshold, 1 regression, 2 I/O or
    parse failure on the old file. *)
-let compare_against ?jobs ?cache_dir ~threshold_pct old_file =
+let compare_against ?jobs ~threshold_pct old_file =
   match Benchfile.load old_file with
   | Error msg ->
     Printf.eprintf "cannot load %s: %s\n" old_file msg;
@@ -124,7 +118,7 @@ let compare_against ?jobs ?cache_dir ~threshold_pct old_file =
     (* The file stores cycles at JSON precision (12 significant digits);
        compare the fresh measurement at that precision too, so identical
        cycles read as a zero delta even under --threshold 0. *)
-    let current = collect ?jobs ?cache_dir () in
+    let current = collect ?jobs () in
     let current =
       Result.value ~default:current (Benchfile.of_string (Benchfile.to_string current))
     in

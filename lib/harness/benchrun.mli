@@ -6,13 +6,12 @@
     count produces cycle-identical results to a sequential run.  Every
     (app x mode) simulation is an independent deterministic task; the suite
     fans out over {!Bm_parallel.map_ordered} with one task per app, each
-    task owning its metrics registries and span profiler (single-domain
-    sinks), and results are collected in suite order. *)
+    task owning its metrics registries, span profiler and analysis cache
+    (single-domain sinks), and results are collected in suite order. *)
 
 val collect :
   ?apps:(string * (unit -> Bm_gpu.Command.app)) list ->
   ?jobs:int ->
-  ?cache_dir:string ->
   unit ->
   Bm_metrics.Benchfile.t
 (** Run [apps] (default {!Bm_workloads.Suite.all}) under baseline + the
@@ -20,14 +19,13 @@ val collect :
     (default {!Bm_parallel.default_jobs}) sizes the domain pool; every
     simulated quantity — cycles, speedups, high-water marks, memory
     overhead — is identical for every [jobs], only the wall-clock pipeline
-    spans vary.  [cache_dir] attaches the persistent analysis store: each
-    app task opens its own {!Bm_maestro.Store} handle on the shared
-    directory, which only changes preparation wall-clock, never cycles. *)
+    spans vary.  Each app task prepares against its own in-memory
+    {!Bm_maestro.Cache}. *)
 
-val write : ?jobs:int -> ?cache_dir:string -> string -> unit
+val write : ?jobs:int -> string -> unit
 (** [collect] and save, printing a one-line summary to stdout. *)
 
-val compare_against : ?jobs:int -> ?cache_dir:string -> threshold_pct:float -> string -> int
+val compare_against : ?jobs:int -> threshold_pct:float -> string -> int
 (** Re-measure and diff simulated cycles against a saved file.  Returns the
     process exit code: 0 in-threshold, 1 regression beyond
     [threshold_pct], 2 I/O or parse failure on the old file. *)

@@ -41,7 +41,8 @@ type t
 val create : ?store:Store.t -> unit -> t
 (** 256 interned kernels and analyses, and 8192 entries in each per-launch
     table, least recently used first out.  [store] attaches the persistent
-    disk tier. *)
+    disk tier; only the host-performance ledger's disk-warm workload and
+    [bench --perf-gate] pass one. *)
 
 val store : t -> Store.t option
 

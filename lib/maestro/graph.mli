@@ -30,7 +30,7 @@
     (profile, seq) once under the header's params, and measures and
     range-checks each distinct relation once, so nodes of both schedules
     share one column and one relation.  The codecs are {!Jsonc}'s, the
-    same bytes {!Store} writes.  A graph written to disk and reloaded is
+    same bytes the disk store writes.  A graph written to disk and reloaded is
     bit-identical — {!equal} holds across any number of round trips, and
     a reloaded graph replays cycle-exactly (test/test_graph.ml proves both
     over random apps). *)

@@ -1,5 +1,5 @@
 (* Shared JSON codec helpers for the persistence layers (captured graphs
-   in Graph, the disk-backed analysis store in Store): one codec per
+   in Graph, the disk-backed analysis store): one codec per
    value, so a relation, an integer array or a cost profile has the same
    bytes in both.  Floats persist as IEEE-754 bit patterns: the JSON
    emitter prints numbers with %.12g, which is lossy, and both replay and

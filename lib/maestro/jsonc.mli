@@ -1,7 +1,7 @@
 (** Shared JSON codec helpers for the persistence layers.
 
-    {!Graph} (captured schedules) and {!Store} (the disk-backed analysis
-    cache) persist the same kinds of values — bit-pattern floats, integer
+    {!Graph} (captured schedules) and the disk-backed analysis store
+    persist the same kinds of values — bit-pattern floats, integer
     arrays, Table-I encoded relations, cost profiles — through the same functions here,
     one codec per value: both replay and disk-warm preparation are
     required to be bit-identical to the fresh computation.  Decoders raise

@@ -27,27 +27,6 @@ let deadline ?(cfg = Config.titan_x_pascal) ?metrics ?cache ?(optimistic_bound =
   (match metrics with Some reg -> Deadline.observe reg r | None -> ());
   (r, stats)
 
-let corun ?(cfg = Config.titan_x_pascal) ?submission ?spatial ?metrics ?profs ?traces ?cache mode
-    apps =
-  (* One shared analysis cache across the co-running apps: they are
-     prepared independently, exactly as for solo simulation.  [profs]
-     gives each app its own span profiler (one per app, checked), so
-     per-tenant preparation cost stays separable — Prof.to_folded ~prefix
-     then renders them as side-by-side flamegraph towers. *)
-  (match profs with
-  | Some ps when Array.length ps <> Array.length apps ->
-    invalid_arg "Runner.corun: profs length must match apps"
-  | _ -> ());
-  let cache = match cache with Some c -> c | None -> Cache.create () in
-  let preps =
-    Array.mapi
-      (fun i app ->
-        let prof = Option.map (fun ps -> ps.(i)) profs in
-        prepare ~cfg ?prof ~cache mode app)
-      apps
-  in
-  Multi.run ?submission ?spatial ?metrics ?traces cfg mode preps
-
 let corun_deadlines ?(cfg = Config.titan_x_pascal) ?submission ?spatial ?metrics ?cache
     ~deadlines mode apps =
   if Array.length deadlines <> Array.length apps then
@@ -79,6 +58,10 @@ let corun_deadlines ?(cfg = Config.titan_x_pascal) ?submission ?spatial ?metrics
 
 let corun_interference ?(cfg = Config.titan_x_pascal) ?submission ?spatial ?metrics ?profs ?cache
     mode apps =
+  (* One shared analysis cache across the co-running apps: they are
+     prepared independently, exactly as for solo simulation.  [profs]
+     gives each app its own span profiler (one per app, checked), so
+     per-tenant preparation cost stays separable. *)
   (match profs with
   | Some ps when Array.length ps <> Array.length apps ->
     invalid_arg "Runner.corun_interference: profs length must match apps"

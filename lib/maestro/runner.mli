@@ -89,24 +89,6 @@ val corun_deadlines :
     first); under [Partitioned] the solo bound stands.  [deadlines] must
     have one entry per app. *)
 
-val corun :
-  ?cfg:Bm_gpu.Config.t ->
-  ?submission:Multi.submission ->
-  ?spatial:Multi.spatial ->
-  ?metrics:Bm_metrics.Metrics.t ->
-  ?profs:Bm_metrics.Prof.t array ->
-  ?traces:Bm_gpu.Stats.sink option array ->
-  ?cache:Cache.t ->
-  Mode.t ->
-  Bm_gpu.Command.app array ->
-  Multi.result
-(** Prepare each app (one shared analysis cache) and co-run them with
-    {!Multi.run}.  Defaults mirror [Multi.run]: FIFO submission on a
-    shared machine.  [profs] (one profiler per app, length-checked)
-    records each tenant's preparation spans separately, for
-    [Prof.to_folded ~prefix:"app.<i>"] co-run flamegraphs; [traces] is
-    forwarded to {!Multi.run}. *)
-
 val corun_interference :
   ?cfg:Bm_gpu.Config.t ->
   ?submission:Multi.submission ->
@@ -117,7 +99,11 @@ val corun_interference :
   Mode.t ->
   Bm_gpu.Command.app array ->
   Multi.result * float array
-(** {!corun}, plus each app's interference ratio: co-run completion time
+(** Prepare each app (one shared analysis cache) and co-run them with
+    {!Multi.run}; defaults mirror [Multi.run]: FIFO submission on a
+    shared machine.  [profs] (one profiler per app, length-checked)
+    records each tenant's preparation spans separately.  Returns the
+    co-run result and each app's interference ratio: co-run completion time
     over solo completion time {e on the machine the app actually saw}
     (the full device under [Shared], its own slice under [Partitioned]).
     1.0 = no interference; under [Partitioned] the ratio is exactly 1.0

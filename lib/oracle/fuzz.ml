@@ -41,48 +41,16 @@ let kind_name = function
    reuse kernel structures heavily, and cached preparation is
    cycle-identical — this very harness is the gate for that — so verdicts
    do not depend on which domain (and therefore which cache) examines an
-   app.
-
-   With [?cache_dir], each domain additionally opens its own Store handle
-   on the shared directory (per-domain stores on one dir: writes are
-   atomic, values are pure functions of their keys, so the report stays
-   identical under any --jobs — disk state only changes wall-clock).  The
-   wanted directory is published through an atomic so worker domains —
-   whose DLS initializes lazily — pick it up on first use and rebuild
-   their cache if a later run changes it. *)
-let wanted_cache_dir : string option Atomic.t = Atomic.make None
-
-let domain_state : (string option * Bm_maestro.Cache.t) ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref (None, Bm_maestro.Cache.create ()))
-
-let domain_cache () =
-  let st = Domain.DLS.get domain_state in
-  let want = Atomic.get wanted_cache_dir in
-  let have, cache = !st in
-  if have = want then cache
-  else begin
-    let store =
-      match want with
-      | None -> None
-      | Some dir -> (
-        match Bm_maestro.Store.open_dir dir with Ok s -> Some s | Error _ -> None)
-    in
-    let cache = Bm_maestro.Cache.create ?store () in
-    st := (want, cache);
-    cache
-  end
-
-let with_cache_dir cache_dir f =
-  let prev = Atomic.get wanted_cache_dir in
-  Atomic.set wanted_cache_dir cache_dir;
-  Fun.protect ~finally:(fun () -> Atomic.set wanted_cache_dir prev) f
+   app. *)
+let domain_cache : Bm_maestro.Cache.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Bm_maestro.Cache.create ())
 
 (* Classify one spec.  [Ok] carries the soundness reports of the single
    oracle pass so the caller can fold precision statistics without
    re-running the analysis; it is empty when [soundness] is off. *)
 let examine ~cfg ~modes ~soundness ~window_bug spec =
   let app = Genapp.build spec in
-  let cache = domain_cache () in
+  let cache = Domain.DLS.get domain_cache in
   match Diff.check ~cfg ~modes ~cache ?window_bug app with
   | Error (mm :: _) -> Error (Scheduler_mismatch, Format.asprintf "%a" Diff.pp_mismatch mm)
   | Error [] -> Ok [] (* unreachable: Error implies at least one mismatch *)
@@ -133,9 +101,8 @@ type 'a found = {
    (the shrinker re-examines candidates, never the RNG), so failures
    minimize in parallel too. *)
 let campaign ~name ~noun ~nouns ~every ~to_string ~generate ~examine ~on_clean ~minimize ~shrink
-    ~log ?jobs ~chunk ?cache_dir ~seed ~count () =
+    ~log ?jobs ~chunk ~seed ~count () =
   if chunk < 1 then invalid_arg (name ^ ": chunk must be >= 1");
-  with_cache_dir cache_dir @@ fun () ->
   let rng = Rng.create seed in
   let bad = ref [] in
   let next = ref 0 in
@@ -175,8 +142,7 @@ let campaign ~name ~noun ~nouns ~every ~to_string ~generate ~examine ~on_clean ~
     (List.rev !bad)
 
 let run ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known) ?(shrink = true)
-    ?(soundness = true) ?window_bug ?(log = fun _ -> ()) ?jobs ?(chunk = 256) ?cache_dir ~seed
-    ~count () =
+    ?(soundness = true) ?window_bug ?(log = fun _ -> ()) ?jobs ?(chunk = 256) ~seed ~count () =
   let pairs = ref 0 in
   (* pattern -> (count, ratio sum, finite-ratio count) *)
   let precision : (Pattern.t, int ref * float ref * int ref) Hashtbl.t = Hashtbl.create 8 in
@@ -205,7 +171,7 @@ let run ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known) ?(shri
     campaign ~name:"Fuzz.run" ~noun:"app" ~nouns:"apps" ~every:50 ~to_string:Genapp.to_string
       ~generate:(fun rng i -> Genapp.generate rng i)
       ~examine:(examine ~cfg ~modes ~soundness ~window_bug)
-      ~on_clean ~minimize:Shrink.minimize ~shrink ~log ?jobs ~chunk ?cache_dir ~seed ~count ()
+      ~on_clean ~minimize:Shrink.minimize ~shrink ~log ?jobs ~chunk ~seed ~count ()
   in
   let precision_list =
     Hashtbl.fold
@@ -266,7 +232,7 @@ let submission_of_tag = function
    co-running at all. *)
 let examine_corun ~cfg ~modes ~slots_bug (c : Genapp.corun) =
   let apps = [| Genapp.build c.c_a; Genapp.build c.c_b |] in
-  let cache = domain_cache () in
+  let cache = Domain.DLS.get domain_cache in
   let submission = submission_of_tag c.c_submission in
   let spatial =
     match c.c_partition with
@@ -340,13 +306,13 @@ let shrink_corun still_fails (c : Genapp.corun) =
   (!cur, !steps)
 
 let run_corun ?(cfg = Config.titan_x_pascal) ?(modes = List.map snd Mode.known) ?(shrink = true)
-    ?slots_bug ?(log = fun _ -> ()) ?jobs ?(chunk = 64) ?cache_dir ~seed ~count () =
+    ?slots_bug ?(log = fun _ -> ()) ?jobs ?(chunk = 64) ~seed ~count () =
   let found =
     campaign ~name:"Fuzz.run_corun" ~noun:"corun" ~nouns:"co-runs" ~every:25
       ~to_string:Genapp.corun_to_string
       ~generate:(fun rng i -> Genapp.generate_corun ~num_sms:cfg.Config.num_sms rng i)
       ~examine:(examine_corun ~cfg ~modes ~slots_bug)
-      ~on_clean:ignore ~minimize:shrink_corun ~shrink ~log ?jobs ~chunk ?cache_dir ~seed ~count ()
+      ~on_clean:ignore ~minimize:shrink_corun ~shrink ~log ?jobs ~chunk ~seed ~count ()
   in
   {
     cr_seed = seed;

@@ -54,7 +54,6 @@ val run :
   ?log:(string -> unit) ->
   ?jobs:int ->
   ?chunk:int ->
-  ?cache_dir:string ->
   seed:int ->
   count:int ->
   unit ->
@@ -82,13 +81,7 @@ val run :
     ({!Bm_maestro.Cache}, single-domain per DESIGN §8), so structurally
     repeated kernels across generated apps are analyzed once per domain;
     cached preparation is cycle-identical, so verdicts do not depend on
-    task-to-domain assignment.
-
-    [cache_dir] attaches the persistent {!Bm_maestro.Store} tier: each
-    worker domain opens its own handle on the shared directory.  Disk
-    state only changes preparation wall-clock, never verdicts, so the
-    report stays identical for every [jobs] and for any prior store
-    contents — including a corrupted store, which reads as misses. *)
+    task-to-domain assignment. *)
 
 val ok : report -> bool
 
@@ -130,7 +123,6 @@ val run_corun :
   ?log:(string -> unit) ->
   ?jobs:int ->
   ?chunk:int ->
-  ?cache_dir:string ->
   seed:int ->
   count:int ->
   unit ->

@@ -1,6 +1,5 @@
 (* Unit and property tests for the simulation-engine substrate. *)
 
-module Heap = Bm_engine.Heap
 module Eheap = Bm_engine.Eheap
 module Lru = Bm_engine.Lru
 module Rng = Bm_engine.Rng

@@ -597,7 +597,9 @@ let test_bmctl_help_consistency () =
     (fun sub ->
       Alcotest.(check bool) (Printf.sprintf "main help lists %s" sub) true (contains ~needle:sub main_help))
     [ "list"; "run"; "speedup"; "analyze"; "stats"; "timeline"; "trace"; "capture"; "replay";
-      "corun"; "explain"; "rta"; "fuzz"; "prewarm"; "ptx" ];
+      "corun"; "explain"; "rta"; "fuzz"; "ptx" ];
+  Alcotest.(check bool) "main help no longer lists prewarm" false
+    (contains ~needle:"prewarm" main_help);
   let check_flags sub flags =
     let help = help_of [ sub; "--help"; "plain" ] in
     List.iter
@@ -606,9 +608,8 @@ let test_bmctl_help_consistency () =
           (contains ~needle:flag help))
       flags
   in
-  check_flags "stats" [ "--repeat"; "--merged"; "--jobs"; "--cache-dir" ];
-  check_flags "run" [ "--deadline"; "--inject-rta-bug"; "--cache-dir" ];
-  check_flags "prewarm" [ "--cache-dir"; "--check-hit-rate"; "--jobs" ];
+  check_flags "stats" [ "--repeat"; "--merged"; "--jobs" ];
+  check_flags "run" [ "--deadline"; "--inject-rta-bug" ];
   check_flags "capture" [ "--output" ];
   check_flags "replay" [ "--graph"; "--compare"; "--fresh"; "--counters" ];
   check_flags "fuzz" [ "--seed"; "--count" ];
@@ -616,12 +617,25 @@ let test_bmctl_help_consistency () =
   check_flags "explain"
     [ "--json"; "--top"; "--check"; "--no-whatif"; "--trace"; "--metrics"; "--policy";
       "--partition" ];
-  (* The in-memory replay selector is gone: replay means a decoded graph. *)
+  (* The in-memory replay selector is gone: replay means a decoded graph.
+     No subcommand attaches the disk store, so --cache-dir is a usage
+     error and BM_CACHE_DIR is not read, even when it is unusable. *)
   List.iter
     (fun (sub, flag) ->
       Alcotest.(check bool) (Printf.sprintf "%s --help no longer lists %s" sub flag) false
         (contains ~needle:flag (help_of [ sub; "--help"; "plain" ])))
-    [ ("run", "--backend"); ("explain", "--backend"); ("fuzz", "--replay") ];
+    ([ ("run", "--backend"); ("explain", "--backend"); ("fuzz", "--replay") ]
+    @ List.map
+        (fun sub -> (sub, "--cache-dir"))
+        [ "run"; "stats"; "capture"; "corun"; "explain"; "rta"; "fuzz" ]);
+  Alcotest.(check int) "run --cache-dir exits 124" 124
+    (bmctl [ "run"; "BICG"; "--cache-dir"; "d" ]);
+  with_temp_file (fun file ->
+      let unusable = "BM_CACHE_DIR=" ^ Filename.concat file "sub" in
+      Alcotest.(check int) "run with an unusable BM_CACHE_DIR exits 0" 0
+        (Sys.command
+           (Filename.quote_command "env" ~stdout:"/dev/null" ~stderr:"/dev/null"
+              [ unusable; bmctl_exe; "run"; "BICG" ])));
   check_flags "rta" [ "--mode"; "--json"; "--inject-rta-bug" ];
   (* The documented exit-code table: every distinct failure status must
      appear in each subcommand's EXIT STATUS section (Cmd.Exit.info feeds
@@ -658,12 +672,12 @@ let test_bench_front_end () =
     (fun flag ->
       Alcotest.(check bool) (Printf.sprintf "help documents %s" flag) true (contains ~needle:flag help))
     [ "--oracle"; "--corun"; "--explain"; "--deadlines"; "--perf-gate"; "--only"; "--json";
-      "--compare"; "--threshold"; "--jobs"; "--cache-dir" ];
+      "--compare"; "--threshold"; "--jobs" ];
   List.iter
     (fun flag ->
       Alcotest.(check bool) (Printf.sprintf "help no longer lists %s" flag) false
         (contains ~needle:flag help))
-    [ "--trace"; "--capture-compare"; "--no-bechamel"; "--backend" ];
+    [ "--trace"; "--capture-compare"; "--no-bechamel"; "--backend"; "--cache-dir" ];
   Alcotest.(check int) "two gates exit 124" 124 (bench [ "--perf-gate"; "--corun" ]);
   Alcotest.(check int) "unknown section exits 124" 124 (bench [ "--only"; "fig99" ])
 

@@ -9,8 +9,9 @@
    must read as a stale miss; (4) corrupt entry files AND corrupt interned
    fingerprint files must demote to misses and repopulate cleanly; (5) a
    disk-warm preparation must be cycle-identical to a cold one across the
-   suite, with a 100% disk hit rate on the second pass; (6) bmctl prewarm
-   must exit with the documented codes. *)
+   suite, with a 100% disk hit rate on the second pass.  No CLI option
+   attaches the store; the ledger's disk-warm workload is its one reader
+   outside these tests and bench --perf-gate. *)
 
 module T = Bm_ptx.Types
 module I = Bm_analysis.Sinterval
@@ -513,34 +514,6 @@ let test_disk_warm_cycle_identical () =
         (c.Store.disk_misses + c.Store.disk_stale + c.Store.disk_corrupt);
       Alcotest.(check bool) "disk hits on the warm pass" true (c.Store.disk_hits > 0))
 
-(* --- bmctl prewarm ------------------------------------------------------ *)
-
-let bmctl_exe =
-  if Sys.file_exists "../bin/bmctl.exe" then "../bin/bmctl.exe" else "_build/default/bin/bmctl.exe"
-
-let bmctl args =
-  Sys.command (Filename.quote_command bmctl_exe ~stdout:"/dev/null" ~stderr:"/dev/null" args)
-
-let test_bmctl_prewarm_exit_codes () =
-  with_temp_dir (fun dir ->
-      let cache = Filename.concat dir "cache" in
-      Alcotest.(check int) "prewarm exits 0" 0 (bmctl [ "prewarm"; "--cache-dir"; cache ]);
-      Alcotest.(check int) "prewarm over a warm store meets 90%" 0
-        (bmctl [ "prewarm"; "--cache-dir"; cache; "--check-hit-rate"; "90" ]);
-      Alcotest.(check int) "impossible hit-rate threshold is a parse error" 124
-        (bmctl [ "prewarm"; "--cache-dir"; cache; "--check-hit-rate"; "101" ]);
-      (* A store that cannot persist anything (family paths squatted by
-         files) fails the hit-rate check with the counterexample code. *)
-      let broken = Filename.concat dir "broken" in
-      Unix.mkdir broken 0o755;
-      List.iter
-        (fun fam ->
-          Out_channel.with_open_bin (Filename.concat broken fam) (fun oc ->
-              Out_channel.output_string oc "squat"))
-        Store.families;
-      Alcotest.(check int) "unpersistable store fails the hit-rate gate" 3
-        (bmctl [ "prewarm"; "--cache-dir"; broken; "--check-hit-rate"; "90" ]))
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_footprints_roundtrip;
@@ -556,5 +529,4 @@ let suite =
     Alcotest.test_case "store: corruption demoted to misses" `Quick test_corruption_demoted;
     Alcotest.test_case "store: read-only and write errors" `Quick test_readonly_and_write_errors;
     Alcotest.test_case "store: disk-warm cycle-identical suite" `Slow test_disk_warm_cycle_identical;
-    Alcotest.test_case "bmctl: prewarm exit codes" `Slow test_bmctl_prewarm_exit_codes;
   ]
