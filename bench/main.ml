@@ -463,7 +463,7 @@ let run_gate (banner, run, passed, failed) =
 
 let main gate only json compare threshold () =
   match (json, compare, gate) with
-  | Some file, _, _ -> Benchrun.write file
+  | Some file, _, _ -> exit (Benchrun.write file)
   | None, Some old, _ -> exit (Benchrun.compare_against ~threshold_pct:threshold old)
   | None, None, Some g -> run_gate g
   | None, None, None -> (
@@ -517,7 +517,7 @@ let () =
   let exits =
     Cmd.Exit.info 1 ~doc:"when a gate fails or $(b,--compare) finds a regression."
     :: Cmd.Exit.info 2
-         ~doc:"on an I/O error (unreadable $(b,--compare) file)."
+         ~doc:"on an I/O error (unreadable $(b,--compare) or unwritable $(b,--json) file)."
     :: Cmd.Exit.defaults
   in
   exit

@@ -48,7 +48,7 @@
 open Blockmaestro
 open Cmdliner
 
-let version = "2.0.0"
+let version = "3.0.0"
 
 let exit_io_error = Bm_cli.exit_io_error
 let exit_counterexample = 3
@@ -265,9 +265,6 @@ let stats_cmd =
     Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE"
            ~doc:"Also write the pipeline spans as folded stacks (flamegraph.pl/speedscope input).")
   in
-  let no_series =
-    Arg.(value & flag & info [ "no-series" ] ~doc:"Omit gauge time series from the JSON snapshot.")
-  in
   let merged =
     Arg.(
       value & flag
@@ -279,7 +276,7 @@ let stats_cmd =
   let write_out out data =
     match out with None -> print_string data | Some file -> Bm_cli.write_file file data
   in
-  let run target modes json csv out folded no_series merged repeat () =
+  let run target modes json csv out folded merged repeat () =
     let name, apps =
       match target with
       | `App (name, gen) -> (name, [ gen () ])
@@ -350,7 +347,7 @@ let stats_cmd =
            | Some (_, s) -> [ ("total_us", Json.Num s.Stats.total_us) ]
            | None -> [])
         @ [
-            ("metrics", Metrics.to_json ~series:(not no_series) sn);
+            ("metrics", Metrics.to_json sn);
             ("spans", Prof.to_json prof);
           ])
     in
@@ -437,7 +434,7 @@ let stats_cmd =
   Cmd.v (cmd_info "stats" ~doc)
     Term.(
       const run $ target $ Bm_cli.modes ~default:[ Mode.Producer_priority ] () $ json $ csv $ out
-      $ folded $ no_series $ merged $ repeat $ Bm_cli.jobs)
+      $ folded $ merged $ repeat $ Bm_cli.jobs)
 
 let trace_cmd =
   let doc =
@@ -450,20 +447,15 @@ let trace_cmd =
            ~doc:"Write the trace to $(docv) (Chrome trace_event JSON, or CSV with $(b,--csv)).")
   in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Export CSV instead of Chrome JSON.") in
-  let no_check = Arg.(value & flag & info [ "no-check" ] ~doc:"Skip the invariant checker.") in
   (* "trace.json" + consumer3 -> "trace.consumer3.json" for mode sweeps. *)
   let mode_file file mode =
+    let short = Mode.short_name mode in
     match String.rindex_opt file '.' with
     | Some i when i > 0 ->
-      String.sub file 0 i ^ "." ^ fst mode ^ String.sub file i (String.length file - i)
-    | Some _ | None -> file ^ "." ^ fst mode
+      String.sub file 0 i ^ "." ^ short ^ String.sub file i (String.length file - i)
+    | Some _ | None -> file ^ "." ^ short
   in
-  let short_name m =
-    match List.find_opt (fun (_, m') -> m' = m) Mode.known with
-    | Some (s, _) -> s
-    | None -> Mode.name m
-  in
-  let run (name, gen) modes out csv no_check () =
+  let run (name, gen) modes out csv () =
     let app = gen () in
     let cfg = Config.titan_x_pascal in
     (* One replay task per mode; traces are single-domain sinks, one per
@@ -488,7 +480,7 @@ let trace_cmd =
         print_string (Trace.render stats trace);
         (match out with
         | Some file ->
-          let file = if many then mode_file file (short_name mode, mode) else file in
+          let file = if many then mode_file file mode else file in
           let data =
             if csv then Trace.to_csv ~name_of trace
             else
@@ -498,23 +490,19 @@ let trace_cmd =
           in
           Bm_cli.write_file file data
         | None -> ());
-        if not no_check then
-          match
-            Trace.check ~window:(Mode.window mode) ~slots:(Config.total_tb_slots cfg) trace
-          with
-          | Ok () -> Printf.printf "trace check: OK\n"
-          | Error msgs ->
-            incr violations;
-            Printf.eprintf "trace check (%s): %d violation(s)\n" (Mode.name mode)
-              (List.length msgs);
-            List.iter (Printf.eprintf "  %s\n") msgs)
+        match Trace.check ~window:(Mode.window mode) ~slots:(Config.total_tb_slots cfg) trace with
+        | Ok () -> Printf.printf "trace check: OK\n"
+        | Error msgs ->
+          incr violations;
+          Printf.eprintf "trace check (%s): %d violation(s)\n" (Mode.name mode) (List.length msgs);
+          List.iter (Printf.eprintf "  %s\n") msgs)
       replays;
     if !violations > 0 then exit exit_trace_violation
   in
   Cmd.v (cmd_info "trace" ~doc)
     Term.(
       const run $ app_arg $ Bm_cli.modes ~default:[ Mode.Producer_priority ] () $ out $ csv
-      $ no_check $ Bm_cli.jobs)
+      $ Bm_cli.jobs)
 
 let graph_file_arg =
   Arg.(

@@ -51,9 +51,9 @@ let () =
   let app = Dsl.app d in
 
   print_endline "=== Static analysis (Algorithm 1) ===";
-  (match Slice.classify_kernel gather with
-  | Slice.Static -> print_endline "gather: static (unexpected!)"
-  | Slice.Non_static { reason; _ } -> Printf.printf "gather: NON-STATIC (%s)\n" reason);
+  (match (Symeval.analyze gather).Symeval.nonstatic_reason with
+  | None -> print_endline "gather: static (unexpected!)"
+  | Some reason -> Printf.printf "gather: NON-STATIC (address derives from a %s)\n" reason);
   let prep = Runner.prepare Mode.Producer_priority app in
   Printf.printf "static pair classification: %s (conservative barrier)\n"
     (Pattern.name prep.Prep.p_launches.(1).Prep.li_pattern);

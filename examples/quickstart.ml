@@ -51,9 +51,9 @@ let () =
   let app = Dsl.app d in
 
   print_endline "=== 2. Kernel-launch-time analysis (Algorithm 1) ===";
-  (match Slice.classify_kernel square_kernel with
-  | Slice.Static -> print_endline "square: all global addresses are static"
-  | Slice.Non_static { reason; _ } -> Printf.printf "square: non-static (%s)\n" reason);
+  (match (Symeval.analyze square_kernel).Symeval.nonstatic_reason with
+  | None -> print_endline "square: all global addresses are static"
+  | Some reason -> Printf.printf "square: non-static (%s)\n" reason);
   let prep = Runner.prepare Mode.Producer_priority app in
   Array.iter
     (fun (li : Prep.launch_info) ->

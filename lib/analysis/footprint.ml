@@ -410,16 +410,6 @@ let whole per_tb =
     done;
     { freads = !reads; fwrites = !writes }
 
-let any_intersect xs ys =
-  List.exists (fun x -> List.exists (fun y -> Sinterval.intersects x y) ys) xs
-
-let raw_intersect ~writes ~reads = any_intersect writes.fwrites reads.freads
-
-let footprints_intersect a b =
-  any_intersect a.fwrites b.freads   (* RAW *)
-  || any_intersect a.freads b.fwrites (* WAR *)
-  || any_intersect a.fwrites b.fwrites (* WAW *)
-
 (* [Exit] means the counter's init or bound reads an enclosing counter that
    runs zero iterations, so this loop never runs either. *)
 let trip_count env cid =

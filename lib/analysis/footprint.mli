@@ -68,15 +68,9 @@ val overlaps : writes:t -> reads:t -> bool
     interval of the child TB? *)
 
 val whole : t array -> t
-(** Join footprints across all TBs, per access (used for command-level
-    dependency tests during queue reordering). *)
-
-val footprints_intersect : t -> t -> bool
-(** Any RAW/WAR/WAW hazard between two whole-kernel footprints (used for
-    command reordering legality, which must preserve all hazards). *)
-
-val raw_intersect : writes:t -> reads:t -> bool
-(** Alias of {!overlaps} at whole-kernel granularity. *)
+(** Join footprints across all TBs, per access: [Bm_maestro.Prep] maps
+    the joined intervals to the buffer-level read/write sets that queue
+    reordering tests. *)
 
 val per_tb_counts : Symeval.result -> launch -> float array * float array
 (** [(insts, mem)], indexed by linear TB id: for every TB of the launch,

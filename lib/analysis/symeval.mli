@@ -1,10 +1,15 @@
-(** Forward symbolic evaluation of a kernel body.
+(** Forward symbolic evaluation of a kernel body: Algorithm 1's
+    static/non-static verdict (paper §III-B.2).
 
-    Complements {!Slice} (which only classifies accesses) by reconstructing,
-    for every global load/store, the symbolic *address expression* in terms
-    of launch-time-known leaves.  Counted loops are recognized from the CFG
-    (back edge + [setp]/guarded-[bra] header + constant-step increment) and
-    their induction variables become {!Sym.Counter} leaves whose ranges are
+    Reconstructs, for every global load/store, the symbolic *address
+    expression* in terms of launch-time-known leaves.  An address that
+    derives from a global, shared or local load, an atomic or an
+    unmodeled instruction is non-static, and so is the whole kernel
+    ([static], [nonstatic_reason]).
+
+    Counted loops are recognized from the CFG (back edge +
+    [setp]/guarded-[bra] header + constant-step increment) and their
+    induction variables become {!Sym.Counter} leaves whose ranges are
     resolved later by the value-range analysis ({!Footprint}). *)
 
 type counter = {

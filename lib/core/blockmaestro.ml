@@ -11,8 +11,8 @@
     Layer map (bottom-up):
     - {!Rng}, {!Eheap}, {!Lru}: deterministic simulation substrate
     - {!Ptx}, {!Printer}, {!Parser}, {!Builder}, {!Cfg}: the PTX-like IR
-    - {!Sinterval}, {!Sym}, {!Slice}, {!Symeval}, {!Footprint},
-      {!Fingerprint}: kernel-launch-time static analysis (Algorithm 1)
+    - {!Sinterval}, {!Sym}, {!Symeval}, {!Footprint}, {!Fingerprint}:
+      kernel-launch-time static analysis (Algorithm 1)
     - {!Bipartite}, {!Pattern}, {!Encode}: TB-level dependency graphs
     - {!Config}, {!Command}, {!Alloc}, {!Costmodel}, {!Stats}: GPU model
     - {!Mode}, {!Reorder}, {!Jsonc}, {!Cache}, {!Prep}, {!Hardware},
@@ -45,7 +45,6 @@ module Interp = Bm_ptx.Interp
 
 module Sinterval = Bm_analysis.Sinterval
 module Sym = Bm_analysis.Sym
-module Slice = Bm_analysis.Slice
 module Symeval = Bm_analysis.Symeval
 module Footprint = Bm_analysis.Footprint
 module Dynamic = Bm_analysis.Dynamic

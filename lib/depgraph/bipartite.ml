@@ -146,7 +146,6 @@ let edge_count rel ~n_parents ~n_children =
   | Graph g -> Array.fold_left (fun acc ps -> acc + Array.length ps) 0 g.parents_of
 
 let max_in_degree g = Array.fold_left (fun m ps -> max m (Array.length ps)) 0 g.parents_of
-let max_out_degree g = Array.fold_left (fun m cs -> max m (Array.length cs)) 0 g.children_of
 
 let equal a b =
   a.n_parents = b.n_parents && a.n_children = b.n_children && a.parents_of = b.parents_of

@@ -42,7 +42,6 @@ val edge_count : relation -> n_parents:int -> n_children:int -> int
 (** Number of edges denoted by the relation (MN for fully connected). *)
 
 val max_in_degree : t -> int
-val max_out_degree : t -> int
 
 val equal : t -> t -> bool
 val pp_relation : Format.formatter -> relation -> unit

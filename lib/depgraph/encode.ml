@@ -258,7 +258,3 @@ let encoded_overhead_class = function
   | Pattern.Overlapped -> "O(N + M.deg_max)"
   | Pattern.Independent -> "O(1)"
   | Pattern.Irregular -> "O(E)"
-
-let pp_sizes ppf s =
-  Format.fprintf ppf "%s: plain=%dB encoded=%dB" (Pattern.name s.pattern) s.plain_bytes
-    s.encoded_bytes

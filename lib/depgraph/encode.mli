@@ -64,5 +64,3 @@ val encoded_words : encoded -> int
 
 val encoded_overhead_class : Pattern.t -> string
 (** The Table I complexity class, e.g. "O(M+N)" for n-group. *)
-
-val pp_sizes : Format.formatter -> sizes -> unit

@@ -112,8 +112,6 @@ let of_profile ps ~kernel_seq p =
   done;
   { tb_us; tb_mem_requests = tb_mem; avg_tb_us = (if n = 0 then 0.0 else !sum /. float_of_int n) }
 
-let of_launch ps ~kernel_seq result launch = of_profile ps ~kernel_seq (profile result launch)
-
 (* A local float ref, not [Array.fold_left]: the polymorphic fold boxes
    every partial sum, and [Sim.run] lowers (so sums) every launch per run.
    Same left-to-right order, so the same bits. *)

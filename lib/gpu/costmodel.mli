@@ -65,15 +65,6 @@ val same_profile : profile -> profile -> bool
 
 val of_profile : params -> kernel_seq:int -> profile -> t
 (** Apply the per-launch deterministic jitter (hashed from [params.seed +
-    kernel_seq] and the TB id) to a profile.  [of_launch ps ~kernel_seq r
-    l] is exactly [of_profile ps ~kernel_seq (profile r l)] — splitting
-    the two halves never changes a single bit of the result. *)
-
-val of_launch :
-  params ->
-  kernel_seq:int ->
-  Bm_analysis.Symeval.result ->
-  Bm_analysis.Footprint.launch ->
-  t
+    kernel_seq] and the TB id) to a profile. *)
 
 val total_mem_requests : t -> float

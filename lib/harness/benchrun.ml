@@ -97,15 +97,29 @@ let collect ?apps ?jobs () =
     bf_apps = Array.to_list results;
   }
 
+(* Opens [file] before collecting, so an unwritable path fails in
+   milliseconds rather than after the whole suite has run. *)
 let write ?jobs file =
-  let bf = collect ?jobs () in
-  Benchfile.save file bf;
-  Printf.printf "wrote %s: %d apps x %d modes (schema v%d)\n" file
-    (List.length bf.Benchfile.bf_apps)
-    (match bf.Benchfile.bf_apps with
-    | a :: _ -> List.length a.Benchfile.ar_modes
-    | [] -> 0)
-    Benchfile.schema_version
+  match open_out file with
+  | exception Sys_error msg ->
+    Printf.eprintf "cannot write %s: %s\n" file msg;
+    2
+  | oc ->
+    let bf =
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () ->
+          let bf = collect ?jobs () in
+          output_string oc (Benchfile.to_string bf);
+          bf)
+    in
+    Printf.printf "wrote %s: %d apps x %d modes (schema v%d)\n" file
+      (List.length bf.Benchfile.bf_apps)
+      (match bf.Benchfile.bf_apps with
+      | a :: _ -> List.length a.Benchfile.ar_modes
+      | [] -> 0)
+      Benchfile.schema_version;
+    0
 
 (* Returns the process exit code: 0 in-threshold, 1 regression, 2 I/O or
    parse failure on the old file. *)

@@ -22,8 +22,10 @@ val collect :
     spans vary.  Each app task prepares against its own in-memory
     {!Bm_maestro.Cache}. *)
 
-val write : ?jobs:int -> string -> unit
-(** [collect] and save, printing a one-line summary to stdout. *)
+val write : ?jobs:int -> string -> int
+(** [collect] and save, printing a one-line summary to stdout.  Returns
+    the process exit code: 0 written, 2 when the file cannot be opened
+    for writing (checked before anything is collected). *)
 
 val compare_against : ?jobs:int -> threshold_pct:float -> string -> int
 (** Re-measure and diff simulated cycles against a saved file.  Returns the

@@ -215,11 +215,6 @@ let check_corun solos (res : Multi.result) =
 let q4 x =
   if Float.is_finite x then Float.round (x *. 1e4) /. 1e4 else x
 
-let mode_string mode =
-  match List.find_opt (fun (_, m) -> m = mode) Mode.known with
-  | Some (s, _) -> s
-  | None -> Mode.name mode
-
 let num_i n = Json.Num (float_of_int n)
 
 let attrib_to_json (a : Attrib.t) =
@@ -271,7 +266,7 @@ let to_json solo =
   Json.Obj
     [
       ("app", Json.Str solo.x_app);
-      ("mode", Json.Str (mode_string solo.x_mode));
+      ("mode", Json.Str (Mode.short_name solo.x_mode));
       ("total_us", Json.Num (q4 solo.x_total_us));
       ("attrib", attrib_to_json solo.x_attrib);
       ( "critpath",
@@ -295,98 +290,6 @@ let to_json solo =
              solo.x_whatif) );
     ]
 
-(* Decoding raises Jsonc.Bad on the first missing or malformed field;
-   [of_json] turns it into an [Error] once, at its boundary. *)
-let of_json j =
-  let open Jsonc in
-  let what = "explain" in
-  let decode () =
-    let mode_s = str_field ~what "mode" j in
-    let mode =
-      match Mode.of_string mode_s with Some m -> m | None -> bad "unknown mode %S" mode_s
-    in
-    let aj = field ~what "attrib" j in
-    let cellsj = field ~what "cells" aj in
-    let cells = Array.make_matrix Attrib.n_resources Attrib.n_buckets 0 in
-    List.iter
-      (fun r ->
-        let rj = field ~what (Attrib.resource_name r) cellsj in
-        List.iter
-          (fun b ->
-            cells.(Attrib.resource_index r).(Attrib.bucket_index b) <-
-              int_field ~what (Attrib.bucket_name b) rj)
-          Attrib.buckets)
-      Attrib.resources;
-    let entries name conv =
-      Array.of_list
-        (List.map
-           (fun x ->
-             match list_of_json ~what:name x with
-             | [ a; b ] -> (int_of_json ~what:name a, conv b)
-             | _ -> bad "malformed %s entry" name)
-           (list_of_json ~what (field ~what name aj)))
-    in
-    let attrib =
-      {
-        Attrib.at_machine =
-          {
-            Attrib.ma_slots = int_field ~what "slots" aj;
-            ma_window = int_field ~what "window" aj;
-            ma_fine = bool_field ~what "fine" aj;
-          };
-        at_makespan_ticks = int_field ~what "makespan_ticks" aj;
-        at_cells = cells;
-        at_kernel_exec = entries "kernel_exec" (int_of_json ~what:"kernel_exec");
-        at_series =
-          entries "series" (fun cs ->
-              Array.of_list (List.map (int_of_json ~what:"series") (list_of_json ~what:"series" cs)));
-      }
-    in
-    let node_of j =
-      let what = "critpath node" in
-      let kind =
-        match str_field ~what "kind" j with
-        | "tb" -> Critpath.Ntb { seq = int_field ~what "seq" j; tb = int_field ~what "tb" j }
-        | "copy" -> Critpath.Ncopy { cmd = int_field ~what "cmd" j; d2h = bool_field ~what "d2h" j }
-        | "launch" -> Critpath.Nlaunch { seq = int_field ~what "seq" j }
-        | "host" -> Critpath.Nhost
-        | s -> bad "unknown node kind %S" s
-      in
-      let edge_s = str_field ~what "edge" j in
-      {
-        Critpath.cn_kind = kind;
-        cn_start = int_field ~what "start" j;
-        cn_end = int_field ~what "end" j;
-        cn_edge =
-          (match Critpath.edge_of_name edge_s with
-          | Some e -> e
-          | None -> bad "unknown edge %S" edge_s);
-      }
-    in
-    let cj = field ~what "critpath" j in
-    let whatif_of x =
-      let what = "whatif" in
-      {
-        wi_knob = str_field ~what "knob" x;
-        wi_total_us = num_field ~what "total_us" x;
-        wi_speedup = num_field ~what "speedup" x;
-      }
-    in
-    {
-      x_app = str_field ~what "app" j;
-      x_mode = mode;
-      x_total_us = num_field ~what "total_us" j;
-      x_attrib = attrib;
-      x_critpath =
-        {
-          Critpath.cp_makespan_ticks = int_field ~what "makespan_ticks" cj;
-          cp_nodes = Array.of_list (List.map node_of (list_of_json ~what (field ~what "nodes" cj)));
-        };
-      x_whatif = List.map whatif_of (list_of_json ~what (field ~what "whatif" j));
-    }
-  in
-  match decode () with solo -> Ok solo | exception Bad msg -> Error msg
-
 (* --- rendering --------------------------------------------------------- *)
 
 let whatif_table ?(title = "what-if: zero one cost") solo =
@@ -399,7 +302,7 @@ let whatif_table ?(title = "what-if: zero one cost") solo =
   tab
 
 let tables ?(top = 5) solo =
-  let title fmt = Printf.sprintf fmt solo.x_app (mode_string solo.x_mode) in
+  let title fmt = Printf.sprintf fmt solo.x_app (Mode.short_name solo.x_mode) in
   [ Attrib.table ~title:(title "cycle attribution: %s (%s)") solo.x_attrib;
     Critpath.table ~title:(title "critical path: %s (%s)") solo.x_critpath;
     Critpath.edges_table solo.x_critpath;

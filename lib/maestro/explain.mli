@@ -110,10 +110,8 @@ val check_corun : solo array -> Multi.result -> (unit, string) result
 
 val to_json : solo -> Bm_metrics.Json.t
 (** Stable encoding: exact quantities as integer ticks, display times
-    rounded to 1e-4 us so that encode → print → parse → decode → encode
-    is byte-identical (the [bmctl explain --json] round-trip contract). *)
-
-val of_json : Bm_metrics.Json.t -> (solo, string) result
+    rounded to 1e-4 us so that print → parse → print is byte-identical
+    (the [bmctl explain --json] stability contract). *)
 
 (** {1 Rendering and export} *)
 

@@ -5,7 +5,6 @@ module Bipartite = Bm_depgraph.Bipartite
 module Encode = Bm_depgraph.Encode
 module Fingerprint = Bm_analysis.Fingerprint
 module Json = Bm_metrics.Json
-module Metrics = Bm_metrics.Metrics
 
 type gcmd =
   | Gmalloc
@@ -625,11 +624,3 @@ let summarize s =
     sum_commands = Array.length s.s_commands;
     sum_encoded_bytes = !bytes;
   }
-
-let export t metrics =
-  let sum = summarize t.g_reordered in
-  let add name v = Metrics.add (Metrics.counter metrics name) (float_of_int v) in
-  add "graph.capture.nodes" sum.sum_nodes;
-  add "graph.capture.edges" sum.sum_edges;
-  add "graph.capture.commands" sum.sum_commands;
-  add "graph.capture.encoded_bytes" sum.sum_encoded_bytes

@@ -159,8 +159,4 @@ type summary = {
 }
 
 val summarize : schedule -> summary
-
-val export : t -> Bm_metrics.Metrics.t -> unit
-(** Publish capture counters ([graph.capture.nodes], [graph.capture.edges],
-    [graph.capture.commands], [graph.capture.encoded_bytes], over the
-    reordered schedule) into a metrics registry. *)
+(** What [bmctl capture] prints for each schedule. *)

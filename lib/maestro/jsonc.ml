@@ -38,16 +38,6 @@ let field ~what name j =
 let int_field ~what name j = int_of_json ~what:(what ^ "." ^ name) (field ~what name j)
 let str_field ~what name j = str_of_json ~what:(what ^ "." ^ name) (field ~what name j)
 
-let num_field ~what name j =
-  match Json.to_float (field ~what name j) with
-  | Some x -> x
-  | None -> bad "%s.%s: expected a number" what name
-
-let bool_field ~what name j =
-  match field ~what name j with
-  | Json.Bool b -> b
-  | _ -> bad "%s.%s: expected a boolean" what name
-
 (* Delta + run-length packing: persisted integer payloads are dominated
    by structured sequences — monotone id lists, affine per-TB address
    progressions, step-function parent maps — whose successive differences

@@ -19,18 +19,10 @@ val json_of_float : float -> Bm_metrics.Json.t
     emitter rounds to %.12g, which is lossy for jittered per-TB costs. *)
 
 val float_of_json : what:string -> Bm_metrics.Json.t -> float
-val int_of_json : what:string -> Bm_metrics.Json.t -> int
-val str_of_json : what:string -> Bm_metrics.Json.t -> string
 val list_of_json : what:string -> Bm_metrics.Json.t -> Bm_metrics.Json.t list
 val field : what:string -> string -> Bm_metrics.Json.t -> Bm_metrics.Json.t
 val int_field : what:string -> string -> Bm_metrics.Json.t -> int
 val str_field : what:string -> string -> Bm_metrics.Json.t -> string
-
-val num_field : what:string -> string -> Bm_metrics.Json.t -> float
-(** A plain JSON number ([null] reads as [nan], {!Bm_metrics.Json.to_float}),
-    for display values that are not persisted bit-exactly. *)
-
-val bool_field : what:string -> string -> Bm_metrics.Json.t -> bool
 
 (** {2 Delta + run-length packing}
 

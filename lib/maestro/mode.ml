@@ -63,6 +63,9 @@ let known =
     ("edf4", Deadline_edf 4);
   ]
 
+let short_name mode =
+  match List.find_opt (fun (_, m) -> m = mode) known with Some (s, _) -> s | None -> name mode
+
 let of_string s =
   match List.assoc_opt s known with
   | Some m -> Some m

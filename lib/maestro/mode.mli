@@ -58,6 +58,10 @@ val known : (string * t) list
     "edf2", ...) in Fig. 9 order followed by the deadline modes, shared by
     every CLI front end. *)
 
+val short_name : t -> string
+(** The mode's {!known} short name, or its {!name} for a mode outside
+    that table (say [Consumer_priority 5]). *)
+
 val of_string : string -> t option
 (** Look up a mode by its {!known} short name, or by the long display name
     that {!name} prints — every mode round-trips through both spellings. *)

@@ -124,10 +124,6 @@ let of_string s =
   let* j = Json.of_string s in
   of_json j
 
-let save file t =
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string t))
-
 let load file =
   match open_in file with
   | exception Sys_error msg -> Error msg

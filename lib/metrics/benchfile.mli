@@ -41,7 +41,6 @@ val to_string : t -> string
 val of_json : Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 
-val save : string -> t -> unit
 val load : string -> (t, string) result
 (** [Error] covers unreadable files, malformed JSON and schema mismatch. *)
 

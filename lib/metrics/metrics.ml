@@ -222,7 +222,7 @@ let snapshot t =
 
 (* --- exporters --------------------------------------------------------- *)
 
-let to_json ?(series = true) sn =
+let to_json sn =
   let counters =
     Array.to_list sn.sn_counters
     |> List.map (fun c -> (c.cs_name, Json.Num c.cs_value))
@@ -230,21 +230,14 @@ let to_json ?(series = true) sn =
   let gauges =
     Array.to_list sn.sn_gauges
     |> List.map (fun g ->
-           let fields =
-             [ ("last", Json.Num g.gs_last); ("high_water", Json.Num g.gs_high);
-               ("samples", Json.Num (float_of_int (Array.length g.gs_series))) ]
-           in
-           let fields =
-             if series then
-               fields
-               @ [ ("series",
-                    Json.Arr
-                      (Array.to_list g.gs_series
-                      |> List.map (fun (ts, v) -> Json.Arr [ Json.Num ts; Json.Num v ])))
-                 ]
-             else fields
-           in
-           (g.gs_name, Json.Obj fields))
+           ( g.gs_name,
+             Json.Obj
+               [ ("last", Json.Num g.gs_last); ("high_water", Json.Num g.gs_high);
+                 ("samples", Json.Num (float_of_int (Array.length g.gs_series)));
+                 ("series",
+                  Json.Arr
+                    (Array.to_list g.gs_series
+                    |> List.map (fun (ts, v) -> Json.Arr [ Json.Num ts; Json.Num v ]))) ] ))
   in
   let histograms =
     Array.to_list sn.sn_histograms

@@ -105,9 +105,8 @@ val snapshot : t -> snapshot
 
 (** {1 Exporters} *)
 
-val to_json : ?series:bool -> snapshot -> Json.t
-(** [series] (default true) includes the full gauge time series; pass
-    [false] for compact summaries. *)
+val to_json : snapshot -> Json.t
+(** Every metric, gauges with their full time series. *)
 
 val to_csv : snapshot -> string
 (** One row per metric; names quoted with {!Bm_report.Report.csv_field}. *)

@@ -112,7 +112,6 @@ let global_linear_index t =
   mad_lo_u32 t ctaid ntid tid
 
 let block_index t = mov_u32 t (Sreg (Ctaid X))
-let thread_index t = mov_u32 t (Sreg (Tid X))
 
 let elem_addr t ~base ~index ~scale =
   let wide = fresh_rd t in

@@ -46,9 +46,6 @@ val global_linear_index : t -> Types.operand
 val block_index : t -> Types.operand
 (** [ctaid.x] as a 32-bit register. *)
 
-val thread_index : t -> Types.operand
-(** [tid.x] as a 32-bit register. *)
-
 val elem_addr : t -> base:Types.operand -> index:Types.operand -> scale:int -> Types.operand
 (** Byte address [base + index * scale] as a 64-bit register
     ([mul.wide.s32] + [add.s64]). *)

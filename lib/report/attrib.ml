@@ -64,8 +64,6 @@ let bucket_name = function
   | Launch_overhead -> "launch_overhead"
   | Idle -> "idle"
 
-let bucket_of_name s = List.find_opt (fun b -> bucket_name b = s) buckets
-
 type resource = Slots | Copy_engine | Launch_engine
 
 let resources = [ Slots; Copy_engine; Launch_engine ]
@@ -462,7 +460,3 @@ let table ?(title = "cycle attribution") t =
         @ [ Printf.sprintf "%.1f" (us_of_ticks (t.at_makespan_ticks * weight t.at_machine r)) ]))
     resources;
   tab
-
-let top_kernels ?(top = 5) t =
-  let n = min top (Array.length t.at_kernel_exec) in
-  Array.sub t.at_kernel_exec 0 n

@@ -52,15 +52,12 @@ type bucket =
   | Idle             (** nothing device-side in flight (host gaps) *)
 
 val buckets : bucket list
-val n_buckets : int
 val bucket_index : bucket -> int
 val bucket_name : bucket -> string
-val bucket_of_name : string -> bucket option
 
 type resource = Slots | Copy_engine | Launch_engine
 
 val resources : resource list
-val n_resources : int
 val resource_index : resource -> int
 val resource_name : resource -> string
 
@@ -167,6 +164,3 @@ val share : t -> resource -> bucket -> float
 (** Percentage of the resource's total time in the bucket. *)
 
 val table : ?title:string -> t -> Report.table
-
-val top_kernels : ?top:int -> t -> (int * int) array
-(** The [top] (default 5) kernels by exec slot-ticks. *)

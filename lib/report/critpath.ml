@@ -48,8 +48,6 @@ let edge_name = function
   | Host_gap -> "host"
   | Program -> "program"
 
-let edge_of_name s = List.find_opt (fun e -> edge_name e = s) edges
-
 let kind_label = function
   | Ntb _ -> "tb"
   | Ncopy _ -> "copy"

@@ -32,7 +32,6 @@ type edge =
 
 val edges : edge list
 val edge_name : edge -> string
-val edge_of_name : string -> edge option
 val kind_label : node_kind -> string
 (** ["tb"], ["copy"], ["launch"] or ["host"]. *)
 

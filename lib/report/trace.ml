@@ -67,8 +67,7 @@ type kernel_counters = {
   kc_dispatched : int;
   kc_finished : int;
   kc_deps : int;          (* Dep_satisfied events seen for this kernel *)
-  kc_recorded : bool;     (* all four lifecycle stamps below are present *)
-  kc_enqueue : float;
+  kc_enqueue : float;     (* nan when the event was not recorded *)
   kc_launched : float;
   kc_drained : float;
   kc_completed : float;
@@ -94,7 +93,6 @@ let empty_kc seq stream tbs =
     kc_dispatched = 0;
     kc_finished = 0;
     kc_deps = 0;
-    kc_recorded = false;
     kc_enqueue = nan;
     kc_launched = nan;
     kc_drained = nan;
@@ -125,16 +123,6 @@ let kernel_counters t =
       | Stats.Copy_start _ | Stats.Copy_finish _ | Stats.Dlb_spill _ | Stats.Pcb_spill _ -> ())
     (events t);
   Hashtbl.fold (fun _ k acc -> k :: acc) tbl []
-  |> List.map (fun k ->
-         (* The NaN stamps individually mean "not recorded"; [kc_recorded]
-            summarizes all four so consumers cannot silently lose a partial
-            lifecycle to NaN-filtering arithmetic (Report.percentile drops
-            NaN; Attrib needs to reject, not mis-bucket, such kernels). *)
-         let have x = not (Float.is_nan x) in
-         { k with
-           kc_recorded =
-             have k.kc_enqueue && have k.kc_launched && have k.kc_drained && have k.kc_completed
-         })
   |> List.sort (fun a b -> compare a.kc_seq b.kc_seq)
   |> Array.of_list
 

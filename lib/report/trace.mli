@@ -37,12 +37,6 @@ type kernel_counters = {
   kc_dispatched : int;
   kc_finished : int;
   kc_deps : int;          (** dependency-satisfaction events observed *)
-  kc_recorded : bool;
-      (** true iff all four lifecycle stamps below were recorded.  The
-          float stamps are NaN when missing — and NaN silently vanishes
-          in downstream arithmetic ({!Report.percentile} drops it), so
-          consumers that must not mis-account a partial lifecycle
-          (e.g. {!Attrib}) gate on this flag instead of probing floats. *)
   kc_enqueue : float;     (** nan when the event was not recorded *)
   kc_launched : float;
   kc_drained : float;

@@ -163,11 +163,6 @@ let generate_corun_deadlines ?num_sms ?max_streams ?max_len ?max_grid ?block rng
   let cd_b = generate_deadline rng in
   { cd_corun = c; cd_a; cd_b }
 
-let criticality_tag = function Hard -> "hard" | Soft -> "soft"
-
-let deadline_to_string d =
-  Printf.sprintf "%s@%.3fx" (criticality_tag d.d_criticality) d.d_factor
-
 let submission_tag = function `Fifo -> "fifo" | `Round_robin -> "rr" | `Packed -> "packed"
 
 let kspec_to_string ks =

@@ -119,8 +119,3 @@ val generate_corun_deadlines :
 (** {!generate_corun}, then one deadline spec per app.  The deadline draws
     come strictly after every co-run draw, so for any seed [cd_corun] is
     bit-identical to what {!generate_corun} alone produces. *)
-
-val criticality_tag : criticality -> string
-
-val deadline_to_string : deadline_spec -> string
-(** e.g. ["hard@0.812x"]. *)

@@ -1,10 +1,9 @@
-(* Tests for Algorithm 1: backward slicing, symbolic evaluation and
-   per-thread-block value-range footprints. *)
+(* Tests for Algorithm 1: the static/non-static verdict, symbolic
+   evaluation and per-thread-block value-range footprints. *)
 
 open Bm_ptx
 module T = Types
 module B = Builder
-module Slice = Bm_analysis.Slice
 module Symeval = Bm_analysis.Symeval
 module Footprint = Bm_analysis.Footprint
 module I = Bm_analysis.Sinterval
@@ -24,19 +23,22 @@ let indirect_kernel () =
   B.st_global_f32 b ~addr:addr_y ~offset:0 ~value:v;
   B.finish b
 
+(* Algorithm 1's verdict is [Symeval.analyze]'s [static] and
+   [nonstatic_reason]; the "slice:" cases pin it on the same kernels. *)
 let test_slice_static () =
-  Alcotest.(check bool) "vecadd is static" true (Slice.classify_kernel (vecadd ()) = Slice.Static)
+  Alcotest.(check bool) "vecadd is static" true (Symeval.analyze (vecadd ())).Symeval.static
 
 let test_slice_nonstatic () =
-  match Slice.classify_kernel (indirect_kernel ()) with
-  | Slice.Static -> Alcotest.fail "gather should be non-static"
-  | Slice.Non_static { reason; _ } ->
-    Alcotest.(check bool) "mentions global load" true
-      (String.length reason > 0)
+  let r = Symeval.analyze (indirect_kernel ()) in
+  Alcotest.(check bool) "gather is non-static" false r.Symeval.static;
+  match r.Symeval.nonstatic_reason with
+  | None -> Alcotest.fail "gather should carry a non-static reason"
+  | Some reason -> Alcotest.(check string) "reason names the global load" "global load" reason
 
 let test_slice_access_count () =
-  let k = vecadd () in
-  Alcotest.(check int) "three global accesses" 3 (List.length (Slice.global_accesses k))
+  let r = Symeval.analyze (vecadd ()) in
+  Alcotest.(check int) "three global accesses" 3
+    (List.length (List.sort_uniq compare (List.map (fun a -> a.Symeval.ainstr) r.Symeval.accesses)))
 
 let test_symeval_vecadd () =
   let r = Symeval.analyze (vecadd ()) in
@@ -300,8 +302,8 @@ let test_golden_ptx_pipeline () =
   let k = Bm_ptx.Parser.kernel_of_string golden_ptx in
   Alcotest.(check string) "name" "saxpy" k.T.kname;
   Alcotest.(check int) "params" 4 (List.length k.T.kparams);
-  Alcotest.(check bool) "static" true (Slice.classify_kernel k = Slice.Static);
   let r = Symeval.analyze k in
+  Alcotest.(check bool) "static" true r.Symeval.static;
   Alcotest.(check int) "guard found in hand-written PTX" 1 (List.length r.Symeval.guards);
   let launch =
     { Footprint.grid = T.dim3 4; block = T.dim3 256;

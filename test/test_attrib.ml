@@ -467,43 +467,19 @@ let test_malformed_traces () =
 
 (* --- JSON round trip --------------------------------------------------- *)
 
+(* The emitted JSON is a fixed point of parse-then-print: display floats
+   are rounded to 1e-4 us, so re-printing a parsed report reproduces its
+   bytes exactly. *)
 let test_json_roundtrip () =
   List.iter
     (fun (name, mode) ->
       let gen = List.assoc name Suite.all in
       let solo = Explain.run ~cfg ~series:true mode ~name (gen ()) in
-      let s1 = Json.to_string (Explain.to_json solo) in
-      match Json.of_string s1 with
-      | Error e -> Alcotest.failf "%s: emitted JSON does not parse: %s" name e
-      | Ok j -> (
-        match Explain.of_json j with
-        | Error e -> Alcotest.failf "%s: decode failed: %s" name e
-        | Ok solo2 ->
-          let s2 = Json.to_string (Explain.to_json solo2) in
-          Alcotest.(check string) (name ^ ": encode/decode/encode is byte-stable") s1 s2;
-          Alcotest.(check bool) (name ^ ": decoded cells identical") true
-            (solo2.Explain.x_attrib.Attrib.at_cells = solo.Explain.x_attrib.Attrib.at_cells);
-          Alcotest.(check bool) (name ^ ": decoded critpath identical") true
-            (solo2.Explain.x_critpath = solo.Explain.x_critpath);
-          Alcotest.(check string) (name ^ ": mode survives") (Mode.name solo.Explain.x_mode)
-            (Mode.name solo2.Explain.x_mode)))
-    [ ("BICG", Mode.Producer_priority); ("FFT", Mode.Baseline); ("HS", Mode.Consumer_priority 3) ]
-
-let test_of_json_rejects_garbage () =
-  List.iter
-    (fun s ->
+      let s = Json.to_string (Explain.to_json solo) in
       match Json.of_string s with
-      | Error _ -> ()
-      | Ok j -> (
-        match Explain.of_json j with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.failf "accepted malformed explain JSON: %s" s))
-    [
-      "{}";
-      {|{"app":"X","mode":"nope"}|};
-      {|{"app":"X","mode":"producer"}|};
-      {|[1,2,3]|};
-    ]
+      | Error e -> Alcotest.failf "%s: emitted JSON does not parse: %s" name e
+      | Ok j -> Alcotest.(check string) (name ^ ": parse/print is byte-stable") s (Json.to_string j))
+    [ ("BICG", Mode.Producer_priority); ("FFT", Mode.Baseline); ("HS", Mode.Consumer_priority 3) ]
 
 (* --- exports ----------------------------------------------------------- *)
 
@@ -570,10 +546,9 @@ let test_bmctl_explain () =
         (bmctl ~stdout:tmp [ "explain"; "MVT"; "--json"; "--no-whatif" ]);
       let text = In_channel.with_open_bin tmp In_channel.input_all in
       match Json.of_string (String.trim text) with
-      | Ok j -> (
-        match Explain.of_json j with
-        | Ok solo -> Alcotest.(check string) "round-tripped app name" "MVT" solo.Explain.x_app
-        | Error e -> Alcotest.failf "bmctl JSON did not decode: %s" e)
+      | Ok j ->
+        Alcotest.(check (option string)) "app member" (Some "MVT")
+          (Option.bind (Json.member "app" j) Json.to_str)
       | Error e -> Alcotest.failf "bmctl JSON did not parse: %s" e)
 
 let suite =
@@ -590,7 +565,6 @@ let suite =
     Alcotest.test_case "synthetic trace pins slot starvation" `Quick test_slot_starved_synthetic;
     Alcotest.test_case "malformed synthetic traces attribute as pinned" `Quick test_malformed_traces;
     Alcotest.test_case "JSON round trip is byte-stable" `Quick test_json_roundtrip;
-    Alcotest.test_case "of_json rejects malformed input" `Quick test_of_json_rejects_garbage;
     Alcotest.test_case "metrics export + counter series" `Quick test_export_and_series;
     Alcotest.test_case "bmctl explain integration" `Slow test_bmctl_explain;
   ]

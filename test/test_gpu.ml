@@ -92,7 +92,7 @@ let cost_of ?(cfg = Config.titan_x_pascal) ~work ~grid ~block () =
     { Footprint.grid = T.dim3 grid; block = T.dim3 block;
       args = [ ("n", grid * block); ("IN", 1 lsl 20); ("OUT", 1 lsl 22) ] }
   in
-  Costmodel.of_launch (Costmodel.params cfg) ~kernel_seq:0 r launch
+  Costmodel.of_profile (Costmodel.params cfg) ~kernel_seq:0 (Costmodel.profile r launch)
 
 let test_cost_monotone_in_work () =
   let light = cost_of ~work:10 ~grid:4 ~block:256 () in

@@ -514,21 +514,22 @@ let test_packed_event_bound () =
           (Multi.run cfg mode [| prep; huge_prep |]).Multi.mr_stats.(1)))
     [ Mode.Baseline; Mode.Producer_priority; Mode.Deadline_edf 2 ]
 
-let test_capture_counters () =
-  let graph = Graph.capture cfg (Suite.by_name "3MM" ()) in
-  let metrics = Metrics.create () in
-  Graph.export graph metrics;
-  let counter name =
-    match Metrics.find_counter metrics name with
-    | Some c -> int_of_float (Metrics.counter_value c)
-    | None -> Alcotest.failf "missing counter %s" name
-  in
-  let sum = Graph.summarize graph.Graph.g_reordered in
-  Alcotest.(check int) "graph.capture.nodes" sum.Graph.sum_nodes (counter "graph.capture.nodes");
-  Alcotest.(check int) "graph.capture.edges" sum.Graph.sum_edges (counter "graph.capture.edges");
-  Alcotest.(check int) "graph.capture.commands" sum.Graph.sum_commands (counter "graph.capture.commands");
-  Alcotest.(check int) "graph.capture.encoded_bytes" sum.Graph.sum_encoded_bytes
-    (counter "graph.capture.encoded_bytes");
+(* The summary [bmctl capture] prints, against counts taken from the app
+   and the schedule's own nodes. *)
+let test_capture_summary () =
+  let app = Suite.by_name "3MM" () in
+  let graph = Graph.capture cfg app in
+  let sched = graph.Graph.g_reordered in
+  let sum = Graph.summarize sched in
+  Alcotest.(check int) "one node per launch"
+    (List.length (Bm_gpu.Command.launches app))
+    sum.Graph.sum_nodes;
+  Alcotest.(check int) "every command" (Array.length sched.Graph.s_commands) sum.Graph.sum_commands;
+  Alcotest.(check int) "encoded bytes over the nodes"
+    (Array.fold_left
+       (fun acc n -> acc + n.Graph.n_sizes.Bm_depgraph.Encode.encoded_bytes)
+       0 sched.Graph.s_nodes)
+    sum.Graph.sum_encoded_bytes;
   Alcotest.(check bool) "suite app has dependency edges" true (sum.Graph.sum_edges > 0)
 
 (* --- bmctl integration: exit codes and help consistency --------------- *)
@@ -619,17 +620,23 @@ let test_bmctl_help_consistency () =
       "--partition" ];
   (* The in-memory replay selector is gone: replay means a decoded graph.
      No subcommand attaches the disk store, so --cache-dir is a usage
-     error and BM_CACHE_DIR is not read, even when it is unusable. *)
+     error and BM_CACHE_DIR is not read, even when it is unusable.  The
+     trace checker always runs and stats JSON always carries the gauge
+     series, so --no-check and --no-series are usage errors too. *)
   List.iter
     (fun (sub, flag) ->
       Alcotest.(check bool) (Printf.sprintf "%s --help no longer lists %s" sub flag) false
         (contains ~needle:flag (help_of [ sub; "--help"; "plain" ])))
-    ([ ("run", "--backend"); ("explain", "--backend"); ("fuzz", "--replay") ]
+    ([ ("run", "--backend"); ("explain", "--backend"); ("fuzz", "--replay");
+       ("trace", "--no-check"); ("stats", "--no-series") ]
     @ List.map
         (fun sub -> (sub, "--cache-dir"))
         [ "run"; "stats"; "capture"; "corun"; "explain"; "rta"; "fuzz" ]);
   Alcotest.(check int) "run --cache-dir exits 124" 124
     (bmctl [ "run"; "BICG"; "--cache-dir"; "d" ]);
+  Alcotest.(check int) "trace --no-check exits 124" 124 (bmctl [ "trace"; "BICG"; "--no-check" ]);
+  Alcotest.(check int) "stats --no-series exits 124" 124
+    (bmctl [ "stats"; "BICG"; "--json"; "--no-series" ]);
   with_temp_file (fun file ->
       let unusable = "BM_CACHE_DIR=" ^ Filename.concat file "sub" in
       Alcotest.(check int) "run with an unusable BM_CACHE_DIR exits 0" 0
@@ -679,6 +686,10 @@ let test_bench_front_end () =
         (contains ~needle:flag help))
     [ "--trace"; "--capture-compare"; "--no-bechamel"; "--backend"; "--cache-dir" ];
   Alcotest.(check int) "two gates exit 124" 124 (bench [ "--perf-gate"; "--corun" ]);
+  (* The file is opened before the suite runs, so this returns at once. *)
+  with_temp_file (fun file ->
+      Alcotest.(check int) "unwritable --json exits 2" 2
+        (bench [ "--json"; Filename.concat file "x.json" ]));
   Alcotest.(check int) "unknown section exits 124" 124 (bench [ "--only"; "fig99" ])
 
 (* --- byte fuzz of the graph loader ------------------------------------ *)
@@ -745,7 +756,7 @@ let suite =
     Alcotest.test_case "to_json: each profile and relation stored once" `Quick test_tables_distinct;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |]) prop_graph_byte_fuzz;
     Alcotest.test_case "replay: warm replay does zero prep" `Quick test_warm_replay_zero_prep;
-    Alcotest.test_case "capture: exported counters" `Quick test_capture_counters;
+    Alcotest.test_case "capture: schedule summary" `Quick test_capture_summary;
     Alcotest.test_case "metrics: sim/replay families separate" `Slow test_metric_families_separate;
     Alcotest.test_case "engine: packed-event bound" `Quick test_packed_event_bound;
     Alcotest.test_case "bmctl: capture/replay exit codes" `Slow test_bmctl_capture_replay;
