@@ -288,9 +288,13 @@ let run_deadlines () =
    (1) Warm-cache preparation of the 116-launch wavefront chain must hit
    on every lookup and allocate no more than cold preparation.  (2) A
    Sim.run of the GAUSSIAN reference workload must stay under a committed
-   minor-heap ceiling (it allocates 193,555 words: the per-TB timing
+   minor-heap ceiling (it allocates 193,574 words: the per-TB timing
    arrays become the Stats columns uncopied, and dependency traffic reads
-   the schedule's encoded sizes).  (3) Replaying a captured graph does no preparation
+   the schedule's encoded sizes), and the same run traced into a Trace
+   must allocate at most [traced_minor_words_ratio] times its minor words:
+   TB events become ordinals in one int32 column per app, not records (the
+   detail line also shows all words allocated, the major heap's
+   included).  (3) Replaying a captured graph does no preparation
    at all, so it must allocate no more than warm prepare + Sim.run.
    (4) Suite-wide preparation from a populated Store (cold in-memory
    caches) must be cycle-exact and compute no cached artifact; no CLI
@@ -302,6 +306,7 @@ let run_deadlines () =
    took 5.8 MB.  How fast
    each path is lives in the host-performance ledger (bench/ledger). *)
 let sim_minor_words_budget = 350_000.0
+let traced_minor_words_ratio = 1.3
 let suite_graph_bytes_budget = 1_000_000
 
 module Store = Bm_maestro.Store
@@ -323,6 +328,13 @@ let words f =
   let w0 = Gc.minor_words () in
   ignore (Sys.opaque_identity (f ()));
   Gc.minor_words () -. w0
+
+(* Every word allocated by one call of [f]: minor, plus major minus promoted. *)
+let all_words f =
+  let m0 = Gc.minor_words () and _, p0, j0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let _, p1, j1 = Gc.counters () in
+  Gc.minor_words () -. m0 +. (j1 -. j0) -. (p1 -. p0)
 
 let cache_misses (c : Cache.counters) =
   [ ("kernel", c.Cache.kernel_misses); ("footprint", c.Cache.footprint_misses);
@@ -360,6 +372,16 @@ let run_perf_gate () =
   let sim_words = words (fun () -> Sim.run cfg mode prep) in
   check "sim minor-heap budget" (sim_words <= sim_minor_words_budget)
     (Printf.sprintf "%.0f words, budget %.0f" sim_words sim_minor_words_budget);
+  let traced () =
+    let t = Trace.create () in
+    ignore (Sim.run ~trace:(Trace.sink t) cfg mode prep);
+    t
+  in
+  let traced_words = words traced in
+  check "traced sim minor words" (traced_words <= traced_minor_words_ratio *. sim_words)
+    (Printf.sprintf "%.0f words, %.2fx untraced, ceiling %.1fx; all words %.2fx" traced_words
+       (traced_words /. sim_words) traced_minor_words_ratio
+       (all_words traced /. all_words (fun () -> Sim.run cfg mode prep)));
   let graph = Graph.capture cfg app in
   ignore (Sys.opaque_identity (Replay.run cfg mode graph));
   let replay = words (fun () -> Replay.run cfg mode graph) in

@@ -14,6 +14,14 @@ type event =
   | Copy_finish of { cmd : int; bytes : int; d2h : bool; blocking : bool }
   | Dlb_spill of { seq : int; needed : int; capacity : int }
   | Pcb_spill of { seq : int; needed : int; capacity : int }
+  | Tb_columns of {
+      seq : int;
+      dep_ready : float array;
+      start : float array;
+      finish : float array;
+      order : Bytes.t;
+      order_at : int;
+    }
 
 type sink = float -> event -> unit
 
@@ -29,6 +37,7 @@ let event_name = function
   | Copy_finish _ -> "copy_finish"
   | Dlb_spill _ -> "dlb_spill"
   | Pcb_spill _ -> "pcb_spill"
+  | Tb_columns _ -> "tb_columns"
 
 type t = {
   total_us : float;

@@ -10,7 +10,15 @@
     Timestamps are passed alongside the event; copy-engine events may be
     future-dated (the engine start time is decided when the copy is
     scheduled), so consumers must order entries by timestamp before
-    analysis — [Bm_report.Trace] does this. *)
+    analysis — [Bm_report.Trace] does this.
+
+    A sink attached to the engine receives the kernel, copy and spill
+    events one at a time, and one {!Tb_columns} hand-off per kernel in
+    place of that kernel's [Tb_dispatch], [Tb_finish] and [Dep_satisfied]
+    events: the engine stamps those into columns instead of sending them.
+    The three per-TB constructors remain for collectors that build a trace
+    by hand, and for [Bm_report.Trace.events], which rebuilds them from
+    the columns. *)
 type event =
   | Kernel_enqueue of { seq : int; stream : int; tbs : int }
       (** The host issued the launch; the kernel occupies a slot of its
@@ -37,8 +45,38 @@ type event =
           Buffer; entries fall back to global memory. *)
   | Pcb_spill of { seq : int; needed : int; capacity : int }
       (** Child TB count exceeds the Parent Counter Buffer. *)
+  | Tb_columns of {
+      seq : int;
+      dep_ready : float array;
+      start : float array;
+      finish : float array;
+      order : Bytes.t;
+      order_at : int;
+    }
+      (** The engine's per-TB columns for kernel [seq], handed over once,
+          at time 0, before the run's first event, and filled while it
+          runs: read them only after the run returns.  [dep_ready],
+          [start] and [finish] are the {!t} columns of the kernel.
+          The little-endian 32-bit int at byte
+          [4 * (order_at + 3 * tb + i)] of [order] is the emission ordinal
+          of the TB's [Dep_satisfied] ([i = 0]), [Tb_dispatch] ([i = 1])
+          or [Tb_finish] ([i = 2]) event — the number of events the app
+          had emitted before it, counting the ones the columns stand
+          for — or [-1] when that event never happened.  One [order] may
+          serve every kernel of the app, each at its own [order_at]; the
+          engine refuses a traced app that could emit 2{^31} events.  (A
+          [Bytes] column, unlike an [int array], is half the size and is
+          never scanned by the garbage collector.)  A TB with no parents
+          keeps [-1] at [i = 0] and [0.0] in [dep_ready]; a TB whose last
+          parent finished at time 0 has an ordinal there.  The hand-off
+          itself is not an event of the run and has no ordinal. *)
 
 type sink = float -> event -> unit
+(** Receives each event with its timestamp.  From the engine: one
+    [Tb_columns] per kernel at time 0, then every [Kernel_*], [Copy_*]
+    and [*_spill] event as it happens, and never a [Tb_dispatch],
+    [Tb_finish] or [Dep_satisfied] (their times and ordinals are in the
+    columns). *)
 
 val event_name : event -> string
 (** Stable snake_case tag, used by the CSV exporter and error messages. *)

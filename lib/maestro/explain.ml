@@ -131,8 +131,9 @@ let check solo =
       else Ok ())
 
 (* Cross-check against the simulator's own per-TB timing columns: busy
-   slot-ticks derived from the event stream must equal the quantized sum of
-   TB durations — two independent data paths to the same integer. *)
+   slot-ticks from the attribution's interval sweep must equal the
+   quantized sum of TB durations.  The trace's TB stamps are those same
+   columns, so this checks the sweep, not the columns. *)
 let column_exec_ticks (stats : Stats.t) =
   let acc = ref 0 in
   Array.iteri

@@ -10,10 +10,11 @@
     Every result carries its validation obligations explicitly:
     {!check} enforces the attribution conservation identity and the
     critical path's full [[0, makespan]] coverage; {!check_records}
-    cross-checks event-derived busy slot-ticks against the simulator's own
-    per-TB timing columns ({!Bm_gpu.Stats.t}'s [tb_start]/[tb_finish]) —
-    two independent data paths that must agree
-    on the same integer.  CI runs both over the whole suite. *)
+    cross-checks the attribution's busy slot-ticks against a direct sum
+    over the simulator's per-TB timing columns ({!Bm_gpu.Stats.t}'s
+    [tb_start]/[tb_finish]), which the trace's TB stamps are too: the
+    interval sweep and the plain sum must agree on the same integer.  CI
+    runs both over the whole suite. *)
 
 type whatif = {
   wi_knob : string;       (** {!knobs} element *)
@@ -99,7 +100,7 @@ val check : solo -> (unit, string) result
     between the two analyses. *)
 
 val check_records : solo -> Bm_gpu.Stats.t -> (unit, string) result
-(** Event-derived busy slot-ticks equal the quantized sum of per-TB
+(** The attribution's busy slot-ticks equal the quantized sum of per-TB
     durations read from the [tb_start]/[tb_finish] columns. *)
 
 val check_corun : solo array -> Multi.result -> (unit, string) result

@@ -112,7 +112,9 @@ val run :
   result
 (** [run cfg mode preps] co-runs the prepared apps to completion.
     Defaults: [~submission:Fifo], [~spatial:Shared].  [?traces], when
-    given, must have one (optional) sink per app; each app's events use
+    given, must have one (optional) sink per app; each sink receives what
+    [Sim.run ~trace] sends — its app's kernel, copy and spill events and
+    one TB-column hand-off per kernel, the app's own columns — with
     app-local kernel/stream/command ids, so a per-app trace is directly
     comparable to the solo trace.  Raises [Invalid_argument] on malformed
     partitions (the {!partition_error} reason) or beyond the packed-event

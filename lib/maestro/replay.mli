@@ -42,5 +42,5 @@ val run :
     and spills, TB activity) plus the replay-only [graph.replay.nodes],
     [graph.replay.commands] and [graph.replay.events] counters — and,
     by construction, none of the [prep.*] families: replay performs no
-    preparation.  [trace] receives the identical event stream {!Sim.run}
-    would emit.  Neither hook alters results. *)
+    preparation.  [trace] receives the identical events and TB-column
+    hand-offs {!Sim.run} would send.  Neither hook alters results. *)

@@ -41,7 +41,8 @@ val simulate :
 (** Prepare with the mode's reordering policy and simulate ({!Sim.run}).
     [metrics] and [trace] are forwarded to the engine, [prof] to the
     preparation.  Pass [Bm_report.Trace.sink] as [trace] to record
-    structured events.  A captured graph replays through the same engine
+    structured events: the sink gets kernel, copy and spill events one at
+    a time and each kernel's TB columns once ({!Sim.run}).  A captured graph replays through the same engine
     ({!Replay.run}); test/test_graph.ml differences the decoded graph
     against this path. *)
 

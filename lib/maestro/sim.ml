@@ -62,7 +62,9 @@ type app = {
 }
 
 (* Rejects apps whose summed launch or command counts, or any kernel's TB
-   count, do not fit the packed events — before any per-TB state is
+   count, do not fit the packed events, and traced apps that could emit
+   2^31 events (the int32 ordinals of {!Stats.Tb_columns}: at most three
+   per TB, six per launch, two per command) — before any per-TB state is
    allocated. *)
 let check_packed ~caller (apps : app array) =
   let count f = Array.fold_left (fun acc ap -> acc + Array.length (f ap.a_sched)) 0 apps in
@@ -80,7 +82,14 @@ let check_packed ~caller (apps : app array) =
               (Printf.sprintf
                  "%s: app %d kernel %d has %d thread blocks, beyond the packed-event bound of 2^30"
                  caller a n.Graph.n_seq n.Graph.n_tbs))
-        ap.a_sched.Graph.s_nodes)
+        ap.a_sched.Graph.s_nodes;
+      let nodes = ap.a_sched.Graph.s_nodes in
+      let events () =
+        Array.fold_left (fun acc (n : Graph.node) -> acc + (3 * n.Graph.n_tbs) + 6) 0 nodes
+        + (2 * Array.length ap.a_sched.Graph.s_commands)
+      in
+      if Option.is_some ap.a_trace && events () >= 1 lsl 31 then
+        invalid_arg (Printf.sprintf "%s: traced app %d could emit 2^31 events or more" caller a))
     apps
 
 (* Running-TB integration.  All-float records are unboxed by the compiler,
@@ -308,6 +317,12 @@ type astate = {
   nc : int;
   emit : Stats.sink;
   tracing : bool;
+  mutable emitted : int;  (* events emitted so far, TB events included *)
+  ord : Bytes.t;
+      (* traced apps only: emission ordinals of each TB's Dep_satisfied,
+         Tb_dispatch and Tb_finish, kernel [k]'s TB [tb] as the int32 at
+         [4 * (ord_at.(k) + 3 * tb + 0/1/2)], -1 until emitted (see
+         {!Stats.Tb_columns}); one column for the app, allocated once *)
   mutable running : int;
   mutable next_cmd : int;
   mutable serial_blocked : bool;  (* in serial mode the host stalls on the in-flight command *)
@@ -315,6 +330,12 @@ type astate = {
   mutable active_head : int;
   mutable active_tail : int;
 }
+
+(* Sends a traced app's kernel, copy or spill event, counting it.  At top
+   level, so the closures that call it need not capture it. *)
+let emit (ap : astate) t ev =
+  ap.emitted <- ap.emitted + 1;
+  ap.emit t ev
 
 let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metrics ?slices
     ?admission (cfg : Config.t) mode (apps : app array) =
@@ -455,6 +476,13 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
           nc = Array.length sched.Graph.s_commands;
           emit = (match ap.a_trace with Some f -> f | None -> fun _ _ -> ());
           tracing = Option.is_some ap.a_trace;
+          emitted = 0;
+          ord =
+            (if Option.is_none ap.a_trace then Bytes.empty
+             else
+               Bytes.make
+                 (12 * Array.fold_left (fun acc (n : Graph.node) -> acc + n.Graph.n_tbs) 0 sched.Graph.s_nodes)
+                 '\255');
           running = 0;
           next_cmd = 0;
           serial_blocked = false;
@@ -464,6 +492,28 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
         })
       apps
   in
+  (* Tracing: kernel, copy and spill events go to the sink as they
+     happen ([emit]); a TB event only takes the next ordinal in its
+     kernel's slice of the app's [ord] column, and the sink gets each
+     kernel's columns once, up front. *)
+  let ord_at = Array.make (if Array.exists (fun ap -> ap.tracing) st then nk else 0) 0 in
+  let[@inline] stamp (ap : astate) k i =
+    Bytes.set_int32_le ap.ord (4 * (ord_at.(k) + i)) (Int32.of_int ap.emitted);
+    ap.emitted <- ap.emitted + 1
+  in
+  Array.iter
+    (fun ap ->
+      if ap.tracing then
+        for i = 0 to ap.nk - 1 do
+          let k = ap.k0 + i in
+          let n = ks.(k) in
+          if i > 0 then ord_at.(k) <- ord_at.(k - 1) + (3 * ks.(k - 1).ntbs);
+          ap.emit 0.0
+            (Stats.Tb_columns
+               { seq = i; dep_ready = n.dep_ready_time; start = n.start_time;
+                 finish = n.finish_time; order = ap.ord; order_at = ord_at.(k) })
+        done)
+    st;
 
   (* Metric handles, looked up once.  [None] keeps every site allocation-free. *)
   let ms = match metrics with None -> None | Some reg -> Some (make_mstate reg nk) in
@@ -732,7 +782,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
       res.free_slots <- res.free_slots - 1;
       ap.running <- ap.running + 1;
       incr g_running;
-      if ap.tracing then ap.emit now.now (Stats.Tb_dispatch { seq = k - ap.k0; tb });
+      if ap.tracing then stamp ap k ((3 * tb) + 1);
       (match ms with Some m -> Metrics.incr m.m_tb_dispatched | None -> ());
       (match cs with
       | Some c ->
@@ -792,7 +842,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
       ks.(k).completed <- true;
       resident.(sidx.(k)) <- resident.(sidx.(k)) - 1;
       if ap.tracing then
-        ap.emit now.now (Stats.Kernel_completed { seq = k - ap.k0; stream = stream_of.(k) });
+        emit ap now.now (Stats.Kernel_completed { seq = k - ap.k0; stream = stream_of.(k) });
       m_completed ~t:now.now;
       (* Release the copies gated on this kernel. *)
       List.iter
@@ -800,7 +850,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
           let res = ap.res in
           let start = max now.now res.copy_free in
           res.copy_free <- start +. dur;
-          if ap.tracing then ap.emit start (copy_event ~start:true ~blocking:false ap.commands.(ci) ci);
+          if ap.tracing then emit ap start (copy_event ~start:true ~blocking:false ap.commands.(ci) ci);
           m_copy_cmd ~dur ap.commands.(ci);
           push heap cell (start +. dur) (ev_copy (ap.c0 + ci)))
         (List.rev pending_d2h.(k));
@@ -815,7 +865,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
   let enqueue (ap : astate) k =
     resident.(sidx.(k)) <- resident.(sidx.(k)) + 1;
     if ap.tracing then
-      ap.emit now.now
+      emit ap now.now
         (Stats.Kernel_enqueue { seq = k - ap.k0; stream = stream_of.(k); tbs = ks.(k).ntbs });
     m_enqueue k ~now:now.now ~busy:ap.clk.busy;
     if gated then incr next_admission
@@ -829,7 +879,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
     let res = ap.res in
     let start = max now.now res.copy_free in
     res.copy_free <- start +. dur;
-    if ap.tracing then ap.emit start (copy_event ~start:true ~blocking:false ap.commands.(ci) ci);
+    if ap.tracing then emit ap start (copy_event ~start:true ~blocking:false ap.commands.(ci) ci);
     m_copy ~d2h ~bytes ~dur;
     push heap cell (start +. dur) (ev_copy (ap.c0 + ci));
     ap.next_cmd <- ci + 1
@@ -861,7 +911,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
                (the default CUDA behaviour BlockMaestro's non-blocking
                treatment removes, paper SIII-C). *)
             if ap.tracing then
-              ap.emit now.now (copy_event ~start:true ~blocking:true ap.commands.(ci) ci);
+              emit ap now.now (copy_event ~start:true ~blocking:true ap.commands.(ci) ci);
             m_copy ~d2h:false ~bytes ~dur;
             block_on ap ci dur;
             blocked := true
@@ -874,7 +924,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
           if serial then begin
             if gate_done then begin
               if ap.tracing then
-                ap.emit now.now (copy_event ~start:true ~blocking:true ap.commands.(ci) ci);
+                emit ap now.now (copy_event ~start:true ~blocking:true ap.commands.(ci) ci);
               m_copy ~d2h:true ~bytes ~dur;
               block_on ap ci dur;
               progressed := true
@@ -960,7 +1010,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
     ap.running <- ap.running - 1;
     decr g_running;
     bump ap;
-    if ap.tracing then ap.emit t (Stats.Tb_finish { seq = k - ap.k0; tb });
+    if ap.tracing then stamp ap k ((3 * tb) + 2);
     (match ms with Some m -> Metrics.observe m.m_tb_exec (t -. n.start_time.(tb)) | None -> ());
     (* Fine-grain child updates (tracked in every mode for Fig. 11). *)
     let kc = next_of.(k) in
@@ -973,8 +1023,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
           let c = cs.(i) in
           child.pc.(c) <- child.pc.(c) - 1;
           if t > child.dep_ready_time.(c) then child.dep_ready_time.(c) <- t;
-          if ap.tracing && child.pc.(c) = 0 then
-            ap.emit t (Stats.Dep_satisfied { seq = kc - ap.k0; tb = c });
+          if ap.tracing && child.pc.(c) = 0 then stamp ap kc (3 * c);
           if fine && child.pc.(c) = 0 && child.launched then queue_tb kc c
         done
       | Bipartite.Independent | Bipartite.Fully_connected -> ()
@@ -983,7 +1032,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
       n.drained <- true;
       n.drained_at <- t;
       unlink ap k;
-      if ap.tracing then ap.emit t (Stats.Kernel_drained { seq = k - ap.k0; stream = stream_of.(k) });
+      if ap.tracing then emit ap t (Stats.Kernel_drained { seq = k - ap.k0; stream = stream_of.(k) });
       m_drained ap k ~t;
       (* A fully-connected child's dependencies are all satisfied now. *)
       if kc >= 0 then begin
@@ -995,9 +1044,9 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
             if drt.(c) < t then drt.(c) <- t
           done;
           if ap.tracing then
-            Array.iteri
-              (fun c _ -> ap.emit t (Stats.Dep_satisfied { seq = kc - ap.k0; tb = c }))
-              child.dep_ready_time
+            for c = 0 to child.ntbs - 1 do
+              stamp ap kc (3 * c)
+            done
         | Bipartite.Independent | Bipartite.Graph _ -> ()
       end;
       (* The consumer kernel may now be gated only on our drain. *)
@@ -1018,16 +1067,16 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
     n.launched <- true;
     if ap.tracing then begin
       let seq = k - ap.k0 in
-      ap.emit t (Stats.Kernel_launched { seq; stream = stream_of.(k) });
+      emit ap t (Stats.Kernel_launched { seq; stream = stream_of.(k) });
       (* The DLB/PCB are only consulted under fine-grain resolution. *)
       if fine then
-        List.iter (ap.emit t) (table_spills ap.acfg seq n.node.Graph.n_relation ~n_children:n.ntbs)
+        List.iter (emit ap t) (table_spills ap.acfg seq n.node.Graph.n_relation ~n_children:n.ntbs)
     end;
     m_launched ap k ~t n.node.Graph.n_relation ~n_children:n.ntbs;
     if n.ntbs = 0 then begin
       n.drained <- true;
       n.drained_at <- t;
-      if ap.tracing then ap.emit t (Stats.Kernel_drained { seq = k - ap.k0; stream = stream_of.(k) });
+      if ap.tracing then emit ap t (Stats.Kernel_drained { seq = k - ap.k0; stream = stream_of.(k) });
       m_drained ap k ~t;
       try_complete ap k
     end
@@ -1058,7 +1107,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
     | 2 ->
       let ci = payload - ap.c0 in
       copy_completed payload;
-      if ap.tracing then ap.emit t (copy_event ~start:false ~blocking:false ap.commands.(ci) ci);
+      if ap.tracing then emit ap t (copy_event ~start:false ~blocking:false ap.commands.(ci) ci);
       bump ap
     | _ ->
       let ci = payload - ap.c0 in
@@ -1066,7 +1115,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
       (match ap.commands.(ci) with
       | Graph.Gh2d _ | Graph.Gd2h _ ->
         copy_completed payload;
-        if ap.tracing then ap.emit t (copy_event ~start:false ~blocking:true ap.commands.(ci) ci)
+        if ap.tracing then emit ap t (copy_event ~start:false ~blocking:true ap.commands.(ci) ci)
       | Graph.Gmalloc | Graph.Glaunch _ | Graph.Gsync -> ());
       bump ap;
       ap.next_cmd <- ap.next_cmd + 1);

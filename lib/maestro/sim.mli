@@ -54,7 +54,9 @@
     kernel/command index across apps: the summed launch and command counts
     and every kernel's TB count must each stay below 2{^30}.  Apps beyond
     it are rejected with [Invalid_argument] naming the caller and the
-    bound, before any per-TB state is allocated. *)
+    bound, before any per-TB state is allocated; so is a traced app that
+    could emit 2{^31} events (three per TB, six per launch, two per
+    command), whose ordinals would not fit {!Bm_gpu.Stats.Tb_columns}. *)
 
 val run :
   ?host_blocking_copies:bool ->
@@ -85,9 +87,15 @@ val run :
     [tb.exec_us]).  When absent every instrumentation site is one match on
     [None] — no allocation in the hot loops.
 
-    [trace] receives every structured simulation event with its timestamp
-    (see {!Bm_gpu.Stats.event}); when absent the simulator emits nothing
-    and pays no cost.  Copy-engine [Copy_start] events can be future-dated
+    [trace] receives the run's structured events with their timestamps
+    (see {!Bm_gpu.Stats.event}): first one {!Bm_gpu.Stats.Tb_columns}
+    hand-off per kernel, then every kernel, copy and spill event as it
+    happens.  TB dispatches, finishes and dependency satisfactions are
+    not sent: the engine stamps each one's emission ordinal into one int
+    column per traced app, allocated once, and the hand-offs carry it
+    with the [Stats] time columns, so a traced run allocates nothing per
+    TB event.  When absent the simulator emits nothing and allocates no
+    ordinal column.  Copy-engine [Copy_start] events can be future-dated
     relative to surrounding events — consumers must sort by timestamp
     ([Bm_report.Trace] does).  Neither hook ever alters simulation
     results: cycle counts are bit-identical with and without them.
@@ -100,8 +108,9 @@ val run :
 type app = {
   a_sched : Graph.schedule;
   a_trace : Bm_gpu.Stats.sink option;
-      (** receives the app's events with app-local kernel, stream and
-          command ids *)
+      (** receives the app's events, as {!run}'s [trace] does, with
+          app-local kernel, stream and command ids; each app has its own
+          TB columns and ordinals *)
   a_deadlines : float array option;  (** EDF key overrides, as for {!run} *)
 }
 

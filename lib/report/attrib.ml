@@ -80,10 +80,11 @@ let weight machine = function Slots -> machine.ma_slots | Copy_engine | Launch_e
 
 (* --- event-stream reconstruction --------------------------------------- *)
 
-(* Shared by Attrib and Critpath: linear passes over the sorted entries
-   that quantize every timestamp once and rebuild per-kernel lifecycle
-   stamps, per-TB dispatch/finish/dep stamps and copy spans, all in ticks.
-   [-1] marks "never recorded". *)
+(* Shared by Attrib and Critpath: one pass over the sorted entries and TB
+   finishes that quantizes every timestamp once and rebuilds per-kernel
+   lifecycle stamps and copy spans; per-TB dispatch/finish/dep stamps are
+   read straight off the trace's TB columns.  All in ticks; [-1] marks
+   "never recorded". *)
 module Parse = struct
   type kernel = {
     k_seq : int;
@@ -98,14 +99,16 @@ module Parse = struct
     mutable k_prev : int;       (* stream predecessor seq, -1 for first *)
     k_dispatch : int array;     (* per TB id *)
     k_finish : int array;
-    k_dep : int array;          (* last Dep_satisfied tick *)
+    k_dep : int array;          (* Dep_satisfied tick *)
   }
 
   type copy = { c_cmd : int; c_d2h : bool; c_blocking : bool; c_start : int; c_finish : int }
 
   type t = {
-    p_entries : Trace.entry array;  (* sorted, as Trace.events *)
-    p_ticks : int array;            (* each entry's quantized timestamp *)
+    p_trace : Trace.t;
+    p_codes : int array;            (* entries and TB finishes, as Trace.stream *)
+    p_ticks : int array;            (* each one's quantized timestamp *)
+    p_events : int;                 (* events in the trace *)
     p_seqs : kernel array;          (* indexed by seq, known or not *)
     p_kernels : kernel array;       (* the known ones, by (stream, seq) *)
     p_copies : copy array;          (* ascending (start tick, cmd) *)
@@ -116,72 +119,79 @@ module Parse = struct
     if seq >= 0 && seq < Array.length p.p_seqs && p.p_seqs.(seq).k_known then Some p.p_seqs.(seq)
     else None
 
-  (* Tables are indexed by seq, TB id and copy command, sized by a first
-     pass; events naming a negative id are ignored. *)
+  (* Tables are indexed by seq, TB id and copy command; entries naming a
+     negative id are ignored. *)
   let of_trace trace =
-    let entries = Trace.events trace in
-    let ticks = Array.make (Array.length entries) 0 in
-    let makespan = ref 0 and n_seqs = ref 0 and n_cmds = ref 0 in
-    Array.iteri
-      (fun i { Trace.ts; ev } ->
-        let tick = ticks_of_us ts in
-        ticks.(i) <- tick;
-        if tick > !makespan then makespan := tick;
-        match ev with
-        | Stats.Kernel_enqueue { seq; _ } | Stats.Kernel_launched { seq; _ }
-        | Stats.Kernel_drained { seq; _ } | Stats.Kernel_completed { seq; _ }
-        | Stats.Tb_dispatch { seq; _ } | Stats.Tb_finish { seq; _ } | Stats.Dep_satisfied { seq; _ } ->
-          n_seqs := Int.max !n_seqs (seq + 1)
-        | Stats.Copy_start { cmd; _ } | Stats.Copy_finish { cmd; _ } -> n_cmds := Int.max !n_cmds (cmd + 1)
-        | Stats.Dlb_spill _ | Stats.Pcb_spill _ -> ())
-      entries;
-    let n_tbs = Array.make !n_seqs 0 in
+    let codes, ts, ords = Trace.stream ~tb_kinds:[ 2 ] trace in
+    let ticks = Array.map ticks_of_us ts in
+    let cols = Trace.tb_columns trace in
+    let n_seqs = ref (Array.length cols) and n_cmds = ref 0 in
     Array.iter
-      (fun { Trace.ev; _ } ->
-        match ev with
-        | Stats.Tb_dispatch { seq; tb } | Stats.Tb_finish { seq; tb } | Stats.Dep_satisfied { seq; tb }
-          when seq >= 0 && tb >= n_tbs.(seq) ->
-          n_tbs.(seq) <- tb + 1
-        | _ -> ())
-      entries;
+      (fun code ->
+        if code land 3 = 3 then
+          match (Trace.entry trace code).Trace.ev with
+          | Stats.Kernel_enqueue { seq; _ } | Stats.Kernel_launched { seq; _ }
+          | Stats.Kernel_drained { seq; _ } | Stats.Kernel_completed { seq; _ } ->
+            n_seqs := Int.max !n_seqs (seq + 1)
+          | Stats.Copy_start { cmd; _ } | Stats.Copy_finish { cmd; _ } -> n_cmds := Int.max !n_cmds (cmd + 1)
+          | _ -> ())
+      codes;
+    (* Each seq's first Dep_satisfied in stream order, (ts, ordinal): when
+       it precedes the seq's first Kernel_* entry, it is what names the
+       kernel, with stream and TB count 0. *)
+    let first_dep = Array.make !n_seqs (infinity, max_int) in
+    Array.iteri
+      (fun seq c ->
+        let best = ref (-1) and ord tb = Trace.ord c ~tb ~kind:0 in
+        for tb = 0 to c.Trace.tbs - 1 do
+          let at = c.Trace.times.(0) in
+          if ord tb >= 0
+             && (!best < 0
+                || let c = Float.compare at.(tb) at.(!best) in
+                   c < 0 || (c = 0 && ord tb < ord !best))
+          then best := tb
+        done;
+        if !best >= 0 then first_dep.(seq) <- (c.Trace.times.(0).(!best), ord !best))
+      cols;
     let seqs =
       Array.init !n_seqs (fun seq ->
-          let stamps () = Array.make n_tbs.(seq) (-1) in
-          { k_seq = seq; k_known = false; k_stream = 0; k_tbs = 0; k_enqueue = -1; k_launched = -1;
-            k_drained = -1; k_completed = -1; k_has_deps = false; k_prev = -1;
-            k_dispatch = stamps (); k_finish = stamps (); k_dep = stamps () })
+          let column kind = if seq < Array.length cols then Trace.stamps cols.(seq) ~kind ticks_of_us else [||] in
+          let deps = snd first_dep.(seq) < max_int in
+          { k_seq = seq; k_known = deps; k_stream = 0; k_tbs = 0; k_enqueue = -1; k_launched = -1;
+            k_drained = -1; k_completed = -1; k_has_deps = deps; k_prev = -1;
+            k_dispatch = column 1; k_finish = column 2; k_dep = column 0 })
     in
-    let known seq stream tbs =
+    let named = Array.make !n_seqs false in
+    let known seq stream tbs key =
       let k = seqs.(seq) in
-      if not k.k_known then begin
+      if not named.(seq) then begin
+        named.(seq) <- true;
         k.k_known <- true;
-        k.k_stream <- stream;
-        k.k_tbs <- tbs
+        if compare key first_dep.(seq) < 0 then begin
+          k.k_stream <- stream;
+          k.k_tbs <- tbs
+        end
       end;
       k
     in
     let opened = Array.make !n_cmds min_int (* Copy_start tick per cmd *) and copies = ref [] in
     Array.iteri
-      (fun i { Trace.ev; _ } ->
-        let tick = ticks.(i) in
-        match ev with
-        | Stats.Kernel_enqueue { seq; stream; tbs } when seq >= 0 -> (known seq stream tbs).k_enqueue <- tick
-        | Stats.Kernel_launched { seq; stream } when seq >= 0 -> (known seq stream 0).k_launched <- tick
-        | Stats.Kernel_drained { seq; stream } when seq >= 0 -> (known seq stream 0).k_drained <- tick
-        | Stats.Kernel_completed { seq; stream } when seq >= 0 -> (known seq stream 0).k_completed <- tick
-        | Stats.Tb_dispatch { seq; tb } when seq >= 0 && tb >= 0 -> seqs.(seq).k_dispatch.(tb) <- tick
-        | Stats.Tb_finish { seq; tb } when seq >= 0 && tb >= 0 -> seqs.(seq).k_finish.(tb) <- tick
-        | Stats.Dep_satisfied { seq; tb } when seq >= 0 && tb >= 0 ->
-          seqs.(seq).k_dep.(tb) <- tick;
-          (known seq 0 0).k_has_deps <- true
-        | Stats.Copy_start { cmd; _ } when cmd >= 0 -> opened.(cmd) <- tick
-        | Stats.Copy_finish { cmd; d2h; blocking; _ } when cmd >= 0 && opened.(cmd) <> min_int ->
-          copies :=
-            { c_cmd = cmd; c_d2h = d2h; c_blocking = blocking; c_start = opened.(cmd); c_finish = tick }
-            :: !copies;
-          opened.(cmd) <- min_int
-        | _ -> ())
-      entries;
+      (fun i code ->
+        let tick = ticks.(i) and known seq stream tbs = known seq stream tbs (ts.(i), ords.(i)) in
+        if code land 3 = 3 then
+          match (Trace.entry trace code).Trace.ev with
+          | Stats.Kernel_enqueue { seq; stream; tbs } when seq >= 0 -> (known seq stream tbs).k_enqueue <- tick
+          | Stats.Kernel_launched { seq; stream } when seq >= 0 -> (known seq stream 0).k_launched <- tick
+          | Stats.Kernel_drained { seq; stream } when seq >= 0 -> (known seq stream 0).k_drained <- tick
+          | Stats.Kernel_completed { seq; stream } when seq >= 0 -> (known seq stream 0).k_completed <- tick
+          | Stats.Copy_start { cmd; _ } when cmd >= 0 -> opened.(cmd) <- tick
+          | Stats.Copy_finish { cmd; d2h; blocking; _ } when cmd >= 0 && opened.(cmd) <> min_int ->
+            copies :=
+              { c_cmd = cmd; c_d2h = d2h; c_blocking = blocking; c_start = opened.(cmd); c_finish = tick }
+              :: !copies;
+            opened.(cmd) <- min_int
+          | _ -> ())
+      codes;
     (* Stream predecessors: ascending seq is enqueue order within a stream
        (sequence numbers are command order). *)
     let kernels = Array.of_seq (Seq.filter (fun k -> k.k_known) (Array.to_seq seqs)) in
@@ -190,8 +200,9 @@ module Parse = struct
       (fun i k -> if i > 0 && kernels.(i - 1).k_stream = k.k_stream then k.k_prev <- kernels.(i - 1).k_seq)
       kernels;
     let copies = List.sort (fun a b -> compare (a.c_start, a.c_cmd) (b.c_start, b.c_cmd)) !copies in
-    { p_entries = entries; p_ticks = ticks; p_seqs = seqs; p_kernels = kernels;
-      p_copies = Array.of_list copies; p_makespan = !makespan }
+    { p_trace = trace; p_codes = codes; p_ticks = ticks; p_events = Trace.length trace; p_seqs = seqs;
+      p_kernels = kernels;
+      p_copies = Array.of_list copies; p_makespan = Array.fold_left Int.max 0 ticks }
 
   (* A TB's dependency-release tick under the machine's resolution
      granularity:

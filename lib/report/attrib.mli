@@ -73,17 +73,21 @@ val weight : machine -> resource -> int
 
 (** {1 Event-stream reconstruction}
 
-    Shared with {!Critpath}.  {!Trace.events} sorts the entries once, and
-    each timestamp is quantized once into [p_ticks].  Linear
-    passes then rebuild per-kernel lifecycle ticks, per-TB
-    dispatch/finish/dep ticks and copy spans.  A first pass sizes the
-    tables: kernels live in an array indexed by seq, and each kernel's TB
-    stamps in [int array]s indexed by TB id.  [-1] marks an unrecorded
-    stamp.  Synthetic traces need not be well formed: sparse seqs, TB ids
-    beyond the enqueued count, events before [Kernel_enqueue] and
-    unmatched copy events are all accepted.  Events naming a negative id
-    are ignored.  Memory grows with the largest seq and TB id in the trace
-    (the engine numbers both densely from 0). *)
+    Shared with {!Critpath}.  One pass over the sorted entries and TB
+    finishes ({!Trace.stream}, each timestamp quantized once into
+    [p_ticks])
+    rebuilds per-kernel lifecycle ticks and copy spans; per-TB
+    dispatch/finish/dep ticks are read straight off the trace's TB
+    columns ({!Trace.tb_columns}), with no TB event records in between.
+    Kernels live in an array indexed by seq, and each kernel's TB stamps
+    in [int array]s indexed by TB id.  [-1] marks an unrecorded stamp, so
+    a TB with no parents ([-1]) stays distinct from one whose last parent
+    finished at tick 0.  Synthetic traces need not be well formed: sparse
+    seqs, TB ids beyond the enqueued count, events before
+    [Kernel_enqueue] and unmatched copy events are all accepted.  Events
+    naming a negative id, and a repeated TB event (which {!Trace.sink}
+    keeps as an entry), are ignored.  Memory grows with the largest seq
+    and TB id in the trace (the engine numbers both densely from 0). *)
 module Parse : sig
   type kernel = {
     k_seq : int;
@@ -100,14 +104,16 @@ module Parse : sig
     mutable k_prev : int;  (** stream predecessor seq, [-1] for the first *)
     k_dispatch : int array;  (** per TB id *)
     k_finish : int array;
-    k_dep : int array;  (** the TB's last [Dep_satisfied] tick *)
+    k_dep : int array;  (** the TB's [Dep_satisfied] tick *)
   }
 
   type copy = { c_cmd : int; c_d2h : bool; c_blocking : bool; c_start : int; c_finish : int }
 
   type t = {
-    p_entries : Trace.entry array;  (** as {!Trace.events}: sorted once *)
-    p_ticks : int array;  (** [p_entries]' timestamps, quantized; ascending *)
+    p_trace : Trace.t;
+    p_codes : int array;  (** the entries and TB finishes, as {!Trace.stream}: sorted once *)
+    p_ticks : int array;  (** [p_codes]' timestamps, quantized; ascending *)
+    p_events : int;  (** events in the trace *)
     p_seqs : kernel array;  (** indexed by seq, for every seq up to the largest *)
     p_kernels : kernel array;  (** the known kernels, by stream, then seq *)
     p_copies : copy array;  (** matched start/finish pairs, by (start, cmd) *)

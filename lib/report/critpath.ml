@@ -66,27 +66,27 @@ let makespan_us t = Attrib.us_of_ticks t.cp_makespan_ticks
 
 let of_parsed machine (p : Parse.t) =
   let open Parse in
-  let entries = p.p_entries and ticks = p.p_ticks in
-  let n = Array.length entries in
+  let codes = p.p_codes and ticks = p.p_ticks and n = p.p_events in
   (* Exact-instant cause matching: the entries of one tick are the
      contiguous run [first_at tick, first_at (tick + 1)) of the sorted
      tick column. *)
   let first_at tick =
-    let lo = ref 0 and hi = ref n in
+    let lo = ref 0 and hi = ref (Array.length codes) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if ticks.(mid) < tick then lo := mid + 1 else hi := mid
     done;
     !lo
   in
-  (* The last entry at [tick] that [f] maps to a result. *)
+  (* The last event at [tick] that [f] maps to a result. *)
   let last_at tick f =
     let first = first_at tick in
-    let rec back i =
-      if i < first then None else match f entries.(i).Trace.ev with Some _ as r -> r | None -> back (i - 1)
-    in
+    let rec back i = if i < first then None else match f i with Some _ as r -> r | None -> back (i - 1) in
     back (first_at (tick + 1) - 1)
   in
+  (* Event [i] is a TB finish ([finish_tb]), or an entry ([record]). *)
+  let finish_tb i = if codes.(i) land 3 = 2 then (codes.(i) lsr 2) land ((1 lsl 30) - 1) else -1 in
+  let record i = if codes.(i) land 3 = 3 then Some (Trace.entry p.p_trace codes.(i)).Trace.ev else None in
   let n_cmds = Array.fold_left (fun m c -> Int.max m (c.c_cmd + 1)) 0 p.p_copies in
   let copy_by_cmd = Array.make n_cmds None in
   Array.iter (fun c -> copy_by_cmd.(c.c_cmd) <- Some c) p.p_copies;
@@ -101,25 +101,27 @@ let of_parsed machine (p : Parse.t) =
     Array.of_seq
       (Seq.filter
          (fun i ->
-           match entries.(i).Trace.ev with
-           | Stats.Tb_finish { seq; tb } -> seq >= 0 && tb >= 0
-           | Stats.Copy_finish _ | Stats.Kernel_launched _ -> true
-           | _ -> false)
-         (Seq.init n Fun.id))
+           finish_tb i >= 0
+           || match record i with Some (Stats.Copy_finish _ | Stats.Kernel_launched _) -> true | _ -> false)
+         (Seq.init (Array.length codes) Fun.id))
   in
   let node_of_anchor idx =
-    match entries.(idx).Trace.ev with
-    | Stats.Tb_finish { seq; tb } ->
+    let tb = finish_tb idx in
+    if tb >= 0 then begin
+      let seq = codes.(idx) lsr 32 in
       let k = p.p_seqs.(seq) in
       let start = if k.k_dispatch.(tb) >= 0 then k.k_dispatch.(tb) else k.k_finish.(tb) in
       Some (Ntb { seq; tb }, start, k.k_finish.(tb))
-    | Stats.Copy_finish { cmd; d2h; _ } ->
-      Option.map (fun (_, s, e) -> (Ncopy { cmd; d2h }, s, e)) (copy_node cmd)
-    | Stats.Kernel_launched { seq; _ } ->
-      (match kernel_of p seq with
-      | Some k when k.k_enqueue >= 0 -> Some (Nlaunch { seq }, k.k_enqueue, k.k_launched)
-      | _ -> None)
-    | _ -> None
+    end
+    else
+      match record idx with
+      | Some (Stats.Copy_finish { cmd; d2h; _ }) ->
+        Option.map (fun (_, s, e) -> (Ncopy { cmd; d2h }, s, e)) (copy_node cmd)
+      | Some (Stats.Kernel_launched { seq; _ }) ->
+        (match kernel_of p seq with
+        | Some k when k.k_enqueue >= 0 -> Some (Nlaunch { seq }, k.k_enqueue, k.k_launched)
+        | _ -> None)
+      | _ -> None
   in
   (* Latest anchor with tick <= limit (or < limit when [strict]). *)
   let latest_anchor ?(strict = false) limit =
@@ -146,17 +148,19 @@ let of_parsed machine (p : Parse.t) =
   in
   (* Last Tb_finish at [tick] matching [pred], as a node. *)
   let find_tb_finish ?(pred = fun _ _ -> true) tick =
-    last_at tick (function
-      | Stats.Tb_finish { seq; tb } when seq >= 0 && tb >= 0 && pred seq tb -> tb_node seq tb
-      | _ -> None)
+    last_at tick (fun i ->
+        let tb = finish_tb i and seq = codes.(i) lsr 32 in
+        if tb >= 0 && pred seq tb then tb_node seq tb else None)
   in
   let find_copy_finish ?(exclude = -1) tick =
-    last_at tick (function Stats.Copy_finish { cmd; _ } when cmd <> exclude -> copy_node cmd | _ -> None)
+    last_at tick (fun i ->
+        match record i with Some (Stats.Copy_finish { cmd; _ }) when cmd <> exclude -> copy_node cmd | _ -> None)
   in
   let find_completion ?(stream = -1) tick =
-    last_at tick (function
-      | Stats.Kernel_completed { seq; stream = st } when stream < 0 || st = stream -> Some seq
-      | _ -> None)
+    last_at tick (fun i ->
+        match record i with
+        | Some (Stats.Kernel_completed { seq; stream = st }) when stream < 0 || st = stream -> Some seq
+        | _ -> None)
   in
   (* What a kernel's completion at [tick] traces back to: its own drain
      (the last finishing TB, or the launch for zero-TB kernels), or — when

@@ -5,58 +5,206 @@
    future-dated at scheduling time), derives per-kernel counters, exports
    Chrome trace_event JSON / CSV for external viewers, and — the part that
    makes traces a correctness oracle rather than a debugging aid — replays
-   the event stream against the paper's scheduling contracts. *)
+   the event stream against the paper's scheduling contracts.
+
+   TB events are kept as columns, not records: the engine's own, handed
+   over once per kernel (Stats.Tb_columns), or ones grown here for TB
+   events sent one at a time.  Every other event is an entry. *)
 
 module Stats = Bm_gpu.Stats
 
 type entry = { ts : float; ev : Stats.event }
 
-(* Entries in emission order, in a buffer that doubles as it fills. *)
-type t = { mutable buf : entry array; mutable count : int }
+type columns = {
+  mutable tbs : int;
+  mutable times : float array array;
+  mutable ords : Bytes.t;
+  at : int;
+  engine : bool;
+}
 
-let create () = { buf = [||]; count = 0 }
+let ord c ~tb ~kind = Int32.to_int (Bytes.get_int32_le c.ords (4 * (c.at + (3 * tb) + kind)))
+
+(* Entries in emission order, in a buffer that doubles as it fills; TB
+   columns by seq; [next] the ordinal of the next event sent on its own. *)
+type t = { mutable buf : entry array; mutable count : int; mutable cols : columns array; mutable next : int }
+
+let no_columns = { tbs = 0; times = [| [||]; [||]; [||] |]; ords = Bytes.empty; at = 0; engine = true }
+let create () = { buf = [||]; count = 0; cols = [||]; next = 0 }
+
+(* Seqs and TB ids stay below 2^30, so a code (see [stream]) packs both. *)
+let id_limit = 1 lsl 30
+
+let grow a n fill = Array.append a (Array.make (n - Array.length a) fill)
+
+(* A static filler: [Array.make] of a long array forces a minor collection
+   to promote a young initial value. *)
+let unused = { ts = 0.0; ev = Stats.Kernel_launched { seq = -1; stream = -1 } }
+
+let push t ts ev =
+  if t.count = Array.length t.buf then t.buf <- grow t.buf (max 256 (2 * t.count)) unused;
+  t.buf.(t.count) <- { ts; ev };
+  t.count <- t.count + 1;
+  t.next <- t.next + 1
+
+let columns_at t seq =
+  if seq >= Array.length t.cols then t.cols <- grow t.cols (max (seq + 1) (2 * Array.length t.cols)) no_columns;
+  t.cols.(seq)
+
+(* A TB event sent on its own fills its slot in its kernel's columns, or
+   stays an entry when the slot is taken or not its to fill. *)
+let stamp t ts ev ~seq ~tb kind =
+  let c =
+    if seq < 0 || seq >= id_limit || tb < 0 || tb >= id_limit then no_columns
+    else if columns_at t seq != no_columns then t.cols.(seq)
+    else begin
+      t.cols.(seq) <- { no_columns with engine = false };
+      t.cols.(seq)
+    end
+  in
+  let cap = Bytes.length c.ords / 12 in
+  if (not c.engine) && tb >= cap then begin
+    let cap = max (tb + 1) (2 * cap) in
+    c.times <- Array.map (fun a -> grow a cap 0.0) c.times;
+    c.ords <- Bytes.cat c.ords (Bytes.make (12 * (cap - Bytes.length c.ords / 12)) '\255')
+  end;
+  if c.engine || ord c ~tb ~kind >= 0 then push t ts ev
+  else begin
+    c.tbs <- max c.tbs (tb + 1);
+    c.times.(kind).(tb) <- ts;
+    Bytes.set_int32_le c.ords (4 * ((3 * tb) + kind)) (Int32.of_int t.next);
+    t.next <- t.next + 1
+  end
 
 let sink t ts ev =
-  if t.count = Array.length t.buf then
-    t.buf <- Array.append t.buf (Array.make (max 256 t.count) { ts; ev });
-  t.buf.(t.count) <- { ts; ev };
-  t.count <- t.count + 1
+  match ev with
+  | Stats.Tb_columns { seq; dep_ready; start; finish; order; order_at } ->
+    if seq < 0 || seq >= id_limit || columns_at t seq != no_columns then
+      invalid_arg "Bm_report.Trace.sink: a second set of TB columns for one kernel";
+    t.cols.(seq) <-
+      { tbs = Array.length start; times = [| dep_ready; start; finish |]; ords = order; at = order_at;
+        engine = true }
+  | Stats.Dep_satisfied { seq; tb } -> stamp t ts ev ~seq ~tb 0
+  | Stats.Tb_dispatch { seq; tb } -> stamp t ts ev ~seq ~tb 1
+  | Stats.Tb_finish { seq; tb } -> stamp t ts ev ~seq ~tb 2
+  | Stats.Kernel_enqueue _ | Stats.Kernel_launched _ | Stats.Kernel_drained _
+  | Stats.Kernel_completed _ | Stats.Copy_start _ | Stats.Copy_finish _ | Stats.Dlb_spill _
+  | Stats.Pcb_spill _ ->
+    push t ts ev
 
-let length t = t.count
+(* TB events recorded per seq and kind, at [3 * seq + kind]. *)
+let tb_counts t =
+  let counts = Array.make (3 * Array.length t.cols) 0 in
+  Array.iteri
+    (fun seq c ->
+      for tb = 0 to c.tbs - 1 do
+        for kind = 0 to 2 do
+          if ord c ~tb ~kind >= 0 then counts.((3 * seq) + kind) <- counts.((3 * seq) + kind) + 1
+        done
+      done)
+    t.cols;
+  counts
 
-let events t =
-  (* The stable sort by timestamp: emission order breaks ties (e.g. a
+let length t = Array.fold_left ( + ) t.count (tb_counts t)
+
+let stamps c ~kind f =
+  Array.init c.tbs (fun tb -> if ord c ~tb ~kind < 0 then -1 else f c.times.(kind).(tb))
+
+let tb_columns t =
+  let n = ref (Array.length t.cols) in
+  while !n > 0 && t.cols.(!n - 1) == no_columns do decr n done;
+  Array.sub t.cols 0 !n
+
+let entry t code = t.buf.(code lsr 2)
+
+let stream ?(tb_kinds = [ 0; 1; 2 ]) t =
+  (* Emission order first: each TB event at its ordinal (-2 for the kinds
+     left out), the entries in the ordinals left over, in buffer order. *)
+  let wanted = Array.init 3 (fun kind -> List.mem kind tb_kinds) in
+  let bound = Array.fold_left (fun n c -> n + (3 * c.tbs)) t.count t.cols in
+  let slots = Array.make bound (-1) and total = ref t.count and n = ref t.count in
+  let clash () = invalid_arg "Bm_report.Trace: TB ordinals clash (events of more than one run?)" in
+  Array.iteri
+    (fun seq c ->
+      for tb = 0 to c.tbs - 1 do
+        for kind = 0 to 2 do
+          let o = ord c ~tb ~kind in
+          if o >= 0 then begin
+            if o >= bound || slots.(o) <> -1 then clash ();
+            incr total;
+            if wanted.(kind) then begin
+              slots.(o) <- kind lor (tb lsl 2) lor (seq lsl 32);
+              incr n
+            end
+            else slots.(o) <- -2
+          end
+        done
+      done)
+    t.cols;
+  let n = !n in
+  let codes = Array.make n 0 and ts = Array.make n 0.0 and ords = Array.make n 0 in
+  let k = ref 0 and next = ref 0 in
+  for o = 0 to !total - 1 do
+    let code = slots.(o) in
+    if code <> -2 then begin
+      if code >= 0 then begin
+        codes.(!k) <- code;
+        ts.(!k) <- t.cols.(code lsr 32).times.(code land 3).((code lsr 2) land (id_limit - 1))
+      end
+      else begin
+        if !next = t.count then clash ();
+        codes.(!k) <- 3 lor (!next lsl 2);
+        ts.(!k) <- t.buf.(!next).ts;
+        incr next
+      end;
+      ords.(!k) <- o;
+      incr k
+    end
+  done;
+  (* Then the stable sort by timestamp: emission order breaks ties (e.g. a
      Dep_satisfied and the Tb_dispatch it enables at the same instant).
      Engine traces are chronological but for future-dated copy starts, so
      one pass keeps a non-decreasing run on a stack and sets aside what a
-     later, earlier-stamped entry displaces; only those few are sorted by
+     later, earlier-stamped event displaces; only those few are sorted by
      (ts, emission index), then merged back by the same total order. *)
-  let buf = t.buf in
   let order i j =
-    let c = Float.compare buf.(i).ts buf.(j).ts in
+    let c = Float.compare ts.(i) ts.(j) in
     if c <> 0 then c else Int.compare i j
   in
-  let run = Array.make t.count 0 and len = ref 0 and aside = ref [] in
-  for i = 0 to t.count - 1 do
-    while !len > 0 && order i run.(!len - 1) < 0 do
+  let run = Array.make n 0 and len = ref 0 and aside = ref [] in
+  for i = 0 to n - 1 do
+    (* [i] comes after everything on the run: it displaces what is later *)
+    while !len > 0 && Float.compare ts.(i) ts.(run.(!len - 1)) < 0 do
       decr len;
       aside := run.(!len) :: !aside
     done;
     run.(!len) <- i;
     incr len
   done;
-  let aside = Array.of_list !aside in
-  Array.sort order aside;
-  let a = ref 0 and b = ref 0 in
-  Array.init t.count (fun _ ->
-      if !b = Array.length aside || (!a < !len && order run.(!a) aside.(!b) < 0) then begin
-        incr a;
-        buf.(run.(!a - 1))
-      end
-      else begin
-        incr b;
-        buf.(aside.(!b - 1))
-      end)
+  if !aside = [] then (codes, ts, ords)
+  else begin
+    let aside = Array.of_list !aside in
+    Array.sort order aside;
+    let a = ref 0 and b = ref 0 in
+    let pick _ =
+      if !b = Array.length aside || (!a < !len && order run.(!a) aside.(!b) < 0) then (incr a; run.(!a - 1))
+      else (incr b; aside.(!b - 1))
+    in
+    let perm = Array.init n pick in
+    (Array.map (Array.get codes) perm, Array.map (Array.get ts) perm, Array.map (Array.get ords) perm)
+  end
+
+let events t =
+  let codes, ts, _ = stream t in
+  Array.mapi
+    (fun i code ->
+      let seq = code lsr 32 and tb = (code lsr 2) land (id_limit - 1) in
+      match code land 3 with
+      | 0 -> { ts = ts.(i); ev = Stats.Dep_satisfied { seq; tb } }
+      | 1 -> { ts = ts.(i); ev = Stats.Tb_dispatch { seq; tb } }
+      | 2 -> { ts = ts.(i); ev = Stats.Tb_finish { seq; tb } }
+      | _ -> entry t code)
+    codes
 
 (* --- derived counters -------------------------------------------------- *)
 
@@ -85,11 +233,11 @@ type totals = {
   tot_max_resident : int;  (* peak resident kernels, across streams *)
 }
 
-let empty_kc seq stream tbs =
+let empty_kc seq =
   {
     kc_seq = seq;
-    kc_stream = stream;
-    kc_tbs = tbs;
+    kc_stream = 0;
+    kc_tbs = 0;
     kc_dispatched = 0;
     kc_finished = 0;
     kc_deps = 0;
@@ -99,11 +247,22 @@ let empty_kc seq stream tbs =
     kc_completed = nan;
   }
 
+(* Lifecycle stamps from the entries, in stream order (the last of a
+   repeated event wins), TB counts from the columns. *)
 let kernel_counters t =
   let tbl : (int, kernel_counters) Hashtbl.t = Hashtbl.create 32 in
-  let get seq = match Hashtbl.find_opt tbl seq with Some k -> k | None -> empty_kc seq 0 0 in
+  let get seq = match Hashtbl.find_opt tbl seq with Some k -> k | None -> empty_kc seq in
+  let count seq kind n =
+    let k = get seq in
+    Hashtbl.replace tbl seq
+      (match kind with
+      | 0 -> { k with kc_deps = k.kc_deps + n }
+      | 1 -> { k with kc_dispatched = k.kc_dispatched + n }
+      | _ -> { k with kc_finished = k.kc_finished + n })
+  in
   Array.iter
-    (fun { ts; ev } ->
+    (fun code ->
+      let { ts; ev } = entry t code in
       match ev with
       | Stats.Kernel_enqueue { seq; stream; tbs } ->
         Hashtbl.replace tbl seq { (get seq) with kc_stream = stream; kc_tbs = tbs; kc_enqueue = ts }
@@ -111,17 +270,15 @@ let kernel_counters t =
       | Stats.Kernel_drained { seq; _ } -> Hashtbl.replace tbl seq { (get seq) with kc_drained = ts }
       | Stats.Kernel_completed { seq; _ } ->
         Hashtbl.replace tbl seq { (get seq) with kc_completed = ts }
-      | Stats.Tb_dispatch { seq; _ } ->
-        let k = get seq in
-        Hashtbl.replace tbl seq { k with kc_dispatched = k.kc_dispatched + 1 }
-      | Stats.Tb_finish { seq; _ } ->
-        let k = get seq in
-        Hashtbl.replace tbl seq { k with kc_finished = k.kc_finished + 1 }
-      | Stats.Dep_satisfied { seq; _ } ->
-        let k = get seq in
-        Hashtbl.replace tbl seq { k with kc_deps = k.kc_deps + 1 }
-      | Stats.Copy_start _ | Stats.Copy_finish _ | Stats.Dlb_spill _ | Stats.Pcb_spill _ -> ())
-    (events t);
+      | Stats.Dep_satisfied { seq; _ } -> count seq 0 1
+      | Stats.Tb_dispatch { seq; _ } -> count seq 1 1
+      | Stats.Tb_finish { seq; _ } -> count seq 2 1
+      | Stats.Copy_start _ | Stats.Copy_finish _ | Stats.Dlb_spill _ | Stats.Pcb_spill _
+      | Stats.Tb_columns _ ->
+        ())
+    (let codes, _, _ = stream ~tb_kinds:[] t in
+     codes);
+  Array.iteri (fun i n -> if n > 0 then count (i / 3) (i mod 3) n) (tb_counts t);
   Hashtbl.fold (fun _ k acc -> k :: acc) tbl []
   |> List.sort (fun a b -> compare a.kc_seq b.kc_seq)
   |> Array.of_list
@@ -152,10 +309,10 @@ let totals t =
       | Stats.Dlb_spill _ -> incr dlb
       | Stats.Pcb_spill _ -> incr pcb
       | Stats.Kernel_launched _ | Stats.Kernel_drained _ | Stats.Dep_satisfied _
-      | Stats.Copy_finish _ -> ())
+      | Stats.Copy_finish _ | Stats.Tb_columns _ -> ())
     (events t);
   {
-    tot_events = t.count;
+    tot_events = length t;
     tot_kernels = Hashtbl.length kernels;
     tot_tbs = !tbs;
     tot_copies = !copies;
@@ -321,7 +478,8 @@ let check ~window ~slots t =
         Hashtbl.replace dep_time (seq, tb) ts;
         if Hashtbl.mem dispatched (seq, tb) then
           error "dependencies of TB %d of kernel %d satisfied only after it started" tb seq
-      | Stats.Copy_start _ | Stats.Copy_finish _ | Stats.Dlb_spill _ | Stats.Pcb_spill _ -> ())
+      | Stats.Copy_start _ | Stats.Copy_finish _ | Stats.Dlb_spill _ | Stats.Pcb_spill _
+      | Stats.Tb_columns _ -> ())
     (events t);
   (* End-of-trace closure: every enqueued kernel must have completed with
      every TB finished. *)
@@ -442,7 +600,7 @@ let to_chrome_json ?(meta = []) ?(counters = []) t =
         instant
           ~name:(Printf.sprintf "PCB spill k%d (%d > %d)" seq needed capacity)
           ~cat:"spill" ~pid:1 ~tid:0 ~ts
-      | Stats.Kernel_launched _ | Stats.Kernel_drained _ -> ())
+      | Stats.Kernel_launched _ | Stats.Kernel_drained _ | Stats.Tb_columns _ -> ())
     (events t);
   (* Counter tracks ("C" phase): each sample is a stacked multi-series
      value — the viewer renders one area chart per track.  Used for the
@@ -510,6 +668,7 @@ let to_csv ?name_of t =
       | Stats.Copy_start { cmd; bytes; _ } | Stats.Copy_finish { cmd; bytes; _ } ->
         line ts ev ~cmd:(i cmd) ~bytes:(i bytes) ()
       | Stats.Dlb_spill { seq; needed; capacity } | Stats.Pcb_spill { seq; needed; capacity } ->
-        line ts ev ~kernel:seq ~tb:(i needed) ~bytes:(i capacity) ())
+        line ts ev ~kernel:seq ~tb:(i needed) ~bytes:(i capacity) ()
+      | Stats.Tb_columns _ -> ())
     (events t);
   Buffer.contents buf

@@ -8,9 +8,16 @@
     this module lives in the test story — validated with {!check} against
     the paper's scheduling contracts.
 
+    TB events are held as columns, not records.  The engine hands over
+    each kernel's per-TB time and ordinal columns once
+    ({!Bm_gpu.Stats.Tb_columns}), and a TB event sent on its own is
+    stamped into columns of the same shape; the kernel, copy and spill
+    events are kept as entries.  A collector records one run.
+
     Collection order is not chronological: copy-engine starts are
-    future-dated when the copy is scheduled.  {!events} stable-sorts by
-    timestamp, and every consumer in this module works on that order. *)
+    future-dated when the copy is scheduled.  {!events} rebuilds the
+    stream and stable-sorts it by timestamp, and every consumer in this
+    module works on that order. *)
 
 type entry = { ts : float; ev : Bm_gpu.Stats.event }
 
@@ -20,13 +27,61 @@ type t
 val create : unit -> t
 
 val sink : t -> float -> Bm_gpu.Stats.event -> unit
-(** [sink t] is a {!Bm_gpu.Stats.sink}; pass it as [Sim.run ~trace]. *)
+(** [sink t] is a {!Bm_gpu.Stats.sink}; pass it as [Sim.run ~trace].  A
+    TB event sent on its own fills its TB's slot in its kernel's columns;
+    a repeat of a filled slot, or an event with a negative or
+    beyond-2{^30} seq or TB id, is kept as an entry instead: {!events},
+    {!check} and the exporters see it, {!tb_columns} does not.  Columns
+    grow with the largest seq and TB id.
+    @raise Invalid_argument on a second {!Bm_gpu.Stats.Tb_columns}
+    hand-off for one kernel. *)
 
 val length : t -> int
+(** Events recorded, TB events included. *)
 
 val events : t -> entry array
-(** All recorded entries, stable-sorted by timestamp (ties keep emission
-    order). *)
+(** All recorded events, TB events rebuilt from the columns, stable-sorted
+    by timestamp: ties keep emission order.
+    @raise Invalid_argument when the columns' TB ordinals do not fit the
+    events recorded (two runs into one collector). *)
+
+(** {1 The stream without TB records}
+
+    What {!Attrib.Parse} reads instead of {!events}. *)
+
+val stream : ?tb_kinds:int list -> t -> int array * float array * int array
+(** The events of {!events}, in its order, as int codes, with their
+    timestamps and emission ordinals; with [tb_kinds], of the TB events
+    only those kinds.  A TB
+    event's code is [kind lor (tb lsl 2) lor (seq lsl 32)], [kind] 0 for
+    [Dep_satisfied], 1 [Tb_dispatch], 2 [Tb_finish]; any other event's
+    code has both low bits set.  Raises as {!events} does. *)
+
+val entry : t -> int -> entry
+(** The entry a code of {!stream} with both low bits set stands for. *)
+
+type columns = private {
+  mutable tbs : int;  (** TB ids [0 .. tbs - 1] *)
+  mutable times : float array array;
+      (** [times.(kind).(tb)]: kind 0 [Dep_satisfied], 1 [Tb_dispatch],
+          2 [Tb_finish] *)
+  mutable ords : Bytes.t;  (** the ordinals, laid out as {!Bm_gpu.Stats.Tb_columns}'s [order] *)
+  at : int;
+  engine : bool;  (** the engine's {!Bm_gpu.Stats.Tb_columns}, not grown here *)
+}
+
+val ord : columns -> tb:int -> kind:int -> int
+(** The emission ordinal of the TB's event of that kind, [-1] when it was
+    not recorded. *)
+
+val stamps : columns -> kind:int -> (float -> int) -> int array
+(** [f] of each TB's time for events of that kind, [-1] where none was
+    recorded. *)
+
+val tb_columns : t -> columns array
+(** Each kernel's TB columns, indexed by seq up to the largest seq with
+    any; a seq without them has [tbs = 0].  The arrays are the
+    collector's, for an engine run the engine's [Stats] columns. *)
 
 (** {1 Derived counters} *)
 
@@ -56,7 +111,8 @@ type totals = {
 }
 
 val kernel_counters : t -> kernel_counters array
-(** Per-kernel lifecycle counters, sorted by sequence number. *)
+(** Per-kernel lifecycle counters, sorted by sequence number: one row per
+    seq that an event names.  TB counts come from the columns. *)
 
 val totals : t -> totals
 

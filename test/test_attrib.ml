@@ -4,8 +4,9 @@
    (every resource row sums to makespan x weight in ticks), and the
    critical path must cover [0, makespan] contiguously — both are checked
    here over the entire suite x mode matrix, not sampled.  The
-   busy-tick total is additionally cross-checked against Stats.records,
-   a fully independent data path through the simulator.  The values
+   busy-tick total is additionally cross-checked against a direct sum
+   over the Stats TB columns (the trace's TB stamps are those columns, so
+   this checks the attribution's interval sweep).  The values
    themselves are pinned by digest over the same matrix and the ledger's
    co-runs, and by literal over malformed synthetic traces.  A synthetic
    hand-built trace pins the one bucket the suite never exercises

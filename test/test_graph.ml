@@ -512,7 +512,21 @@ let test_packed_event_bound () =
       expect_rejected "Sim.run" (fun () -> Sim.run cfg mode huge_prep);
       expect_rejected "Multi.run" (fun () ->
           (Multi.run cfg mode [| prep; huge_prep |]).Multi.mr_stats.(1)))
-    [ Mode.Baseline; Mode.Producer_priority; Mode.Deadline_edf 2 ]
+    [ Mode.Baseline; Mode.Producer_priority; Mode.Deadline_edf 2 ];
+  (* Traced, two kernels of 2^29 TBs each (under the packed bound) could
+     emit more than 2^31 events, beyond the int32 trace ordinals. *)
+  let half = 1 lsl 29 in
+  let halves =
+    { Graph.s_commands = [| Graph.Glaunch { seq = 0 }; Graph.Glaunch { seq = 1 } |];
+      s_nodes = [| { node with Graph.n_tbs = half }; { node with Graph.n_seq = 1; n_tbs = half } |] }
+  in
+  let before = Gc.allocated_bytes () in
+  match Replay.run ~trace:(fun _ _ -> ()) cfg Mode.Producer_priority { graph with Graph.g_reordered = halves } with
+  | (_ : Stats.t) -> Alcotest.fail "a traced app of 2^30 TBs was accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) (Printf.sprintf "ordinal bound named in %S" msg) true (contains ~needle:"2^31" msg);
+    Alcotest.(check bool) "rejected before per-TB allocation" true
+      (Gc.allocated_bytes () -. before < float_of_int half)
 
 (* The summary [bmctl capture] prints, against counts taken from the app
    and the schedule's own nodes. *)
