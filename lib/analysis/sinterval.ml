@@ -29,6 +29,8 @@ let add a b =
   in
   make ~lo:(a.lo + b.lo) ~hi:(a.hi + b.hi) ~stride
 
+let shift t d = if d = 0 then t else { lo = t.lo + d; hi = t.hi + d; stride = t.stride }
+
 let neg a =
   make ~lo:(-a.hi) ~hi:(-a.lo) ~stride:a.stride
 

@@ -23,6 +23,12 @@ val mem : int -> t -> bool
 val count : t -> int
 (** Number of elements denoted. *)
 
+val shift : t -> int -> t
+(** [shift t d] denotes [{x + d | x in t}]; [shift t 0] is [t] itself.
+    Every operation below that takes a shifted operand and a fixed one
+    ([add], [sub], [mul_const], [neg]) commutes with the shift, which is
+    what {!Footprint}'s affine summaries rest on. *)
+
 val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t

@@ -45,15 +45,28 @@ type index = {
 }
 
 let build_index (parent_fps : Footprint.t array) =
-  let entries = ref [] in
+  let n = Array.fold_left (fun acc fp -> acc + List.length fp.Footprint.fwrites) 0 parent_fps in
+  let entries = Array.make n (I.singleton 0, 0) in
+  let k = ref 0 in
   Array.iteri
-    (fun p fp -> List.iter (fun w -> entries := (w, p) :: !entries) fp.Footprint.fwrites)
+    (fun p fp ->
+      List.iter
+        (fun w ->
+          entries.(!k) <- (w, p);
+          incr k)
+        fp.Footprint.fwrites)
     parent_fps;
-  let entries =
-    Array.of_list
-      (List.sort (fun ((a : I.t), _) ((b : I.t), _) -> compare a.I.lo b.I.lo) !entries)
-  in
-  let prefix_max_hi = Array.make (Array.length entries) min_int in
+  (* The candidate scan visits the same set whatever the order among equal
+     [lo]s, so an unstable in-place sort will do; per-TB writes of a kernel
+     usually come in address order already. *)
+  let lo i = (fst entries.(i)).I.lo in
+  let sorted = ref true in
+  for i = 1 to n - 1 do
+    if lo (i - 1) > lo i then sorted := false
+  done;
+  if not !sorted then
+    Array.sort (fun ((a : I.t), _) ((b : I.t), _) -> Int.compare a.I.lo b.I.lo) entries;
+  let prefix_max_hi = Array.make n min_int in
   let running = ref min_int in
   Array.iteri
     (fun i ((w : I.t), _) ->
@@ -82,62 +95,149 @@ let candidates idx (r : I.t) add =
     decr i
   done
 
+(* From each child's sorted parent ids to the relation.  Single-parent or
+   single-child pairs are kept as graphs: they are 1-to-n / n-to-1, not a
+   kernel-level barrier, so only a multi-parent, multi-child pair where
+   every child has every parent is [Fully_connected].  [children_of] is
+   filled by one counting pass and one pass over the children in order,
+   so each of its rows comes out sorted. *)
+let assemble ~n_parents ~n_children parents_of =
+  if Array.for_all (fun ps -> Array.length ps = 0) parents_of then Independent
+  else if
+    n_parents > 1 && n_children > 1
+    && Array.for_all (fun ps -> Array.length ps = n_parents) parents_of
+  then Fully_connected
+  else begin
+    let count = Array.make n_parents 0 in
+    Array.iter (Array.iter (fun p -> count.(p) <- count.(p) + 1)) parents_of;
+    let children_of = Array.map (fun k -> Array.make k 0) count in
+    Array.fill count 0 n_parents 0;
+    Array.iteri
+      (fun c ps ->
+        Array.iter
+          (fun p ->
+            children_of.(p).(count.(p)) <- c;
+            count.(p) <- count.(p) + 1)
+          ps)
+      parents_of;
+    Graph { n_parents; n_children; parents_of; children_of }
+  end
+
+(* Floor and ceiling of [a / b], [b <> 0]. *)
+let fdiv a b =
+  let q = a / b in
+  if a mod b <> 0 && a < 0 <> (b < 0) then q - 1 else q
+
+let cdiv a b =
+  let q = a / b in
+  if a mod b <> 0 && a < 0 = (b < 0) then q + 1 else q
+
+(* One side of a pair in summary form: TBs [0, affine) follow [accs] (the
+   parent's writes, the child's reads) and the rest are listed in [tail].
+   A per-TB side is all tail. *)
+type side = {
+  tbs : int;
+  affine : int;
+  accs : Footprint.affine array;
+  tail : Footprint.t array;
+}
+
+let side ~writes = function
+  | Footprint.Summary s ->
+    {
+      tbs = s.Footprint.s_tbs;
+      affine = s.Footprint.s_affine;
+      accs = (if writes then s.Footprint.s_writes else s.Footprint.s_reads);
+      tail = s.Footprint.s_tail;
+    }
+  | Footprint.Per_tb fps -> { tbs = Array.length fps; affine = 0; accs = [||]; tail = fps }
+  | Footprint.Conservative _ -> invalid_arg "Bipartite.side: conservative"
+
+(* The parents [p < n] whose write [w], shifted to [p], intersects the
+   child read [shift rb d].  Overlapping ranges bound [p] to one integer
+   range; a candidate is confirmed with [intersects] unless both strides
+   are at most 1, where overlap is intersection.  [add_range] takes a
+   confirmed range whole. *)
+let affine_parents ~n (w : Footprint.affine) (rb : I.t) d ~add_range ~add =
+  let b = w.Footprint.base and k = w.Footprint.coef in
+  let r_lo = rb.I.lo + d and r_hi = rb.I.hi + d in
+  let lo, hi =
+    if k = 0 then if b.I.lo <= r_hi && b.I.hi >= r_lo then (0, n - 1) else (0, -1)
+    else if k > 0 then (cdiv (r_lo - b.I.hi) k, fdiv (r_hi - b.I.lo) k)
+    else (cdiv (r_hi - b.I.lo) k, fdiv (r_lo - b.I.hi) k)
+  in
+  let lo = max lo 0 and hi = min hi (n - 1) in
+  if lo <= hi then
+    if b.I.stride <= 1 && rb.I.stride <= 1 then add_range lo hi
+    else
+      let r = I.shift rb d in
+      if k = 0 then (if I.intersects b r then add_range lo hi)
+      else
+        for p = lo to hi do
+          if I.intersects (I.shift b (k * p)) r then add p
+        done
+
+(* Each child's reads meet the parent's affine writes in closed form
+   ([affine_parents]) and the parent's listed TBs through the index; a
+   per-TB side is all listed, so two per-TB sides take the index alone.
+   The degree cap is checked on each confirmed range's length first, so an
+   over-cap child degrades in O(1). *)
+let relate_sides ~max_degree parent child =
+  let ps = side ~writes:true parent and cs = side ~writes:false child in
+  let n_parents = ps.tbs and n_children = cs.tbs in
+  let idx = build_index ps.tail in
+  let parents_of = Array.make n_children [||] in
+  (* Child [!child]'s parents so far: [buf.(0 .. !degree - 1)], each
+     stamped with the child's id. *)
+  let stamp = Array.make n_parents (-1) in
+  let buf = Array.make (max 1 (min max_degree n_parents)) 0 in
+  let child = ref 0 and degree = ref 0 in
+  let add p =
+    if stamp.(p) <> !child then begin
+      stamp.(p) <- !child;
+      if !degree >= max_degree then raise Degrade_to_full;
+      buf.(!degree) <- p;
+      incr degree
+    end
+  in
+  let add_range lo hi =
+    if hi - lo + 1 > max_degree then raise Degrade_to_full;
+    for p = lo to hi do
+      add p
+    done
+  in
+  let add_tail i = add (ps.affine + i) in
+  (* The child read [shift rb d]. *)
+  let read rb d =
+    for j = 0 to Array.length ps.accs - 1 do
+      affine_parents ~n:ps.affine ps.accs.(j) rb d ~add_range ~add
+    done;
+    if Array.length ps.tail > 0 then candidates idx (I.shift rb d) add_tail
+  in
+  try
+    for c = 0 to n_children - 1 do
+      child := c;
+      degree := 0;
+      if c < cs.affine then
+        for j = 0 to Array.length cs.accs - 1 do
+          let a = cs.accs.(j) in
+          read a.Footprint.base (a.Footprint.coef * c)
+        done
+      else List.iter (fun r -> read r 0) cs.tail.(c - cs.affine).Footprint.freads;
+      if !degree > 0 then begin
+        let ps = Array.sub buf 0 !degree in
+        Array.sort Int.compare ps;
+        parents_of.(c) <- ps
+      end
+    done;
+    assemble ~n_parents ~n_children parents_of
+  with Degrade_to_full -> Fully_connected
+
 let relate ?(max_degree = default_max_degree) parent child =
   match (parent, child) with
   | Footprint.Conservative _, _ | _, Footprint.Conservative _ -> Fully_connected
-  | Footprint.Per_tb parent_fps, Footprint.Per_tb child_fps -> (
-    let n_parents = Array.length parent_fps in
-    let n_children = Array.length child_fps in
-    let idx = build_index parent_fps in
-    let parents_of = Array.make n_children [||] in
-    let any_edge = ref false in
-    (* [stamp.(p) = c]: parent [p] is already among child [c]'s parents. *)
-    let stamp = Array.make n_parents (-1) in
-    try
-      Array.iteri
-        (fun c (fp : Footprint.t) ->
-          let ps = ref [] and degree = ref 0 in
-          List.iter
-            (fun r ->
-              candidates idx r (fun p ->
-                  if stamp.(p) <> c then begin
-                    stamp.(p) <- c;
-                    ps := p :: !ps;
-                    incr degree;
-                    if !degree > max_degree then raise Degrade_to_full
-                  end))
-            fp.Footprint.freads;
-          if !degree > 0 then begin
-            any_edge := true;
-            parents_of.(c) <- Array.of_list (List.sort Int.compare !ps)
-          end)
-        child_fps;
-      if not !any_edge then Independent
-      else begin
-        (* Detect the fully-connected case exactly.  Single-parent or
-           single-child pairs are kept as graphs: they are 1-to-n / n-to-1,
-           not a kernel-level barrier. *)
-        let full =
-          n_parents > 1 && n_children > 1
-          && Array.for_all (fun ps -> Array.length ps = n_parents) parents_of
-        in
-        if full then Fully_connected
-        else begin
-          let children_of = Array.make n_parents [] in
-          Array.iteri
-            (fun c ps -> Array.iter (fun p -> children_of.(p) <- c :: children_of.(p)) ps)
-            parents_of;
-          Graph
-            {
-              n_parents;
-              n_children;
-              parents_of;
-              children_of =
-                Array.map (fun l -> Array.of_list (List.sort compare l)) children_of;
-            }
-        end
-      end
-    with Degrade_to_full -> Fully_connected)
+  | (Footprint.Per_tb _ | Footprint.Summary _), (Footprint.Per_tb _ | Footprint.Summary _) ->
+    relate_sides ~max_degree parent child
 
 let edge_count rel ~n_parents ~n_children =
   match rel with

@@ -36,7 +36,19 @@ val relate :
   relation
 (** [relate parent child] intersects the parent's per-TB write sets with the
     child's per-TB read sets.  Either side being [Conservative] yields
-    [Fully_connected]. *)
+    [Fully_connected].
+
+    The result is the same whether a side comes as a
+    {!Bm_analysis.Footprint.constructor-Summary} or as the per-TB
+    footprints it materializes to.  A child read meets a summary's affine
+    writes in closed form: the parents whose shifted interval overlaps it
+    form one integer range, found by floor/ceiling division, and each
+    candidate is confirmed with {!Bm_analysis.Sinterval.intersects} unless
+    both strides are at most 1.  It meets listed TBs (a summary's tail, or
+    every TB of a [Per_tb] side) through an index sorted by interval start
+    with a running maximum of interval ends.  A child whose parents exceed
+    [max_degree] degrades the pair as soon as they do, in O(1) when one
+    confirmed range is already longer than the cap. *)
 
 val edge_count : relation -> n_parents:int -> n_children:int -> int
 (** Number of edges denoted by the relation (MN for fully connected). *)

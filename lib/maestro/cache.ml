@@ -32,6 +32,12 @@ type ('k, 'v) family = {
   mutable misses : int;
 }
 
+(* The kernels interned under one pre-key: one not yet fingerprinted, or
+   several, each fingerprinted into [intern]. *)
+type prekeyed =
+  | Unique of Bm_ptx.Types.kernel * int
+  | Shared
+
 type t = {
   (* Hash-consing: canonical fingerprint -> interned id.  LRU-bounded like
      everything else; ids are monotonic, so entries of an evicted id simply
@@ -42,8 +48,12 @@ type t = {
      PTX instruction, and warm preparations of one app pass the same
      kernel values every time.  An equal but distinct value (an
      alpha-twin, a rebuilt app, another kernel under the same name) is
-     fingerprinted as before. *)
+     interned again. *)
   seen : (string, Bm_ptx.Types.kernel * int) Lru.t;
+  (* Without a store, a kernel is fingerprinted only once its pre-key
+     (instruction and parameter counts, both alpha-invariant) is shared
+     with another kernel's; until then it is interned by pre-key alone. *)
+  prekeys : (int * int, prekeyed) Lru.t;
   mutable next_id : int;
   (* id -> canonical fingerprint string, the disk tier's key material.
      Only populated when a store is attached; if an entry ages out, disk
@@ -74,6 +84,7 @@ let create ?store () =
   {
     intern = Lru.create ~capacity:kernel_capacity;
     seen = Lru.create ~capacity:kernel_capacity;
+    prekeys = Lru.create ~capacity:kernel_capacity;
     next_id = 0;
     fpstrs = Lru.create ~capacity:kernel_capacity;
     store;
@@ -90,22 +101,44 @@ let create ?store () =
 
 let store t = t.store
 
+let fresh_id t =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
+
 let intern t kernel =
   let fp = Fingerprint.of_kernel kernel in
   match Lru.find t.intern fp with
   | Some id -> id
   | None ->
-    let id = t.next_id in
-    t.next_id <- id + 1;
+    let id = fresh_id t in
     Lru.add t.intern fp id;
     if t.store <> None then Lru.add t.fpstrs id (Fingerprint.to_string fp);
     id
+
+(* Alpha-twins share a pre-key, so a kernel whose pre-key no other kernel
+   has cannot be a twin of one: it gets a fresh id unfingerprinted.  The
+   first collision fingerprints the earlier kernel under its id, then
+   interns the newcomer as usual.  The disk tier keys entries by
+   fingerprint, so with a store every kernel is fingerprinted at once. *)
+let intern_lazily t (kernel : Bm_ptx.Types.kernel) =
+  let pk = (Array.length kernel.Bm_ptx.Types.kbody, List.length kernel.Bm_ptx.Types.kparams) in
+  match Lru.find t.prekeys pk with
+  | None ->
+    let id = fresh_id t in
+    Lru.add t.prekeys pk (Unique (kernel, id));
+    id
+  | Some (Unique (first, id)) ->
+    Lru.add t.intern (Fingerprint.of_kernel first) id;
+    Lru.add t.prekeys pk Shared;
+    intern t kernel
+  | Some Shared -> intern t kernel
 
 let kernel_id t (kernel : Bm_ptx.Types.kernel) =
   match Lru.find t.seen kernel.Bm_ptx.Types.kname with
   | Some (k, id) when k == kernel -> id
   | Some _ | None ->
-    let id = intern t kernel in
+    let id = match t.store with Some _ -> intern t kernel | None -> intern_lazily t kernel in
     Lru.add t.seen kernel.Bm_ptx.Types.kname (kernel, id);
     id
 

@@ -49,7 +49,9 @@ val store : t -> Store.t option
 val kernel_id : t -> Bm_ptx.Types.kernel -> int
 (** Interned id of the kernel's structural fingerprint.  Alpha-equivalent
     kernels (same body up to register/label names, same params/grid use)
-    map to the same id; ids are unique for the cache's lifetime. *)
+    map to the same id; ids are unique for the cache's lifetime.  Without
+    a store, a kernel is fingerprinted only once another kernel shares its
+    instruction and parameter counts. *)
 
 type launch
 (** An interned (kernel id, launch configuration). *)
