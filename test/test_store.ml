@@ -324,7 +324,11 @@ let sample_artifacts () =
     }
   in
   let fp = Bm_analysis.Fingerprint.to_string (Bm_analysis.Fingerprint.of_kernel k) in
-  let fps = Footprint.analyze k fl in
+  let fps =
+    match Footprint.materialize (Footprint.analyze k fl) with
+    | Ok tbs -> Footprint.Per_tb tbs
+    | Error reason -> Alcotest.fail reason
+  in
   let profile = Costmodel.profile (Symeval.analyze k) fl in
   (k, fl, fp, fps, profile)
 
@@ -449,10 +453,16 @@ let test_readonly_and_write_errors () =
 (* --- typed entries round-trip through a real store ---------------------- *)
 
 let test_put_find_roundtrip () =
-  let _, fl, fp, fps, profile = sample_artifacts () in
+  let k, fl, fp, fps, profile = sample_artifacts () in
   with_temp_dir (fun dir ->
       let s = open_store dir in
       let kf = Store.footprint_key ~fp ~fl in
+      let summary = Footprint.analyze k fl in
+      Alcotest.(check bool) "the sample summarizes" true
+        (match summary with Footprint.Summary _ -> true | _ -> false);
+      Store.put_footprints s ~key:kf summary;
+      Alcotest.(check bool) "a summary is stored as its TBs" true
+        (Store.find_footprints s ~key:kf = Some fps);
       Store.put_footprints s ~key:kf fps;
       Alcotest.(check bool) "footprints round-trip" true (Store.find_footprints s ~key:kf = Some fps);
       let kp = Store.profile_key ~fp ~fl in
