@@ -65,41 +65,103 @@ let cfg_canonical (c : Config.t) =
 
 let cfg_digest cfg = Digest.to_hex (Digest.string (cfg_canonical cfg))
 
-let buffer_canonical (b : Command.buffer) =
-  Printf.sprintf "%d:%d:%d" b.Command.buf_id b.Command.base b.Command.bytes
+(* The canonical writers add to [buf] directly: [fingerprint] runs once
+   per capture, validate and replay, over every command of the app. *)
+let add_int buf i = Buffer.add_string buf (string_of_int i)
 
-let dim3_canonical (d : Bm_ptx.Types.dim3) =
-  Printf.sprintf "%d,%d,%d" d.Bm_ptx.Types.dx d.Bm_ptx.Types.dy d.Bm_ptx.Types.dz
+let add_buffer buf (b : Command.buffer) =
+  add_int buf b.Command.buf_id;
+  Buffer.add_char buf ':';
+  add_int buf b.Command.base;
+  Buffer.add_char buf ':';
+  add_int buf b.Command.bytes
+
+let add_dim3 buf (d : Bm_ptx.Types.dim3) =
+  add_int buf d.Bm_ptx.Types.dx;
+  Buffer.add_char buf ',';
+  add_int buf d.Bm_ptx.Types.dy;
+  Buffer.add_char buf ',';
+  add_int buf d.Bm_ptx.Types.dz
 
 (* Kernel bodies enter through their structural fingerprint plus the
    declared name (the name itself never changes scheduling, but a captured
-   graph reports it, so a rename must invalidate the capture too). *)
+   graph reports it, so a rename must invalidate the capture too).  A
+   launch line ends with the index of its kernel's canonical text in a
+   table that follows the commands, numbered in first-occurrence order;
+   the table holds each distinct text once, length-prefixed so that two
+   entries cannot run into each other.  Suite apps relaunch one kernel
+   value hundreds of times and its text runs to tens of KB, so each
+   physically distinct kernel value is fingerprinted once per call (the
+   [==] memo of [Cache.kernel_id]); a structurally equal fresh copy is
+   fingerprinted again and lands on the same entry. *)
 let app_canonical buf (app : Command.app) =
+  let seen = ref [] (* kernel value -> index, by [==] *) in
+  let index_of_text = Hashtbl.create 8 and texts = ref [] in
+  let kernel_index (k : Bm_ptx.Types.kernel) =
+    match List.assq_opt k !seen with
+    | Some i -> i
+    | None ->
+      let text = Fingerprint.to_string (Fingerprint.of_kernel k) in
+      let i =
+        match Hashtbl.find_opt index_of_text text with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length index_of_text in
+          Hashtbl.add index_of_text text i;
+          texts := text :: !texts;
+          i
+      in
+      seen := (k, i) :: !seen;
+      i
+  in
   Buffer.add_string buf app.Command.app_name;
   Buffer.add_char buf '\n';
   List.iter
     (fun cmd ->
       (match cmd with
-      | Command.Malloc b -> Buffer.add_string buf ("M" ^ buffer_canonical b)
-      | Command.Memcpy_h2d b -> Buffer.add_string buf ("H" ^ buffer_canonical b)
-      | Command.Memcpy_d2h b -> Buffer.add_string buf ("D" ^ buffer_canonical b)
-      | Command.Device_synchronize -> Buffer.add_string buf "S"
+      | Command.Malloc b ->
+        Buffer.add_char buf 'M';
+        add_buffer buf b
+      | Command.Memcpy_h2d b ->
+        Buffer.add_char buf 'H';
+        add_buffer buf b
+      | Command.Memcpy_d2h b ->
+        Buffer.add_char buf 'D';
+        add_buffer buf b
+      | Command.Device_synchronize -> Buffer.add_char buf 'S'
       | Command.Kernel_launch spec ->
-        Buffer.add_string buf
-          (Printf.sprintf "K[%s|s%d|g%s|b%s|" spec.Command.kernel.Bm_ptx.Types.kname
-             spec.Command.stream (dim3_canonical spec.Command.grid)
-             (dim3_canonical spec.Command.block));
+        Buffer.add_string buf "K[";
+        Buffer.add_string buf spec.Command.kernel.Bm_ptx.Types.kname;
+        Buffer.add_string buf "|s";
+        add_int buf spec.Command.stream;
+        Buffer.add_string buf "|g";
+        add_dim3 buf spec.Command.grid;
+        Buffer.add_string buf "|b";
+        add_dim3 buf spec.Command.block;
+        Buffer.add_char buf '|';
         List.iter
           (fun (name, arg) ->
-            Buffer.add_string buf
-              (match arg with
-              | Command.Buf b -> Printf.sprintf "%s=B%s;" name (buffer_canonical b)
-              | Command.Int i -> Printf.sprintf "%s=I%d;" name i))
+            Buffer.add_string buf name;
+            (match arg with
+            | Command.Buf b ->
+              Buffer.add_string buf "=B";
+              add_buffer buf b
+            | Command.Int i ->
+              Buffer.add_string buf "=I";
+              add_int buf i);
+            Buffer.add_char buf ';')
           spec.Command.args;
-        Buffer.add_string buf (Fingerprint.to_string (Fingerprint.of_kernel spec.Command.kernel));
+        Buffer.add_char buf '#';
+        add_int buf (kernel_index spec.Command.kernel);
         Buffer.add_char buf ']');
       Buffer.add_char buf '\n')
-    app.Command.commands
+    app.Command.commands;
+  List.iter
+    (fun text ->
+      add_int buf (String.length text);
+      Buffer.add_char buf ':';
+      Buffer.add_string buf text)
+    (List.rev !texts)
 
 let fingerprint cfg app =
   let buf = Buffer.create 4096 in

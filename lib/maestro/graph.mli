@@ -16,8 +16,15 @@
     configuration together with the canonical serialization of every
     command and the structural {!Bm_analysis.Fingerprint} of every kernel,
     so a graph captured from one (config, app) pair is valid for exactly
-    that pair.  {!validate} rejects a stale graph (mutated kernel, changed
-    launch geometry, different machine) with a distinct {!error}.
+    that pair.  A launch line ends with the index of its kernel's
+    canonical text in a kernel table after the commands, which holds each
+    distinct text once, length-prefixed ([<bytes>:<text>]); each
+    physically distinct kernel value is fingerprinted once per call, so
+    the digest costs one pass over the commands, not one kernel text per
+    launch.  {!validate} rejects a stale graph (mutated kernel, changed
+    launch geometry, different machine) with a distinct {!error}.  A
+    graph captured by a build from before the kernel table carries a
+    fingerprint in the old form and reads as [Stale]: recapture it.
 
     Serialization (format version 3) persists each thing a schedule is
     built from once.  The header holds the cost-model
@@ -99,9 +106,10 @@ val cfg_digest : Bm_gpu.Config.t -> string
 val fingerprint : Bm_gpu.Config.t -> Bm_gpu.Command.app -> string
 (** Canonical digest of the (config, app) pair: all config fields, the
     command stream (buffers by id/base/bytes, launch geometry, argument
-    lists, stream ids) and each kernel's alpha-renamed structural
-    {!Bm_analysis.Fingerprint}.  Any change that could alter preparation
-    output changes the fingerprint. *)
+    lists, stream ids) and each launch's kernel, as an index into a table
+    of the distinct alpha-renamed structural
+    {!Bm_analysis.Fingerprint} texts.  Any change that could alter
+    preparation output changes the fingerprint. *)
 
 val schedule_of_prep : Prep.t -> schedule
 (** Lower one preparation into its schedule: the form {!capture} persists

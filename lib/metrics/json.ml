@@ -16,24 +16,29 @@ type t =
 
 (* --- emitter ----------------------------------------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
+let add_escaped buf s =
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+(* Integral values below 1e15 print as [%.0f] would, without going
+   through Printf: [string_of_int] of the truncation, except that -0.0
+   keeps its sign ("-0"). *)
 let number_to_string x =
-  (* JSON has no NaN/infinity; degrade to null rather than emit garbage. *)
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  if Float.is_integer x && Float.abs x < 1e15 then
+    if x = 0.0 && Float.sign_bit x then "-0" else string_of_int (int_of_float x)
   else Printf.sprintf "%.12g" x
 
 let to_string ?(pretty = false) t =
@@ -44,11 +49,12 @@ let to_string ?(pretty = false) t =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num x ->
+      (* JSON has no NaN/infinity; degrade to null rather than emit garbage. *)
       if Float.is_nan x || Float.abs x = infinity then Buffer.add_string buf "null"
       else Buffer.add_string buf (number_to_string x)
     | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
     | Arr [] -> Buffer.add_string buf "[]"
     | Arr xs ->
@@ -78,7 +84,7 @@ let to_string ?(pretty = false) t =
           end;
           indent (depth + 1);
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf (if pretty then "\": " else "\":");
           go (depth + 1) v)
         fields;

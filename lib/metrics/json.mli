@@ -26,9 +26,6 @@ val of_string : string -> (t, string) result
     [0x1p3], leading [+], bare [.5] / [5.]) are rejected, so BENCH files
     produced by other tools cannot round-trip garbage. *)
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
-
 val member : string -> t -> t option
 (** Field lookup; [None] on missing field or non-object. *)
 

@@ -178,6 +178,185 @@ let test_replay_wrong_config_raises () =
   | (_ : Stats.t) -> Alcotest.fail "replay accepted a graph from a different machine"
   | exception Invalid_argument _ -> ()
 
+(* --- fingerprint: one canonical text per distinct kernel -------------- *)
+
+module Command = Bm_gpu.Command
+module Types = Bm_ptx.Types
+
+(* Equal structure, no physical sharing with [x]. *)
+let fresh_copy x = Marshal.from_string (Marshal.to_string x []) 0
+
+(* [f i spec] rewrites the i-th launch. *)
+let map_launches f (app : Command.app) =
+  let i = ref (-1) in
+  {
+    app with
+    Command.commands =
+      List.map
+        (function
+          | Command.Kernel_launch spec ->
+            incr i;
+            Command.Kernel_launch (f !i spec)
+          | c -> c)
+        app.Command.commands;
+  }
+
+let kernel_of app i = (List.nth (Command.launches app) i).Command.kernel
+let with_kernel i k = map_launches (fun j spec -> if j = i then { spec with Command.kernel = k } else spec)
+
+let check_fingerprint_moves what base app =
+  Alcotest.(check bool) (what ^ " changes the fingerprint") true
+    (Graph.fingerprint cfg base <> Graph.fingerprint cfg app)
+
+(* NW's 255 launches hold two kernel values with one canonical text: the
+   fingerprint computes that text twice; 255 fresh copies compute it 255
+   times, all onto one table entry. *)
+let test_fingerprint_fresh_kernels () =
+  let app = Suite.by_name "NW" () in
+  let values =
+    List.fold_left
+      (fun seen spec -> if List.memq spec.Command.kernel seen then seen else spec.Command.kernel :: seen)
+      [] (Command.launches app)
+  in
+  Alcotest.(check int) "NW's launches share two kernel values" 2 (List.length values);
+  let fresh = map_launches (fun _ spec -> { spec with Command.kernel = fresh_copy spec.Command.kernel }) app in
+  Alcotest.(check bool) "the copies are distinct values" false (kernel_of fresh 0 == kernel_of fresh 1);
+  Alcotest.(check string) "shared and fresh kernels digest alike" (Graph.fingerprint cfg app)
+    (Graph.fingerprint cfg fresh)
+
+let test_fingerprint_sensitivity () =
+  let app = Suite.by_name "GAUSSIAN" () in
+  let k0 = kernel_of app 0 and k1 = kernel_of app 1 in
+  Alcotest.(check bool) "launches 0 and 1 run different kernels" true
+    (k0.Types.kname <> k1.Types.kname && k0.Types.kbody <> k1.Types.kbody);
+  let trimmed = { k0 with Types.kbody = Array.sub k0.Types.kbody 0 (Array.length k0.Types.kbody - 1) } in
+  check_fingerprint_moves "one launch's kernel replaced" app (with_kernel 3 trimmed app);
+  (* Launch 2 reruns launch 0's kernel; giving it launch 1's body under
+     its own name leaves the table as it was, so only its index tells. *)
+  let k2 = kernel_of app 2 in
+  Alcotest.(check bool) "launch 2 reruns launch 0's kernel" true (k2.Types.kbody = k0.Types.kbody);
+  check_fingerprint_moves "one launch pointed at another table entry" app
+    (with_kernel 2 { k1 with Types.kname = k2.Types.kname } app);
+  check_fingerprint_moves "two launches exchanging kernels" app
+    (with_kernel 0 k1 (with_kernel 1 k0 app));
+  (* Names kept, bodies exchanged: only the table indices tell. *)
+  check_fingerprint_moves "two launches exchanging kernel bodies" app
+    (with_kernel 0 { k1 with Types.kname = k0.Types.kname }
+       (with_kernel 1 { k0 with Types.kname = k1.Types.kname } app));
+  check_fingerprint_moves "one argument changed" app
+    (map_launches
+       (fun i spec ->
+         if i <> 2 then spec
+         else
+           {
+             spec with
+             Command.args =
+               List.mapi
+                 (fun j (name, arg) ->
+                   match arg with
+                   | Command.Int n when j = List.length spec.Command.args - 1 -> (name, Command.Int (n + 1))
+                   | Command.Buf b when j = List.length spec.Command.args - 1 ->
+                     (name, Command.Buf { b with Command.bytes = b.Command.bytes + 4 })
+                   | a -> (name, a))
+                 spec.Command.args;
+           })
+       app)
+
+(* Two two-launch apps whose kernel texts concatenate to the same bytes,
+   split at a different place: "val u32 x;\n" + "val u32 y;\nval u32 z;\n"
+   against "val u32 x;\nval u32 y;\n" + "val u32 z;\n" (a parameter
+   name may hold any byte).  Launch lines are identical, so only the
+   table's length prefixes keep the digests apart. *)
+let test_fingerprint_length_prefix () =
+  let kernel pname =
+    { Types.kname = "k"; kparams = [ { Types.pname; pty = Types.U32; pptr = false } ]; kbody = [||] }
+  in
+  let app a b =
+    let launch kernel =
+      Command.Kernel_launch
+        { Command.kernel; grid = Types.dim3 1; block = Types.dim3 32; args = []; stream = 0 }
+    in
+    { Command.app_name = "split"; commands = [ launch (kernel a); launch (kernel b) ] }
+  in
+  let text a = Bm_analysis.Fingerprint.(to_string (of_kernel (kernel a))) in
+  let short = app "x" "y;\nval u32 z" and long = app "x;\nval u32 y" "z" in
+  Alcotest.(check string) "same concatenated text" (text "x" ^ text "y;\nval u32 z")
+    (text "x;\nval u32 y" ^ text "z");
+  check_fingerprint_moves "a different split of the kernel texts" short long
+
+let fingerprinted_apps =
+  Suite.all
+  @ [ ("vector_add 16", fun () -> Bm_workloads.Microbench.vector_add ~tbs:16);
+      ("vector_add 64", fun () -> Bm_workloads.Microbench.vector_add ~tbs:64);
+      ("dual_stream 8x3", fun () -> Bm_workloads.Microbench.dual_stream ~tbs:8 ~kernels_per_stream:3) ]
+  @ Bm_workloads.Wavefront.apps
+
+let test_fingerprints_distinct () =
+  let digests = List.map (fun (name, mk) -> (Graph.fingerprint cfg (mk ()), name)) fingerprinted_apps in
+  let rec clash = function
+    | (d, a) :: ((d', b) :: _ as rest) -> if d = d' then Some (a, b) else clash rest
+    | [] | [ _ ] -> None
+  in
+  match clash (List.sort compare digests) with
+  | None -> ()
+  | Some (a, b) -> Alcotest.failf "%s and %s share a fingerprint" a b
+
+let test_validate_suite () =
+  let cache = Cache.create () in
+  List.iter
+    (fun (name, mk) ->
+      let app = mk () in
+      match Graph.validate cfg app (Graph.capture ~cache cfg app) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: fresh capture rejected: %a" name Graph.pp_error e)
+    Suite.all
+
+(* The fingerprint as builds before the kernel table wrote it: every
+   launch line carried its kernel's whole canonical text.  A graph
+   stamped with it must read as stale, the recapture path. *)
+let legacy_fingerprint (c : Config.t) (app : Command.app) =
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.bprintf buf fmt in
+  add "sms=%d;tbs=%d;clk=%h;kl=%h;api=%h;cdp=%h;ma=%h;ml=%h;mg=%h;cpi=%h;mx=%h;jf=%h;deg=%d;dlb=%d;dcpe=%d;pcb=%d;seed=%d\n"
+    c.Config.num_sms c.Config.max_tbs_per_sm c.Config.clock_ghz c.Config.kernel_launch_us
+    c.Config.launch_api_us c.Config.cdp_launch_us c.Config.malloc_us c.Config.memcpy_latency_us
+    c.Config.memcpy_gb_per_s c.Config.cpi c.Config.mem_extra_cycles c.Config.jitter_frac
+    c.Config.max_parent_degree c.Config.dlb_entries c.Config.dlb_children_per_entry
+    c.Config.pcb_entries c.Config.seed;
+  add "%s\n" app.Command.app_name;
+  let buffer (b : Command.buffer) = Printf.sprintf "%d:%d:%d" b.Command.buf_id b.Command.base b.Command.bytes in
+  let dim3 (d : Types.dim3) = Printf.sprintf "%d,%d,%d" d.Types.dx d.Types.dy d.Types.dz in
+  List.iter
+    (fun cmd ->
+      (match cmd with
+      | Command.Malloc b -> add "M%s" (buffer b)
+      | Command.Memcpy_h2d b -> add "H%s" (buffer b)
+      | Command.Memcpy_d2h b -> add "D%s" (buffer b)
+      | Command.Device_synchronize -> add "S"
+      | Command.Kernel_launch spec ->
+        add "K[%s|s%d|g%s|b%s|" spec.Command.kernel.Types.kname spec.Command.stream
+          (dim3 spec.Command.grid) (dim3 spec.Command.block);
+        List.iter
+          (fun (name, arg) ->
+            match arg with
+            | Command.Buf b -> add "%s=B%s;" name (buffer b)
+            | Command.Int i -> add "%s=I%d;" name i)
+          spec.Command.args;
+        add "%s]" Bm_analysis.Fingerprint.(to_string (of_kernel spec.Command.kernel)));
+      add "\n")
+    app.Command.commands;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let legacy_capture app =
+  let graph = Graph.capture cfg app in
+  { graph with Graph.g_fingerprint = legacy_fingerprint cfg app }
+
+let test_legacy_fingerprint_stale () =
+  let app = Suite.by_name "BICG" () in
+  let graph = legacy_capture app in
+  Alcotest.(check bool) "the digest moved" true (graph.Graph.g_fingerprint <> Graph.fingerprint cfg app);
+  expect_stale "old-form fingerprint" (Graph.validate cfg app graph)
+
 (* --- corruption: decode failures are clean errors, never exceptions --- *)
 
 (* [set path v j] replaces the value at [path] in a graph's JSON: object
@@ -596,6 +775,14 @@ let test_bmctl_capture_replay () =
       Alcotest.(check int) "replay of a missing graph exits 2" 2
         (bmctl [ "replay"; "BICG"; "-g"; "/nonexistent-dir/none.json" ]))
 
+let test_bmctl_legacy_fingerprint () =
+  with_temp_file (fun path ->
+      (match Graph.save path (legacy_capture (Suite.by_name "BICG" ())) with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check int) "replay of an old-form fingerprint exits 5" 5
+        (bmctl [ "replay"; "BICG"; "-g"; path ]))
+
 (* Help text vs parser: every subcommand the parser accepts must appear in
    the top-level help, and each subcommand's help must document the flags
    the tests above exercise — this is what caught the header drift that
@@ -776,4 +963,15 @@ let suite =
     Alcotest.test_case "bmctl: capture/replay exit codes" `Slow test_bmctl_capture_replay;
     Alcotest.test_case "bmctl: help/parser consistency" `Slow test_bmctl_help_consistency;
     Alcotest.test_case "bench: front-end flags and usage errors" `Quick test_bench_front_end;
+    Alcotest.test_case "fingerprint: fresh kernel copies digest alike" `Quick
+      test_fingerprint_fresh_kernels;
+    Alcotest.test_case "fingerprint: kernels, order and arguments count" `Quick
+      test_fingerprint_sensitivity;
+    Alcotest.test_case "fingerprint: kernel table is length-prefixed" `Quick
+      test_fingerprint_length_prefix;
+    Alcotest.test_case "fingerprint: suite and microbenchmarks distinct" `Quick
+      test_fingerprints_distinct;
+    Alcotest.test_case "validate: fresh capture of every suite app" `Quick test_validate_suite;
+    Alcotest.test_case "validate: old-form fingerprint is stale" `Quick test_legacy_fingerprint_stale;
+    Alcotest.test_case "bmctl: old-form fingerprint exits 5" `Slow test_bmctl_legacy_fingerprint;
   ]

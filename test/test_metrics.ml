@@ -290,6 +290,117 @@ let test_json_number_grammar () =
       | Error _ -> ())
     [ "nan"; "1_000"; "+1" ]
 
+(* The Printf emitter [Json.to_string] replaced, kept as its model: the
+   fast paths (integers through [string_of_int], clean strings copied
+   whole) must print the same bytes. *)
+module Json_model = struct
+  let escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let number x =
+    if Float.is_nan x || Float.abs x = infinity then "null"
+    else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+    else Printf.sprintf "%.12g" x
+
+  let to_string ~pretty t =
+    let buf = Buffer.create 256 in
+    let indent n = if pretty then Buffer.add_string buf (String.make (2 * n) ' ') in
+    let nl () = if pretty then Buffer.add_char buf '\n' in
+    let seq depth opening closing items emit =
+      Buffer.add_char buf opening;
+      nl ();
+      List.iteri
+        (fun i x ->
+          if i > 0 then begin
+            Buffer.add_char buf ',';
+            nl ()
+          end;
+          indent (depth + 1);
+          emit x)
+        items;
+      nl ();
+      indent depth;
+      Buffer.add_char buf closing
+    in
+    let rec go depth = function
+      | Json.Null -> Buffer.add_string buf "null"
+      | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+      | Json.Num x -> Buffer.add_string buf (number x)
+      | Json.Str s -> Buffer.add_string buf ("\"" ^ escape s ^ "\"")
+      | Json.Arr [] -> Buffer.add_string buf "[]"
+      | Json.Arr xs -> seq depth '[' ']' xs (go (depth + 1))
+      | Json.Obj [] -> Buffer.add_string buf "{}"
+      | Json.Obj fields ->
+        seq depth '{' '}' fields (fun (k, v) ->
+            Buffer.add_string buf ("\"" ^ escape k ^ (if pretty then "\": " else "\":"));
+            go (depth + 1) v)
+    in
+    go 0 t;
+    if pretty then Buffer.add_char buf '\n';
+    Buffer.contents buf
+end
+
+let gen_json =
+  let open QCheck2.Gen in
+  let edge = 1e15 -. 1.0 in
+  let number =
+    oneof
+      [
+        oneofl
+          [ 0.0; -0.0; edge; -.edge; 1e15; -1e15; 0.5; -2.5; 1e-7; 123456.789; Float.nan;
+            Float.infinity; Float.neg_infinity; Float.max_float; Float.min_float ];
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        map Int64.float_of_bits ui64;
+        float;
+      ]
+  in
+  let str = string_size ~gen:(map Char.chr (int_range 0 127)) (int_range 0 12) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [ pure Json.Null; map (fun b -> Json.Bool b) bool; map (fun x -> Json.Num x) number;
+               map (fun s -> Json.Str s) str ]
+         in
+         if n <= 0 then leaf
+         else
+           oneof
+             [ leaf;
+               map (fun xs -> Json.Arr xs) (list_size (int_range 0 4) (self (n / 4)));
+               map (fun fs -> Json.Obj fs) (list_size (int_range 0 4) (pair str (self (n / 4)))) ])
+
+let prop_json_emitter_matches_model =
+  QCheck2.Test.make ~name:"json: to_string matches the Printf model" ~count:1000
+    ~print:(fun (pretty, t) -> Printf.sprintf "pretty=%b %s" pretty (Json_model.to_string ~pretty t))
+    QCheck2.Gen.(pair bool gen_json)
+    (fun (pretty, t) -> String.equal (Json.to_string ~pretty t) (Json_model.to_string ~pretty t))
+
+(* Every byte 0-127 alone, and the integral edges, print as the model does. *)
+let test_json_emitter_edges () =
+  for c = 0 to 127 do
+    let t = Json.Str (String.make 1 (Char.chr c)) in
+    Alcotest.(check string) (Printf.sprintf "byte %d" c) (Json_model.to_string ~pretty:false t)
+      (Json.to_string t)
+  done;
+  List.iter
+    (fun x ->
+      Alcotest.(check string) (Printf.sprintf "%h" x) (Json_model.number x) (Json.to_string (Json.Num x)))
+    [ 0.0; -0.0; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15; 0.5; -0.5; Float.nan; Float.infinity;
+      Float.neg_infinity ];
+  Alcotest.(check string) "-0.0 keeps its sign" "-0" (Json.to_string (Json.Num (-0.0)))
+
 (* --- Prof (injected clock: fully deterministic) ------------------------ *)
 
 let test_prof_nesting_and_aggregation () =
@@ -582,6 +693,8 @@ let suite =
     Alcotest.test_case "json: RFC 8259 number grammar" `Quick test_json_number_grammar;
     Alcotest.test_case "json: non-finite" `Quick test_json_nonfinite_is_null;
     Alcotest.test_case "json: trailing garbage" `Quick test_json_rejects_trailing_garbage;
+    QCheck_alcotest.to_alcotest prop_json_emitter_matches_model;
+    Alcotest.test_case "json: emitter edges" `Quick test_json_emitter_edges;
     Alcotest.test_case "prof: nesting + aggregation" `Quick test_prof_nesting_and_aggregation;
     Alcotest.test_case "prof: folded stacks" `Quick test_prof_folded;
     Alcotest.test_case "prof: to_folded prefix + out" `Quick test_prof_to_folded_prefix;
