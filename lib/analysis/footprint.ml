@@ -14,6 +14,10 @@ type t = {
 type affine = {
   base : Sinterval.t;
   coef : int;
+  den : int;
+  scale : int;
+  lo_rem : int;
+  hi_rem : int;
 }
 
 type summary = {
@@ -232,28 +236,64 @@ let of_result_reference (r : Symeval.result) launch =
       Per_tb per_tb
     with Not_static reason -> Conservative reason)
 
+(* --- Floor-affine accesses ---------------------------------------------- *)
+
+(* [x / d] rounded down, [d > 0]. *)
+let fdiv x d = if x >= 0 then x / d else -(((-x) + d - 1) / d)
+
+let rec gcd x y = if y = 0 then abs x else gcd y (x mod y)
+
+(* The two endpoints at TB [t]: TB 0's plus [scale] times the floor term,
+   which is 0 at TB 0 because each remainder lies in [0, den). *)
+let lo_at a t = a.base.Sinterval.lo + (a.scale * fdiv (a.lo_rem + (a.coef * t)) a.den)
+let hi_at a t = a.base.Sinterval.hi + (a.scale * fdiv (a.hi_rem + (a.coef * t)) a.den)
+
+let at a t =
+  if a.den = 1 then Sinterval.shift a.base (a.coef * t)
+  else Sinterval.make ~lo:(lo_at a t) ~hi:(hi_at a t) ~stride:a.base.Sinterval.stride
+
 (* --- Staged evaluation: once per launch, then once per TB ------------- *)
 
 (* An expression partially evaluated for one launch.  [Known] is its value
-   for every TB; [Affine (b, k)] is [b] shifted by [k * ctaid.x], on a 1-D
-   grid; [Fails] is the exception evaluating it raises for every TB;
-   [Varies] is what is left to run for one TB, given its ctaid and its
-   tid.x range.  A recorded exception fires only when a TB runs the
-   expression, at the point where [eval] would raise it. *)
+   for every TB; [Affine a] is [at a ctaid.x], on a 1-D grid, with the
+   invariant that on every TB of the launch the interval is one value
+   exactly when [a.base] is; [Fails] is the exception evaluating it raises
+   for every TB; [Varies] is what is left to run for one TB, given its
+   ctaid and its tid.x range.  A recorded exception fires only when a TB
+   runs the expression, at the point where [eval] would raise it. *)
 type staged =
   | Known of Sinterval.t
-  | Affine of Sinterval.t * int
+  | Affine of affine
   | Fails of exn
   | Varies of (dim3 -> Sinterval.t -> Sinterval.t)
 
 let run s cta tidx =
   match s with
   | Known i -> i
-  | Affine (b, k) -> Sinterval.shift b (k * cta.dx)
+  | Affine a -> at a cta.dx
   | Fails e -> raise e
   | Varies f -> f cta tidx
 
-let affine b k = if k = 0 then Known b else Affine (b, k)
+(* A plain shift: TB [t]'s interval is [base] shifted by [coef * t]. *)
+let shifted base coef = { base; coef; den = 1; scale = 1; lo_rem = 0; hi_rem = 0 }
+
+(* The staged value whose TB [t] has endpoints [base.lo + scale * floor
+   ((lo_rem + coef * t) / den)] and [base.hi + ...hi_rem...]; a plain
+   shift by [scale * coef / den] when [den] divides [coef]. *)
+let floor_affine ~base ~coef ~den ~scale ~lo_rem ~hi_rem =
+  if coef = 0 || scale = 0 then Known base
+  else if coef mod den = 0 then Affine (shifted base (scale * (coef / den)))
+  else Affine { base; coef; den; scale; lo_rem; hi_rem }
+
+let affine b k = if k = 0 then Known b else Affine (shifted b k)
+
+(* [a] with TB 0's interval [base] and its floor terms multiplied by [c]:
+   what [add]/[sub] with a known operand ([c = 1], or [-1] for the right
+   operand of [sub]) and [mul_const] by [c] make of it.  A negative [c]
+   swaps the endpoints. *)
+let rescale a base c =
+  let lo_rem, hi_rem = if c < 0 then (a.hi_rem, a.lo_rem) else (a.lo_rem, a.hi_rem) in
+  floor_affine ~base ~coef:a.coef ~den:a.den ~scale:(a.scale * c) ~lo_rem ~hi_rem
 
 let lift1 f s =
   match s with
@@ -277,30 +317,31 @@ let lift2 f sa sb =
         f (run sa cta tidx) b)
 
 (* [add] and [sub] commute with a shift of either operand:
-   [f (shift a (ka*t)) (shift b (kb*t)) = shift (f a b) ((ka + sign*kb)*t)]. *)
+   [f (shift a (ka*t)) (shift b (kb*t)) = shift (f a b) ((ka + sign*kb)*t)].
+   With a known operand they move a floor-affine one's endpoints by the
+   known bounds and take the stride rule of TB 0, which the invariant
+   makes every TB's: [f] at TB 0 gives the new base. *)
 let linear f ~sign sa sb =
-  let parts = function
-    | Known i -> Some (i, 0)
-    | Affine (i, k) -> Some (i, k)
-    | Fails _ | Varies _ -> None
-  in
-  match (parts sa, parts sb) with
-  | Some (a, ka), Some (b, kb) -> (
-    try affine (f a b) (ka + (sign * kb)) with Invalid_argument _ -> lift2 f sa sb)
+  let or_lift g = try g () with Invalid_argument _ -> lift2 f sa sb in
+  match (sa, sb) with
+  | Affine a, Affine b when a.den = 1 && b.den = 1 ->
+    or_lift (fun () -> affine (f a.base b.base) (a.coef + (sign * b.coef)))
+  | Affine a, Known k -> or_lift (fun () -> rescale a (f a.base k) 1)
+  | Known k, Affine b -> or_lift (fun () -> rescale b (f k b.base) sign)
   | _ -> lift2 f sa sb
 
-(* A product with one single value is [mul_const], which commutes with a
-   shift of the other operand. *)
+(* A product with one single value is [mul_const], which scales both
+   endpoints of the other operand. *)
 let mul_staged sa sb =
   match (sa, sb) with
-  | Affine (a, k), Known c | Known c, Affine (a, k) when c.Sinterval.stride = 0 ->
-    affine (Sinterval.mul_const a c.Sinterval.lo) (k * c.Sinterval.lo)
+  | Affine a, Known c | Known c, Affine a when c.Sinterval.stride = 0 ->
+    rescale a (Sinterval.mul_const a.base c.Sinterval.lo) c.Sinterval.lo
   | _ -> lift2 Sinterval.mul sa sb
 
 (* [Div], [Rem] and [Shr]: the right operand must be one value satisfying
-   [ok], and the left one is evaluated only after it passed.  [div_const]
-   by a divisor of the coefficient commutes with the shift. *)
-let by_const ?(divides = false) ~ok ~reason f sa sb =
+   [ok], and the left one is evaluated only after it passed.  [closed]
+   gives an affine left operand's closed form, where it has one. *)
+let by_const ?(closed = fun _ _ -> None) ~ok ~reason f sa sb =
   let usable (b : Sinterval.t) = b.Sinterval.stride = 0 && ok b.Sinterval.lo in
   match sb with
   | Fails _ -> sb
@@ -308,14 +349,57 @@ let by_const ?(divides = false) ~ok ~reason f sa sb =
     if not (usable b) then Fails (Not_static reason)
     else
       let c = b.Sinterval.lo in
+      let per_tb () = lift1 (fun a -> f a c) sa in
       match sa with
-      | Affine (a, k) when divides && k mod c = 0 -> affine (f a c) (k / c)
-      | Known _ | Affine _ | Fails _ | Varies _ -> lift1 (fun a -> f a c) sa)
+      | Affine a -> ( match closed a c with Some s -> s | None -> per_tb ())
+      | Known _ | Fails _ | Varies _ -> per_tb ())
   | Affine _ | Varies _ ->
     Varies
       (fun cta tidx ->
         let b = run sb cta tidx in
         if usable b then f (run sa cta tidx) b.Sinterval.lo else raise (Not_static reason))
+
+(* [div_const] of a shifted interval by [c] over TBs [\[0, n)]: a shift
+   again when [c] divides the per-TB shift, else the floor-affine value
+   whose endpoints are [floor ((e + coef * t) / |c|)], negated for
+   [c < 0].  That needs one stride and one width class for every TB:
+   [div_const] picks [stride / |c|] when TB t's low end is a multiple of
+   [|c|], so a stride that [|c|] divides must be [|c|] itself; and a TB 0
+   narrower than [|c|] gives results of width 0 or 1 by the low end's
+   residue, which repeats with period [|c| / gcd(coef, |c|)]. *)
+let div_affine ~n a c =
+  if a.den <> 1 then None
+  else if a.coef mod c = 0 then Some (affine (Sinterval.div_const a.base c) (a.coef / c))
+  else
+    let b = a.base and c' = abs c in
+    let lo = b.Sinterval.lo and s = b.Sinterval.stride in
+    let width = b.Sinterval.hi - lo in
+    let residue x = x - (c' * fdiv x c') in
+    let wide t = residue (lo + (a.coef * t)) >= c' - width in
+    let period = min n (c' / gcd a.coef c') in
+    let rec same t = t >= period || (wide t = wide 0 && same (t + 1)) in
+    if (s = 0 || s mod c' <> 0 || s = c') && (width = 0 || width >= c' || same 1) then
+      let base = Sinterval.div_const b c and lo_rem = residue lo and hi_rem = residue b.Sinterval.hi in
+      Some
+        (if c > 0 then floor_affine ~base ~coef:a.coef ~den:c' ~scale:1 ~lo_rem ~hi_rem
+         else floor_affine ~base ~coef:a.coef ~den:c' ~scale:(-1) ~lo_rem:hi_rem ~hi_rem:lo_rem)
+    else None
+
+(* [rem_const] of a shifted interval is [Known] when every TB of
+   [\[0, n)] gets TB 0's result, and TBs 1, n-2 and n-1 decide that.  The
+   low end is monotone, so the negative branch holds on no TB or on all of
+   them.  TBs that the in-range branch keeps as they are (high end below
+   [|c|]) differ pairwise and form a prefix or a suffix, so at most one of
+   them is at either end, and it is sampled.  The rest take the strided
+   branch, whose result moves with the low end's residue modulo
+   gcd(stride, |c|); a sampled pair of adjacent ones agrees only if the
+   shift keeps that residue, and then all of them agree. *)
+let rem_affine ~n a c =
+  if a.den <> 1 then None
+  else
+    let r = Sinterval.rem_const a.base c in
+    let agrees t = t <= 0 || t >= n || Sinterval.equal (Sinterval.rem_const (at a t) c) r in
+    if List.for_all agrees [ 1; n - 2; n - 1 ] then Some (Known r) else None
 
 (* A residual that reuses its last value while it is run for the same TB
    (the same ctaid and tid.x values, physically): the TB's accesses and
@@ -338,7 +422,8 @@ let once_per_tb = function
 
 (* A stager for one (result, launch): [eval] with everything that does not
    read the TB folded, each subexpression staged once, and on a 1-D grid
-   [ctaid.x] kept affine through [add], [sub] and [mul_const]. *)
+   [ctaid.x] kept in closed form through [add], [sub], [mul_const],
+   [div_const] and a [rem_const] that is the same on every TB. *)
 let stager (r : Symeval.result) launch ~tid_x =
   let env0 = { launch; cta = { dx = 0; dy = 0; dz = 0 }; result = r; tid_cap = None } in
   let one_d = launch.grid.dy = 1 && launch.grid.dz = 1 in
@@ -346,23 +431,21 @@ let stager (r : Symeval.result) launch ~tid_x =
      kernel share their common subtrees and each residual runs once per
      TB. *)
   let memo = Hashtbl.create 32 in
+  let n = tb_count launch in
   (* [min_] and [max_] of an affine interval of stride at most 1 and a
      known one are the affine one on every TB where each of its bounds
-     stays on the kept side of the known one's; the bounds move linearly,
-     so the first and last TB decide. *)
-  let last_tb = tb_count launch - 1 in
+     stays on the kept side of the known one's; the bounds move
+     monotonically, so the first and last TB decide. *)
   let clamp f ~keeps sa sb =
-    let holds (a : Sinterval.t) k (c : Sinterval.t) =
-      a.Sinterval.stride <= 1
+    let holds a (c : Sinterval.t) =
+      a.base.Sinterval.stride <= 1
       && List.for_all
-           (fun tb ->
-             keeps (a.Sinterval.lo + (k * tb)) c.Sinterval.lo
-             && keeps (a.Sinterval.hi + (k * tb)) c.Sinterval.hi)
-           [ 0; last_tb ]
+           (fun tb -> keeps (lo_at a tb) c.Sinterval.lo && keeps (hi_at a tb) c.Sinterval.hi)
+           [ 0; n - 1 ]
     in
     match (sa, sb) with
-    | Affine (a, k), Known c when holds a k c -> sa
-    | Known c, Affine (a, k) when holds a k c -> sb
+    | Affine a, Known c when holds a c -> sa
+    | Known c, Affine a when holds a c -> sb
     | _ -> lift2 f sa sb
   in
   let rec stage (e : Sym.t) =
@@ -380,7 +463,7 @@ let stager (r : Symeval.result) launch ~tid_x =
       | Some v -> Known (Sinterval.singleton v)
       | None -> Fails (Not_static ("unbound parameter " ^ p)))
     | Sym.Special (Tid X) -> tid_x
-    | Sym.Special (Ctaid X) when one_d -> Affine (Sinterval.singleton 0, 1)
+    | Sym.Special (Ctaid X) when one_d -> affine (Sinterval.singleton 0) 1
     | Sym.Special (Ctaid (Y | Z)) when one_d -> Known (Sinterval.singleton 0)
     | Sym.Special (Ctaid a) -> Varies (fun cta _ -> Sinterval.singleton (axis_of cta a))
     | Sym.Special s -> Known (special_interval env0 s)
@@ -389,11 +472,11 @@ let stager (r : Symeval.result) launch ~tid_x =
     | Sym.Sub (a, b) -> linear Sinterval.sub ~sign:(-1) (stage a) (stage b)
     | Sym.Mul (a, b) -> mul_staged (stage a) (stage b)
     | Sym.Div (a, b) ->
-      by_const ~divides:true ~ok:(fun k -> k <> 0) ~reason:"division by a non-constant"
+      by_const ~closed:(div_affine ~n) ~ok:(fun k -> k <> 0) ~reason:"division by a non-constant"
         Sinterval.div_const (stage a) (stage b)
     | Sym.Rem (a, b) ->
-      by_const ~ok:(fun k -> k <> 0) ~reason:"remainder by a non-constant" Sinterval.rem_const
-        (stage a) (stage b)
+      by_const ~closed:(rem_affine ~n) ~ok:(fun k -> k <> 0) ~reason:"remainder by a non-constant"
+        Sinterval.rem_const (stage a) (stage b)
     | Sym.Shr (a, b) ->
       by_const ~ok:(fun k -> k >= 0) ~reason:"shift by a non-constant" Sinterval.shr (stage a)
         (stage b)
@@ -420,8 +503,6 @@ let stage_access stage (a : Symeval.access) =
 
 (* --- Affine summaries --------------------------------------------------- *)
 
-let at a tb = Sinterval.shift a.base (a.coef * tb)
-
 let summary_tb s tb =
   if tb >= s.s_affine then s.s_tail.(tb - s.s_affine)
   else
@@ -433,12 +514,14 @@ let materialize = function
   | Per_tb fps -> Ok fps
   | Conservative reason -> Error reason
 
-(* How many leading TBs run with the whole x-thread range.  On a 1-D grid
-   whose guard bounds each fold to one value (or to an exception the cap
-   ignores), the thread cap falls as ctaid.x grows, so those TBs come
-   first and the clamped and fully guarded ones form one tail; anywhere
-   else this is 0 and every TB takes the per-TB cap. *)
-let leading_full launch ~bounds ~tid_cap ~full_tid_x =
+(* How many leading TBs run with TB 0's x-thread range, and that range.
+   On a 1-D grid whose guard bounds each fold to one value (or to an
+   exception the cap ignores), the thread cap falls as ctaid.x grows, so
+   those TBs come first and the clamped and fully guarded ones form one
+   tail; when a guard already clamps TB 0, it is TB 0 alone.  Anywhere
+   else, or when TB 0 runs no thread, the count is 0 and every TB takes
+   the per-TB cap. *)
+let leading launch ~bounds ~tid_cap ~full_tid_x =
   let n = tb_count launch in
   let monotone =
     launch.grid.dy = 1 && launch.grid.dz = 1 && launch.block.dx >= 0
@@ -448,20 +531,22 @@ let leading_full launch ~bounds ~tid_cap ~full_tid_x =
            | Affine _ | Fails _ | Varies _ -> false)
          bounds
   in
-  if not monotone then 0
-  else begin
-    let full tb =
-      match tid_cap { dx = tb; dy = 0; dz = 0 } with
-      | None -> true
-      | Some c -> c >= 0 && Sinterval.equal (tid_x_range launch.block (Some c)) full_tid_x
-    in
-    let lo = ref 0 and hi = ref n in
+  let range tb =
+    match tid_cap { dx = tb; dy = 0; dz = 0 } with
+    | None -> Some full_tid_x
+    | Some c when c >= 0 -> Some (tid_x_range launch.block (Some c))
+    | Some _ -> None
+  in
+  match if monotone && n > 0 then range 0 else None with
+  | None -> (0, full_tid_x)
+  | Some first ->
+    let same tb = match range tb with Some r -> Sinterval.equal r first | None -> false in
+    let lo = ref 1 and hi = ref n in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if full mid then lo := mid + 1 else hi := mid
+      if same mid then lo := mid + 1 else hi := mid
     done;
-    !lo
-  end
+    (!lo, first)
 
 (* The staged accesses of one kind as affine parts, zero-trip drops left
    out; [None] if one of them is neither known nor affine. *)
@@ -471,8 +556,8 @@ let affine_side kinds staged kind =
     else if kinds.(i) <> kind then go (i - 1) acc
     else
       match staged.(i) with
-      | Known b -> go (i - 1) ({ base = b; coef = 0 } :: acc)
-      | Affine (b, k) -> go (i - 1) ({ base = b; coef = k } :: acc)
+      | Known b -> go (i - 1) (shifted b 0 :: acc)
+      | Affine a -> go (i - 1) (a :: acc)
       | Fails Exit -> go (i - 1) acc
       | Fails _ | Varies _ -> None
   in
@@ -492,8 +577,6 @@ let of_result (r : Symeval.result) launch =
     let bounds = List.map (fun (g : Symeval.guard_constraint) -> stage_full g.g_bound) guards in
     let all = Array.of_list r.accesses in
     let kinds = Array.map (fun (a : Symeval.access) -> a.akind) all in
-    (* Staged only when some TB keeps the whole x-thread range. *)
-    let full_accesses = lazy (Array.map (stage_access stage_full) all) in
     let tid_cap cta =
       List.fold_left
         (fun acc s ->
@@ -503,7 +586,15 @@ let of_result (r : Symeval.result) launch =
           | exception Exit -> acc)
         None bounds
     in
-    let head = leading_full launch ~bounds ~tid_cap ~full_tid_x in
+    let head, head_tid_x = leading launch ~bounds ~tid_cap ~full_tid_x in
+    (* Staged only when the leading TBs exist or no guard clamps a TB. *)
+    let head_accesses =
+      lazy
+        (let stage =
+           if head_tid_x == full_tid_x then stage_full else stager r launch ~tid_x:(Known head_tid_x)
+         in
+         Array.map (stage_access stage) all)
+    in
     (* One TB's access intervals, evaluated in instruction order so the
        first exception wins; [dropped] marks a zero-trip access. *)
     let dropped = Sinterval.singleton 0 in
@@ -527,12 +618,12 @@ let of_result (r : Symeval.result) launch =
     let tail_accesses =
       lazy
         (match guards with
-        | [] -> Lazy.force full_accesses
+        | [] -> Lazy.force head_accesses
         | _ -> Array.map (stage_access (stager r launch ~tid_x:(Varies (fun _ tidx -> tidx)))) all)
     in
     let footprint_of tb =
       let cta = cta_of_tb launch tb in
-      if tb < head then footprint (Lazy.force full_accesses) cta full_tid_x
+      if tb < head then footprint (Lazy.force head_accesses) cta head_tid_x
       else
         match tid_cap cta with
         | Some c when c < 0 -> no_access
@@ -542,8 +633,8 @@ let of_result (r : Symeval.result) launch =
     let affine =
       if head = 0 then None
       else
-        let full = Lazy.force full_accesses in
-        match (affine_side kinds full `Read, affine_side kinds full `Write) with
+        let accesses = Lazy.force head_accesses in
+        match (affine_side kinds accesses `Read, affine_side kinds accesses `Write) with
         | Some reads, Some writes -> Some (reads, writes)
         | _ -> None
     in
@@ -591,17 +682,24 @@ let join_from first per_tb ~from =
 let whole per_tb =
   match Array.length per_tb with 0 -> no_access | _ -> join_from per_tb.(0) per_tb ~from:1
 
-(* The join of [at a tb] over TBs [0, n): the two extreme shifts, on the
-   stride the running join settles to, gcd (base stride, |coef|). *)
+(* The join of [at a tb] over TBs [0, n).  Both endpoints are monotone in
+   the TB, so TBs 0 and n-1 hold the extremes.  The running join settles to
+   the gcd of the stride and of every low end's distance from TB 0's:
+   [|scale|] times the gcd of the floor term's steps.  Each step is
+   [q = floor (coef / den)] or [q + 1], so that gcd is [|q|] when no step
+   is [q + 1], [|q + 1|] when all are, and 1 otherwise; the floor term's
+   rise over the TBs counts the [q + 1] steps. *)
 let span n a =
   if n = 1 || a.coef = 0 then a.base
   else
-    let rec gcd x y = if y = 0 then x else gcd y (x mod y) in
-    let d = a.coef * (n - 1) in
+    let last = at a (n - 1) in
+    let q = fdiv a.coef a.den in
+    let ups = fdiv (a.lo_rem + (a.coef * (n - 1))) a.den - ((n - 1) * q) in
+    let steps = if ups = 0 then abs q else if ups = n - 1 then abs (q + 1) else 1 in
     Sinterval.make
-      ~lo:(a.base.Sinterval.lo + min 0 d)
-      ~hi:(a.base.Sinterval.hi + max 0 d)
-      ~stride:(gcd a.base.Sinterval.stride (abs a.coef))
+      ~lo:(min a.base.Sinterval.lo last.Sinterval.lo)
+      ~hi:(max a.base.Sinterval.hi last.Sinterval.hi)
+      ~stride:(gcd a.base.Sinterval.stride (abs a.scale * steps))
 
 let whole_summary s =
   let side accs = Array.fold_right (fun a l -> span s.s_affine a :: l) accs [] in

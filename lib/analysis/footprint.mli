@@ -25,8 +25,22 @@ type t = {
 
 type affine = private {
   base : Sinterval.t;  (** the interval of TB 0 *)
-  coef : int;          (** byte shift per [ctaid.x]: TB [t] touches [shift base (coef * t)] *)
+  coef : int;          (** [k], the per-TB step of each endpoint's numerator *)
+  den : int;           (** [d >= 1]; [1] for a plain shift *)
+  scale : int;         (** [m] *)
+  lo_rem : int;        (** [e] of the low endpoint, in [\[0, d)] *)
+  hi_rem : int;        (** [e] of the high endpoint, in [\[0, d)] *)
 }
+(** A floor-affine access: TB [t] touches [Sinterval.make ~lo ~hi
+    ~stride:base.stride] with [lo = base.lo + m * floor ((lo_rem + k * t) /
+    d)] and [hi = base.hi + m * floor ((hi_rem + k * t) / d)], and on every
+    TB of the launch that interval is one value exactly when [base] is.
+    With [d = 1] (then [m = 1] and both remainders 0) it is [base] shifted
+    by [k * t] bytes; [d > 1] comes from dividing a shifted index by a
+    constant that does not divide its shift, as a row/column split does. *)
+
+val at : affine -> int -> Sinterval.t
+(** [at a t] is TB [t]'s interval. *)
 
 type summary = private {
   s_tbs : int;              (** thread blocks in the launch *)
@@ -37,9 +51,9 @@ type summary = private {
       (** TBs [\[s_affine, s_tbs)], materialized: the guard-clamped tail and
           the fully guarded TBs, which touch nothing *)
 }
-(** The footprints of a 1-D launch whose every access is TB 0's interval
-    shifted by a fixed number of bytes per thread block, up to a
-    contiguous tail that a recognized bounds check clamps. *)
+(** The footprints of a 1-D launch whose every access is floor-affine in
+    the TB, up to a contiguous tail that a recognized bounds check
+    clamps. *)
 
 type kernel_footprints =
   | Per_tb of t array  (** indexed by linear thread-block id *)
@@ -62,22 +76,28 @@ val of_result : Symeval.result -> launch -> kernel_footprints
     [ctaid]) fold to one interval, shared physically by every TB's
     footprint, or to the exception evaluating them raises; common
     subexpressions are staged once.  On a grid with [dy = dz = 1],
-    [ctaid.x] stays affine (a base interval plus a shift per TB) through
-    the operations that commute with a shift: [add] and [sub] with a known
-    or affine operand (the [abytes] widening is such an [add]), a product
-    with one known value, a division by a constant that divides the
-    shift, and a [min]/[max] with a known interval that the affine one
-    stays on the kept side of on every TB.  Everything else that reads the
-    TB is a residual run per TB, once per subexpression: the [ctaid]
-    spine, plus [tid.x] when a recognized bounds check can clamp it.
+    [ctaid.x] stays in closed form ({!affine}) through the operations that
+    map each TB's endpoints the same way: [add] and [sub] with a known or
+    (for two plain shifts) affine operand (the [abytes] widening is such
+    an [add]), a product with one known value, a [min]/[max] with a known
+    interval that the affine one stays on the kept side of on every TB,
+    and a division of a plain shift by a constant, which stays a shift
+    when the constant divides it and becomes floor-affine otherwise, where
+    every TB's result has one stride and is one value on all TBs or on
+    none.  A remainder of a plain shift that is the same on every TB folds
+    to that value, as [i mod ncols] does in a row/column split.
+    Everything else that reads the TB is a residual run per TB, once per
+    subexpression: the [ctaid] spine, plus [tid.x] when a recognized
+    bounds check can clamp it.
 
-    A 1-D launch's TBs that a guard leaves the whole x-thread range come
-    first when every guard bound folds to one value, because the thread
-    cap then falls as [ctaid.x] grows; the TBs it clamps or empties form
-    one tail, run through a residual that also reads the clamped [tid.x].
-    The result is a summary when those leading TBs exist and every access
-    is known, affine or a zero-trip drop for them; the tail is
-    materialized.  A folded exception fires only when a TB runs the
+    A 1-D launch's TBs that run with TB 0's x-thread range come first when
+    every guard bound folds to one value, because the thread cap then falls
+    as [ctaid.x] grows: the TBs a guard leaves the whole range, or TB 0
+    alone when a guard already clamps it.  The TBs after them are clamped
+    or empty and form one tail, run through a residual that also reads the
+    clamped [tid.x].  The result is a summary when those leading TBs exist
+    and every access is known, affine or a zero-trip drop for them; the
+    tail is materialized.  A folded exception fires only when a TB runs the
     expression, where the reference would raise it, so fully-guarded TBs
     and empty grids never see it: [Not_static] anywhere makes the kernel
     [Conservative], a zero-trip counter drops the access for that TB, and
@@ -117,8 +137,10 @@ val whole : t array -> t
 
 val whole_summary : summary -> t
 (** [whole] of the materialized summary, bit for bit, in closed form:
-    each affine access joins to its two extreme shifts on stride
-    gcd(base stride, |coef|), and the tail is then joined TB by TB. *)
+    each affine access joins to the extremes of its first and last TB on
+    the gcd of its stride and of [|scale|] times the gcd of its floor
+    term's per-TB steps ([|coef|] for a plain shift), and the tail is then
+    joined TB by TB. *)
 
 val per_tb_counts : Symeval.result -> launch -> float array * float array
 (** [(insts, mem)], indexed by linear TB id: for every TB of the launch,

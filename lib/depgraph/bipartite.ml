@@ -153,18 +153,37 @@ let side ~writes = function
   | Footprint.Per_tb fps -> { tbs = Array.length fps; affine = 0; accs = [||]; tail = fps }
   | Footprint.Conservative _ -> invalid_arg "Bipartite.side: conservative"
 
-(* The parents [p < n] whose write [w], shifted to [p], intersects the
-   child read [shift rb d].  Overlapping ranges bound [p] to one integer
-   range; a candidate is confirmed with [intersects] unless both strides
-   are at most 1, where overlap is intersection.  [add_range] takes a
-   confirmed range whole. *)
+(* The bound [k * p <= y] ([le]) or [k * p >= y] puts on an integer [p],
+   [k <> 0]: an upper one when [k > 0 = le], else a lower one. *)
+let p_bound k y ~le = if (k > 0) = le then fdiv y k else cdiv y k
+
+(* The bound on a TB [p] that [off + m * floor ((rem + k * p) / d) <= bound]
+   puts ([m <> 0], [k <> 0]; upper when [m * k > 0]): the floor term is at
+   most [u = floor ((bound - off) / m)] for [m > 0], which bounds the
+   numerator by [(u + 1) * d - 1], or at least [ceil ((bound - off) / m)]
+   for [m < 0]. *)
+let endpoint_bound ~k ~d ~m ~rem ~off bound =
+  if m > 0 then p_bound k ((((fdiv (bound - off) m) + 1) * d) - 1 - rem) ~le:true
+  else p_bound k ((cdiv (bound - off) m * d) - rem) ~le:false
+
+(* The parents [p < n] whose write [w] at [p] intersects the child read
+   [shift rb d].  Both endpoints of [w] are monotone in [p], so overlapping
+   ranges ([lo p <= r.hi] and [hi p >= r.lo], the second as [-hi p <=
+   -r.lo]) bound [p] to one integer range; a candidate is confirmed with
+   [intersects] unless both strides are at most 1, where overlap is
+   intersection.  [add_range] takes a confirmed range whole. *)
 let affine_parents ~n (w : Footprint.affine) (rb : I.t) d ~add_range ~add =
   let b = w.Footprint.base and k = w.Footprint.coef in
   let r_lo = rb.I.lo + d and r_hi = rb.I.hi + d in
   let lo, hi =
     if k = 0 then if b.I.lo <= r_hi && b.I.hi >= r_lo then (0, n - 1) else (0, -1)
-    else if k > 0 then (cdiv (r_lo - b.I.hi) k, fdiv (r_hi - b.I.lo) k)
-    else (cdiv (r_hi - b.I.lo) k, fdiv (r_lo - b.I.hi) k)
+    else
+      let den = w.Footprint.den and m = w.Footprint.scale in
+      let below = endpoint_bound ~k ~d:den ~m ~rem:w.Footprint.lo_rem ~off:b.I.lo r_hi in
+      let above =
+        endpoint_bound ~k ~d:den ~m:(-m) ~rem:w.Footprint.hi_rem ~off:(-b.I.hi) (-r_lo)
+      in
+      if m * k > 0 then (above, below) else (below, above)
   in
   let lo = max lo 0 and hi = min hi (n - 1) in
   if lo <= hi then
@@ -174,7 +193,7 @@ let affine_parents ~n (w : Footprint.affine) (rb : I.t) d ~add_range ~add =
       if k = 0 then (if I.intersects b r then add_range lo hi)
       else
         for p = lo to hi do
-          if I.intersects (I.shift b (k * p)) r then add p
+          if I.intersects (Footprint.at w p) r then add p
         done
 
 (* Each child's reads meet the parent's affine writes in closed form
@@ -220,8 +239,10 @@ let relate_sides ~max_degree parent child =
       degree := 0;
       if c < cs.affine then
         for j = 0 to Array.length cs.accs - 1 do
+          (* [at] of a plain shift, without building the interval. *)
           let a = cs.accs.(j) in
-          read a.Footprint.base (a.Footprint.coef * c)
+          if a.Footprint.den = 1 then read a.Footprint.base (a.Footprint.coef * c)
+          else read (Footprint.at a c) 0
         done
       else List.iter (fun r -> read r 0) cs.tail.(c - cs.affine).Footprint.freads;
       if !degree > 0 then begin

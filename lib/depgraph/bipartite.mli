@@ -40,9 +40,12 @@ val relate :
 
     The result is the same whether a side comes as a
     {!Bm_analysis.Footprint.constructor-Summary} or as the per-TB
-    footprints it materializes to.  A child read meets a summary's affine
-    writes in closed form: the parents whose shifted interval overlaps it
-    form one integer range, found by floor/ceiling division, and each
+    footprints it materializes to.  A child read meets a summary's
+    floor-affine writes in closed form: both endpoints of a write are
+    monotone in the parent TB, so the parents whose interval overlaps the
+    read form one integer range, found by inverting each endpoint's
+    [off + m * floor ((e + k * p) / d)] with floor/ceiling division (for a
+    plain shift, [d = 1], that is one division per endpoint), and each
     candidate is confirmed with {!Bm_analysis.Sinterval.intersects} unless
     both strides are at most 1.  It meets listed TBs (a summary's tail, or
     every TB of a [Per_tb] side) through an index sorted by interval start

@@ -93,7 +93,11 @@ let prepare ?(reorder = true) ?prof ?(cache = Cache.create ()) (cfg : Config.t)
           (fun (b : Command.buffer) -> (b.Command.buf_id, b.Command.base, b.Command.bytes))
           (Command.buffers_of_args spec)
       in
-      (Cache.rw cache l ~buffers (fun () -> kernel_rw spec fp), Some (spec, result, l, fl, fp))
+      let rw =
+        Cache.rw cache l ~buffers (fun () ->
+            Prof.with_span prof "footprint" (fun () -> kernel_rw spec fp))
+      in
+      (rw, Some (spec, result, l, fl, fp))
   in
   let params = Costmodel.params cfg in
   let original = Array.of_list app.Command.commands in
@@ -142,12 +146,12 @@ let prepare ?(reorder = true) ?prof ?(cache = Cache.create ()) (cfg : Config.t)
                   let relation =
                     Prof.with_span prof "relate" (fun () -> Bipartite.relate ~max_degree pfp fp)
                   in
-                  let sizes =
+                  let pattern, sizes =
                     Prof.with_span prof "encode" (fun () ->
-                        Encode.measure_pair ~n_parents:(Footprint.tb_count pfl)
-                          ~n_children:(Footprint.tb_count fl) relation)
+                        ( Pattern.classify relation,
+                          Encode.measure_pair ~n_parents:(Footprint.tb_count pfl)
+                            ~n_children:(Footprint.tb_count fl) relation ))
                   in
-                  let pattern = Pattern.classify relation in
                   { Cache.pr_relation = relation; pr_pattern = pattern; pr_sizes = sizes })
             in
             (pr.Cache.pr_relation, pr.Cache.pr_pattern, pr.Cache.pr_sizes)

@@ -401,11 +401,7 @@ let test_generator_determinism () =
 
 (* --- bmctl integration --------------------------------------------------- *)
 
-let bmctl_exe =
-  if Sys.file_exists "../bin/bmctl.exe" then "../bin/bmctl.exe"
-  else "_build/default/bin/bmctl.exe"
-
-let bmctl args = Sys.command (Filename.quote_command bmctl_exe ~stdout:"/dev/null" ~stderr:"/dev/null" args)
+let bmctl args = Exe.bmctl args
 
 let test_bmctl_deadline_exit_codes () =
   (* Exit 0: lax deadline, sound bound.  Exit 7 must mean a genuine bound

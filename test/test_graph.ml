@@ -727,14 +727,7 @@ let test_capture_summary () =
 
 (* --- bmctl integration: exit codes and help consistency --------------- *)
 
-(* Under [dune runtest] the cwd is the build context's test/ directory;
-   under [dune exec test/test_main.exe] it is the workspace root. *)
-let bmctl_exe =
-  if Sys.file_exists "../bin/bmctl.exe" then "../bin/bmctl.exe" else "_build/default/bin/bmctl.exe"
-
-let bmctl ?stdout args =
-  let stdout = Option.value stdout ~default:"/dev/null" in
-  Sys.command (Filename.quote_command bmctl_exe ~stdout ~stderr:"/dev/null" args)
+let bmctl = Exe.bmctl
 
 let test_bmctl_capture_replay () =
   with_temp_file (fun path ->
@@ -843,7 +836,7 @@ let test_bmctl_help_consistency () =
       Alcotest.(check int) "run with an unusable BM_CACHE_DIR exits 0" 0
         (Sys.command
            (Filename.quote_command "env" ~stdout:"/dev/null" ~stderr:"/dev/null"
-              [ unusable; bmctl_exe; "run"; "BICG" ])));
+              [ unusable; Exe.bmctl_exe; "run"; "BICG" ])));
   check_flags "rta" [ "--mode"; "--json"; "--inject-rta-bug" ];
   (* The documented exit-code table: every distinct failure status must
      appear in each subcommand's EXIT STATUS section (Cmd.Exit.info feeds
@@ -863,12 +856,7 @@ let test_bmctl_help_consistency () =
 (* The bench harness front end: its help must list every run flag, and
    flags that cannot be combined, or an unknown section, are usage errors
    (cmdliner's 124), not a silently chosen subset. *)
-let bench_exe =
-  if Sys.file_exists "../bench/main.exe" then "../bench/main.exe"
-  else "_build/default/bench/main.exe"
-
-let bench ?(stdout = "/dev/null") args =
-  Sys.command (Filename.quote_command bench_exe ~stdout ~stderr:"/dev/null" args)
+let bench = Exe.bench
 
 let test_bench_front_end () =
   let help =

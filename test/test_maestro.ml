@@ -785,10 +785,12 @@ let test_summaries_suite () =
   let summaries =
     List.fold_left (fun acc (name, gen) -> acc + check_app_summaries name (gen ())) 0 Bm_workloads.Suite.all
   in
-  (* Of the 811 distinct launches, GAUSSIAN's 510 (a guard clamps TB 0,
-     or fan2 divides by a non-divisor of its shift) and 3MM's three
-     (div/rem) stay per TB. *)
-  Alcotest.(check int) "suite launches summarized" 298 summaries
+  (* Of the 811 distinct launches, only 3MM's two matmuls stay per TB:
+     their [i mod n] is [0, 127] on TB 0, [128, 255] on TB 1 and [0, 255]
+     after, neither one value nor a shift.  GAUSSIAN's fan2 divides by a
+     non-divisor of its shift (floor-affine) and its single-TB fan1 is
+     clamped by its guard (a one-TB head with TB 0's thread range). *)
+  Alcotest.(check int) "suite launches summarized" 809 summaries
 
 (* The ledger's seeded Genapp mix (four apps per seed) at eight seeds. *)
 let test_summaries_genapp_mix () =
@@ -807,8 +809,10 @@ let test_summaries_genapp_mix () =
 (* A hand-built launch family: each access is [A + f (off + tid.x *
    stride + ctaid.x * coef)], so with [f] the identity TB t's interval is
    TB 0's shifted by [coef * t]; [f] may also clamp the index with a
-   [min]/[max] or divide it by a constant, which stays affine only on
-   some launches.  A guard [gid < bound] clamps and empties a tail. *)
+   [min]/[max], divide it by a constant (floor-affine when the constant
+   does not divide the shift), take its remainder (one value on every TB,
+   or per TB) or split it into row and column ([(i / d) * m + i mod d]).
+   A guard [gid < bound] clamps and empties a tail. *)
 let affine_result ~guard accesses =
   let sp s = Sym.Special s in
   let gid = Sym.Add (Sym.Mul (sp (T.Ctaid T.X), sp (T.Ntid T.X)), sp (T.Tid T.X)) in
@@ -828,6 +832,9 @@ let affine_result ~guard accesses =
             | `Min m -> Sym.Min (index, Sym.Const m)
             | `Max m -> Sym.Max (Sym.Const m, index)
             | `Div d -> Sym.Div (index, Sym.Const d)
+            | `Rem d -> Sym.Rem (index, Sym.Const d)
+            | `Split (d, m) ->
+              Sym.Add (Sym.Mul (Sym.Div (index, Sym.Const d), Sym.Const m), Sym.Rem (index, Sym.Const d))
           in
           { Symeval.ainstr = i; akind; aexpr = Sym.Add (Sym.Param "A", index); abytes; aloops = [] })
         accesses;
@@ -838,17 +845,20 @@ let affine_result ~guard accesses =
     nonstatic_reason = None;
   }
 
-(* One side of a pair: its TB count, block width, accesses and the share
-   of the grid's threads (in percent) a guard keeps, if any. *)
+(* One side of a pair: its TB count, block width, accesses and the guard
+   bound, if any (a share of the grid's threads). *)
 let gen_family kind =
   QCheck2.Gen.(
+    let divisor = oneofl [ -3; 1; 2; 3; 4; 5; 7; 8; 9; 12; 255; 256 ] in
     let wrap =
       frequency
         [
           (4, pure `Id);
           (1, map (fun m -> `Min m) (int_range 0 4096));
           (1, map (fun m -> `Max m) (int_range 0 4096));
-          (1, map (fun d -> `Div d) (oneofl [ 1; 2; 3; 4; 8 ]));
+          (2, map (fun d -> `Div d) divisor);
+          (1, map (fun d -> `Rem d) divisor);
+          (1, map2 (fun d m -> `Split (d, m)) divisor (oneofl [ -4; 1; 16; 256 ]));
         ]
     in
     let access =
@@ -858,23 +868,45 @@ let gen_family kind =
         (pair (oneof [ pure 0; int_range (-64) 64 ]) (oneofl [ 1; 4 ]))
         wrap
     in
-    quad (int_range 1 300) (oneofl [ 1; 2; 4; 8 ]) (list_size (int_range 1 3) access)
-      (opt (int_range 0 100)))
+    map
+      (fun (n, bx, accesses, kept) -> (n, bx, accesses, Option.map (fun pct -> pct * n * bx / 100) kept))
+      (quad (int_range 1 300) (oneofl [ 1; 2; 4; 8 ]) (list_size (int_range 1 3) access)
+         (opt (int_range 0 100))))
 
-let family_launch (n, bx, accesses, kept) =
-  let guard = Option.map (fun pct -> pct * n * bx / 100) kept in
+(* The suite's two row/column shapes.  GAUSSIAN's fan2 at step t: one
+   thread per cell of a (255 - t) x (256 - t) block, 256 per TB, split by
+   [ncols = 256 - t] (a non-divisor of the 256-thread shift for every t
+   but 0; coprime to it for odd t), with its guard.  3MM: 128 threads per
+   TB over a 256-wide matrix, row [i / 256] and column [i mod 256]. *)
+let gen_shape kind =
+  QCheck2.Gen.(
+    let gaussian t =
+      let ncols = 256 - t in
+      let cells = (255 - t) * ncols in
+      let acc wrap = (kind, ((0, 1, 256, 4), wrap)) in
+      ((cells + 255) / 256, 256, [ acc (`Split (ncols, 256)); acc (`Rem ncols) ], Some cells)
+    in
+    let threemm wrap = (512, 128, [ (kind, ((0, 1, 128, 4), wrap)) ], Some 65536) in
+    frequency
+      [
+        (3, map gaussian (int_range 0 254));
+        (1, map threemm (oneofl [ `Div 256; `Rem 256; `Split (256, 64); `Split (256, 256) ]));
+      ])
+
+let family_launch (n, bx, accesses, guard) =
   ( affine_result ~guard accesses,
     { Footprint.grid = T.dim3 n; block = T.dim3 bx; args = [ ("A", 0x10000) ] } )
 
 let prop_summaries_affine_families =
-  let print ((np, _, _, pk), (nc, _, _, ck), max_degree) =
-    let kept = function None -> "none" | Some p -> string_of_int p ^ "%" in
-    Printf.sprintf "%d parents (guard %s), %d children (guard %s), max_degree %d" np (kept pk) nc
-      (kept ck) max_degree
+  let print ((np, _, _, pg), (nc, _, _, cg), max_degree) =
+    let guard = function None -> "none" | Some b -> string_of_int b in
+    Printf.sprintf "%d parents (guard %s), %d children (guard %s), max_degree %d" np (guard pg) nc
+      (guard cg) max_degree
   in
+  let side kind = QCheck2.Gen.frequency [ (3, gen_family kind); (1, gen_shape kind) ] in
   QCheck2.Test.make ~name:"summaries: random affine families = listed footprints" ~count:200
     ~long_factor:10 ~print
-    QCheck2.Gen.(triple (gen_family `Write) (gen_family `Read) (oneofl [ 1; 4; 64 ]))
+    QCheck2.Gen.(triple (side `Write) (side `Read) (oneofl [ 1; 4; 64 ]))
     (fun (parent, child, max_degree) ->
       let pr, pl = family_launch parent and cr, cl = family_launch child in
       summary_mismatch pr pl = None
@@ -886,10 +918,64 @@ let prop_summaries_affine_families =
       && Bipartite.relate ~max_degree pfp cfp
          = Test_depgraph.brute_relate ~max_degree (listed pfp) (listed cfp))
 
+(* Every small division and remainder shape, exhaustively: TB 0's index
+   interval [off + stride * [0, bx)] shifted by [coef] per TB over [n]
+   TBs, divided or reduced by every small constant, must materialize to
+   the reference's footprints and join to their [whole]. *)
+let test_div_rem_exhaustive () =
+  let divisors = [ -9; -7; -4; -3; -2; -1; 1; 2; 3; 4; 5; 7; 9 ] in
+  for off = -6 to 6 do
+    for stride = 0 to 3 do
+      for bx = 1 to 3 do
+        for coef = -6 to 6 do
+          List.iter
+            (fun n ->
+              List.iter
+                (fun c ->
+                  List.iter
+                    (fun wrap ->
+                      let r, fl = family_launch (n, bx, [ (`Read, ((off, stride, coef, 1), wrap)) ], None) in
+                      match summary_mismatch r fl with
+                      | None -> ()
+                      | Some what ->
+                        Alcotest.failf "off %d stride %d bx %d coef %d n %d %s %d: %s differ" off stride bx
+                          coef n (match wrap with `Div _ -> "div" | _ -> "rem") c what)
+                    [ `Div c; `Rem c ])
+                divisors)
+            [ 1; 2; 3; 5 ]
+        done
+      done
+    done
+  done
+
+(* Every GAUSSIAN fan2 launch is a summary, with no TB listed but the
+   guard's tail, and the odd steps' row split is floor-affine. *)
+let test_gaussian_fan2_summaries () =
+  let prep = Prep.prepare cfg (Bm_workloads.Suite.gaussian ()) in
+  let fan2 = ref 0 and floor = ref 0 in
+  Array.iter
+    (fun (li : Prep.launch_info) ->
+      if li.Prep.li_spec.Command.kernel.T.kname = "gauss_fan2" then begin
+        incr fan2;
+        match li.Prep.li_fp with
+        | Footprint.Summary s ->
+          if Array.length s.Footprint.s_tail > 1 then
+            Alcotest.failf "launch %d lists %d tail TBs" li.Prep.li_seq (Array.length s.Footprint.s_tail);
+          if Array.exists (fun a -> a.Footprint.den > 1) s.Footprint.s_writes then incr floor
+        | Footprint.Per_tb _ | Footprint.Conservative _ ->
+          Alcotest.failf "launch %d is not a summary" li.Prep.li_seq
+      end)
+    prep.Prep.p_launches;
+  Alcotest.(check int) "fan2 launches" 255 !fan2;
+  (* Steps 1-254 divide by 255 .. 2; of those, 247 are not powers of two. *)
+  Alcotest.(check int) "floor-affine fan2 launches" 247 !floor
+
 let suite =
   suite
   @ [
       Alcotest.test_case "summaries: suite launches and pairs" `Quick test_summaries_suite;
       Alcotest.test_case "summaries: ledger Genapp mix, 8 seeds" `Quick test_summaries_genapp_mix;
       QCheck_alcotest.to_alcotest prop_summaries_affine_families;
+      Alcotest.test_case "summaries: every GAUSSIAN fan2 launch" `Quick test_gaussian_fan2_summaries;
+      Alcotest.test_case "summaries: exhaustive small div/rem shapes" `Quick test_div_rem_exhaustive;
     ]

@@ -650,11 +650,8 @@ let test_sim_metrics_fine_grain_occupancy () =
 
 (* --- bmctl exit codes (integration: runs the built executable) --------- *)
 
-let bmctl args =
-  (* dune runs tests from the build context directory, so the freshly built
-     executable is a fixed relative path away; the dune (deps) stanza makes
-     sure it exists.  Stdout/stderr are discarded: only exit codes matter. *)
-  Sys.command (Filename.quote_command "../bin/bmctl.exe" ~stdout:"/dev/null" ~stderr:"/dev/null" args)
+(* Only exit codes matter. *)
+let bmctl args = Exe.bmctl args
 
 let test_bmctl_exit_codes () =
   Alcotest.(check int) "--version exits 0" 0 (bmctl [ "--version" ]);

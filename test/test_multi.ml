@@ -338,12 +338,7 @@ let test_interference_ratios () =
 
 (* --- bmctl integration ------------------------------------------------- *)
 
-let bmctl_exe =
-  if Sys.file_exists "../bin/bmctl.exe" then "../bin/bmctl.exe" else "_build/default/bin/bmctl.exe"
-
-let bmctl ?stdout args =
-  let stdout = Option.value stdout ~default:"/dev/null" in
-  Sys.command (Filename.quote_command bmctl_exe ~stdout ~stderr:"/dev/null" args)
+let bmctl = Exe.bmctl
 
 let test_bmctl_corun_exit_codes () =
   Alcotest.(check int) "corun exits 0" 0 (bmctl [ "corun"; "BICG"; "MVT" ]);

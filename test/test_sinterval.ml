@@ -164,6 +164,101 @@ let prop_subset_exact =
       let concrete = List.for_all (fun x -> I.mem x b) (elements a) in
       I.subset a b = concrete)
 
+(* --- exhaustive small-domain checks --------------------------------------
+
+   Every operation the footprint summaries are built from, on every
+   interval with bounds in [-16, 16] and stride at most 8, against the
+   concrete sets: [make] and [shift] exactly, [mul_const] exactly, and
+   [add], [div_const], [rem_const] and [join] soundly, with the bounds
+   that [Footprint]'s closed forms read off exactly where they rely on
+   them. *)
+
+(* Each such value set once, as [make] normalizes it, with its elements. *)
+let small_domain =
+  let all = ref [] in
+  for lo = -16 to 16 do
+    all := I.singleton lo :: !all;
+    for stride = 1 to 8 do
+      let hi = ref (lo + stride) in
+      while !hi <= 16 do
+        all := I.make ~lo ~hi:!hi ~stride :: !all;
+        hi := !hi + stride
+      done
+    done
+  done;
+  Array.of_list (List.rev_map (fun t -> (t, elements t)) !all)
+
+let divisors = [ -9; -8; -7; -6; -5; -4; -3; -2; -1; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+
+let concrete xs = List.sort_uniq compare xs
+
+let expect what ok ~args = if not ok then Alcotest.failf "%s wrong on %s" what (args ())
+
+let test_exhaustive_make () =
+  for lo = -16 to 16 do
+    for hi = lo to 16 do
+      for stride = 0 to 8 do
+        let t = I.make ~lo ~hi ~stride in
+        let want =
+          if stride = 0 then [ lo ]
+          else List.filter (fun x -> (x - lo) mod stride = 0) (List.init (hi - lo + 1) (( + ) lo))
+        in
+        expect "make" ~args:(fun () -> Printf.sprintf "lo %d hi %d stride %d" lo hi stride)
+          (elements t = want
+          && (t.I.stride = 0) = (List.length want = 1)
+          && I.make ~lo:t.I.lo ~hi:t.I.hi ~stride:t.I.stride = t)
+      done
+    done
+  done;
+  Alcotest.(check int) "distinct value sets" (Array.length small_domain)
+    (List.length (List.sort_uniq compare (Array.to_list (Array.map snd small_domain))))
+
+let test_exhaustive_unary () =
+  Array.iter
+    (fun (t, xs) ->
+      let args () = I.to_string t in
+      for d = -16 to 16 do
+        let s = I.shift t d in
+        expect "shift" ~args
+          (elements s = List.map (( + ) d) xs && I.make ~lo:s.I.lo ~hi:s.I.hi ~stride:s.I.stride = s)
+      done;
+      for c = -9 to 9 do
+        expect "mul_const" ~args (elements (I.mul_const t c) = concrete (List.map (( * ) c) xs))
+      done;
+      List.iter
+        (fun c ->
+          let floor x = if x >= 0 then x / abs c else -(((-x) + abs c - 1) / abs c) in
+          let quotient x = if c > 0 then floor x else -floor x in
+          let q = I.div_const t c and qs = concrete (List.map quotient xs) in
+          expect "div_const" ~args
+            (List.for_all (fun x -> I.mem x q) qs
+            && q.I.lo = List.hd qs
+            && q.I.hi = List.nth qs (List.length qs - 1));
+          let r = I.rem_const t c in
+          expect "rem_const" ~args (List.for_all (fun x -> I.mem (x mod c) r) xs))
+        divisors)
+    small_domain
+
+let test_exhaustive_binary () =
+  Array.iter
+    (fun ((a : I.t), xs) ->
+      Array.iter
+        (fun ((b : I.t), ys) ->
+          let args () = I.to_string a ^ " and " ^ I.to_string b in
+          let s = I.add a b and j = I.join a b in
+          expect "add" ~args
+            (s.I.lo = a.I.lo + b.I.lo
+            && s.I.hi = a.I.hi + b.I.hi
+            && List.for_all (fun x -> List.for_all (fun y -> I.mem (x + y) s) ys) xs
+            && (b.I.stride <> 0 || I.equal s (I.shift a b.I.lo)));
+          expect "join" ~args
+            (j.I.lo = min a.I.lo b.I.lo
+            && j.I.hi = max a.I.hi b.I.hi
+            && List.for_all (fun x -> I.mem x j) xs
+            && List.for_all (fun y -> I.mem y j) ys))
+        small_domain)
+    small_domain
+
 let suite =
   [
     Alcotest.test_case "singleton" `Quick test_singleton;
@@ -228,3 +323,12 @@ let sym_suite =
   ]
 
 let suite = suite @ sym_suite
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "exhaustive: make" `Quick test_exhaustive_make;
+      Alcotest.test_case "exhaustive: shift, mul_const, div_const, rem_const" `Quick
+        test_exhaustive_unary;
+      Alcotest.test_case "exhaustive: add, join" `Quick test_exhaustive_binary;
+    ]
