@@ -11,9 +11,9 @@
    proven against the naive co-run reference), --explain (the bottleneck
    table, conservation checked), --deadlines (the EDF tardiness table, RTA
    soundness checked) and --perf-gate (allocation and cache-counter
-   checks, among them "cold prep minor words" for a cold two-class
-   preparation of AlexNet, GAUSSIAN and 3MM and "capture words" for a
-   warm Graph.capture).
+   checks, among them "cold prep words" for a cold two-class preparation
+   of AlexNet, GAUSSIAN and 3MM, "capture words" for a warm Graph.capture
+   and "graph decode words" for decoding a captured graph).
 
    --json FILE writes a schema-versioned bench trajectory snapshot
    (per-app x mode simulated cycles, speedups, DLB/PCB high-water marks,
@@ -305,25 +305,35 @@ let run_deadlines () =
    suite's captured graphs must serialize to at most
    [suite_graph_bytes_budget] bytes in total: format 3 stores profiles
    and relations once each (about 347 KB), where per-TB cost payloads
-   took 5.8 MB.  (6) A cold preparation of both reorder classes (one fresh
-   cache, as one bmctl invocation) of AlexNet, of GAUSSIAN and of 3MM must
-   stay under [cold_prep_words_budget]: 1.3x what they allocate with
-   floor-affine footprint summaries and closed-form relations (2,341,504,
-   3,109,008 and 198,475 words).  Listing every TB's footprints took
-   11,856,002 and 10,834,500 words for the first two; plain affine
-   summaries, which left GAUSSIAN's fan2 and fan1 and all of 3MM listed,
-   took 2,338,106, 6,259,304 and 257,932.  (7) "capture words": a warm-cache Graph.capture of NW and
+   took 5.8 MB.  (6) "cold prep words": a cold preparation of both reorder
+   classes (one fresh cache, as one bmctl invocation) of AlexNet, of
+   GAUSSIAN and of 3MM must stay under [cold_prep_words_budget], 1.3x
+   what they allocate with relations held in their Table I form from
+   relate on (1,066,025, 2,600,672 and 133,451 words).  The count is
+   [all_words]: flat arrays over 256 words skip the minor heap, so minor
+   words alone would overstate what leaving per-TB rows saved.  Per-TB
+   rows in both directions took 2,753,291, 3,331,892 and 211,833 words
+   (2,341,504, 3,109,008 and 198,475 of them minor, which the earlier
+   minor-word budgets counted); listing every TB's footprints took
+   11,856,002 and 10,834,500 minor words for the first two.  (7) "capture
+   words": a warm-cache Graph.capture of NW and
    of GAUSSIAN must stay under [capture_words_budget], 1.3x what they
    allocate with one canonical text per distinct kernel in the
    fingerprint (287,982 and 493,621 words).  The count is [all_words],
    because the 6 MB canonical buffer the fingerprint once built per call
    (every launch copied its kernel's whole text) was allocated in the
-   major heap; its minor words alone were 4.44 M and 4.83 M.  How fast
-   each path is lives in the host-performance ledger (bench/ledger). *)
+   major heap; its minor words alone were 4.44 M and 4.83 M.  (8) "graph
+   decode words": Json.of_string plus Graph.of_json of the AlexNet and HS
+   captures must stay under [graph_decode_words_budget], 1.3x their
+   988,628 and 154,190 words (all words) with relations decoded straight
+   into their form; expanding them to per-TB rows took 1,308,483 and
+   194,153.  How fast each path is lives in the host-performance ledger
+   (bench/ledger). *)
 let sim_minor_words_budget = 350_000.0
 let cold_prep_words_budget =
-  [ ("AlexNet", 3_040_000.0); ("GAUSSIAN", 4_041_700.0); ("3MM", 258_000.0) ]
+  [ ("AlexNet", 1_385_900.0); ("GAUSSIAN", 3_380_900.0); ("3MM", 173_500.0) ]
 let capture_words_budget = [ ("NW", 374_300.0); ("GAUSSIAN", 641_700.0) ]
+let graph_decode_words_budget = [ ("AlexNet", 1_285_300.0); ("HS", 200_500.0) ]
 let traced_minor_words_ratio = 1.3
 let suite_graph_bytes_budget = 1_000_000
 
@@ -454,9 +464,9 @@ let run_perf_gate () =
             (fun (name, w, budget) -> Printf.sprintf "%s %.0f words, budget %.0f" name w budget)
             rows))
   in
-  check_budgets "cold prep minor words"
+  check_budgets "cold prep words"
     (fun app ->
-      words (fun () ->
+      all_words (fun () ->
           let cache = Cache.create () in
           ignore (Prep.prepare ~reorder:false ~cache cfg app);
           Prep.prepare ~reorder:true ~cache cfg app))
@@ -467,6 +477,14 @@ let run_perf_gate () =
       ignore (Graph.capture ~cache cfg app);
       all_words (fun () -> Graph.capture ~cache cfg app))
     capture_words_budget;
+  check_budgets "graph decode words"
+    (fun app ->
+      let text = Json.to_string (Graph.to_json (Graph.capture cfg app)) in
+      all_words (fun () ->
+          match Json.of_string text with
+          | Ok j -> Graph.of_json j
+          | Error msg -> failwith msg))
+    graph_decode_words_budget;
   let bytes =
     List.fold_left
       (fun acc (_, a) ->
@@ -510,7 +528,7 @@ let gates =
         "report(s) violated the RTA bound" ) );
     ( "perf-gate",
       "Run the deterministic allocation and cache-counter checks.",
-      ( "== performance gate (warm prep, sim allocation, replay, disk-warm, cold prep, capture, graph size) ==",
+      ( "== performance gate (warm prep, sim allocation, replay, disk-warm, cold prep, capture, decode, graph size) ==",
         run_perf_gate,
         "perf gate passed",
         "perf-gate check(s) failed" ) );

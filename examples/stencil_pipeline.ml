@@ -42,7 +42,8 @@ let () =
       g.Bipartite.n_parents g.Bipartite.n_children (Bipartite.max_in_degree g)
       (Pattern.name (Pattern.classify (Bipartite.Graph g)));
     Printf.printf "child TB 100 depends on parent TBs: %s\n"
-      (String.concat ", " (Array.to_list (Array.map string_of_int g.Bipartite.parents_of.(100))))
+      (String.concat ", "
+         (List.init (Bipartite.in_degree g 100) (fun i -> string_of_int (Bipartite.parent g 100 i))))
   | Bipartite.Independent | Bipartite.Fully_connected -> print_endline "unexpected relation");
 
   print_endline "\n=== Overlap: how early does iteration t+1 start? ===";

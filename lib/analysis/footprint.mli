@@ -42,6 +42,11 @@ type affine = private {
 val at : affine -> int -> Sinterval.t
 (** [at a t] is TB [t]'s interval. *)
 
+val lo_at : affine -> int -> int
+val hi_at : affine -> int -> int
+(** TB [t]'s endpoints as the formula gives them: [at a t] is
+    [Sinterval.make ~lo:(lo_at a t) ~hi:(hi_at a t) ~stride:a.base.stride]. *)
+
 type summary = private {
   s_tbs : int;              (** thread blocks in the launch *)
   s_affine : int;           (** TBs [\[0, s_affine)] follow the affine accesses ([>= 1]) *)

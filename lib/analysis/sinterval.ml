@@ -100,37 +100,53 @@ let max_ a b =
   make ~lo:(max a.lo b.lo) ~hi:(max a.hi b.hi)
     ~stride:(if max a.lo b.lo = max a.hi b.hi then 0 else 1)
 
-(* Extended gcd: returns (g, x, y) with a*x + b*y = g. *)
-let rec egcd a b = if b = 0 then (a, 1, 0) else
-  let g, x, y = egcd b (a mod b) in
-  (g, y, x - (a / b) * y)
+(* Membership in [lo, hi] on the grid [lo + k * stride] ([stride = 0]: the
+   point [lo]). *)
+let on_grid x ~lo ~hi ~stride = x >= lo && x <= hi && (stride = 0 || (x - lo) mod stride = 0)
 
-let intersects a b =
-  let lo = max a.lo b.lo and hi = min a.hi b.hi in
-  if lo > hi then false
-  else if a.stride = 0 then mem a.lo b
-  else if b.stride = 0 then mem b.lo a
+let meets ~lo ~hi ~stride b =
+  lo <= hi
+  &&
+  (* [make ~lo ~hi ~stride]'s normal form, field by field. *)
+  let hi = if stride = 0 then lo else lo + ((hi - lo) / stride * stride) in
+  let stride = if hi = lo then 0 else stride in
+  let lo' = max lo b.lo and hi' = min hi b.hi in
+  if lo' > hi' then false
+  else if stride = 0 then mem lo b
+  else if b.stride = 0 then on_grid b.lo ~lo ~hi ~stride
   else begin
-    (* Solve x ≡ a.lo (mod a.stride), x ≡ b.lo (mod b.stride), lo <= x <= hi. *)
-    let s1 = a.stride and s2 = b.stride in
-    let g, p, _ = egcd s1 s2 in
-    let diff = b.lo - a.lo in
+    (* Solve x ≡ lo (mod s1), x ≡ b.lo (mod s2), lo' <= x <= hi'.  The
+       extended Euclid runs as a loop keeping only the coefficient [p] of
+       [s1] in [p * s1 + q * s2 = g]: nothing is allocated. *)
+    let s1 = stride and s2 = b.stride in
+    let r0 = ref s1 and r1 = ref s2 and x0 = ref 1 and x1 = ref 0 in
+    while !r1 <> 0 do
+      let q = !r0 / !r1 in
+      let r = !r0 - (q * !r1) and x = !x0 - (q * !x1) in
+      r0 := !r1;
+      r1 := r;
+      x0 := !x1;
+      x1 := x
+    done;
+    let g = !r0 and p = !x0 in
+    let diff = b.lo - lo in
     if diff mod g <> 0 then false
     else begin
       let l = s1 / g * s2 in
-      (* x0 = a.lo + s1 * ((diff/g * p) mod (s2/g)) is a solution. *)
+      (* x0 = lo + s1 * ((diff/g * p) mod (s2/g)) is a solution. *)
       let m = s2 / g in
       let k = (diff / g * p) mod m in
       let k = if k < 0 then k + m else k in
-      let x0 = a.lo + (s1 * k) in
-      (* Smallest solution >= lo. *)
-      let delta = lo - x0 in
+      let x0 = lo + (s1 * k) in
+      (* Smallest solution >= lo'. *)
+      let delta = lo' - x0 in
       let steps = if delta <= 0 then 0 else (delta + l - 1) / l in
       let x = x0 + (steps * l) in
-      (* x might still be below lo if x0 > hi already handled by range. *)
-      x >= lo && x <= hi && mem x a && mem x b
+      x >= lo' && x <= hi' && on_grid x ~lo ~hi ~stride && mem x b
     end
   end
+
+let intersects a b = meets ~lo:a.lo ~hi:a.hi ~stride:a.stride b
 
 let subset a b =
   if a.lo < b.lo || a.hi > b.hi then false

@@ -46,7 +46,14 @@ val max_ : t -> t -> t
 
 val intersects : t -> t -> bool
 (** Exact emptiness test of the intersection of the two denoted sets
-    (range overlap + Chinese-remainder stride compatibility). *)
+    (range overlap + Chinese-remainder stride compatibility).  It
+    allocates nothing. *)
+
+val meets : lo:int -> hi:int -> stride:int -> t -> bool
+(** [meets ~lo ~hi ~stride b] is [intersects (make ~lo ~hi ~stride) b]
+    without building the first interval, and [false] when [lo > hi]: the
+    test a caller that computes endpoints (a floor-affine access at one
+    TB) runs in a loop. *)
 
 val subset : t -> t -> bool
 (** [subset a b]: every element of [a] is an element of [b]. *)

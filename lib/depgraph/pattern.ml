@@ -8,67 +8,19 @@ type t =
   | Overlapped
   | Irregular
 
-let is_one_to_one (g : Bipartite.t) =
-  g.n_parents = g.n_children
-  && Array.for_all (fun x -> x) (Array.mapi (fun c ps -> ps = [| c |]) g.parents_of)
-
-(* Each child has exactly one parent, and no two parents share a child —
-   which is automatic here; the paper's 1-to-n: "each parent TB has
-   exclusive child TBs". *)
-let is_one_to_n (g : Bipartite.t) =
-  Array.for_all (fun ps -> Array.length ps = 1) g.parents_of
-
-let is_n_to_one (g : Bipartite.t) =
-  Array.for_all (fun cs -> Array.length cs <= 1) g.children_of
-  && Array.exists (fun ps -> Array.length ps > 1) g.parents_of
-
-(* n-group fully connected: children sharing an identical parent set form a
-   group; distinct groups must have disjoint parent sets, and symmetrically
-   every parent in a group must point exactly at the group's children. *)
-let is_n_group (g : Bipartite.t) =
-  let groups = Hashtbl.create 8 in
-  Array.iteri
-    (fun c ps ->
-      if Array.length ps > 0 then
-        let key = Array.to_list ps in
-        let cur = try Hashtbl.find groups key with Not_found -> [] in
-        Hashtbl.replace groups key (c :: cur))
-    g.parents_of;
-  let parent_seen = Hashtbl.create 16 in
-  try
-    Hashtbl.iter
-      (fun ps children ->
-        let children = List.sort compare children in
-        List.iter
-          (fun p ->
-            if Hashtbl.mem parent_seen p then raise Exit;
-            Hashtbl.replace parent_seen p ();
-            if Array.to_list g.children_of.(p) <> children then raise Exit)
-          ps)
-      groups;
-    Hashtbl.length groups > 0
-  with Exit -> false
-
-let is_contiguous ps =
-  let n = Array.length ps in
-  n > 0 && ps.(n - 1) - ps.(0) = n - 1
-
-(* Overlapped (stencil-like): every child's parents form a contiguous id
-   window and at least two windows share a parent. *)
-let is_overlapped (g : Bipartite.t) =
-  Array.for_all (fun ps -> Array.length ps = 0 || is_contiguous ps) g.parents_of
-  && Array.exists (fun cs -> Array.length cs > 1) g.children_of
-
+(* A graph's pattern is its form's tag: {!Bipartite.of_rows} has already
+   chosen the first case of this order the edges fit. *)
 let classify = function
   | Bipartite.Independent -> Independent
   | Bipartite.Fully_connected -> Fully_connected
-  | Bipartite.Graph g ->
-    if is_one_to_one g then One_to_one
-    else if is_one_to_n g then One_to_n
-    else if is_n_to_one g then N_to_one
-    else if is_n_group g then N_group
-    else if is_overlapped g then Overlapped
-    else Irregular
+  | Bipartite.Graph g -> (
+    match g.Bipartite.form with
+    | Bipartite.One_to_one -> One_to_one
+    | Bipartite.One_to_n _ -> One_to_n
+    | Bipartite.N_to_one _ -> N_to_one
+    | Bipartite.N_group _ -> N_group
+    | Bipartite.Overlapped _ -> Overlapped
+    | Bipartite.Irregular _ -> Irregular)
 
 let name = function
   | Independent -> "independent"

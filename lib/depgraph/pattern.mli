@@ -4,7 +4,9 @@
     BlockMaestro encodes graphs pattern-wise to shrink on-device storage:
     a fully-connected pair needs only a flag, an n-group pair O(M+N), etc.
     Classification is purely structural and is also what Table II reports
-    per benchmark. *)
+    per benchmark.  A graph carries its pattern: {!Bipartite.of_rows}
+    picks the form, the first of these cases (in this order) that the
+    edges fit, and {!classify} reads its tag. *)
 
 type t =
   | Independent
@@ -17,6 +19,7 @@ type t =
   | Irregular
 
 val classify : Bipartite.relation -> t
+(** The relation's tag: O(1). *)
 
 val name : t -> string
 

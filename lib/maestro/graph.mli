@@ -30,8 +30,8 @@
     built from once.  The header holds the cost-model
     {!Bm_gpu.Costmodel.params} as bit patterns; a [profiles] table holds
     each distinct cost profile and a [relations] table each distinct
-    relation in its Table I pattern-aware {!Bm_depgraph.Encode.encoded}
-    form.  A node references one entry of each by index, plus its own
+    relation in its Table I {!Bm_depgraph.Bipartite.form}, as it
+    is.  A node references one entry of each by index, plus its own
     seq, stream, predecessor, TB count and copy deps (delta+RLE
     integers).  Per-TB costs are not persisted: {!of_json} expands each
     (profile, seq) once under the header's params, and measures and

@@ -28,16 +28,17 @@ let area_bytes cfg =
    occupies ceil(d / children_per_entry) DLB entries; the PCB holds one
    counter per child TB.  Only the Graph relation consults the tables —
    Independent needs none and Fully_connected is a single gate flag. *)
-let dlb_entries_needed (cfg : Config.t) relation =
+let entries_of (cfg : Config.t) g =
+  let per = cfg.Config.dlb_children_per_entry and n = ref 0 in
+  for p = 0 to g.Bipartite.n_parents - 1 do
+    n := !n + ((Bipartite.out_degree g p + per - 1) / per)
+  done;
+  !n
+
+let dlb_entries_needed cfg relation =
   match relation with
   | Bipartite.Independent | Bipartite.Fully_connected -> 0
-  | Bipartite.Graph g ->
-    Array.fold_left
-      (fun acc cs ->
-        acc
-        + ((Array.length cs + cfg.Config.dlb_children_per_entry - 1)
-          / cfg.Config.dlb_children_per_entry))
-      0 g.Bipartite.children_of
+  | Bipartite.Graph g -> entries_of cfg g
 
 let pcb_counters_needed relation ~n_children =
   match relation with
@@ -146,13 +147,7 @@ let dep_mem_requests (cfg : Config.t) ~(sizes : Encode.sizes) ~n_parents ~n_chil
       | Pattern.Irregular | Pattern.Overlapped ->
         (* Explicit child lists: a parent with out-degree d occupies
            ceil(d / children_per_entry) DLB entries, each one fetch. *)
-        Array.fold_left
-          (fun acc cs ->
-            acc
-            +. float_of_int
-                 ((Array.length cs + cfg.Config.dlb_children_per_entry - 1)
-                 / cfg.Config.dlb_children_per_entry))
-          0.0 g.Bipartite.children_of
+        float_of_int (entries_of cfg g)
       | Pattern.Independent | Pattern.Fully_connected | Pattern.One_to_one | Pattern.One_to_n
       | Pattern.N_to_one | Pattern.N_group ->
         (* Encoded patterns derive children arithmetically: the pattern

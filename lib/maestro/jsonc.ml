@@ -7,7 +7,7 @@
    computation. *)
 
 module Json = Bm_metrics.Json
-module Encode = Bm_depgraph.Encode
+module Bipartite = Bm_depgraph.Bipartite
 module Costmodel = Bm_gpu.Costmodel
 
 exception Bad of string
@@ -46,7 +46,8 @@ let str_field ~what name j = str_of_json ~what:(what ^ "." ^ name) (field ~what 
    delta D N times.  A structureless sequence degrades to one token per
    element. *)
 
-let json_of_packed_ints_rle a =
+(* [iter emit] calls [emit] on each element in order. *)
+let json_of_packed_ints iter =
   let buf = Buffer.create 256 in
   let emit n d =
     if Buffer.length buf > 0 then Buffer.add_char buf ',';
@@ -59,8 +60,7 @@ let json_of_packed_ints_rle a =
   let prev = ref 0 in
   let run_d = ref 0 in
   let run_n = ref 0 in
-  Array.iter
-    (fun v ->
+  iter (fun v ->
       let d = v - !prev in
       prev := v;
       if !run_n > 0 && d = !run_d then incr run_n
@@ -68,10 +68,11 @@ let json_of_packed_ints_rle a =
         if !run_n > 0 then emit !run_n !run_d;
         run_d := d;
         run_n := 1
-      end)
-    a;
+      end);
   if !run_n > 0 then emit !run_n !run_d;
   Json.Str (Buffer.contents buf)
+
+let json_of_packed_ints_rle a = json_of_packed_ints (fun emit -> Array.iter emit a)
 
 (* Decoded payloads are capped so a garbled repeat count reads as Bad
    rather than an allocation blow-up: every decode covers hostile file
@@ -79,6 +80,22 @@ let json_of_packed_ints_rle a =
    node's TB count, a launch grid, a buffer list); [max_packed_elems] caps
    it, and a run that would pass it is rejected before the array grows. *)
 let max_packed_elems = 1 lsl 30
+
+(* Room in the doubling array [out], holding [total] elements, for [extra]
+   more, or Bad past [limit]. *)
+let ensure ~what ~limit out total extra zero =
+  let need = total + extra in
+  if need > limit then bad "%s: packed payload longer than %d elements" what limit;
+  let cap = Array.length !out in
+  if need > cap then begin
+    let ncap = ref (cap * 2) in
+    while !ncap < need do
+      ncap := !ncap * 2
+    done;
+    let na = Array.make !ncap zero in
+    Array.blit !out 0 na 0 total;
+    out := na
+  end
 
 let packed_ints_rle_of_json ~what ~limit j =
   let limit = min limit max_packed_elems in
@@ -105,20 +122,7 @@ let packed_ints_rle_of_json ~what ~limit j =
        every payload with no run longer than its own text. *)
     let out = ref (Array.make (max 16 ((n / 2) + 1)) 0) in
     let total = ref 0 in
-    let ensure extra =
-      let need = !total + extra in
-      if need > limit then bad "%s: packed payload longer than %d elements" what limit;
-      let cap = Array.length !out in
-      if need > cap then begin
-        let ncap = ref (cap * 2) in
-        while !ncap < need do
-          ncap := !ncap * 2
-        done;
-        let na = Array.make !ncap 0 in
-        Array.blit !out 0 na 0 !total;
-        out := na
-      end
-    in
+    let ensure extra = ensure ~what ~limit out !total extra 0 in
     let prev = ref 0 in
     let first = ref true in
     while !pos < n do
@@ -209,20 +213,7 @@ let packed_floats_rle_of_json ~what ~limit j =
        token is at least 16 hex digits, sizing the common exact case. *)
     let out = ref (Array.make (max 16 ((n / 16) + 1)) 0.0) in
     let total = ref 0 in
-    let ensure extra =
-      let need = !total + extra in
-      if need > limit then bad "%s: packed payload longer than %d elements" what limit;
-      let cap = Array.length !out in
-      if need > cap then begin
-        let ncap = ref (cap * 2) in
-        while !ncap < need do
-          ncap := !ncap * 2
-        done;
-        let na = Array.make !ncap 0.0 in
-        Array.blit !out 0 na 0 !total;
-        out := na
-      end
-    in
+    let ensure extra = ensure ~what ~limit out !total extra 0.0 in
     let first = ref true in
     while !pos < n do
       if not !first then
@@ -258,56 +249,49 @@ let packed_floats_rle_of_json ~what ~limit j =
     if !total = Array.length !out then !out else Array.sub !out 0 !total
   end
 
-(* Relations persist in their pattern-aware Table I encoded form, every
-   array payload a packed-integer string ([windows] flatten to
-   [first, len] pairs, [parents_of] rows are length-prefixed); decode
-   reconstructs the bipartite graph exactly (the Encode round-trip
-   property in test/test_depgraph.ml is what makes this safe). *)
+(* Relations persist in their Table I form, one payload per case, every
+   array a packed-integer string.  Decode builds the graph the payload
+   denotes through [Bipartite]'s builders, which pick the canonical form,
+   so a hand-written payload in another form still decodes exactly. *)
 let json_of_relation ~n_parents ~n_children rel =
   let ja i = Json.Num (float_of_int i) in
-  match Encode.encode ~n_parents ~n_children rel with
-  | Encode.Enc_independent { n_parents; n_children } ->
-    Json.Obj [ ("k", Json.Str "ind"); ("np", ja n_parents); ("nc", ja n_children) ]
-  | Encode.Enc_full { n_parents; n_children } ->
-    Json.Obj [ ("k", Json.Str "full"); ("np", ja n_parents); ("nc", ja n_children) ]
-  | Encode.Enc_one_to_one { n } -> Json.Obj [ ("k", Json.Str "o2o"); ("n", ja n) ]
-  | Encode.Enc_one_to_n { n_parents; parent_of } ->
-    Json.Obj
-      [ ("k", Json.Str "o2n"); ("np", ja n_parents); ("po", json_of_packed_ints_rle parent_of) ]
-  | Encode.Enc_n_to_one { n_children; child_of } ->
-    Json.Obj
-      [ ("k", Json.Str "n2o"); ("nc", ja n_children); ("co", json_of_packed_ints_rle child_of) ]
-  | Encode.Enc_n_group { group_of_parent; group_of_child } ->
-    Json.Obj
-      [
-        ("k", Json.Str "grp");
-        ("gp", json_of_packed_ints_rle group_of_parent);
-        ("gc", json_of_packed_ints_rle group_of_child);
-      ]
-  | Encode.Enc_overlapped { n_parents; windows } ->
-    let flat = Array.make (2 * Array.length windows) 0 in
-    Array.iteri
-      (fun i (f, l) ->
-        flat.(2 * i) <- f;
-        flat.((2 * i) + 1) <- l)
-      windows;
-    Json.Obj [ ("k", Json.Str "ovl"); ("np", ja n_parents); ("w", json_of_packed_ints_rle flat) ]
-  | Encode.Enc_irregular { n_parents; parents_of } ->
-    let total = Array.fold_left (fun acc row -> acc + 1 + Array.length row) 1 parents_of in
-    let flat = Array.make total 0 in
-    flat.(0) <- Array.length parents_of;
-    let pos = ref 1 in
-    Array.iter
-      (fun row ->
-        flat.(!pos) <- Array.length row;
-        incr pos;
-        Array.iter
-          (fun v ->
-            flat.(!pos) <- v;
-            incr pos)
-          row)
-      parents_of;
-    Json.Obj [ ("k", Json.Str "irr"); ("np", ja n_parents); ("po", json_of_packed_ints_rle flat) ]
+  let obj k fields = Json.Obj (("k", Json.Str k) :: fields) in
+  match rel with
+  | Bipartite.Independent -> obj "ind" [ ("np", ja n_parents); ("nc", ja n_children) ]
+  | Bipartite.Fully_connected -> obj "full" [ ("np", ja n_parents); ("nc", ja n_children) ]
+  | Bipartite.Graph g -> (
+    let np = ("np", ja g.Bipartite.n_parents) and nc = g.Bipartite.n_children in
+    match g.Bipartite.form with
+    | Bipartite.One_to_one -> obj "o2o" [ ("n", ja nc) ]
+    | Bipartite.One_to_n { parent_of; _ } -> obj "o2n" [ np; ("po", json_of_packed_ints_rle parent_of) ]
+    | Bipartite.N_to_one { child_of; _ } ->
+      obj "n2o" [ ("nc", ja nc); ("co", json_of_packed_ints_rle child_of) ]
+    | Bipartite.N_group { group_of_parent; group_of_child; _ } ->
+      obj "grp"
+        [
+          ("gp", json_of_packed_ints_rle group_of_parent);
+          ("gc", json_of_packed_ints_rle group_of_child);
+        ]
+    | Bipartite.Overlapped { first; len; _ } ->
+      let windows emit =
+        Array.iteri
+          (fun c f ->
+            emit f;
+            emit len.(c))
+          first
+      in
+      obj "ovl" [ np; ("w", json_of_packed_ints windows) ]
+    | Bipartite.Irregular { par_off; pars; _ } ->
+      let rows emit =
+        emit nc;
+        for c = 0 to nc - 1 do
+          emit (par_off.(c + 1) - par_off.(c));
+          for i = par_off.(c) to par_off.(c + 1) - 1 do
+            emit pars.(i)
+          done
+        done
+      in
+      obj "irr" [ np; ("po", json_of_packed_ints rows) ])
 
 (* The dimensions come from the encoding itself: [ind]/[full] carry both,
    every other form carries one and implies the other by a payload
@@ -317,79 +301,60 @@ let sized_relation_of_json ~max_parents ~max_children j =
   let what = "relation" in
   let mp = min max_parents max_packed_elems and mc = min max_children max_packed_elems in
   let dim name bound v =
-    if v > bound then bad "%s.%s: %d nodes, more than the %d TBs it may relate" what name v bound;
+    if v < 0 || v > bound then
+      bad "%s.%s: %d nodes, not in the 0..%d TBs it may relate" what name v bound;
     v
   in
   let np () = dim "np" mp (int_field ~what "np" j) and nc () = dim "nc" mc (int_field ~what "nc" j) in
   let ints name limit = packed_ints_rle_of_json ~what ~limit (field ~what name j) in
-  let enc, n_parents, n_children =
+  let graph g = (g.Bipartite.n_parents, g.Bipartite.n_children, Bipartite.Graph g) in
+  (* [Bipartite]'s builders range-check node ids with [Invalid_argument];
+     fold that into [Bad] so corrupt payloads stay inside the never-raises
+     contract. *)
+  try
     match str_field ~what "k" j with
-    | "ind" ->
+    | ("ind" | "full") as k ->
       let n_parents = np () and n_children = nc () in
-      (Encode.Enc_independent { n_parents; n_children }, n_parents, n_children)
-    | "full" ->
-      let n_parents = np () and n_children = nc () in
-      (Encode.Enc_full { n_parents; n_children }, n_parents, n_children)
+      (n_parents, n_children, if k = "ind" then Bipartite.Independent else Bipartite.Fully_connected)
     | "o2o" ->
       let n = dim "n" (min mp mc) (int_field ~what "n" j) in
-      (Encode.Enc_one_to_one { n }, n, n)
+      graph { Bipartite.n_parents = n; n_children = n; form = Bipartite.One_to_one }
     | "o2n" ->
-      let n_parents = np () in
-      let parent_of = ints "po" mc in
-      (Encode.Enc_one_to_n { n_parents; parent_of }, n_parents, Array.length parent_of)
+      let r_parents = np () and r_targets = ints "po" mc in
+      let r_offsets = Array.init (Array.length r_targets + 1) Fun.id in
+      graph (Bipartite.of_rows { r_parents; r_offsets; r_targets })
     | "n2o" ->
       let n_children = nc () in
-      let child_of = ints "co" mp in
-      (Encode.Enc_n_to_one { n_children; child_of }, Array.length child_of, n_children)
+      graph (Bipartite.of_child_of ~n_children (ints "co" mp))
     | "grp" ->
       let group_of_parent = ints "gp" mp in
-      let group_of_child = ints "gc" mc in
-      ( Encode.Enc_n_group { group_of_parent; group_of_child },
-        Array.length group_of_parent,
-        Array.length group_of_child )
+      graph (Bipartite.of_groups ~group_of_parent ~group_of_child:(ints "gc" mc))
     | "ovl" ->
       let flat = ints "w" (2 * mc) in
       if Array.length flat mod 2 <> 0 then bad "%s: window payload length must be even" what;
-      let windows =
-        Array.init (Array.length flat / 2) (fun i -> (flat.(2 * i), dim "w" mp flat.((2 * i) + 1)))
-      in
-      let n_parents = np () in
-      (Encode.Enc_overlapped { n_parents; windows }, n_parents, Array.length windows)
+      let n_children = Array.length flat / 2 in
+      let first = Array.init n_children (fun c -> flat.(2 * c)) in
+      let len = Array.init n_children (fun c -> dim "w" mp flat.((2 * c) + 1)) in
+      graph (Bipartite.of_windows ~n_parents:(np ()) ~first ~len)
     | "irr" ->
-      (* A row count, then per child its length and at most [mp] parents. *)
+      (* A row count, then per child its length and at most [mp] parents, in
+         any order. *)
       let flat = ints "po" (1 + (mc * (mp + 1))) in
       let len = Array.length flat in
-      let pos = ref 0 in
-      let take () =
-        if !pos >= len then bad "%s: truncated irregular payload" what
-        else begin
-          let v = flat.(!pos) in
-          incr pos;
-          v
-        end
-      in
-      let nrows = dim "rows" mc (take ()) in
-      if nrows < 0 then bad "%s: negative row count" what;
-      let rows = Array.make nrows [||] in
-      for i = 0 to nrows - 1 do
-        let rlen = dim "row" mp (take ()) in
-        if rlen < 0 then bad "%s: negative row length" what;
-        let row = Array.make rlen 0 in
-        for k = 0 to rlen - 1 do
-          row.(k) <- take ()
+      let at i = if i < len then flat.(i) else bad "%s: truncated irregular payload" what in
+      let nrows = dim "rows" mc (at 0) in
+      let edges = ref [] and pos = ref 1 in
+      for c = 0 to nrows - 1 do
+        let rlen = dim "row" mp (at !pos) in
+        for k = 1 to rlen do
+          edges := (at (!pos + k), c) :: !edges
         done;
-        rows.(i) <- row
+        pos := !pos + 1 + rlen
       done;
       if !pos <> len then bad "%s: trailing data in irregular payload" what;
-      let n_parents = np () in
-      (Encode.Enc_irregular { n_parents; parents_of = rows }, n_parents, nrows)
+      graph (Bipartite.of_edges ~n_parents:(np ()) ~n_children:nrows !edges)
     | k -> bad "%s: unknown kind %S" what k
-  in
-  (* [decode] range-checks node indices with [Invalid_argument]; fold that
-     into [Bad] so corrupt payloads stay inside the never-raises contract. *)
-  match Encode.decode enc with
-  | rel -> (n_parents, n_children, rel)
-  | exception Invalid_argument msg -> bad "%s: %s" what msg
+  with Invalid_argument msg -> bad "%s: %s" what msg
 
 let relation_of_json ~n_parents ~n_children j =
   let _, _, rel = sized_relation_of_json ~max_parents:n_parents ~max_children:n_children j in

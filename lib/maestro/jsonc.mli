@@ -2,7 +2,7 @@
 
     {!Graph} (captured schedules) and the disk-backed analysis store
     persist the same kinds of values — bit-pattern floats, integer
-    arrays, Table-I encoded relations, cost profiles — through the same functions here,
+    arrays, relations in their Table I form, cost profiles — through the same functions here,
     one codec per value: both replay and disk-warm preparation are
     required to be bit-identical to the fresh computation.  Decoders raise
     {!Bad} on any malformed input; the persistence layers catch it once,
@@ -54,17 +54,17 @@ val packed_floats_rle_of_json : what:string -> limit:int -> Bm_metrics.Json.t ->
 
 val json_of_relation :
   n_parents:int -> n_children:int -> Bm_depgraph.Bipartite.relation -> Bm_metrics.Json.t
-(** The relation in its pattern-aware Table I encoded form
-    ({!Bm_depgraph.Encode.encode}), every array payload a packed-integer
-    string ([windows] flatten to [first, len] pairs, [parents_of] rows are
-    length-prefixed). *)
+(** The relation's Table I {!Bm_depgraph.Bipartite.form} as it is, arrays
+    as packed-integer strings.  The dimensions are written for
+    [Independent]/[Fully_connected] only: a graph knows its own. *)
 
 val relation_of_json :
   n_parents:int -> n_children:int -> Bm_metrics.Json.t -> Bm_depgraph.Bipartite.relation
-(** Decode reconstructs the bipartite graph exactly (the Encode round-trip
-    property).  [n_parents]/[n_children] are the launch grids the relation
-    was encoded for; a larger stated dimension or payload is rejected
-    before it is built.  @raise Bad on malformed input. *)
+(** The exact inverse: [Bipartite]'s builders range-check the payload and
+    pick the canonical form, so [relation_of_json (json_of_relation rel)]
+    is structurally equal to [rel].  A stated dimension or payload larger
+    than the launch grids [n_parents]/[n_children] is rejected before it
+    is built.  @raise Bad on malformed input. *)
 
 val sized_relation_of_json :
   max_parents:int ->
@@ -74,8 +74,7 @@ val sized_relation_of_json :
 (** {!relation_of_json} with the [(n_parents, n_children)] the encoding
     states or implies — for [Independent]/[Fully_connected], the only
     record of the pair's dimensions — each at most [max_parents] /
-    [max_children].  A decoded [Graph] has exactly these dimensions, and
-    {!Bm_depgraph.Encode.decode} has range-checked every node id in it. *)
+    [max_children]; a decoded [Graph] has exactly these dimensions. *)
 
 val json_of_profile : Bm_gpu.Costmodel.profile -> Bm_metrics.Json.t
 (** A cost profile: per-TB instruction and memory counts as packed

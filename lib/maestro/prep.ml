@@ -143,16 +143,23 @@ let prepare ?(reorder = true) ?prof ?(cache = Cache.create ()) (cfg : Config.t)
             let max_degree = cfg.Config.max_parent_degree in
             let pr =
               Cache.pair cache ~producer:pl ~consumer:l ~max_degree (fun () ->
-                  let relation =
-                    Prof.with_span prof "relate" (fun () -> Bipartite.relate ~max_degree pfp fp)
+                  let rows =
+                    Prof.with_span prof "relate" (fun () -> Bipartite.confirm ~max_degree pfp fp)
                   in
-                  let pattern, sizes =
-                    Prof.with_span prof "encode" (fun () ->
-                        ( Pattern.classify relation,
+                  (* Choosing the Table I form is the encoding. *)
+                  Prof.with_span prof "encode" (fun () ->
+                      let relation =
+                        match rows with
+                        | None -> Bipartite.Fully_connected
+                        | Some rows -> Bipartite.relation_of_rows rows
+                      in
+                      {
+                        Cache.pr_relation = relation;
+                        pr_pattern = Pattern.classify relation;
+                        pr_sizes =
                           Encode.measure_pair ~n_parents:(Footprint.tb_count pfl)
-                            ~n_children:(Footprint.tb_count fl) relation ))
-                  in
-                  { Cache.pr_relation = relation; pr_pattern = pattern; pr_sizes = sizes })
+                            ~n_children:(Footprint.tb_count fl) relation;
+                      }))
             in
             (pr.Cache.pr_relation, pr.Cache.pr_pattern, pr.Cache.pr_sizes)
         in

@@ -51,12 +51,13 @@ val prepare :
     order reuses that, so a call looks each launch up once per {!Cache}
     family.  Footprints come from {!Bm_analysis.Footprint.of_result} and
     stay summaries: the read/write sets ([Footprint.whole_summary]) and
-    relations ([Bipartite.relate]) are computed from them in closed form,
+    relations ([Bipartite.confirm]) are computed from them in closed form,
     and nothing on this path lists a summarized launch's TBs.
 
     [prof] records wall-clock spans for the pipeline stages — [analyze]
-    (PTX symbolic evaluation), [footprint], [reorder], [relate] (bipartite
-    graph construction), [encode] and [costmodel] — each directly under
+    (PTX symbolic evaluation), [footprint], [reorder], [relate] (each
+    child's confirmed parents), [encode] (the Table I form, pattern and
+    sizes) and [costmodel] — each directly under
     whatever span the caller has open.  Cached stages (a kernel analyzed
     once, a footprint reused across relaunches) only charge their first
     computation.

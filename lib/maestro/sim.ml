@@ -389,7 +389,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
         let n = node.Graph.n_tbs in
         let pc =
           match node.Graph.n_relation with
-          | Bipartite.Graph g -> Array.map Array.length g.Bipartite.parents_of
+          | Bipartite.Graph g -> Bipartite.in_degrees g
           | Bipartite.Independent | Bipartite.Fully_connected -> [||]
         in
         {
@@ -999,6 +999,16 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
     done
   in
 
+  (* Child TB [c] of kernel [kc] lost a parent that finished now. *)
+  let satisfy kc c =
+    let child = ks.(kc) and t = now.now in
+    let ap = st.(child.app) in
+    child.pc.(c) <- child.pc.(c) - 1;
+    if t > child.dep_ready_time.(c) then child.dep_ready_time.(c) <- t;
+    if ap.tracing && child.pc.(c) = 0 then stamp ap kc (3 * c);
+    if fine && child.pc.(c) = 0 && child.launched then queue_tb kc c
+  in
+
   (* Dependency bookkeeping on a finished parent TB. *)
   let on_tb_done (ap : astate) k tb =
     let n = ks.(k) in
@@ -1017,15 +1027,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
     if kc >= 0 then begin
       let child = ks.(kc) in
       match child.node.Graph.n_relation with
-      | Bipartite.Graph g ->
-        let cs = g.Bipartite.children_of.(tb) in
-        for i = 0 to Array.length cs - 1 do
-          let c = cs.(i) in
-          child.pc.(c) <- child.pc.(c) - 1;
-          if t > child.dep_ready_time.(c) then child.dep_ready_time.(c) <- t;
-          if ap.tracing && child.pc.(c) = 0 then stamp ap kc (3 * c);
-          if fine && child.pc.(c) = 0 && child.launched then queue_tb kc c
-        done
+      | Bipartite.Graph g -> Bipartite.iter_children g tb satisfy kc
       | Bipartite.Independent | Bipartite.Fully_connected -> ()
     end;
     if n.done_tbs = n.ntbs then begin

@@ -104,9 +104,9 @@ val find_relation : t -> key:key -> Bm_depgraph.Bipartite.relation option
 
 val put_relation :
   t -> key:key -> n_parents:int -> n_children:int -> Bm_depgraph.Bipartite.relation -> unit
-(** The relation is stored in Table I encoded form
-    ({!Bm_depgraph.Encode.encode}); pattern classification and size
-    measurement are recomputed on load, which is exact. *)
+(** The relation is stored in the Table I form it carries
+    ({!Jsonc.json_of_relation}); size measurement is recomputed on load,
+    which is exact. *)
 
 (** {1 Value codecs}
 

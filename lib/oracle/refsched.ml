@@ -255,9 +255,12 @@ let run ?(submission = Multi.Fifo) ?(spatial = Multi.Shared) ?(slots_bug = 0)
   let all_parents_finished a k c =
     match ks.(a).(k).info.Prep.li_relation with
     | Bipartite.Graph g ->
-      Array.for_all
-        (fun p -> ks.(a).(prev_of a k).tb.(p) = Finished)
-        g.Bipartite.parents_of.(c)
+      let parents = ks.(a).(prev_of a k).tb in
+      let all = ref true in
+      for i = 0 to Bipartite.in_degree g c - 1 do
+        if parents.(Bipartite.parent g c i) <> Finished then all := false
+      done;
+      !all
     | Bipartite.Independent | Bipartite.Fully_connected -> true
   in
   let append_ready a k tbid =
@@ -487,11 +490,11 @@ let run ?(submission = Multi.Fifo) ?(spatial = Multi.Shared) ?(slots_bug = 0)
       let child = ks.(a).(kc) in
       match child.info.Prep.li_relation with
       | Bipartite.Graph g ->
-        Array.iter
-          (fun c ->
+        Bipartite.iter_children g tbid
+          (fun () c ->
             if !now > child.dep_ready.(c) then child.dep_ready.(c) <- !now;
             if fine && child.launched && all_parents_finished a kc c then append_ready a kc c)
-          g.Bipartite.children_of.(tbid)
+          ()
       | Bipartite.Independent | Bipartite.Fully_connected -> ()
     end;
     if all_finished a k then begin

@@ -31,7 +31,10 @@ let static_has rel (p, c) =
   | Bipartite.Independent -> false
   | Bipartite.Fully_connected -> true
   | Bipartite.Graph g ->
-    c < Array.length g.Bipartite.parents_of && Array.exists (( = ) p) g.Bipartite.parents_of.(c)
+    c < g.Bipartite.n_children
+    &&
+    let rec from i = i < Bipartite.in_degree g c && (Bipartite.parent g c i = p || from (i + 1)) in
+    from 0
 
 (* Naive re-derivation of the static relation from per-TB footprints,
    including the degree cap and the exact fully-connected detection — the

@@ -4,6 +4,7 @@
 open Bm_depgraph
 module Footprint = Bm_analysis.Footprint
 module I = Bm_analysis.Sinterval
+module Json = Bm_metrics.Json
 
 let graph ~n edges = Bipartite.Graph (Bipartite.of_edges ~n_parents:n ~n_children:n edges)
 
@@ -20,8 +21,8 @@ let test_of_edges_dedup () =
   let g =
     Bipartite.of_edges ~n_parents:2 ~n_children:2 [ (0, 0); (0, 0); (1, 1) ]
   in
-  Alcotest.(check int) "no duplicate edges" 1 (Array.length g.Bipartite.parents_of.(0));
-  Alcotest.(check int) "children mirror parents" 1 (Array.length g.Bipartite.children_of.(1))
+  Alcotest.(check int) "no duplicate edges" 1 (Bipartite.in_degree g 0);
+  Alcotest.(check int) "children mirror parents" 1 (Bipartite.out_degree g 1)
 
 let test_of_edges_bounds () =
   Alcotest.check_raises "out of range"
@@ -208,7 +209,7 @@ let prop_relate_exact =
         let ok = ref true in
         for p = 0 to tbs - 1 do
           for c = 0 to tbs - 1 do
-            let has = Array.exists (fun x -> x = p) g.Bipartite.parents_of.(c) in
+            let has = List.mem p (List.init (Bipartite.in_degree g c) (Bipartite.parent g c)) in
             if has <> expected p c then ok := false
           done
         done;
@@ -219,14 +220,12 @@ let prop_children_mirror_parents =
     QCheck2.Gen.(list_size (int_range 0 40) (pair (int_range 0 9) (int_range 0 9)))
     (fun edges ->
       let g = Bipartite.of_edges ~n_parents:10 ~n_children:10 edges in
+      let m = Relation_model.of_bipartite g in
       let ok = ref true in
       Array.iteri
         (fun c ps ->
-          Array.iter
-            (fun p ->
-              if not (Array.exists (fun x -> x = c) g.Bipartite.children_of.(p)) then ok := false)
-            ps)
-        g.Bipartite.parents_of;
+          Array.iter (fun p -> if not (Array.mem c m.Relation_model.children_of.(p)) then ok := false) ps)
+        m.Relation_model.parents_of;
       !ok)
 
 let prop_encode_bounded =
@@ -432,9 +431,10 @@ let suite = suite @ encode_props
 
 (* --- codec round trip per Table I pattern ------------------------------ *)
 
-(* decode (encode rel) must reproduce rel exactly, the encoded tag must
-   match the classifier, and the variable payload must hit the Table I
-   word-count formula for its class on the nose. *)
+(* Decoding a relation's JSON payload must reproduce it exactly, the
+   payload must be the reference codec's (format 3 unchanged), and the
+   variable payload must hit the Table I word-count formula for its class
+   on the nose. *)
 
 let rel_equal a b =
   match (a, b) with
@@ -443,25 +443,38 @@ let rel_equal a b =
   | Bipartite.Graph x, Bipartite.Graph y -> Bipartite.equal x y
   | _ -> false
 
-let words_ok e rel =
-  let w = Encode.encoded_words e in
-  match rel with
-  | Bipartite.Independent | Bipartite.Fully_connected -> w = 0
-  | Bipartite.Graph g -> (
-    let edges = Array.fold_left (fun acc ps -> acc + Array.length ps) 0 g.Bipartite.parents_of in
-    match e with
-    | Encode.Enc_independent _ | Encode.Enc_full _ | Encode.Enc_one_to_one _ -> w = 0
-    | Encode.Enc_one_to_n _ -> w = g.Bipartite.n_children
-    | Encode.Enc_n_to_one _ -> w = g.Bipartite.n_parents
-    | Encode.Enc_n_group _ -> w = g.Bipartite.n_parents + g.Bipartite.n_children
-    | Encode.Enc_overlapped _ -> w = 2 * g.Bipartite.n_children
-    | Encode.Enc_irregular _ -> w = g.Bipartite.n_children + edges)
+module Jsonc = Bm_maestro.Jsonc
+
+let words_ok g =
+  let m = Relation_model.of_bipartite g in
+  let e = Relation_model.encode m in
+  let w = Relation_model.encoded_words e in
+  let edges = Relation_model.edges m in
+  match e with
+  | Relation_model.Enc_one_to_one _ -> w = 0
+  | Relation_model.Enc_one_to_n _ -> w = g.Bipartite.n_children
+  | Relation_model.Enc_n_to_one _ -> w = g.Bipartite.n_parents
+  | Relation_model.Enc_n_group _ -> w = g.Bipartite.n_parents + g.Bipartite.n_children
+  | Relation_model.Enc_overlapped _ -> w = 2 * g.Bipartite.n_children
+  | Relation_model.Enc_irregular _ -> w = g.Bipartite.n_children + edges
 
 let roundtrips ?(n_parents = 1) ?(n_children = 1) rel =
-  let e = Encode.encode ~n_parents ~n_children rel in
-  rel_equal (Encode.decode e) rel
-  && Encode.pattern_of_encoded e = Pattern.classify rel
-  && words_ok e rel
+  let n_parents, n_children =
+    match rel with
+    | Bipartite.Graph g -> (g.Bipartite.n_parents, g.Bipartite.n_children)
+    | Bipartite.Independent | Bipartite.Fully_connected -> (n_parents, n_children)
+  in
+  let j = Jsonc.json_of_relation ~n_parents ~n_children rel in
+  let back = Jsonc.relation_of_json ~n_parents ~n_children j in
+  rel_equal back rel && back = rel
+  &&
+  match rel with
+  | Bipartite.Independent | Bipartite.Fully_connected -> true
+  | Bipartite.Graph g ->
+    let m = Relation_model.of_bipartite g in
+    Pattern.classify rel = Relation_model.classify m
+    && Json.to_string j = Json.to_string (Relation_model.json_of_encoded (Relation_model.encode m))
+    && words_ok g
 
 let prop_roundtrip_one_to_one =
   QCheck2.Test.make ~name:"codec round trip: 1-to-1" ~count:50
@@ -518,7 +531,7 @@ let prop_roundtrip_overlapped =
 let prop_roundtrip_random =
   (* Arbitrary edge soups: whatever pattern they land on, the codec must
      reproduce them exactly. *)
-  QCheck2.Test.make ~name:"codec round trip: random graphs" ~count:200
+  QCheck2.Test.make ~name:"codec round trip: random graphs" ~count:200 ~long_factor:10
     QCheck2.Gen.(list_size (int_range 1 80) (pair (int_range 0 19) (int_range 0 19)))
     (fun edges ->
       roundtrips (Bipartite.Graph (Bipartite.of_edges ~n_parents:20 ~n_children:20 edges)))
@@ -591,7 +604,8 @@ let test_relate_brute_boundaries () =
     (relate_matches_brute ~max_degree:3 parents repeated);
   (match Bipartite.relate ~max_degree:3 (Footprint.Per_tb parents) (Footprint.Per_tb repeated) with
   | Bipartite.Graph g ->
-    Alcotest.(check (array int)) "parents counted once" [| 1; 2 |] g.Bipartite.parents_of.(1)
+    Alcotest.(check (list int)) "parents counted once" [ 1; 2 ]
+      (List.init (Bipartite.in_degree g 1) (Bipartite.parent g 1))
   | Bipartite.Independent | Bipartite.Fully_connected -> Alcotest.fail "expected a graph");
   (* Child 0 reads parents 0..k-1, the others read one parent each. *)
   let reading k =
@@ -619,7 +633,7 @@ let gen_intervals =
          (triple (int_range 0 120) (int_range 0 24) (int_range 1 4))))
 
 let prop_relate_brute =
-  QCheck2.Test.make ~name:"relate = brute-force all-pairs relation" ~count:300
+  QCheck2.Test.make ~name:"relate = brute-force all-pairs relation" ~count:300 ~long_factor:10
     QCheck2.Gen.(
       triple (int_range 1 4)
         (array_size (int_range 1 8) gen_intervals)
@@ -634,4 +648,140 @@ let suite =
   @ [
       Alcotest.test_case "relate: brute-force boundaries" `Quick test_relate_brute_boundaries;
       QCheck_alcotest.to_alcotest prop_relate_brute;
+    ]
+
+(* --- Table I forms against the row model ------------------------------- *)
+
+(* Random edge sets of every pattern, with their dimensions (0 included). *)
+let gen_pattern_edges =
+  QCheck2.Gen.(
+    let dims = pair (int_range 0 12) (int_range 0 12) in
+    let pick n = if n = 0 then return None else map Option.some (int_range 0 (n - 1)) in
+    let keyed np nc key =
+      (* parent [p] and child [c] joined when their keys are equal and set *)
+      let* kp = array_repeat np key and* kc = array_repeat nc key in
+      return
+        (List.concat
+           (List.init np (fun p ->
+                List.filter_map
+                  (fun c -> if kp.(p) >= 0 && kp.(p) = kc.(c) then Some (p, c) else None)
+                  (List.init nc Fun.id))))
+    in
+    let* np, nc = dims in
+    let+ edges =
+      oneof
+        [
+          return (List.init (min np nc) (fun i -> (i, i)));
+          map
+            (List.filter_map Fun.id)
+            (flatten_l (List.init nc (fun c -> map (Option.map (fun p -> (p, c))) (pick np))));
+          map
+            (List.filter_map Fun.id)
+            (flatten_l (List.init np (fun p -> map (Option.map (fun c -> (p, c))) (pick nc))));
+          keyed np nc (int_range (-1) 3);
+          map List.concat
+            (flatten_l
+               (List.init nc (fun c ->
+                    let* first = int_range 0 (max 0 (np - 1)) and* len = int_range 0 4 in
+                    return (List.init (max 0 (min len (np - first))) (fun i -> (first + i, c))))));
+          (if np = 0 || nc = 0 then return []
+           else list_size (int_range 0 40) (pair (int_range 0 (np - 1)) (int_range 0 (nc - 1))));
+        ]
+    in
+    (np, nc, edges))
+
+let print_edges (np, nc, edges) =
+  Printf.sprintf "%dx%d %s" np nc
+    (String.concat " " (List.map (fun (p, c) -> Printf.sprintf "%d>%d" p c) edges))
+
+let model_test ~name ?(count = 500) prop =
+  QCheck2.Test.make ~name ~count ~long_factor:10 ~print:print_edges gen_pattern_edges (fun (np, nc, edges) ->
+      prop
+        (Bipartite.of_edges ~n_parents:np ~n_children:nc edges)
+        (Relation_model.of_edges ~n_parents:np ~n_children:nc edges))
+
+let prop_model_pattern =
+  model_test ~name:"forms: of_edges pattern and sizes match the row model" (fun g m ->
+      Pattern.classify (Bipartite.Graph g) = Relation_model.classify m
+      && Encode.measure (Bipartite.Graph g) = Relation_model.measure m)
+
+let prop_model_accessors =
+  model_test ~name:"forms: accessors agree with the row model" (fun g m ->
+      Relation_model.of_bipartite g = m
+      && Bipartite.edge_count (Bipartite.Graph g) ~n_parents:0 ~n_children:0 = Relation_model.edges m
+      && Bipartite.max_in_degree g
+         = Array.fold_left (fun d ps -> max d (Array.length ps)) 0 m.Relation_model.parents_of)
+
+(* The codec writes the model's format-3 payload, and reading it back, or
+   reading the model's plain adjacency payload of the same edges, gives
+   the canonical graph again. *)
+let prop_model_codec =
+  model_test ~name:"forms: JSON codec round-trips every form, format 3 unchanged" (fun g m ->
+      let n_parents = g.Bipartite.n_parents and n_children = g.Bipartite.n_children in
+      let j = Jsonc.json_of_relation ~n_parents ~n_children (Bipartite.Graph g) in
+      let read j = Jsonc.relation_of_json ~n_parents ~n_children j in
+      let irregular =
+        Relation_model.Enc_irregular { n_parents; parents_of = m.Relation_model.parents_of }
+      in
+      Json.to_string j = Json.to_string (Relation_model.json_of_encoded (Relation_model.encode m))
+      && read j = Bipartite.Graph g
+      && read (Relation_model.json_of_encoded irregular) = Bipartite.Graph g
+      && Relation_model.decode (Relation_model.encode m) = m)
+
+(* The irregular form of any edge set, built by hand: not canonical. *)
+let listed ~n_parents ~n_children edges =
+  let m = Relation_model.of_edges ~n_parents ~n_children edges in
+  let flat rows =
+    let off = Array.make (Array.length rows + 1) 0 in
+    Array.iteri (fun i r -> off.(i + 1) <- off.(i) + Array.length r) rows;
+    (off, Array.concat (Array.to_list rows))
+  in
+  let par_off, pars = flat m.Relation_model.parents_of and kid_off, kids = flat m.Relation_model.children_of in
+  { Bipartite.n_parents; n_children; form = Bipartite.Irregular { par_off; pars; kid_off; kids } }
+
+(* A window row and the listed row of the same edges are equal, in either
+   order, and stop being so when one edge moves. *)
+let test_equal_across_forms () =
+  let edges = [ (0, 0); (1, 0); (1, 1); (2, 1); (3, 2); (4, 3) ] in
+  let window = Bipartite.of_edges ~n_parents:6 ~n_children:4 edges in
+  (match window.Bipartite.form with
+  | Bipartite.Overlapped _ -> ()
+  | _ -> Alcotest.fail "expected an overlapped form");
+  let same = listed ~n_parents:6 ~n_children:4 edges in
+  let moved = listed ~n_parents:6 ~n_children:4 ((5, 3) :: List.tl (List.rev edges)) in
+  Alcotest.(check bool) "window = listed" true (Bipartite.equal window same);
+  Alcotest.(check bool) "listed = window" true (Bipartite.equal same window);
+  Alcotest.(check bool) "one edge moved" false (Bipartite.equal window moved);
+  Alcotest.(check bool) "moved, other order" false (Bipartite.equal moved window)
+
+(* Payloads that name nodes outside the relation, in the forms whose ids
+   the builders check, read as Bad like every other malformed payload. *)
+let test_malformed_forms () =
+  let rel kind fields = Json.Obj (("k", Json.Str kind) :: fields) in
+  let packed = Jsonc.json_of_packed_ints_rle in
+  List.iter
+    (fun (what, j) ->
+      match Jsonc.relation_of_json ~n_parents:8 ~n_children:8 j with
+      | exception Jsonc.Bad _ -> ()
+      | exception e -> Alcotest.failf "%s: raised %s instead of Bad" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: decoded garbage successfully" what)
+    [
+      ("grp child group past the children", rel "grp" [ ("gp", packed [| 0; 0 |]); ("gc", packed [| 2; 0 |]) ]);
+      ("grp parent group past the children", rel "grp" [ ("gp", packed [| 5 |]); ("gc", packed [| 0 |]) ]);
+      ("ovl negative window", rel "ovl" [ ("np", Json.Num 2.0); ("w", packed [| 0; -1 |]) ]);
+      ("ovl window before 0", rel "ovl" [ ("np", Json.Num 2.0); ("w", packed [| -1; 2 |]) ]);
+      ("irr parent past np", rel "irr" [ ("np", Json.Num 2.0); ("po", packed [| 1; 1; 2 |]) ]);
+      ("o2o negative", rel "o2o" [ ("n", Json.Num (-1.0)) ]);
+    ]
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_model_pattern;
+      QCheck_alcotest.to_alcotest prop_model_accessors;
+      QCheck_alcotest.to_alcotest prop_model_codec;
+      Alcotest.test_case "forms: equal holds a window row against a listed row" `Quick
+        test_equal_across_forms;
+      Alcotest.test_case "forms: malformed group and window payloads are Bad" `Quick
+        test_malformed_forms;
     ]

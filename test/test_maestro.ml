@@ -228,13 +228,13 @@ let test_sim_no_start_before_dep () =
         | Bipartite.Graph g ->
           Array.iteri
             (fun tb start ->
-              Array.iter
-                (fun p ->
-                  let pf = stats.Stats.tb_finish.(k - 1).(p) in
-                  if start +. 1e-9 < pf then
-                    Alcotest.failf "TB %d of kernel %d started %.3f before parent %d finished %.3f"
-                      tb k start p pf)
-                g.Bipartite.parents_of.(tb))
+              for i = 0 to Bipartite.in_degree g tb - 1 do
+                let p = Bipartite.parent g tb i in
+                let pf = stats.Stats.tb_finish.(k - 1).(p) in
+                if start +. 1e-9 < pf then
+                  Alcotest.failf "TB %d of kernel %d started %.3f before parent %d finished %.3f" tb
+                    k start p pf
+              done)
             starts
         | Bipartite.Independent | Bipartite.Fully_connected -> ())
     stats.Stats.tb_start;
@@ -268,10 +268,10 @@ let test_sim_dep_ready_consistent () =
         | Bipartite.Graph g ->
           Array.iteri
             (fun tb ready ->
-              let parents = g.Bipartite.parents_of.(tb) in
-              if Array.length parents > 0 then begin
+              let parents = List.init (Bipartite.in_degree g tb) (Bipartite.parent g tb) in
+              if parents <> [] then begin
                 let expect =
-                  Array.fold_left (fun acc p -> max acc stats.Stats.tb_finish.(k - 1).(p)) 0.0 parents
+                  List.fold_left (fun acc p -> max acc stats.Stats.tb_finish.(k - 1).(p)) 0.0 parents
                 in
                 Alcotest.(check (float 1e-6)) "dep_ready = max parent finish" expect ready
               end)

@@ -101,7 +101,7 @@ let prop_join_sound =
       && List.for_all (fun x -> I.mem x j) (elements b))
 
 let prop_intersects_exact =
-  QCheck2.Test.make ~name:"intersects agrees with concrete intersection" ~count:500
+  QCheck2.Test.make ~name:"intersects agrees with concrete intersection" ~count:500 ~long_factor:10
     QCheck2.Gen.(pair gen_small_interval gen_small_interval)
     (fun (a, b) ->
       let concrete = List.exists (fun x -> I.mem x b) (elements a) in
@@ -158,7 +158,7 @@ let prop_min_max_sound =
         (elements a))
 
 let prop_subset_exact =
-  QCheck2.Test.make ~name:"subset agrees with concrete containment" ~count:500
+  QCheck2.Test.make ~name:"subset agrees with concrete containment" ~count:500 ~long_factor:10
     QCheck2.Gen.(pair gen_small_interval gen_small_interval)
     (fun (a, b) ->
       let concrete = List.for_all (fun x -> I.mem x b) (elements a) in
@@ -332,3 +332,41 @@ let suite =
         test_exhaustive_unary;
       Alcotest.test_case "exhaustive: add, join" `Quick test_exhaustive_binary;
     ]
+
+(* [intersects] and [subset] on every pair of the small domain, against
+   the concrete sets; [meets] on every raw (lo, hi, stride) with
+   |bounds| <= 16 and stride <= 8 against [intersects] of the interval
+   [make] builds from it. *)
+let test_exhaustive_relations () =
+  let member xs =
+    let s = Array.make 33 false in
+    List.iter (fun x -> s.(x + 16) <- true) xs;
+    s
+  in
+  let domain = Array.map (fun (t, xs) -> (t, xs, member xs)) small_domain in
+  Array.iter
+    (fun ((a : I.t), xs, _) ->
+      Array.iter
+        (fun ((b : I.t), _, ys) ->
+          let args () = I.to_string a ^ " and " ^ I.to_string b in
+          expect "intersects" ~args (I.intersects a b = List.exists (fun x -> ys.(x + 16)) xs);
+          expect "subset" ~args (I.subset a b = List.for_all (fun x -> ys.(x + 16)) xs))
+        domain)
+    domain;
+  for lo = -16 to 16 do
+    for hi = lo to 16 do
+      for stride = 0 to 8 do
+        let a = I.make ~lo ~hi ~stride in
+        Array.iter
+          (fun ((b : I.t), _, _) ->
+            expect "meets"
+              ~args:(fun () -> Printf.sprintf "(%d, %d, %d) and %s" lo hi stride (I.to_string b))
+              (I.meets ~lo ~hi ~stride b = I.intersects a b))
+          domain
+      done
+    done
+  done
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "exhaustive: intersects, subset, meets" `Quick test_exhaustive_relations ]
