@@ -3,10 +3,10 @@
    clearing because ints and floats hold no pointers (the space-leak class
    fixed in Heap for boxed entries cannot occur here).
 
-   Neither [push] nor [pop_ev] swaps entries: the entry being placed stays
-   in locals while parents (on the way up) or children (on the way down)
-   shift into the hole, so each array is written once per level and the
-   entry itself once at the end. *)
+   Neither [insert] nor [pop_into] swaps entries: the entry being placed
+   stays in locals while parents (on the way up) or children (on the way
+   down) shift into the hole, so each array is written once per level and
+   the entry itself once at the end. *)
 
 type t = {
   mutable keys : float array;
@@ -60,7 +60,7 @@ let[@inline] insert t key ev =
      entry passes a parent only on a strictly smaller key. *)
   let rising = ref true in
   while !rising && !i > 0 do
-    let p = (!i - 1) / 2 in
+    let p = (!i - 1) lsr 1 in
     if key < keys.(p) then begin
       shift keys seqs evs ~src:p ~dst:!i;
       i := p
@@ -74,41 +74,46 @@ let[@inline] insert t key ev =
 let push t key ev = insert t key ev
 let push_at t at ev = insert t at.(0) ev
 
-let min_key t =
-  if t.size = 0 then invalid_arg "Eheap.min_key: empty";
-  t.keys.(0)
-
-let pop_key = min_key
-
 (* Floyd's bottom-up pop: sink the root's hole to a leaf along the smaller
    child (one comparison per level), then sift the former last entry up
    from there.  That entry is usually a late timestamp, so it rarely rises
-   far, and the pop costs about half the comparisons of a top-down sift. *)
-let pop_ev t =
-  if t.size = 0 then invalid_arg "Eheap.pop_ev: empty";
+   far, and the pop costs about half the comparisons of a top-down sift.
+
+   While both children exist the smaller one is a computed index, not a
+   data-dependent branch: at ~900 live events each level's choice is a
+   coin flip a branch predictor loses.  Only equal keys, rare and well
+   predicted, fall back to [seqs].  The choice is the same function of
+   (key, seq) as [r] if [kr < kl || (kr = kl && sr < sl)], NaN and
+   ±0.0 included.  A lone left child can occur only on the last level,
+   so it is taken once, after the loop. *)
+let pop_into t at =
+  if t.size = 0 then invalid_arg "Eheap.pop_into: empty";
   let keys = t.keys and seqs = t.seqs and evs = t.evs in
+  at.(0) <- keys.(0);
   let ev = evs.(0) in
   let last = t.size - 1 in
   t.size <- last;
   if last > 0 then begin
     let lk = keys.(last) and ls = seqs.(last) and le = evs.(last) in
     let i = ref 0 and l = ref 1 in
-    while !l < last do
-      let r = !l + 1 in
+    while !l + 1 < last do
+      let l0 = !l in
+      let kl = keys.(l0) and kr = keys.(l0 + 1) in
       let m =
-        if r < last then begin
-          let kl = keys.(!l) and kr = keys.(r) in
-          if kr < kl || (kr = kl && seqs.(r) < seqs.(!l)) then r else !l
-        end
-        else !l
+        if kr = kl then l0 + Bool.to_int (seqs.(l0 + 1) < seqs.(l0))
+        else l0 + Bool.to_int (kr < kl)
       in
       shift keys seqs evs ~src:m ~dst:!i;
       i := m;
       l := (2 * m) + 1
     done;
+    if !l < last then begin
+      shift keys seqs evs ~src:!l ~dst:!i;
+      i := !l
+    end;
     let rising = ref true in
     while !rising && !i > 0 do
-      let p = (!i - 1) / 2 in
+      let p = (!i - 1) lsr 1 in
       let kp = keys.(p) in
       if lk < kp || (lk = kp && ls < seqs.(p)) then begin
         shift keys seqs evs ~src:p ~dst:!i;
@@ -121,8 +126,3 @@ let pop_ev t =
     evs.(!i) <- le
   end;
   ev
-
-let pop_into t at =
-  if t.size = 0 then invalid_arg "Eheap.pop_into: empty";
-  at.(0) <- t.keys.(0);
-  pop_ev t

@@ -9,16 +9,23 @@
 
     Neither operation swaps entries: the entry being placed stays in
     locals and parents or children shift into the hole, one write per
-    array per level.  [pop_ev] is Floyd's bottom-up pop (sink the hole to
-    a leaf along the smaller child, then sift the former last entry up),
-    which in an event queue makes about half the comparisons of a
-    top-down sift, since that entry is usually a late timestamp.
+    array per level.  [pop_into] is Floyd's bottom-up pop (sink the hole
+    to a leaf along the smaller child, then sift the former last entry
+    up), which in an event queue makes about half the comparisons of a
+    top-down sift, since that entry is usually a late timestamp.  The
+    smaller child is a computed index, not a branch on the keys.
 
     Tie-breaking matches that model: equal keys pop in insertion order (a
     monotonically increasing sequence number is the secondary key), which
     the cycle-exact oracle relies on.  [(key, seq)] is a strict total
     order for non-NaN keys, so any correct heap over it pops the same
-    sequence. *)
+    sequence.
+
+    A [float] passed to or returned from a function that is not inlined
+    is boxed, and builds with [-opaque] (dune's dev profile) inline
+    nothing across modules, so the engine moves keys through a
+    caller-owned [float array] cell ({!push_at}, {!pop_into}) and pays no
+    allocation per event. *)
 
 type t
 
@@ -31,29 +38,10 @@ val size : t -> int
 val push : t -> float -> int -> unit
 (** [push t key ev] inserts event code [ev] at timestamp [key]. *)
 
-val min_key : t -> float
-(** Key of the minimum entry. @raise Invalid_argument if empty. *)
-
-val pop_key : t -> float
-(** Key of the minimum entry, which [pop_ev] will remove. Call before
-    [pop_ev]. @raise Invalid_argument if empty. *)
-
-val pop_ev : t -> int
-(** Removes and returns the event code of the minimum entry.
-    @raise Invalid_argument if empty. *)
-
-(** {1 Unboxed keys}
-
-    A [float] passed to or returned from a function that is not inlined
-    is boxed, and builds with [-opaque] (dune's dev profile) inline
-    nothing across modules.  These variants move the key through a
-    caller-owned [float array] cell instead, so an engine loop pays no
-    allocation per event. *)
-
 val push_at : t -> float array -> int -> unit
 (** [push_at t at ev] is [push t at.(0) ev]. *)
 
 val pop_into : t -> float array -> int
 (** [pop_into t at] stores the minimum key in [at.(0)], then removes
-    that entry and returns its event code: {!pop_key} then {!pop_ev}.
+    that entry and returns its event code.
     @raise Invalid_argument if empty. *)

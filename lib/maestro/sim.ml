@@ -4,8 +4,6 @@ module Bipartite = Bm_depgraph.Bipartite
 module Eheap = Bm_engine.Eheap
 module Metrics = Bm_metrics.Metrics
 
-type tb_state = Waiting | Queued | Running | Finished
-
 (* Node execution state.  The static half comes from the {!Graph.node}; two
    link fields implement the owning app's active-node list ([-1] = nil,
    [-2] = not linked).  Nodes of every app live in one flat array: app
@@ -21,11 +19,11 @@ type nstate = {
   mutable drained : bool;
   mutable drained_at : float;
   mutable completed : bool;
-  tb_state : tb_state array;
+  queued : Bytes.t;  (* '\001' once a TB has entered [ready] *)
   pc : int array;  (* pending parent counts (Graph relation only) *)
-  (* Ready-TB ring: each TB is enqueued at most once (Waiting -> Queued is a
-     one-way transition), so a plain array with monotonic head/tail indices
-     replaces the cell-allocating [Queue.t] with identical FIFO order. *)
+  (* Ready-TB ring: each TB is enqueued at most once ([queued] is never
+     cleared), so a plain array with monotonic head/tail indices replaces
+     the cell-allocating [Queue.t] with identical FIFO order. *)
   ready : int array;
   mutable rhead : int;
   mutable rtail : int;
@@ -38,9 +36,11 @@ type nstate = {
 
 (* Events are packed into immediate ints, so {!Bm_engine.Eheap} holds no
    boxed entries: it moves three unboxed array slots per heap level,
-   shifting entries into a hole rather than swapping them (a pop+push at
-   the engine's ~900 live events, 28 SMs x 32 TB slots, is ~25% cheaper
-   than a swapping sift; EXPERIMENTS, "A swap-free event heap"):
+   shifting entries into a hole rather than swapping them, and its pop
+   picks the smaller child as a computed index rather than a branch (a
+   pop+push at the engine's ~900 live events, 28 SMs x 32 TB slots, costs
+   under half of a swapping sift's; EXPERIMENTS, "A swap-free event heap"
+   and "A branch-light heap pop"):
    bits 0-1 tag — 0 Launch_done(k), 1 Tb_done(k, tb), 2 Copy_done(c),
    3 Cmd_done(c).  Tags 0/2/3 keep their payload in bits 2+; Tb_done packs
    the TB id in bits 2-31 and the kernel in bits 32+.  Kernels and commands
@@ -403,7 +403,7 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
           drained = n = 0;
           drained_at = 0.0;
           completed = false;
-          tb_state = Array.make n Waiting;
+          queued = Bytes.make n '\000';
           pc;
           ready = Array.make (max n 1) 0;
           rhead = 0;
@@ -715,12 +715,16 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
 
   let queue_tb k tb =
     let n = ks.(k) in
-    match n.tb_state.(tb) with
-    | Waiting ->
-      n.tb_state.(tb) <- Queued;
+    if Bytes.get n.queued tb = '\000' then begin
+      Bytes.set n.queued tb '\001';
       n.ready.(n.rtail) <- tb;
       n.rtail <- n.rtail + 1
-    | Queued | Running | Finished -> ()
+    end
+  in
+  let queue_all k =
+    for tb = 0 to ks.(k).ntbs - 1 do
+      queue_tb k tb
+    done
   in
 
   (* Initial readiness of kernel [k]'s TBs under the mode's policy.  Called
@@ -732,25 +736,15 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
         prev_of.(k) < 0 || ks.(prev_of.(k)).drained || ks.(prev_of.(k)).completed
       in
       match n.node.Graph.n_relation with
-      | Bipartite.Independent ->
-        for tb = 0 to n.ntbs - 1 do
-          if n.tb_state.(tb) = Waiting then queue_tb k tb
-        done
-      | Bipartite.Fully_connected ->
-        if parent_drained then
-          for tb = 0 to n.ntbs - 1 do
-            if n.tb_state.(tb) = Waiting then queue_tb k tb
-          done
+      | Bipartite.Independent -> queue_all k
+      | Bipartite.Fully_connected -> if parent_drained then queue_all k
       | Bipartite.Graph _ ->
         if fine then begin
           for tb = 0 to n.ntbs - 1 do
-            if n.tb_state.(tb) = Waiting && n.pc.(tb) = 0 then queue_tb k tb
+            if n.pc.(tb) = 0 then queue_tb k tb
           done
         end
-        else if parent_drained then
-          for tb = 0 to n.ntbs - 1 do
-            if n.tb_state.(tb) = Waiting then queue_tb k tb
-          done
+        else if parent_drained then queue_all k
     end
   in
 
@@ -776,7 +770,6 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
       advance ap.clk ap.running now;
       let tb = n.ready.(n.rhead) in
       n.rhead <- n.rhead + 1;
-      n.tb_state.(tb) <- Running;
       n.start_time.(tb) <- now.now;
       n.started_tbs <- n.started_tbs + 1;
       res.free_slots <- res.free_slots - 1;
@@ -1013,7 +1006,6 @@ let run_schedules ~caller ?(host_blocking_copies = false) ?metrics ?corun_metric
   let on_tb_done (ap : astate) k tb =
     let n = ks.(k) in
     let t = now.now in
-    n.tb_state.(tb) <- Finished;
     n.finish_time.(tb) <- t;
     n.done_tbs <- n.done_tbs + 1;
     ap.res.free_slots <- ap.res.free_slots + 1;

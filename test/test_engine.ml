@@ -94,18 +94,21 @@ let prop_heap_conserves =
       List.sort compare out = List.sort compare (List.map snd entries))
 
 let test_eheap_basics () =
-  let h = Eheap.create () in
+  let h = Eheap.create () and cell = [| 0.0 |] in
   Alcotest.(check bool) "fresh empty" true (Eheap.is_empty h);
   Eheap.push h 3.0 30;
   Eheap.push h 1.0 10;
   Eheap.push h 2.0 20;
   Alcotest.(check int) "size" 3 (Eheap.size h);
-  Alcotest.(check (float 0.0)) "min key" 1.0 (Eheap.min_key h);
-  Alcotest.(check (float 0.0)) "pop key" 1.0 (Eheap.pop_key h);
-  Alcotest.(check int) "pop ev" 10 (Eheap.pop_ev h);
-  Alcotest.(check int) "pop ev again" 20 (Eheap.pop_ev h);
-  Alcotest.(check int) "last" 30 (Eheap.pop_ev h);
-  Alcotest.(check bool) "drained" true (Eheap.is_empty h)
+  Alcotest.(check int) "pop ev" 10 (Eheap.pop_into h cell);
+  Alcotest.(check (float 0.0)) "min key" 1.0 cell.(0);
+  Alcotest.(check int) "size after pop" 2 (Eheap.size h);
+  Alcotest.(check int) "pop ev again" 20 (Eheap.pop_into h cell);
+  Alcotest.(check (float 0.0)) "second key" 2.0 cell.(0);
+  Alcotest.(check int) "last" 30 (Eheap.pop_into h cell);
+  Alcotest.(check (float 0.0)) "last key" 3.0 cell.(0);
+  Alcotest.(check bool) "drained" true (Eheap.is_empty h);
+  Alcotest.(check int) "size drained" 0 (Eheap.size h)
 
 (* The cell variants carry keys through a float array, so a push/pop
    cycle allocates nothing even across the module boundary. *)
@@ -135,9 +138,9 @@ let test_eheap_cells () =
     (words < 64.0)
 
 let test_eheap_fifo_ties () =
-  let h = Eheap.create () in
+  let h = Eheap.create () and cell = [| 0.0 |] in
   List.iter (fun v -> Eheap.push h 1.0 v) [ 1; 2; 3; 4 ];
-  let popped = List.init 4 (fun _ -> Eheap.pop_ev h) in
+  let popped = List.init 4 (fun _ -> Eheap.pop_into h cell) in
   Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4 ] popped
 
 (* The generic Heap is the model: the specialized event heap must pop the
@@ -146,8 +149,8 @@ let test_eheap_fifo_ties () =
    from at most 8 distinct values, so the sequence tie-break decides most
    comparisons; lists reach 2,000 entries, past the 256-slot initial
    capacity, so [grow] runs on a non-empty heap.  [size] must agree after
-   every operation.  The interleaved property pushes and pops even
-   payloads through the cell variants. *)
+   every operation.  The interleaved property pushes even payloads
+   through [push_at], odd ones through [push]. *)
 let gen_eheap_entries bound =
   QCheck2.Gen.(
     let* tied = bool in
@@ -163,7 +166,7 @@ let prop_eheap_matches_heap =
   QCheck2.Test.make ~name:"eheap pops exactly like the generic heap" ~count:300 ~long_factor:10
     (gen_eheap_entries 100.0)
     (fun entries ->
-      let h = Heap.create () and e = Eheap.create () in
+      let h = Heap.create () and e = Eheap.create () and cell = [| 0.0 |] in
       List.for_all
         (fun (k, v) ->
           Heap.push h k v;
@@ -176,7 +179,7 @@ let prop_eheap_matches_heap =
         | None -> Eheap.is_empty e
         | Some (k, v) ->
           (not (Eheap.is_empty e))
-          && Eheap.pop_key e = k && Eheap.pop_ev e = v && same_size h e && drain ()
+          && Eheap.pop_into e cell = v && cell.(0) = k && same_size h e && drain ()
       in
       drain ())
 
@@ -189,8 +192,7 @@ let prop_eheap_interleaved =
         (fun (k, v) ->
           (if v mod 3 = 0 && not (Heap.is_empty h) then (
              match Heap.pop h with
-             | Some (hk, hv) when v mod 2 = 0 -> Eheap.pop_into e cell = hv && cell.(0) = hk
-             | Some (hk, hv) -> Eheap.pop_key e = hk && Eheap.pop_ev e = hv
+             | Some (hk, hv) -> Eheap.pop_into e cell = hv && cell.(0) = hk
              | None -> false)
            else begin
              Heap.push h k v;
@@ -207,9 +209,91 @@ let prop_eheap_interleaved =
       let rec drain () =
         match Heap.pop h with
         | None -> Eheap.is_empty e
-        | Some (k, v) -> Eheap.pop_key e = k && Eheap.pop_ev e = v && same_size h e && drain ()
+        | Some (k, v) -> Eheap.pop_into e cell = v && cell.(0) = k && same_size h e && drain ()
       in
       drain ())
+
+(* Every heap of 0 to 40 entries against the model, over key patterns
+   aimed at the pop's child choice: all keys equal and 0.0/-0.0 ties (the
+   [seq] tie-break at every level), two alternating values, ascending and
+   descending keys, and descending pairs, where each later equal key rises
+   past its twin's parent so that equal siblings hold the older entry on
+   the right.  Across the sizes the sinking hole meets a lone left child
+   on the last level.  Each pattern runs as a bulk fill then drain, with a
+   pop after every second push, and as the engine's cycle (fill, then pop
+   and push back at a later key).  Pops compare the key's bits, so 0.0
+   and -0.0 are told apart, and [size] is logged after every operation. *)
+let small_patterns =
+  [
+    ("equal", fun _ -> 1.0);
+    ("alternating", fun i -> float_of_int (i land 1));
+    ("ascending", float_of_int);
+    ("descending", fun i -> float_of_int (100 - i));
+    ("signed zeros", fun i -> if i mod 3 = 0 then 0.0 else -0.0);
+    ("descending pairs", fun i -> if i = 0 then 0.0 else float_of_int (50 - (i / 2)));
+  ]
+
+type small_heap = { push : float -> int -> unit; pop : unit -> float * int; size : unit -> int }
+
+let model_heap () =
+  let h = Heap.create () in
+  {
+    push = Heap.push h;
+    pop = (fun () -> match Heap.pop h with Some kv -> kv | None -> invalid_arg "empty model");
+    size = (fun () -> Heap.size h);
+  }
+
+let event_heap () =
+  let e = Eheap.create () and cell = [| 0.0 |] in
+  {
+    push = (fun k v -> cell.(0) <- k; Eheap.push_at e cell v);
+    pop = (fun () -> let v = Eheap.pop_into e cell in (cell.(0), v));
+    size = (fun () -> Eheap.size e);
+  }
+
+(* One run's log: a push is (0, -1, size after), a pop (key bits,
+   payload, size after); payloads are >= 0. *)
+let small_run key n schedule (h : small_heap) =
+  let log = ref [] in
+  let push i k =
+    h.push k i;
+    log := (0L, -1, h.size ()) :: !log
+  in
+  let pop () =
+    let k, v = h.pop () in
+    log := (Int64.bits_of_float k, v, h.size ()) :: !log;
+    k
+  in
+  (match schedule with
+  | `Bulk -> for i = 0 to n - 1 do push i (key i) done
+  | `Interleaved ->
+    for i = 0 to n - 1 do
+      push i (key i);
+      if i land 1 = 1 then ignore (pop ())
+    done
+  | `Cycle ->
+    for i = 0 to n - 1 do push i (key i) done;
+    for j = 0 to n - 1 do
+      let k = pop () in
+      push (n + j) (k +. Float.abs (key (n + j)))
+    done);
+  while h.size () > 0 do ignore (pop ()) done;
+  List.rev !log
+
+let test_eheap_small_exhaustive () =
+  let op = Alcotest.(list (triple int64 int int)) in
+  List.iter
+    (fun (name, key) ->
+      for n = 0 to 40 do
+        List.iter
+          (fun (sname, schedule) ->
+            Alcotest.check op
+              (Printf.sprintf "%s, %d entries, %s" name n sname)
+              (small_run key n schedule (model_heap ()))
+              (small_run key n schedule (event_heap ())))
+          [ ("bulk", `Bulk); ("interleaved", `Interleaved); ("cycle", `Cycle) ]
+      done)
+    small_patterns
 
 let test_lru_basics () =
   let l = Lru.create ~capacity:2 in
@@ -259,6 +343,7 @@ let suite =
     Alcotest.test_case "eheap: basics" `Quick test_eheap_basics;
     Alcotest.test_case "eheap: fifo on ties" `Quick test_eheap_fifo_ties;
     Alcotest.test_case "eheap: cell variants allocate nothing" `Quick test_eheap_cells;
+    Alcotest.test_case "eheap: every small heap against the model" `Quick test_eheap_small_exhaustive;
     Alcotest.test_case "lru: eviction order" `Quick test_lru_basics;
     Alcotest.test_case "lru: replace and mem" `Quick test_lru_replace_and_mem;
     QCheck_alcotest.to_alcotest prop_heap_sorted;
