@@ -29,6 +29,7 @@ type solo = {
   x_total_us : float;  (* the run's Stats.total_us *)
   x_attrib : Attrib.t;
   x_critpath : Critpath.t;
+  x_identity : (unit, string) result;  (* Attrib.Parse.identity of the trace *)
   x_whatif : whatif list;
 }
 
@@ -55,7 +56,7 @@ let zero_knob (cfg : Config.t) = function
 
 let analyze ?(series = false) machine trace =
   let parsed = Attrib.Parse.of_trace trace in
-  (Attrib.of_parsed ~series machine parsed, Critpath.of_parsed machine parsed)
+  (Attrib.of_parsed ~series machine parsed, Critpath.of_parsed machine parsed, Attrib.Parse.identity parsed)
 
 let run_traced ?(cfg = Config.titan_x_pascal) ?(whatif = true) ?series ?cache mode ~name app =
   (* One preparation serves every run: the zeroed knobs enter only the
@@ -63,7 +64,7 @@ let run_traced ?(cfg = Config.titan_x_pascal) ?(whatif = true) ?series ?cache mo
   let prep = Runner.prepare ~cfg ?cache mode app in
   let trace = Trace.create () in
   let stats = Sim.run ~trace:(Trace.sink trace) cfg mode prep in
-  let attrib, critpath = analyze ?series (machine cfg mode) trace in
+  let attrib, critpath, identity = analyze ?series (machine cfg mode) trace in
   let x_whatif =
     if not whatif then []
     else
@@ -85,6 +86,7 @@ let run_traced ?(cfg = Config.titan_x_pascal) ?(whatif = true) ?series ?cache mo
       x_total_us = stats.Stats.total_us;
       x_attrib = attrib;
       x_critpath = critpath;
+      x_identity = identity;
       x_whatif;
     },
     stats,
@@ -120,9 +122,10 @@ let check_critpath (cp : Critpath.t) =
   match !errors with [] -> Ok () | es -> Error (String.concat "; " (List.rev es))
 
 let check solo =
-  match Attrib.conservation solo.x_attrib with
-  | Error e -> Error ("attribution conservation violated: " ^ e)
-  | Ok () ->
+  match (Attrib.conservation solo.x_attrib, solo.x_identity) with
+  | Error e, _ -> Error ("attribution conservation violated: " ^ e)
+  | Ok (), Error e -> Error ("kernel identity: " ^ e)
+  | Ok (), Ok () ->
     (match check_critpath solo.x_critpath with
     | Error e -> Error ("critical path broken: " ^ e)
     | Ok () ->
@@ -170,13 +173,14 @@ let corun ?(cfg = Config.titan_x_pascal) ?submission ?spatial ?cache ?series mod
            visible in a per-app stream, so they land in host/idle — the
            honest reading under contention. *)
         let machine = machine ~slots:res.Multi.mr_slots.(i) cfg mode in
-        let attrib, critpath = analyze ?series machine traces.(i) in
+        let attrib, critpath, identity = analyze ?series machine traces.(i) in
         {
           x_app = name;
           x_mode = mode;
           x_total_us = res.Multi.mr_stats.(i).Stats.total_us;
           x_attrib = attrib;
           x_critpath = critpath;
+          x_identity = identity;
           x_whatif = [];
         })
       apps

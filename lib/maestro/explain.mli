@@ -8,8 +8,9 @@
     [bench/main.exe --explain].
 
     Every result carries its validation obligations explicitly:
-    {!check} enforces the attribution conservation identity and the
-    critical path's full [[0, makespan]] coverage; {!check_records}
+    {!check} enforces the attribution conservation identity, each
+    kernel's identity against its TB columns and the critical path's
+    full [[0, makespan]] coverage; {!check_records}
     cross-checks the attribution's busy slot-ticks against a direct sum
     over the simulator's per-TB timing columns ({!Bm_gpu.Stats.t}'s
     [tb_start]/[tb_finish]), which the trace's TB stamps are too: the
@@ -28,6 +29,8 @@ type solo = {
   x_total_us : float;  (** the run's [Stats.total_us] *)
   x_attrib : Bm_report.Attrib.t;
   x_critpath : Bm_report.Critpath.t;
+  x_identity : (unit, string) result;
+      (** {!Bm_report.Attrib.Parse.identity} of the analysed trace *)
   x_whatif : whatif list;  (** empty when what-if was skipped *)
 }
 
@@ -95,9 +98,10 @@ val corun :
 (** {1 Validation} *)
 
 val check : solo -> (unit, string) result
-(** Conservation ({!Bm_report.Attrib.conservation}), critical-path
-    contiguity over exactly [[0, makespan]], and makespan agreement
-    between the two analyses. *)
+(** Conservation ({!Bm_report.Attrib.conservation}), kernel identity
+    (every kernel with TB columns has its enqueue's TB count),
+    critical-path contiguity over exactly [[0, makespan]], and makespan
+    agreement between the two analyses. *)
 
 val check_records : solo -> Bm_gpu.Stats.t -> (unit, string) result
 (** The attribution's busy slot-ticks equal the quantized sum of per-TB

@@ -88,14 +88,14 @@ let weight machine = function Slots -> machine.ma_slots | Copy_engine | Launch_e
 module Parse = struct
   type kernel = {
     k_seq : int;
-    mutable k_known : bool;     (* named by a Kernel_* or Dep_satisfied event *)
-    mutable k_stream : int;     (* both fixed by that first event *)
-    mutable k_tbs : int;
-    mutable k_enqueue : int;
-    mutable k_launched : int;
-    mutable k_drained : int;
-    mutable k_completed : int;
-    mutable k_has_deps : bool;  (* >= 1 Dep_satisfied event seen *)
+    k_known : bool;             (* named by a Kernel_* entry *)
+    k_stream : int;             (* both from its Kernel_enqueue *)
+    k_tbs : int;
+    k_enqueue : int;
+    k_launched : int;
+    k_drained : int;
+    k_completed : int;
+    k_has_deps : bool;          (* >= 1 Dep_satisfied in its columns *)
     mutable k_prev : int;       (* stream predecessor seq, -1 for first *)
     k_dispatch : int array;     (* per TB id *)
     k_finish : int array;
@@ -119,77 +119,49 @@ module Parse = struct
     if seq >= 0 && seq < Array.length p.p_seqs && p.p_seqs.(seq).k_known then Some p.p_seqs.(seq)
     else None
 
-  (* Tables are indexed by seq, TB id and copy command; entries naming a
-     negative id are ignored. *)
+  let identity p =
+    let misnamed =
+      List.filter
+        (fun k -> Array.length k.k_dispatch > 0 && not (k.k_known && k.k_tbs = Array.length k.k_dispatch))
+        (Array.to_list p.p_seqs)
+    in
+    match misnamed with
+    | [] -> Ok ()
+    | k :: _ ->
+      Error
+        (Printf.sprintf "%d kernel(s) disagree with their TB columns, first seq %d: %d TB columns, %s"
+           (List.length misnamed) k.k_seq (Array.length k.k_dispatch)
+           (if k.k_known then Printf.sprintf "enqueued with %d TBs" k.k_tbs else "no kernel event names it"))
+
+  (* Kernels come from the trace's kernel table, TB stamps from its
+     columns; copy entries naming a negative command are ignored. *)
   let of_trace trace =
-    let codes, ts, ords = Trace.stream ~tb_kinds:[ 2 ] trace in
+    let codes, ts, _ = Trace.stream ~tb_kinds:[ 2 ] trace in
     let ticks = Array.map ticks_of_us ts in
     let cols = Trace.tb_columns trace in
-    let n_seqs = ref (Array.length cols) and n_cmds = ref 0 in
-    Array.iter
-      (fun code ->
-        if code land 3 = 3 then
-          match (Trace.entry trace code).Trace.ev with
-          | Stats.Kernel_enqueue { seq; _ } | Stats.Kernel_launched { seq; _ }
-          | Stats.Kernel_drained { seq; _ } | Stats.Kernel_completed { seq; _ } ->
-            n_seqs := Int.max !n_seqs (seq + 1)
-          | Stats.Copy_start { cmd; _ } | Stats.Copy_finish { cmd; _ } -> n_cmds := Int.max !n_cmds (cmd + 1)
-          | _ -> ())
-      codes;
-    (* Each seq's first Dep_satisfied in stream order, (ts, ordinal): when
-       it precedes the seq's first Kernel_* entry, it is what names the
-       kernel, with stream and TB count 0. *)
-    let first_dep = Array.make !n_seqs (infinity, max_int) in
-    Array.iteri
-      (fun seq c ->
-        let best = ref (-1) and ord tb = Trace.ord c ~tb ~kind:0 in
-        for tb = 0 to c.Trace.tbs - 1 do
-          let at = c.Trace.times.(0) in
-          if ord tb >= 0
-             && (!best < 0
-                || let c = Float.compare at.(tb) at.(!best) in
-                   c < 0 || (c = 0 && ord tb < ord !best))
-          then best := tb
-        done;
-        if !best >= 0 then first_dep.(seq) <- (c.Trace.times.(0).(!best), ord !best))
-      cols;
+    let tick us = if Float.is_nan us then -1 else ticks_of_us us in
     let seqs =
-      Array.init !n_seqs (fun seq ->
+      Array.mapi
+        (fun seq (r : Trace.kernel_counters) ->
           let column kind = if seq < Array.length cols then Trace.stamps cols.(seq) ~kind ticks_of_us else [||] in
-          let deps = snd first_dep.(seq) < max_int in
-          { k_seq = seq; k_known = deps; k_stream = 0; k_tbs = 0; k_enqueue = -1; k_launched = -1;
-            k_drained = -1; k_completed = -1; k_has_deps = deps; k_prev = -1;
+          { k_seq = seq; k_known = Trace.named r; k_stream = r.kc_stream; k_tbs = r.kc_tbs;
+            k_enqueue = tick r.kc_enqueue; k_launched = tick r.kc_launched; k_drained = tick r.kc_drained;
+            k_completed = tick r.kc_completed; k_has_deps = r.kc_deps > 0; k_prev = -1;
             k_dispatch = column 1; k_finish = column 2; k_dep = column 0 })
+        (Trace.kernels trace)
     in
-    let named = Array.make !n_seqs false in
-    let known seq stream tbs key =
-      let k = seqs.(seq) in
-      if not named.(seq) then begin
-        named.(seq) <- true;
-        k.k_known <- true;
-        if compare key first_dep.(seq) < 0 then begin
-          k.k_stream <- stream;
-          k.k_tbs <- tbs
-        end
-      end;
-      k
-    in
-    let opened = Array.make !n_cmds min_int (* Copy_start tick per cmd *) and copies = ref [] in
+    let opened = Hashtbl.create 16 (* Copy_start tick per cmd *) and copies = ref [] in
     Array.iteri
       (fun i code ->
-        let tick = ticks.(i) and known seq stream tbs = known seq stream tbs (ts.(i), ords.(i)) in
         if code land 3 = 3 then
           match (Trace.entry trace code).Trace.ev with
-          | Stats.Kernel_enqueue { seq; stream; tbs } when seq >= 0 -> (known seq stream tbs).k_enqueue <- tick
-          | Stats.Kernel_launched { seq; stream } when seq >= 0 -> (known seq stream 0).k_launched <- tick
-          | Stats.Kernel_drained { seq; stream } when seq >= 0 -> (known seq stream 0).k_drained <- tick
-          | Stats.Kernel_completed { seq; stream } when seq >= 0 -> (known seq stream 0).k_completed <- tick
-          | Stats.Copy_start { cmd; _ } when cmd >= 0 -> opened.(cmd) <- tick
-          | Stats.Copy_finish { cmd; d2h; blocking; _ } when cmd >= 0 && opened.(cmd) <> min_int ->
+          | Stats.Copy_start { cmd; _ } when cmd >= 0 -> Hashtbl.replace opened cmd ticks.(i)
+          | Stats.Copy_finish { cmd; d2h; blocking; _ } when Hashtbl.mem opened cmd ->
             copies :=
-              { c_cmd = cmd; c_d2h = d2h; c_blocking = blocking; c_start = opened.(cmd); c_finish = tick }
+              { c_cmd = cmd; c_d2h = d2h; c_blocking = blocking; c_start = Hashtbl.find opened cmd;
+                c_finish = ticks.(i) }
               :: !copies;
-            opened.(cmd) <- min_int
+            Hashtbl.remove opened cmd
           | _ -> ())
       codes;
     (* Stream predecessors: ascending seq is enqueue order within a stream

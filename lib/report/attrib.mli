@@ -73,10 +73,11 @@ val weight : machine -> resource -> int
 
 (** {1 Event-stream reconstruction}
 
-    Shared with {!Critpath}.  One pass over the sorted entries and TB
-    finishes ({!Trace.stream}, each timestamp quantized once into
-    [p_ticks])
-    rebuilds per-kernel lifecycle ticks and copy spans; per-TB
+    Shared with {!Critpath}.  Kernels come from the trace's kernel table
+    ({!Trace.kernels}): a kernel is what its [Kernel_enqueue] says, and a
+    TB or [Dep_satisfied] event never names one.  One pass over the sorted
+    entries and TB finishes ({!Trace.stream}, each timestamp quantized
+    once into [p_ticks]) rebuilds copy spans; per-TB
     dispatch/finish/dep ticks are read straight off the trace's TB
     columns ({!Trace.tb_columns}), with no TB event records in between.
     Kernels live in an array indexed by seq, and each kernel's TB stamps
@@ -91,16 +92,16 @@ val weight : machine -> resource -> int
 module Parse : sig
   type kernel = {
     k_seq : int;
-    mutable k_known : bool;
-        (** a [Kernel_*] or [Dep_satisfied] event named the seq; an
-            unknown seq only holds TB stamps *)
-    mutable k_stream : int;  (** from the first event that named the seq *)
-    mutable k_tbs : int;     (** enqueued TB count; [0] unless that event was the enqueue *)
-    mutable k_enqueue : int;
-    mutable k_launched : int;
-    mutable k_drained : int;
-    mutable k_completed : int;
-    mutable k_has_deps : bool;
+    k_known : bool;
+        (** a [Kernel_*] entry named the seq ({!Trace.named}); an unknown
+            seq only holds TB stamps *)
+    k_stream : int;  (** from its [Kernel_enqueue]; [0] without one *)
+    k_tbs : int;     (** enqueued TB count; [0] without an enqueue *)
+    k_enqueue : int;
+    k_launched : int;
+    k_drained : int;
+    k_completed : int;
+    k_has_deps : bool;  (** its dep column holds a [Dep_satisfied] *)
     mutable k_prev : int;  (** stream predecessor seq, [-1] for the first *)
     k_dispatch : int array;  (** per TB id *)
     k_finish : int array;
@@ -124,6 +125,10 @@ module Parse : sig
 
   val kernel_of : t -> int -> kernel option
   (** The known kernel with this seq. *)
+
+  val identity : t -> (unit, string) result
+  (** [Ok ()] iff every seq with TB columns is a known kernel whose
+      enqueued TB count is its column length. *)
 
   val dep_tick : t -> machine -> kernel -> int -> int
   (** [dep_tick p machine k tb] is the tick TB [tb]'s dependencies

@@ -233,69 +233,62 @@ type totals = {
   tot_max_resident : int;  (* peak resident kernels, across streams *)
 }
 
-let empty_kc seq =
-  {
-    kc_seq = seq;
-    kc_stream = 0;
-    kc_tbs = 0;
-    kc_dispatched = 0;
-    kc_finished = 0;
-    kc_deps = 0;
-    kc_enqueue = nan;
-    kc_launched = nan;
-    kc_drained = nan;
-    kc_completed = nan;
-  }
+(* A Kernel_* event's seq and lifecycle kind (0 enqueue, 1 launched,
+   2 drained, 3 completed) as [4 * seq + kind]; negative for any other
+   event or a negative seq. *)
+let lifecycle = function
+  | Stats.Kernel_enqueue { seq; _ } -> 4 * seq
+  | Stats.Kernel_launched { seq; _ } -> (4 * seq) + 1
+  | Stats.Kernel_drained { seq; _ } -> (4 * seq) + 2
+  | Stats.Kernel_completed { seq; _ } -> (4 * seq) + 3
+  | _ -> -1
 
-(* Lifecycle stamps from the entries, in stream order (the last of a
-   repeated event wins), TB counts from the columns. *)
+(* The one place a kernel's identity is decided.  Each lifecycle slot keeps
+   the entry that comes last in [events]' order, the largest (ts, emission
+   index), found in emission order without sorting. *)
+let kernels t =
+  let n = ref (Array.length (tb_columns t)) in
+  for i = 0 to t.count - 1 do
+    n := Int.max !n ((lifecycle t.buf.(i).ev + 4) / 4)
+  done;
+  let n = !n in
+  let last = Array.make (4 * n) (-1) in
+  for i = 0 to t.count - 1 do
+    let slot = lifecycle t.buf.(i).ev in
+    if slot >= 0 && (last.(slot) < 0 || Float.compare t.buf.(i).ts t.buf.(last.(slot)).ts >= 0) then
+      last.(slot) <- i
+  done;
+  let counts = tb_counts t in
+  Array.init n (fun seq ->
+      let at kind = if last.((4 * seq) + kind) < 0 then None else Some t.buf.(last.((4 * seq) + kind)) in
+      let stamp kind = match at kind with Some e -> e.ts | None -> nan in
+      let count kind = if (3 * seq) + kind < Array.length counts then counts.((3 * seq) + kind) else 0 in
+      let stream, tbs =
+        match at 0 with Some { ev = Stats.Kernel_enqueue { stream; tbs; _ }; _ } -> (stream, tbs) | _ -> (0, 0)
+      in
+      { kc_seq = seq; kc_stream = stream; kc_tbs = tbs; kc_dispatched = count 1; kc_finished = count 2;
+        kc_deps = count 0; kc_enqueue = stamp 0; kc_launched = stamp 1; kc_drained = stamp 2;
+        kc_completed = stamp 3 })
+
+let named k =
+  not (Float.is_nan k.kc_enqueue && Float.is_nan k.kc_launched && Float.is_nan k.kc_drained
+       && Float.is_nan k.kc_completed)
+
 let kernel_counters t =
-  let tbl : (int, kernel_counters) Hashtbl.t = Hashtbl.create 32 in
-  let get seq = match Hashtbl.find_opt tbl seq with Some k -> k | None -> empty_kc seq in
-  let count seq kind n =
-    let k = get seq in
-    Hashtbl.replace tbl seq
-      (match kind with
-      | 0 -> { k with kc_deps = k.kc_deps + n }
-      | 1 -> { k with kc_dispatched = k.kc_dispatched + n }
-      | _ -> { k with kc_finished = k.kc_finished + n })
-  in
-  Array.iter
-    (fun code ->
-      let { ts; ev } = entry t code in
-      match ev with
-      | Stats.Kernel_enqueue { seq; stream; tbs } ->
-        Hashtbl.replace tbl seq { (get seq) with kc_stream = stream; kc_tbs = tbs; kc_enqueue = ts }
-      | Stats.Kernel_launched { seq; _ } -> Hashtbl.replace tbl seq { (get seq) with kc_launched = ts }
-      | Stats.Kernel_drained { seq; _ } -> Hashtbl.replace tbl seq { (get seq) with kc_drained = ts }
-      | Stats.Kernel_completed { seq; _ } ->
-        Hashtbl.replace tbl seq { (get seq) with kc_completed = ts }
-      | Stats.Dep_satisfied { seq; _ } -> count seq 0 1
-      | Stats.Tb_dispatch { seq; _ } -> count seq 1 1
-      | Stats.Tb_finish { seq; _ } -> count seq 2 1
-      | Stats.Copy_start _ | Stats.Copy_finish _ | Stats.Dlb_spill _ | Stats.Pcb_spill _
-      | Stats.Tb_columns _ ->
-        ())
-    (let codes, _, _ = stream ~tb_kinds:[] t in
-     codes);
-  Array.iteri (fun i n -> if n > 0 then count (i / 3) (i mod 3) n) (tb_counts t);
-  Hashtbl.fold (fun _ k acc -> k :: acc) tbl []
-  |> List.sort (fun a b -> compare a.kc_seq b.kc_seq)
-  |> Array.of_list
+  Array.of_seq
+    (Seq.filter
+       (fun k -> named k || k.kc_deps + k.kc_dispatched + k.kc_finished > 0)
+       (Array.to_seq (kernels t)))
 
 let totals t =
-  let kernels = Hashtbl.create 32 in
   let copies = ref 0 and copy_bytes = ref 0 in
   let dlb = ref 0 and pcb = ref 0 in
   let running = ref 0 and max_running = ref 0 in
   let resident = ref 0 and max_resident = ref 0 in
-  let tbs = ref 0 in
   Array.iter
     (fun { ev; _ } ->
       match ev with
-      | Stats.Kernel_enqueue { seq; tbs = n; _ } ->
-        Hashtbl.replace kernels seq ();
-        tbs := !tbs + n;
+      | Stats.Kernel_enqueue _ ->
         incr resident;
         if !resident > !max_resident then max_resident := !resident
       | Stats.Kernel_completed _ -> decr resident
@@ -311,10 +304,11 @@ let totals t =
       | Stats.Kernel_launched _ | Stats.Kernel_drained _ | Stats.Dep_satisfied _
       | Stats.Copy_finish _ | Stats.Tb_columns _ -> ())
     (events t);
+  let enqueued = List.filter (fun k -> not (Float.is_nan k.kc_enqueue)) (Array.to_list (kernels t)) in
   {
     tot_events = length t;
-    tot_kernels = Hashtbl.length kernels;
-    tot_tbs = !tbs;
+    tot_kernels = List.length enqueued;
+    tot_tbs = List.fold_left (fun n k -> n + k.kc_tbs) 0 enqueued;
     tot_copies = !copies;
     tot_copy_bytes = !copy_bytes;
     tot_dlb_spills = !dlb;

@@ -83,7 +83,7 @@ val tb_columns : t -> columns array
     any; a seq without them has [tbs = 0].  The arrays are the
     collector's, for an engine run the engine's [Stats] columns. *)
 
-(** {1 Derived counters} *)
+(** {1 The kernel table and derived counters} *)
 
 type kernel_counters = {
   kc_seq : int;
@@ -110,9 +110,21 @@ type totals = {
   tot_max_resident : int;  (** peak resident kernels across streams *)
 }
 
+val kernels : t -> kernel_counters array
+(** The kernel table, indexed by seq up to the largest seq that a
+    [Kernel_*] entry or the TB columns name; the one place a trace says
+    what a kernel is.  A kernel's stream and TB count come from its
+    [Kernel_enqueue] ([0] without one); each lifecycle stamp is the last
+    such event in {!events}' order; the TB counts come from the columns.
+    A TB event or a [Dep_satisfied] never names a kernel, and entries
+    naming a negative seq, or TB events kept as entries, are not
+    counted. *)
+
+val named : kernel_counters -> bool
+(** A [Kernel_*] entry named the row's seq: it has a lifecycle stamp. *)
+
 val kernel_counters : t -> kernel_counters array
-(** Per-kernel lifecycle counters, sorted by sequence number: one row per
-    seq that an event names.  TB counts come from the columns. *)
+(** The rows of {!kernels} that are {!named} or have a TB event. *)
 
 val totals : t -> totals
 

@@ -22,6 +22,10 @@ module Multi = Bm_maestro.Multi
 module Explain = Bm_maestro.Explain
 module Suite = Bm_workloads.Suite
 module Genapp = Bm_workloads.Genapp
+module Microbench = Bm_workloads.Microbench
+module Command = Bm_gpu.Command
+module Prep = Bm_maestro.Prep
+module Sim = Bm_maestro.Sim
 module Trace = Bm_report.Trace
 module Attrib = Bm_report.Attrib
 module Critpath = Bm_report.Critpath
@@ -46,8 +50,8 @@ let json_digest solos =
    between buckets or nodes along the path changes a digest. *)
 let matrix_digests =
   [
-    ("3MM", "baseline", "eac47a9c60572d3961ca3f39a384a619");
-    ("3MM", "ideal", "393ca4f76c9cc196b72a8678a79011f0");
+    ("3MM", "baseline", "c8886951402fd94e373e9709859df43b");
+    ("3MM", "ideal", "4c19aa17ed9f0cbec29d71f87aee4dd7");
     ("3MM", "prelaunch", "0fe3ec56f32da795861f5cbc78bfa9c4");
     ("3MM", "producer", "32ca9aadec5e30790e8e8dd2391c13de");
     ("3MM", "consumer2", "88fe2104a1aab14ee91b756e825e2f1b");
@@ -56,14 +60,14 @@ let matrix_digests =
     ("3MM", "edf2", "8c4cc043e4e123c5c86ff32062de84a7");
     ("3MM", "edf3", "3c8f9751331445570066268d85970f16");
     ("3MM", "edf4", "047ee6b349127e34b3c09aa21bcadba9");
-    ("AlexNet", "baseline", "6ff5cdb93638e75dcade9b9dda671c90");
-    ("AlexNet", "ideal", "265be2c8a204553d881fafc14f142612");
+    ("AlexNet", "baseline", "15bdef89fc169a7375affdb6d9915ec4");
+    ("AlexNet", "ideal", "0ec5eac0c12acafde51d52647af3886a");
     ("AlexNet", "prelaunch", "f4da64da9e1909546fc9bb808515d0f9");
-    ("AlexNet", "producer", "f5638d8b457569ee9006daae0056f816");
-    ("AlexNet", "consumer2", "2f4df0ae1dca7a3e015eb01ec8181a1f");
+    ("AlexNet", "producer", "0cfe2c3400632adc11c9326c74786acc");
+    ("AlexNet", "consumer2", "a5e5acc3d7345e6a0888e68b95ea81b3");
     ("AlexNet", "consumer3", "d23350e8682f79172783791fdbf275bf");
     ("AlexNet", "consumer4", "f9fe874988edc9bafe2735e90f88e746");
-    ("AlexNet", "edf2", "a1963e78e30424644c1519a58a7b80d6");
+    ("AlexNet", "edf2", "70ac1e181738c820dc403ddef3e69220");
     ("AlexNet", "edf3", "a526b8d34ecbcdadd9771603fb571f6e");
     ("AlexNet", "edf4", "d9939105ecaa0fe73dd401159f2cd789");
     ("BICG", "baseline", "c9524ea922cf0d078c671d9cb5ff7324");
@@ -76,18 +80,18 @@ let matrix_digests =
     ("BICG", "edf2", "866cfb2bc4225eff3b1bec746e82fedd");
     ("BICG", "edf3", "03c05002d76185a86080133056b3c089");
     ("BICG", "edf4", "c9b7884f34000bdb198eaa65779f16d0");
-    ("FDTD-2D", "baseline", "d3def0920dd6e70cd3ec60a9e03109fe");
-    ("FDTD-2D", "ideal", "b8724fe1615d7bcf98bb20d43c70d4a2");
-    ("FDTD-2D", "prelaunch", "3a953583f220f09302d5bbabb53d58ef");
+    ("FDTD-2D", "baseline", "69827a67bca4f94ab5b425ffb69f058b");
+    ("FDTD-2D", "ideal", "6a560e636d97cb63c4a76b48ee7393ec");
+    ("FDTD-2D", "prelaunch", "f09e0090849970b28077680e2aa65ecd");
     ("FDTD-2D", "producer", "a84d6db69425f4cc6542cffb5f27f84f");
-    ("FDTD-2D", "consumer2", "f212439ca6687fe2fe39e9c27611ac92");
-    ("FDTD-2D", "consumer3", "3cfdd5a759756c9b3c635031f679e687");
+    ("FDTD-2D", "consumer2", "103d7c659e2acb046dcd202b5a716498");
+    ("FDTD-2D", "consumer3", "1dda65c4ed93301b90d17e05cf377696");
     ("FDTD-2D", "consumer4", "61692c62f37490e019ca2c0789a614e1");
     ("FDTD-2D", "edf2", "a3f6c9f87e0dca8f79d47a0c14a313c2");
     ("FDTD-2D", "edf3", "ee2d5ecadf65d7faf0317857272f2e50");
     ("FDTD-2D", "edf4", "b9ccb5ef409476c852a0a1c374acb8da");
-    ("FFT", "baseline", "5fdde233e94e7f47334e2225ca0957d2");
-    ("FFT", "ideal", "c5db6d15e3adea652b76153d62b4d2f0");
+    ("FFT", "baseline", "872a12007cecbca43c15067f71af7a74");
+    ("FFT", "ideal", "687a516993d555d0e22a204a64319a8f");
     ("FFT", "prelaunch", "7a2a030fa0112477cd5cee739350c614");
     ("FFT", "producer", "7a2afdae59e7dbfe73fd61a34e0c5442");
     ("FFT", "consumer2", "cfaec7ab1cc194433ac7a2fe70e05a9a");
@@ -96,8 +100,8 @@ let matrix_digests =
     ("FFT", "edf2", "721cda01c0ded7d81946ac4a2640018e");
     ("FFT", "edf3", "67bbe95d24063d5b819c1be42098ddc8");
     ("FFT", "edf4", "b6eb5bbab56d617ee25464eab05e1456");
-    ("GAUSSIAN", "baseline", "a4c2be70aab0b2bfd0e3c4beb9a5b0a5");
-    ("GAUSSIAN", "ideal", "a50d6798b4cf743c61431ed549f3b8bf");
+    ("GAUSSIAN", "baseline", "51fa12d3a69dc7f9b9b76b2c3e8175a5");
+    ("GAUSSIAN", "ideal", "8c4512dd7ddd9cbac9a3e380b81ce36a");
     ("GAUSSIAN", "prelaunch", "308fda0db5ca5011bf4dfbce7c7eb898");
     ("GAUSSIAN", "producer", "79a9ff60f5d47d474eb44b9a3807ac96");
     ("GAUSSIAN", "consumer2", "fcaea18a236ed5215af6854c3387b703");
@@ -106,8 +110,8 @@ let matrix_digests =
     ("GAUSSIAN", "edf2", "9e67c6b415fbc4fd33dff880adba9dad");
     ("GAUSSIAN", "edf3", "9619b59c492cdd47e5e02afc32f2505b");
     ("GAUSSIAN", "edf4", "01fc2b1152f28258a67663f206946c35");
-    ("GRAMSCHM", "baseline", "bc266b82b24bbe670c1f16fbefcf811c");
-    ("GRAMSCHM", "ideal", "e02184e94c48cc735ffe4c73f6cb5357");
+    ("GRAMSCHM", "baseline", "397e0441e8203267660d3815ebdc4543");
+    ("GRAMSCHM", "ideal", "7197fc3c5603da4adf7254f21570e778");
     ("GRAMSCHM", "prelaunch", "26c1610f071682047c33c0070f8de990");
     ("GRAMSCHM", "producer", "887186511ffef52a9abb5317082c1eae");
     ("GRAMSCHM", "consumer2", "06717aed4fe4905ba19d9a57425a35dd");
@@ -116,18 +120,18 @@ let matrix_digests =
     ("GRAMSCHM", "edf2", "68e452ddf371aa7d4b89517345c74893");
     ("GRAMSCHM", "edf3", "cc1e89c5644755701697802a2c376bb8");
     ("GRAMSCHM", "edf4", "318678ef93e280a263b02edbad246699");
-    ("HS", "baseline", "710036ac7e2e55760275b498a44b4ff0");
-    ("HS", "ideal", "fb381d60a6f643941405b20177f9686d");
+    ("HS", "baseline", "ba447f04c8ca2cd1af483454a314da24");
+    ("HS", "ideal", "e8b3af4316a39d60160024d6c47c6c58");
     ("HS", "prelaunch", "541d7c23767eee1e40d9edc842258e58");
-    ("HS", "producer", "9495ed5f601097a6e9199c0b9e939b51");
-    ("HS", "consumer2", "e3cac0143924d8ee51b388de24277f9c");
+    ("HS", "producer", "a8848cf92ec4a8226edc0c1c5056e42f");
+    ("HS", "consumer2", "5cb5fe0fcff5b4c04475a49adcd63827");
     ("HS", "consumer3", "5abded654958c52ec28d0b7f90326f99");
     ("HS", "consumer4", "6ef50e50184fb619dfa131b8b10b733c");
-    ("HS", "edf2", "eb5eaefb744dc915f7d57a6b59874cd8");
+    ("HS", "edf2", "405b43f2e40504922bc69e3a58991c52");
     ("HS", "edf3", "e5491dfe6bf8d6e6581dbfb0662a141a");
     ("HS", "edf4", "64e124f402b7a95fd1bffa55d0591acc");
-    ("LUD", "baseline", "e48d89be69441c18cdafd044092cdb91");
-    ("LUD", "ideal", "0ee4ef4b595f709d4191cd016accf620");
+    ("LUD", "baseline", "e000238d989599c20273ee2e843f382a");
+    ("LUD", "ideal", "b5bfc7e0d045346e7c8ed1f13d4f1118");
     ("LUD", "prelaunch", "eb65dec2be8d8e1cd1ab46354eac8fff");
     ("LUD", "producer", "885d49c22513cf05edd409d6cfd7c1e7");
     ("LUD", "consumer2", "992273e0f7474c60489fd342498e7827");
@@ -146,8 +150,8 @@ let matrix_digests =
     ("MVT", "edf2", "65f0f4c928c05db7b3c5dc47c488a229");
     ("MVT", "edf3", "cbadd7337d3ae1e88cb86c476d080568");
     ("MVT", "edf4", "07d2201f07c32dc4e253e71424a04637");
-    ("NW", "baseline", "06b6d94f56c4aff7ec1722416757c4a2");
-    ("NW", "ideal", "7a4b598f7ad68958132666800dd2abbe");
+    ("NW", "baseline", "c4258d42887b54a7282af0eb62d00f35");
+    ("NW", "ideal", "ae6c0cae38c2190853bca78e1a0de701");
     ("NW", "prelaunch", "75de266785fe80dcb45234633bd17228");
     ("NW", "producer", "4f5d76c2d474b623738025a6df4601ed");
     ("NW", "consumer2", "ecb93b7fe30c277b30718f0972634752");
@@ -156,14 +160,14 @@ let matrix_digests =
     ("NW", "edf2", "0a05377d26f304b97724c26230c3cfbf");
     ("NW", "edf3", "fb1b419cc560b6c9aaaa5e62ab1390bb");
     ("NW", "edf4", "486c0667141af2f9712f0495354006f2");
-    ("PATH", "baseline", "e247aa79f78f081a0f8703bb67c99e7c");
-    ("PATH", "ideal", "e0bab08e236511e98aca6f5d91149611");
+    ("PATH", "baseline", "eaeda2694f5b62b8f16d780d99bca952");
+    ("PATH", "ideal", "162b02d610c308ac2cc0d950ed481f66");
     ("PATH", "prelaunch", "e0cbba7bf46e0425c1227f86f8f3c3e8");
-    ("PATH", "producer", "e48b67288f39c9c06dbb5b75494d8a47");
-    ("PATH", "consumer2", "37c07254a68bfb37010ff5d617e947fa");
+    ("PATH", "producer", "74c2d75fe9d416b3f6af3da8bfe285ae");
+    ("PATH", "consumer2", "366fa298e3656da82fb8fb737ec3c0b9");
     ("PATH", "consumer3", "83f5427b73686aa1d38323d243f67db7");
     ("PATH", "consumer4", "54c160615a06c48467299774446b1032");
-    ("PATH", "edf2", "04b5d5f3e0aec25f55a4a9a9a7dcdadb");
+    ("PATH", "edf2", "92fe85f01e365677a71118398aaf009a");
     ("PATH", "edf3", "0548a9a4621b4b61e988676751178b9c");
     ("PATH", "edf4", "0f7c60321149ea6b4df159573929ba5e");
   ]
@@ -199,6 +203,61 @@ let test_conservation_random () =
         check_ok ctx (Explain.check_records solo stats))
       Mode.all_fig9
   done
+
+(* --- kernel identity ---------------------------------------------------- *)
+
+(* Every kernel the reconstruction returns is its launch in the
+   preparation: same stream, TB count and stream predecessor.  Under
+   baseline a fine-grain child's Dep_satisfied events precede its own
+   enqueue, and two streams interleave under dual_stream, so a kernel
+   named by any event but its enqueue shows here. *)
+let test_kernel_identity () =
+  let dual () = Microbench.dual_stream ~tbs:4 ~kernels_per_stream:3 in
+  let cases =
+    List.concat_map (fun (name, gen) -> List.map (fun m -> (name, gen, m)) Mode.known) Suite.all
+    @ List.map (fun m -> ("dual_stream 4x3", dual, m))
+        [ ("baseline", Mode.Baseline); ("producer", Mode.Producer_priority) ]
+  in
+  List.iter
+    (fun (name, gen, (mname, mode)) ->
+      let ctx = Printf.sprintf "%s/%s" name mname in
+      let prep = Runner.prepare ~cfg mode (gen ()) in
+      let trace = Trace.create () in
+      ignore (Sim.run ~trace:(Trace.sink trace) cfg mode prep);
+      let p = Attrib.Parse.of_trace trace in
+      Alcotest.(check int) (ctx ^ ": one kernel per launch") (Array.length prep.Prep.p_launches)
+        (Array.length p.Attrib.Parse.p_kernels);
+      Array.iter
+        (fun (li : Prep.launch_info) ->
+          let want = (li.li_spec.Command.stream, li.li_tbs, Option.value li.li_prev ~default:(-1)) in
+          match Attrib.Parse.kernel_of p li.li_seq with
+          | None -> Alcotest.failf "%s: launch %d is not a kernel of the trace" ctx li.li_seq
+          | Some k ->
+            let got = Attrib.Parse.(k.k_stream, k.k_tbs, k.k_prev) in
+            if got <> want then
+              let s, n, prev = got and s', n', prev' = want in
+              Alcotest.failf "%s: kernel %d is stream %d, %d TBs, after %d; its launch stream %d, %d TBs, after %d"
+                ctx li.li_seq s n prev s' n' prev')
+        prep.Prep.p_launches;
+      check_ok ctx (Attrib.Parse.identity p))
+    cases
+
+(* 3MM under baseline: the final D2H waits on seq 2's completion, which
+   the critical path resolves to seq 2's last finishing TB (a kernel
+   whose TB count is lost would resolve to its launch node instead, which
+   ends too early to join the path). *)
+let test_critpath_completion_3mm () =
+  let solo, stats, _ = Explain.run_traced ~cfg ~whatif:false Mode.Baseline ~name:"3MM" (Suite.threemm ()) in
+  let nodes = solo.Explain.x_critpath.Critpath.cp_nodes in
+  let n = Array.length nodes in
+  let last_finish = Attrib.ticks_of_us (Array.fold_left Float.max 0.0 stats.Stats.tb_finish.(2)) in
+  (match nodes.(n - 1).Critpath.cn_kind, nodes.(n - 1).Critpath.cn_edge with
+  | Critpath.Ncopy { d2h = true; _ }, Critpath.Dep -> ()
+  | _ -> Alcotest.failf "last node is %s, not a D2H released by a dependency" (Critpath.node_label nodes.(n - 1)));
+  match nodes.(n - 2).Critpath.cn_kind with
+  | Critpath.Ntb { seq = 2; _ } ->
+    Alcotest.(check int) "seq 2's last finishing TB" last_finish nodes.(n - 2).Critpath.cn_end
+  | _ -> Alcotest.failf "seq 2's completion resolves to %s" (Critpath.node_label nodes.(n - 2))
 
 (* --- what-if exactness ------------------------------------------------- *)
 
@@ -243,18 +302,18 @@ let corun_digests =
         "044e2d30d745e8fa26defe31a3bd72d3";
         "67eff281037ba461e324546cd16991ee" ] );
     ( ("3MM", "PATH"),
-      [ "b2c668f39053ff7f48292601c83ea1ed";
-        "b2c668f39053ff7f48292601c83ea1ed";
-        "d53d68bef6f6082463b634b34d07da63";
-        "fd7e77bdfa63e0d28dae90808545b2a2" ] );
+      [ "3c5ce505daf9a666006f0e9e23f515c5";
+        "3c5ce505daf9a666006f0e9e23f515c5";
+        "c59513b8ad4167b2a711a42579fdc43d";
+        "2dfb31013db74ad222f2f68ac6f9ec29" ] );
     ( ("HS", "BICG"),
-      [ "33a68513a2389814795956a50b63f534";
-        "3683179cf9effce3fbfb19970386c98e";
-        "b12f8286f733032b0f0dd219f78f0d8e";
+      [ "c8b89b26839f0f0ab06e7f96b3dce027";
+        "b4e91b831bb4d271e985dfc66dc0ebd3";
+        "c36bdcad9b19416d10dddbe65f83b56f";
         "ea6fbc6c63f4411d2b5e3af57b203f24" ] );
     ( ("GAUSSIAN", "NW"),
       [ "409489eef09067f2f1354f3a7409a944";
-        "71c6dad2ed6c987367195b9cdf26d8ce";
+        "8fbbcc0d10116ef21325d36a3d1d5050";
         "bb32c722d316fbf0ae5df9825b643f4b";
         "b750039d0d46624143741fb7336032c4" ] );
   ]
@@ -343,7 +402,8 @@ let test_slot_starved_synthetic () =
    emitted in list order (not time order) and pinned, under a fine-grain
    and a kernel-granular machine, to the cells, per-kernel exec ticks and
    critical path it produced when the reconstruction was hash-table
-   based. *)
+   based; "dep satisfied before enqueue" since kernels are named by their
+   enqueue alone, which puts seq 1 on stream 1. *)
 let enq seq stream tbs = Stats.Kernel_enqueue { seq; stream; tbs }
 let launched seq stream = Stats.Kernel_launched { seq; stream }
 let drained seq stream = Stats.Kernel_drained { seq; stream }
@@ -400,10 +460,10 @@ let malformed_expected =
       "12 0 38 0 0 0 6 | 0 0 0 0 0 0 14 | 0 0 0 0 0 2 12 | exec k0=6 k3=4 k4=2",
       "launch k0@0-2:start host@2-6:program k3:tb0@6-10:host host@10-12:program k4:tb1@12-14:host");
     ("dep satisfied before enqueue", "fine",
-      "15 0 2 6 0 14 11 | 0 0 0 0 0 0 12 | 0 0 0 0 0 4 8 | exec k1=9 k0=6",
+      "15 0 2 0 0 14 17 | 0 0 0 0 0 0 12 | 0 0 0 0 0 4 8 | exec k1=9 k0=6",
       "launch k0@0-2:start host@2-4:program launch k1@4-6:host host@6-7:program k1:tb1@7-12:host");
     ("dep satisfied before enqueue", "coarse",
-      "15 3 0 0 0 14 16 | 0 0 0 0 0 0 12 | 0 0 0 0 0 4 8 | exec k1=9 k0=6",
+      "15 0 2 0 0 14 17 | 0 0 0 0 0 0 12 | 0 0 0 0 0 4 8 | exec k1=9 k0=6",
       "launch k0@0-2:start host@2-4:program launch k1@4-6:host host@6-7:program k1:tb1@7-12:host");
     ("TB id beyond the enqueued TB count", "fine",
       "12 3 3 0 0 8 14 | 0 0 0 0 0 0 10 | 0 0 0 0 0 2 8 | exec k0=12",
@@ -552,6 +612,9 @@ let suite =
     Alcotest.test_case "conservation + coverage: suite x modes matrix" `Slow
       test_conservation_matrix;
     Alcotest.test_case "conservation: random generated apps" `Slow test_conservation_random;
+    Alcotest.test_case "kernel identity: suite x modes and dual_stream" `Slow test_kernel_identity;
+    Alcotest.test_case "critical path: 3MM/baseline completion is seq 2's last TB" `Quick
+      test_critpath_completion_3mm;
     Alcotest.test_case "what-if: zeroed launch on baseline is ideal" `Quick
       test_whatif_launch_is_ideal;
     Alcotest.test_case "corun: per-app sums reach machine totals" `Quick test_corun_shared_sums;

@@ -191,6 +191,46 @@ let prop_events_stable_sort =
       Array.to_list (Trace.events t)
       = List.stable_sort (fun a b -> compare a.Trace.ts b.Trace.ts) emitted)
 
+(* The kernel table against [events]: a kernel's stream and TB count are
+   those of its last [Kernel_enqueue] in that order, each lifecycle stamp
+   the last of its kind, whatever order the entries were emitted in and
+   whatever dependency events come first.  Quarter-step stamps make ties
+   common; a tied enqueue's TB count tells the two apart. *)
+let prop_kernel_table =
+  QCheck2.Test.make ~name:"kernel table = last lifecycle entries of events" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 60) (triple (int_range 0 4) (int_range 0 4) (int_range 0 12)))
+    (fun steps ->
+      let t = Trace.create () in
+      List.iteri
+        (fun i (seq, kind, q) ->
+          let ts = float_of_int q /. 4.0 in
+          Trace.sink t ts
+            (match kind with
+            | 0 -> Stats.Kernel_enqueue { seq; stream = i mod 3; tbs = i }
+            | 1 -> Stats.Kernel_launched { seq; stream = 0 }
+            | 2 -> Stats.Kernel_drained { seq; stream = 0 }
+            | 3 -> Stats.Kernel_completed { seq; stream = 0 }
+            | _ -> Stats.Dep_satisfied { seq; tb = i }))
+        steps;
+      let table = Trace.kernels t in
+      let want = Array.map (fun (k : Trace.kernel_counters) -> { k with kc_stream = 0; kc_tbs = 0;
+        kc_deps = 0; kc_enqueue = nan; kc_launched = nan; kc_drained = nan; kc_completed = nan }) table in
+      Array.iter
+        (fun { Trace.ts; ev } ->
+          match ev with
+          | Stats.Kernel_enqueue { seq; stream; tbs } ->
+            want.(seq) <- { (want.(seq)) with kc_stream = stream; kc_tbs = tbs; kc_enqueue = ts }
+          | Stats.Kernel_launched { seq; _ } -> want.(seq) <- { (want.(seq)) with kc_launched = ts }
+          | Stats.Kernel_drained { seq; _ } -> want.(seq) <- { (want.(seq)) with kc_drained = ts }
+          | Stats.Kernel_completed { seq; _ } -> want.(seq) <- { (want.(seq)) with kc_completed = ts }
+          | Stats.Dep_satisfied { seq; _ } -> want.(seq) <- { (want.(seq)) with kc_deps = want.(seq).kc_deps + 1 }
+          | _ -> ())
+        (Trace.events t);
+      let named seq = List.exists (fun (s, kind, _) -> s = seq && kind < 4) steps in
+      Array.length table = 1 + List.fold_left (fun m (s, _, _) -> max m s) (-1) steps
+      && compare table want = 0
+      && Array.for_all (fun (k : Trace.kernel_counters) -> Trace.named k = named k.kc_seq) table)
+
 (* --- checker sensitivity --------------------------------------------- *)
 
 (* The checker must actually reject broken traces, not just accept good
@@ -740,4 +780,5 @@ let suite =
     Alcotest.test_case "non-static gather: Refsched, check, explain" `Quick test_nonstatic_gather;
     Alcotest.test_case "dep_ready 0.0: no parents vs parent done at 0" `Quick test_dep_ready_zero;
     QCheck_alcotest.to_alcotest prop_events_stable_sort;
+    QCheck_alcotest.to_alcotest prop_kernel_table;
   ]
