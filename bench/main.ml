@@ -312,11 +312,13 @@ let run_deadlines () =
    took 5.8 MB.  (6) "cold prep words": a cold preparation of both reorder
    classes (one fresh cache, as one bmctl invocation) of AlexNet, of
    GAUSSIAN and of 3MM must stay under [cold_prep_words_budget], 1.3x
-   what they allocate with relations held in their Table I form from
-   relate on (1,066,025, 2,600,672 and 133,451 words).  The count is
+   what they allocate with cost profiles held as one count row per launch
+   and an unboxed jitter draw per TB (466,092, 1,673,498 and 114,826
+   words).  Per-TB count arrays and a boxed draw took 1,066,025,
+   2,600,672 and 133,451 words.  The count is
    [all_words]: flat arrays over 256 words skip the minor heap, so minor
-   words alone would overstate what leaving per-TB rows saved.  Per-TB
-   rows in both directions took 2,753,291, 3,331,892 and 211,833 words
+   words alone would overstate what leaving per-TB rows saved.  Relations
+   as per-TB rows in both directions took 2,753,291, 3,331,892 and 211,833 words
    (2,341,504, 3,109,008 and 198,475 of them minor, which the earlier
    minor-word budgets counted); listing every TB's footprints took
    11,856,002 and 10,834,500 minor words for the first two.  (7) "capture
@@ -329,15 +331,16 @@ let run_deadlines () =
    major heap; its minor words alone were 4.44 M and 4.83 M.  (8) "graph
    decode words": Json.of_string plus Graph.of_json of the AlexNet and HS
    captures must stay under [graph_decode_words_budget], 1.3x their
-   988,628 and 154,190 words (all words) with relations decoded straight
-   into their form; expanding them to per-TB rows took 1,308,483 and
-   194,153.  How fast each path is lives in the host-performance ledger
-   (bench/ledger). *)
+   264,610 and 74,326 words (all words) with one-run profile payloads
+   decoded to one row, the memory column summed, not built, and an
+   unboxed jitter draw; per-TB profile arrays took 988,628 and 154,190, and expanding relations to
+   per-TB rows 1,308,483 and 194,153.  How fast each path is lives in
+   the host-performance ledger (bench/ledger). *)
 let sim_words_budget = [ ("GAUSSIAN", 238_900.0); ("AlexNet", 337_200.0) ]
 let cold_prep_words_budget =
-  [ ("AlexNet", 1_385_900.0); ("GAUSSIAN", 3_380_900.0); ("3MM", 173_500.0) ]
+  [ ("AlexNet", 606_000.0); ("GAUSSIAN", 2_175_600.0); ("3MM", 149_300.0) ]
 let capture_words_budget = [ ("NW", 374_300.0); ("GAUSSIAN", 641_700.0) ]
-let graph_decode_words_budget = [ ("AlexNet", 1_285_300.0); ("HS", 200_500.0) ]
+let graph_decode_words_budget = [ ("AlexNet", 344_000.0); ("HS", 96_700.0) ]
 let traced_minor_words_ratio = 1.3
 let suite_graph_bytes_budget = 1_000_000
 

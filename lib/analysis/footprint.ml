@@ -766,8 +766,8 @@ let counter_ctaid_axes (r : Symeval.result) =
     r.counters;
   (!x, !y, !z)
 
-(* Both counts of one TB from a single trip vector, with the reference's
-   arithmetic and order, so the floats match it bit for bit. *)
+(* Both counts of one ctaid projection from a single trip vector, with the
+   reference's arithmetic and order, so the floats match it bit for bit. *)
 let counts_at (r : Symeval.result) launch cta =
   let env = { launch; cta; result = r; tid_cap = None } in
   let trips = List.map (fun (c : Symeval.counter) -> (c.cid, trip_count env c.cid)) r.counters in
@@ -780,7 +780,9 @@ let counts_at (r : Symeval.result) launch cta =
       done)
     r.counters trips;
   let insts = ref 0.0 in
-  Array.iteri (fun i instr -> match instr with Label _ -> () | I _ -> insts := !insts +. mult.(i)) body;
+  for i = 0 to Array.length body - 1 do
+    match body.(i) with Label _ -> () | I _ -> insts := !insts +. mult.(i)
+  done;
   let mem =
     List.fold_left
       (fun acc (a : Symeval.access) -> acc +. List.fold_left (fun m cid -> m *. List.assoc cid trips) 1.0 a.aloops)
@@ -788,27 +790,35 @@ let counts_at (r : Symeval.result) launch cta =
   in
   (!insts, mem)
 
-let per_tb_counts (r : Symeval.result) launch =
-  let n = tb_count launch in
-  let ux, uy, uz = counter_ctaid_axes r in
-  let g = launch.grid in
-  (* The radix of an axis no counter reads is 1, so [mod] drops it: the key
-     is a mixed-radix index of the ctaid projected onto the axes read. *)
-  let rx = if ux then g.dx else 1 and ry = if uy then g.dy else 1 and rz = if uz then g.dz else 1 in
-  let memo = Array.make (rx * ry * rz) None in
-  let insts = Array.make n 0.0 and mem = Array.make n 0.0 in
-  for tb = 0 to n - 1 do
-    let cta = cta_of_tb launch tb in
-    let key = (cta.dx mod rx) + (rx * ((cta.dy mod ry) + (ry * (cta.dz mod rz)))) in
-    let i, m =
-      match memo.(key) with
-      | Some counts -> counts
-      | None ->
-        let counts = counts_at r launch cta in
-        memo.(key) <- Some counts;
-        counts
-    in
-    insts.(tb) <- i;
-    mem.(tb) <- m
-  done;
-  (insts, mem)
+type counts = {
+  c_radix : dim3;
+  c_insts : float array;
+  c_mem : float array;
+}
+
+let counts (r : Symeval.result) launch =
+  match r.counters with
+  | [] ->
+    (* Every multiplier is 1.0 (an access's loops are counters), and a sum
+       of 1.0s is exact: the counts are the kernel's instruction and
+       access counts. *)
+    {
+      c_radix = dim3 1;
+      c_insts = [| float_of_int (instr_count r.kernel.kbody) |];
+      c_mem = [| float_of_int (List.length r.accesses) |];
+    }
+  | _ :: _ ->
+    let ux, uy, uz = counter_ctaid_axes r in
+    let g = launch.grid in
+    (* The radix of an axis no counter reads is 1: row [key] is a mixed-radix
+       index of the ctaid projected onto the axes read, evaluated with 0 on
+       the others (their value reads no trip count). *)
+    let rx = if ux then g.dx else 1 and ry = if uy then g.dy else 1 and rz = if uz then g.dz else 1 in
+    let rows = rx * ry * rz in
+    let insts = Array.make rows 0.0 and mem = Array.make rows 0.0 in
+    for key = 0 to rows - 1 do
+      let i, m = counts_at r launch { dx = key mod rx; dy = key / rx mod ry; dz = key / (rx * ry) } in
+      insts.(key) <- i;
+      mem.(key) <- m
+    done;
+    { c_radix = { dx = rx; dy = ry; dz = rz }; c_insts = insts; c_mem = mem }

@@ -147,26 +147,34 @@ val whole_summary : summary -> t
     term's per-TB steps ([|coef|] for a plain shift), and the tail is then
     joined TB by TB. *)
 
-val per_tb_counts : Symeval.result -> launch -> float array * float array
-(** [(insts, mem)], indexed by linear TB id: for every TB of the launch,
-    exactly [per_tb_insts r launch ~tb] and [per_tb_mem_insts r launch ~tb],
-    bit for bit.  This is what the GPU cost model calls.
+type counts = {
+  c_radix : Bm_ptx.Types.dim3;
+      (** per axis, the grid extent if some loop counter's init or bound
+          reads that [ctaid] axis, else 1 *)
+  c_insts : float array;  (** per row: dynamic instructions of one thread *)
+  c_mem : float array;    (** per row: dynamic global-memory instructions *)
+}
+(** A launch's counts, one row per distinct projection of [ctaid] onto the
+    axes its loop counters read: the TB at [ctaid] [c] has row [(c.dx mod
+    r.dx) + r.dx * ((c.dy mod r.dy) + r.dy * (c.dz mod r.dz))] for [r =
+    c_radix].  A launch whose counters read no [ctaid] (every launch of
+    the suite) has exactly one row. *)
 
-    A TB's counts depend on the TB only through the [ctaid] axes that some
-    loop counter's init or bound reads.  The counters are classified once
-    per kernel; each distinct projection of [ctaid] onto those axes gets one
-    trip vector, from which both counts are derived, and TBs that share the
-    projection share the result.  When no counter reads [ctaid] (every
-    configuration of the suite), the launch is evaluated once. *)
+val counts : Symeval.result -> launch -> counts
+(** Row by row, exactly [per_tb_insts r launch ~tb] and [per_tb_mem_insts r
+    launch ~tb] of every TB in the row, bit for bit.  A kernel without loop
+    counters has one row, its instruction and access counts, read without
+    evaluating anything; otherwise each row walks the body once from one
+    trip vector.  This is what the GPU cost model calls, once per
+    launch. *)
 
 val per_tb_insts : Symeval.result -> launch -> tb:int -> float
 (** Estimated dynamic instructions executed by one thread of the given TB
     (loop trip counts resolved through the range analysis).  A loop whose
     init or bound reads an enclosing zero-trip loop counts 0 trips.  This
-    per-TB evaluation is the reference {!per_tb_counts} is tested
-    against. *)
+    per-TB evaluation is the reference {!counts} is tested against. *)
 
 val per_tb_mem_insts : Symeval.result -> launch -> tb:int -> float
 (** Estimated dynamic global-memory instructions per thread of the given TB
     (each access counted with its enclosing loops' trip counts).  The
-    reference for {!per_tb_counts}'s second array. *)
+    reference for {!counts}' memory rows. *)

@@ -263,24 +263,94 @@ let of_edges ~n_parents ~n_children edges =
   let r_offsets, r_targets = bucket n_children (fun f -> List.iter (fun (c, p) -> f c p) sorted) in
   of_rows { r_parents = n_parents; r_offsets; r_targets }
 
+(* Payload builders take the form a payload states when it is already
+   canonical (what capture writes), without the rows [of_rows] would
+   classify, and fall back to [of_rows] otherwise. *)
+let of_parent_of ~n_parents parent_of =
+  let nc = Array.length parent_of in
+  Array.iter (fun p -> if p < 0 || p >= n_parents then out_of_range "of_parent_of") parent_of;
+  let identity = ref (n_parents = nc) in
+  Array.iteri (fun c p -> if p <> c then identity := false) parent_of;
+  let form =
+    if !identity then One_to_one
+    else
+      let kid_off, kids = bucket n_parents (by_key parent_of) in
+      One_to_n { parent_of; kid_off; kids }
+  in
+  { n_parents; n_children = nc; form }
+
 let of_child_of ~n_children child_of =
   below "of_child_of" n_children child_of;
-  let r_offsets, r_targets = bucket n_children (by_key child_of) in
-  of_rows { r_parents = Array.length child_of; r_offsets; r_targets }
+  let np = Array.length child_of in
+  (* Each child's parents by a counting sort that fills each bucket from
+     its end: [par_off.(c)] counts down from the end of child [c]'s
+     parents to their start. *)
+  let par_off = Array.make (n_children + 1) 0 in
+  Array.iter (fun c -> if c >= 0 then par_off.(c) <- par_off.(c) + 1) child_of;
+  let max_in = Array.fold_left max 0 par_off in
+  if max_in <= 1 || Array.exists (fun c -> c < -1) child_of then begin
+    let r_offsets, r_targets = bucket n_children (by_key child_of) in
+    of_rows { r_parents = np; r_offsets; r_targets }
+  end
+  else begin
+    for c = 1 to n_children - 1 do
+      par_off.(c) <- par_off.(c) + par_off.(c - 1)
+    done;
+    par_off.(n_children) <- par_off.(n_children - 1);
+    let pars = Array.make par_off.(n_children) 0 in
+    for p = np - 1 downto 0 do
+      let c = child_of.(p) in
+      if c >= 0 then begin
+        par_off.(c) <- par_off.(c) - 1;
+        pars.(par_off.(c)) <- p
+      end
+    done;
+    { n_parents = np; n_children; form = N_to_one { child_of; par_off; pars } }
+  end
+
+(* The n-group form is canonical when groups are numbered by first child,
+   every group has parents and children, and no earlier case fits: not
+   every child has one parent, and not (every parent one child and some
+   child several parents). *)
+let canonical_groups ~group_of_parent ~group_of_child =
+  let groups = ref 0 and ok = ref true in
+  Array.iter
+    (fun k ->
+      if k < -1 || k > !groups then ok := false else if k = !groups then incr groups)
+    group_of_child;
+  Array.iter (fun k -> if k < -1 || k >= !groups then ok := false) group_of_parent;
+  if not (!ok && !groups > 0) then None
+  else
+    let member_off, members = bucket !groups (by_key group_of_parent) in
+    let gkid_off, gkids = bucket !groups (by_key group_of_child) in
+    let size off k = off.(k + 1) - off.(k) in
+    let max_in = ref 0 and max_out = ref 0 in
+    for k = 0 to !groups - 1 do
+      if size member_off k = 0 then ok := false;
+      max_in := max !max_in (size member_off k);
+      max_out := max !max_out (size gkid_off k)
+    done;
+    let all_one = Array.for_all (fun k -> k >= 0 && size member_off k = 1) group_of_child in
+    if !ok && (not all_one) && not (!max_out <= 1 && !max_in > 1) then
+      Some (N_group { group_of_parent; group_of_child; member_off; members; gkid_off; gkids })
+    else None
 
 let of_groups ~group_of_parent ~group_of_child =
   let nc = Array.length group_of_child in
   below "of_groups" nc group_of_parent;
   below "of_groups" nc group_of_child;
-  let moff, members = bucket nc (by_key group_of_parent) in
-  let rows f =
-    by_key group_of_child (fun k c ->
-        for i = moff.(k) to moff.(k + 1) - 1 do
-          f c members.(i)
-        done)
-  in
-  let r_offsets, r_targets = bucket nc rows in
-  of_rows { r_parents = Array.length group_of_parent; r_offsets; r_targets }
+  match canonical_groups ~group_of_parent ~group_of_child with
+  | Some form -> { n_parents = Array.length group_of_parent; n_children = nc; form }
+  | None ->
+    let moff, members = bucket nc (by_key group_of_parent) in
+    let rows f =
+      by_key group_of_child (fun k c ->
+          for i = moff.(k) to moff.(k + 1) - 1 do
+            f c members.(i)
+          done)
+    in
+    let r_offsets, r_targets = bucket nc rows in
+    of_rows { r_parents = Array.length group_of_parent; r_offsets; r_targets }
 
 let of_windows ~n_parents ~first ~len =
   let rows f =

@@ -104,11 +104,14 @@ val of_edges : n_parents:int -> n_children:int -> (int * int) list -> t
     duplicates count once. *)
 
 (** The graphs a Table I payload denotes, whether or not it is in
-    canonical form: each parent's child or a negative value
-    ([of_child_of]), group ids below
+    canonical form: each child's parent ([of_parent_of]), each parent's
+    child or a negative value ([of_child_of]), group ids below
     [n_children] or negative on both sides ([of_groups]), each child's
-    parent window ([of_windows]). *)
+    parent window ([of_windows]).  A payload already in its canonical
+    1-to-n, n-to-1 or n-group form (what a capture writes) becomes that
+    form directly, keeping the payload arrays: do not write them after. *)
 
+val of_parent_of : n_parents:int -> int array -> t
 val of_child_of : n_children:int -> int array -> t
 val of_groups : group_of_parent:int array -> group_of_child:int array -> t
 val of_windows : n_parents:int -> first:int array -> len:int array -> t

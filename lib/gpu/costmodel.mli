@@ -19,12 +19,26 @@ type t = {
     classes and the nodes of a captured graph. *)
 
 type profile
-(** The launch-sequence-independent half of the model: per-TB dynamic
-    instruction/memory counts and warp geometry.  A pure function of
-    (analysis result, launch configuration) — this is what the launch-time
-    analysis cache memoizes. *)
+(** The launch-sequence-independent half of the model: dynamic
+    instruction/memory counts and warp geometry, a pure function of
+    (analysis result, launch configuration) — what the launch-time analysis
+    cache memoizes.  It holds one count row per distinct projection of
+    [ctaid] onto the axes the kernel's loop counters read
+    ({!Bm_analysis.Footprint.counts}), not one per TB: a launch whose
+    counters read no [ctaid] (every launch of the suite) has one row and
+    nothing sized by its TB count.  A decoded multi-run payload is the
+    projection onto the TB id itself, one row per TB. *)
 
 val profile : Bm_analysis.Symeval.result -> Bm_analysis.Footprint.launch -> profile
+
+val uniform_profile : tbs:int -> insts:float -> mem:float -> warps:int -> warp_waves:float -> profile
+(** The one-row profile of [tbs] TBs that all have these counts. *)
+
+val uniform_counts : profile -> (float * float) option
+(** [Some (insts, mem)] for a one-row profile, the counts of its every TB. *)
+
+val profile_warps : profile -> int
+val profile_warp_waves : profile -> float
 
 type profile_repr = {
   prr_insts : float array;     (** per-TB dynamic instructions *)
@@ -32,13 +46,15 @@ type profile_repr = {
   prr_warps : int;
   prr_warp_waves : float;
 }
-(** Transparent view of {!profile} for persistence: graph files and the
-    disk-backed analysis store share one codec with bit-pattern floats.  The
-    round trip [profile_of_repr (repr_of_profile p)] is the identity, bit
-    for bit. *)
+(** Transparent per-TB view of {!profile}: the codec writes a multi-row
+    profile through it, and tests compare profiles TB by TB.
+    [profile_of_repr] builds the one-row-per-TB projection; the round
+    trip [repr_of_profile (profile_of_repr r)] is the identity, bit for
+    bit. *)
 
 val repr_of_profile : profile -> profile_repr
 val profile_of_repr : profile_repr -> profile
+(** @raise Invalid_argument if the two count arrays differ in length. *)
 
 type params = {
   seed : int;
@@ -61,10 +77,22 @@ val profile_tbs : profile -> int
 (** The number of thread blocks the profile covers. *)
 
 val same_profile : profile -> profile -> bool
-(** Equality with floats compared by IEEE-754 bit pattern. *)
+(** Equal TB counts, geometry and per-TB counts, floats compared by
+    IEEE-754 bit pattern, whatever the row forms. *)
+
+val tb_us : params -> kernel_seq:int -> profile -> float array
+(** The per-TB execution times of {!of_profile}, alone. *)
+
+val mem_requests : profile -> float
+(** [total_mem_requests (of_profile ps ~kernel_seq p)], bit for bit, without
+    building the column: the total a captured graph's node keeps. *)
 
 val of_profile : params -> kernel_seq:int -> profile -> t
-(** Apply the per-launch deterministic jitter (hashed from [params.seed +
-    kernel_seq] and the TB id) to a profile. *)
+(** Expand a profile into its cost columns.  Each row's base time
+    (instructions at [cpi] plus memory instructions at [mem_extra_cycles],
+    times the warp waves, on the params' clock) is computed once; the loop
+    over TBs only applies the deterministic jitter, hashed from [params.seed
+    + kernel_seq] and the TB id.  A one-row profile's memory column is one
+    value repeated. *)
 
 val total_mem_requests : t -> float

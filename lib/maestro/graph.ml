@@ -563,8 +563,10 @@ let max_node_tbs j =
 
 (* Each (profile, seq) column is expanded once and shared by the nodes of
    both schedules that launch it, as a cache-backed preparation shares
-   it; as there, nothing writes these arrays.  Profiles decoded from the
-   table are physically shared, so [==] finds a column. *)
+   it; as there, nothing writes these arrays.  A node keeps only the total
+   of the memory column, so that is summed from the profile, not built.
+   Profiles decoded from the table are physically shared, so [==] finds a
+   column. *)
 let cost_expander params =
   let columns = Hashtbl.create 64 in  (* seq -> (profile, column) *)
   let fill n =
@@ -572,8 +574,9 @@ let cost_expander params =
       match List.assq_opt n.n_profile (Hashtbl.find_all columns n.n_seq) with
       | Some col -> col
       | None ->
-        let c = Costmodel.of_profile params ~kernel_seq:n.n_seq n.n_profile in
-        let col = (c.Costmodel.tb_us, Costmodel.total_mem_requests c) in
+        let col =
+          (Costmodel.tb_us params ~kernel_seq:n.n_seq n.n_profile, Costmodel.mem_requests n.n_profile)
+        in
         Hashtbl.add columns n.n_seq (n.n_profile, col);
         col
     in

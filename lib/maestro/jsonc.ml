@@ -151,16 +151,16 @@ let packed_ints_rle_of_json ~what ~limit j =
 
 (* Float payloads run-length over identical IEEE-754 bit patterns (no
    deltas — repeated per-TB costs repeat exactly): [HEX] or [N*HEX]. *)
+let add_float_run buf n bits =
+  if Buffer.length buf > 0 then Buffer.add_char buf ',';
+  if n > 1 then begin
+    Buffer.add_string buf (string_of_int n);
+    Buffer.add_char buf '*'
+  end;
+  Buffer.add_string buf (Printf.sprintf "%016Lx" bits)
+
 let json_of_packed_floats_rle a =
   let buf = Buffer.create 256 in
-  let emit n bits =
-    if Buffer.length buf > 0 then Buffer.add_char buf ',';
-    if n > 1 then begin
-      Buffer.add_string buf (string_of_int n);
-      Buffer.add_char buf '*'
-    end;
-    Buffer.add_string buf (Printf.sprintf "%016Lx" bits)
-  in
   let run_bits = ref 0L in
   let run_n = ref 0 in
   Array.iter
@@ -168,84 +168,93 @@ let json_of_packed_floats_rle a =
       let bits = Int64.bits_of_float f in
       if !run_n > 0 && bits = !run_bits then incr run_n
       else begin
-        if !run_n > 0 then emit !run_n !run_bits;
+        if !run_n > 0 then add_float_run buf !run_n !run_bits;
         run_bits := bits;
         run_n := 1
       end)
     a;
-  if !run_n > 0 then emit !run_n !run_bits;
+  if !run_n > 0 then add_float_run buf !run_n !run_bits;
   Json.Str (Buffer.contents buf)
 
-let packed_floats_rle_of_json ~what ~limit j =
+(* [n] copies of [x], as [json_of_packed_floats_rle] writes them. *)
+let json_of_float_run n x =
+  let buf = Buffer.create 24 in
+  if n > 0 then add_float_run buf n (Int64.bits_of_float x);
+  Json.Str (Buffer.contents buf)
+
+(* Checks each token of the packed-float string [s] and calls [f reps x]
+   on it, in order; [Bad] before a token that would take the total past
+   [limit]. *)
+let iter_float_runs ~what ~limit s f =
   let limit = min limit max_packed_elems in
-  let s = str_of_json ~what j in
   let n = String.length s in
-  if n = 0 then [||]
+  let digit c = c >= '0' && c <= '9' in
+  let pos = ref 0 in
+  let parse_count () =
+    let v = ref 0 in
+    if not (!pos < n && digit s.[!pos]) then bad "%s: malformed repeat count" what;
+    while !pos < n && digit s.[!pos] do
+      v := (!v * 10) + (Char.code s.[!pos] - Char.code '0');
+      incr pos
+    done;
+    !v
+  in
+  let nib c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> bad "%s: invalid hex digit %C in packed floats" what c
+  in
+  let parse_hex () =
+    if !pos + 16 > n then bad "%s: truncated float bits" what;
+    let bits = ref 0L in
+    for k = !pos to !pos + 15 do
+      bits := Int64.logor (Int64.shift_left !bits 4) (Int64.of_int (nib s.[k]))
+    done;
+    pos := !pos + 16;
+    !bits
+  in
+  let total = ref 0 in
+  while !pos < n do
+    if !pos > 0 then
+      if s.[!pos] = ',' then incr pos else bad "%s: malformed packed run" what;
+    (* [N*HEX] when a '*' follows a decimal prefix; a bare token is all
+       hex, so a leading digit run is only a count if '*' terminates it. *)
+    let star =
+      let i = ref !pos in
+      while !i < n && digit s.[!i] do
+        incr i
+      done;
+      !i < n && s.[!i] = '*'
+    in
+    let reps =
+      if star then begin
+        let r = parse_count () in
+        if r < 1 || r > limit then bad "%s: bad repeat count" what;
+        incr pos;
+        r
+      end
+      else 1
+    in
+    let bits = parse_hex () in
+    if !total + reps > limit then bad "%s: packed payload longer than %d elements" what limit;
+    f reps (Int64.float_of_bits bits);
+    total := !total + reps
+  done
+
+let packed_floats_rle_of_json ~what ~limit j =
+  let s = str_of_json ~what j in
+  if s = "" then [||]
   else begin
-    let digit c = c >= '0' && c <= '9' in
-    let pos = ref 0 in
-    let parse_count () =
-      let v = ref 0 in
-      if not (!pos < n && digit s.[!pos]) then bad "%s: malformed repeat count" what;
-      while !pos < n && digit s.[!pos] do
-        v := (!v * 10) + (Char.code s.[!pos] - Char.code '0');
-        incr pos
-      done;
-      !v
-    in
-    let nib c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-      | _ -> bad "%s: invalid hex digit %C in packed floats" what c
-    in
-    let parse_hex () =
-      if !pos + 16 > n then bad "%s: truncated float bits" what;
-      let bits = ref 0L in
-      for k = !pos to !pos + 15 do
-        bits := Int64.logor (Int64.shift_left !bits 4) (Int64.of_int (nib s.[k]))
-      done;
-      pos := !pos + 16;
-      !bits
-    in
     (* One pass into a doubling array, as for the integer payloads; a
        token is at least 16 hex digits, sizing the common exact case. *)
-    let out = ref (Array.make (max 16 ((n / 16) + 1)) 0.0) in
+    let out = ref (Array.make (max 16 ((String.length s / 16) + 1)) 0.0) in
     let total = ref 0 in
-    let ensure extra = ensure ~what ~limit out !total extra 0.0 in
-    let first = ref true in
-    while !pos < n do
-      if not !first then
-        if s.[!pos] = ',' then incr pos else bad "%s: malformed packed run" what;
-      first := false;
-      (* [N*HEX] when a '*' follows a decimal prefix; a bare token is all
-         hex, so a leading digit run is only a count if '*' terminates it. *)
-      let star =
-        let i = ref !pos in
-        while !i < n && digit s.[!i] do
-          incr i
-        done;
-        !i < n && s.[!i] = '*'
-      in
-      let reps =
-        if star then begin
-          let r = parse_count () in
-          if r < 1 || r > limit then bad "%s: bad repeat count" what;
-          incr pos;
-          r
-        end
-        else 1
-      in
-      let bits = parse_hex () in
-      ensure reps;
-      let o = !out in
-      let f = Int64.float_of_bits bits in
-      for k = !total to !total + reps - 1 do
-        o.(k) <- f
-      done;
-      total := !total + reps
-    done;
+    iter_float_runs ~what ~limit s (fun reps f ->
+        ensure ~what ~limit out !total reps 0.0;
+        Array.fill !out !total reps f;
+        total := !total + reps);
     if !total = Array.length !out then !out else Array.sub !out 0 !total
   end
 
@@ -320,9 +329,8 @@ let sized_relation_of_json ~max_parents ~max_children j =
       let n = dim "n" (min mp mc) (int_field ~what "n" j) in
       graph { Bipartite.n_parents = n; n_children = n; form = Bipartite.One_to_one }
     | "o2n" ->
-      let r_parents = np () and r_targets = ints "po" mc in
-      let r_offsets = Array.init (Array.length r_targets + 1) Fun.id in
-      graph (Bipartite.of_rows { r_parents; r_offsets; r_targets })
+      let n_parents = np () in
+      graph (Bipartite.of_parent_of ~n_parents (ints "po" mc))
     | "n2o" ->
       let n_children = nc () in
       graph (Bipartite.of_child_of ~n_children (ints "co" mp))
@@ -360,42 +368,75 @@ let relation_of_json ~n_parents ~n_children j =
   let _, _, rel = sized_relation_of_json ~max_parents:n_parents ~max_children:n_children j in
   rel
 
-(* Cost profiles: per-TB counts as run-length bit patterns.  Decode
-   rejects what no analysis produces and the cost model cannot expand
-   into a usable column: a non-finite or negative count, fewer than one
-   warp, or a warp-wave factor that is non-finite or below one. *)
+(* Cost profiles: per-TB counts as run-length bit patterns.  A one-row
+   profile is one run per count, written without listing its TBs, and a
+   payload of one run decodes back to one row; any other payload decodes
+   to one row per TB.  Decode rejects what no analysis produces and the
+   cost model cannot expand into a usable column: a non-finite or negative
+   count, fewer than one warp, or a warp-wave factor that is non-finite or
+   below one. *)
 let json_of_profile p =
-  let r = Costmodel.repr_of_profile p in
+  let i, m =
+    match Costmodel.uniform_counts p with
+    | Some (i, m) ->
+      let n = Costmodel.profile_tbs p in
+      (json_of_float_run n i, json_of_float_run n m)
+    | None ->
+      let r = Costmodel.repr_of_profile p in
+      (json_of_packed_floats_rle r.Costmodel.prr_insts, json_of_packed_floats_rle r.Costmodel.prr_mem)
+  in
   Json.Obj
     [
-      ("i", json_of_packed_floats_rle r.Costmodel.prr_insts);
-      ("m", json_of_packed_floats_rle r.Costmodel.prr_mem);
-      ("w", Json.Num (float_of_int r.Costmodel.prr_warps));
-      ("ww", json_of_float r.Costmodel.prr_warp_waves);
+      ("i", i);
+      ("m", m);
+      ("w", Json.Num (float_of_int (Costmodel.profile_warps p)));
+      ("ww", json_of_float (Costmodel.profile_warp_waves p));
     ]
+
+type counts = Run of int * float | Listed of float array
 
 let profile_of_json ~max_tbs j =
   let what = "profile" in
   let counts name =
-    let a =
-      packed_floats_rle_of_json ~what:(what ^ "." ^ name) ~limit:max_tbs (field ~what name j)
+    let what = what ^ "." ^ name in
+    let payload = field ~what:"profile" name j in
+    let check x =
+      if not (Float.is_finite x && x >= 0.0) then
+        bad "%s: count %g is not finite and non-negative" what x
     in
-    Array.iter
-      (fun x ->
-        if not (Float.is_finite x && x >= 0.0) then
-          bad "%s.%s: count %g is not finite and non-negative" what name x)
-      a;
-    a
+    let s = str_of_json ~what payload in
+    (* A payload without a comma is one token, so one run. *)
+    if s <> "" && not (String.contains s ',') then begin
+      let run = ref (Listed [||]) in
+      iter_float_runs ~what ~limit:max_tbs s (fun reps x ->
+          check x;
+          run := Run (reps, x));
+      !run
+    end
+    else begin
+      let a = packed_floats_rle_of_json ~what ~limit:max_tbs payload in
+      Array.iter check a;
+      Listed a
+    end
   in
   let insts = counts "i" in
   let mem = counts "m" in
-  if Array.length insts <> Array.length mem then
-    bad "%s: %d instruction counts for %d memory counts" what (Array.length insts)
-      (Array.length mem);
+  let length = function Run (n, _) -> n | Listed a -> Array.length a in
+  if length insts <> length mem then
+    bad "%s: %d instruction counts for %d memory counts" what (length insts) (length mem);
   let warps = int_field ~what "w" j in
   if warps < 1 then bad "%s.w: %d warps, expected at least 1" what warps;
   let waves = float_of_json ~what:(what ^ ".ww") (field ~what "ww" j) in
   if not (Float.is_finite waves && waves >= 1.0) then
     bad "%s.ww: warp waves %g, expected a finite value >= 1" what waves;
-  Costmodel.profile_of_repr
-    { Costmodel.prr_insts = insts; prr_mem = mem; prr_warps = warps; prr_warp_waves = waves }
+  match (insts, mem) with
+  | Run (n, i), Run (_, m) -> Costmodel.uniform_profile ~tbs:n ~insts:i ~mem:m ~warps ~warp_waves:waves
+  | (Run _ | Listed _), _ ->
+    let per_tb = function Run (n, x) -> Array.make n x | Listed a -> a in
+    Costmodel.profile_of_repr
+      {
+        Costmodel.prr_insts = per_tb insts;
+        prr_mem = per_tb mem;
+        prr_warps = warps;
+        prr_warp_waves = waves;
+      }

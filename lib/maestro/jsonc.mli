@@ -78,11 +78,15 @@ val sized_relation_of_json :
 
 val json_of_profile : Bm_gpu.Costmodel.profile -> Bm_metrics.Json.t
 (** A cost profile: per-TB instruction and memory counts as packed
-    bit-pattern floats, the warp count, and the warp-wave factor. *)
+    bit-pattern floats, the warp count, and the warp-wave factor.  A
+    one-row profile writes each count as one run without listing its TBs;
+    the bytes are those of the per-TB counts either way. *)
 
 val profile_of_json : max_tbs:int -> Bm_metrics.Json.t -> Bm_gpu.Costmodel.profile
 (** Exact inverse of {!json_of_profile} for a profile of at most [max_tbs]
     TBs.  @raise Bad on malformed input, on more than [max_tbs] counts,
     and on values no analysis produces: a count that is non-finite or
     negative, instruction and memory arrays of different lengths, fewer
-    than one warp, or a warp-wave factor that is non-finite or below 1. *)
+    than one warp, or a warp-wave factor that is non-finite or below 1.
+    When both counts are one run, the profile is one row: the run count is
+    checked against [max_tbs] and nothing is sized by it. *)

@@ -728,6 +728,30 @@ let prop_model_codec =
       && read (Relation_model.json_of_encoded irregular) = Bipartite.Graph g
       && Relation_model.decode (Relation_model.encode m) = m)
 
+(* The payload builders on any payload, canonical or not, give the
+   canonical form of the edges it denotes: the forms a capture writes take
+   the direct path, the rest go through the rows. *)
+let prop_payload_builders =
+  QCheck2.Test.make ~name:"forms: payload builders = of_edges on any payload" ~count:400
+    QCheck2.Gen.(
+      let* np = int_range 1 7 and* nc = int_range 1 7 in
+      let* parent_of = array_repeat nc (int_range 0 (np - 1))
+      and* child_of = array_repeat np (int_range (-2) (nc - 1))
+      and* gp = array_repeat np (int_range (-2) (nc - 1))
+      and* gc = array_repeat nc (int_range (-2) (nc - 1)) in
+      return (np, nc, parent_of, child_of, gp, gc))
+    (fun (np, nc, parent_of, child_of, gp, gc) ->
+      let edges f =
+        List.concat
+          (List.init np (fun p ->
+               List.filter_map (fun c -> if f p c then Some (p, c) else None) (List.init nc Fun.id)))
+      in
+      let canon f = Bipartite.of_edges ~n_parents:np ~n_children:nc (edges f) in
+      Bipartite.of_parent_of ~n_parents:np (Array.copy parent_of) = canon (fun p c -> parent_of.(c) = p)
+      && Bipartite.of_child_of ~n_children:nc (Array.copy child_of) = canon (fun p c -> child_of.(p) = c)
+      && Bipartite.of_groups ~group_of_parent:(Array.copy gp) ~group_of_child:(Array.copy gc)
+         = canon (fun p c -> gp.(p) >= 0 && gp.(p) = gc.(c)))
+
 (* The irregular form of any edge set, built by hand: not canonical. *)
 let listed ~n_parents ~n_children edges =
   let m = Relation_model.of_edges ~n_parents ~n_children edges in
@@ -780,6 +804,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_model_pattern;
       QCheck_alcotest.to_alcotest prop_model_accessors;
       QCheck_alcotest.to_alcotest prop_model_codec;
+      QCheck_alcotest.to_alcotest prop_payload_builders;
       Alcotest.test_case "forms: equal holds a window row against a listed row" `Quick
         test_equal_across_forms;
       Alcotest.test_case "forms: malformed group and window payloads are Bad" `Quick

@@ -130,13 +130,54 @@ let test_cost_mem_requests () =
 
 let bits a = Array.map Int64.bits_of_float a
 
-(* [Costmodel.profile] computes per ctaid projection; every TB must still
-   get exactly what the per-TB reference evaluation gives it. *)
-let profile_matches_reference r (fl : Footprint.launch) =
-  let p = Costmodel.repr_of_profile (Costmodel.profile r fl) in
+(* The cost model as it was written TB by TB: each TB's counts from the
+   per-TB reference evaluation, its base cycles and its jitter, in TB
+   order.  [Costmodel.of_profile] must give these columns bit for bit. *)
+let model_cost (ps : Costmodel.params) ~kernel_seq r (fl : Footprint.launch) =
   let n = Footprint.tb_count fl in
-  bits p.Costmodel.prr_insts = bits (Array.init n (fun tb -> Footprint.per_tb_insts r fl ~tb))
+  let threads = T.dim3_count fl.Footprint.block in
+  let warps = max 1 ((threads + 31) / 32) in
+  let warp_waves = float_of_int (max 1 ((warps + 3) / 4)) in
+  let tb_mem = Array.make n 0.0 and tb_us = Array.make n 0.0 in
+  let sum = ref 0.0 in
+  for tb = 0 to n - 1 do
+    let insts = Footprint.per_tb_insts r fl ~tb and mem = Footprint.per_tb_mem_insts r fl ~tb in
+    let cycles = (insts *. ps.Costmodel.cpi) +. (mem *. ps.Costmodel.mem_extra_cycles) in
+    let base_us = cycles *. warp_waves /. (ps.Costmodel.clock_ghz *. 1000.0) in
+    let j = Bm_engine.Rng.jitter (ps.Costmodel.seed + kernel_seq) tb in
+    let jf = ps.Costmodel.jitter_frac in
+    let tail = 1.0 +. (6.0 *. jf *. (j ** 12.0)) in
+    tb_us.(tb) <- base_us *. (1.0 +. (jf *. ((2.0 *. j) -. 1.0))) *. tail;
+    tb_mem.(tb) <- mem *. float_of_int warps;
+    sum := !sum +. tb_us.(tb)
+  done;
+  (tb_us, tb_mem, if n = 0 then 0.0 else !sum /. float_of_int n)
+
+let jittery_params =
+  Costmodel.params { Config.titan_x_pascal with Config.jitter_frac = 0.3; seed = 17 }
+
+(* [Costmodel.profile] computes per ctaid projection; every TB must still
+   get exactly what the per-TB reference evaluation gives it, and the
+   columns [of_profile] expands from it exactly the model's. *)
+let profile_matches_reference r (fl : Footprint.launch) =
+  let profile = Costmodel.profile r fl in
+  let p = Costmodel.repr_of_profile profile in
+  let n = Footprint.tb_count fl in
+  let columns_match ps kernel_seq =
+    let c = Costmodel.of_profile ps ~kernel_seq profile in
+    let tb_us, tb_mem, avg = model_cost ps ~kernel_seq r fl in
+    bits c.Costmodel.tb_us = bits tb_us
+    && bits c.Costmodel.tb_mem_requests = bits tb_mem
+    && Int64.bits_of_float c.Costmodel.avg_tb_us = Int64.bits_of_float avg
+    && bits (Costmodel.tb_us ps ~kernel_seq profile) = bits tb_us
+    && Int64.bits_of_float (Costmodel.mem_requests profile)
+       = Int64.bits_of_float (Costmodel.total_mem_requests c)
+  in
+  Costmodel.profile_tbs profile = n
+  && bits p.Costmodel.prr_insts = bits (Array.init n (fun tb -> Footprint.per_tb_insts r fl ~tb))
   && bits p.Costmodel.prr_mem = bits (Array.init n (fun tb -> Footprint.per_tb_mem_insts r fl ~tb))
+  && columns_match (Costmodel.params Config.titan_x_pascal) 0
+  && columns_match jittery_params 5
 
 (* Every distinct (kernel, launch configuration) of an app that differs
    from its reference. *)
@@ -157,11 +198,19 @@ let profile_mismatches (app : Command.app) =
 let test_profile_suite_reference () =
   List.iter
     (fun (name, gen) ->
-      Alcotest.(check (list string)) (name ^ " profiles bit-identical") [] (profile_mismatches (gen ())))
+      let app = gen () in
+      Alcotest.(check (list string)) (name ^ " profiles bit-identical") [] (profile_mismatches app);
+      (* No suite counter reads ctaid: every launch is costed from one row. *)
+      List.iter
+        (fun (spec : Command.launch_spec) ->
+          let p = Costmodel.profile (Symeval.analyze spec.Command.kernel) (Command.footprint_launch spec) in
+          Alcotest.(check bool) (name ^ " " ^ spec.Command.kernel.T.kname ^ ": one row") true
+            (Costmodel.uniform_counts p <> None))
+        (Command.launches app))
     Bm_workloads.Suite.all
 
 let prop_profile_genapp_reference =
-  QCheck2.Test.make ~name:"cost profile = per-TB reference on Genapp apps" ~count:40
+  QCheck2.Test.make ~name:"cost profile = per-TB reference on Genapp apps" ~count:40 ~long_factor:10
     QCheck2.Gen.(pair small_nat small_nat)
     (fun (seed, idx) ->
       let module Genapp = Bm_workloads.Genapp in
@@ -214,8 +263,11 @@ let test_profile_ctaid_reference () =
           let fl = { Footprint.grid; block = T.dim3 64; args = [ ("IN", 1 lsl 20); ("n", 6) ] } in
           let label = Printf.sprintf "%s, %s grid" kname gname in
           Alcotest.(check bool) (label ^ ": bit-identical") true (profile_matches_reference r fl);
-          let insts, _ = Footprint.per_tb_counts r fl in
+          let profile = Costmodel.profile r fl in
+          let insts = (Costmodel.repr_of_profile profile).Costmodel.prr_insts in
           let varies = Array.exists (fun v -> v <> insts.(0)) insts in
+          Alcotest.(check bool) (label ^ ": one row per projection, not one") varies
+            (Costmodel.uniform_counts profile = None);
           (* On the 2-D grid every TB has ctaid.z = 0. *)
           Alcotest.(check bool) (label ^ ": counts vary by TB") true
             (varies || (kname = "bound reads ctaid.z, nested" && grid.T.dz = 1)))

@@ -507,6 +507,45 @@ let test_oversized_payload () =
     (Printf.sprintf "allocated %.1f MB, under 16 MB" (grown /. 1e6))
     true (grown < 16e6)
 
+(* A one-run profile payload decodes to one row: nothing sized by its TB
+   count is built, so a million TBs decode in a few hundred bytes. *)
+let test_profile_one_row_decode () =
+  let module Costmodel = Bm_gpu.Costmodel in
+  let module Jsonc = Bm_maestro.Jsonc in
+  let payload i m =
+    Json.Obj
+      [ ("i", Json.Str i); ("m", Json.Str m); ("w", Json.Num 8.0); ("ww", Jsonc.json_of_float 2.0) ]
+  in
+  let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
+  let million = payload ("1000000*" ^ bits 413.0) ("1000000*" ^ bits 6.0) in
+  let before = Gc.allocated_bytes () in
+  let p = Jsonc.profile_of_json ~max_tbs:1_000_000 million in
+  let grown = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) (Printf.sprintf "allocated %.0f bytes, under 4 KB" grown) true (grown < 4096.0);
+  Alcotest.(check int) "a million TBs" 1_000_000 (Costmodel.profile_tbs p);
+  Alcotest.(check bool) "one row" true (Costmodel.uniform_counts p = Some (413.0, 6.0));
+  let bad what j =
+    match Jsonc.profile_of_json ~max_tbs:1_000_000 j with
+    | (_ : Costmodel.profile) -> Alcotest.failf "%s: decoded" what
+    | exception Jsonc.Bad _ -> ()
+  in
+  bad "single-run NaN count" (payload ("4*" ^ bits nan) ("4*" ^ bits 1.0));
+  bad "single-run negative count" (payload ("4*" ^ bits 1.0) (bits (-1.0)));
+  bad "run count above max_tbs" (payload ("1000001*" ^ bits 1.0) ("1000001*" ^ bits 1.0));
+  (* Capture's bytes come back unchanged, whatever the row form. *)
+  List.iter
+    (fun (what, j) ->
+      let text = Json.to_string j in
+      Alcotest.(check string) (what ^ " re-encodes byte-identically") text
+        (Json.to_string (Jsonc.json_of_profile (Jsonc.profile_of_json ~max_tbs:1_000_000 j))))
+    [
+      ("uniform", million);
+      ("one TB", payload (bits 3.0) (bits 0.0));
+      ("no TB", payload "" "");
+      ("multi-run", payload (Printf.sprintf "3*%s,%s" (bits 5.0) (bits 7.0)) ("4*" ^ bits 2.0));
+      ("multi-run memory", payload ("2*" ^ bits 5.0) (Printf.sprintf "%s,%s" (bits 1.0) (bits 2.0)));
+    ]
+
 (* The header's params are what decode expanded the cost columns under.
    An edit to them alone leaves the fingerprint and cfg digest intact, so
    validate and Replay.run must compare the params themselves. *)
@@ -941,6 +980,8 @@ let suite =
       (expect_mutants_corrupt profile_mutations);
     Alcotest.test_case "of_json: format 2 refused" `Quick test_version_2_refused;
     Alcotest.test_case "of_json: oversized packed run refused" `Quick test_oversized_payload;
+    Alcotest.test_case "of_json: one-run profile decodes to one row" `Quick
+      test_profile_one_row_decode;
     Alcotest.test_case "validate: edited cost params are stale" `Quick test_edited_params;
     Alcotest.test_case "to_json: each profile and relation stored once" `Quick test_tables_distinct;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |]) prop_graph_byte_fuzz;
