@@ -159,33 +159,33 @@ let transpose ~np off tgt =
       done)
 
 (* The n-group form, if the rows have it: every parent's children share one
-   row.  Children are visited in order; a row whose first parent has no
-   group yet opens one (none of its parents may have one), and any other
-   row must equal its first parent's group row.  Linear in the edges. *)
-let n_group ~np off tgt =
-  let nc = Array.length off - 1 in
+   row.  Row [c] is [at (start c) .. at (start c + size c - 1)].  Children
+   are visited in order; a row whose first parent has no group yet opens
+   one (none of its parents may have one), and any other row must equal
+   its first parent's group row.  Linear in the edges. *)
+let n_group ~np ~nc ~start ~size ~at =
   let group_of_parent = Array.make np (-1) and group_of_child = Array.make nc (-1) in
   let rep = Array.make nc 0 in  (* group -> its first child *)
   let groups = ref 0 and ok = ref true and c = ref 0 in
   while !ok && !c < nc do
-    let a = off.(!c) and b = off.(!c + 1) in
-    if b > a then begin
-      let k = group_of_parent.(tgt.(a)) in
+    let a = start !c and l = size !c in
+    if l > 0 then begin
+      let k = group_of_parent.(at a) in
       if k < 0 then begin
-        for i = a to b - 1 do
-          if group_of_parent.(tgt.(i)) >= 0 then ok := false;
-          group_of_parent.(tgt.(i)) <- !groups
+        for i = a to a + l - 1 do
+          if group_of_parent.(at i) >= 0 then ok := false;
+          group_of_parent.(at i) <- !groups
         done;
         rep.(!groups) <- !c;
         group_of_child.(!c) <- !groups;
         incr groups
       end
       else begin
-        let ra = off.(rep.(k)) in
-        if off.(rep.(k) + 1) - ra <> b - a then ok := false
+        let ra = start rep.(k) in
+        if size rep.(k) <> l then ok := false
         else
-          for i = 0 to b - a - 1 do
-            if tgt.(a + i) <> tgt.(ra + i) then ok := false
+          for i = 0 to l - 1 do
+            if at (a + i) <> at (ra + i) then ok := false
           done;
         group_of_child.(!c) <- k
       end
@@ -234,7 +234,9 @@ let of_rows { r_parents = np; r_offsets = off; r_targets = tgt } =
       N_to_one { child_of; par_off = off; pars = tgt }
     end
     else
-      match n_group ~np off tgt with
+      match
+        n_group ~np ~nc ~start:(Array.get off) ~size:(fun c -> off.(c + 1) - off.(c)) ~at:(Array.get tgt)
+      with
       | Some form -> form
       | None ->
         let kid_off, kids = transpose ~np off tgt in
@@ -245,12 +247,6 @@ let of_rows { r_parents = np; r_offsets = off; r_targets = tgt } =
         else Irregular { par_off = off; pars = tgt; kid_off; kids }
   in
   { n_parents = np; n_children = nc; form }
-
-let relation_of_rows r =
-  let nc = Array.length r.r_offsets - 1 and e = Array.length r.r_targets in
-  if e = 0 then Independent
-  else if r.r_parents > 1 && nc > 1 && e = r.r_parents * nc then Fully_connected
-  else Graph (of_rows r)
 
 let out_of_range what = invalid_arg ("Bipartite." ^ what ^ ": node out of range")
 let below what bound = Array.iter (fun k -> if k >= bound then out_of_range what)
@@ -352,17 +348,78 @@ let of_groups ~group_of_parent ~group_of_child =
     let r_offsets, r_targets = bucket nc rows in
     of_rows { r_parents = Array.length group_of_parent; r_offsets; r_targets }
 
-let of_windows ~n_parents ~first ~len =
-  let rows f =
-    Array.iteri
-      (fun c l ->
-        for i = 0 to l - 1 do
-          f c (first.(c) + i)
-        done)
-      len
+(* Windowed rows classified off the windows, in [of_rows]' order, by
+   checks over children and parents; only the chosen form's lists are
+   filled, each in one sequential pass.  Nonempty windows that are
+   pairwise equal or disjoint are n-to-1 or n-group, so once both fail
+   some parent has two children and the form is overlapped, unless there
+   is no edge at all. *)
+let of_windows ~n_parents:np ~first ~len =
+  let nc = Array.length len in
+  if Array.length first <> nc then invalid_arg "Bipartite.of_windows: first and len differ in length";
+  let identity = ref (np = nc) and all_one = ref true and max_in = ref 0 and edges = ref 0 in
+  for c = 0 to nc - 1 do
+    let f = first.(c) and l = len.(c) in
+    if l < 0 || (l > 0 && (f < 0 || f > np - l)) then out_of_range "of_windows";
+    if l = 0 then first.(c) <- 0;
+    if l <> 1 then all_one := false else if f <> c then identity := false;
+    max_in := Int.max !max_in l;
+    edges := !edges + l
+  done;
+  let form =
+    if !identity && !all_one then One_to_one
+    else begin
+      (* Each parent's out-degree: the windows' difference array, summed
+         into the end of each parent's children, which [kids] fills
+         backwards, so [kid_off] ends up holding their starts. *)
+      let kid_off = Array.make (np + 1) 0 in
+      for c = 0 to nc - 1 do
+        if len.(c) > 0 then begin
+          let f = first.(c) in
+          kid_off.(f) <- kid_off.(f) + 1;
+          kid_off.(f + len.(c)) <- kid_off.(f + len.(c)) - 1
+        end
+      done;
+      let deg = ref 0 and at = ref 0 and max_out = ref 0 in
+      for p = 0 to np - 1 do
+        deg := !deg + kid_off.(p);
+        at := !at + !deg;
+        kid_off.(p) <- !at;
+        max_out := Int.max !max_out !deg
+      done;
+      kid_off.(np) <- !at;
+      let kids () =
+        let kids = Array.make !edges 0 in
+        for c = nc - 1 downto 0 do
+          for p = first.(c) to first.(c) + len.(c) - 1 do
+            kid_off.(p) <- kid_off.(p) - 1;
+            kids.(kid_off.(p)) <- c
+          done
+        done;
+        kids
+      in
+      if !all_one then One_to_n { parent_of = first; kid_off; kids = kids () }
+      else if !max_out <= 1 && !max_in > 1 then begin
+        let child_of = Array.make np (-1) and par_off = Array.make (nc + 1) 0 in
+        let pars = Array.make !edges 0 in
+        for c = 0 to nc - 1 do
+          let a = par_off.(c) in
+          for i = 0 to len.(c) - 1 do
+            pars.(a + i) <- first.(c) + i;
+            child_of.(first.(c) + i) <- c
+          done;
+          par_off.(c + 1) <- a + len.(c)
+        done;
+        N_to_one { child_of; par_off; pars }
+      end
+      else
+        match n_group ~np ~nc ~start:(Array.get first) ~size:(Array.get len) ~at:Fun.id with
+        | Some form -> form
+        | None when !edges > 0 -> Overlapped { first; len; kid_off; kids = kids () }
+        | None -> Irregular { par_off = Array.make (nc + 1) 0; pars = [||]; kid_off; kids = [||] }
+    end
   in
-  let r_offsets, r_targets = bucket (Array.length len) rows in
-  of_rows { r_parents = n_parents; r_offsets; r_targets }
+  { n_parents = np; n_children = nc; form }
 
 (* --- confirming edges from footprints ----------------------------------- *)
 
@@ -465,41 +522,50 @@ let p_bound k y ~le = if (k > 0) = le then fdiv y k else cdiv y k
    puts ([m <> 0], [k <> 0]; upper when [m * k > 0]): the floor term is at
    most [u = floor ((bound - off) / m)] for [m > 0], which bounds the
    numerator by [(u + 1) * d - 1], or at least [ceil ((bound - off) / m)]
-   for [m < 0]. *)
+   for [m < 0].  A plain shift ([d = 1], [m = +-1]) skips the division by
+   [m]. *)
 let endpoint_bound ~k ~d ~m ~rem ~off bound =
-  if m > 0 then p_bound k ((((fdiv (bound - off) m) + 1) * d) - 1 - rem) ~le:true
+  if d = 1 && m = 1 then p_bound k (bound - off - rem) ~le:true
+  else if d = 1 && m = -1 then p_bound k (off - bound - rem) ~le:false
+  else if m > 0 then p_bound k ((((fdiv (bound - off) m) + 1) * d) - 1 - rem) ~le:true
   else p_bound k ((cdiv (bound - off) m * d) - rem) ~le:false
 
+(* The parents [p < n] whose write [w] at [p] has its low end at most [r_hi]
+   and its high end at least [r_lo] (the second as [-hi p <= -r_lo]): both
+   ends are monotone in [p], so they form the one range [parent_lo ..
+   parent_hi], empty when [parent_lo > parent_hi]. *)
+let below (w : Footprint.affine) r_hi =
+  endpoint_bound ~k:w.Footprint.coef ~d:w.Footprint.den ~m:w.Footprint.scale ~rem:w.Footprint.lo_rem
+    ~off:w.Footprint.base.I.lo r_hi
+
+let above (w : Footprint.affine) r_lo =
+  endpoint_bound ~k:w.Footprint.coef ~d:w.Footprint.den ~m:(-w.Footprint.scale)
+    ~rem:w.Footprint.hi_rem ~off:(-w.Footprint.base.I.hi) (-r_lo)
+
+let parent_lo (w : Footprint.affine) r_lo r_hi =
+  let k = w.Footprint.coef and b = w.Footprint.base in
+  if k = 0 then if b.I.lo <= r_hi && b.I.hi >= r_lo then 0 else max_int
+  else Int.max 0 (if w.Footprint.scale * k > 0 then above w r_lo else below w r_hi)
+
+let parent_hi ~n (w : Footprint.affine) r_lo r_hi =
+  let k = w.Footprint.coef in
+  if k = 0 then n - 1 else Int.min (n - 1) (if w.Footprint.scale * k > 0 then below w r_hi else above w r_lo)
+
 (* The parents [p < n] whose write [w] at [p] intersects the child read
-   [shift rb d].  Both endpoints of [w] are monotone in [p], so overlapping
-   ranges ([lo p <= r.hi] and [hi p >= r.lo], the second as [-hi p <=
-   -r.lo]) bound [p] to one integer range; a candidate is confirmed with
-   [meets] unless both strides are at most 1, where overlap is
-   intersection.  The test shifts the write by [-d] rather than the read
-   by [d], so nothing is allocated.  [add_range] takes a confirmed range
-   whole. *)
+   [shift rb d]: the range [parent_lo .. parent_hi], where a candidate is
+   confirmed with [meets] unless both strides are at most 1, where overlap
+   is intersection.  The test shifts the write by [-d] rather than the
+   read by [d], so nothing is allocated.  [add_range] takes a confirmed
+   range whole. *)
 let affine_parents ~n (w : Footprint.affine) (rb : I.t) d ~add_range ~add =
-  let b = w.Footprint.base and k = w.Footprint.coef in
   let r_lo = rb.I.lo + d and r_hi = rb.I.hi + d in
-  let lo = ref 0 and hi = ref (n - 1) in
-  if k = 0 then (if b.I.lo > r_hi || b.I.hi < r_lo then hi := -1)
-  else begin
-    let den = w.Footprint.den and m = w.Footprint.scale in
-    let below = endpoint_bound ~k ~d:den ~m ~rem:w.Footprint.lo_rem ~off:b.I.lo r_hi in
-    let above = endpoint_bound ~k ~d:den ~m:(-m) ~rem:w.Footprint.hi_rem ~off:(-b.I.hi) (-r_lo) in
-    if m * k > 0 then begin
-      lo := max above 0;
-      hi := min below (n - 1)
-    end
-    else begin
-      lo := max below 0;
-      hi := min above (n - 1)
-    end
-  end;
-  let lo = !lo and hi = !hi and stride = b.I.stride in
+  let lo = parent_lo w r_lo r_hi and hi = parent_hi ~n w r_lo r_hi in
+  let b = w.Footprint.base in
+  let stride = b.I.stride in
   if lo <= hi then
     if stride <= 1 && rb.I.stride <= 1 then add_range lo hi
-    else if k = 0 then (if I.meets ~lo:(b.I.lo - d) ~hi:(b.I.hi - d) ~stride rb then add_range lo hi)
+    else if w.Footprint.coef = 0 then
+      (if I.meets ~lo:(b.I.lo - d) ~hi:(b.I.hi - d) ~stride rb then add_range lo hi)
     else
       for p = lo to hi do
         if I.meets ~lo:(Footprint.lo_at w p - d) ~hi:(Footprint.hi_at w p - d) ~stride rb then add p
@@ -534,10 +600,9 @@ let sort_prefix buf n =
    ([affine_parents]) and the parent's listed TBs through the index; a
    per-TB side is all listed, so two per-TB sides take the index alone.
    The degree cap is checked on each confirmed range's length first, so an
-   over-cap child degrades in O(1).  Each child's parents are sorted in
-   [buf] and appended to one growing target buffer. *)
-let confirm_sides ~max_degree parent child =
-  let ps = side ~writes:true parent and cs = side ~writes:false child in
+   over-cap child raises [Degrade_to_full] in O(1).  Each child's parents
+   are sorted in [buf] and appended to one growing target buffer. *)
+let confirm_sides ~max_degree ps cs =
   let n_parents = ps.tbs and n_children = cs.tbs in
   let idx = build_index ps.tail in
   let off = Array.make (n_children + 1) 0 in
@@ -569,42 +634,155 @@ let confirm_sides ~max_degree parent child =
     done;
     if Array.length ps.tail > 0 then candidates idx (I.shift rb d) add_tail
   in
-  try
-    for c = 0 to n_children - 1 do
-      child := c;
-      degree := 0;
-      if c < cs.affine then
-        for j = 0 to Array.length cs.accs - 1 do
-          (* [at] of a plain shift, without building the interval. *)
-          let a = cs.accs.(j) in
-          if a.Footprint.den = 1 then read a.Footprint.base (a.Footprint.coef * c)
-          else read (Footprint.at a c) 0
-        done
-      else List.iter (fun r -> read r 0) cs.tail.(c - cs.affine).Footprint.freads;
-      let d = !degree in
-      if d > 0 then begin
-        sort_prefix buf d;
-        if !edges + d > Array.length !tgt then begin
-          let grown = Array.make (max (!edges + d) (2 * Array.length !tgt)) 0 in
-          Array.blit !tgt 0 grown 0 !edges;
-          tgt := grown
-        end;
-        Array.blit buf 0 !tgt !edges d;
-        edges := !edges + d
+  for c = 0 to n_children - 1 do
+    child := c;
+    degree := 0;
+    if c < cs.affine then
+      for j = 0 to Array.length cs.accs - 1 do
+        (* [at] of a plain shift, without building the interval. *)
+        let a = cs.accs.(j) in
+        if a.Footprint.den = 1 then read a.Footprint.base (a.Footprint.coef * c)
+        else read (Footprint.at a c) 0
+      done
+    else List.iter (fun r -> read r 0) cs.tail.(c - cs.affine).Footprint.freads;
+    let d = !degree in
+    if d > 0 then begin
+      sort_prefix buf d;
+      if !edges + d > Array.length !tgt then begin
+        let grown = Array.make (max (!edges + d) (2 * Array.length !tgt)) 0 in
+        Array.blit !tgt 0 grown 0 !edges;
+        tgt := grown
       end;
-      off.(c + 1) <- !edges
-    done;
-    let targets = if Array.length !tgt = !edges then !tgt else Array.sub !tgt 0 !edges in
-    Some { r_parents = n_parents; r_offsets = off; r_targets = targets }
-  with Degrade_to_full -> None
+      Array.blit buf 0 !tgt !edges d;
+      edges := !edges + d
+    end;
+    off.(c + 1) <- !edges
+  done;
+  let targets = if Array.length !tgt = !edges then !tgt else Array.sub !tgt 0 !edges in
+  { r_parents = n_parents; r_offsets = off; r_targets = targets }
 
-let confirm ?(max_degree = default_max_degree) parent child =
+type confirmed =
+  | Rows of rows
+  | Windows of { w_parents : int; first : int array; len : int array }
+
+(* The windows' reach: every access has stride at most 1, so overlap is
+   intersection, and the parent lists few enough writes that each child
+   can meet them one by one. *)
+let max_listed_writes = 8
+
+let plain (a : Footprint.affine) = a.Footprint.base.I.stride <= 1
+let flat (r : I.t) = r.I.stride <= 1
+
+let rec meets_any r_lo r_hi = function
+  | [] -> false
+  | (w : I.t) :: ws -> (w.I.lo <= r_hi && w.I.hi >= r_lo) || meets_any r_lo r_hi ws
+
+(* Each child's parents as one window, read off the accesses: each child
+   read [r_lo, r_hi] meets each affine write in the range [parent_lo ..
+   parent_hi] and each listed parent write in its TB or nothing, so a
+   child costs a few divisions per read and write and no edge is visited.
+   The ranges are sorted by start in [los]/[his] and must chain into one
+   window.  [Exit] when a pair is out of reach or a child's ranges leave
+   a gap; a window over [max_degree] degrades at once, and child 0 is
+   read before anything of the pair's size is allocated, so a pair over
+   the cap everywhere degrades in O(1). *)
+let confirm_windows ~max_degree ps cs =
+  let listed = Array.fold_left (fun m fp -> m + List.length fp.Footprint.fwrites) 0 ps.tail in
+  if
+    listed > max_listed_writes
+    || not
+         (Array.for_all plain ps.accs
+         && Array.for_all plain cs.accs
+         && Array.for_all (fun fp -> List.for_all flat fp.Footprint.fwrites) ps.tail
+         && Array.for_all (fun fp -> List.for_all flat fp.Footprint.freads) cs.tail)
+  then raise Exit;
+  let n = ps.affine in
+  let tail_reads = Array.fold_left (fun m fp -> Int.max m (List.length fp.Footprint.freads)) 0 cs.tail in
+  let ranges = Int.max 1 (Int.max (Array.length cs.accs) tail_reads * (Array.length ps.accs + listed)) in
+  let los = Array.make ranges 0 and his = Array.make ranges 0 and m = ref 0 in
+  let add lo hi =
+    if lo <= hi then begin
+      let x = ref !m in
+      while !x > 0 && los.(!x - 1) > lo do
+        los.(!x) <- los.(!x - 1);
+        his.(!x) <- his.(!x - 1);
+        decr x
+      done;
+      los.(!x) <- lo;
+      his.(!x) <- hi;
+      incr m
+    end
+  in
+  let read r_lo r_hi =
+    for i = 0 to Array.length ps.accs - 1 do
+      let w = ps.accs.(i) in
+      add (parent_lo w r_lo r_hi) (parent_hi ~n w r_lo r_hi)
+    done;
+    for t = 0 to Array.length ps.tail - 1 do
+      if meets_any r_lo r_hi ps.tail.(t).Footprint.fwrites then add (n + t) (n + t)
+    done
+  in
+  let read_listed (r : I.t) = read r.I.lo r.I.hi in
+  let w_lo = ref 0 and w_len = ref 0 in
+  let window c =
+    m := 0;
+    if c < cs.affine then
+      for j = 0 to Array.length cs.accs - 1 do
+        let r = cs.accs.(j) in
+        if r.Footprint.den = 1 then
+          let shift = r.Footprint.coef * c in
+          read (r.Footprint.base.I.lo + shift) (r.Footprint.base.I.hi + shift)
+        else read (Footprint.lo_at r c) (Footprint.hi_at r c)
+      done
+    else List.iter read_listed cs.tail.(c - cs.affine).Footprint.freads;
+    let hi = ref (if !m > 0 then his.(0) else -1) in
+    for x = 1 to !m - 1 do
+      if los.(x) > !hi + 1 then raise Exit;
+      hi := Int.max !hi his.(x)
+    done;
+    w_lo := if !m > 0 then los.(0) else 0;
+    w_len := !hi - !w_lo + 1;
+    if !w_len > max_degree then raise Degrade_to_full
+  in
+  window 0;
+  let first = Array.make cs.tbs !w_lo and len = Array.make cs.tbs !w_len in
+  for c = 1 to cs.tbs - 1 do
+    window c;
+    first.(c) <- !w_lo;
+    len.(c) <- !w_len
+  done;
+  Windows { w_parents = ps.tbs; first; len }
+
+(* Both sides, or [None] for a conservative one, and [None] for a pair
+   that degrades. *)
+let with_sides parent child f =
   match (parent, child) with
   | Footprint.Conservative _, _ | _, Footprint.Conservative _ -> None
-  | (Footprint.Per_tb _ | Footprint.Summary _), (Footprint.Per_tb _ | Footprint.Summary _) ->
-    confirm_sides ~max_degree parent child
+  | (Footprint.Per_tb _ | Footprint.Summary _), (Footprint.Per_tb _ | Footprint.Summary _) -> (
+    try Some (f (side ~writes:true parent) (side ~writes:false child)) with Degrade_to_full -> None)
 
-let relate ?max_degree parent child =
-  match confirm ?max_degree parent child with
+let confirm_rows ?(max_degree = default_max_degree) parent child =
+  with_sides parent child (confirm_sides ~max_degree)
+
+let confirm ?(max_degree = default_max_degree) parent child =
+  with_sides parent child (fun ps cs ->
+      try confirm_windows ~max_degree ps cs with Exit -> Rows (confirm_sides ~max_degree ps cs))
+
+(* No edge is independent, and every child having every parent of a
+   multi-parent, multi-child pair is fully connected. *)
+let relation_of = function
   | None -> Fully_connected
-  | Some rows -> relation_of_rows rows
+  | Some confirmed ->
+    let np, nc, e =
+      match confirmed with
+      | Rows r -> (r.r_parents, Array.length r.r_offsets - 1, Array.length r.r_targets)
+      | Windows { w_parents; len; _ } -> (w_parents, Array.length len, Array.fold_left ( + ) 0 len)
+    in
+    if e = 0 then Independent
+    else if np > 1 && nc > 1 && e = np * nc then Fully_connected
+    else
+      match confirmed with
+      | Rows r -> Graph (of_rows r)
+      | Windows { w_parents; first; len } -> Graph (of_windows ~n_parents:w_parents ~first ~len)
+
+let relate ?max_degree parent child = relation_of (confirm ?max_degree parent child)

@@ -93,12 +93,6 @@ val of_rows : rows -> t
     @raise Invalid_argument if a row is not strictly ascending in
     [\[0, r_parents)]. *)
 
-val relation_of_rows : rows -> relation
-(** [Independent] for no edge, [Fully_connected] when every child of a
-    multi-parent, multi-child pair has every parent, else the graph
-    {!of_rows} builds.  Single-parent or single-child pairs stay graphs:
-    they are 1-to-n / n-to-1, not a kernel-level barrier. *)
-
 val of_edges : n_parents:int -> n_children:int -> (int * int) list -> t
 (** From explicit (parent, child) pairs (tests, synthetic workloads);
     duplicates count once. *)
@@ -106,40 +100,88 @@ val of_edges : n_parents:int -> n_children:int -> (int * int) list -> t
 (** The graphs a Table I payload denotes, whether or not it is in
     canonical form: each child's parent ([of_parent_of]), each parent's
     child or a negative value ([of_child_of]), group ids below
-    [n_children] or negative on both sides ([of_groups]), each child's
-    parent window ([of_windows]).  A payload already in its canonical
-    1-to-n, n-to-1 or n-group form (what a capture writes) becomes that
-    form directly, keeping the payload arrays: do not write them after. *)
+    [n_children] or negative on both sides ([of_groups]).  A payload
+    already in its canonical 1-to-n, n-to-1 or n-group form (what a
+    capture writes) becomes that form directly, keeping the payload
+    arrays: do not write them after. *)
 
 val of_parent_of : n_parents:int -> int array -> t
 val of_child_of : n_children:int -> int array -> t
 val of_groups : group_of_parent:int array -> group_of_child:int array -> t
+
 val of_windows : n_parents:int -> first:int array -> len:int array -> t
-(** The builders above raise [Invalid_argument] on a node out of range. *)
+(** The canonical form of the rows [first.(c) .. first.(c) + len.(c) - 1]
+    (none when [len.(c) = 0], whatever [first.(c)]): exactly {!of_rows} of
+    those rows, chosen by checks over children and parents rather than
+    edges, with only the chosen form's lists filled.  It keeps [first]
+    (setting it to 0 under an empty window) and [len]: do not write them
+    after.  Graph files' overlapped payloads and {!confirm}'s windows both
+    come through here.
+
+    These builders raise [Invalid_argument] on a node out of range (for
+    [of_windows], a negative length or a nonempty window outside
+    [\[0, n_parents)]). *)
+
+(** {2 Relating footprints} *)
+
+(** Each child's parents, as {!confirm} finds them: one window per child
+    (the edges [first.(c) .. first.(c) + len.(c) - 1] of [w_parents]
+    parents) or one flat buffer of sorted rows. *)
+type confirmed =
+  | Rows of rows
+  | Windows of { w_parents : int; first : int array; len : int array }
 
 val confirm :
   ?max_degree:int ->
   Bm_analysis.Footprint.kernel_footprints ->
   Bm_analysis.Footprint.kernel_footprints ->
-  rows option
+  confirmed option
 (** [confirm parent child] intersects the parent's per-TB write sets with
-    the child's per-TB read sets, writing each child's parents into one
-    flat buffer and allocating nothing per child.  [None] when the pair
-    degrades to fully connected: a side is [Conservative], or a child has
-    more than [max_degree] parents (found in O(1) when one confirmed range
-    is already longer than the cap).  A {!Bm_analysis.Footprint.constructor-Summary}
-    side gives the same result as the per-TB footprints it materializes
-    to: both endpoints of a floor-affine write [off + m * floor ((e + k *
-    p) / d)] are monotone in the parent TB [p], so the parents overlapping
-    a child read form one range, found by floor/ceiling division, and each
-    candidate is confirmed with {!Bm_analysis.Sinterval.meets} on its
-    endpoints unless both strides are at most 1.  Listed TBs are met
-    through an index sorted by interval start with a running maximum of
-    interval ends. *)
+    the child's per-TB read sets.  [None] when the pair degrades to fully
+    connected: a side is [Conservative], or a child has more than
+    [max_degree] parents (found in O(1) when one confirmed range is
+    already longer than the cap).
+
+    When every write and read has stride at most 1 (so overlap is
+    intersection) and the parent lists at most 8 writes outside its
+    floor-affine TBs, each child read meets each floor-affine write in one
+    parent range, found by floor/ceiling division in O(1) per child, read
+    and write, and each listed write in its TB or nothing.  If every
+    child's ranges chain into one window, the result is [Windows], read
+    off without visiting an edge.  A pair whose first child is over the
+    cap degrades before anything of the pair's size is allocated.
+
+    Otherwise (a stride above 1, more listed parent writes, or a child
+    whose ranges leave a gap) it is [Rows] ({!confirm_rows}), built child
+    by child into one flat buffer, allocating nothing per child: the same
+    ranges, confirmed with {!Bm_analysis.Sinterval.meets} on each
+    candidate's endpoints unless both strides are at most 1, and listed
+    TBs met through an index sorted by interval start with a running
+    maximum of interval ends.  Both endpoints of a floor-affine write
+    [off + m * floor ((e + k * p) / d)] are monotone in the parent TB [p],
+    which is why the parents overlapping a read form one range, and why a
+    summary side gives the same edges as the per-TB footprints it
+    materializes to. *)
+
+val confirm_rows :
+  ?max_degree:int ->
+  Bm_analysis.Footprint.kernel_footprints ->
+  Bm_analysis.Footprint.kernel_footprints ->
+  rows option
+(** {!confirm}'s per-child rows for any pair: what it falls back to, and
+    the reference its windows are tested against. *)
+
+val relation_of : confirmed option -> relation
+(** [Fully_connected] for [None], [Independent] for no edge,
+    [Fully_connected] when every child of a multi-parent, multi-child
+    pair has every parent, else the graph {!of_windows} or {!of_rows}
+    builds: the same value for the same edges, either way.  Single-parent
+    or single-child pairs stay graphs: they are 1-to-n / n-to-1, not a
+    kernel-level barrier. *)
 
 val relate :
   ?max_degree:int ->
   Bm_analysis.Footprint.kernel_footprints ->
   Bm_analysis.Footprint.kernel_footprints ->
   relation
-(** {!confirm}, then {!relation_of_rows}. *)
+(** {!confirm}, then {!relation_of}. *)

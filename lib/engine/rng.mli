@@ -19,9 +19,7 @@ val float_01 : t -> float
 val int_below : t -> int -> int
 (** [int_below t n] is uniform in [0, n). Requires [n > 0]. *)
 
-val hash2 : int -> int -> int64
-(** [hash2 a b] is a stateless stable mix of two integers, used to derive
-    per-(kernel, thread-block) jitter without carrying generator state. *)
-
 val jitter : int -> int -> float
-(** [jitter a b] is a stable uniform float in [0, 1) derived from [hash2]. *)
+(** [jitter a b] is a stable uniform float in [0, 1): a stateless mix of
+    the two integers, used to derive per-(kernel, thread-block) jitter
+    without carrying generator state. *)

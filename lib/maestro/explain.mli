@@ -44,9 +44,6 @@ val knobs : string list
 (** ["launch"] (kernel launch latency), ["copy"] (memcpy latency and
     bandwidth), ["malloc"] (allocation cost). *)
 
-val zero_knob : Bm_gpu.Config.t -> string -> Bm_gpu.Config.t
-(** The config with that cost zeroed.
-    @raise Invalid_argument on an unknown knob. *)
 
 (** {1 Running} *)
 
@@ -123,8 +120,6 @@ val to_json : solo -> Bm_metrics.Json.t
 val tables : ?top:int -> solo -> Bm_report.Report.table list
 (** Attribution, critical-path summary, edge breakdown, top-[top]
     (default 5) contributors, and the what-if ranking when present. *)
-
-val whatif_table : ?title:string -> solo -> Bm_report.Report.table
 
 val export : ?prefix:string -> Bm_metrics.Metrics.t -> solo -> unit
 (** Register [attrib.<resource>.<bucket>_us] / [critpath.*] counters and

@@ -143,16 +143,12 @@ let prepare ?(reorder = true) ?prof ?(cache = Cache.create ()) (cfg : Config.t)
             let max_degree = cfg.Config.max_parent_degree in
             let pr =
               Cache.pair cache ~producer:pl ~consumer:l ~max_degree (fun () ->
-                  let rows =
+                  let confirmed =
                     Prof.with_span prof "relate" (fun () -> Bipartite.confirm ~max_degree pfp fp)
                   in
                   (* Choosing the Table I form is the encoding. *)
                   Prof.with_span prof "encode" (fun () ->
-                      let relation =
-                        match rows with
-                        | None -> Bipartite.Fully_connected
-                        | Some rows -> Bipartite.relation_of_rows rows
-                      in
+                      let relation = Bipartite.relation_of confirmed in
                       {
                         Cache.pr_relation = relation;
                         pr_pattern = Pattern.classify relation;

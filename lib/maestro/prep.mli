@@ -56,7 +56,7 @@ val prepare :
 
     [prof] records wall-clock spans for the pipeline stages — [analyze]
     (PTX symbolic evaluation), [footprint], [reorder], [relate] (each
-    child's confirmed parents), [encode] (the Table I form, pattern and
+    child's confirmed parents, as a window or a row), [encode] (the Table I form, pattern and
     sizes) and [costmodel] — each directly under
     whatever span the caller has open.  Cached stages (a kernel analyzed
     once, a footprint reused across relaunches) only charge their first

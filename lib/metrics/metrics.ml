@@ -179,19 +179,27 @@ let summarize_histogram h =
     { hs_name = h.h_name; hs_count = 0; hs_min = nan; hs_max = nan; hs_mean = nan;
       hs_p25 = nan; hs_p50 = nan; hs_p75 = nan; hs_p90 = nan; hs_p99 = nan }
   else begin
-    let p q = Report.percentile xs q in
-    let sum = Array.fold_left ( +. ) 0.0 xs in
+    (* One sort for every percentile, and unboxed folds with [min]/[max]'s
+       tie and NaN behaviour. *)
+    let ps = Report.percentiles xs [| 25.0; 50.0; 75.0; 90.0; 99.0 |] in
+    let sum = ref 0.0 and lo = ref infinity and hi = ref neg_infinity in
+    for i = 0 to n - 1 do
+      let x = xs.(i) in
+      sum := !sum +. x;
+      if not (!lo <= x) then lo := x;
+      if not (!hi >= x) then hi := x
+    done;
     {
       hs_name = h.h_name;
       hs_count = n;
-      hs_min = Array.fold_left min infinity xs;
-      hs_max = Array.fold_left max neg_infinity xs;
-      hs_mean = sum /. float_of_int n;
-      hs_p25 = p 25.0;
-      hs_p50 = p 50.0;
-      hs_p75 = p 75.0;
-      hs_p90 = p 90.0;
-      hs_p99 = p 99.0;
+      hs_min = !lo;
+      hs_max = !hi;
+      hs_mean = !sum /. float_of_int n;
+      hs_p25 = ps.(0);
+      hs_p50 = ps.(1);
+      hs_p75 = ps.(2);
+      hs_p90 = ps.(3);
+      hs_p99 = ps.(4);
     }
   end
 

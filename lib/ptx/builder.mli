@@ -11,14 +11,10 @@ type t
 
 val create : string -> t
 
-(** [fresh_r], [fresh_rd], [fresh_f], [fresh_p] allocate fresh 32-bit,
-    64-bit, f32 and predicate registers respectively. *)
+(** [fresh_r] and [fresh_f] allocate fresh 32-bit and f32 registers. *)
 
 val fresh_r : t -> Types.operand
-val fresh_rd : t -> Types.operand
 val fresh_f : t -> Types.operand
-val fresh_p : t -> Types.operand
-val fresh_label : t -> string -> string
 
 val emit : t -> Types.instr -> unit
 

@@ -21,9 +21,6 @@ type t = {
 
 val build : Types.kernel -> t
 
-val reverse_postorder : t -> int array
-(** Block ids in reverse postorder from the entry block. *)
-
 val dominators : t -> int array
 (** [dominators t].(b) is the immediate dominator of block [b]; the entry
     block is its own idom.  Unreachable blocks get idom = entry. *)

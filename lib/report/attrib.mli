@@ -11,7 +11,7 @@
     - [Copy_engine], [Launch_engine]: one unit each.
 
     {b Conservation theorem.}  Timestamps are quantized to integer ticks
-    ({!tick_scale} per microsecond) and each inter-event segment assigns
+    (2^20 per microsecond) and each inter-event segment assigns
     every resource unit to exactly one bucket, so for every resource the
     bucket row sums to [makespan_ticks * weight] {e exactly} — an integer
     identity, checked by {!conservation} and enforced over the whole
@@ -28,10 +28,6 @@
 
 (** {1 Ticks} *)
 
-val tick_scale : float
-(** Ticks per simulated microsecond (2^20): fine enough that distinct
-    event instants quantize to distinct ticks, coarse enough that the
-    suite's makespans stay far from [int] overflow. *)
 
 val ticks_of_us : float -> int
 (** Nearest-tick quantization.  @raise Invalid_argument at or beyond
@@ -58,7 +54,6 @@ val bucket_name : bucket -> string
 type resource = Slots | Copy_engine | Launch_engine
 
 val resources : resource list
-val resource_index : resource -> int
 val resource_name : resource -> string
 
 type machine = {
@@ -148,7 +143,7 @@ end
 type t = {
   at_machine : machine;
   at_makespan_ticks : int;
-  at_cells : int array array;  (** [[resource_index][bucket_index]] ticks *)
+  at_cells : int array array;  (** [[resource][bucket_index]] ticks, resources in {!resources} order *)
   at_kernel_exec : (int * int) array;
       (** per-kernel exec slot-ticks, descending (ties by seq) *)
   at_series : (int * int array) array;

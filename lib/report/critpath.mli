@@ -10,7 +10,7 @@
     — {!length_ticks} equals the makespan for every complete trace (the
     structural property the tests assert; a shortfall means the cause
     resolution lost the chain).  The interesting output is the path's
-    {e composition}: which kernels/TBs sit on it ({!by_kernel}), how much
+    {e composition}: which kernels/TBs sit on it, how much
     is launch overhead, copies or host time ({!kind_ticks}), and what
     edge kinds connect it ({!edge_breakdown}). *)
 
@@ -32,12 +32,10 @@ type edge =
 
 val edges : edge list
 val edge_name : edge -> string
-val kind_label : node_kind -> string
-(** ["tb"], ["copy"], ["launch"] or ["host"]. *)
 
 type node = {
   cn_kind : node_kind;
-  cn_start : int;  (** ticks ({!Attrib.tick_scale}) *)
+  cn_start : int;  (** ticks *)
   cn_end : int;
   cn_edge : edge;  (** how the node's start was released — the edge from
                        its chronological predecessor *)
@@ -60,9 +58,6 @@ val length_ticks : t -> int
 
 val length_us : t -> float
 val makespan_us : t -> float
-
-val by_kernel : t -> (int * int) array
-(** Per-kernel ticks on the path (TB + launch spans), descending. *)
 
 val kind_ticks : t -> (string * int) list
 (** Path ticks per node kind: [tb], [launch], [copy], [host]. *)

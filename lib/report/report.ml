@@ -14,18 +14,98 @@ let mean = function
   | [] -> invalid_arg "Report.mean: empty"
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let percentile xs p =
-  if Float.is_nan p || p < 0.0 || p > 100.0 then
-    invalid_arg "Report.percentile: p out of [0,100]";
-  (* NaNs are skipped rather than sorted: [compare] orders nan below every
-     float, which would silently shift every rank. *)
-  let sorted =
-    if Array.exists Float.is_nan xs then
-      Array.of_seq (Seq.filter (fun x -> not (Float.is_nan x)) (Array.to_seq xs))
-    else Array.copy xs
+(* Stdlib's ternary heap sort ([Array.sort]) specialized to a NaN-free
+   float array: the same comparisons in the same order, so equal keys
+   ([0.0] and [-0.0]) land where [Array.sort compare] puts them, but on
+   unboxed floats, with no comparison closure and the recursion unrolled
+   into loops (a float crossing a call would be boxed). *)
+let sort_floats (a : float array) =
+  (* The greatest of [i]'s up to three sons in the heap [a.(0 .. l - 1)],
+     or -1 when it has none. *)
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if a.(i31) < a.(i31 + 1) then i31 + 1 else i31 in
+      if a.(x) < a.(i31 + 2) then i31 + 2 else x
+    end
+    else if i31 + 1 < l && a.(i31) < a.(i31 + 1) then i31 + 1
+    else if i31 < l then i31
+    else -1
   in
-  if Array.length sorted = 0 then invalid_arg "Report.percentile: empty";
-  Array.sort compare sorted;
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    let e = a.(i) and k = ref i and go = ref true in
+    while !go do
+      let j = maxson l !k in
+      if j >= 0 && a.(j) > e then begin
+        a.(!k) <- a.(j);
+        k := j
+      end
+      else begin
+        a.(!k) <- e;
+        go := false
+      end
+    done
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    let k = ref 0 and j = ref (maxson i 0) in
+    while !j >= 0 do
+      a.(!k) <- a.(!j);
+      k := !j;
+      j := maxson i !k
+    done;
+    let go = ref true in
+    while !go do
+      let father = (!k - 1) / 3 in
+      if a.(father) < e then begin
+        a.(!k) <- a.(father);
+        if father > 0 then k := father
+        else begin
+          a.(0) <- e;
+          go := false
+        end
+      end
+      else begin
+        a.(!k) <- e;
+        go := false
+      end
+    done
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
+(* The non-NaN entries, sorted once.  NaNs are skipped rather than sorted:
+   [compare] orders nan below every float, which would silently shift
+   every rank. *)
+let sorted_finite what (xs : float array) =
+  let n = ref 0 in
+  for i = 0 to Array.length xs - 1 do
+    if not (Float.is_nan xs.(i)) then incr n
+  done;
+  if !n = 0 then invalid_arg ("Report." ^ what ^ ": empty");
+  let s =
+    if !n = Array.length xs then Array.copy xs
+    else begin
+      let s = Array.make !n 0.0 and k = ref 0 in
+      for i = 0 to Array.length xs - 1 do
+        if not (Float.is_nan xs.(i)) then begin
+          s.(!k) <- xs.(i);
+          incr k
+        end
+      done;
+      s
+    end
+  in
+  sort_floats s;
+  s
+
+(* Linear interpolation between the closest ranks of [sorted]. *)
+let rank_value (sorted : float array) p =
   let n = Array.length sorted in
   if n = 1 then sorted.(0)
   else begin
@@ -36,7 +116,19 @@ let percentile xs p =
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
   end
 
-let quartiles xs = (percentile xs 25.0, percentile xs 50.0, percentile xs 75.0)
+let percentiles xs ps =
+  Array.iter
+    (fun p ->
+      if Float.is_nan p || p < 0.0 || p > 100.0 then invalid_arg "Report.percentile: p out of [0,100]")
+    ps;
+  let sorted = sorted_finite "percentile" xs in
+  Array.map (rank_value sorted) ps
+
+let percentile xs p = (percentiles xs [| p |]).(0)
+
+let quartiles xs =
+  let sorted = sorted_finite "percentile" xs in
+  (rank_value sorted 25.0, rank_value sorted 50.0, rank_value sorted 75.0)
 
 type table = {
   title : string;

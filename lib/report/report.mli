@@ -13,8 +13,8 @@ val mean : float list -> float
     {!geomean}. *)
 
 val quartiles : float array -> float * float * float
-(** (q1, median, q3) by linear interpolation; the array is sorted
-    internally.  NaN entries are skipped.
+(** (q1, median, q3) by linear interpolation over the entries sorted once;
+    NaN entries are skipped.
     @raise Invalid_argument when no non-NaN entries remain. *)
 
 val percentile : float array -> float -> float
@@ -23,6 +23,12 @@ val percentile : float array -> float -> float
     silently shift ranks, so NaNs are dropped instead).
     @raise Invalid_argument when [p] is outside [0, 100] (or NaN), and when
     no non-NaN entries remain. *)
+
+val percentiles : float array -> float array -> float array
+(** [percentiles xs ps] is [Array.map (percentile xs) ps], sorting [xs]
+    once.  The sort is [Array.sort compare]'s on unboxed floats, so ties
+    such as [0.0] and [-0.0] interpolate exactly as they did through
+    [Array.sort]. *)
 
 val utf8_length : string -> int
 (** Unicode scalar count of a UTF-8 string (non-continuation bytes);

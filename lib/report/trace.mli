@@ -70,9 +70,6 @@ type columns = private {
   engine : bool;  (** the engine's {!Bm_gpu.Stats.Tb_columns}, not grown here *)
 }
 
-val ord : columns -> tb:int -> kind:int -> int
-(** The emission ordinal of the TB's event of that kind, [-1] when it was
-    not recorded. *)
 
 val stamps : columns -> kind:int -> (float -> int) -> int array
 (** [f] of each TB's time for events of that kind, [-1] where none was

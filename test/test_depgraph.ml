@@ -810,3 +810,93 @@ let suite =
       Alcotest.test_case "forms: malformed group and window payloads are Bad" `Quick
         test_malformed_forms;
     ]
+
+(* --- windows ------------------------------------------------------------ *)
+
+(* Each child's window: monotone or shuffled windows, empty windows (any
+   first), groups of identical windows, one parent each (1-to-1 when the
+   identity, else 1-to-n) and disjoint runs of parents (n-to-1). *)
+let gen_windows =
+  QCheck2.Gen.(
+    let* np = int_range 0 12 and* nc = int_range 0 12 in
+    let window =
+      if np = 0 then return (0, 0)
+      else
+        let* f = int_range 0 (np - 1) in
+        let+ l = int_range 0 (np - f) in
+        (f, l)
+    in
+    let empty = map (fun f -> (f, 0)) (int_range (-4) 20) in
+    let+ ws =
+      oneof
+        [
+          map (List.sort compare) (list_repeat nc window);
+          list_repeat nc window;
+          list_repeat nc (frequency [ (1, empty); (2, window) ]);
+          (let* groups = list_repeat 3 window in
+           list_repeat nc (oneofl groups));
+          (if np = 0 then list_repeat nc empty
+           else
+             let+ ps = list_repeat nc (int_range 0 (np - 1)) in
+             if np = nc then List.init nc (fun c -> (c, 1)) else List.map (fun p -> (p, 1)) ps);
+          (let* cut = int_range 1 3 in
+           let runs = List.init ((np + cut - 1) / cut) (fun i -> (i * cut, min cut (np - (i * cut)))) in
+           let+ picks = list_repeat nc (int_range (-1) (List.length runs - 1)) in
+           (* each run to its first picker only *)
+           let used = Hashtbl.create 8 in
+           List.map
+             (fun k ->
+               if k < 0 || Hashtbl.mem used k then (0, 0)
+               else begin
+                 Hashtbl.add used k ();
+                 List.nth runs k
+               end)
+             picks);
+        ]
+    in
+    (np, Array.of_list (List.map fst ws), Array.of_list (List.map snd ws)))
+
+let print_windows (np, first, len) =
+  Printf.sprintf "%d parents: %s" np
+    (String.concat " " (Array.to_list (Array.mapi (fun c f -> Printf.sprintf "%d+%d" f len.(c)) first)))
+
+(* The rows the windows denote, as [of_rows] takes them. *)
+let window_rows np first len =
+  let nc = Array.length len in
+  let r_offsets = Array.make (nc + 1) 0 in
+  Array.iteri (fun c l -> r_offsets.(c + 1) <- r_offsets.(c) + l) len;
+  let r_targets = Array.make r_offsets.(nc) 0 in
+  Array.iteri
+    (fun c l ->
+      for i = 0 to l - 1 do
+        r_targets.(r_offsets.(c) + i) <- first.(c) + i
+      done)
+    len;
+  { Bipartite.r_parents = np; r_offsets; r_targets }
+
+let prop_of_windows =
+  QCheck2.Test.make ~name:"windows: of_windows = of_rows of the expanded rows" ~count:500 ~long_factor:10
+    ~print:print_windows gen_windows (fun (np, first, len) ->
+      Bipartite.of_windows ~n_parents:np ~first:(Array.copy first) ~len:(Array.copy len)
+      = Bipartite.of_rows (window_rows np first len))
+
+(* The generator reaches every form. *)
+let test_windows_reach_every_form () =
+  let rand = Random.State.make [| 36 |] in
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun (np, first, len) ->
+      let g = Bipartite.of_windows ~n_parents:np ~first ~len in
+      Hashtbl.replace seen (Pattern.classify (Bipartite.Graph g)) ())
+    (QCheck2.Gen.generate ~rand ~n:2000 gen_windows);
+  List.iter
+    (fun p ->
+      if not (Hashtbl.mem seen p) then Alcotest.failf "no windows classify %s" (Pattern.name p))
+    Pattern.[ One_to_one; One_to_n; N_to_one; N_group; Overlapped; Irregular ]
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_of_windows;
+      Alcotest.test_case "windows: the generator reaches every form" `Quick test_windows_reach_every_form;
+    ]

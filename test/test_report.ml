@@ -197,6 +197,50 @@ let test_fig14_ordering () =
 let test_wireframe_buffer_limit () =
   Alcotest.(check bool) "pending buffer is small" true (Wireframe.pending_update_slots <= 512)
 
+
+(* [percentiles] sorts once with its own float sort; every percentile must
+   come out bit for bit as [Array.sort compare] over a copy gives it, ties
+   of [0.0] and [-0.0] included, so printed figures keep their bytes. *)
+let reference_percentile xs p =
+  let s = Array.of_list (List.filter (fun x -> not (Float.is_nan x)) (Array.to_list xs)) in
+  Array.sort compare s;
+  let n = Array.length s in
+  if n = 1 then s.(0)
+  else
+    let rank = p /. 100.0 *. float_of_int (n - 1) in
+    let lo = int_of_float (floor rank) in
+    let hi = min (n - 1) (lo + 1) in
+    let frac = rank -. float_of_int lo in
+    (s.(lo) *. (1.0 -. frac)) +. (s.(hi) *. frac)
+
+let prop_percentiles_bits =
+  QCheck2.Test.make ~name:"percentiles: bit-identical to Array.sort compare, signed zeros included"
+    ~count:300
+    QCheck2.Gen.(
+      array_size (int_range 1 200)
+        (frequency
+           [ (3, return 0.0); (3, return (-0.0)); (1, return Float.nan); (4, map float_of_int (int_range (-3) 3));
+             (2, float_range (-1.0) 1.0) ]))
+    (fun xs ->
+      Array.for_all Float.is_nan xs
+      ||
+      let ps = [| 0.0; 12.5; 25.0; 50.0; 75.0; 90.0; 99.0; 100.0 |] in
+      let got = Report.percentiles xs ps and q1, med, q3 = Report.quartiles xs in
+      let bits = Int64.bits_of_float in
+      Array.for_all2 (fun g p -> bits g = bits (reference_percentile xs p)) got ps
+      && bits q1 = bits got.(2) && bits med = bits got.(3) && bits q3 = bits got.(4))
+
+
+(* A whole [bmctl run], stall quartiles included, is held to 1.3x the
+   words it allocates today (903,285): the quartiles once sorted every
+   stall fraction three times through boxed comparisons, 16.8 M words. *)
+let test_run_allocation_budget () =
+  match Exe.allocated_words Exe.bmctl_exe [ "run"; "AlexNet"; "-m"; "producer" ] with
+  | None -> Alcotest.fail "bmctl run AlexNet failed or reported no allocation count"
+  | Some words ->
+    if words > 1_174_270 then
+      Alcotest.failf "bmctl run AlexNet -m producer allocated %d words, budget 1,174,270" words
+
 let suite =
   [
     Alcotest.test_case "geomean" `Quick test_geomean;
@@ -219,6 +263,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_geomean_bounds;
     QCheck_alcotest.to_alcotest prop_percentile_bounds;
     QCheck_alcotest.to_alcotest prop_percentile_out_of_range_raises;
+    QCheck_alcotest.to_alcotest prop_percentiles_bits;
+    Alcotest.test_case "bmctl run: allocation budget" `Quick test_run_allocation_budget;
   ]
 
 (* --- timeline --------------------------------------------------------- *)
